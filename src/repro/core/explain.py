@@ -1,9 +1,10 @@
 """Query-plan explanation.
 
-``QHLEngine.explain(s, t, C)`` re-runs the query pipeline and records
-every decision — which case fired, the initial separators, which
-pruning conditions applied and what they removed, each candidate's
-estimated cost, and the per-hoplink concatenation work.  The paper's
+``engine.explain(s, t, C)`` re-runs the Algorithm-3 pipeline with an
+:class:`ExplainHook` and records every decision — which case fired,
+the initial separators, which pruning conditions applied and what they
+removed, each candidate's estimated cost, and the per-hoplink
+concatenation work.  The paper's
 worked examples (10-15) are exactly this trace for one query; the
 feature makes that narration available for *any* query.
 
@@ -114,6 +115,63 @@ class QueryExplanation:
             else "answer: infeasible"
         )
         return "\n".join(lines)
+
+
+class ExplainHook:
+    """The Algorithm-3 phase hook behind ``explain()``.
+
+    Fills :attr:`trace` from the pipeline's phase events (see
+    :mod:`repro.core.qhl`).  ``condition_ends`` pairs each
+    pruning-condition store with the end vertex its conditions fire on
+    (empty when condition pruning is off); the hook re-reads them to
+    record which conditions matched.  A query that raises no event is
+    the same-vertex case.
+    """
+
+    def __init__(self, query: CSPQuery, condition_ends=()):
+        self.trace = QueryExplanation(query, "same-vertex")
+        self._ends = condition_ends
+        self._candidates: list[tuple[int, ...]] = []
+        self._best: tuple[float, float] | None = None
+
+    def __call__(self, phase: str, access, value) -> None:
+        trace = self.trace
+        if phase == "lca":
+            trace.case = "separator"
+            trace.lca = value
+        elif phase == "label-lookup":
+            trace.case = "ancestor-descendant"
+        elif phase == "separator-init":
+            trace.initial_separators = [
+                (child, tuple(separator)) for child, separator in value
+            ]
+            budget = trace.query.budget
+            for child, separator in trace.initial_separators:
+                for index, v_end in self._ends:
+                    pruned = index.prune(child, v_end, separator, budget)
+                    if pruned is not None and pruned != separator:
+                        trace.conditions.append(
+                            ConditionApplication(
+                                child, v_end, separator, pruned
+                            )
+                        )
+        elif phase == "pruning":
+            self._candidates = value
+        elif phase == "hoplink-select":
+            trace.candidates = [
+                (sep, access.estimated_cost(sep)) for sep in self._candidates
+            ]
+            trace.chosen = value
+        elif phase == "hoplink":
+            h, inspected = value
+            # A hoplink found something iff it improved the best answer.
+            best = access.best()
+            found = best if best != self._best else None
+            self._best = best
+            size_sh, size_ht = access.sizes(h)
+            trace.hoplinks.append(
+                HoplinkWork(h, size_sh, size_ht, inspected, found)
+            )
 
 
 #: Query-pipeline span names mapped to the paper phase they implement.

@@ -1,19 +1,17 @@
 """The flat-array QHL engine: Algorithm 3 as index arithmetic.
 
-:class:`FlatQHLEngine` answers the same queries as
-:class:`~repro.core.qhl.QHLEngine` but reads skyline sets as half-open
-slices into the cost-sorted columns of a
-:class:`~repro.storage.flat.FlatLabelStore` — no per-entry tuples, no
-label dicts, no allocation on the hot path.  The pipeline is shared
-piece by piece with the object engine so answers cannot drift:
+:class:`FlatQHLEngine` answers queries through the same Algorithm-3
+pipeline as :class:`~repro.core.qhl.QHLEngine`
+(:meth:`~repro.core.qhl.Algorithm3Engine._algorithm3`: LCA, separator
+initialisation, condition pruning, the min-``T(H)`` hoplink choice and
+the per-hoplink loop, with the same candidate order and tie-breaks).
+Only the per-query label-access object differs: :class:`_FlatAccess`
+reads skyline sets as half-open slices into the cost-sorted columns of
+a :class:`~repro.storage.flat.FlatLabelStore` — no per-entry tuples, no
+label dicts, no allocation on the hot path:
 
-* separator initialisation — the same
-  :func:`~repro.core.separators.initial_separators`;
-* condition pruning — the same
-  :func:`~repro.core.qhl.candidate_separators` (one implementation,
-  same candidate order, same tie-breaks);
-* hoplink selection — ``min`` by the same estimated cost
-  ``T(H) = Σ_h (|P_sh| + |P_ht|)``, sizes read from the offset table;
+* estimated cost ``T(H) = Σ_h (|P_sh| + |P_ht|)`` — sizes read from the
+  offset table;
 * concatenation — :func:`~repro.skyline.flat_ops.sweep_best_pair`,
   Algorithm 5 with identical answer semantics over column slices;
 * the ancestor fast path — a pure binary search
@@ -32,21 +30,21 @@ as produced by :func:`repro.storage.flatfile.load_flat_index`.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.pruning import PruningConditionIndex
-from repro.core.qhl import candidate_separators
-from repro.core.separators import initial_separators
+from repro.core.qhl import Algorithm3Engine
+# Not called here (the pipeline runs them from repro.core.qhl); still
+# exported because benchmarks/e2e/layers.py TARGETS names them here.
+from repro.core.qhl import candidate_separators, initial_separators  # noqa: F401
 from repro.exceptions import IndexBuildError, ReproError
 from repro.graph.network import RoadNetwork
 from repro.hierarchy.lca import LCAIndex
 from repro.hierarchy.tree import TreeDecomposition
-from repro.observability.metrics import get_registry, observe_query
 from repro.skyline.flat_ops import best_under_cols, sweep_best_pair
 from repro.storage.compact import _restore
 from repro.storage.flat import FlatLabelStore
-from repro.types import CSPQuery, QueryResult, QueryStats
+from repro.types import CSPQuery, QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import QHLIndex
@@ -55,8 +53,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _INF = float("inf")
 
 
-class FlatQHLEngine:
-    """QHL over flat label columns; bit-identical to :class:`QHLEngine`."""
+class FlatQHLEngine(Algorithm3Engine):
+    """QHL over flat label columns; bit-identical to :class:`QHLEngine`.
+
+    ``want_path=True`` on a feasible query raises :class:`ReproError`:
+    flat columns keep no provenance (the same trade as compact storage).
+    """
 
     name = "QHL-flat"
 
@@ -76,136 +78,17 @@ class FlatQHLEngine:
             pruning is not None
         )
 
-    # ------------------------------------------------------------------
-    def query(
-        self,
-        source: int,
-        target: int,
-        budget: float,
-        want_path: bool = False,
-        deadline: "Deadline | None" = None,
-    ) -> QueryResult:
-        """Answer one CSP query exactly (Algorithm 3, flat columns).
+    # Bound on the class itself: benchmarks/e2e/layers.py wraps each
+    # engine class's own ``query`` attribute.
+    query = Algorithm3Engine.query
 
-        ``deadline`` is checked cooperatively in the hoplink loop, like
-        the object engine.  ``want_path=True`` on a feasible query
-        raises :class:`ReproError`: flat columns keep no provenance
-        (the same trade as compact storage).
-        """
-        query = CSPQuery(source, target, budget).validated(
-            self._tree.num_vertices
-        )
-        stats = QueryStats()
-        started = time.perf_counter()
-        result = self._answer(query, stats, want_path, deadline)
-        stats.seconds = time.perf_counter() - started
-        result.stats = stats
-        registry = get_registry()
-        if registry.enabled:
-            observe_query(registry, self.name, stats)
-        return result
-
-    def query_many(
-        self,
-        queries: Sequence[CSPQuery | tuple[int, int, float]],
-        want_path: bool = False,
-        deadline: "Deadline | None" = None,
-    ) -> list[QueryResult]:
-        """Batched :meth:`query` in cache-friendly order.
-
-        Results come back in the *input* order; see
-        :func:`repro.perf.batch.execute_batch` for the failure-tolerant
-        multi-process variant (flat stores shine there: mmap-backed
-        columns stay page-shared across forked workers).
-        """
-        from repro.perf.batch import sorted_batch_order
-
-        results: list[QueryResult | None] = [None] * len(queries)
-        for i in sorted_batch_order(queries):
-            s, t, c = queries[i]
-            results[i] = self.query(
-                s, t, c, want_path=want_path, deadline=deadline
-            )
-        return results
-
-    # ------------------------------------------------------------------
-    def _answer(
-        self,
-        query: CSPQuery,
-        stats: QueryStats,
-        want_path: bool,
-        deadline: "Deadline | None",
-    ) -> QueryResult:
-        s, t, budget = query
-        if deadline is not None:
-            deadline.check(stats)
-        if s == t:
-            return QueryResult(
-                query, weight=0, cost=0, path=[s] if want_path else None
-            )
-        labels = self._labels
-        weights, costs = labels.weights, labels.costs
-        lca_v, s_is_anc, t_is_anc = self._lca.relation(s, t)
-
-        # Ancestor-descendant fast path: binary search the cost column.
-        if s_is_anc or t_is_anc:
-            lo, hi = labels.pair_bounds(s, t)
-            stats.label_lookups += 1
-            idx = best_under_cols(costs, lo, hi, budget)
-            if idx < 0:
-                return QueryResult(query)
-            return self._finish(query, weights[idx], costs[idx], want_path)
-
-        c_s, h_s, c_t, h_t = initial_separators(self._tree, lca_v, s, t)
-        candidates = candidate_separators(
-            self._pruning if self.use_pruning_conditions else None,
-            ((c_s, h_s), (c_t, h_t)),
-            s,
-            t,
-            budget,
-        )
-        stats.candidates = len(candidates)
-
-        fetcher = _FlatFetcher(labels, s, t)
-        hoplinks = min(
-            candidates, key=lambda h: _estimated_cost(fetcher, h)
-        )
-        stats.hoplinks = len(hoplinks)
-
-        best_weight = _INF
-        best_cost = _INF
-        for h in hoplinks:
-            if deadline is not None:
-                deadline.check(stats)
-            s_lo, s_hi = fetcher.from_s(h)
-            t_lo, t_hi = fetcher.from_t(h)
-            best_weight, best_cost, inspected = sweep_best_pair(
-                weights, costs, s_lo, s_hi,
-                weights, costs, t_lo, t_hi,
-                budget, best_weight, best_cost,
-            )
-            stats.concatenations += inspected
-        stats.label_lookups += fetcher.lookups
-        if best_weight < _INF:
-            return self._finish(query, best_weight, best_cost, want_path)
-        return QueryResult(query)
-
-    def _finish(
-        self, query: CSPQuery, weight: float, cost: float, want_path: bool
-    ) -> QueryResult:
-        if want_path:
-            raise ReproError(
-                "flat label columns keep no provenance; path retrieval "
-                "needs an object index built with store_paths=True"
-            )
-        return QueryResult(
-            query, weight=_restore(weight), cost=_restore(cost)
-        )
+    def _access(self, s: int, t: int) -> "_FlatAccess":
+        return _FlatAccess(self._labels, s, t)
 
 
-class _FlatFetcher:
-    """Memoised per-query slice access — the flat twin of
-    :class:`~repro.core.separators.LabelFetcher`.
+class _FlatAccess:
+    """Per-query slice access plus the best answer — the flat twin of
+    :class:`~repro.core.qhl.LabelAccess`.
 
     Returns ``(lo, hi)`` column bounds instead of entry lists; sizes
     come from the store's per-vertex hub → size dicts, so cost
@@ -220,11 +103,15 @@ class _FlatFetcher:
     """
 
     __slots__ = (
-        "_entry_offsets", "_s", "_t", "_s_rows", "_t_rows",
-        "_s_sizes", "_t_sizes", "_from_s", "_from_t", "lookups",
+        "_labels", "_weights", "_costs", "_entry_offsets", "_s", "_t",
+        "_s_rows", "_t_rows", "_s_sizes", "_t_sizes", "_from_s",
+        "_from_t", "_weight", "_cost", "lookups",
     )
 
     def __init__(self, labels: FlatLabelStore, s: int, t: int):
+        self._labels = labels
+        self._weights = labels.weights
+        self._costs = labels.costs
         self._entry_offsets = labels.entry_offsets
         self._s = s
         self._t = t
@@ -234,7 +121,21 @@ class _FlatFetcher:
         self._t_sizes = labels.hub_sizes(t)
         self._from_s: dict[int, tuple[int, int]] = {}
         self._from_t: dict[int, tuple[int, int]] = {}
+        self._weight = _INF
+        self._cost = _INF
         self.lookups = 0
+
+    def ancestor(self, budget: float) -> int:
+        """Binary-search the cost column of ``P_st``."""
+        lo, hi = self._labels.pair_bounds(self._s, self._t)
+        idx = best_under_cols(self._costs, lo, hi, budget)
+        if idx >= 0:
+            self._weight = self._weights[idx]
+            self._cost = self._costs[idx]
+        return hi - lo
+
+    def estimated_cost(self, separator) -> int:
+        return _estimated_cost(self, separator)
 
     def from_s(self, h: int) -> tuple[int, int]:
         """Bounds of ``P_sh`` (always stored in ``L(s)``)."""
@@ -268,25 +169,47 @@ class _FlatFetcher:
             self.lookups += 1
         return bounds
 
-    def pair_size(self, h: int) -> int:
-        """``|P_sh| + |P_ht|`` via the store's per-vertex size dicts."""
-        try:
-            return self._s_sizes[h] + self._t_sizes[h]
-        except KeyError as exc:
-            raise IndexBuildError(
-                f"neither L({self._s}) nor L({self._t}) covers hub "
-                f"{h}; its tree node is not a common ancestor"
-            ) from exc
+    def sizes(self, h: int) -> tuple[int, int]:
+        s_lo, s_hi = self.from_s(h)
+        t_lo, t_hi = self.from_t(h)
+        return s_hi - s_lo, t_hi - t_lo
+
+    def concat(self, h: int, budget: float) -> int:
+        weights, costs = self._weights, self._costs
+        s_lo, s_hi = self.from_s(h)
+        t_lo, t_hi = self.from_t(h)
+        self._weight, self._cost, inspected = sweep_best_pair(
+            weights, costs, s_lo, s_hi,
+            weights, costs, t_lo, t_hi,
+            budget, self._weight, self._cost,
+        )
+        return inspected
+
+    def best(self) -> tuple[float, float] | None:
+        if self._weight < _INF:
+            return _restore(self._weight), _restore(self._cost)
+        return None
+
+    def finish(self, query: CSPQuery, want_path: bool) -> QueryResult:
+        best = self.best()
+        if best is None:
+            return QueryResult(query)
+        if want_path:
+            raise ReproError(
+                "flat label columns keep no provenance; path retrieval "
+                "needs an object index built with store_paths=True"
+            )
+        return QueryResult(query, weight=best[0], cost=best[1])
 
 
-def _estimated_cost(fetcher: _FlatFetcher, separator) -> int:
+def _estimated_cost(access: _FlatAccess, separator) -> int:
     """``T(H) = Σ_h (|P_sh| + |P_ht|)`` — same values as the object
     :func:`~repro.core.separators.estimated_cost`, so ``min`` picks the
     same separator.  Two dict hits per hub; the sizes come from the
     store's lazily built per-vertex dicts, so estimation touches no
     entry bytes and allocates nothing."""
-    s_sizes = fetcher._s_sizes
-    t_sizes = fetcher._t_sizes
+    s_sizes = access._s_sizes
+    t_sizes = access._t_sizes
     total = 0
     try:
         for h in separator:

@@ -14,6 +14,30 @@ Pipeline for a non-ancestor-descendant query ``(s, t, C)``:
 4. **Path concatenation** (§3.4, Algorithm 5) — a two-pointer sweep per
    hoplink; the best ``p*_h`` across hoplinks is the answer.
 
+:meth:`Algorithm3Engine._algorithm3` is the one implementation of these
+steps.  The object engine (:class:`QHLEngine`), the flat-column engine
+(:class:`~repro.core.flat.FlatQHLEngine`) and the directed engine
+(:class:`~repro.directed.engine.DirectedQHLEngine`) differ only in the
+per-query *label-access object* they hand it, which implements:
+
+* ``ancestor(budget)`` — the lines 2-5 fast path: keep the best entry
+  of the one label set ``P_st`` under the budget, return the set size;
+* ``estimated_cost(separator)`` — ``T(H)`` for line 9;
+* ``concat(h, budget)`` — Algorithm 5 for one hoplink, keeping the best
+  answer so far; returns the number of inspected pairs;
+* ``finish(query, want_path)`` — the :class:`~repro.types.QueryResult`;
+* ``lookups`` — skyline-set fetches, for :class:`~repro.types.QueryStats`;
+* ``sizes(h)`` and ``best()`` — read only by phase hooks.
+
+A *phase hook* is an optional callable ``hook(phase, access, value)``
+invoked as each phase ends (``lca``, ``label-lookup``,
+``separator-init``, ``pruning``, ``hoplink-select``, one ``hoplink``
+per concatenated hoplink, ``concatenation``).  It is ``None`` on the
+hot path, which then pays one ``is None`` check per phase; the tracing
+hook (:class:`_TraceHook`) rebuilds the ``qhl.query`` span tree and the
+explain hook (:class:`~repro.core.explain.ExplainHook`) fills a
+:class:`~repro.core.explain.QueryExplanation`.
+
 Ablation switches reproduce the paper's Figure 8 variants:
 ``use_pruning_conditions=False`` ("QHL-w/o Alg. 3/4") skips step 2;
 ``use_two_pointer=False`` ("QHL-w/o Alg. 4/5") replaces the sweep with the
@@ -40,7 +64,7 @@ from repro.hierarchy.lca import LCAIndex
 from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry, observe_query
-from repro.observability.tracing import SpanTracer, get_tracer
+from repro.observability.tracing import Span, SpanTracer, get_tracer
 from repro.skyline.entries import Entry, expand
 from repro.skyline.set_ops import best_under
 from repro.types import CSPQuery, QueryResult, QueryStats
@@ -49,28 +73,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.deadline import Deadline
 
 
-class QHLEngine:
-    """Query-aware hop labeling engine over a shared label index."""
+class Algorithm3Engine:
+    """Algorithm 3 over a label index; subclasses supply the label access.
 
-    name = "QHL"
+    A subclass sets ``name``, ``_tree``, ``_lca``, ``_pruning`` (the
+    conditions that fire on ``s``), ``_target_pruning`` (those that fire
+    on ``t``; ``None`` when ``_pruning`` serves both ends) and
+    ``use_pruning_conditions``, and implements ``_access(s, t)``.
+    """
 
-    def __init__(
-        self,
-        tree: TreeDecomposition,
-        labels: LabelStore,
-        lca: LCAIndex | None = None,
-        pruning: PruningConditionIndex | None = None,
-        use_pruning_conditions: bool = True,
-        use_two_pointer: bool = True,
-    ):
-        self._tree = tree
-        self._labels = labels
-        self._lca = lca if lca is not None else LCAIndex(tree)
-        self._pruning = pruning
-        self.use_pruning_conditions = use_pruning_conditions and (
-            pruning is not None
-        )
-        self.use_two_pointer = use_two_pointer
+    name: str
+    _tree: TreeDecomposition
+    _lca: LCAIndex
+    _pruning: PruningConditionIndex | None
+    _target_pruning: PruningConditionIndex | None = None
+    use_pruning_conditions: bool
+
+    def _access(self, s: int, t: int):
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def query(
@@ -96,7 +116,7 @@ class QHLEngine:
         registry = get_registry()
         if not (tracer.enabled or registry.enabled):
             started = time.perf_counter()
-            result = self._answer(query, stats, want_path, deadline)
+            result = self._algorithm3(query, stats, want_path, deadline)
             stats.seconds = time.perf_counter() - started
             result.stats = stats
             return result
@@ -106,8 +126,8 @@ class QHLEngine:
             tracer = SpanTracer()
         started = time.perf_counter()
         with tracer.span("qhl.query") as root:
-            result = self._answer_traced(
-                query, stats, want_path, tracer, deadline
+            result = self._algorithm3(
+                query, stats, want_path, deadline, _TraceHook(root)
             )
         stats.seconds = time.perf_counter() - started
         root.set("hoplinks", stats.hoplinks)
@@ -119,270 +139,6 @@ class QHLEngine:
         result.stats = stats
         return result
 
-    # ------------------------------------------------------------------
-    def query_many(
-        self,
-        queries,
-        want_path: bool = False,
-        deadline: "Deadline | None" = None,
-    ) -> list[QueryResult]:
-        """Answer a batch of queries, sharing per-pair initialisation.
-
-        The batch is executed in cache-friendly order (sorted by
-        normalised pair, see :func:`repro.perf.batch.
-        sorted_batch_order`) and consecutive queries on the same
-        ``(s, t)`` pair share one LCA lookup, one separator
-        initialisation, and one :class:`~repro.core.separators.
-        LabelFetcher` — only the budget-dependent steps (condition
-        pruning, hoplink selection, concatenation) run per query.
-        Results come back in the *input* order, each carrying the same
-        answer (``weight``/``cost``/``path``) as a standalone
-        :meth:`query`; only the operation counters differ on repeated
-        pairs (shared label lookups are counted once).  ``deadline``
-        (shared across the batch) is checked per query and inside each
-        hoplink loop.
-        """
-        from repro.perf.batch import sorted_batch_order
-
-        results: list[QueryResult | None] = [None] * len(queries)
-        shared_key: tuple[int, int] | None = None
-        shared: tuple | None = None
-        for i in sorted_batch_order(queries):
-            s, t, budget = queries[i]
-            query = CSPQuery(s, t, budget).validated(
-                self._tree.num_vertices
-            )
-            stats = QueryStats()
-            started = time.perf_counter()
-            if deadline is not None:
-                deadline.check(stats)
-            if s == t:
-                result = QueryResult(
-                    query, weight=0, cost=0,
-                    path=[s] if want_path else None,
-                )
-            else:
-                if shared_key != (s, t):
-                    shared_key = (s, t)
-                    shared = self._pair_context(s, t)
-                result = self._answer_with_context(
-                    query, stats, want_path, shared, deadline
-                )
-            stats.seconds = time.perf_counter() - started
-            result.stats = stats
-            results[i] = result
-        registry = get_registry()
-        if registry.enabled:
-            for result in results:  # lint: allow=QHL001 metrics flush after the batch is answered; aborting here would drop finished results
-                observe_query(registry, self.name, result.stats)
-        return results
-
-    def _pair_context(self, s: int, t: int) -> tuple:
-        """The budget-independent query state shared across a pair."""
-        lca_v, s_is_anc, t_is_anc = self._lca.relation(s, t)
-        if s_is_anc or t_is_anc:
-            return (True, None, None, None)
-        c_s, h_s, c_t, h_t = initial_separators(self._tree, lca_v, s, t)
-        fetcher = LabelFetcher(self._labels, s, t)
-        return (False, ((c_s, h_s), (c_t, h_t)), fetcher, None)
-
-    def _answer_with_context(
-        self,
-        query: CSPQuery,
-        stats: QueryStats,
-        want_path: bool,
-        shared: tuple,
-        deadline: "Deadline | None",
-    ) -> QueryResult:
-        """The budget-dependent tail of :meth:`_answer`.
-
-        Mirrors ``_answer`` exactly from the candidate-pruning step on;
-        the ancestor fast path re-reads the label per query (it is one
-        dict lookup — nothing worth sharing).
-        """
-        s, t, budget = query
-        is_ancestor, initial, fetcher, _ = shared
-        if is_ancestor:
-            entries = self._labels.get(s, t)
-            stats.label_lookups += 1
-            best = best_under(entries, budget)
-            return self._finish(query, best, s, t, want_path)
-
-        candidates = self._candidate_separators(initial, s, t, budget)
-        stats.candidates = len(candidates)
-        lookups_before = fetcher.lookups
-        hoplinks = min(
-            candidates, key=lambda h: estimated_cost(fetcher, h)
-        )
-        stats.hoplinks = len(hoplinks)
-        concat = (
-            concat_best_under if self.use_two_pointer else concat_cartesian
-        )
-        best: Entry | None = None
-        best_hop = -1
-        for h in hoplinks:
-            if deadline is not None:
-                deadline.check(stats)
-            p_sh = fetcher.from_s(h)
-            p_ht = fetcher.from_t(h)
-            prune = (best[0], best[1]) if best is not None else None
-            found, inspected = concat(p_sh, p_ht, budget, prune=prune)
-            stats.concatenations += inspected
-            if found is not None:
-                best = found
-                best_hop = h
-        stats.label_lookups += fetcher.lookups - lookups_before
-        if best is not None:
-            best = rejoin_with_mid(best, best_hop)
-        return self._finish(query, best, s, t, want_path)
-
-    # ------------------------------------------------------------------
-    def _answer(
-        self,
-        query: CSPQuery,
-        stats: QueryStats,
-        want_path: bool,
-        deadline: "Deadline | None" = None,
-    ) -> QueryResult:
-        s, t, budget = query
-        if deadline is not None:
-            deadline.check(stats)
-        if s == t:
-            return QueryResult(
-                query, weight=0, cost=0, path=[s] if want_path else None
-            )
-        lca_v, s_is_anc, t_is_anc = self._lca.relation(s, t)
-
-        # Lines 2-5: ancestor-descendant fast path (as in CSP-2Hop).
-        if s_is_anc or t_is_anc:
-            entries = self._labels.get(s, t)
-            stats.label_lookups += 1
-            best = best_under(entries, budget)
-            return self._finish(query, best, s, t, want_path)
-
-        # Line 7: initial separators.
-        c_s, h_s, c_t, h_t = initial_separators(self._tree, lca_v, s, t)
-
-        # Line 8: separator pruning (Algorithm 4 per initial separator).
-        candidates = self._candidate_separators(
-            ((c_s, h_s), (c_t, h_t)), s, t, budget
-        )
-        stats.candidates = len(candidates)
-
-        # Line 9: pick the candidate with the smallest estimated cost.
-        fetcher = LabelFetcher(self._labels, s, t)
-        hoplinks = min(
-            candidates, key=lambda h: estimated_cost(fetcher, h)
-        )
-        stats.hoplinks = len(hoplinks)
-
-        # Lines 10-12: per-hoplink concatenation.
-        concat = (
-            concat_best_under if self.use_two_pointer else concat_cartesian
-        )
-        best: Entry | None = None
-        best_hop = -1
-        for h in hoplinks:
-            if deadline is not None:
-                deadline.check(stats)
-            p_sh = fetcher.from_s(h)
-            p_ht = fetcher.from_t(h)
-            prune = (best[0], best[1]) if best is not None else None
-            found, inspected = concat(p_sh, p_ht, budget, prune=prune)
-            stats.concatenations += inspected
-            if found is not None:
-                # concat only returns entries better than `prune`.
-                best = found
-                best_hop = h
-        stats.label_lookups += fetcher.lookups
-        if best is not None:
-            best = rejoin_with_mid(best, best_hop)
-        return self._finish(query, best, s, t, want_path)
-
-    # ------------------------------------------------------------------
-    def _answer_traced(
-        self,
-        query: CSPQuery,
-        stats: QueryStats,
-        want_path: bool,
-        tracer: SpanTracer,
-        deadline: "Deadline | None" = None,
-    ) -> QueryResult:
-        """:meth:`_answer` with each pipeline phase wrapped in a span.
-
-        Kept separate so the untraced hot path stays branch-free; the
-        phase structure mirrors ``_answer`` line for line.
-        """
-        s, t, budget = query
-        if deadline is not None:
-            deadline.check(stats)
-        if s == t:
-            return QueryResult(
-                query, weight=0, cost=0, path=[s] if want_path else None
-            )
-        with tracer.span("lca"):
-            lca_v, s_is_anc, t_is_anc = self._lca.relation(s, t)
-
-        if s_is_anc or t_is_anc:
-            with tracer.span("label-lookup") as span:
-                entries = self._labels.get(s, t)
-                stats.label_lookups += 1
-                best = best_under(entries, budget)
-                span.set("entries", len(entries))
-            return self._finish(query, best, s, t, want_path)
-
-        with tracer.span("separator-init") as span:
-            c_s, h_s, c_t, h_t = initial_separators(self._tree, lca_v, s, t)
-            span.set("separator_sizes", len(h_s) + len(h_t))
-
-        with tracer.span("pruning") as span:
-            candidates = self._candidate_separators(
-                ((c_s, h_s), (c_t, h_t)), s, t, budget
-            )
-            stats.candidates = len(candidates)
-            span.set("candidates", len(candidates))
-
-        with tracer.span("hoplink-select") as span:
-            fetcher = LabelFetcher(self._labels, s, t)
-            hoplinks = min(
-                candidates, key=lambda h: estimated_cost(fetcher, h)
-            )
-            stats.hoplinks = len(hoplinks)
-            span.set("hoplinks", len(hoplinks))
-
-        with tracer.span("concatenation") as span:
-            concat = (
-                concat_best_under
-                if self.use_two_pointer
-                else concat_cartesian
-            )
-            best = None
-            best_hop = -1
-            for h in hoplinks:
-                if deadline is not None:
-                    deadline.check(stats)
-                with tracer.span("hoplink") as hop_span:
-                    p_sh = fetcher.from_s(h)
-                    p_ht = fetcher.from_t(h)
-                    prune = (best[0], best[1]) if best is not None else None
-                    found, inspected = concat(p_sh, p_ht, budget, prune=prune)
-                    stats.concatenations += inspected
-                    hop_span.set("hub", h)
-                    hop_span.set("size_sh", len(p_sh))
-                    hop_span.set("size_ht", len(p_ht))
-                    hop_span.set("inspected", inspected)
-                if found is not None:
-                    best = found
-                    best_hop = h
-            stats.label_lookups += fetcher.lookups
-            span.set("hoplinks", stats.hoplinks)
-            span.set("concatenations", stats.concatenations)
-            span.set("label_lookups", fetcher.lookups)
-        if best is not None:
-            best = rejoin_with_mid(best, best_hop)
-        return self._finish(query, best, s, t, want_path)
-
-    # ------------------------------------------------------------------
     def explain(self, source: int, target: int, budget: float):
         """Re-run the query recording every planning decision.
 
@@ -390,103 +146,240 @@ class QHLEngine:
         ``render()`` produces the paper's Example-10-to-15 style
         narration for any query.
         """
-        from repro.core.explain import (
-            ConditionApplication,
-            HoplinkWork,
-            QueryExplanation,
-        )
+        from repro.core.explain import ExplainHook
 
         query = CSPQuery(source, target, budget).validated(
             self._tree.num_vertices
         )
-        s, t, _ = query
-        if s == t:
-            return QueryExplanation(query, "same-vertex", answer=(0, 0))
-        lca_v, s_is_anc, t_is_anc = self._lca.relation(s, t)
-        if s_is_anc or t_is_anc:
-            best = best_under(self._labels.get(s, t), budget)
-            return QueryExplanation(
-                query,
-                "ancestor-descendant",
-                lca=lca_v,
-                answer=(best[0], best[1]) if best else None,
-            )
-
-        trace = QueryExplanation(query, "separator", lca=lca_v)
-        c_s, h_s, c_t, h_t = initial_separators(self._tree, lca_v, s, t)
-        trace.initial_separators = [(c_s, tuple(h_s)), (c_t, tuple(h_t))]
-
+        ends: tuple = ()
         if self.use_pruning_conditions:
-            for child, separator in trace.initial_separators:
-                for v_end in (s, t):
-                    pruned = self._pruning.prune(
-                        child, v_end, separator, budget
-                    )
-                    if pruned is not None and pruned != tuple(separator):
-                        trace.conditions.append(
-                            ConditionApplication(
-                                child, v_end, tuple(separator), pruned
-                            )
-                        )
-
-        candidates = self._candidate_separators(
-            trace.initial_separators, s, t, budget
-        )
-        fetcher = LabelFetcher(self._labels, s, t)
-        trace.candidates = [
-            (sep, estimated_cost(fetcher, sep)) for sep in candidates
-        ]
-        trace.chosen = min(trace.candidates, key=lambda item: item[1])[0]
-
-        concat = (
-            concat_best_under if self.use_two_pointer else concat_cartesian
-        )
-        best: Entry | None = None
-        for h in trace.chosen:
-            p_sh = fetcher.from_s(h)
-            p_ht = fetcher.from_t(h)
-            prune = (best[0], best[1]) if best is not None else None
-            found, inspected = concat(p_sh, p_ht, budget, prune=prune)
-            trace.hoplinks.append(
-                HoplinkWork(
-                    h, len(p_sh), len(p_ht), inspected,
-                    (found[0], found[1]) if found else None,
-                )
+            target_pruning = self._target_pruning
+            if target_pruning is None:
+                target_pruning = self._pruning
+            ends = (
+                (self._pruning, query.source),
+                (target_pruning, query.target),
             )
-            if found is not None:
-                best = found
-        trace.answer = (best[0], best[1]) if best else None
-        return trace
+        hook = ExplainHook(query, ends)
+        result = self._algorithm3(query, QueryStats(), hook=hook)
+        hook.trace.answer = result.pair()
+        return hook.trace
 
     # ------------------------------------------------------------------
-    def _candidate_separators(
+    def _algorithm3(
         self,
-        initial: tuple[tuple[int, tuple[int, ...]], ...],
-        s: int,
-        t: int,
-        budget: float,
-    ) -> list[tuple[int, ...]]:
-        return candidate_separators(
+        query: CSPQuery,
+        stats: QueryStats,
+        want_path: bool = False,
+        deadline: "Deadline | None" = None,
+        hook=None,
+    ) -> QueryResult:
+        s, t, budget = query
+        if deadline is not None:
+            deadline.check(stats)
+        if s == t:
+            return QueryResult(
+                query, weight=0, cost=0, path=[s] if want_path else None
+            )
+        access = self._access(s, t)
+        lca_v, s_is_anc, t_is_anc = self._lca.relation(s, t)
+        if hook is not None:
+            hook("lca", access, lca_v)
+
+        # Lines 2-5: ancestor-descendant fast path (as in CSP-2Hop).
+        if s_is_anc or t_is_anc:
+            stats.label_lookups += 1
+            size = access.ancestor(budget)
+            if hook is not None:
+                hook("label-lookup", access, size)
+            return access.finish(query, want_path)
+
+        # Line 7: initial separators.
+        c_s, h_s, c_t, h_t = initial_separators(self._tree, lca_v, s, t)
+        initial = ((c_s, h_s), (c_t, h_t))
+        if hook is not None:
+            hook("separator-init", access, initial)
+
+        # Line 8: separator pruning (Algorithm 4 per initial separator).
+        candidates = candidate_separators(
             self._pruning if self.use_pruning_conditions else None,
             initial,
             s,
             t,
             budget,
+            self._target_pruning,
+        )
+        stats.candidates = len(candidates)
+        if hook is not None:
+            hook("pruning", access, candidates)
+
+        # Line 9: the candidate with the smallest estimated cost (the
+        # first one on ties).
+        hoplinks = min(candidates, key=access.estimated_cost)
+        stats.hoplinks = len(hoplinks)
+        if hook is not None:
+            hook("hoplink-select", access, hoplinks)
+
+        # Lines 10-12: per-hoplink concatenation.
+        concat = access.concat
+        for h in hoplinks:
+            if deadline is not None:
+                deadline.check(stats)
+            inspected = concat(h, budget)
+            stats.concatenations += inspected
+            if hook is not None:
+                hook("hoplink", access, (h, inspected))
+        stats.label_lookups += access.lookups
+        if hook is not None:
+            hook("concatenation", access, None)
+        return access.finish(query, want_path)
+
+
+class QHLEngine(Algorithm3Engine):
+    """Query-aware hop labeling engine over a shared label index."""
+
+    name = "QHL"
+
+    def __init__(
+        self,
+        tree: TreeDecomposition,
+        labels: LabelStore,
+        lca: LCAIndex | None = None,
+        pruning: PruningConditionIndex | None = None,
+        use_pruning_conditions: bool = True,
+        use_two_pointer: bool = True,
+    ):
+        self._tree = tree
+        self._labels = labels
+        self._lca = lca if lca is not None else LCAIndex(tree)
+        self._pruning = pruning
+        self.use_pruning_conditions = use_pruning_conditions and (
+            pruning is not None
+        )
+        self.use_two_pointer = use_two_pointer
+
+    # Bound on the class itself: benchmarks/e2e/layers.py wraps each
+    # engine class's own ``query`` attribute.
+    query = Algorithm3Engine.query
+
+    def _access(self, s: int, t: int) -> "LabelAccess":
+        return LabelAccess(
+            self._labels,
+            s,
+            t,
+            concat_best_under if self.use_two_pointer else concat_cartesian,
         )
 
-    # ------------------------------------------------------------------
-    def _finish(
-        self,
-        query: CSPQuery,
-        best: Entry | None,
-        s: int,
-        t: int,
-        want_path: bool,
-    ) -> QueryResult:
+
+class LabelAccess(LabelFetcher):
+    """Per-query access to an object label store, plus the best answer.
+
+    ``P_sh`` / ``P_ht`` come memoised from the
+    :class:`~repro.core.separators.LabelFetcher` it extends; ``concat``
+    is Algorithm 5 (or the Cartesian ablation) over those entry lists.
+    The winning entry is re-stamped with its hoplink only in
+    :meth:`finish`, so path expansion splits at the right vertex.
+    """
+
+    __slots__ = ("_labels", "_s", "_t", "_concat", "_best", "_hop")
+
+    def __init__(self, labels, s: int, t: int, concat):
+        super().__init__(labels, s, t)
+        self._labels = labels
+        self._s = s
+        self._t = t
+        self._concat = concat
+        self._best: Entry | None = None
+        self._hop: int | None = None
+
+    def ancestor(self, budget: float) -> int:
+        entries = self._labels.get(self._s, self._t)
+        self._best = best_under(entries, budget)
+        return len(entries)
+
+    def estimated_cost(self, separator) -> int:
+        return estimated_cost(self, separator)
+
+    def sizes(self, h: int) -> tuple[int, int]:
+        return len(self.from_s(h)), len(self.from_t(h))
+
+    def concat(self, h: int, budget: float) -> int:
+        best = self._best
+        prune = (best[0], best[1]) if best is not None else None
+        found, inspected = self._concat(
+            self.from_s(h), self.from_t(h), budget, prune=prune
+        )
+        if found is not None:
+            # concat only returns entries better than `prune`.
+            self._best = found
+            self._hop = h
+        return inspected
+
+    def best(self) -> tuple[float, float] | None:
+        best = self._best
+        return (best[0], best[1]) if best is not None else None
+
+    def finish(self, query: CSPQuery, want_path: bool) -> QueryResult:
+        best = self._best
         if best is None:
             return QueryResult(query)
-        path = expand(best, s, t) if want_path else None
+        if self._hop is not None:
+            best = rejoin_with_mid(best, self._hop)
+        path = expand(best, self._s, self._t) if want_path else None
         return QueryResult(query, weight=best[0], cost=best[1], path=path)
+
+
+class _TraceHook:
+    """Rebuilds the ``qhl.query`` span tree from the phase events.
+
+    Each event closes one phase: its span runs from the previous phase's
+    end to now, and the per-hoplink spans nest under ``concatenation``.
+    Spans are attached to ``root`` directly, so an exception part-way
+    (an expired deadline) leaves no span open on the tracer.
+    """
+
+    __slots__ = ("_root", "_phase_start", "_mark", "_hops")
+
+    def __init__(self, root: Span):
+        self._root = root
+        self._phase_start = self._mark = root.started
+        self._hops: list[Span] = []
+
+    def __call__(self, phase: str, access, value) -> None:
+        now = time.perf_counter()
+        span = Span(phase)
+        if phase == "hoplink":
+            h, inspected = value
+            size_sh, size_ht = access.sizes(h)
+            span.set("hub", h)
+            span.set("size_sh", size_sh)
+            span.set("size_ht", size_ht)
+            span.set("inspected", inspected)
+            span.started = self._mark
+            span.duration = now - self._mark
+            self._mark = now
+            self._hops.append(span)
+            return
+        if phase == "label-lookup":
+            span.set("entries", value)
+        elif phase == "separator-init":
+            span.set("separator_sizes", sum(len(h) for _c, h in value))
+        elif phase == "pruning":
+            span.set("candidates", len(value))
+        elif phase == "hoplink-select":
+            span.set("hoplinks", len(value))
+        elif phase == "concatenation":
+            span.children = self._hops
+            span.set("hoplinks", len(self._hops))
+            span.set(
+                "concatenations",
+                sum(hop.counters["inspected"] for hop in self._hops),
+            )
+            span.set("label_lookups", access.lookups)
+        span.started = self._phase_start
+        span.duration = now - self._phase_start
+        self._phase_start = self._mark = now
+        self._root.children.append(span)
 
 
 def candidate_separators(
@@ -495,26 +388,33 @@ def candidate_separators(
     s: int,
     t: int,
     budget: float,
+    target_pruning: PruningConditionIndex | None = None,
 ) -> list[tuple[int, ...]]:
     """Algorithm 4, applied to each initial separator.
 
     Per separator: if a condition matches ``s`` and/or ``t``, its pruned
     variant(s) replace the original; otherwise the original stays.
     Result size is 2..4.  ``pruning=None`` skips condition pruning (the
-    Figure 8 ablation).
+    Figure 8 ablation).  ``target_pruning`` holds the conditions that
+    fire on ``t`` when they are learned separately (a directed index
+    keeps one store per role); by default ``pruning`` serves both ends.
 
-    Shared by :class:`QHLEngine` and the flat engine
-    (:class:`~repro.core.flat.FlatQHLEngine`): candidate *order* feeds
-    the ``min``-by-estimated-cost hoplink choice, so one implementation
-    guarantees both engines pick the same separator on ties.
+    Candidate *order* feeds the ``min``-by-estimated-cost hoplink choice,
+    so this one implementation guarantees every engine picks the same
+    separator on ties.
     """
     candidates: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
+    if pruning is not None:
+        ends = (
+            (pruning, s),
+            (pruning if target_pruning is None else target_pruning, t),
+        )
     for child, separator in initial:
         if pruning is not None:
             pruned_any = False
-            for v_end in (s, t):
-                pruned = pruning.prune(child, v_end, separator, budget)
+            for index, v_end in ends:
+                pruned = index.prune(child, v_end, separator, budget)
                 # Corollary 1 guarantees a pruned separator is never
                 # empty; the emptiness check is a defensive guard so
                 # a bad condition could only cost speed, not answers.

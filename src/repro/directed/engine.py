@@ -3,7 +3,9 @@
 Identical pipeline to the undirected engines, with label lookups split
 by direction: a hoplink ``h`` contributes ``P(s→h) ⊗ P(h→t)``, where
 ``P(s→h)`` is the *forward* set in ``L(s)`` and ``P(h→t)`` the
-*backward* set in ``L(t)``.
+*backward* set in ``L(t)``.  :class:`DirectedQHLEngine` runs the shared
+Algorithm-3 pipeline (:class:`~repro.core.qhl.Algorithm3Engine`) and
+differs from the undirected engine only in its label-access object.
 
 Pruning conditions gain a *role*: a condition learned for ``v_end`` as
 a **source** (``P(v_end→h) ⊆ P(v_end→u) ⊗ P(u→h)``) only fires when the
@@ -18,12 +20,9 @@ import random
 import time
 from typing import Iterable
 
-from repro.core.concatenation import (
-    concat_best_under,
-    concat_cartesian,
-    rejoin_with_mid,
-)
+from repro.core.concatenation import concat_best_under, concat_cartesian
 from repro.core.pruning import PruningConditionIndex, compute_cub
+from repro.core.qhl import Algorithm3Engine, LabelAccess
 from repro.core.separators import initial_separators
 from repro.directed.index import (
     DirectedLabelStore,
@@ -34,7 +33,7 @@ from repro.directed.network import DirectedRoadNetwork
 from repro.hierarchy.lca import LCAIndex
 from repro.hierarchy.tree import TreeDecomposition
 from repro.skyline.entries import Entry, expand, join_entry
-from repro.skyline.set_ops import best_under
+from repro.skyline.set_ops import SkylineSet, best_under
 from repro.types import CSPQuery, QueryResult, QueryStats
 
 
@@ -106,7 +105,7 @@ class DirectedCSP2HopEngine:
         return _finish(query, best, want_path)
 
 
-class DirectedQHLEngine:
+class DirectedQHLEngine(Algorithm3Engine):
     """Algorithm 3 over a directed label index."""
 
     name = "QHL(directed)"
@@ -124,104 +123,51 @@ class DirectedQHLEngine:
         self._tree = tree
         self._labels = labels
         self._lca = lca if lca is not None else LCAIndex(tree)
-        self._pruning_source = pruning_source
-        self._pruning_target = pruning_target
+        self._pruning = pruning_source
+        self._target_pruning = pruning_target
         self.use_pruning_conditions = use_pruning_conditions and (
             pruning_source is not None and pruning_target is not None
         )
         self.use_two_pointer = use_two_pointer
 
-    def query(
-        self, source: int, target: int, budget: float,
-        want_path: bool = False,
-    ) -> QueryResult:
-        query = CSPQuery(source, target, budget).validated(
-            self._tree.num_vertices
+    def _access(self, s: int, t: int) -> "_DirectedAccess":
+        return _DirectedAccess(
+            self._labels,
+            s,
+            t,
+            concat_best_under if self.use_two_pointer else concat_cartesian,
         )
-        stats = QueryStats()
-        started = time.perf_counter()
-        result = self._answer(query, stats, want_path)
-        stats.seconds = time.perf_counter() - started
-        result.stats = stats
-        return result
 
-    def _answer(
-        self, query: CSPQuery, stats: QueryStats, want_path: bool
-    ) -> QueryResult:
-        s, t, budget = query
-        if s == t:
-            return QueryResult(
-                query, weight=0, cost=0, path=[s] if want_path else None
-            )
-        lca, s_is_anc, t_is_anc = self._lca.relation(s, t)
-        if s_is_anc or t_is_anc:
-            entries = self._labels.forward(s, t)
-            stats.label_lookups += 1
-            return _finish(query, best_under(entries, budget), want_path)
 
-        c_s, h_s, c_t, h_t = initial_separators(self._tree, lca, s, t)
-        candidates = self._candidate_separators(
-            ((c_s, h_s), (c_t, h_t)), s, t, budget
-        )
-        stats.candidates = len(candidates)
+class _DirectedAccess(LabelAccess):
+    """:class:`~repro.core.qhl.LabelAccess` split by direction.
 
-        label_s = self._labels.label(s)
-        label_t = self._labels.label(t)
-        sizes: dict[int, int] = {}
+    ``P(s→h)`` is the forward set of ``L(s)[h]``, ``P(h→t)`` the
+    backward set of ``L(t)[h]``.  ``lookups`` counts the two sets of
+    each distinct hub that cost estimation sizes; concatenation re-reads
+    sets estimation already sized, uncounted.
+    """
 
-        def pair_size(h: int) -> int:
-            size = sizes.get(h)
-            if size is None:
-                size = len(label_s[h][0]) + len(label_t[h][1])
-                sizes[h] = size
-                stats.label_lookups += 2
-            return size
+    __slots__ = ()
 
-        hoplinks = min(
-            candidates, key=lambda sep: sum(pair_size(h) for h in sep)
-        )
-        stats.hoplinks = len(hoplinks)
+    def ancestor(self, budget: float) -> int:
+        entries = self._labels.forward(self._s, self._t)
+        self._best = best_under(entries, budget)
+        return len(entries)
 
-        concat = (
-            concat_best_under if self.use_two_pointer else concat_cartesian
-        )
-        best: Entry | None = None
-        best_hop = -1
-        for h in hoplinks:
-            prune = (best[0], best[1]) if best is not None else None
-            found, inspected = concat(
-                label_s[h][0], label_t[h][1], budget, prune=prune
-            )
-            stats.concatenations += inspected
-            if found is not None:
-                best = found
-                best_hop = h
-        if best is not None:
-            best = rejoin_with_mid(best, best_hop)
-        return _finish(query, best, want_path)
+    def from_s(self, h: int) -> SkylineSet:
+        return self._label_s[h][0]
 
-    def _candidate_separators(self, initial, s, t, budget):
-        candidates: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for child, separator in initial:
-            if self.use_pruning_conditions:
-                pruned_any = False
-                for index, v_end in (
-                    (self._pruning_source, s),
-                    (self._pruning_target, t),
-                ):
-                    pruned = index.prune(child, v_end, separator, budget)
-                    if pruned and pruned not in seen:
-                        candidates.append(pruned)
-                        seen.add(pruned)
-                        pruned_any = True
-                if pruned_any:
-                    continue
-            separator = tuple(separator)
-            if separator not in seen:
-                candidates.append(separator)
-                seen.add(separator)
-        return candidates
+    def from_t(self, h: int) -> SkylineSet:
+        return self._label_t[h][1]
+
+    def pair_size(self, h: int) -> int:
+        size = self._sizes.get(h)
+        if size is None:
+            size = len(self.from_s(h)) + len(self.from_t(h))
+            self._sizes[h] = size
+            self.lookups += 2
+        return size
 
 
 def _finish(

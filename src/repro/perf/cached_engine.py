@@ -28,7 +28,7 @@ are not (a hit does no label work), which is the point.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.separators import (
     LabelFetcher,
@@ -106,50 +106,31 @@ class CachedQHLEngine:
         if deadline is not None:
             deadline.check(stats)
         if source == target:
-            stats.seconds = time.perf_counter() - started
-            return QueryResult(
+            result = QueryResult(
                 query, weight=0, cost=0,
-                path=[source] if want_path else None, stats=stats,
+                path=[source] if want_path else None,
             )
-        frontier = self.cache.get(source, target)
-        if frontier is None:
-            frontier = self._compute_frontier(
-                source, target, stats, deadline
-            )
-            self.cache.put(source, target, frontier)
-        best = best_under(frontier, budget)
+        else:
+            frontier = self.cache.get(source, target)
+            if frontier is None:
+                frontier = self._compute_frontier(
+                    source, target, stats, deadline
+                )
+                self.cache.put(source, target, frontier)
+            best = best_under(frontier, budget)
+            if best is None:
+                result = QueryResult(query)
+            else:
+                path = expand(best, source, target) if want_path else None
+                result = QueryResult(
+                    query, weight=best[0], cost=best[1], path=path
+                )
         stats.seconds = time.perf_counter() - started
+        result.stats = stats
         registry = get_registry()
         if registry.enabled:
             observe_query(registry, self.name, stats)
-        if best is None:
-            return QueryResult(query, stats=stats)
-        path = expand(best, source, target) if want_path else None
-        return QueryResult(
-            query, weight=best[0], cost=best[1], path=path, stats=stats
-        )
-
-    def query_many(
-        self,
-        queries: Sequence[CSPQuery | tuple[int, int, float]],
-        want_path: bool = False,
-        deadline: "Deadline | None" = None,
-    ) -> list[QueryResult]:
-        """Batched :meth:`query`, sorted internally for cache reuse.
-
-        Results come back in the *input* order.  See
-        :func:`repro.perf.batch.execute_batch` for the failure-tolerant
-        / multi-process variant.
-        """
-        from repro.perf.batch import sorted_batch_order
-
-        results: list[QueryResult | None] = [None] * len(queries)
-        for i in sorted_batch_order(queries):
-            s, t, c = queries[i]
-            results[i] = self.query(
-                s, t, c, want_path=want_path, deadline=deadline
-            )
-        return results
+        return result
 
     # ------------------------------------------------------------------
     def frontier(

@@ -97,6 +97,7 @@ def engines_under_test(index: QHLIndex, cache_size: int = 32) -> list:
         index.qhl_engine(),
         index.qhl_engine(use_pruning_conditions=False),
         index.flat_engine(),
+        index.flat_engine(use_pruning_conditions=False),
         index.cached_engine(cache_size),
         index.csp2hop_engine(),
         SkyDijkstraEngine(index.network),

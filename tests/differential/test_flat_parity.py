@@ -26,6 +26,7 @@ import pytest
 from repro.core.flat import FlatIndex
 from repro.exceptions import DeadlineExceededError, ReproError
 from repro.graph import grid_network
+from repro.perf import execute_batch
 from repro.service.deadline import Deadline
 from repro.storage import load_flat_index, save_flat_index
 
@@ -93,7 +94,7 @@ def test_flat_engine_refuses_path_retrieval(index):
 
 def test_query_many_matches_single_queries(index, cases):
     flat = index.flat_engine()
-    batch = flat.query_many([(s, t, c) for s, t, c in cases])
+    batch = execute_batch(flat, [(s, t, c) for s, t, c in cases]).results
     for (s, t, c), got in zip(cases, batch):
         assert answer(got) == answer(flat.query(s, t, c))
 

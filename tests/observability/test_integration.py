@@ -14,25 +14,34 @@ from repro.observability.metrics import MetricsRegistry, use_registry
 from repro.observability.tracing import SpanTracer, use_tracer, walk
 
 #: The QHL query pipeline phases of paper Algorithm 3 (separator case).
-QHL_PHASES = ("lca", "separator-init", "pruning", "concatenation")
+QHL_PHASES = (
+    "lca", "separator-init", "pruning", "hoplink-select", "concatenation",
+)
 
 
-def _separator_query(index):
+def _separator_query(engine):
     """A query pair whose answer goes through the separator search."""
-    engine = index.qhl_engine()
     for source, target in ((0, 63), (2, 61), (5, 58), (9, 54)):
         tracer = SpanTracer()
         with use_tracer(tracer):
             result = engine.query(source, target, budget=10_000)
         names = {s.name for s in walk(tracer.last())}
         if result.feasible and "separator-init" in names:
-            return engine, source, target
+            return source, target
     raise AssertionError("no separator-case pair found on the grid fixture")
 
 
 class TestQueryTrace:
-    def test_all_four_qhl_phases_recorded(self, small_grid_index):
-        engine, source, target = _separator_query(small_grid_index)
+    """Span trees from the object engine; subclassed per engine below."""
+
+    factory = "qhl_engine"
+
+    @pytest.fixture
+    def engine(self, small_grid_index):
+        return getattr(small_grid_index, self.factory)()
+
+    def test_all_four_qhl_phases_recorded(self, engine):
+        source, target = _separator_query(engine)
         tracer = SpanTracer()
         with use_tracer(tracer):
             engine.query(source, target, budget=10_000)
@@ -42,8 +51,8 @@ class TestQueryTrace:
         for phase in QHL_PHASES:
             assert phase in child_names
 
-    def test_root_counters_match_query_stats(self, small_grid_index):
-        engine, source, target = _separator_query(small_grid_index)
+    def test_root_counters_match_query_stats(self, engine):
+        source, target = _separator_query(engine)
         tracer = SpanTracer()
         with use_tracer(tracer):
             result = engine.query(source, target, budget=10_000)
@@ -54,8 +63,7 @@ class TestQueryTrace:
         assert counters["label_lookups"] == stats.label_lookups
         assert counters["candidates"] == stats.candidates
 
-    def test_tracing_does_not_change_the_answer(self, small_grid_index):
-        engine = small_grid_index.qhl_engine()
+    def test_tracing_does_not_change_the_answer(self, engine):
         plain = engine.query(3, 60, budget=400)
         with use_tracer(SpanTracer()):
             traced = engine.query(3, 60, budget=400)
@@ -73,8 +81,8 @@ class TestQueryTrace:
         names = [child.name for child in root.children]
         assert "lca" in names and "concatenation" in names
 
-    def test_explain_trace_renders_phases_and_legend(self, small_grid_index):
-        engine, source, target = _separator_query(small_grid_index)
+    def test_explain_trace_renders_phases_and_legend(self, engine):
+        source, target = _separator_query(engine)
         tracer = SpanTracer()
         with use_tracer(tracer):
             engine.query(source, target, budget=10_000)
@@ -86,11 +94,22 @@ class TestQueryTrace:
         assert "§3.2" in text
 
 
+class TestFlatQueryTrace(TestQueryTrace):
+    """The flat engine runs the same pipeline, so it traces the same."""
+
+    factory = "flat_engine"
+
+
 class TestQueryMetrics:
-    def test_registry_collects_query_and_phase_histograms(
-        self, small_grid_index
-    ):
-        engine = small_grid_index.qhl_engine()
+    """Registry output of the object engine; subclassed per engine below."""
+
+    factory = "qhl_engine"
+
+    @pytest.fixture
+    def engine(self, small_grid_index):
+        return getattr(small_grid_index, self.factory)()
+
+    def test_registry_collects_query_and_phase_histograms(self, engine):
         registry = MetricsRegistry()
         with use_registry(registry):
             for pair in ((0, 63), (1, 62), (7, 56)):
@@ -102,15 +121,16 @@ class TestQueryMetrics:
             == 3
         )
         phases = [
-            m for m in registry.metrics() if m.name == "qhl_phase_seconds"
+            m for m in registry.metrics()
+            if m.name == "qhl_phase_seconds"
+            and m.labels["engine"] == engine.name
         ]
-        assert {m.labels["phase"] for m in phases} >= {"lca"}
+        assert {m.labels["phase"] for m in phases} >= set(QHL_PHASES)
         records = parse_jsonl(to_jsonl(registry))
         hist = next(r for r in records if r["name"] == "qhl_query_seconds")
         assert {"p50", "p95", "p99"} <= set(hist["percentiles"])
 
-    def test_counter_totals_match_stats_sums(self, small_grid_index):
-        engine = small_grid_index.qhl_engine()
+    def test_counter_totals_match_stats_sums(self, engine):
         registry = MetricsRegistry()
         expected = {"hoplinks": 0, "concatenations": 0, "label_lookups": 0}
         with use_registry(registry):
@@ -132,6 +152,24 @@ class TestQueryMetrics:
             registry.get("qhl_label_lookups_total", labels).value
             == expected["label_lookups"]
         )
+
+
+class TestFlatQueryMetrics(TestQueryMetrics):
+    factory = "flat_engine"
+
+
+@pytest.mark.parametrize(
+    "factory", ["qhl_engine", "flat_engine", "cached_engine"]
+)
+def test_same_vertex_queries_are_counted(small_grid_index, factory):
+    engine = getattr(small_grid_index, factory)()
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        engine.query(5, 5, budget=10)
+        engine.query(0, 63, budget=10_000)
+    labels = {"engine": engine.name}
+    assert registry.get("qhl_queries_total", labels).value == 2
+    assert registry.get("qhl_query_seconds", labels).count == 2
 
 
 class TestBuildObservability:

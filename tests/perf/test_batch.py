@@ -107,7 +107,7 @@ class TestExecuteBatchSequential:
     def test_engine_query_many_preserves_input_order(self, paper_index):
         cached = paper_index.cached_engine(cache_size=8)
         uncached = paper_index.qhl_engine()
-        results = cached.query_many(QUERIES)
+        results = execute_batch(cached, QUERIES).results
         assert len(results) == len(QUERIES)
         for (s, t, c), result in zip(QUERIES, results):
             assert answer(result) == answer(uncached.query(s, t, c))
