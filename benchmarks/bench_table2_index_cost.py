@@ -4,9 +4,10 @@ Paper columns: treewidth ω, treeheight η, average η, tree build time,
 label build time, label size (NY: 148/330/269/120s/1533s/26.7GB, BAY:
 100/238/193/41s/706s/22.6GB, COL: 143/423/276/756s/5419s/149GB).
 
-Expected shape: label time dominates tree time by an order of
-magnitude; BAY is by far the cheapest despite its size (small treewidth
-and skyline sets); COL costs the most.
+Expected shape: label time dominates tree time (about 3× on NY and COL,
+6× on BAY; the paper's ratios are 7-17×); BAY is by far the cheapest
+despite its size (small treewidth and skyline sets); NY and COL cost
+several times more.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 import time
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from repro.hierarchy.lca import LCAIndex
@@ -35,7 +36,6 @@ from repro.labeling.labels import LabelStore
 from repro.core.separators import initial_separators
 from repro.skyline.compare import pairs_equal
 from repro.skyline.entries import Entry
-from repro.skyline.set_ops import cartesian_entries
 from repro.types import CSPQuery
 
 INF = float("inf")
@@ -57,7 +57,8 @@ def compute_cub(
         ``P_{v_end, u}`` and ``P_{u, h}``; their concatenations form
         ``P''``.
     mid:
-        The vertex ``u`` (for provenance bookkeeping only).
+        The vertex ``u``.  Unused: membership compares ``(w, c)``
+        pairs only, so ``P''`` is built without provenance.
 
     Returns
     -------
@@ -67,7 +68,12 @@ def compute_cub(
         budget), otherwise the cost of the first ``P'`` member missing
         from ``P''``.
     """
-    p_second = cartesian_entries(p_vu, p_uh, mid)
+    p_second = [
+        (left[0] + right[0], left[1] + right[1])
+        for left in p_vu
+        for right in p_uh
+    ]
+    p_second.sort(key=itemgetter(1, 0))
     j = 0
     m = len(p_second)
     for entry in p_prime:

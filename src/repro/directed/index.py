@@ -24,7 +24,7 @@ from repro.directed.network import DirectedRoadNetwork
 from repro.exceptions import DisconnectedGraphError, IndexBuildError
 from repro.hierarchy.tree import TreeDecomposition
 from repro.skyline.entries import edge_entry, zero_entry
-from repro.skyline.set_ops import SkylineSet, join, merge, skyline_of
+from repro.skyline.set_ops import SkylineSet, join_union, skyline_of
 
 DirectedPair = tuple[SkylineSet, SkylineSet]
 """``(forward, backward)`` skyline sets for an ordered vertex pair."""
@@ -146,14 +146,12 @@ def build_directed_tree(
             for b in neighbours[i + 1:]:
                 s_vb, s_bv = shortcut_v[b][0], shortcut_v[b][1]
                 record, a_to_b = sets_for(a, b)
-                through_ab = join(s_av, s_vb, mid=v)  # a→v→b
-                through_ba = join(s_bv, s_va, mid=v)  # b→v→a
-                if through_ab:
-                    record[a_to_b] = merge(record[a_to_b], through_ab)
-                if through_ba:
-                    record[1 - a_to_b] = merge(
-                        record[1 - a_to_b], through_ba
-                    )
+                record[a_to_b] = join_union((  # a→v→b
+                    (record[a_to_b], None, v), (s_av, s_vb, v)
+                ))
+                record[1 - a_to_b] = join_union((  # b→v→a
+                    (record[1 - a_to_b], None, v), (s_bv, s_va, v)
+                ))
                 nbrs[a].add(b)
                 nbrs[b].add(a)
 
@@ -191,23 +189,16 @@ def build_directed_labels(
         hubs = tree.bag[v]
         shortcut_v = shortcuts[v]
         for u in tree.ancestors(v):
-            fwd_acc: SkylineSet = []
-            bwd_acc: SkylineSet = []
-            for w in hubs:
-                s_vw, s_wv = shortcut_v[w]
-                if w == u:
-                    fwd_part = s_vw
-                    bwd_part = s_wv
-                else:
-                    fwd_part = join(s_vw, store.forward(w, u), mid=w)
-                    bwd_part = join(store.forward(u, w), s_wv, mid=w)
-                fwd_acc = merge(fwd_acc, fwd_part) if fwd_acc else list(
-                    fwd_part
-                )
-                bwd_acc = merge(bwd_acc, bwd_part) if bwd_acc else list(
-                    bwd_part
-                )
-            store.set(v, u, fwd_acc, bwd_acc)
+            fwd = join_union([
+                (shortcut_v[w][0], None if w == u else store.forward(w, u), w)
+                for w in hubs
+            ])
+            bwd = join_union([
+                (shortcut_v[w][1], None, w) if w == u
+                else (store.forward(u, w), shortcut_v[w][1], w)
+                for w in hubs
+            ])
+            store.set(v, u, fwd, bwd)
 
     store.build_seconds = time.perf_counter() - started
     return store

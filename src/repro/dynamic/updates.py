@@ -39,10 +39,11 @@ from repro.exceptions import InvalidGraphError
 from repro.graph.network import RoadNetwork
 from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
+from repro.labeling.parallel import label_set
 from repro.service.deadline import Deadline
 from repro.service.faults import get_injector
 from repro.skyline.entries import edge_entry
-from repro.skyline.set_ops import SkylineSet, join, merge, skyline_of
+from repro.skyline.set_ops import SkylineSet, join_union, skyline_of
 from repro.types import CSPQuery, QueryResult
 
 
@@ -250,12 +251,13 @@ class DynamicQHLIndex:
                 if not needs:
                     continue
                 shortcuts_checked += 1
-                rebuilt = skyline_of(base.get(key, []))
-                for c in self._contributors.get(key, ()):  # lint: allow=QHL001 outer sweep checks once per vertex
-                    through = join(
-                        tree.shortcuts[c][x], tree.shortcuts[c][w], mid=c
-                    )
-                    rebuilt = merge(rebuilt, through)
+                rebuilt = join_union([
+                    (skyline_of(base.get(key, [])), None, x),
+                    *(
+                        (tree.shortcuts[c][x], tree.shortcuts[c][w], c)
+                        for c in self._contributors.get(key, ())
+                    ),
+                ])
                 if _pairs(rebuilt) != _pairs(tree.shortcuts[x][w]):
                     tree.shortcuts[x][w] = rebuilt
                     dirty_pairs.add(key)
@@ -281,14 +283,7 @@ class DynamicQHLIndex:
                 if not needs:
                     continue
                 labels_checked += 1
-                acc: SkylineSet = []
-                for w in bag:  # lint: allow=QHL001 outer sweep checks once per vertex
-                    s_vw = tree.shortcuts[v][w]
-                    if w == u:
-                        part = s_vw
-                    else:
-                        part = join(s_vw, labels.get(w, u), mid=w)
-                    acc = merge(acc, part) if acc else list(part)
+                acc = label_set(tree, labels, v, u)
                 if _pairs(acc) != _pairs(labels.get(v, u)):
                     labels.set(v, u, acc)
                     dirty_labels.add((v, u))

@@ -25,7 +25,7 @@ from repro.exceptions import DisconnectedGraphError, IndexBuildError
 from repro.graph.network import RoadNetwork
 from repro.hierarchy.tree import TreeDecomposition
 from repro.skyline.entries import edge_entry
-from repro.skyline.set_ops import SkylineSet, join, merge, skyline_of, truncate
+from repro.skyline.set_ops import SkylineSet, join_union, skyline_of, truncate
 
 Strategy = Literal["min_degree", "min_fill"]
 
@@ -102,8 +102,10 @@ def build_tree_decomposition(
         for i, a in enumerate(neighbours):
             s_av = shortcuts[v][a]
             for b in neighbours[i + 1:]:
-                through = join(s_av, shortcuts[v][b], mid=v)
-                combined = merge(adjacency[a].get(b, []), through)
+                combined = join_union((
+                    (adjacency[a].get(b, []), None, v),
+                    (s_av, shortcuts[v][b], v),
+                ))
                 if max_skyline is not None:
                     combined = truncate(combined, max_skyline)
                 adjacency[a][b] = combined

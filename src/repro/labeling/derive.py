@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.hierarchy.lca import LCAIndex
 from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
-from repro.skyline.set_ops import SkylineSet, join, merge
+from repro.skyline.set_ops import SkylineSet, join_union
 
 
 def skyline_between_via_labels(
@@ -30,8 +30,7 @@ def skyline_between_via_labels(
     lca_v, s_is_anc, t_is_anc = lca.relation(source, target)
     if s_is_anc or t_is_anc:
         return labels.get(source, target)
-    result: SkylineSet = []
-    for h in tree.bag_with_self(lca_v):
-        part = join(labels.get(source, h), labels.get(h, target), mid=h)
-        result = merge(result, part) if result else part
-    return result
+    return join_union([
+        (labels.get(source, h), labels.get(h, target), h)
+        for h in tree.bag_with_self(lca_v)
+    ])

@@ -52,7 +52,7 @@ from repro.observability.propagation import (
     stitch,
 )
 from repro.observability.tracing import get_tracer
-from repro.skyline.set_ops import SkylineSet, join, merge, truncate
+from repro.skyline.set_ops import SkylineSet, join_union, truncate
 from repro.supervise.pool import SupervisedPool
 from repro.supervise.supervisor import (
     SupervisionConfig,
@@ -71,6 +71,22 @@ _MAX_SKYLINE: int | None = None
 _SPOOL: WorkerSpool | None = None
 
 
+def label_set(
+    tree: TreeDecomposition, store: LabelStore, v: int, u: int
+) -> SkylineSet:
+    """``P(v, u)``: the label recurrence for one vertex-ancestor pair.
+
+    The parts are ``S(v, w) ⊗ P(w, u)`` for each hub ``w ∈ X(v)\\{v}``
+    in bag order, with ``S(v, u)`` itself standing in for the join when
+    ``w == u``.  Shared by the builders and the dynamic repair sweep.
+    """
+    shortcuts_v = tree.shortcuts[v]
+    return join_union([
+        (shortcuts_v[w], None if w == u else store.get(w, u), w)
+        for w in tree.bag[v]
+    ])
+
+
 def label_rows_for(
     tree: TreeDecomposition,
     store: LabelStore,
@@ -86,19 +102,11 @@ def label_rows_for(
     builder reports).
     """
     hubs = tree.bag[v]  # X(v)\{v}, all ancestors of X(v)
-    shortcuts_v = tree.shortcuts[v]
     rows: list[tuple[int, SkylineSet]] = []
     joins = 0
     for u in tree.ancestors(v):
-        acc: SkylineSet = []
-        for w in hubs:
-            s_vw = shortcuts_v[w]
-            if w == u:
-                part = s_vw
-            else:
-                part = join(s_vw, store.get(w, u), mid=w)
-                joins += 1
-            acc = merge(acc, part) if acc else list(part)
+        acc = label_set(tree, store, v, u)
+        joins += len(hubs) - (u in hubs)
         if max_skyline is not None:
             acc = truncate(acc, max_skyline)
         rows.append((u, acc))

@@ -41,7 +41,7 @@ from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry, observe_query
 from repro.perf.cache import SkylineCache, normalize_pair
 from repro.skyline.entries import expand, zero_entry
-from repro.skyline.set_ops import SkylineSet, best_under, join, merge
+from repro.skyline.set_ops import SkylineSet, best_under, join_union
 from repro.types import CSPQuery, QueryResult, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -183,17 +183,16 @@ class CachedQHLEngine:
             (h_s, h_t), key=lambda h: estimated_cost(fetcher, h)
         )
         stats.hoplinks = len(hoplinks)
-        acc: SkylineSet = []
+        parts = []
         for h in hoplinks:
             if deadline is not None:
                 deadline.check(stats)
             p_sh = fetcher.from_s(h)
             p_ht = fetcher.from_t(h)
             stats.concatenations += len(p_sh) * len(p_ht)
-            through_h = join(p_sh, p_ht, mid=h)
-            acc = merge(acc, through_h) if acc else through_h
+            parts.append((p_sh, p_ht, h))
         stats.label_lookups += fetcher.lookups
-        return acc
+        return join_union(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CachedQHLEngine({self.cache!r})"

@@ -7,19 +7,27 @@ One representative is kept per ``(w, c)`` pair — the paper's queries only
 ever need one optimal path per pair.
 
 This module is the hot kernel of the whole reproduction: the tree
-decomposition's shortcut maintenance, the label construction, and every
-baseline query reduce to :func:`merge` and :func:`join` calls.
+decomposition's shortcut maintenance and the label construction reduce
+to :func:`join_union` calls.  :func:`merge` and :func:`join` are the
+pairwise operations it fuses; they stay as the public reference forms.
 """
 
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from repro.skyline.compare import costs_equal
-from repro.skyline.entries import Entry, join_entry
+from repro.skyline.entries import JOIN, Entry, join_entry
 
 SkylineSet = list[Entry]
+
+JoinPart = tuple[Sequence[Entry], Sequence[Entry] | None, int]
+"""``(a, b, mid)``: the part ``a ⊗_mid b`` of a :func:`join_union`, or
+``a`` itself when ``b`` is ``None``."""
+
+_COST_WEIGHT = itemgetter(1, 0)
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -70,9 +78,8 @@ def skyline_of(entries: Iterable[Entry]) -> SkylineSet:
 def merge(a: Sequence[Entry], b: Sequence[Entry]) -> SkylineSet:
     """Skyline of the union of two canonical skyline sets.
 
-    Linear two-pointer merge on cost followed by the Pareto sweep; used to
-    fold path-through-v shortcuts into existing shortcut sets during the
-    tree decomposition.
+    Linear two-pointer merge on cost followed by the Pareto sweep.  On
+    ties of ``(w, c)`` the entry of ``a`` is kept.
     """
     if not a:
         return list(b)
@@ -136,6 +143,91 @@ def join(
                 break
             products.append(join_entry(left, right, mid))
     return skyline_of(products)
+
+
+def join_union(parts: Iterable[JoinPart]) -> SkylineSet:
+    """Skyline of the union of ``a ⊗_mid b`` over ``(a, b, mid)`` parts.
+
+    The one-pass form of the fold ``acc = merge(acc, join(a, b, mid))``
+    that builds every shortcut and label set (Algorithm 1 line 6 and the
+    label recurrence).  A part whose ``b`` is ``None`` contributes ``a``
+    itself.  Every ``a`` and ``b`` must be a canonical skyline set.
+
+    Two corners bound the union before any product is formed: the
+    cheapest corner ``a[0] ⊗ b[0]`` with the least ``(cost, weight)``,
+    ``(c0, w0)``, and the lightest corner ``a[-1] ⊗ b[-1]`` with the
+    least ``(weight, cost)``, ``(w1, c1)``.  No product costs less than
+    ``c0`` or weighs less than ``w1``, so a product with weight
+    ``> w0`` or cost ``> c1`` is strictly dominated by a corner and is
+    never formed.  The rest is sorted once, stably, by ``(cost,
+    weight)`` and swept once.
+
+    Ties on ``(w, c)`` keep the first product in part order, left-major
+    within a part — the representative the fold keeps (``merge``
+    prefers its left operand, ``skyline_of`` the first of equal keys),
+    so provenance, not only the ``(w, c)`` values, matches the fold.
+    """
+    live: list[JoinPart] = []
+    c0 = w0 = w1 = c1 = float("inf")
+    for part in parts:
+        a, b, _mid = part
+        if not a or (b is not None and not b):
+            continue
+        live.append(part)
+        if b is None:
+            lo_w, lo_c = a[0][0], a[0][1]
+            hi_w, hi_c = a[-1][0], a[-1][1]
+        else:
+            lo_w, lo_c = a[0][0] + b[0][0], a[0][1] + b[0][1]
+            hi_w, hi_c = a[-1][0] + b[-1][0], a[-1][1] + b[-1][1]
+        if (lo_c, lo_w) < (c0, w0):
+            c0, w0 = lo_c, lo_w
+        if (hi_w, hi_c) < (w1, c1):
+            w1, c1 = hi_w, hi_c
+    if not live:
+        return []
+
+    products: list[Entry] = []
+    append = products.append
+    for a, b, mid in live:
+        if b is None:
+            products.extend(e for e in a if e[0] <= w0 and e[1] <= c1)
+            continue
+        first_c = b[0][1]
+        last_w = b[-1][0]
+        for left in a:
+            lw, lc, lp = left
+            if lc + first_c > c1:
+                break  # a is cost-sorted: every later left costs more
+            if lw + last_w > w0:
+                continue
+            for right in b:
+                c = lc + right[1]
+                if c > c1:
+                    break  # b is cost-sorted
+                w = lw + right[0]
+                if w > w0:
+                    continue
+                rp = right[2]
+                append((
+                    w,
+                    c,
+                    None if lp is None or rp is None
+                    else (JOIN, mid, left, right),
+                ))
+
+    products.sort(key=_COST_WEIGHT)
+    it = iter(products)
+    first = next(it)
+    result: SkylineSet = [first]
+    best = first[0]
+    for entry in it:
+        if entry[0] < best:
+            result.append(entry)
+            best = entry[0]
+    # Shortcut and label sets live as long as the index: hand back an
+    # exact-size list rather than the append-grown one.
+    return list(result)
 
 
 def cartesian_entries(

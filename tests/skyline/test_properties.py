@@ -13,6 +13,7 @@ from repro.skyline import (
     filter_under,
     is_canonical,
     join,
+    join_union,
     m_dominates,
     m_join,
     m_skyline,
@@ -20,6 +21,8 @@ from repro.skyline import (
     path_of_pairs,
     skyline_of,
 )
+
+from repro.skyline.entries import JOIN
 
 pair = st.tuples(
     st.integers(min_value=1, max_value=50),
@@ -148,3 +151,64 @@ def test_m_join_members_are_sums(a, b):
         for y in sb
     }
     assert set(m_join(sa, sb)).issubset(sums)
+
+
+# ----------------------------------------------------------------------
+# join_union: the one-pass form of the union-of-joins fold
+# ----------------------------------------------------------------------
+# Small ranges make (w, c) ties across and within parts common; the
+# floats make sums round (0.1 + 0.2 != 0.3).
+metric = st.one_of(
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.5, 2.25]),
+)
+raw_set = st.lists(st.tuples(metric, metric, st.booleans()), max_size=8)
+join_parts = st.lists(
+    st.tuples(raw_set, st.none() | raw_set, st.integers(0, 5)),
+    max_size=6,
+)
+
+
+def fold_union(parts):
+    """The fold join_union replaces: acc = merge(acc, join(a, b, mid))."""
+    acc = []
+    for a, b, mid in parts:
+        part = a if b is None else join(a, b, mid=mid)
+        acc = merge(acc, part) if acc else list(part)
+    return acc
+
+
+@settings(max_examples=300)
+@given(join_parts)
+def test_join_union_equals_merge_join_fold(raw_parts):
+    leaves = []
+
+    def canonical(raw):
+        # Provenance-less entries ride along wherever with_prov is False.
+        made = [
+            (w, c, ("edge", len(leaves) + i, 0) if with_prov else None)
+            for i, (w, c, with_prov) in enumerate(raw)
+        ]
+        sky = skyline_of(made)
+        leaves.extend(sky)
+        return sky
+
+    parts = [
+        (canonical(a), None if b is None else canonical(b), mid)
+        for a, b, mid in raw_parts
+    ]
+    got = join_union(parts)
+    want = fold_union(parts)
+    assert path_of_pairs(got) == path_of_pairs(want)
+    leaf_ids = {id(e) for e in leaves}
+    for g, w in zip(got, want):
+        if id(w) in leaf_ids:
+            assert g is w
+            continue
+        assert id(g) not in leaf_ids
+        gp, wp = g[2], w[2]
+        if wp is None:
+            assert gp is None
+        else:
+            assert gp[0] == wp[0] == JOIN and gp[1] == wp[1]
+            assert gp[2] is wp[2] and gp[3] is wp[3]
