@@ -24,6 +24,7 @@ from typing import Sequence
 from repro.baselines.csp2hop import CSP2HopEngine
 from repro.core.pruning import PruningConditionIndex, build_pruning_index
 from repro.core.qhl import QHLEngine
+from repro.gcpause import collector_paused
 from repro.graph.algorithms import sample_connected_pair
 from repro.graph.network import RoadNetwork
 from repro.hierarchy.decomposition import Strategy, build_tree_decomposition
@@ -125,7 +126,7 @@ class QHLIndex:
             uninterrupted build.
         """
         tracer = get_tracer()
-        with tracer.span("qhl.build") as root:
+        with collector_paused(), tracer.span("qhl.build") as root:
             with tracer.span("tree-decomposition"):
                 tree = build_tree_decomposition(
                     network,

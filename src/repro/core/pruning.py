@@ -63,16 +63,52 @@ def compute_cub(
     Returns
     -------
     float
-        ``0`` when nothing can be pruned (even the cheapest skyline path
-        avoids ``u``), ``+inf`` when ``P' ⊆ P''`` (prunable for every
-        budget), otherwise the cost of the first ``P'`` member missing
-        from ``P''``.
+        ``+inf`` when ``P' ⊆ P''`` (prunable for every budget; also
+        for an empty ``P'``), otherwise the cost of the first ``P'``
+        member missing from ``P''``.  When even the cheapest member
+        ``P'[0]`` is missing (``u`` lies on no skyline path), that is
+        ``P'[0]``'s cost: ``h`` is then pruned only for budgets below
+        the cheapest ``v_end``–``h`` path, where no path via ``h`` is
+        feasible anyway.
+
+    Only members of ``P'`` matter, so two corner sums decide most calls
+    before ``P''`` exists: no product costs less than
+    ``p_vu[0] ⊕ p_uh[0]`` or weighs less than ``p_vu[-1] ⊕ p_uh[-1]``
+    (float addition is monotone), so when either corner misses
+    ``P'[0]``'s cost or weight, ``P'[0]`` is absent.  Otherwise only
+    the products inside ``P'``'s bounding box — cost at most
+    ``P'[-1]``'s, weight between ``P'[-1]``'s and ``P'[0]``'s — are
+    formed; the others equal no member of ``P'`` and cannot change the
+    scan.
     """
-    p_second = [
-        (left[0] + right[0], left[1] + right[1])
-        for left in p_vu
-        for right in p_uh
-    ]
+    if not p_prime:
+        return INF
+    top_w, low_c = p_prime[0][0], p_prime[0][1]
+    if not p_vu or not p_uh:
+        return low_c
+    first_w, first_c = p_uh[0][0], p_uh[0][1]
+    last_w = p_uh[-1][0]
+    if p_vu[0][1] + first_c > low_c or p_vu[-1][0] + last_w > top_w:
+        return low_c
+    low_w, top_c = p_prime[-1][0], p_prime[-1][1]
+    p_second: list[tuple[float, float]] = []
+    append = p_second.append
+    for left in p_vu:
+        lw, lc = left[0], left[1]
+        if lc + first_c > top_c or lw + first_w < low_w:
+            break  # p_vu is cost-sorted and weight-decreasing
+        if lw + last_w > top_w:
+            continue
+        for right in p_uh:
+            c = lc + right[1]
+            if c > top_c:
+                break  # p_uh is cost-sorted
+            w = lw + right[0]
+            if w > top_w:
+                continue
+            if w < low_w:
+                break  # ... and weight-decreasing
+            append((w, c))
     p_second.sort(key=itemgetter(1, 0))
     j = 0
     m = len(p_second)
@@ -164,8 +200,9 @@ def build_condition(
     relationship; it is consulted before calling Algorithm 6 (§4.2's
     speed-up) and updated with new positive findings.
     """
+    sets = {h: labels.get(v_end, h) for h in separator}
     # Sort hoplinks by the smallest cost in P_{v_end, h} (Lemma 8).
-    ordered = sorted(separator, key=lambda h: labels.get(v_end, h)[0][1])
+    ordered = sorted(separator, key=lambda h: sets[h][0][1])
     separator_set = set(separator)
     bounds: dict[int, float] = {}
     for i in range(1, len(ordered)):
@@ -176,12 +213,7 @@ def build_condition(
             bounds[h] = cached[1]
             continue
         u = ordered[rng.randrange(i)]
-        cub = compute_cub(
-            labels.get(v_end, h),
-            labels.get(v_end, u),
-            labels.get(u, h),
-            mid=u,
-        )
+        cub = compute_cub(sets[h], sets[u], labels.get(u, h), mid=u)
         index.algorithm6_calls += 1
         if cub > 0:
             bounds[h] = cub

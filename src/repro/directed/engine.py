@@ -30,6 +30,7 @@ from repro.directed.index import (
     build_directed_tree,
 )
 from repro.directed.network import DirectedRoadNetwork
+from repro.gcpause import collector_paused
 from repro.hierarchy.lca import LCAIndex
 from repro.hierarchy.tree import TreeDecomposition
 from repro.skyline.entries import Entry, expand, join_entry
@@ -200,17 +201,15 @@ def _build_condition_directed(
     optimum, so it gets ``C_ub = +inf`` outright.
     """
     if role == "source":
-        def sets_to(h):
-            return labels.forward(v_end, h)
+        sets = {h: labels.forward(v_end, h) for h in separator}
     else:
-        def sets_to(h):
-            return labels.forward(h, v_end)
+        sets = {h: labels.forward(h, v_end) for h in separator}
 
-    reachable = [h for h in separator if sets_to(h)]
+    reachable = [h for h in separator if sets[h]]
     bounds: dict[int, float] = {
-        h: float("inf") for h in separator if not sets_to(h)
+        h: float("inf") for h in separator if not sets[h]
     }
-    ordered = sorted(reachable, key=lambda h: sets_to(h)[0][1])
+    ordered = sorted(reachable, key=lambda h: sets[h][0][1])
     separator_set = set(reachable)
     for i in range(1, len(ordered)):
         h = ordered[i]
@@ -221,15 +220,9 @@ def _build_condition_directed(
             continue
         u = ordered[rng.randrange(i)]
         if role == "source":
-            cub = compute_cub(
-                sets_to(h), labels.forward(v_end, u),
-                labels.forward(u, h), mid=u,
-            )
+            cub = compute_cub(sets[h], sets[u], labels.forward(u, h), mid=u)
         else:
-            cub = compute_cub(
-                sets_to(h), labels.forward(h, u),
-                labels.forward(u, v_end), mid=u,
-            )
+            cub = compute_cub(sets[h], labels.forward(h, u), sets[u], mid=u)
         index.algorithm6_calls += 1
         if cub > 0:
             bounds[h] = cub
@@ -309,27 +302,30 @@ class DirectedQHLIndex:
         store_paths: bool = False,
         seed: int = 0,
     ) -> "DirectedQHLIndex":
-        tree, shortcuts = build_directed_tree(
-            network, store_paths=store_paths
-        )
-        labels = build_directed_labels(
-            tree, shortcuts, store_paths=store_paths
-        )
-        lca = LCAIndex(tree)
-        if index_queries is None:
-            rng = random.Random(seed)
-            n = network.num_vertices
-            index_queries = [
-                CSPQuery(rng.randrange(n), rng.randrange(n), 0)
-                for _ in range(num_index_queries)
-            ]
-            index_queries = [
-                q for q in index_queries if q.source != q.target
-            ]
-        source_index, target_index = build_directed_pruning(
-            tree, labels, lca, index_queries, seed=seed
-        )
-        return cls(network, tree, labels, lca, source_index, target_index)
+        with collector_paused():
+            tree, shortcuts = build_directed_tree(
+                network, store_paths=store_paths
+            )
+            labels = build_directed_labels(
+                tree, shortcuts, store_paths=store_paths
+            )
+            lca = LCAIndex(tree)
+            if index_queries is None:
+                rng = random.Random(seed)
+                n = network.num_vertices
+                index_queries = [
+                    CSPQuery(rng.randrange(n), rng.randrange(n), 0)
+                    for _ in range(num_index_queries)
+                ]
+                index_queries = [
+                    q for q in index_queries if q.source != q.target
+                ]
+            source_index, target_index = build_directed_pruning(
+                tree, labels, lca, index_queries, seed=seed
+            )
+            return cls(
+                network, tree, labels, lca, source_index, target_index
+            )
 
     def qhl_engine(self, **flags) -> DirectedQHLEngine:
         return DirectedQHLEngine(

@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 from repro.core.engine import QHLIndex, random_index_queries
 from repro.core.pruning import build_pruning_index
 from repro.exceptions import InvalidGraphError
+from repro.gcpause import collector_paused
 from repro.graph.network import RoadNetwork
 from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
@@ -89,7 +90,8 @@ class DynamicQHLIndex:
         self._edges: list[tuple[int, int, float, float]] = list(
             index.network.edges()
         )
-        self._contributors = _build_contributor_index(index.tree)
+        with collector_paused():
+            self._contributors = _build_contributor_index(index.tree)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -206,11 +208,11 @@ class DynamicQHLIndex:
 
         # Refresh the stored network object (queries never read it, but
         # stats and serialisation do).
-        self.index.network = RoadNetwork.from_edges(
-            self.index.network.num_vertices, self._edges
-        )
-
-        report = self._repair(dirty_seeds=dirty_seeds, deadline=deadline)
+        with collector_paused():
+            self.index.network = RoadNetwork.from_edges(
+                self.index.network.num_vertices, self._edges
+            )
+            report = self._repair(dirty_seeds=dirty_seeds, deadline=deadline)
         report.seconds = clock() - started
         report.edges_applied = len(list(deltas))
         return report

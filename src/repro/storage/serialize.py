@@ -37,6 +37,7 @@ from typing import Any, Callable, Mapping
 
 from repro.core.engine import QHLIndex
 from repro.exceptions import SerializationError
+from repro.gcpause import collector_paused
 
 MAGIC = "repro-qhl-index"
 COMPACT_MAGIC = "repro-qhl-compact"
@@ -289,7 +290,7 @@ def _open_envelope(
                 f"{digest[:12]}…); the file is corrupt"
             )
     try:
-        with _raised_recursion_limit():
+        with _raised_recursion_limit(), collector_paused():
             inner = pickle.loads(bytes(payload))
     except _PICKLE_ERRORS as exc:
         raise SerializationError(
@@ -317,7 +318,7 @@ def load_index(path: str, verify_checksum: bool = True) -> QHLIndex:
     if os.path.isdir(path):
         raise SerializationError(f"{path!r} is a directory, not an index file")
     try:
-        with _raised_recursion_limit(), open(path, "rb") as f:
+        with _raised_recursion_limit(), collector_paused(), open(path, "rb") as f:
             envelope = pickle.load(f)
     except _PICKLE_ERRORS as exc:
         raise SerializationError(
@@ -347,7 +348,7 @@ def load_compact_index(path: str, verify_checksum: bool = True) -> QHLIndex:
     if os.path.isdir(path):
         raise SerializationError(f"{path!r} is a directory, not an index file")
     try:
-        with gzip.open(path, "rb") as f:
+        with collector_paused(), gzip.open(path, "rb") as f:
             envelope = pickle.load(f)
     except (*_PICKLE_ERRORS, gzip.BadGzipFile, OSError) as exc:
         raise SerializationError(
@@ -366,7 +367,8 @@ def load_compact_index(path: str, verify_checksum: bool = True) -> QHLIndex:
             {v: tuple(bag) for v, bag in payload["bags"].items()},
             {},
         )
-        labels = unpack_labels(payload["labels"])
+        with collector_paused():
+            labels = unpack_labels(payload["labels"])
         labels.build_seconds = payload["label_build_seconds"]
         pruning = PruningConditionIndex()
         for (child, v_end), bounds in payload["conditions"].items():
