@@ -21,6 +21,10 @@ Example session::
     repro-qhl query --index ny.idx --source 0 --target 140 --budget 400 --trace
     repro-qhl stats --index ny.idx
 
+``build --no-paths`` saves the flat (version 3) format instead of the
+version-2 object envelope; ``query``, ``stats`` and ``verify`` read
+either, telling them apart by the file header.
+
 ``build``, ``workload``, ``bench`` and ``query`` accept
 ``--metrics-out PATH`` to dump the run's metrics registry as JSON-lines
 (counters, gauges, and latency histograms with p50/p95/p99);
@@ -82,6 +86,7 @@ from repro.instrument.timing import Timer, format_bytes, format_seconds
 from repro.observability.metrics import MetricsRegistry, use_registry
 from repro.observability.export import write_jsonl
 from repro.observability.tracing import SpanTracer, use_tracer
+from repro.storage.flatfile import save_flat_index
 from repro.storage.serialize import (
     load_index,
     load_index_with_retry,
@@ -294,9 +299,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             supervised=supervised,
             supervision=supervision,
         )
-    if args.flat:
-        from repro.storage import save_flat_index
-
+    if args.no_paths:
         size = save_flat_index(index, args.out)
     else:
         size = save_index(index, args.out)
@@ -304,7 +307,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         # The index reached durable storage; the checkpoints served
         # their purpose.
         CheckpointStore(args.checkpoint_dir).clear()
-    kind = "flat index" if args.flat else "index"
+    kind = "flat index" if args.no_paths else "index"
     print(
         f"built {kind} for |V|={network.num_vertices} in "
         f"{format_seconds(timer.seconds)}; file {format_bytes(size)} "
@@ -322,18 +325,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with _metrics_scope(args.metrics_out):
         storage = AuditCheck("storage-checksum", checked=1)
         try:
-            if args.flat:
-                from repro.storage import load_flat_index
-
-                index = load_flat_index(
-                    args.index,
-                    verify_checksum=args.verify_checksum != "off",
-                )
-            else:
-                index = load_index(
-                    args.index,
-                    verify_checksum=args.verify_checksum != "off",
-                )
+            index = load_index(
+                args.index, verify_checksum=args.verify_checksum != "off"
+            )
         except SerializationError as exc:
             storage.add(str(exc))
             report = AuditReport(checks=[storage])
@@ -350,14 +344,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.exceptions import ReproError
     from repro.service import Deadline, QueryService, ServiceConfig
 
-    if args.flat and args.fallback:
-        raise ReproError(
-            "--flat cannot be combined with --fallback; the degradation "
-            "ladder serves object indexes"
-        )
     verify = args.verify_checksum != "off"
     deadline = (
         Deadline.from_ms(args.deadline_ms)
@@ -384,20 +372,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
             def run(want_path: bool):
                 return service.query(
-                    args.source, args.target, args.budget,
-                    want_path=want_path, deadline=deadline,
-                )
-        elif args.flat:
-            from repro.storage import load_flat_index
-
-            index = load_flat_index(
-                args.index,
-                verify_checksum=verify,
-                use_mmap=args.mmap != "off",
-            )
-
-            def run(want_path: bool):
-                return index.query(
                     args.source, args.target, args.budget,
                     want_path=want_path, deadline=deadline,
                 )
@@ -886,14 +860,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument(
         "--no-paths",
         action="store_true",
-        help="skip path provenance (smaller index, no path retrieval)",
-    )
-    p_build.add_argument(
-        "--flat",
-        action="store_true",
-        help="save in the flat (version 3) format: raw label columns "
-        "behind a checksummed binary header, loadable via mmap with "
-        "zero copies (drops provenance, like the compact format)",
+        help="skip path provenance and save in the flat (version 3) "
+        "format: raw label columns behind a checksummed binary header, "
+        "mapped into memory on load (no path retrieval)",
     )
     p_build.add_argument(
         "--metrics-out",
@@ -981,12 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump audit metrics (audit_* counters) as JSON-lines to "
         "this path",
     )
-    p_verify.add_argument(
-        "--flat",
-        action="store_true",
-        help="audit a flat (version 3) index: mmap-load it and run the "
-        "full audit plus the flat-columns structural check",
-    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_query = sub.add_parser("query", help="answer one CSP query")
@@ -1026,26 +989,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("on", "off"),
         default="on",
         help="verify the index file's SHA-256 payload checksum on "
-        "load (default on; v1 files carry no checksum)",
+        "load (default on)",
     )
     p_query.add_argument(
         "--metrics-out",
         help="dump query/service metrics (fallbacks, deadline hits) as "
         "JSON-lines to this path",
-    )
-    p_query.add_argument(
-        "--flat",
-        action="store_true",
-        help="answer from a flat (version 3) index through the "
-        "flat-array engine (bit-identical answers, near-zero load "
-        "time; incompatible with --fallback)",
-    )
-    p_query.add_argument(
-        "--mmap",
-        choices=("on", "off"),
-        default="on",
-        help="with --flat, map the column file into memory (on, the "
-        "default) or read it into arrays (off); answers are identical",
     )
     _add_flight_arguments(p_query)
     p_query.set_defaults(func=_cmd_query)

@@ -2,7 +2,7 @@
 
 from repro.core.concatenation import concat_best_under, concat_cartesian
 from repro.core.engine import IndexStats, QHLIndex, random_index_queries
-from repro.core.flat import FlatIndex, FlatQHLEngine
+from repro.core.flat import FlatQHLEngine
 from repro.core.explain import (
     ConditionApplication,
     HoplinkWork,
@@ -23,7 +23,6 @@ from repro.core.separators import (
 
 __all__ = [
     "ConditionApplication",
-    "FlatIndex",
     "FlatQHLEngine",
     "HoplinkWork",
     "IndexStats",

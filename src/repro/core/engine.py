@@ -2,7 +2,11 @@
 
 :class:`QHLIndex` bundles the four index pieces — tree decomposition,
 2-hop skyline labels, LCA structure, and pruning conditions — behind one
-``build`` call, and hands out query engines:
+``build`` call, and hands out query engines.  The labels are either an
+object :class:`~repro.labeling.labels.LabelStore` (built in memory or
+loaded from a version-2 file) or flat columns
+(:class:`~repro.storage.flat.FlatLabelStore`, loaded from a version-3
+file); the label type picks the default engine:
 
 >>> from repro import QHLIndex, grid_network
 >>> network = grid_network(8, 8, seed=1)
@@ -19,11 +23,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.baselines.csp2hop import CSP2HopEngine
 from repro.core.pruning import PruningConditionIndex, build_pruning_index
 from repro.core.qhl import QHLEngine
+from repro.exceptions import ReproError
 from repro.gcpause import collector_paused
 from repro.graph.algorithms import sample_connected_pair
 from repro.graph.network import RoadNetwork
@@ -35,6 +40,10 @@ from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import get_tracer
 from repro.types import CSPQuery, QueryResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.flat import FlatQHLEngine
+    from repro.storage.flat import FlatLabelStore
 
 
 @dataclass
@@ -61,17 +70,23 @@ class QHLIndex:
         self,
         network: RoadNetwork,
         tree: TreeDecomposition,
-        labels: LabelStore,
+        labels: "LabelStore | FlatLabelStore",
         lca: LCAIndex,
         pruning: PruningConditionIndex,
     ):
+        from repro.storage.flat import FlatLabelStore
+
         self.network = network
         self.tree = tree
         self.labels = labels
         self.lca = lca
         self.pruning = pruning
-        self._default_engine = QHLEngine(tree, labels, lca, pruning)
-        self._flat_store = None  # packed lazily by flat_engine()
+        # Flat labels are already columns; object labels are packed
+        # lazily by flat_engine().
+        self._flat_store: FlatLabelStore | None = (
+            labels if isinstance(labels, FlatLabelStore) else None
+        )
+        self._default_engine = self.qhl_engine()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -172,8 +187,19 @@ class QHLIndex:
         self,
         use_pruning_conditions: bool = True,
         use_two_pointer: bool = True,
-    ) -> QHLEngine:
-        """A QHL engine; flip the flags for the Figure 8 ablations."""
+    ) -> "QHLEngine | FlatQHLEngine":
+        """A QHL engine; flip the flags for the Figure 8 ablations.
+
+        Over flat labels this is :meth:`flat_engine`, whose sweep has
+        no Cartesian variant (``use_two_pointer=False`` raises).
+        """
+        if self.labels is self._flat_store:
+            if not use_two_pointer:
+                raise ReproError(
+                    "the Cartesian ablation needs object labels; this "
+                    "index holds flat columns"
+                )
+            return self.flat_engine(use_pruning_conditions)
         return QHLEngine(
             self.tree,
             self.labels,
@@ -187,13 +213,16 @@ class QHLIndex:
         """The CSP-2Hop baseline over the same labels."""
         return CSP2HopEngine(self.tree, self.labels, self.lca)
 
-    def flat_engine(self, use_pruning_conditions: bool = True):
-        """A :class:`~repro.core.flat.FlatQHLEngine` over packed columns.
+    def flat_engine(
+        self, use_pruning_conditions: bool = True
+    ) -> "FlatQHLEngine":
+        """A :class:`~repro.core.flat.FlatQHLEngine` over flat columns.
 
-        The labels are packed into a
+        Flat labels are used as held (an mmap'd file stays mapped);
+        object labels are packed into a
         :class:`~repro.storage.flat.FlatLabelStore` on first use and
         cached, so repeated calls share one column set.  Answers are
-        bit-identical to :meth:`qhl_engine`; the hot path is index
+        bit-identical to the object engine; the hot path is index
         arithmetic instead of object-graph walks.
         """
         from repro.core.flat import FlatQHLEngine
@@ -214,7 +243,8 @@ class QHLIndex:
 
         Repeated-pair workloads answer from a cached skyline frontier
         in ``O(log k)``; exact for every budget (``docs/performance.md``
-        has the argument).
+        has the argument).  It reads labels through the ``label`` /
+        ``get`` API, which flat columns speak too.
         """
         from repro.perf.cached_engine import CachedQHLEngine
 
@@ -235,8 +265,10 @@ class QHLIndex:
 
         ``cache_size > 0`` routes the batch through a fresh
         :meth:`cached_engine`; ``workers >= 2`` fans it out across a
-        process pool.  Returns a :class:`~repro.perf.batch.BatchReport`
-        with results in input order.
+        process pool (over mmap'd flat columns the forked workers share
+        the mapped pages instead of copying them).  Returns a
+        :class:`~repro.perf.batch.BatchReport` with results in input
+        order.
         """
         from repro.perf.batch import execute_batch
 
@@ -262,7 +294,8 @@ class QHLIndex:
         want_path: bool = False,
         deadline=None,
     ) -> QueryResult:
-        """Answer a CSP query with the default QHL engine."""
+        """Answer a CSP query with the default engine (the flat one
+        over flat labels)."""
         return self._default_engine.query(
             source, target, budget, want_path=want_path, deadline=deadline
         )
@@ -272,8 +305,10 @@ class QHLIndex:
         """Deep self-audit; see :func:`repro.resilience.audit.audit_index`.
 
         Checks skyline canonicality, hoplink coverage, tree/LCA
-        well-formedness, and spot-checks ``queries`` seeded random
-        queries against the exact constrained-Dijkstra baseline.
+        well-formedness (plus the offset tables of flat labels), and
+        spot-checks ``queries`` seeded random queries through
+        :meth:`qhl_engine` against the exact constrained-Dijkstra
+        baseline.
         Returns the machine-readable
         :class:`~repro.resilience.audit.AuditReport` (never raises on a
         bad index).

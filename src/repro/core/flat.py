@@ -23,14 +23,13 @@ object engine on every query (the differential suite pins this); only
 the ``concatenations`` counter may be lower, because the flat sweep
 binary-searches away provably infeasible pairs.
 
-:class:`FlatIndex` is the facade over a flat (possibly mmap-backed)
-label store — the flat twin of :class:`~repro.core.engine.QHLIndex` —
-as produced by :func:`repro.storage.flatfile.load_flat_index`.
+A :class:`~repro.core.engine.QHLIndex` whose labels are a
+:class:`~repro.storage.flat.FlatLabelStore` (what
+:func:`repro.storage.flatfile.load_flat_index` returns) hands out this
+engine by default.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING, Sequence
 
 from repro.core.pruning import PruningConditionIndex
 from repro.core.qhl import Algorithm3Engine
@@ -38,17 +37,12 @@ from repro.core.qhl import Algorithm3Engine
 # exported because benchmarks/e2e/layers.py TARGETS names them here.
 from repro.core.qhl import candidate_separators, initial_separators  # noqa: F401
 from repro.exceptions import IndexBuildError, ReproError
-from repro.graph.network import RoadNetwork
 from repro.hierarchy.lca import LCAIndex
 from repro.hierarchy.tree import TreeDecomposition
 from repro.skyline.flat_ops import best_under_cols, sweep_best_pair
 from repro.storage.compact import _restore
 from repro.storage.flat import FlatLabelStore
 from repro.types import CSPQuery, QueryResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import QHLIndex
-    from repro.service.deadline import Deadline
 
 _INF = float("inf")
 
@@ -57,7 +51,7 @@ class FlatQHLEngine(Algorithm3Engine):
     """QHL over flat label columns; bit-identical to :class:`QHLEngine`.
 
     ``want_path=True`` on a feasible query raises :class:`ReproError`:
-    flat columns keep no provenance (the same trade as compact storage).
+    flat columns hold ``(weight, cost)`` pairs only, no provenance.
     """
 
     name = "QHL-flat"
@@ -220,125 +214,3 @@ def _estimated_cost(access: _FlatAccess, separator) -> int:
             "is not a common ancestor"
         ) from exc
     return total
-
-
-class FlatIndex:
-    """A queryable index whose labels are flat (possibly mmap) columns.
-
-    The flat twin of :class:`~repro.core.engine.QHLIndex`: same
-    attribute names (``network`` / ``tree`` / ``labels`` / ``lca`` /
-    ``pruning``), same ``query`` / ``query_many`` / ``audit`` surface,
-    so the batch executor, the audit, and the CLI treat both shapes
-    uniformly.  Produced by
-    :func:`repro.storage.flatfile.load_flat_index` or from an object
-    index via :meth:`from_index`.
-    """
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        tree: TreeDecomposition,
-        labels: FlatLabelStore,
-        lca: LCAIndex,
-        pruning: PruningConditionIndex,
-    ):
-        self.network = network
-        self.tree = tree
-        self.labels = labels
-        self.lca = lca
-        self.pruning = pruning
-        self._default_engine = FlatQHLEngine(tree, labels, lca, pruning)
-
-    @classmethod
-    def from_index(cls, index: "QHLIndex") -> "FlatIndex":
-        """Pack an object index's labels into a flat index.
-
-        Tree, LCA, network, and pruning conditions are shared (they are
-        read-only at query time); only the labels are re-packed.
-        """
-        return cls(
-            index.network,
-            index.tree,
-            FlatLabelStore.from_store(index.labels),
-            index.lca,
-            index.pruning,
-        )
-
-    # ------------------------------------------------------------------
-    def qhl_engine(
-        self, use_pruning_conditions: bool = True
-    ) -> FlatQHLEngine:
-        """A flat engine over this index (the audit spot-check uses
-        this name, so flat indexes audit with their own hot path)."""
-        return FlatQHLEngine(
-            self.tree,
-            self.labels,
-            self.lca,
-            self.pruning,
-            use_pruning_conditions=use_pruning_conditions,
-        )
-
-    # Alias so index.flat_engine() works on both index shapes.
-    flat_engine = qhl_engine
-
-    def cached_engine(self, cache_size: int = 1024):
-        """A frontier cache over flat columns.
-
-        :class:`~repro.perf.cached_engine.CachedQHLEngine` only needs
-        the ``label`` / ``get`` read API, which
-        :class:`FlatLabelStore` speaks — cache hits answer in
-        ``O(log k)`` with zero column reads.
-        """
-        from repro.perf.cached_engine import CachedQHLEngine
-
-        return CachedQHLEngine(
-            self.tree, self.labels, self.lca, cache=cache_size
-        )
-
-    def query(
-        self,
-        source: int,
-        target: int,
-        budget: float,
-        want_path: bool = False,
-        deadline: "Deadline | None" = None,
-    ) -> QueryResult:
-        """Answer a CSP query with the default flat engine."""
-        return self._default_engine.query(
-            source, target, budget, want_path=want_path, deadline=deadline
-        )
-
-    def query_many(
-        self,
-        queries: Sequence,
-        want_path: bool = False,
-        deadline_ms: float | None = None,
-        batch_deadline_ms: float | None = None,
-        workers: int = 0,
-    ):
-        """Batched queries; with ``workers >= 2`` the forked pool reads
-        the mapped columns without copying them (page sharing is the
-        point of the mmap load)."""
-        from repro.perf.batch import execute_batch
-
-        return execute_batch(
-            self._default_engine,
-            queries,
-            want_path=want_path,
-            deadline_ms=deadline_ms,
-            batch_deadline_ms=batch_deadline_ms,
-            workers=workers,
-        )
-
-    # ------------------------------------------------------------------
-    def audit(self, queries: int = 8, seed: int = 0):
-        """Deep self-audit; see :func:`repro.resilience.audit.audit_index`.
-
-        Runs the same checks as an object index — flat stores add the
-        ``flat-columns`` structural check (offset monotonicity, sorted
-        hubs) — and spot-checks against constrained Dijkstra through
-        the flat engine.
-        """
-        from repro.resilience.audit import audit_index
-
-        return audit_index(self, queries=queries, seed=seed)

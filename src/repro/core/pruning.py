@@ -45,7 +45,6 @@ def compute_cub(
     p_prime: Sequence[Entry],
     p_vu: Sequence[Entry],
     p_uh: Sequence[Entry],
-    mid: int,
 ) -> float:
     """Algorithm 6: the upper bound ``C_ub`` for pruning ``h`` via ``u``.
 
@@ -55,10 +54,9 @@ def compute_cub(
         ``P' = P_{v_end, h}`` — canonical skyline set.
     p_vu, p_uh:
         ``P_{v_end, u}`` and ``P_{u, h}``; their concatenations form
-        ``P''``.
-    mid:
-        The vertex ``u``.  Unused: membership compares ``(w, c)``
-        pairs only, so ``P''`` is built without provenance.
+        ``P''``.  Membership compares ``(w, c)`` pairs only, so ``P''``
+        is built without provenance and the joining vertex ``u`` is not
+        needed.
 
     Returns
     -------
@@ -213,7 +211,7 @@ def build_condition(
             bounds[h] = cached[1]
             continue
         u = ordered[rng.randrange(i)]
-        cub = compute_cub(sets[h], sets[u], labels.get(u, h), mid=u)
+        cub = compute_cub(sets[h], sets[u], labels.get(u, h))
         index.algorithm6_calls += 1
         if cub > 0:
             bounds[h] = cub

@@ -220,9 +220,9 @@ def _build_condition_directed(
             continue
         u = ordered[rng.randrange(i)]
         if role == "source":
-            cub = compute_cub(sets[h], sets[u], labels.forward(u, h), mid=u)
+            cub = compute_cub(sets[h], sets[u], labels.forward(u, h))
         else:
-            cub = compute_cub(sets[h], labels.forward(h, u), sets[u], mid=u)
+            cub = compute_cub(sets[h], labels.forward(h, u), sets[u])
         index.algorithm6_calls += 1
         if cub > 0:
             bounds[h] = cub

@@ -9,7 +9,7 @@ sets per label pair (v→u and u→v).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.exceptions import InvalidGraphError
 from repro.graph.network import RoadNetwork
@@ -55,15 +55,6 @@ class DirectedRoadNetwork:
         self._out[tail].append((head, weight, cost))
         self._in[head].append((tail, weight, cost))
         self._arcs.append((tail, head, weight, cost))
-
-    @classmethod
-    def from_arcs(
-        cls, num_vertices: int, arcs: Iterable[Arc]
-    ) -> "DirectedRoadNetwork":
-        network = cls(num_vertices)
-        for tail, head, weight, cost in arcs:
-            network.add_arc(tail, head, weight, cost)
-        return network
 
     # ------------------------------------------------------------------
     @property

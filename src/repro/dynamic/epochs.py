@@ -148,7 +148,7 @@ class Epoch:
             )
             path = os.path.join(self.flat_dir, "epoch.flat")
             save_flat_index(dyn.index, path)
-            self.flat_index = load_flat_index(path, use_mmap=True)
+            self.flat_index = load_flat_index(path)
         # The per-epoch cache IS the epoch-keying: a fresh cache per
         # epoch means no frontier outlives the labels it came from.
         self._engine = (

@@ -119,10 +119,10 @@ def audit_index(
     seed: int = 0,
     deep_tree: bool | None = None,
 ) -> AuditReport:
-    """Audit a :class:`~repro.core.engine.QHLIndex` (or a flat/mmap
-    :class:`~repro.core.flat.FlatIndex`) end to end.
+    """Audit a :class:`~repro.core.engine.QHLIndex` end to end, over
+    object or flat (possibly mmap'd) labels.
 
-    Runs six named checks — seven for flat indexes, which add the
+    Runs six named checks — seven over flat labels, which add the
     ``flat-columns`` structural check (offset-table monotonicity and
     per-vertex hub sortedness, the invariants behind the flat engine's
     binary searches):

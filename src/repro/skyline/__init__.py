@@ -20,14 +20,11 @@ from repro.skyline.multi import (
 from repro.skyline.set_ops import (
     SkylineSet,
     best_under,
-    cartesian_entries,
     dominated_by_set,
     dominates,
     filter_under,
     is_canonical,
-    join,
     join_union,
-    merge,
     skyline_of,
     truncate,
 )
@@ -47,14 +44,11 @@ __all__ = [
     "m_skyline",
     "SkylineSet",
     "best_under",
-    "cartesian_entries",
     "dominated_by_set",
     "dominates",
     "filter_under",
     "is_canonical",
-    "join",
     "join_union",
-    "merge",
     "skyline_of",
     "truncate",
 ]

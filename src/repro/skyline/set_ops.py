@@ -8,8 +8,8 @@ ever need one optimal path per pair.
 
 This module is the hot kernel of the whole reproduction: the tree
 decomposition's shortcut maintenance and the label construction reduce
-to :func:`join_union` calls.  :func:`merge` and :func:`join` are the
-pairwise operations it fuses; they stay as the public reference forms.
+to :func:`join_union` calls.  The pairwise ``merge`` / ``join`` fold it
+replaced lives on in the test oracles, which pin the kernel against it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from repro.skyline.compare import costs_equal
-from repro.skyline.entries import JOIN, Entry, join_entry
+from repro.skyline.entries import JOIN, Entry
 
 SkylineSet = list[Entry]
 
@@ -73,76 +73,6 @@ def skyline_of(entries: Iterable[Entry]) -> SkylineSet:
         best_weight = w
         last_cost = c
     return result
-
-
-def merge(a: Sequence[Entry], b: Sequence[Entry]) -> SkylineSet:
-    """Skyline of the union of two canonical skyline sets.
-
-    Linear two-pointer merge on cost followed by the Pareto sweep.  On
-    ties of ``(w, c)`` the entry of ``a`` is kept.
-    """
-    if not a:
-        return list(b)
-    if not b:
-        return list(a)
-    merged: list[Entry] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if (a[i][1], a[i][0]) <= (b[j][1], b[j][0]):
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-
-    result: SkylineSet = []
-    best_weight: float | None = None
-    last_cost: float | None = None
-    for entry in merged:
-        w, c = entry[0], entry[1]
-        if best_weight is not None and w >= best_weight:
-            continue
-        if last_cost is not None and costs_equal(c, last_cost):
-            result[-1] = entry
-        else:
-            result.append(entry)
-        best_weight = w
-        last_cost = c
-    return result
-
-
-def join(
-    a: Sequence[Entry],
-    b: Sequence[Entry],
-    mid: int,
-    budget: float | None = None,
-) -> SkylineSet:
-    """Skyline of all pairwise concatenations of two skyline sets at ``mid``.
-
-    This is the paper's ``{p1 ⊕ p2 : p1 ∈ P_su, p2 ∈ P_uh}`` followed by a
-    skyline filter.  ``budget`` optionally drops concatenations whose cost
-    exceeds it (used when an overall budget is known during queries, never
-    during index construction).
-
-    Complexity is ``O(|a| |b| log)`` — the Cartesian product the paper's
-    CSP-2Hop pays at query time and QHL moves to index time.
-    """
-    if not a or not b:
-        return []
-    products: list[Entry] = []
-    for left in a:
-        lw, lc = left[0], left[1]
-        if budget is not None and lc + b[0][1] > budget:
-            # b is cost-sorted: every concatenation with this left
-            # overshoots the budget.
-            continue
-        for right in b:
-            if budget is not None and lc + right[1] > budget:
-                break
-            products.append(join_entry(left, right, mid))
-    return skyline_of(products)
 
 
 def join_union(parts: Iterable[JoinPart]) -> SkylineSet:
@@ -228,22 +158,6 @@ def join_union(parts: Iterable[JoinPart]) -> SkylineSet:
     # Shortcut and label sets live as long as the index: hand back an
     # exact-size list rather than the append-grown one.
     return list(result)
-
-
-def cartesian_entries(
-    a: Sequence[Entry], b: Sequence[Entry], mid: int
-) -> list[Entry]:
-    """All pairwise concatenations, *unfiltered* and sorted by ``(c, w)``.
-
-    Algorithm 6 of the paper needs the raw concatenation set ``P''`` in
-    cost order (it checks membership of skyline paths in it, and dominated
-    members still count as members).
-    """
-    products = [
-        join_entry(left, right, mid) for left in a for right in b
-    ]
-    products.sort(key=lambda e: (e[1], e[0]))
-    return products
 
 
 def filter_under(entries: Sequence[Entry], theta: float) -> SkylineSet:

@@ -1,8 +1,9 @@
-"""Index persistence: versioned save/load, a compact array-packed
-format, and the flat (version 3) envelope whose columns mmap in with
-zero copies."""
+"""Index persistence: the version-2 object envelope (keeps paths) and
+the version-3 flat envelope whose columns mmap in with zero copies.
+:func:`load_index` reads either, picking the format by the file
+header."""
 
-from repro.storage.compact import CompactLabels, pack_labels, unpack_labels
+from repro.storage.compact import CompactLabels, pack_labels
 from repro.storage.flat import FlatLabelStore
 from repro.storage.flatfile import (
     FLAT_FORMAT_VERSION,
@@ -11,10 +12,8 @@ from repro.storage.flatfile import (
 )
 from repro.storage.serialize import (
     FORMAT_VERSION,
-    load_compact_index,
     load_index,
     load_index_with_retry,
-    save_compact_index,
     save_index,
 )
 
@@ -23,13 +22,10 @@ __all__ = [
     "FLAT_FORMAT_VERSION",
     "FORMAT_VERSION",
     "FlatLabelStore",
-    "load_compact_index",
     "load_flat_index",
     "load_index",
     "load_index_with_retry",
     "pack_labels",
-    "save_compact_index",
     "save_flat_index",
     "save_index",
-    "unpack_labels",
 ]

@@ -1,12 +1,12 @@
-"""Compact array-packed label storage.
+"""Array-packed label columns.
 
 Packs a :class:`~repro.labeling.labels.LabelStore` into five flat
 arrays — numeric payloads in ``array('d')``, topology in ``array('q')``
-— a schema'd plain-data form with no Python object graph.  Gzip
-compresses the arrays better than the equivalent pickle (regular 8-byte
-strides vs. varint soup), so the compact index file is the smaller one
-on disk; see ``tests/test_compact_storage.py`` for the measured
-comparison.
+— a schema'd plain-data form with no Python object graph.  This is the
+column layout of the flat label store
+(:class:`~repro.storage.flat.FlatLabelStore`) and of the version-3
+index file (:mod:`repro.storage.flatfile`), which writes the arrays
+verbatim.
 
 Packing keeps only the ``(weight, cost)`` payloads: provenance (path
 retrieval) does not survive, mirroring the paper's labels which store
@@ -18,7 +18,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from repro.exceptions import SerializationError
 from repro.labeling.labels import LabelStore
 
 
@@ -80,36 +79,8 @@ def pack_labels(store: LabelStore) -> CompactLabels:
     )
 
 
-def unpack_labels(compact: CompactLabels) -> LabelStore:
-    """Rebuild a queryable label store from the flat arrays.
-
-    Integral metrics are restored as ints so answers compare exactly
-    against indexes built from integer networks.
-    """
-    if len(compact.set_offsets) != compact.num_vertices + 1:
-        raise SerializationError("compact labels: bad set_offsets length")
-    if len(compact.entry_offsets) != len(compact.hubs) + 1:
-        raise SerializationError("compact labels: bad entry_offsets length")
-
-    store = LabelStore(compact.num_vertices, store_paths=False)
-    weights = compact.weights
-    costs = compact.costs
-    entry_offsets = compact.entry_offsets
-
-    set_index = 0
-    for v in range(compact.num_vertices):
-        start, stop = compact.set_offsets[v], compact.set_offsets[v + 1]
-        for i in range(start, stop):
-            u = compact.hubs[i]
-            lo, hi = entry_offsets[set_index], entry_offsets[set_index + 1]
-            entries = [
-                (_restore(weights[j]), _restore(costs[j]), None)
-                for j in range(lo, hi)
-            ]
-            store.set(v, u, entries)
-            set_index += 1
-    return store
-
-
 def _restore(x: float) -> float:
+    """A packed metric as the label store held it: integral values come
+    back as ints, so answers compare exactly against indexes built from
+    integer networks."""
     return int(x) if x.is_integer() else x

@@ -18,8 +18,9 @@ The store also speaks the :class:`~repro.labeling.labels.LabelStore`
 read API — ``label(v)`` returns a lazy hub→entries mapping, ``get(x, y)``
 materialises entry tuples, plus the counting/iteration helpers — so
 consumers built against the object store (the frontier cache, the index
-audit) run over flat or mmap-backed labels unmodified.  Materialised
-entries carry ``None`` provenance, exactly like a compact-loaded store.
+audit, the CSP-2Hop baseline) run over flat or mmap-backed labels
+unmodified.  Materialised entries carry ``None`` provenance: the columns
+hold ``(weight, cost)`` pairs only.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ _ZERO: list[Entry] = [(0, 0, None)]
 class FlatLabelStore:
     """Skyline labels as five flat columns with offset tables."""
 
-    #: Flat columns never keep provenance (mirrors compact storage).
+    #: Flat columns hold ``(weight, cost)`` pairs, never provenance.
     store_paths = False
 
     def __init__(
@@ -170,20 +171,6 @@ class FlatLabelStore:
             self._hub_sizes[v] = sizes
         return sizes
 
-    def set_bounds(self, v: int, u: int) -> tuple[int, int]:
-        """Half-open ``[lo, hi)`` into the entry columns for ``P_vu``.
-
-        Raises :class:`IndexBuildError` when ``L(v)`` holds no set for
-        hub ``u`` (the flat analogue of ``LabelFetcher``'s KeyError).
-        """
-        i = self.find_set(v, u)
-        if i < 0:
-            raise IndexBuildError(
-                f"L({v}) has no skyline set for hub {u}; its tree node "
-                "is not an ancestor"
-            )
-        return self.entry_offsets[i], self.entry_offsets[i + 1]
-
     def pair_bounds(self, x: int, y: int) -> tuple[int, int]:
         """Entry-column bounds for ``P_xy``, wherever it is stored.
 
@@ -222,9 +209,8 @@ class FlatLabelStore:
     def entries(self, lo: int, hi: int) -> list[Entry]:
         """Materialise the entry slice ``[lo, hi)`` as tuples.
 
-        Integral metrics come back as ints (like ``unpack_labels``) so
-        answers compare exactly against object-graph indexes built from
-        integer networks.
+        Integral metrics come back as ints so answers compare exactly
+        against object-graph indexes built from integer networks.
         """
         weights, costs = self.weights, self.costs
         return [

@@ -1,6 +1,6 @@
 """Format version 3: the flat index envelope with zero-copy mmap load.
 
-Versions 1/2 (:mod:`repro.storage.serialize`) pickle an object graph —
+Version 2 (:mod:`repro.storage.serialize`) pickles an object graph —
 loading deserialises every skyline entry back into tuples, and a forked
 worker pool un-shares the whole index the moment reference counts are
 touched.  Version 3 stores the ``pack_labels`` columns *verbatim* as raw
@@ -23,6 +23,10 @@ File layout (all integers little-endian)::
               (name, typecode, count, offset) descriptor per column
     [data)    the five raw column byte-strings, 8-byte aligned
 
+The file starts with its magic, so :func:`repro.storage.serialize.
+load_index` tells a version-3 file from a version-2 one by its first
+8 bytes and needs no format flag.
+
 Truncation, bit flips (header, metadata, or columns), version or
 endianness mismatches all raise :class:`SerializationError`; writes go
 through the same atomic temp-file + fsync + ``os.replace`` primitive as
@@ -37,7 +41,6 @@ import os
 import pickle
 import struct
 import sys
-from array import array
 from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import SerializationError
@@ -46,7 +49,7 @@ from repro.storage.flat import FlatLabelStore
 from repro.storage.serialize import _PICKLE_ERRORS, _atomic_write_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.flat import FlatIndex
+    from repro.core.engine import QHLIndex
 
 FLAT_MAGIC = b"RQHLFLT1"
 FLAT_FORMAT_VERSION = 3
@@ -72,13 +75,13 @@ _COLUMNS = (
 )
 
 
-def save_flat_index(index: Any, path: str) -> int:
+def save_flat_index(index: "QHLIndex", path: str) -> int:
     """Write ``index`` in the flat (version 3) format; returns file size.
 
-    Accepts a :class:`~repro.core.engine.QHLIndex` (labels are packed)
-    or a :class:`~repro.core.flat.FlatIndex` (columns are written as
-    held, preserving byte identity across save/load cycles).  Like the
-    compact format, provenance and elimination shortcuts are dropped.
+    Object labels are packed; flat labels are written as held,
+    preserving byte identity across save/load cycles.  The columns
+    hold ``(weight, cost)`` pairs only: provenance (path retrieval) and
+    elimination shortcuts are dropped.
     """
     labels = index.labels
     compact = (
@@ -131,16 +134,14 @@ def save_flat_index(index: Any, path: str) -> int:
     return os.path.getsize(path)
 
 
-def load_flat_index(
-    path: str, verify_checksum: bool = True, use_mmap: bool = True
-) -> "FlatIndex":
+def load_flat_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
     """Load a flat index written by :func:`save_flat_index`.
 
-    With ``use_mmap=True`` (the default) the column views are
+    Returns a :class:`~repro.core.engine.QHLIndex` over a
+    :class:`~repro.storage.flat.FlatLabelStore` whose columns are
     ``memoryview`` casts straight over the mapped file — no copy, and
-    the pages are shared with forked children.  ``use_mmap=False``
-    reads the file and builds mutable ``array`` columns instead (same
-    answers; used by tests and corruption drills).
+    the pages are shared with forked children.  Its default engine is
+    the flat one (:class:`~repro.core.flat.FlatQHLEngine`).
 
     Raises
     ------
@@ -148,13 +149,13 @@ def load_flat_index(
         On missing files, directories, foreign or truncated files,
         version/endianness mismatches, or checksum failures.
     """
-    from repro.core.flat import FlatIndex
+    from repro.core.engine import QHLIndex
     from repro.core.pruning import PruningConditionIndex
     from repro.graph.network import RoadNetwork
     from repro.hierarchy.lca import LCAIndex
     from repro.hierarchy.tree import TreeDecomposition
 
-    buf, backing = _open_columns_file(path, use_mmap)
+    buf, backing = _map_file(path)
     (
         magic, version, flags,
         meta_offset, meta_length, data_offset, data_length,
@@ -212,13 +213,7 @@ def load_flat_index(
                 raise SerializationError(
                     f"{path!r} column {name!r} overruns the data region"
                 )
-            view = data_view[offset:offset + nbytes]
-            if use_mmap:
-                columns[name] = view.cast(typecode)
-            else:
-                arr: "array[Any]" = array(typecode)
-                arr.frombytes(view.tobytes())
-                columns[name] = arr
+            columns[name] = data_view[offset:offset + nbytes].cast(typecode)
         labels = FlatLabelStore(
             meta["num_vertices"],
             columns["set_offsets"],
@@ -246,16 +241,14 @@ def load_flat_index(
         raise SerializationError(
             f"{path!r} flat payload is incomplete: {exc}"
         ) from exc
-    return FlatIndex(network, tree, labels, LCAIndex(tree), pruning)
+    return QHLIndex(network, tree, labels, LCAIndex(tree), pruning)
 
 
-def _open_columns_file(
-    path: str, use_mmap: bool
-) -> tuple[memoryview, Any]:
-    """Map (or read) ``path``; returns ``(buffer, backing)``.
+def _map_file(path: str) -> tuple[memoryview, mmap.mmap]:
+    """Map ``path`` read-only; returns ``(buffer, backing)``.
 
     ``backing`` is the ``mmap`` object to keep alive alongside any view
-    into it, or ``None`` for the plain-read path.
+    into it.
     """
     if not os.path.exists(path):
         raise SerializationError(f"index file {path!r} does not exist")
@@ -270,10 +263,8 @@ def _open_columns_file(
                 f"{path!r} is truncated: {size} bytes is smaller than "
                 f"the {_HEADER.size}-byte flat header"
             )
-        if use_mmap:
-            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-            return memoryview(mapped), mapped
-        return memoryview(f.read()), None
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        return memoryview(mapped), mapped
 
 
 def _align8(offset: int) -> int:

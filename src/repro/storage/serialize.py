@@ -1,21 +1,30 @@
 """Index persistence.
 
-Saves/loads a complete :class:`~repro.core.engine.QHLIndex` with a
-versioned, checksummed envelope.  Skyline-entry provenance is a deep
-recursive tuple structure (depth grows with path length), so
-(de)serialisation temporarily raises the interpreter recursion limit —
-capped at :data:`_RECURSION_LIMIT` because each pickle level also burns
-C stack, and a runaway limit trades a catchable ``RecursionError`` for
-a hard interpreter crash.  Provenance deeper than the cap fails with
-:class:`SerializationError` pointing at the compact format (which drops
-provenance and never recurses).
+Two on-disk formats, told apart by their first 8 bytes, so
+:func:`load_index` needs no format flag:
+
+* **version 2** (:func:`save_index`) — the :class:`~repro.core.engine.
+  QHLIndex` object graph pickled inside a checksummed envelope.  The
+  only format that keeps label provenance (path retrieval).
+* **version 3** (:func:`repro.storage.flatfile.save_flat_index`) — raw
+  label columns behind a binary header that starts with ``RQHLFLT1``,
+  mapped into memory on load; ``(weight, cost)`` pairs only.
+
+Skyline-entry provenance is a deep recursive tuple structure (depth
+grows with path length), so (de)serialisation temporarily raises the
+interpreter recursion limit — capped at :data:`_RECURSION_LIMIT`
+because each pickle level also burns C stack, and a runaway limit
+trades a catchable ``RecursionError`` for a hard interpreter crash.
+Provenance deeper than the cap fails with :class:`SerializationError`
+pointing at the flat format (which drops provenance and never
+recurses).
 
 Crash safety: every save goes through :func:`_atomic_write_bytes` —
 temp file in the destination directory, flush + ``fsync``, then
 ``os.replace`` — so a crash at any point leaves either the old file or
-no file at the destination, never a truncated one.  Format version 2
-adds a SHA-256 checksum of the pickled payload, verified on load;
-version-1 files (no checksum) still load.
+no file at the destination, never a truncated one.  The version-2
+envelope carries a SHA-256 checksum of the pickled payload, verified on
+load.
 
 By default the elimination shortcuts are dropped on save: queries only
 need the tree structure, labels, LCA and pruning conditions; shortcuts
@@ -40,7 +49,6 @@ from repro.exceptions import SerializationError
 from repro.gcpause import collector_paused
 
 MAGIC = "repro-qhl-index"
-COMPACT_MAGIC = "repro-qhl-compact"
 FORMAT_VERSION = 2
 
 #: Capped recursion-limit bump for pickling provenance trees.  Each
@@ -128,8 +136,8 @@ def _dumps_payload(obj: object, what: str) -> bytes:
         raise SerializationError(
             f"{what} is too deeply nested to pickle even at the capped "
             f"recursion limit ({_RECURSION_LIMIT}); provenance depth "
-            "grows with path length — save with save_compact_index "
-            "(drops provenance) or rebuild with store_paths=False"
+            "grows with path length — save the flat format instead "
+            "(build --no-paths, or save_flat_index; drops provenance)"
         ) from exc
 
 
@@ -163,8 +171,8 @@ def load_envelope(
     Raises
     ------
     SerializationError
-        On missing files, foreign pickles, checksum mismatches, or
-        version mismatches — the same contract as :func:`load_index`.
+        On missing files, directories, foreign pickles, checksum
+        mismatches, or version mismatches.
     """
     if not os.path.exists(path):
         raise SerializationError(f"file {path!r} does not exist")
@@ -177,106 +185,13 @@ def load_envelope(
         raise SerializationError(
             f"{path!r} is not a readable {magic} file: {exc}"
         ) from exc
-    return _open_envelope(envelope, path, magic, verify_checksum, magic)
-
-
-def save_index(
-    index: QHLIndex, path: str, keep_shortcuts: bool = False
-) -> int:
-    """Serialise an index to ``path``; returns the file size in bytes.
-
-    The write is atomic (temp file + fsync + ``os.replace``) and the
-    payload carries a SHA-256 checksum verified by :func:`load_index`.
-
-    Raises
-    ------
-    SerializationError
-        When provenance is too deep for the capped recursion limit
-        (use the compact format instead of crashing the interpreter).
-    """
-    shortcuts = index.tree.shortcuts
-    try:
-        if not keep_shortcuts:
-            index.tree.shortcuts = {}
-        payload = _dumps_payload({"index": index}, "index provenance")
-    finally:
-        index.tree.shortcuts = shortcuts
-    envelope = {
-        "magic": MAGIC,
-        "version": FORMAT_VERSION,
-        "checksum": _sha256(payload),
-        "payload": payload,
-    }
-    _atomic_write_bytes(
-        path, pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    return os.path.getsize(path)
-
-
-def save_compact_index(index: QHLIndex, path: str) -> int:
-    """Serialise an index as gzip-compressed plain data with
-    array-packed labels.
-
-    Smaller on disk than :func:`save_index` and structurally simple:
-    the payload is arrays and dicts of numbers, not a pickled object
-    graph, so the format is stable across refactors of the in-memory
-    classes.  Provenance (path retrieval) and elimination shortcuts are
-    not kept — the trade documented in :mod:`repro.storage.compact`.
-    Writes are atomic and checksummed like :func:`save_index`.
-    """
-    import gzip
-
-    from repro.storage.compact import pack_labels
-
-    tree = index.tree
-    payload = pickle.dumps(
-        {
-            "num_vertices": tree.num_vertices,
-            "edges": list(index.network.edges()),
-            "order": list(tree.order),
-            "bags": {v: list(tree.bag[v]) for v in range(tree.num_vertices)},
-            "labels": pack_labels(index.labels),
-            "label_build_seconds": index.labels.build_seconds,
-            "conditions": dict(index.pruning._conditions),
-            "pruning_build_seconds": index.pruning.build_seconds,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    envelope = {
-        "magic": COMPACT_MAGIC,
-        "version": FORMAT_VERSION,
-        "checksum": _sha256(payload),
-        "payload": payload,
-    }
-    data = gzip.compress(
-        pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL),
-        compresslevel=6,
-    )
-    _atomic_write_bytes(path, data)
-    return os.path.getsize(path)
-
-
-def _open_envelope(
-    envelope: object,
-    path: str,
-    magic: str,
-    verify_checksum: bool,
-    kind: str,
-) -> dict[str, Any]:
-    """Validate an envelope and return the inner payload dict.
-
-    Handles both format versions: v1 keeps the fields inline (no
-    checksum to verify), v2 nests them as checksummed pickled bytes.
-    """
     if not isinstance(envelope, dict) or envelope.get("magic") != magic:
-        raise SerializationError(f"{path!r} is not a {kind} file")
+        raise SerializationError(f"{path!r} is not a {magic} file")
     version = envelope.get("version")
-    if version == 1:
-        return envelope
     if version != FORMAT_VERSION:
         raise SerializationError(
-            f"unsupported {kind} format version {version} "
-            f"(this build reads versions 1..{FORMAT_VERSION})"
+            f"unsupported {magic} format version {version} "
+            f"(this build reads version {FORMAT_VERSION})"
         )
     payload = envelope.get("payload")
     if not isinstance(payload, (bytes, bytearray)):
@@ -301,84 +216,66 @@ def _open_envelope(
     return inner
 
 
-def load_index(path: str, verify_checksum: bool = True) -> QHLIndex:
-    """Load an index previously written by :func:`save_index`.
+def save_index(
+    index: QHLIndex, path: str, keep_shortcuts: bool = False
+) -> int:
+    """Serialise an index in the version-2 format; returns the file size
+    in bytes.
 
-    ``verify_checksum=False`` skips the SHA-256 verification of
-    version-2 files (version-1 files carry no checksum).
+    The write is atomic (temp file + fsync + ``os.replace``) and the
+    payload carries a SHA-256 checksum verified by :func:`load_index`.
 
     Raises
     ------
     SerializationError
-        On missing files, directories, foreign pickles, checksum
-        mismatches, or version mismatches.
+        When provenance is too deep for the capped recursion limit
+        (save the flat format instead of crashing the interpreter).
     """
+    shortcuts = index.tree.shortcuts
+    try:
+        if not keep_shortcuts:
+            index.tree.shortcuts = {}
+        return save_envelope(path, MAGIC, {"index": index})
+    finally:
+        index.tree.shortcuts = shortcuts
+
+
+def load_index(path: str, verify_checksum: bool = True) -> QHLIndex:
+    """Load an index saved in either format.
+
+    The first 8 bytes pick the reader: the flat magic ``RQHLFLT1``
+    means version 3 (:func:`repro.storage.flatfile.load_flat_index`,
+    flat labels and the flat engine), anything else is read as a
+    version-2 envelope.  ``verify_checksum=False`` skips the SHA-256
+    verification.
+
+    Raises
+    ------
+    SerializationError
+        On missing files, directories, files too short to hold a
+        header, foreign or corrupt files, checksum mismatches, or
+        version mismatches.
+    """
+    from repro.storage.flatfile import FLAT_MAGIC, load_flat_index
+
     if not os.path.exists(path):
         raise SerializationError(f"index file {path!r} does not exist")
     if os.path.isdir(path):
         raise SerializationError(f"{path!r} is a directory, not an index file")
-    try:
-        with _raised_recursion_limit(), collector_paused(), open(path, "rb") as f:
-            envelope = pickle.load(f)
-    except _PICKLE_ERRORS as exc:
+    with open(path, "rb") as f:
+        head = f.read(len(FLAT_MAGIC))
+    if len(head) < len(FLAT_MAGIC):
         raise SerializationError(
-            f"{path!r} is not a readable repro index: {exc}"
-        ) from exc
-    inner = _open_envelope(
-        envelope, path, MAGIC, verify_checksum, "repro index"
-    )
+            f"{path!r} is truncated: {len(head)} bytes is too short for "
+            "an index file"
+        )
+    if head == FLAT_MAGIC:
+        return load_flat_index(path, verify_checksum=verify_checksum)
+    inner = load_envelope(path, MAGIC, verify_checksum)
     index = inner.get("index")
     if not isinstance(index, QHLIndex):
         raise SerializationError(f"{path!r} does not contain a QHLIndex")
     return index
-
-
-def load_compact_index(path: str, verify_checksum: bool = True) -> QHLIndex:
-    """Load an index written by :func:`save_compact_index`."""
-    import gzip
-
-    from repro.core.pruning import PruningConditionIndex
-    from repro.graph.network import RoadNetwork
-    from repro.hierarchy.lca import LCAIndex
-    from repro.hierarchy.tree import TreeDecomposition
-    from repro.storage.compact import unpack_labels
-
-    if not os.path.exists(path):
-        raise SerializationError(f"index file {path!r} does not exist")
-    if os.path.isdir(path):
-        raise SerializationError(f"{path!r} is a directory, not an index file")
-    try:
-        with collector_paused(), gzip.open(path, "rb") as f:
-            envelope = pickle.load(f)
-    except (*_PICKLE_ERRORS, gzip.BadGzipFile, OSError) as exc:
-        raise SerializationError(
-            f"{path!r} is not a readable compact index: {exc}"
-        ) from exc
-    payload = _open_envelope(
-        envelope, path, COMPACT_MAGIC, verify_checksum, "compact repro index"
-    )
-    try:
-        network = RoadNetwork.from_edges(
-            payload["num_vertices"], payload["edges"]
-        )
-        tree = TreeDecomposition(
-            payload["num_vertices"],
-            payload["order"],
-            {v: tuple(bag) for v, bag in payload["bags"].items()},
-            {},
-        )
-        with collector_paused():
-            labels = unpack_labels(payload["labels"])
-        labels.build_seconds = payload["label_build_seconds"]
-        pruning = PruningConditionIndex()
-        for (child, v_end), bounds in payload["conditions"].items():
-            pruning.add(child, v_end, bounds)
-        pruning.build_seconds = payload["pruning_build_seconds"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(
-            f"{path!r} compact payload is incomplete: {exc}"
-        ) from exc
-    return QHLIndex(network, tree, labels, LCAIndex(tree), pruning)
 
 
 def load_index_with_retry(
@@ -388,19 +285,19 @@ def load_index_with_retry(
     max_delay: float = 1.0,
     jitter: float = 0.25,
     verify_checksum: bool = True,
-    compact: bool = False,
     sleep: Callable[[float], object] = time.sleep,
     rng: random.Random | None = None,
 ) -> QHLIndex:
-    """:func:`load_index` with bounded exponential backoff on ``OSError``.
+    """:func:`load_index` (either format) with bounded exponential
+    backoff on ``OSError``.
 
     Transient I/O errors (NFS hiccups, slow attach of a volume) are
     retried up to ``attempts`` times with delay
     ``min(base_delay * 2**i, max_delay)`` plus up to ``jitter`` fraction
-    of random extra.  :class:`SerializationError` (missing, corrupt, or
-    wrong-version files) is permanent and never retried.  ``sleep`` and
-    ``rng`` are injectable for deterministic tests; the ``index-load``
-    fault point fires at the start of every attempt.  When a
+    of random extra.  :class:`SerializationError` (missing, short,
+    corrupt, or wrong-version files) is permanent and never retried.
+    ``sleep`` and ``rng`` are injectable for deterministic tests; the
+    ``index-load`` fault point fires at the start of every attempt.  When a
     :class:`~repro.service.faults.FaultInjector` with an injected clock
     is active, the default ``rng`` is seeded (``random.Random(0)``) so
     chaos tests see reproducible backoff sequences; outside a fault
@@ -417,12 +314,11 @@ def load_index_with_retry(
             rng = random.Random(0)
         else:
             rng = random.Random()  # lint: allow=QHL003 backoff jitter is the one place nondeterminism is wanted; tests inject rng
-    loader = load_compact_index if compact else load_index
     last: OSError | None = None
     for attempt in range(attempts):
         try:
             _fire_fault("index-load", path=path, attempt=attempt)
-            return loader(path, verify_checksum=verify_checksum)
+            return load_index(path, verify_checksum=verify_checksum)
         except SerializationError:
             raise
         except OSError as exc:

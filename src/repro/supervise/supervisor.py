@@ -526,10 +526,13 @@ class Supervisor:
 
         ``False`` means the fleet is gone and no breaker will let a
         respawn through: the task layer should give up instead of
-        spinning forever.
+        spinning forever.  A worker that died since the last
+        :meth:`poll` still counts: only that poll records the death and
+        schedules (or refuses) the respawn, so judging it earlier would
+        give up on a fleet that is about to restart.
         """
         for state in self.workers.values():
-            if state.process is not None and state.process.is_alive():
+            if state.process is not None:
                 return True
             if state.respawn_at is not None and (
                 state.breaker.state != OPEN or state.breaker.allow()

@@ -166,7 +166,7 @@ def cub_inputs(draw):
 @given(cub_inputs())
 def test_compute_cub_equals_full_scan(inputs):
     p_prime, p_vu, p_uh = inputs
-    got = pruning.compute_cub(p_prime, p_vu, p_uh, mid=0)
+    got = pruning.compute_cub(p_prime, p_vu, p_uh)
     want = reference_compute_cub(p_prime, p_vu, p_uh, mid=0)
     assert got == want
     assert type(got) is type(want)
@@ -182,7 +182,7 @@ def test_compute_cub_empty_sets(empty):
     for name in sets:
         if empty in (name, "all"):
             sets[name] = []
-    assert pruning.compute_cub(mid=0, **sets) == reference_compute_cub(
+    assert pruning.compute_cub(**sets) == reference_compute_cub(
         mid=0, **sets
     )
 
@@ -192,9 +192,9 @@ def test_float_sum_is_not_its_rounded_twin():
     p_prime = canonical([(0.3, 0.3)])
     p_vu = canonical([(0.1, 0.1)])
     p_uh = canonical([(0.2, 0.2)])
-    assert pruning.compute_cub(p_prime, p_vu, p_uh, mid=0) == 0.3
+    assert pruning.compute_cub(p_prime, p_vu, p_uh) == 0.3
     p_prime = canonical([(0.1 + 0.2, 0.1 + 0.2)])
-    assert pruning.compute_cub(p_prime, p_vu, p_uh, mid=0) == INF
+    assert pruning.compute_cub(p_prime, p_vu, p_uh) == INF
 
 
 # ----------------------------------------------------------------------

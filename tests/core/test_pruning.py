@@ -39,7 +39,6 @@ class TestComputeCub:
             labels.get(v(8), v(13)),
             labels.get(v(8), v(10)),
             labels.get(v(10), v(13)),
-            mid=v(10),
         )
         assert cub == 14
 
@@ -49,7 +48,7 @@ class TestComputeCub:
         p_uh = sky([(3, 3), (2, 4)])
         # P'' contains {(5,5),(4,6),(4,7)?...}; craft P' ⊆ P''.
         p_prime = sky([(5, 5)])
-        assert compute_cub(p_prime, p_vu, p_uh, mid=0) == INF
+        assert compute_cub(p_prime, p_vu, p_uh) == INF
 
     def test_first_element_missing_gives_zero_pruning_power(self):
         # C_ub equals the first missing element's cost; if even the
@@ -58,11 +57,11 @@ class TestComputeCub:
         p_prime = sky([(5, 1)])
         p_vu = sky([(9, 9)])
         p_uh = sky([(9, 9)])
-        assert compute_cub(p_prime, p_vu, p_uh, mid=0) == 1
+        assert compute_cub(p_prime, p_vu, p_uh) == 1
 
     def test_empty_concatenation_set(self):
         p_prime = sky([(5, 4)])
-        assert compute_cub(p_prime, [], [], mid=0) == 4
+        assert compute_cub(p_prime, [], []) == 4
 
     def test_prefix_matching_stops_at_first_miss(self):
         p_prime = sky([(9, 1), (5, 5), (1, 9)])
@@ -70,7 +69,7 @@ class TestComputeCub:
         p_vu = sky([(4, 1)])
         p_uh = sky([(5, 0.5), (1, 4)])
         # P'' = {(9, 1.5), (5, 5)} — (9,1) missing already.
-        assert compute_cub(p_prime, p_vu, p_uh, mid=0) == 1
+        assert compute_cub(p_prime, p_vu, p_uh) == 1
 
     def test_duplicate_costs_in_concatenation(self):
         # P'' may hold several pairs with equal cost; the scan must not
@@ -79,7 +78,7 @@ class TestComputeCub:
         p_vu = sky([(5, 5), (3, 7)])
         p_uh = sky([(4, 3), (2, 5)])
         # P'' pairs: (9,8), (7,10), (7,10), (5,12) -> (7,10) present.
-        assert compute_cub(p_prime, p_vu, p_uh, mid=0) == INF
+        assert compute_cub(p_prime, p_vu, p_uh) == INF
 
 
 class TestConditionIndex:

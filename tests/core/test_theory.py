@@ -17,13 +17,8 @@ from repro.core.separators import initial_separators
 from repro.graph import random_connected_network
 from repro.hierarchy import LCAIndex, build_tree_decomposition
 from repro.labeling import build_labels
-from repro.skyline import (
-    cartesian_entries,
-    dominates,
-    filter_under,
-    join,
-    skyline_of,
-)
+from repro.skyline import dominates, filter_under, skyline_of
+from tests.skyline.oracles import cartesian_entries, join
 
 pairs = st.lists(
     st.tuples(
@@ -83,7 +78,7 @@ def _pruning_instances(seed, count=10):
             h = ordered[i]
             u = ordered[rng.randrange(i)]
             cub = compute_cub(
-                labels.get(s, h), labels.get(s, u), labels.get(u, h), mid=u
+                labels.get(s, h), labels.get(s, u), labels.get(u, h)
             )
             if cub > 0:
                 instances.append(

@@ -14,7 +14,10 @@ reference-diff cannot see:
   not just in-memory packing);
 * exact type parity — integral answers come back as ints from both
   engines, so golden-file comparisons cannot drift through a float
-  representation.
+  representation;
+* one index class — a :class:`QHLIndex` over flat labels shares
+  everything but the labels with the object index it came from, and
+  serves the flat engine over those labels as held.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ import os
 
 import pytest
 
-from repro.core.flat import FlatIndex
+from repro.core.flat import FlatQHLEngine
 from repro.exceptions import DeadlineExceededError, ReproError
 from repro.graph import grid_network
 from repro.perf import execute_batch
 from repro.service.deadline import Deadline
-from repro.storage import load_flat_index, save_flat_index
+from repro.storage import FlatLabelStore, load_flat_index, save_flat_index
 
 from tests.differential.harness import answer, generate_cases
 
@@ -99,11 +102,35 @@ def test_query_many_matches_single_queries(index, cases):
         assert answer(got) == answer(flat.query(s, t, c))
 
 
+def _flat_twin(index):
+    return QHLIndex(
+        index.network,
+        index.tree,
+        FlatLabelStore.from_store(index.labels),
+        index.lca,
+        index.pruning,
+    )
+
+
 def test_from_index_shares_everything_but_labels(index):
-    flat = FlatIndex.from_index(index)
+    flat = _flat_twin(index)
     assert flat.tree is index.tree
     assert flat.lca is index.lca
     assert flat.pruning is index.pruning
     assert flat.labels.num_entries() == sum(
         len(entries) for _, _, entries in index.labels.items()
     )
+
+
+def test_flat_labels_pick_the_flat_engine_without_repacking(index, cases):
+    flat = _flat_twin(index)
+    assert isinstance(flat.qhl_engine(), FlatQHLEngine)
+    assert flat.flat_engine()._labels is flat.labels
+    assert type(index.qhl_engine()) is not FlatQHLEngine
+    for s, t, c in cases:
+        assert answer(flat.query(s, t, c)) == answer(index.query(s, t, c))
+
+
+def test_flat_labels_refuse_the_cartesian_ablation(index):
+    with pytest.raises(ReproError, match="object labels"):
+        _flat_twin(index).qhl_engine(use_two_pointer=False)

@@ -181,7 +181,6 @@ def test_example16_algorithm6(world):
         labels.get(v(8), v(13)),
         labels.get(v(8), v(10)),
         labels.get(v(10), v(13)),
-        mid=v(10),
     )
     assert cub == 14
 

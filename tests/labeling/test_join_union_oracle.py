@@ -21,8 +21,9 @@ from repro.hierarchy import build_tree_decomposition, decomposition
 from repro.labeling import build_labels, parallel
 from repro.labeling.parallel import fork_available
 from repro.skyline.entries import _expand_any
-from repro.skyline.set_ops import join, merge, truncate
+from repro.skyline.set_ops import truncate
 from repro.storage.compact import pack_labels
+from tests.skyline.oracles import join, merge
 
 
 def fold_union(parts):

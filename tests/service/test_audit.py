@@ -14,7 +14,7 @@ stale storage checksum          ``storage-checksum`` (``repro verify``)
 flat: duplicated cost           ``label-order``
 flat: unsorted hubs             ``flat-columns``
 flat: broken offset table       ``flat-columns``
-flat: bit-flipped envelope      ``storage-checksum`` (``verify --flat``)
+flat: bit-flipped envelope      ``storage-checksum`` (``repro verify``)
 ==============================  ======================
 
 Plus: the audit passes on every honestly built index, the wrong-values
@@ -260,16 +260,23 @@ class TestVerifyCommand:
 class TestFlatIndexAudit:
     """Seeded corruption over flat columns.
 
-    ``FlatIndex.from_index`` packs *fresh* arrays, so each fixture use
-    gets a private, mutable column set — corrupting it cannot leak into
-    the session-scoped ``service_index``.
+    ``FlatLabelStore.from_store`` packs *fresh* arrays, so each fixture
+    use gets a private, mutable column set — corrupting it cannot leak
+    into the session-scoped ``service_index``.
     """
 
     @pytest.fixture()
     def flat_index(self, service_index):
-        from repro.core.flat import FlatIndex
+        from repro.core import QHLIndex
+        from repro.storage import FlatLabelStore
 
-        return FlatIndex.from_index(service_index)
+        return QHLIndex(
+            service_index.network,
+            service_index.tree,
+            FlatLabelStore.from_store(service_index.labels),
+            service_index.lca,
+            service_index.pruning,
+        )
 
     def _rich_set_bounds(self, labels, min_entries=2):
         """Bounds of some skyline set with at least ``min_entries``."""
@@ -334,7 +341,7 @@ class TestFlatIndexAudit:
         path = str(tmp_path / "clean.qflat")
         save_flat_index(service_index, path)
         assert main(
-            ["verify", "--index", path, "--flat", "--queries", "2"]
+            ["verify", "--index", path, "--queries", "2"]
         ) == 0
         out = capsys.readouterr().out
         assert "audit PASS" in out
@@ -345,7 +352,7 @@ class TestFlatIndexAudit:
         with open(path, "wb") as f:
             f.write(bytes(data))
         assert main(
-            ["verify", "--index", path, "--flat", "--queries", "0"]
+            ["verify", "--index", path, "--queries", "0"]
         ) == 1
         out = capsys.readouterr().out
         assert "FAIL storage-checksum" in out

@@ -76,6 +76,42 @@ class TestLadderConstruction:
         assert metric is not None and metric.value == 1
 
 
+class TestFlatIndexFile:
+    """A version-3 file serves the full ladder, QHL-flat first."""
+
+    @pytest.fixture
+    def flat_service(self, service_index, tmp_path):
+        from repro.storage import save_flat_index
+
+        path = str(tmp_path / "grid.qflat")
+        save_flat_index(service_index, path)
+        return QueryService(index_path=path)
+
+    def test_ladder_starts_at_the_flat_engine(
+        self, flat_service, service_grid
+    ):
+        assert flat_service.index_load_error is None
+        assert flat_service.tiers == ["QHL-flat", "CSP-2Hop", "SkyDijkstra"]
+        for s, t, budget in QUERIES:
+            result = flat_service.query(s, t, budget)
+            assert result.engine == "QHL-flat"
+            assert result.pair() == ground_truth(service_grid, s, t, budget)
+
+    def test_engine_fault_steps_down_to_csp2hop(
+        self, flat_service, service_grid
+    ):
+        injector = FaultInjector()
+        injector.fail(
+            "engine-query", exc=RuntimeError, times=1,
+            match={"engine": "QHL-flat"},
+        )
+        s, t, budget = QUERIES[0]
+        with use_injector(injector):
+            result = flat_service.query(s, t, budget)
+        assert result.engine == "CSP-2Hop"
+        assert result.pair() == ground_truth(service_grid, s, t, budget)
+
+
 class TestFallback:
     def test_healthy_service_answers_via_qhl(self, service, service_grid):
         for s, t, budget in QUERIES:

@@ -1,31 +1,39 @@
-"""Crash-safe writes, the corruption matrix, and load retries."""
+"""Crash-safe writes, the corruption matrix, header dispatch, and load
+retries.
 
-import gzip
+Both on-disk formats — the version-2 envelope (``full``) and the
+version-3 columns (``flat``) — load through the one
+:func:`~repro.storage.load_index`, which reads the file header to tell
+them apart.
+"""
+
 import os
 import pickle
 import random
+import struct
 import sys
 
 import pytest
 
+from repro.core.flat import FlatQHLEngine
+from repro.core.qhl import QHLEngine
 from repro.exceptions import SerializationError
+from repro.labeling.labels import LabelStore
 from repro.service import FaultInjector, use_injector
 from repro.storage import (
-    load_compact_index,
+    FlatLabelStore,
     load_index,
     load_index_with_retry,
-    save_compact_index,
+    save_flat_index,
     save_index,
 )
 from repro.storage.serialize import (
-    COMPACT_MAGIC,
     MAGIC,
     _dumps_payload,
     _RECURSION_LIMIT,
 )
 
-SAVERS = {"full": save_index, "compact": save_compact_index}
-LOADERS = {"full": load_index, "compact": load_compact_index}
+SAVERS = {"full": save_index, "flat": save_flat_index}
 
 
 def no_tmp_litter(directory):
@@ -36,7 +44,7 @@ def no_tmp_litter(directory):
 # Kill safety: a fault at any write stage never corrupts the target.
 # ----------------------------------------------------------------------
 class TestKillSafety:
-    @pytest.mark.parametrize("fmt", ["full", "compact"])
+    @pytest.mark.parametrize("fmt", ["full", "flat"])
     @pytest.mark.parametrize("stage", ["write", "fsync", "replace"])
     def test_interrupted_first_save_leaves_nothing(
         self, service_index, tmp_path, fmt, stage
@@ -50,7 +58,7 @@ class TestKillSafety:
         assert not os.path.exists(path)
         assert no_tmp_litter(tmp_path)
 
-    @pytest.mark.parametrize("fmt", ["full", "compact"])
+    @pytest.mark.parametrize("fmt", ["full", "flat"])
     @pytest.mark.parametrize("stage", ["write", "fsync", "replace"])
     def test_interrupted_resave_keeps_the_old_file(
         self, service_index, service_grid, tmp_path, fmt, stage
@@ -68,7 +76,7 @@ class TestKillSafety:
             assert f.read() == before
         assert no_tmp_litter(tmp_path)
         # The survivor is not just byte-identical but fully loadable.
-        loaded = LOADERS[fmt](path)
+        loaded = load_index(path)
         assert loaded.query(0, 63, 250).pair() == service_index.query(
             0, 63, 250
         ).pair()
@@ -82,10 +90,8 @@ class TestKillSafety:
 # ----------------------------------------------------------------------
 # The corruption matrix, for both on-disk formats.
 # ----------------------------------------------------------------------
-def _write_envelope(path, envelope, fmt):
+def _write_envelope(path, envelope):
     data = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
-    if fmt == "compact":
-        data = gzip.compress(data)
     with open(path, "wb") as f:
         f.write(data)
 
@@ -102,7 +108,7 @@ def saved(service_index, tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("fmt", ["full", "compact"])
+@pytest.mark.parametrize("fmt", ["full", "flat"])
 class TestCorruptionMatrix:
     def _corrupt_copy(self, saved, tmp_path, fmt, mutate):
         with open(saved[fmt], "rb") as f:
@@ -117,7 +123,7 @@ class TestCorruptionMatrix:
             saved, tmp_path, fmt, lambda d: d[: len(d) // 2]
         )
         with pytest.raises(SerializationError):
-            LOADERS[fmt](path)
+            load_index(path)
 
     def test_flipped_byte(self, saved, tmp_path, fmt):
         def flip(data):
@@ -126,42 +132,52 @@ class TestCorruptionMatrix:
 
         path = self._corrupt_copy(saved, tmp_path, fmt, flip)
         with pytest.raises(SerializationError):
-            LOADERS[fmt](path)
+            load_index(path)
 
     def test_wrong_magic(self, saved, tmp_path, fmt):
-        path = str(tmp_path / "magic.idx")
-        _write_envelope(
-            path,
-            {"magic": "definitely-not-an-index", "version": 2,
-             "checksum": "0" * 64, "payload": b""},
-            fmt,
-        )
+        if fmt == "full":
+            path = str(tmp_path / "magic.idx")
+            _write_envelope(
+                path,
+                {"magic": "definitely-not-an-index", "version": 2,
+                 "checksum": "0" * 64, "payload": b""},
+            )
+        else:
+            # One changed magic byte: no longer a v3 header, so the
+            # loader reads the file as a (garbage) v2 envelope.
+            path = self._corrupt_copy(
+                saved, tmp_path, fmt, lambda d: b"RQHLFLTX" + d[8:]
+            )
         with pytest.raises(SerializationError, match="is not a"):
-            LOADERS[fmt](path)
+            load_index(path)
 
     def test_future_version(self, saved, tmp_path, fmt):
-        magic = MAGIC if fmt == "full" else COMPACT_MAGIC
-        path = str(tmp_path / "future.idx")
-        _write_envelope(
-            path,
-            {"magic": magic, "version": 999,
-             "checksum": "0" * 64, "payload": b""},
-            fmt,
-        )
+        if fmt == "full":
+            path = str(tmp_path / "future.idx")
+            _write_envelope(
+                path,
+                {"magic": MAGIC, "version": 999,
+                 "checksum": "0" * 64, "payload": b""},
+            )
+        else:
+            path = self._corrupt_copy(
+                saved, tmp_path, fmt,
+                lambda d: d[:8] + struct.pack("<I", 999) + d[12:],
+            )
         with pytest.raises(SerializationError, match="version 999"):
-            LOADERS[fmt](path)
+            load_index(path)
 
     def test_empty_file(self, saved, tmp_path, fmt):
         path = str(tmp_path / "empty.idx")
         open(path, "wb").close()
         with pytest.raises(SerializationError):
-            LOADERS[fmt](path)
+            load_index(path)
 
     def test_directory_instead_of_file(self, saved, tmp_path, fmt):
         path = str(tmp_path / "a-directory")
         os.mkdir(path)
         with pytest.raises(SerializationError, match="directory"):
-            LOADERS[fmt](path)
+            load_index(path)
 
     def test_every_matrix_error_message_names_the_path(
         self, saved, tmp_path, fmt
@@ -169,7 +185,7 @@ class TestCorruptionMatrix:
         path = str(tmp_path / "named.idx")
         open(path, "wb").close()
         with pytest.raises(SerializationError, match="named.idx"):
-            LOADERS[fmt](path)
+            load_index(path)
 
 
 # ----------------------------------------------------------------------
@@ -183,64 +199,77 @@ class TestChecksumAndVersions:
             envelope = pickle.load(f)
         envelope["checksum"] = "0" * 64
         path = str(tmp_path / "badsum.idx")
-        _write_envelope(path, envelope, "full")
+        _write_envelope(path, envelope)
         with pytest.raises(SerializationError, match="checksum"):
             load_index(path)
         # The payload itself is intact, so skipping verification loads.
         index = load_index(path, verify_checksum=False)
         assert index.query(0, 63, 250).feasible
 
-    def test_compact_checksum_mismatch(self, saved, tmp_path):
-        with gzip.open(saved["compact"], "rb") as f:
-            envelope = pickle.load(f)
-        envelope["checksum"] = "0" * 64
-        path = str(tmp_path / "badsum.cidx")
-        _write_envelope(path, envelope, "compact")
-        with pytest.raises(SerializationError, match="checksum"):
-            load_compact_index(path)
-        index = load_compact_index(path, verify_checksum=False)
-        assert index.query(0, 63, 250).feasible
-
-    def test_v1_full_file_still_loads(self, service_index, tmp_path):
-        # A version-1 file keeps its fields inline, with no checksum.
+    def test_version_1_file_is_rejected(self, service_index, tmp_path):
+        # Version 1 kept its fields inline with no checksum; this build
+        # reads version 2 only.
         path = str(tmp_path / "v1.idx")
         _write_envelope(
-            path,
-            {"magic": MAGIC, "version": 1, "index": service_index},
-            "full",
+            path, {"magic": MAGIC, "version": 1, "index": service_index}
         )
-        loaded = load_index(path)
-        assert loaded.query(0, 63, 250).pair() == service_index.query(
+        with pytest.raises(SerializationError, match="version 1"):
+            load_index(path)
+
+
+# ----------------------------------------------------------------------
+# Header dispatch: the first 8 bytes pick the reader.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "loader", [load_index, load_index_with_retry],
+    ids=["load_index", "load_index_with_retry"],
+)
+class TestHeaderDispatch:
+    def test_v2_file_loads_object_labels(
+        self, saved, service_index, loader
+    ):
+        index = loader(saved["full"])
+        assert isinstance(index.labels, LabelStore)
+        assert isinstance(index.qhl_engine(), QHLEngine)
+        assert index.query(0, 63, 250, want_path=True).path == (
+            service_index.query(0, 63, 250, want_path=True).path
+        )
+
+    def test_v3_file_loads_flat_labels(self, saved, service_index, loader):
+        index = loader(saved["flat"])
+        assert isinstance(index.labels, FlatLabelStore)
+        assert isinstance(index.qhl_engine(), FlatQHLEngine)
+        assert index.query(0, 63, 250).pair() == service_index.query(
             0, 63, 250
         ).pair()
 
-    def test_v1_compact_file_still_loads(self, service_index, tmp_path):
-        from repro.storage.compact import pack_labels
-
-        tree = service_index.tree
-        path = str(tmp_path / "v1.cidx")
-        _write_envelope(
-            path,
-            {
-                "magic": COMPACT_MAGIC,
-                "version": 1,
-                "num_vertices": tree.num_vertices,
-                "edges": list(service_index.network.edges()),
-                "order": list(tree.order),
-                "bags": {
-                    v: list(tree.bag[v]) for v in range(tree.num_vertices)
-                },
-                "labels": pack_labels(service_index.labels),
-                "label_build_seconds": 0.0,
-                "conditions": dict(service_index.pruning._conditions),
-                "pruning_build_seconds": 0.0,
-            },
-            "compact",
-        )
-        loaded = load_compact_index(path)
-        assert loaded.query(0, 63, 250).pair() == service_index.query(
-            0, 63, 250
-        ).pair()
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"not an index at all", "bad.idx.*not a readable"),
+            # Seven bytes of the flat magic: too short to tell.
+            (b"RQHLFLT", "bad.idx.*truncated"),
+        ],
+        ids=["garbage", "shorter-than-header"],
+    )
+    def test_unreadable_file_is_permanent(
+        self, tmp_path, loader, data, message
+    ):
+        path = str(tmp_path / "bad.idx")
+        with open(path, "wb") as f:
+            f.write(data)
+        injector = FaultInjector()
+        sleeps = []
+        kwargs = {} if loader is load_index else {
+            "attempts": 5, "sleep": sleeps.append,
+        }
+        with use_injector(injector):
+            with pytest.raises(SerializationError, match=message):
+                loader(path, **kwargs)
+        assert sleeps == []
+        if loader is load_index_with_retry:
+            # The index-load fault point fires once per attempt.
+            assert injector.calls("index-load") == 1
 
 
 # ----------------------------------------------------------------------
@@ -321,14 +350,6 @@ class TestLoadWithRetry:
             load_index_with_retry(path, attempts=5, sleep=sleeps.append)
         assert sleeps == []  # permanent failure: no backoff, no retry
 
-    def test_compact_flag_routes_to_the_compact_loader(
-        self, saved, service_index
-    ):
-        index = load_index_with_retry(saved["compact"], compact=True)
-        assert index.query(0, 63, 250).pair() == service_index.query(
-            0, 63, 250
-        ).pair()
-
     def test_rejects_non_positive_attempts(self, saved):
         with pytest.raises(ValueError):
             load_index_with_retry(saved["full"], attempts=0)
@@ -347,7 +368,7 @@ class TestRecursionCap:
         deep = None
         for _ in range(_RECURSION_LIMIT + 5_000):
             deep = (deep,)
-        with pytest.raises(SerializationError, match="compact"):
+        with pytest.raises(SerializationError, match="save_flat_index"):
             _dumps_payload(deep, "test payload")
 
     def test_limit_restored_after_save(self, service_index, tmp_path):

@@ -12,17 +12,16 @@ from repro.skyline import (
     dominates,
     filter_under,
     is_canonical,
-    join,
     join_union,
     m_dominates,
     m_join,
     m_skyline,
-    merge,
     path_of_pairs,
     skyline_of,
 )
 
 from repro.skyline.entries import JOIN
+from tests.skyline.oracles import join, merge
 
 pair = st.tuples(
     st.integers(min_value=1, max_value=50),

@@ -4,17 +4,15 @@ import pytest
 
 from repro.skyline import (
     best_under,
-    cartesian_entries,
     dominated_by_set,
     dominates,
     filter_under,
     is_canonical,
-    join,
-    merge,
     path_of_pairs,
     skyline_of,
     truncate,
 )
+from tests.skyline.oracles import cartesian_entries, join, merge
 
 
 def entries(pairs):

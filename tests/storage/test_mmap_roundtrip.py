@@ -21,7 +21,7 @@ import os
 import pytest
 
 from repro.core import QHLIndex
-from repro.core.flat import FlatIndex
+from repro.core.flat import FlatQHLEngine
 from repro.exceptions import SerializationError
 from repro.graph import random_connected_network
 from repro.storage import (
@@ -68,15 +68,15 @@ class TestByteIdentity:
         with open(path, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
 
-    def test_plain_read_load_matches_mmap_load(self, saved):
+    def test_loaded_index_serves_the_flat_engine_over_the_map(self, saved):
         _index, path = saved
-        mapped = load_flat_index(path, use_mmap=True)
-        copied = load_flat_index(path, use_mmap=False)
-        for name in COLUMNS:
-            assert (
-                getattr(mapped.labels, name).tobytes()
-                == getattr(copied.labels, name).tobytes()
-            )
+        loaded = load_flat_index(path)
+        assert isinstance(loaded, QHLIndex)
+        engine = loaded.qhl_engine()
+        assert isinstance(engine, FlatQHLEngine)
+        assert engine._labels is loaded.labels
+        assert isinstance(loaded.labels.weights, memoryview)
+        assert loaded.labels._backing is not None
 
     def test_loaded_index_answers_match_object_index(self, built, saved):
         g, index = built
@@ -206,7 +206,7 @@ class TestForkSharing:
             )
 
 
-def _child_probe(index: FlatIndex, queue) -> None:
+def _child_probe(index: QHLIndex, queue) -> None:
     result = index.query(0, 29, 1000)
     queue.put(
         (result.weight, result.cost, index.labels.costs.tobytes()[:64])

@@ -147,6 +147,27 @@ class TestDeathsAndRestarts:
         kinds = [i.kind for i in sup.incidents.records()]
         assert "death" in kinds and "restart" in kinds
 
+    def test_unpolled_death_still_counts_as_progress(self):
+        # A worker that died since the last poll() is not a lost fleet:
+        # only the next poll() records the death and schedules the
+        # respawn.  The pool asks can_make_progress() between two
+        # polls, so a death landing in that gap used to end a healthy
+        # batch with every task "exhausted".
+        sup = Supervisor(doubling, config=FAST)
+        sup.add_worker("w0")
+        sup.start()
+        try:
+            process = sup.workers["w0"].process
+            os.kill(process.pid, 9)
+            process.join(10.0)
+            assert not process.is_alive()
+            assert sup.can_make_progress()
+            deaths = sup.poll()
+            assert [death.worker for death in deaths] == ["w0"]
+            assert sup.can_make_progress()
+        finally:
+            sup.stop()
+
     def test_heartbeat_stall_is_killed(self):
         sup = Supervisor(sleepy_no_beat, config=FAST)
         sup.add_worker("w0")

@@ -235,6 +235,58 @@ class TestBuildOptions:
         ]) == 0
 
 
+@pytest.fixture(scope="module")
+def flat_file(workspace, tmp_path_factory):
+    """``build --no-paths`` output: a version-3 flat file."""
+    net, _idx = workspace
+    path = str(tmp_path_factory.mktemp("cli-flat") / "ny.idx")
+    assert main([
+        "build", "--network", net, "--out", path,
+        "--index-queries", "200", "--no-paths",
+    ]) == 0
+    return path
+
+
+class TestFlatFile:
+    """Every index-reading command takes a v3 file with no format flag."""
+
+    def test_no_paths_writes_the_flat_header(self, flat_file):
+        from repro.storage.flatfile import FLAT_MAGIC
+
+        with open(flat_file, "rb") as f:
+            assert f.read(8) == FLAT_MAGIC
+
+    def test_fallback_query_serves_from_the_flat_engine(
+        self, workspace, flat_file, capsys
+    ):
+        _net, idx = workspace
+        args = ["--source", "0", "--target", "140", "--budget", "500"]
+        assert main(["query", "--index", idx, *args]) == 0
+        want = capsys.readouterr().out.split(" in ")[0]
+        assert main(
+            ["query", "--index", flat_file, "--fallback", *args]
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.out.split(" in ")[0] == want
+        assert "via QHL-flat" in captured.out
+        assert "warning" not in captured.err
+
+    def test_stats(self, flat_file, capsys):
+        from repro.storage import load_flat_index
+
+        assert main(["stats", "--index", flat_file]) == 0
+        out = capsys.readouterr().out
+        entries = load_flat_index(flat_file).labels.num_entries()
+        assert f"label entries     {entries}" in out
+        assert "pruning conds" in out
+
+    def test_verify(self, flat_file, capsys):
+        assert main(["verify", "--index", flat_file, "--queries", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "flat-columns" in out
+        assert "audit PASS" in out
+
+
 class TestBuildHardening:
     def test_interrupted_build_resumes_via_cli(
         self, workspace, tmp_path, capsys

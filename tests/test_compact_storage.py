@@ -1,19 +1,20 @@
-"""Tests for the compact (array-packed, gzipped) index format."""
+"""Tests for ``pack_labels``, the column layout of flat label stores.
 
-import random
+Unpacking is :class:`~repro.storage.flat.FlatLabelStore` over the
+packed arrays: ``from_compact`` wraps them, ``get`` materialises entry
+tuples.
+"""
 
 import pytest
 
 from repro.core import QHLIndex
 from repro.exceptions import SerializationError
-from repro.graph import grid_network, random_connected_network
-from repro.storage import (
-    load_compact_index,
-    pack_labels,
-    save_compact_index,
-    save_index,
-    unpack_labels,
-)
+from repro.graph import random_connected_network
+from repro.storage import FlatLabelStore, pack_labels
+
+
+def unpack(compact):
+    return FlatLabelStore.from_compact(compact)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,7 @@ def built():
 class TestPackUnpack:
     def test_roundtrip_preserves_every_set(self, built):
         _g, index = built
-        restored = unpack_labels(pack_labels(index.labels))
+        restored = unpack(pack_labels(index.labels))
         for v, u, entries in index.labels.items():
             got = restored.get(v, u)
             assert [(e[0], e[1]) for e in got] == [
@@ -34,7 +35,7 @@ class TestPackUnpack:
 
     def test_integer_metrics_restored_as_ints(self, built):
         _g, index = built
-        restored = unpack_labels(pack_labels(index.labels))
+        restored = unpack(pack_labels(index.labels))
         some = next(iter(restored.items()))[2]
         assert all(isinstance(e[0], int) for e in some)
 
@@ -45,14 +46,14 @@ class TestPackUnpack:
         g.add_edge(0, 1, weight=1.5, cost=2.25)
         g.add_edge(1, 2, weight=3.5, cost=0.75)
         index = QHLIndex.build(g, num_index_queries=10, seed=0)
-        restored = unpack_labels(pack_labels(index.labels))
+        restored = unpack(pack_labels(index.labels))
         assert [(e[0], e[1]) for e in restored.get(0, 2)] == [
             (e[0], e[1]) for e in index.labels.get(0, 2)
         ]
 
     def test_provenance_dropped(self, built):
         _g, index = built
-        restored = unpack_labels(pack_labels(index.labels))
+        restored = unpack(pack_labels(index.labels))
         for _v, _u, entries in restored.items():
             assert all(e[2] is None for e in entries)
 
@@ -66,67 +67,5 @@ class TestPackUnpack:
         _g, index = built
         compact = pack_labels(index.labels)
         compact.set_offsets.pop()
-        with pytest.raises(SerializationError):
-            unpack_labels(compact)
-
-
-class TestCompactFileFormat:
-    def test_roundtrip_answers(self, built, tmp_path):
-        g, index = built
-        path = str(tmp_path / "c.idx")
-        save_compact_index(index, path)
-        loaded = load_compact_index(path)
-        rng = random.Random(3)
-        for _ in range(40):
-            s, t = rng.randrange(30), rng.randrange(30)
-            budget = rng.randint(1, 300)
-            assert loaded.query(s, t, budget).pair() == index.query(
-                s, t, budget
-            ).pair()
-
-    def test_pruning_conditions_survive(self, built, tmp_path):
-        _g, index = built
-        path = str(tmp_path / "c.idx")
-        save_compact_index(index, path)
-        loaded = load_compact_index(path)
-        assert (
-            loaded.pruning.num_conditions == index.pruning.num_conditions
-        )
-
-    def test_smaller_than_full_format_on_disk(self, tmp_path):
-        g = grid_network(14, 14, seed=15)
-        index = QHLIndex.build(
-            g, num_index_queries=300, store_paths=False, seed=15
-        )
-        full = save_index(index, str(tmp_path / "full.idx"))
-        compact = save_compact_index(index, str(tmp_path / "c.idx"))
-        assert compact < full
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(SerializationError):
-            load_compact_index(str(tmp_path / "nope.idx"))
-
-    def test_garbage_file(self, tmp_path):
-        path = tmp_path / "garbage.idx"
-        path.write_bytes(b"definitely not gzip")
-        with pytest.raises(SerializationError):
-            load_compact_index(str(path))
-
-    def test_full_format_rejected_by_compact_loader(self, built, tmp_path):
-        _g, index = built
-        path = str(tmp_path / "full.idx")
-        save_index(index, path)
-        with pytest.raises(SerializationError):
-            load_compact_index(path)
-
-    def test_path_retrieval_unavailable_after_compact(self, built, tmp_path):
-        from repro.exceptions import ReproError
-
-        _g, index = built
-        path = str(tmp_path / "c.idx")
-        save_compact_index(index, path)
-        loaded = load_compact_index(path)
-        result = loaded.query(0, 29, 10_000)
-        assert result.feasible
-        with pytest.raises(ReproError):
-            loaded.query(0, 29, 10_000, want_path=True)
+        with pytest.raises(SerializationError, match="set_offsets"):
+            FlatLabelStore.from_compact(compact)
