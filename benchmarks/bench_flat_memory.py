@@ -9,7 +9,8 @@ hold ``N + 1`` copies of every label tuple.
 
 Each scenario runs in its own subprocess (clean RSS baseline):
 
-* **object** — ``load_index`` (version-2 pickle), then a supervised
+* **object** — the object-graph index built in the scenario's own
+  process (no saved format holds an object graph), then a supervised
   ``execute_batch`` with forked workers;
 * **flat** — ``load_flat_index`` (version-3 mmap), same batch through
   the flat engine.
@@ -42,30 +43,30 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_TXT = "flat_memory.txt"
 
 
-def _build_files(tmpdir: str) -> tuple[str, str]:
-    """Build one index, save it in both formats; returns both paths."""
+def _build_index():
     from repro.core import QHLIndex
     from repro.graph import grid_network
-    from repro.storage import save_flat_index
-    from repro.storage.serialize import save_index
 
     network = grid_network(GRID_SIDE, GRID_SIDE, seed=SEED)
-    index = QHLIndex.build(
+    return QHLIndex.build(
         network, num_index_queries=100, store_paths=False, seed=SEED
     )
-    obj_path = os.path.join(tmpdir, "index.obj.idx")
+
+
+def _build_file(tmpdir: str) -> str:
+    """Build the index and save it; returns the flat file's path."""
+    from repro.storage import save_flat_index
+
     flat_path = os.path.join(tmpdir, "index.qflat")
-    save_index(index, obj_path)
-    save_flat_index(index, flat_path)
-    return obj_path, flat_path
+    save_flat_index(_build_index(), flat_path)
+    return flat_path
 
 
 def _scenario(mode: str, path: str) -> None:
-    """Child-process entry: load, run a supervised batch, report RSS."""
+    """Child-process entry: build or load, run a supervised batch,
+    report RSS."""
     if mode == "object":
-        from repro.storage.serialize import load_index
-
-        index = load_index(path)
+        index = _build_index()
     else:
         from repro.storage import load_flat_index
 
@@ -115,12 +116,9 @@ def run_benchmark() -> dict:
     from benchmarks.conftest import record_rows
 
     with tempfile.TemporaryDirectory() as tmpdir:
-        obj_path, flat_path = _build_files(tmpdir)
-        sizes = {
-            "object_file_kb": os.path.getsize(obj_path) // 1024,
-            "flat_file_kb": os.path.getsize(flat_path) // 1024,
-        }
-        object_run = _run_scenario("object", obj_path)
+        flat_path = _build_file(tmpdir)
+        sizes = {"flat_file_kb": os.path.getsize(flat_path) // 1024}
+        object_run = _run_scenario("object", "")
         flat_run = _run_scenario("flat", flat_path)
 
     for run in (object_run, flat_run):
@@ -149,8 +147,7 @@ def run_benchmark() -> dict:
             f"{flat_run['worker_peak_kb']:>7} KB "
             f"{flat_run['total_peak_kb']:>7} KB",
             f"savings {result['total_savings_kb']} KB "
-            f"(files: object {sizes['object_file_kb']} KB, "
-            f"flat {sizes['flat_file_kb']} KB)",
+            f"(flat file {sizes['flat_file_kb']} KB)",
         ],
     )
     return result

@@ -21,9 +21,10 @@ Example session::
     repro-qhl query --index ny.idx --source 0 --target 140 --budget 400 --trace
     repro-qhl stats --index ny.idx
 
-``build --no-paths`` saves the flat (version 3) format instead of the
-version-2 object envelope; ``query``, ``stats`` and ``verify`` read
-either, telling them apart by the file header.
+``build`` saves the one index format (version 3): label columns
+mapped into memory on load, plus provenance columns for ``query
+--path`` unless ``--no-paths`` is given.  A pickled version-2 index
+from an older release is refused with a hint to rebuild it.
 
 ``build``, ``workload``, ``bench`` and ``query`` accept
 ``--metrics-out PATH`` to dump the run's metrics registry as JSON-lines
@@ -86,7 +87,6 @@ from repro.instrument.timing import Timer, format_bytes, format_seconds
 from repro.observability.metrics import MetricsRegistry, use_registry
 from repro.observability.export import write_jsonl
 from repro.observability.tracing import SpanTracer, use_tracer
-from repro.storage.flatfile import save_flat_index
 from repro.storage.serialize import (
     load_index,
     load_index_with_retry,
@@ -299,17 +299,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
             supervised=supervised,
             supervision=supervision,
         )
-    if args.no_paths:
-        size = save_flat_index(index, args.out)
-    else:
-        size = save_index(index, args.out)
+    size = save_index(index, args.out)
     if args.checkpoint_dir:
         # The index reached durable storage; the checkpoints served
         # their purpose.
         CheckpointStore(args.checkpoint_dir).clear()
-    kind = "flat index" if args.no_paths else "index"
     print(
-        f"built {kind} for |V|={network.num_vertices} in "
+        f"built index for |V|={network.num_vertices} in "
         f"{format_seconds(timer.seconds)}; file {format_bytes(size)} "
         f"-> {args.out}"
     )
@@ -860,9 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument(
         "--no-paths",
         action="store_true",
-        help="skip path provenance and save in the flat (version 3) "
-        "format: raw label columns behind a checksummed binary header, "
-        "mapped into memory on load (no path retrieval)",
+        help="skip path provenance: the saved file holds (weight, "
+        "cost) label columns only (no path retrieval)",
     )
     p_build.add_argument(
         "--metrics-out",

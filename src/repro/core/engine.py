@@ -3,10 +3,10 @@
 :class:`QHLIndex` bundles the four index pieces — tree decomposition,
 2-hop skyline labels, LCA structure, and pruning conditions — behind one
 ``build`` call, and hands out query engines.  The labels are either an
-object :class:`~repro.labeling.labels.LabelStore` (built in memory or
-loaded from a version-2 file) or flat columns
-(:class:`~repro.storage.flat.FlatLabelStore`, loaded from a version-3
-file); the label type picks the default engine:
+object :class:`~repro.labeling.labels.LabelStore` (built in memory) or
+flat columns (:class:`~repro.storage.flat.FlatLabelStore`, loaded from
+a saved file, with provenance columns when it was built with
+``store_paths=True``); the label type picks the default engine:
 
 >>> from repro import QHLIndex, grid_network
 >>> network = grid_network(8, 8, seed=1)
@@ -221,7 +221,9 @@ class QHLIndex:
         Flat labels are used as held (an mmap'd file stays mapped);
         object labels are packed into a
         :class:`~repro.storage.flat.FlatLabelStore` on first use and
-        cached, so repeated calls share one column set.  Answers are
+        cached, so repeated calls share one column set.  That packing
+        keeps ``(weight, cost)`` pairs only; paths over flat columns
+        come from a saved and loaded index.  Answers are
         bit-identical to the object engine; the hot path is index
         arithmetic instead of object-graph walks.
         """

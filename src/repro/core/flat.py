@@ -23,6 +23,12 @@ object engine on every query (the differential suite pins this); only
 the ``concatenations`` counter may be lower, because the flat sweep
 binary-searches away provably infeasible pairs.
 
+Paths come from the store's provenance columns, when it has them (an
+index built with ``store_paths=True`` and saved): the access keeps the
+rows of the winning pair — or of the ancestor fast path's entry — and
+:meth:`~repro.storage.flat.FlatLabelStore.walk` unfolds them.  The
+winner is the pair the object sweep picks, so paths are identical too.
+
 A :class:`~repro.core.engine.QHLIndex` whose labels are a
 :class:`~repro.storage.flat.FlatLabelStore` (what
 :func:`repro.storage.flatfile.load_flat_index` returns) hands out this
@@ -36,9 +42,10 @@ from repro.core.qhl import Algorithm3Engine
 # Not called here (the pipeline runs them from repro.core.qhl); still
 # exported because benchmarks/e2e/layers.py TARGETS names them here.
 from repro.core.qhl import candidate_separators, initial_separators  # noqa: F401
-from repro.exceptions import IndexBuildError, ReproError
+from repro.exceptions import IndexBuildError
 from repro.hierarchy.lca import LCAIndex
 from repro.hierarchy.tree import TreeDecomposition
+from repro.skyline.entries import orient, splice
 from repro.skyline.flat_ops import best_under_cols, sweep_best_pair
 from repro.storage.compact import _restore
 from repro.storage.flat import FlatLabelStore
@@ -50,8 +57,8 @@ _INF = float("inf")
 class FlatQHLEngine(Algorithm3Engine):
     """QHL over flat label columns; bit-identical to :class:`QHLEngine`.
 
-    ``want_path=True`` on a feasible query raises :class:`ReproError`:
-    flat columns hold ``(weight, cost)`` pairs only, no provenance.
+    ``want_path=True`` on a feasible query raises :class:`ReproError`
+    when the columns carry no provenance.
     """
 
     name = "QHL-flat"
@@ -93,13 +100,15 @@ class _FlatAccess:
     dominated the profile where the object fetcher pays one dict get.
     ``lookups`` counts unique (side, hub) bound fetches — the sets the
     concatenation phase actually reads; estimation probes only size
-    dicts and is not counted.
+    dicts and is not counted.  ``_win`` holds the rows of the best
+    answer, ``(row, -1, None)`` from the ancestor fast path or
+    ``(s_row, t_row, hoplink)`` from a sweep, for path expansion.
     """
 
     __slots__ = (
         "_labels", "_weights", "_costs", "_entry_offsets", "_s", "_t",
         "_s_rows", "_t_rows", "_s_sizes", "_t_sizes", "_from_s",
-        "_from_t", "_weight", "_cost", "lookups",
+        "_from_t", "_weight", "_cost", "_win", "lookups",
     )
 
     def __init__(self, labels: FlatLabelStore, s: int, t: int):
@@ -117,6 +126,7 @@ class _FlatAccess:
         self._from_t: dict[int, tuple[int, int]] = {}
         self._weight = _INF
         self._cost = _INF
+        self._win: tuple[int, int, int | None] | None = None
         self.lookups = 0
 
     def ancestor(self, budget: float) -> int:
@@ -126,6 +136,7 @@ class _FlatAccess:
         if idx >= 0:
             self._weight = self._weights[idx]
             self._cost = self._costs[idx]
+            self._win = (idx, -1, None)
         return hi - lo
 
     def estimated_cost(self, separator) -> int:
@@ -172,11 +183,13 @@ class _FlatAccess:
         weights, costs = self._weights, self._costs
         s_lo, s_hi = self.from_s(h)
         t_lo, t_hi = self.from_t(h)
-        self._weight, self._cost, inspected = sweep_best_pair(
+        self._weight, self._cost, inspected, i, j = sweep_best_pair(
             weights, costs, s_lo, s_hi,
             weights, costs, t_lo, t_hi,
             budget, self._weight, self._cost,
         )
+        if i >= 0:
+            self._win = (i, j, h)
         return inspected
 
     def best(self) -> tuple[float, float] | None:
@@ -188,12 +201,17 @@ class _FlatAccess:
         best = self.best()
         if best is None:
             return QueryResult(query)
+        path = None
         if want_path:
-            raise ReproError(
-                "flat label columns keep no provenance; path retrieval "
-                "needs an object index built with store_paths=True"
+            s_row, t_row, hop = self._win
+            walk = self._labels.walk
+            path = orient(
+                walk(s_row) if hop is None
+                else splice(walk(s_row), walk(t_row), hop),
+                self._s,
+                self._t,
             )
-        return QueryResult(query, weight=best[0], cost=best[1])
+        return QueryResult(query, weight=best[0], cost=best[1], path=path)
 
 
 def _estimated_cost(access: _FlatAccess, separator) -> int:

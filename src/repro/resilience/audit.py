@@ -123,9 +123,12 @@ def audit_index(
     object or flat (possibly mmap'd) labels.
 
     Runs six named checks — seven over flat labels, which add the
-    ``flat-columns`` structural check (offset-table monotonicity and
-    per-vertex hub sortedness, the invariants behind the flat engine's
-    binary searches):
+    ``flat-columns`` check: offset-table monotonicity and per-vertex
+    hub sortedness (the invariants behind the flat engine's binary
+    searches), and, when the columns carry provenance, in-range kinds
+    and child rows, edge rows that name network edges, and seeded
+    sampled rows whose expanded path is a walk between the row's two
+    vertices with the row's ``(weight, cost)``:
 
     ``tree-structure``
         Definition 7 plus Properties 1-2 via
@@ -159,7 +162,7 @@ def audit_index(
     with get_tracer().span("audit.index") as span:
         report.checks.append(_check_tree(index, deep_tree))
         if hasattr(index.labels, "validate_structure"):
-            report.checks.append(_check_flat_columns(index))
+            report.checks.append(_check_flat_columns(index, seed))
         report.checks.append(_check_label_order(index))
         report.checks.append(_check_label_dominance(index))
         report.checks.append(_check_label_coverage(index))
@@ -231,14 +234,15 @@ def _check_tree(index, deep_tree: bool | None) -> AuditCheck:
     return _timed(check, started)
 
 
-def _check_flat_columns(index) -> AuditCheck:
-    """Structural audit of a flat label store's offset tables.
+def _check_flat_columns(index, seed: int) -> AuditCheck:
+    """Structural audit of a flat label store's columns.
 
     Runs only for indexes whose labels expose ``validate_structure``
     (:class:`~repro.storage.flat.FlatLabelStore`): offset monotonicity
     and per-vertex hub sortedness — the invariants the flat engine's
-    binary searches assume.  Cost-sortedness and dominance-freeness of
-    the entry columns are covered by ``label-order`` /
+    binary searches assume — and the provenance columns, if any (see
+    :func:`_check_provenance`).  Cost-sortedness and dominance-freeness
+    of the entry columns are covered by ``label-order`` /
     ``label-dominance``, which iterate the store's ``items()`` like any
     object store.
     """
@@ -249,11 +253,86 @@ def _check_flat_columns(index) -> AuditCheck:
     try:
         for problem in labels.validate_structure():
             check.add(problem)
+        if labels.provenance is not None and check.ok:
+            _check_provenance(index, check, seed)
     except Exception as exc:  # lint: allow=QHL002 corrupt offset tables can raise anywhere; the audit's job is to report, not to crash
         check.add(
             f"column validation raised {type(exc).__name__}: {exc}"
         )
     return _timed(check, started)
+
+
+def _check_provenance(
+    index, check: AuditCheck, seed: int, samples: int = 32
+) -> None:
+    """Edge rows must name network edges, and ``samples`` seeded label
+    rows must expand to a walk between the row's vertices ``v`` and
+    ``u`` (it sits in ``P(v, u)``) whose summed metrics are the row's
+    ``(weight, cost)``."""
+    from bisect import bisect_right
+
+    from repro.storage.compact import PROV_EDGE, _restore
+
+    labels, network = index.labels, index.network
+    kinds, a_col, b_col, _c_col = labels.provenance
+    for r in range(len(kinds)):
+        if kinds[r] != PROV_EDGE or network.has_edge(a_col[r], b_col[r]):
+            continue
+        check.add(
+            f"provenance row {r}: ({a_col[r]}, {b_col[r]}) is not a "
+            "network edge"
+        )
+    check.checked += len(kinds)
+    entries = labels.num_entries()
+    rng = random.Random(seed)
+    for row in sorted(rng.sample(range(entries), min(samples, entries))):
+        check.checked += 1
+        i = bisect_right(labels.entry_offsets, row) - 1
+        v = bisect_right(labels.set_offsets, i) - 1
+        u = labels.hubs[i]
+        try:
+            path = labels.walk(row)
+        except Exception as exc:  # lint: allow=QHL002 corrupt provenance can raise anything; record and keep auditing
+            check.add(f"row {row} of P({v}, {u}) does not expand: {exc}")
+            continue
+        if {path[0], path[-1]} != {v, u}:
+            check.add(
+                f"row {row} of P({v}, {u}) expands to a path between "
+                f"{path[0]} and {path[-1]}"
+            )
+            continue
+        problem = _walk_problem(
+            network, path,
+            _restore(labels.weights[row]), _restore(labels.costs[row]),
+        )
+        if problem:
+            check.add(f"row {row} of P({v}, {u}): {problem}")
+
+
+def _walk_problem(network, path, weight, cost) -> str | None:
+    """Why ``path`` is no walk with metrics ``(weight, cost)``, or
+    ``None``.  With parallel edges, any choice per hop may match."""
+    def within(x: float, bound: float) -> bool:
+        return x <= bound or math.isclose(x, bound, rel_tol=1e-9)
+
+    sums = {(0, 0)}
+    for x, y in zip(path, path[1:], strict=False):
+        options = network.edge_metrics(x, y)
+        if not options:
+            return f"({x}, {y}) on its path is not a network edge"
+        sums = {
+            (sw + w, sc + c)
+            for sw, sc in sums
+            for w, c in options
+            if within(sw + w, weight) and within(sc + c, cost)
+        }
+    if not any(
+        math.isclose(sw, weight, rel_tol=1e-9, abs_tol=1e-9)
+        and math.isclose(sc, cost, rel_tol=1e-9, abs_tol=1e-9)
+        for sw, sc in sums
+    ):
+        return f"its path does not sum to ({weight!r}, {cost!r})"
+    return None
 
 
 def _check_label_order(index) -> AuditCheck:

@@ -11,7 +11,11 @@ defers path retrieval to the CSP-2Hop paper.  We implement retrieval with
 * ``("edge", u, v)`` — a single edge between ``u`` and ``v``;
 * ``("zero", v)`` — the empty path at ``v``;
 * ``("join", mid, left, right)`` — the concatenation at vertex ``mid`` of
-  two child entries.
+  two child entries;
+* ``("row", store, i)`` — row ``i`` of the provenance columns of a flat
+  label store (:class:`~repro.storage.flat.FlatLabelStore`), which
+  expands it with ``store.walk(i)``; entries read out of flat labels
+  carry this tag.
 
 Provenance references child entries *by object*, so expansion is a simple
 recursion that survives skyline-set re-sorting.  Because the network is
@@ -33,6 +37,7 @@ Entry = tuple[float, float, Any]
 EDGE = "edge"
 ZERO = "zero"
 JOIN = "join"
+ROW = "row"
 
 
 def edge_entry(
@@ -75,10 +80,19 @@ def _expand_any(entry: Entry) -> list[int]:
         if prov[1] is None:
             raise ReproError("anonymous zero-length entry cannot expand")
         return [prov[1]]
+    if tag == ROW:
+        return prov[1].walk(prov[2])
     _tag, mid, left, right = prov
-    head = _expand_any(left)
-    tail = _expand_any(right)
-    # Orient both segments around the junction vertex.
+    return splice(_expand_any(left), _expand_any(right), mid)
+
+
+def splice(head: list[int], tail: list[int], mid: int) -> list[int]:
+    """Join two segments that meet at the junction ``mid``.
+
+    Each segment may come in either orientation; both are turned around
+    the junction, then ``tail`` (minus the shared ``mid``) is appended
+    to ``head`` in place.
+    """
     if head[-1] != mid:
         head.reverse()
     if head[-1] != mid:
@@ -87,7 +101,27 @@ def _expand_any(entry: Entry) -> list[int]:
         tail.reverse()
     if tail[0] != mid:
         raise ReproError(f"join segment does not touch junction {mid}")
-    return head + tail[1:]
+    head.extend(tail[1:])
+    return head
+
+
+def orient(path: list[int], source: int, target: int) -> list[int]:
+    """``path`` as ``source .. target``, reversed in place if needed.
+
+    Raises
+    ------
+    ReproError
+        If the path's endpoints are not ``source`` and ``target``.
+    """
+    if path[0] == source and path[-1] == target:
+        return path
+    path.reverse()
+    if path[0] == source and path[-1] == target:
+        return path
+    raise ReproError(
+        f"expanded path connects ({path[-1]}, {path[0]}), "
+        f"not ({source}, {target})"
+    )
 
 
 def expand(entry: Entry, source: int, target: int) -> list[int]:
@@ -101,16 +135,7 @@ def expand(entry: Entry, source: int, target: int) -> list[int]:
         If the entry was built without provenance, or its endpoints do
         not match ``source`` / ``target``.
     """
-    path = _expand_any(entry)
-    if path[0] == source and path[-1] == target:
-        return path
-    path.reverse()
-    if path[0] == source and path[-1] == target:
-        return path
-    raise ReproError(
-        f"expanded path connects ({path[-1]}, {path[0]}), "
-        f"not ({source}, {target})"
-    )
+    return orient(_expand_any(entry), source, target)
 
 
 def path_of_pairs(entries: Sequence[Entry]) -> list[tuple[float, float]]:

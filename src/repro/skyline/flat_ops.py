@@ -57,7 +57,7 @@ def sweep_best_pair(
     budget: float,
     best_weight: float,
     best_cost: float,
-) -> tuple[float, float, int]:
+) -> tuple[float, float, int, int, int]:
     """Algorithm 5's two-pointer sweep over two column slices.
 
     ``[s_lo, s_hi)`` addresses ``P_sh`` and ``[t_lo, t_hi)`` addresses
@@ -66,8 +66,11 @@ def sweep_best_pair(
     :func:`~repro.core.concatenation.concat_best_under`: a feasible pair
     only wins by being lexicographically smaller.
 
-    Returns ``(best_weight, best_cost, inspected)`` — the possibly
-    improved best pair and the number of pairs inspected.
+    Returns ``(best_weight, best_cost, inspected, i, j)`` — the possibly
+    improved best pair, the number of pairs inspected, and the column
+    rows of the winning pair (``-1, -1`` when no pair beat the incoming
+    best).  The rows change only on a strictly better pair, so among
+    equal pairs the first one swept wins, as in the object sweep.
 
     The sweep bounds are tightened by binary search before walking:
     right parts too costly to fit the budget even with the *cheapest*
@@ -76,13 +79,14 @@ def sweep_best_pair(
     minimum over feasible pairs — the answer — is untouched.
     """
     if s_lo >= s_hi or t_lo >= t_hi:
-        return best_weight, best_cost, 0
+        return best_weight, best_cost, 0, -1, -1
     j = bisect_right(t_costs, budget - s_costs[s_lo], t_lo, t_hi) - 1
     i_hi = bisect_right(s_costs, budget - t_costs[t_lo], s_lo, s_hi)
     i = s_lo
     inspected = 0
+    best_i = best_j = -1
     if i >= i_hi or j < t_lo:
-        return best_weight, best_cost, 0
+        return best_weight, best_cost, 0, -1, -1
     # The current-cell costs are kept in locals: each loop iteration
     # moves only one pointer, so only one column read is needed per
     # step (column subscripts box a fresh float each time).
@@ -96,6 +100,8 @@ def sweep_best_pair(
             if (weight, cost) < (best_weight, best_cost):
                 best_weight = weight
                 best_cost = cost
+                best_i = i
+                best_j = j
             i += 1
             if i >= i_hi:
                 break
@@ -105,4 +111,4 @@ def sweep_best_pair(
             if j < t_lo:
                 break
             t_cost = t_costs[j]
-    return best_weight, best_cost, inspected
+    return best_weight, best_cost, inspected, best_i, best_j

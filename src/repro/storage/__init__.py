@@ -1,7 +1,6 @@
-"""Index persistence: the version-2 object envelope (keeps paths) and
-the version-3 flat envelope whose columns mmap in with zero copies.
-:func:`load_index` reads either, picking the format by the file
-header."""
+"""Index persistence: one saved format, the version-3 flat file whose
+label (and optional provenance) columns mmap in with zero copies, plus
+the checksummed pickle envelope behind checkpoints and the journal."""
 
 from repro.storage.compact import CompactLabels, pack_labels
 from repro.storage.flat import FlatLabelStore

@@ -1,6 +1,6 @@
 """Flat columnar label store — the query-time twin of ``CompactLabels``.
 
-:class:`FlatLabelStore` holds the five ``pack_labels`` arrays (or
+:class:`FlatLabelStore` holds the ``pack_labels`` arrays (or
 ``memoryview`` casts over an ``mmap``) and serves skyline sets as
 half-open column slices instead of per-entry tuple lists, so the flat
 query engine (:class:`~repro.core.flat.FlatQHLEngine`) touches no
@@ -19,8 +19,15 @@ read API — ``label(v)`` returns a lazy hub→entries mapping, ``get(x, y)``
 materialises entry tuples, plus the counting/iteration helpers — so
 consumers built against the object store (the frontier cache, the index
 audit, the CSP-2Hop baseline) run over flat or mmap-backed labels
-unmodified.  Materialised entries carry ``None`` provenance: the columns
-hold ``(weight, cost)`` pairs only.
+unmodified.
+
+Provenance is optional.  A store built with the four provenance columns
+(``pack_labels(..., provenance=True)``, or a file saved from an index
+built with ``store_paths=True``) expands any row into its vertex path
+with :meth:`FlatLabelStore.walk`, and materialised entries carry a
+``("row", store, i)`` provenance that :func:`~repro.skyline.entries.
+expand` follows, so every engine retrieves paths over it.  Without the
+columns, entries carry ``None`` provenance and path retrieval raises.
 """
 
 from __future__ import annotations
@@ -30,20 +37,25 @@ from bisect import bisect_left
 from operator import sub
 from typing import Any, Iterator, Mapping
 
-from repro.exceptions import IndexBuildError, SerializationError
+from repro.exceptions import IndexBuildError, ReproError, SerializationError
 from repro.labeling.labels import LabelStore
-from repro.skyline.entries import Entry
-from repro.storage.compact import CompactLabels, _restore, pack_labels
+from repro.skyline.entries import ROW, Entry, splice
+from repro.storage.compact import (
+    PROV_EDGE,
+    PROV_JOIN,
+    PROV_ZERO,
+    CompactLabels,
+    _restore,
+    pack_labels,
+)
 
 #: The zero-length path — concatenation identity, no provenance.
 _ZERO: list[Entry] = [(0, 0, None)]
 
 
 class FlatLabelStore:
-    """Skyline labels as five flat columns with offset tables."""
-
-    #: Flat columns hold ``(weight, cost)`` pairs, never provenance.
-    store_paths = False
+    """Skyline labels as flat columns with offset tables, plus optional
+    provenance columns."""
 
     def __init__(
         self,
@@ -53,6 +65,7 @@ class FlatLabelStore:
         entry_offsets: Any,
         weights: Any,
         costs: Any,
+        provenance: tuple[Any, ...] | None = None,
         backing: Any = None,
     ):
         if len(set_offsets) != num_vertices + 1:
@@ -67,12 +80,24 @@ class FlatLabelStore:
             raise SerializationError("flat labels: set_offsets out of range")
         if entry_offsets[0] != 0 or entry_offsets[len(hubs)] != len(weights):
             raise SerializationError("flat labels: entry_offsets out of range")
+        if provenance is not None and (
+            len(provenance) != 4
+            or any(len(column) != len(provenance[0]) for column in provenance)
+            or len(provenance[0]) < len(weights)
+        ):
+            raise SerializationError(
+                "flat labels: provenance columns need one row per entry"
+            )
         self.num_vertices = num_vertices
         self.set_offsets = set_offsets
         self.hubs = hubs
         self.entry_offsets = entry_offsets
         self.weights = weights
         self.costs = costs
+        #: ``(kind, a, b, c)`` columns, or ``None`` (pairs only).
+        self.provenance = provenance
+        #: Whether paths can be retrieved (the LabelStore flag).
+        self.store_paths = provenance is not None
         self.build_seconds = 0.0
         # Keeps the mmap (and through it the shared pages) alive for as
         # long as the store's column views reference it.
@@ -96,11 +121,13 @@ class FlatLabelStore:
             compact.entry_offsets,
             compact.weights,
             compact.costs,
+            compact.provenance,
         )
 
     @classmethod
     def from_store(cls, store: LabelStore) -> "FlatLabelStore":
-        """Pack an object-graph label store into fresh flat columns."""
+        """Pack an object-graph label store into fresh flat columns
+        (``(weight, cost)`` pairs only)."""
         flat = cls.from_compact(pack_labels(store))
         flat.build_seconds = store.build_seconds
         return flat
@@ -119,6 +146,9 @@ class FlatLabelStore:
             entry_offsets=_as_array("q", self.entry_offsets),
             weights=_as_array("d", self.weights),
             costs=_as_array("d", self.costs),
+            provenance=None if self.provenance is None else tuple(
+                _as_array("i", column) for column in self.provenance
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -196,7 +226,7 @@ class FlatLabelStore:
         return _FlatLabel(self, v)
 
     def get(self, x: int, y: int) -> list[Entry]:
-        """``P_xy`` as entry tuples (``None`` provenance)."""
+        """``P_xy`` as entry tuples."""
         if x == y:
             return _ZERO
         lo, hi = self.pair_bounds(x, y)
@@ -210,13 +240,75 @@ class FlatLabelStore:
         """Materialise the entry slice ``[lo, hi)`` as tuples.
 
         Integral metrics come back as ints so answers compare exactly
-        against object-graph indexes built from integer networks.
+        against object-graph indexes built from integer networks.  The
+        provenance is ``("row", self, i)`` when the store has provenance
+        columns, ``None`` otherwise.
         """
         weights, costs = self.weights, self.costs
+        if self.provenance is None:
+            return [
+                (_restore(weights[i]), _restore(costs[i]), None)
+                for i in range(lo, hi)
+            ]
         return [
-            (_restore(weights[i]), _restore(costs[i]), None)
+            (_restore(weights[i]), _restore(costs[i]), (ROW, self, i))
             for i in range(lo, hi)
         ]
+
+    def walk(self, row: int) -> list[int]:
+        """The vertex path of provenance row ``row``, in *some*
+        orientation.
+
+        The column twin of the object expander
+        (:func:`repro.skyline.entries.expand` before orientation): a
+        join's children are unfolded and spliced at its junction in the
+        same order, so a row and the entry it was packed from expand to
+        the same path.  Iterative, so path length is bounded by memory,
+        not by the recursion limit.
+
+        Raises
+        ------
+        ReproError
+            If the store has no provenance columns, or the columns do
+            not describe a finite path (a corrupt index).
+        """
+        if self.provenance is None:
+            raise ReproError(
+                "these flat label columns carry no provenance; path "
+                "retrieval needs an index built with store_paths=True "
+                "(repro-qhl build without --no-paths)"
+            )
+        kinds, a_col, b_col, c_col = self.provenance
+        # A simple path unfolds each row at most once; the cap (with
+        # slack) turns cyclic, corrupt columns into an error instead of
+        # an endless loop.
+        steps = 2 * len(kinds) + 2
+        done: list[list[int]] = []
+        todo = [row]
+        while todo:
+            r = todo.pop()
+            if r < 0:  # both children of join ~r are done
+                tail = done.pop()
+                done.append(splice(done.pop(), tail, a_col[~r]))
+                continue
+            steps -= 1
+            if steps < 0:
+                raise ReproError(
+                    f"provenance of row {row} does not end; the "
+                    "provenance columns are corrupt"
+                )
+            kind = kinds[r]
+            if kind == PROV_EDGE:
+                done.append([a_col[r], b_col[r]])
+            elif kind == PROV_JOIN:
+                todo += (~r, c_col[r], b_col[r])
+            elif kind == PROV_ZERO and a_col[r] >= 0:
+                done.append([a_col[r]])
+            else:
+                raise ReproError(
+                    f"provenance row {r} (kind {kind}) cannot expand"
+                )
+        return done[0]
 
     def hubs_of(self, v: int) -> list[int]:
         """The sorted hub vertices of ``L(v)``."""
@@ -233,14 +325,15 @@ class FlatLabelStore:
         return len(self.hubs)
 
     def size_bytes(self) -> int:
-        """Actual payload size of the five columns (8 bytes per item)."""
+        """Actual payload size of the columns (8 bytes per item, 4 per
+        provenance item)."""
         return 8 * (
             len(self.set_offsets)
             + len(self.hubs)
             + len(self.entry_offsets)
             + len(self.weights)
             + len(self.costs)
-        )
+        ) + 4 * sum(len(column) for column in self.provenance or ())
 
     def max_set_size(self) -> int:
         offsets = self.entry_offsets
@@ -263,10 +356,14 @@ class FlatLabelStore:
 
     # ------------------------------------------------------------------
     def validate_structure(self) -> list[str]:
-        """Structural problems in the offset tables and hub ordering.
+        """Structural problems in the offset tables, hub ordering and
+        provenance columns.
 
         Checks what the constructor's cheap length checks cannot: offset
-        monotonicity and per-vertex hub sortedness.  Cost-sortedness and
+        monotonicity, per-vertex hub sortedness, and per provenance row
+        a known ``kind`` whose child rows are in range.  Whether edge
+        rows name network edges, and whether rows expand to walks, needs
+        the network: that is the audit's part.  Cost-sortedness and
         dominance-freeness of the entry columns are the audit's
         ``label-order`` / ``label-dominance`` checks, which iterate
         :meth:`items` and therefore cover flat stores too.
@@ -296,6 +393,27 @@ class FlatLabelStore:
                         "(binary-search lookup would miss sets)"
                     )
                     break
+        if self.provenance is not None:
+            problems += self._provenance_problems()
+        return problems
+
+    def _provenance_problems(self) -> list[str]:
+        problems: list[str] = []
+        kinds, a_col, b_col, c_col = self.provenance
+        rows, n = len(kinds), self.num_vertices
+        for r in range(rows):
+            kind, a, b, c = kinds[r], a_col[r], b_col[r], c_col[r]
+            if kind == PROV_JOIN:
+                bad = not (0 <= a < n and 0 <= b < rows and 0 <= c < rows)
+            elif kind == PROV_EDGE:
+                bad = not (0 <= a < n and 0 <= b < n)
+            else:
+                bad = kind != PROV_ZERO or not -1 <= a < n
+            if bad:
+                problems.append(
+                    f"provenance row {r}: kind {kind} with fields "
+                    f"({a}, {b}, {c}) out of range"
+                )
         return problems
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

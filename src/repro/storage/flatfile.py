@@ -1,9 +1,6 @@
-"""Format version 3: the flat index envelope with zero-copy mmap load.
+"""Format version 3, the one saved-index format, with zero-copy mmap load.
 
-Version 2 (:mod:`repro.storage.serialize`) pickles an object graph —
-loading deserialises every skyline entry back into tuples, and a forked
-worker pool un-shares the whole index the moment reference counts are
-touched.  Version 3 stores the ``pack_labels`` columns *verbatim* as raw
+The file stores the ``pack_labels`` columns *verbatim* as raw
 little-endian bytes behind a fixed binary header, so loading is::
 
     header parse -> SHA-256 verify -> mmap -> memoryview casts
@@ -13,6 +10,14 @@ read through an ``mmap``, the kernel shares their physical pages across
 fork-based worker pools — object-graph indexes cannot share pages
 because refcount writes copy them.
 
+An index built with ``store_paths=True`` also gets the four ``int32``
+provenance columns (:mod:`repro.storage.compact`): one row per label
+entry plus a small pool of referenced entries that no label holds.
+Paths are then expanded from the mapped columns.  An index built with
+``store_paths=False`` writes no provenance columns at all.  Elimination
+shortcuts are never stored: queries and path expansion do not need
+them.
+
 File layout (all integers little-endian)::
 
     [0:80)    header: magic "RQHLFLT1", version=3, flags,
@@ -21,11 +26,12 @@ File layout (all integers little-endian)::
     [meta)    pickled metadata dict: graph edges, elimination order,
               bags, pruning conditions, build timings, and one
               (name, typecode, count, offset) descriptor per column
-    [data)    the five raw column byte-strings, 8-byte aligned
+    [data)    the raw column byte-strings back to back: the five
+              8-byte columns, then the 4-byte provenance columns
 
-The file starts with its magic, so :func:`repro.storage.serialize.
-load_index` tells a version-3 file from a version-2 one by its first
-8 bytes and needs no format flag.
+:func:`repro.storage.serialize.load_index` reads the magic first: the
+version-2 pickled envelope of older releases has none and is refused
+with a hint to rebuild.
 
 Truncation, bit flips (header, metadata, or columns), version or
 endianness mismatches all raise :class:`SerializationError`; writes go
@@ -44,7 +50,7 @@ import sys
 from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import SerializationError
-from repro.storage.compact import pack_labels
+from repro.storage.compact import PROV_COLUMNS, pack_labels
 from repro.storage.flat import FlatLabelStore
 from repro.storage.serialize import _PICKLE_ERRORS, _atomic_write_bytes
 
@@ -64,8 +70,8 @@ _FLAG_LITTLE_ENDIAN = 1
 #: data_length, sha256 digest.
 _HEADER = struct.Struct("<8sII4Q32s")
 
-#: Column serialisation order; every item is 8 bytes wide, so columns
-#: packed back to back stay 8-byte aligned for the memoryview casts.
+#: Column serialisation order.  The 8-byte columns come first, so every
+#: column starts aligned to its item size for the memoryview casts.
 _COLUMNS = (
     ("set_offsets", "q"),
     ("hubs", "q"),
@@ -74,27 +80,41 @@ _COLUMNS = (
     ("costs", "d"),
 )
 
+#: Item size per column typecode.
+_ITEMSIZE = {"q": 8, "d": 8, "i": 4}
+
 
 def save_flat_index(index: "QHLIndex", path: str) -> int:
     """Write ``index`` in the flat (version 3) format; returns file size.
 
-    Object labels are packed; flat labels are written as held,
-    preserving byte identity across save/load cycles.  The columns
-    hold ``(weight, cost)`` pairs only: provenance (path retrieval) and
-    elimination shortcuts are dropped.
+    Object labels are packed, with provenance when they were built
+    with ``store_paths=True``; flat labels are written as held,
+    preserving byte identity across save/load cycles.  Elimination
+    shortcuts are not stored.
     """
     labels = index.labels
     compact = (
         labels.to_compact()
         if isinstance(labels, FlatLabelStore)
-        else pack_labels(labels)
+        else pack_labels(labels, provenance=labels.store_paths)
     )
+    columns = [
+        (name, typecode, getattr(compact, name))
+        for name, typecode in _COLUMNS
+    ]
+    if compact.provenance is not None:
+        columns += [
+            (name, "i", column)
+            for name, column in zip(PROV_COLUMNS, compact.provenance)
+        ]
     descriptors: list[tuple[str, str, int, int]] = []
     chunks: list[bytes] = []
     offset = 0
-    for name, typecode in _COLUMNS:
-        raw = getattr(compact, name).tobytes()
-        descriptors.append((name, typecode, len(raw) // 8, offset))
+    for name, typecode, column in columns:
+        raw = column.tobytes()
+        descriptors.append(
+            (name, typecode, len(raw) // _ITEMSIZE[typecode], offset)
+        )
         chunks.append(raw)
         offset += len(raw)
     data = b"".join(chunks)
@@ -106,6 +126,7 @@ def save_flat_index(index: "QHLIndex", path: str) -> int:
             "edges": list(index.network.edges()),
             "order": list(tree.order),
             "bags": {v: list(tree.bag[v]) for v in range(tree.num_vertices)},
+            "tree_build_seconds": tree.build_seconds,
             "columns": descriptors,
             "label_build_seconds": labels.build_seconds,
             "conditions": dict(index.pruning._conditions),
@@ -141,7 +162,8 @@ def load_flat_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
     :class:`~repro.storage.flat.FlatLabelStore` whose columns are
     ``memoryview`` casts straight over the mapped file — no copy, and
     the pages are shared with forked children.  Its default engine is
-    the flat one (:class:`~repro.core.flat.FlatQHLEngine`).
+    the flat one (:class:`~repro.core.flat.FlatQHLEngine`), which
+    expands paths from the provenance columns when the file has them.
 
     Raises
     ------
@@ -208,7 +230,12 @@ def load_flat_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
     try:
         columns: dict[str, Any] = {}
         for name, typecode, count, offset in meta["columns"]:
-            nbytes = count * 8
+            if typecode not in _ITEMSIZE:
+                raise SerializationError(
+                    f"{path!r} column {name!r} has unknown type "
+                    f"{typecode!r}"
+                )
+            nbytes = count * _ITEMSIZE[typecode]
             if offset < 0 or offset + nbytes > data_length:
                 raise SerializationError(
                     f"{path!r} column {name!r} overruns the data region"
@@ -221,6 +248,11 @@ def load_flat_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
             columns["entry_offsets"],
             columns["weights"],
             columns["costs"],
+            provenance=(
+                tuple(columns[name] for name in PROV_COLUMNS)
+                if PROV_COLUMNS[0] in columns
+                else None
+            ),
             backing=backing,
         )
         labels.build_seconds = meta["label_build_seconds"]
@@ -230,6 +262,8 @@ def load_flat_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
             meta["order"],
             {v: tuple(bag) for v, bag in meta["bags"].items()},
             {},
+            # Files written before the tree timing was recorded lack it.
+            build_seconds=meta.get("tree_build_seconds", 0.0),
         )
         pruning = PruningConditionIndex()
         for (child, v_end), bounds in meta["conditions"].items():

@@ -1,36 +1,30 @@
-"""Index persistence.
+"""Index persistence: the crash-safe write, the pickled envelope, and
+the index loaders.
 
-Two on-disk formats, told apart by their first 8 bytes, so
-:func:`load_index` needs no format flag:
+There is one saved-index format: version 3
+(:mod:`repro.storage.flatfile`), raw label columns behind a binary
+header that starts with ``RQHLFLT1``, mapped into memory on load.
+:func:`save_index` writes it, with provenance columns when the index
+was built with ``store_paths=True``.  :func:`load_index` reads the
+first 8 bytes; a file without the magic — such as a version-2 pickled
+index from an older release — is refused with a hint to rebuild it
+with ``repro-qhl build``.
 
-* **version 2** (:func:`save_index`) — the :class:`~repro.core.engine.
-  QHLIndex` object graph pickled inside a checksummed envelope.  The
-  only format that keeps label provenance (path retrieval).
-* **version 3** (:func:`repro.storage.flatfile.save_flat_index`) — raw
-  label columns behind a binary header that starts with ``RQHLFLT1``,
-  mapped into memory on load; ``(weight, cost)`` pairs only.
-
-Skyline-entry provenance is a deep recursive tuple structure (depth
-grows with path length), so (de)serialisation temporarily raises the
-interpreter recursion limit — capped at :data:`_RECURSION_LIMIT`
-because each pickle level also burns C stack, and a runaway limit
-trades a catchable ``RecursionError`` for a hard interpreter crash.
-Provenance deeper than the cap fails with :class:`SerializationError`
-pointing at the flat format (which drops provenance and never
-recurses).
+The checksummed pickle envelope (:func:`save_envelope` /
+:func:`load_envelope`) remains for the build checkpoints and the update
+journal.  Their label rows carry provenance, a deep recursive tuple
+structure (depth grows with path length), so (de)serialisation
+temporarily raises the interpreter recursion limit — capped at
+:data:`_RECURSION_LIMIT` because each pickle level also burns C stack,
+and a runaway limit trades a catchable ``RecursionError`` for a hard
+interpreter crash.  Provenance deeper than the cap fails with
+:class:`SerializationError`.
 
 Crash safety: every save goes through :func:`_atomic_write_bytes` —
 temp file in the destination directory, flush + ``fsync``, then
 ``os.replace`` — so a crash at any point leaves either the old file or
-no file at the destination, never a truncated one.  The version-2
-envelope carries a SHA-256 checksum of the pickled payload, verified on
-load.
-
-By default the elimination shortcuts are dropped on save: queries only
-need the tree structure, labels, LCA and pruning conditions; shortcuts
-are an index-construction intermediate (and label provenance keeps alive
-exactly the shortcut entries it references, so path retrieval still
-works).
+no file at the destination, never a truncated one.  Both formats carry a
+SHA-256 checksum verified on load.
 """
 
 from __future__ import annotations
@@ -42,13 +36,15 @@ import pickle
 import random
 import sys
 import time
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from repro.core.engine import QHLIndex
 from repro.exceptions import SerializationError
 from repro.gcpause import collector_paused
 
-MAGIC = "repro-qhl-index"
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import QHLIndex
+
+#: Version of the pickled envelope (checkpoints, journal).
 FORMAT_VERSION = 2
 
 #: Capped recursion-limit bump for pickling provenance trees.  Each
@@ -136,16 +132,19 @@ def _dumps_payload(obj: object, what: str) -> bytes:
         raise SerializationError(
             f"{what} is too deeply nested to pickle even at the capped "
             f"recursion limit ({_RECURSION_LIMIT}); provenance depth "
-            "grows with path length — save the flat format instead "
-            "(build --no-paths, or save_flat_index; drops provenance)"
+            "grows with path length — build without paths (build "
+            "--no-paths) or without checkpoints; index files "
+            "(save_index / save_flat_index) pack provenance without "
+            "recursion"
         ) from exc
 
 
 def save_envelope(path: str, magic: str, obj: Mapping[str, object]) -> int:
     """Write any plain dict through the atomic + checksummed envelope.
 
-    The generic primitive behind :func:`save_index` and the build
-    checkpoints (:mod:`repro.resilience.checkpoint`): pickle under the
+    The generic primitive behind the build checkpoints
+    (:mod:`repro.resilience.checkpoint`) and the update journal: pickle
+    under the
     capped recursion limit, wrap in a ``{magic, version, checksum,
     payload}`` envelope, and land it with temp-file + fsync +
     ``os.replace``.  Returns the file size in bytes.
@@ -216,45 +215,34 @@ def load_envelope(
     return inner
 
 
-def save_index(
-    index: QHLIndex, path: str, keep_shortcuts: bool = False
-) -> int:
-    """Serialise an index in the version-2 format; returns the file size
-    in bytes.
+def save_index(index: "QHLIndex", path: str) -> int:
+    """Save ``index`` in the flat (version 3) format; returns the file
+    size in bytes.
 
-    The write is atomic (temp file + fsync + ``os.replace``) and the
-    payload carries a SHA-256 checksum verified by :func:`load_index`.
-
-    Raises
-    ------
-    SerializationError
-        When provenance is too deep for the capped recursion limit
-        (save the flat format instead of crashing the interpreter).
+    The one index writer, :func:`repro.storage.flatfile.save_flat_index`:
+    atomic (temp file + fsync + ``os.replace``), checksummed, with
+    provenance columns when the labels carry provenance.
     """
-    shortcuts = index.tree.shortcuts
-    try:
-        if not keep_shortcuts:
-            index.tree.shortcuts = {}
-        return save_envelope(path, MAGIC, {"index": index})
-    finally:
-        index.tree.shortcuts = shortcuts
+    from repro.storage.flatfile import save_flat_index
+
+    return save_flat_index(index, path)
 
 
-def load_index(path: str, verify_checksum: bool = True) -> QHLIndex:
-    """Load an index saved in either format.
+def load_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
+    """Load an index saved by :func:`save_index`.
 
-    The first 8 bytes pick the reader: the flat magic ``RQHLFLT1``
-    means version 3 (:func:`repro.storage.flatfile.load_flat_index`,
-    flat labels and the flat engine), anything else is read as a
-    version-2 envelope.  ``verify_checksum=False`` skips the SHA-256
-    verification.
+    The first 8 bytes must be the flat magic ``RQHLFLT1``; the index is
+    then mapped by :func:`repro.storage.flatfile.load_flat_index` (flat
+    labels, the flat engine).  ``verify_checksum=False`` skips the
+    SHA-256 verification.
 
     Raises
     ------
     SerializationError
         On missing files, directories, files too short to hold a
-        header, foreign or corrupt files, checksum mismatches, or
-        version mismatches.
+        header, files without the magic (a version-2 pickled index
+        from an older release among them), corrupt files, checksum
+        mismatches, or version mismatches.
     """
     from repro.storage.flatfile import FLAT_MAGIC, load_flat_index
 
@@ -269,13 +257,13 @@ def load_index(path: str, verify_checksum: bool = True) -> QHLIndex:
             f"{path!r} is truncated: {len(head)} bytes is too short for "
             "an index file"
         )
-    if head == FLAT_MAGIC:
-        return load_flat_index(path, verify_checksum=verify_checksum)
-    inner = load_envelope(path, MAGIC, verify_checksum)
-    index = inner.get("index")
-    if not isinstance(index, QHLIndex):
-        raise SerializationError(f"{path!r} does not contain a QHLIndex")
-    return index
+    if head != FLAT_MAGIC:
+        raise SerializationError(
+            f"{path!r} is not a readable index file: it lacks the "
+            f"{FLAT_MAGIC.decode()} header (pickled version-2 indexes "
+            "are no longer read); rebuild it with `repro-qhl build`"
+        )
+    return load_flat_index(path, verify_checksum=verify_checksum)
 
 
 def load_index_with_retry(
@@ -287,9 +275,9 @@ def load_index_with_retry(
     verify_checksum: bool = True,
     sleep: Callable[[float], object] = time.sleep,
     rng: random.Random | None = None,
-) -> QHLIndex:
-    """:func:`load_index` (either format) with bounded exponential
-    backoff on ``OSError``.
+) -> "QHLIndex":
+    """:func:`load_index` with bounded exponential backoff on
+    ``OSError``.
 
     Transient I/O errors (NFS hiccups, slow attach of a volume) are
     retried up to ``attempts`` times with delay

@@ -17,7 +17,10 @@ reference-diff cannot see:
   representation;
 * one index class — a :class:`QHLIndex` over flat labels shares
   everything but the labels with the object index it came from, and
-  serves the flat engine over those labels as held.
+  serves the flat engine over those labels as held;
+* path parity — over a saved index's provenance columns, QHL-flat and
+  CSP-2Hop return the very paths their object-label runs return, on
+  the ancestor fast path and for ``s == t`` too.
 """
 
 from __future__ import annotations
@@ -48,6 +51,30 @@ def index():
 @pytest.fixture(scope="module")
 def cases(index):
     return generate_cases(index.network, 60, seed=207)
+
+
+@pytest.fixture(scope="module")
+def loaded(index, tmp_path_factory):
+    """The index saved with its provenance columns and mmap-loaded."""
+    path = os.fspath(tmp_path_factory.mktemp("paths") / "grid.idx")
+    save_flat_index(index, path)
+    flat = load_flat_index(path)
+    assert flat.labels.provenance is not None
+    return flat
+
+
+def _with_path(result):
+    return answer(result), result.path
+
+
+def _ancestor_pairs(index):
+    n = index.network.num_vertices
+    return [
+        (s, t)
+        for s in range(n)
+        for t in range(n)
+        if s != t and any(index.lca.relation(s, t)[1:])
+    ]
 
 
 def test_expired_deadline_raises_from_both_engines(index):
@@ -134,3 +161,33 @@ def test_flat_labels_pick_the_flat_engine_without_repacking(index, cases):
 def test_flat_labels_refuse_the_cartesian_ablation(index):
     with pytest.raises(ReproError, match="object labels"):
         _flat_twin(index).qhl_engine(use_two_pointer=False)
+
+
+@pytest.mark.parametrize("engine", ["qhl_engine", "csp2hop_engine"])
+def test_flat_paths_equal_object_paths(index, loaded, cases, engine):
+    obj = getattr(index, engine)()
+    flat = getattr(loaded, engine)()
+    feasible = 0
+    for s, t, c in cases:
+        want = _with_path(obj.query(s, t, c, want_path=True))
+        assert _with_path(flat.query(s, t, c, want_path=True)) == want
+        feasible += want[0][0]
+    assert feasible > 0
+
+
+@pytest.mark.parametrize("engine", ["qhl_engine", "csp2hop_engine"])
+def test_ancestor_and_same_vertex_paths_match(index, loaded, engine):
+    obj = getattr(index, engine)()
+    flat = getattr(loaded, engine)()
+    pairs = _ancestor_pairs(index)
+    assert len(pairs) >= 10
+    for s, t in pairs[::7]:
+        for budget in (0, 60, 1_000_000):
+            want = _with_path(obj.query(s, t, budget, want_path=True))
+            got = _with_path(flat.query(s, t, budget, want_path=True))
+            assert got == want
+    for v in (0, 17, 35):
+        assert flat.query(v, v, 0, want_path=True).path == [v]
+        assert _with_path(flat.query(v, v, 5, want_path=True)) == (
+            _with_path(obj.query(v, v, 5, want_path=True))
+        )

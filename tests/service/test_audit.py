@@ -14,6 +14,8 @@ stale storage checksum          ``storage-checksum`` (``repro verify``)
 flat: duplicated cost           ``label-order``
 flat: unsorted hubs             ``flat-columns``
 flat: broken offset table       ``flat-columns``
+flat: provenance kind/row/edge  ``flat-columns``
+flat: path not a matching walk  ``flat-columns``
 flat: bit-flipped envelope      ``storage-checksum`` (``repro verify``)
 ==============================  ======================
 
@@ -26,7 +28,6 @@ spot-check, and the :class:`~repro.service.ladder.QueryService`
 from __future__ import annotations
 
 import copy
-import pickle
 
 import pytest
 
@@ -225,15 +226,12 @@ class TestVerifyCommand:
         self, service_index, tmp_path, capsys
     ):
         path = self._saved(service_index, tmp_path, "stale.idx")
-        # Flip one payload byte but keep the recorded checksum: the
+        # Flip one column byte but keep the recorded checksum: the
         # classic stale-checksum / bit-rot corruption.
-        with open(path, "rb") as f:
-            envelope = pickle.load(f)
-        payload = bytearray(envelope["payload"])
-        payload[len(payload) // 2] ^= 0xFF
-        envelope["payload"] = bytes(payload)
+        data = bytearray(open(path, "rb").read())
+        data[len(data) * 3 // 4] ^= 0xFF
         with open(path, "wb") as f:
-            pickle.dump(envelope, f)
+            f.write(bytes(data))
         with pytest.raises(SerializationError):
             load_index(path)
         assert main(["verify", "--index", path]) == 1
@@ -332,6 +330,102 @@ class TestFlatIndexAudit:
         offsets[mid] = offsets[mid + 1] + 1  # no longer non-decreasing
         report = audit_index(flat_index, queries=0)
         assert "flat-columns" in report.failed_checks()
+
+    @pytest.fixture()
+    def paths_index(self, service_index):
+        """A flat twin with (fresh, mutable) provenance columns."""
+        from repro.core import QHLIndex
+        from repro.storage import FlatLabelStore, pack_labels
+
+        return QHLIndex(
+            service_index.network,
+            service_index.tree,
+            FlatLabelStore.from_compact(
+                pack_labels(service_index.labels, provenance=True)
+            ),
+            service_index.lca,
+            service_index.pruning,
+        )
+
+    def _rows_of_kind(self, labels, kind):
+        kinds = labels.provenance[0]
+        return [r for r in range(len(kinds)) if kinds[r] == kind]
+
+    def test_clean_provenance_passes(self, paths_index):
+        report = audit_index(paths_index, queries=2, seed=5)
+        assert report.ok
+        check = report.check("flat-columns")
+        assert check.checked > len(paths_index.labels.provenance[0])
+
+    def test_unknown_kind_trips_flat_columns(self, paths_index):
+        paths_index.labels.provenance[0][3] = 7
+        report = audit_index(paths_index, queries=0)
+        assert report.failed_checks() == ["flat-columns"]
+        assert "kind 7" in report.check("flat-columns").problems[0]
+
+    def test_child_row_out_of_range_trips_flat_columns(self, paths_index):
+        from repro.storage.compact import PROV_JOIN
+
+        labels = paths_index.labels
+        row = self._rows_of_kind(labels, PROV_JOIN)[0]
+        labels.provenance[2][row] = len(labels.provenance[0])
+        report = audit_index(paths_index, queries=0)
+        assert report.failed_checks() == ["flat-columns"]
+
+    def test_edge_row_off_the_network_trips_flat_columns(
+        self, paths_index
+    ):
+        from repro.storage.compact import PROV_EDGE
+
+        labels, network = paths_index.labels, paths_index.network
+        row = self._rows_of_kind(labels, PROV_EDGE)[0]
+        a = labels.provenance[1][row]
+        stranger = next(
+            v for v in range(network.num_vertices)
+            if v != a and not network.has_edge(a, v)
+        )
+        labels.provenance[2][row] = stranger
+        report = audit_index(paths_index, queries=0)
+        assert report.failed_checks() == ["flat-columns"]
+        assert any(
+            "not a network edge" in problem
+            for problem in report.check("flat-columns").problems
+        )
+
+    def test_miswired_junctions_fail_the_sampled_walks(self, paths_index):
+        # Every join now names the wrong junction: the rows stay in
+        # range, but no sampled row expands to a matching walk.
+        from repro.storage.compact import PROV_JOIN
+
+        labels = paths_index.labels
+        junctions = labels.provenance[1]
+        for row in self._rows_of_kind(labels, PROV_JOIN):
+            junctions[row] = (junctions[row] + 1) % labels.num_vertices
+        report = audit_index(paths_index, queries=0)
+        assert report.failed_checks() == ["flat-columns"]
+        assert any(
+            "does not expand" in problem
+            for problem in report.check("flat-columns").problems
+        )
+
+    def test_swapped_provenance_fails_the_walk_sums(self, paths_index):
+        # Within each skyline set, neighbouring rows trade provenance:
+        # every path still joins the set's two vertices, but sums to
+        # its neighbour's (weight, cost).
+        labels = paths_index.labels
+        offsets = labels.entry_offsets
+        for i in range(labels.num_sets()):
+            for row in range(offsets[i], offsets[i + 1] - 1, 2):
+                for column in labels.provenance:
+                    column[row], column[row + 1] = (
+                        column[row + 1], column[row],
+                    )
+        report = audit_index(paths_index, queries=0)
+        assert report.failed_checks() == ["flat-columns"]
+        assert any(
+            "does not sum to" in problem
+            for problem in report.check("flat-columns").problems
+        )
 
     def test_verify_flat_clean_and_bit_flipped(
         self, service_index, tmp_path, capsys

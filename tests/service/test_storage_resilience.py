@@ -1,10 +1,12 @@
 """Crash-safe writes, the corruption matrix, header dispatch, and load
 retries.
 
-Both on-disk formats — the version-2 envelope (``full``) and the
-version-3 columns (``flat``) — load through the one
-:func:`~repro.storage.load_index`, which reads the file header to tell
-them apart.
+There is one saved format (version 3), in two flavours: ``full``, saved
+from an index built with ``store_paths=True``, adds the provenance
+columns to the ``flat`` file's ``(weight, cost)`` columns.  Both load
+through :func:`~repro.storage.load_index`, which refuses a file without
+the flat header — a pickled version-2 index among them — with a hint to
+rebuild it.
 """
 
 import os
@@ -15,25 +17,36 @@ import sys
 
 import pytest
 
+from repro.core import QHLIndex
 from repro.core.flat import FlatQHLEngine
-from repro.core.qhl import QHLEngine
 from repro.exceptions import SerializationError
-from repro.labeling.labels import LabelStore
 from repro.service import FaultInjector, use_injector
 from repro.storage import (
     FlatLabelStore,
     load_index,
     load_index_with_retry,
-    save_flat_index,
     save_index,
 )
+from repro.storage.compact import PROV_COLUMNS
+from repro.storage.flatfile import _HEADER
 from repro.storage.serialize import (
-    MAGIC,
     _dumps_payload,
     _RECURSION_LIMIT,
+    save_envelope,
 )
 
-SAVERS = {"full": save_index, "flat": save_flat_index}
+FORMATS = ["full", "flat"]
+
+
+@pytest.fixture(scope="module")
+def indexes(service_index, service_grid):
+    """The index each file flavour is saved from."""
+    return {
+        "full": service_index,
+        "flat": QHLIndex.build(
+            service_grid, num_index_queries=200, seed=1, store_paths=False
+        ),
+    }
 
 
 def no_tmp_litter(directory):
@@ -44,34 +57,34 @@ def no_tmp_litter(directory):
 # Kill safety: a fault at any write stage never corrupts the target.
 # ----------------------------------------------------------------------
 class TestKillSafety:
-    @pytest.mark.parametrize("fmt", ["full", "flat"])
+    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("stage", ["write", "fsync", "replace"])
     def test_interrupted_first_save_leaves_nothing(
-        self, service_index, tmp_path, fmt, stage
+        self, indexes, tmp_path, fmt, stage
     ):
         path = str(tmp_path / "victim.idx")
         injector = FaultInjector()
         injector.fail("save-index", exc=OSError, match={"stage": stage})
         with use_injector(injector):
             with pytest.raises(OSError):
-                SAVERS[fmt](service_index, path)
+                save_index(indexes[fmt], path)
         assert not os.path.exists(path)
         assert no_tmp_litter(tmp_path)
 
-    @pytest.mark.parametrize("fmt", ["full", "flat"])
+    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("stage", ["write", "fsync", "replace"])
     def test_interrupted_resave_keeps_the_old_file(
-        self, service_index, service_grid, tmp_path, fmt, stage
+        self, indexes, service_index, tmp_path, fmt, stage
     ):
         path = str(tmp_path / "victim.idx")
-        SAVERS[fmt](service_index, path)
+        save_index(indexes[fmt], path)
         with open(path, "rb") as f:
             before = f.read()
         injector = FaultInjector()
         injector.fail("save-index", exc=OSError, match={"stage": stage})
         with use_injector(injector):
             with pytest.raises(OSError):
-                SAVERS[fmt](service_index, path)
+                save_index(indexes[fmt], path)
         with open(path, "rb") as f:
             assert f.read() == before
         assert no_tmp_litter(tmp_path)
@@ -88,7 +101,7 @@ class TestKillSafety:
 
 
 # ----------------------------------------------------------------------
-# The corruption matrix, for both on-disk formats.
+# The corruption matrix, for both file flavours.
 # ----------------------------------------------------------------------
 def _write_envelope(path, envelope):
     data = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
@@ -97,18 +110,35 @@ def _write_envelope(path, envelope):
 
 
 @pytest.fixture(scope="module")
-def saved(service_index, tmp_path_factory):
-    """One pristine save per format, reused by the whole matrix."""
+def saved(indexes, tmp_path_factory):
+    """One pristine save per flavour, reused by the whole matrix."""
     root = tmp_path_factory.mktemp("pristine")
     paths = {}
-    for fmt, saver in SAVERS.items():
+    for fmt in FORMATS:
         path = str(root / f"{fmt}.idx")
-        saver(service_index, path)
+        save_index(indexes[fmt], path)
         paths[fmt] = path
     return paths
 
 
-@pytest.mark.parametrize("fmt", ["full", "flat"])
+def _column_regions(path):
+    """``{column name: (start, end)}`` byte ranges within the file."""
+    with open(path, "rb") as f:
+        data = f.read()
+    header = _HEADER.unpack_from(data, 0)
+    meta_offset, meta_length, data_offset = header[3], header[4], header[5]
+    meta = pickle.loads(data[meta_offset:meta_offset + meta_length])
+    itemsize = {"q": 8, "d": 8, "i": 4}
+    return {
+        name: (
+            data_offset + offset,
+            data_offset + offset + count * itemsize[typecode],
+        )
+        for name, typecode, count, offset in meta["columns"]
+    }
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
 class TestCorruptionMatrix:
     def _corrupt_copy(self, saved, tmp_path, fmt, mutate):
         with open(saved[fmt], "rb") as f:
@@ -135,35 +165,18 @@ class TestCorruptionMatrix:
             load_index(path)
 
     def test_wrong_magic(self, saved, tmp_path, fmt):
-        if fmt == "full":
-            path = str(tmp_path / "magic.idx")
-            _write_envelope(
-                path,
-                {"magic": "definitely-not-an-index", "version": 2,
-                 "checksum": "0" * 64, "payload": b""},
-            )
-        else:
-            # One changed magic byte: no longer a v3 header, so the
-            # loader reads the file as a (garbage) v2 envelope.
-            path = self._corrupt_copy(
-                saved, tmp_path, fmt, lambda d: b"RQHLFLTX" + d[8:]
-            )
+        # One changed magic byte: no longer a flat header.
+        path = self._corrupt_copy(
+            saved, tmp_path, fmt, lambda d: b"RQHLFLTX" + d[8:]
+        )
         with pytest.raises(SerializationError, match="is not a"):
             load_index(path)
 
     def test_future_version(self, saved, tmp_path, fmt):
-        if fmt == "full":
-            path = str(tmp_path / "future.idx")
-            _write_envelope(
-                path,
-                {"magic": MAGIC, "version": 999,
-                 "checksum": "0" * 64, "payload": b""},
-            )
-        else:
-            path = self._corrupt_copy(
-                saved, tmp_path, fmt,
-                lambda d: d[:8] + struct.pack("<I", 999) + d[12:],
-            )
+        path = self._corrupt_copy(
+            saved, tmp_path, fmt,
+            lambda d: d[:8] + struct.pack("<I", 999) + d[12:],
+        )
         with pytest.raises(SerializationError, match="version 999"):
             load_index(path)
 
@@ -188,6 +201,39 @@ class TestCorruptionMatrix:
             load_index(path)
 
 
+class TestProvenanceColumns:
+    """Truncation and bit flips inside each provenance column."""
+
+    @pytest.mark.parametrize("column", PROV_COLUMNS)
+    def test_flipped_byte_fails_checksum(self, saved, tmp_path, column):
+        start, end = _column_regions(saved["full"])[column]
+        data = bytearray(open(saved["full"], "rb").read())
+        data[(start + end) // 2] ^= 0x01
+        path = str(tmp_path / "flipped.idx")
+        with open(path, "wb") as f:
+            f.write(bytes(data))
+        with pytest.raises(SerializationError, match="checksum"):
+            load_index(path)
+
+    @pytest.mark.parametrize("column", PROV_COLUMNS)
+    def test_truncated_column_is_refused(self, saved, tmp_path, column):
+        start, end = _column_regions(saved["full"])[column]
+        data = open(saved["full"], "rb").read()
+        path = str(tmp_path / "truncated.idx")
+        with open(path, "wb") as f:
+            f.write(data[: (start + end) // 2])
+        # Even unverified, a column that overruns the file is refused.
+        for verify in (True, False):
+            with pytest.raises(
+                SerializationError, match="truncated|corrupt|overruns"
+            ):
+                load_index(path, verify_checksum=verify)
+
+    def test_only_the_full_file_has_provenance_columns(self, saved):
+        assert set(PROV_COLUMNS) <= set(_column_regions(saved["full"]))
+        assert not set(PROV_COLUMNS) & set(_column_regions(saved["flat"]))
+
+
 # ----------------------------------------------------------------------
 # Checksums and format versions.
 # ----------------------------------------------------------------------
@@ -195,25 +241,29 @@ class TestChecksumAndVersions:
     def test_checksum_mismatch_names_both_digests(
         self, saved, tmp_path
     ):
-        with open(saved["full"], "rb") as f:
-            envelope = pickle.load(f)
-        envelope["checksum"] = "0" * 64
+        data = bytearray(open(saved["full"], "rb").read())
+        data[_HEADER.size - 32:_HEADER.size] = b"\x00" * 32  # the digest
         path = str(tmp_path / "badsum.idx")
-        _write_envelope(path, envelope)
-        with pytest.raises(SerializationError, match="checksum"):
+        with open(path, "wb") as f:
+            f.write(bytes(data))
+        with pytest.raises(
+            SerializationError, match="stored 000000000000.*computed"
+        ):
             load_index(path)
         # The payload itself is intact, so skipping verification loads.
         index = load_index(path, verify_checksum=False)
         assert index.query(0, 63, 250).feasible
 
     def test_version_1_file_is_rejected(self, service_index, tmp_path):
-        # Version 1 kept its fields inline with no checksum; this build
-        # reads version 2 only.
+        # Version 1 kept its fields inline in a pickle with no checksum;
+        # like version 2, it has no flat header.
         path = str(tmp_path / "v1.idx")
         _write_envelope(
-            path, {"magic": MAGIC, "version": 1, "index": service_index}
+            path,
+            {"magic": "repro-qhl-index", "version": 1,
+             "index": service_index},
         )
-        with pytest.raises(SerializationError, match="version 1"):
+        with pytest.raises(SerializationError, match="repro-qhl build"):
             load_index(path)
 
 
@@ -225,23 +275,33 @@ class TestChecksumAndVersions:
     ids=["load_index", "load_index_with_retry"],
 )
 class TestHeaderDispatch:
-    def test_v2_file_loads_object_labels(
-        self, saved, service_index, loader
+    def test_v2_file_is_refused_with_rebuild_hint(
+        self, service_index, tmp_path, loader
     ):
-        index = loader(saved["full"])
-        assert isinstance(index.labels, LabelStore)
-        assert isinstance(index.qhl_engine(), QHLEngine)
-        assert index.query(0, 63, 250, want_path=True).path == (
-            service_index.query(0, 63, 250, want_path=True).path
-        )
+        # Exactly what the retired version-2 writer produced: the index
+        # object pickled into the checksummed envelope.
+        path = str(tmp_path / "v2.idx")
+        save_envelope(path, "repro-qhl-index", {"index": service_index})
+        sleeps = []
+        kwargs = {} if loader is load_index else {"sleep": sleeps.append}
+        with pytest.raises(
+            SerializationError,
+            match="v2.idx.*no longer read.*rebuild it with `repro-qhl build`",
+        ):
+            loader(path, **kwargs)
+        assert sleeps == []
 
     def test_v3_file_loads_flat_labels(self, saved, service_index, loader):
-        index = loader(saved["flat"])
-        assert isinstance(index.labels, FlatLabelStore)
-        assert isinstance(index.qhl_engine(), FlatQHLEngine)
-        assert index.query(0, 63, 250).pair() == service_index.query(
-            0, 63, 250
-        ).pair()
+        for fmt in FORMATS:
+            index = loader(saved[fmt])
+            assert isinstance(index.labels, FlatLabelStore)
+            assert isinstance(index.qhl_engine(), FlatQHLEngine)
+            assert index.query(0, 63, 250).pair() == service_index.query(
+                0, 63, 250
+            ).pair()
+        assert loader(saved["full"]).query(
+            0, 63, 250, want_path=True
+        ).path == service_index.query(0, 63, 250, want_path=True).path
 
     @pytest.mark.parametrize(
         "data, message",

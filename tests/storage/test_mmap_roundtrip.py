@@ -3,10 +3,11 @@
 The contract under test, from strongest to weakest:
 
 1. **Byte identity** — pack → save → mmap-load → repack reproduces the
-   exact ``pack_labels`` bytes, column for column.  The flat store *is*
-   the serialized form; nothing is transformed on load.
+   exact ``pack_labels`` bytes, column for column, provenance columns
+   included.  The flat store *is* the serialized form; nothing is
+   transformed on load.
 2. **Corruption honesty** — truncations and bit flips anywhere (header,
-   metadata, columns) raise the checksum/structure
+   metadata, every column) raise the checksum/structure
    :class:`SerializationError` instead of returning garbage answers.
 3. **Fork sharing** — a forked child answers queries from the parent's
    mapped index without re-deserializing (no load call, no column
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 
 import pytest
 
@@ -29,9 +31,25 @@ from repro.storage import (
     pack_labels,
     save_flat_index,
 )
+from repro.storage.compact import PROV_COLUMNS
 from repro.storage.flatfile import _HEADER
 
 COLUMNS = ("set_offsets", "hubs", "entry_offsets", "weights", "costs")
+
+
+def _column_bounds(path, name):
+    """File byte range ``[start, end)`` of column ``name``."""
+    with open(path, "rb") as f:
+        data = f.read()
+    header = _HEADER.unpack_from(data, 0)
+    meta_offset, meta_length, data_offset = header[3], header[4], header[5]
+    meta = pickle.loads(data[meta_offset:meta_offset + meta_length])
+    for column, typecode, count, offset in meta["columns"]:
+        if column == name:
+            width = 4 if typecode == "i" else 8
+            start = data_offset + offset
+            return start, start + count * width
+    raise AssertionError(f"{path} has no column {name!r}")
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +77,16 @@ class TestByteIdentity:
                 getattr(repacked, name).tobytes()
                 == getattr(original, name).tobytes()
             ), f"column {name} drifted through the mmap round-trip"
+
+    def test_provenance_columns_repack_byte_identical(self, saved):
+        index, path = saved
+        original = pack_labels(index.labels, provenance=True).provenance
+        repacked = load_flat_index(path).labels.to_compact().provenance
+        assert len(original[0]) >= index.labels.num_entries()
+        for name, want, got in zip(PROV_COLUMNS, original, repacked):
+            assert got.tobytes() == want.tobytes(), (
+                f"column {name} drifted through the mmap round-trip"
+            )
 
     def test_resave_of_loaded_index_is_byte_identical(self, saved, tmp_path):
         _index, path = saved
@@ -144,6 +172,27 @@ class TestCorruption:
         with open(path, "wb") as f:
             f.write(bytes(data))
         with pytest.raises(SerializationError, match="checksum"):
+            load_flat_index(path)
+
+    @pytest.mark.parametrize("column", COLUMNS + PROV_COLUMNS)
+    def test_bit_flip_in_every_column_fails_checksum(self, saved, column):
+        _index, path = saved
+        start, end = _column_bounds(path, column)
+        data = bytearray(open(path, "rb").read())
+        data[(start + end) // 2] ^= 0x04
+        with open(path, "wb") as f:
+            f.write(bytes(data))
+        with pytest.raises(SerializationError, match="checksum"):
+            load_flat_index(path)
+
+    @pytest.mark.parametrize("column", COLUMNS + PROV_COLUMNS)
+    def test_truncation_in_every_column_is_refused(self, saved, column):
+        _index, path = saved
+        start, end = _column_bounds(path, column)
+        data = open(path, "rb").read()
+        with open(path, "wb") as f:
+            f.write(data[: (start + end) // 2])
+        with pytest.raises(SerializationError, match="truncated|corrupt"):
             load_flat_index(path)
 
     def test_bit_flip_in_stored_digest_fails_checksum(self, saved):

@@ -1,6 +1,8 @@
 """Unit tests for index serialisation."""
 
+import dataclasses
 import pickle
+import struct
 
 import pytest
 
@@ -44,10 +46,20 @@ class TestRoundtrip:
         # ... but the in-memory index keeps its shortcuts.
         assert index.tree.shortcuts
 
-    def test_keep_shortcuts_flag(self, index, tmp_path):
+    def test_stats_survive_roundtrip(self, index, tmp_path):
+        # Every build figure, the tree-build time included, survives a
+        # save/load.  Label bytes are each store's own layout (an
+        # estimate for object labels, the column bytes for flat ones),
+        # so they are compared separately.
         path = str(tmp_path / "x.idx")
-        save_index(index, path, keep_shortcuts=True)
-        assert load_index(path).tree.shortcuts
+        save_index(index, path)
+        loaded = load_index(path)
+        before, after = index.stats(), loaded.stats()
+        assert before.tree_seconds > 0
+        assert dataclasses.replace(after, label_bytes=0) == (
+            dataclasses.replace(before, label_bytes=0)
+        )
+        assert after.label_bytes == loaded.labels.size_bytes()
 
     def test_deep_provenance_roundtrips(self, tmp_path):
         # A long path graph produces provenance trees hundreds deep.
@@ -83,25 +95,22 @@ class TestErrorHandling:
             load_index(str(path))
 
     def test_wrong_version(self, index, tmp_path):
-        import repro.storage.serialize as ser
-
         path = str(tmp_path / "x.idx")
         save_index(index, path)
-        payload = pickle.loads(open(path, "rb").read())
-        payload["version"] = 999
+        data = bytearray(open(path, "rb").read())
+        data[8:12] = struct.pack("<I", 999)  # the header's version field
         with open(path, "wb") as f:
-            pickle.dump(payload, f)
-        with pytest.raises(SerializationError):
+            f.write(bytes(data))
+        with pytest.raises(SerializationError, match="version 999"):
             load_index(path)
 
     def test_payload_without_index(self, tmp_path):
-        from repro.storage.serialize import FORMAT_VERSION, MAGIC
-
+        # The shape of an old pickled envelope: no flat header, refused.
         path = tmp_path / "x.idx"
         path.write_bytes(
             pickle.dumps(
-                {"magic": MAGIC, "version": FORMAT_VERSION, "index": 42}
+                {"magic": "repro-qhl-index", "version": 2, "index": 42}
             )
         )
-        with pytest.raises(SerializationError):
+        with pytest.raises(SerializationError, match="repro-qhl build"):
             load_index(str(path))
