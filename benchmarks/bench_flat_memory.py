@@ -19,6 +19,13 @@ The scenario reports its own peak RSS plus the largest worker peak
 (``getrusage`` of SELF and CHILDREN).  ``--check`` asserts the flat
 total stays below the object-graph total — the CI memory-sharing gate.
 
+A third scenario, **save**, builds the grid index with
+``store_paths=True`` and measures the ``tracemalloc`` peak of
+``save_index`` against the column bytes of the file it writes.
+``--check`` asserts a ratio of at most :data:`SAVE_PEAK_RATIO`: the
+packer holds one label chain and the columns are written as views, so
+a save costs about the file's columns, not several copies of them.
+
 Runnable standalone (``python benchmarks/bench_flat_memory.py
 [--check]``); knobs: ``REPRO_BENCH_MEM_QUERIES`` (default 300) and
 ``REPRO_BENCH_MEM_GRID`` (default 24, the grid side length).
@@ -39,17 +46,20 @@ NUM_QUERIES = int(os.environ.get("REPRO_BENCH_MEM_QUERIES", "300"))
 WORKERS = 2
 SEED = 5
 
+#: Upper bound on save peak / written column bytes (``--check``).
+SAVE_PEAK_RATIO = 2.5
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_TXT = "flat_memory.txt"
 
 
-def _build_index():
+def _build_index(store_paths: bool = False):
     from repro.core import QHLIndex
     from repro.graph import grid_network
 
     network = grid_network(GRID_SIDE, GRID_SIDE, seed=SEED)
     return QHLIndex.build(
-        network, num_index_queries=100, store_paths=False, seed=SEED
+        network, num_index_queries=100, store_paths=store_paths, seed=SEED
     )
 
 
@@ -96,6 +106,30 @@ def _scenario(mode: str, path: str) -> None:
     }))
 
 
+def _save_scenario(path: str) -> None:
+    """Child-process entry: the tracemalloc peak of one save."""
+    import tracemalloc
+
+    from repro.storage import save_index
+    from repro.storage.flatfile import _HEADER
+
+    index = _build_index(store_paths=True)
+    tracemalloc.start()
+    try:
+        save_index(index, path)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with open(path, "rb") as f:
+        column_bytes = _HEADER.unpack(f.read(_HEADER.size))[6]
+    print(json.dumps({
+        "mode": "save",
+        "peak_kb": peak // 1024,
+        "column_kb": column_bytes // 1024,
+        "ratio": round(peak / column_bytes, 2),
+    }))
+
+
 def _run_scenario(mode: str, path: str) -> dict:
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
@@ -120,6 +154,7 @@ def run_benchmark() -> dict:
         sizes = {"flat_file_kb": os.path.getsize(flat_path) // 1024}
         object_run = _run_scenario("object", "")
         flat_run = _run_scenario("flat", flat_path)
+        save_run = _run_scenario("save", os.path.join(tmpdir, "paths.qflat"))
 
     for run in (object_run, flat_run):
         assert run["answered"] == NUM_QUERIES, run
@@ -132,6 +167,7 @@ def run_benchmark() -> dict:
         **sizes,
         "object": object_run,
         "flat": flat_run,
+        "save": save_run,
         "total_savings_kb": (
             object_run["total_peak_kb"] - flat_run["total_peak_kb"]
         ),
@@ -148,19 +184,28 @@ def run_benchmark() -> dict:
             f"{flat_run['total_peak_kb']:>7} KB",
             f"savings {result['total_savings_kb']} KB "
             f"(flat file {sizes['flat_file_kb']} KB)",
+            f"{'save':>8} peak {save_run['peak_kb']} KB for "
+            f"{save_run['column_kb']} KB of columns "
+            f"(ratio {save_run['ratio']}, store_paths=True)",
         ],
     )
     return result
 
 
 def check(result: dict) -> None:
-    """The CI gate: a mapped index must beat the object graph."""
+    """The CI gates: a mapped index must beat the object graph, and a
+    save must not hold copies of the index."""
     assert (
         result["flat"]["total_peak_kb"] < result["object"]["total_peak_kb"]
     ), (
         "supervised-batch peak RSS with the mmap-loaded flat index "
         f"({result['flat']['total_peak_kb']} KB) is not below the "
         f"object-graph baseline ({result['object']['total_peak_kb']} KB)"
+    )
+    assert result["save"]["ratio"] <= SAVE_PEAK_RATIO, (
+        f"save_index peaked at {result['save']['peak_kb']} KB for "
+        f"{result['save']['column_kb']} KB of columns (ratio "
+        f"{result['save']['ratio']} > {SAVE_PEAK_RATIO})"
     )
 
 
@@ -170,11 +215,13 @@ def test_flat_batch_rss_below_object_graph():
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
-    parser.add_argument("--scenario", choices=("object", "flat"))
+    parser.add_argument("--scenario", choices=("object", "flat", "save"))
     parser.add_argument("--index")
     parser.add_argument("--check", action="store_true")
     args = parser.parse_args()
-    if args.scenario:
+    if args.scenario == "save":
+        _save_scenario(args.index)
+    elif args.scenario:
         _scenario(args.scenario, args.index)
     else:
         outcome = run_benchmark()

@@ -14,10 +14,13 @@ pool and merges the per-vertex label rows back in deterministic
 top-down order, so the resulting store is *value-identical* to the
 sequential build: identical ``(weight, cost)`` sequences for every
 ``(v, u)`` pair, identical compact serialisation bytes
-(:func:`repro.storage.compact.pack_labels`), identical query answers
-and expanded paths.  (Object *identity* differs — entries that cross a
-process boundary come back as copies — which is why "byte-identical"
-is asserted on the canonical compact form, not on pickle output.)
+(:func:`repro.storage.compact.pack_labels`, provenance columns
+included), identical query answers and expanded paths.  Entries that
+cross a process boundary come back as pickled copies;
+:func:`merge_level` relinks each copy to the parent's own shortcut and
+label entries before storing it, so the provenance DAG shares objects
+exactly as a sequential build's does and packs to the same rows
+instead of a pool of copies.
 
 Workers are forked, so they inherit the tree and the partially built
 store by memory snapshot instead of pickling them; one fresh pool per
@@ -38,6 +41,8 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from bisect import bisect_left
+from operator import itemgetter
 
 from repro.exceptions import (
     TaskQuarantinedError,
@@ -52,6 +57,7 @@ from repro.observability.propagation import (
     stitch,
 )
 from repro.observability.tracing import get_tracer
+from repro.skyline.entries import JOIN, Entry
 from repro.skyline.set_ops import SkylineSet, join_union, truncate
 from repro.supervise.pool import SupervisedPool
 from repro.supervise.supervisor import (
@@ -273,6 +279,63 @@ def _supervised_level_rows(
     return out, 0
 
 
+def merge_level(
+    tree: TreeDecomposition,
+    store: LabelStore,
+    rows_by_vertex: list[tuple[int, list[tuple[int, SkylineSet]]]],
+) -> None:
+    """Store one level's label rows, relinking copied provenance.
+
+    Rows computed in a worker, or restored from a checkpoint, are
+    pickled copies: their children are copies of the parent's
+    shortcut and label entries.  Each row of ``P(v, u)`` is relinked
+    to the parent's own objects, matched by ``(weight, cost)``, which
+    is unique within a skyline set:
+
+    * a label join at hub ``w`` gets the entry of ``S(v, w)`` as its
+      left child and the entry of ``P(w, u)`` as its right child;
+    * an entry copied from ``S(v, u)`` becomes that shortcut's entry.
+
+    Rows already made of the parent's objects are stored unchanged.
+    """
+    for v, rows in rows_by_vertex:
+        shortcuts_v = tree.shortcuts[v]
+        for u, acc in rows:
+            if store.store_paths:
+                acc = [
+                    _relinked(entry, u, shortcuts_v, store)
+                    for entry in acc
+                ]
+            store.set(v, u, acc)
+
+
+def _relinked(
+    entry: Entry, u: int, shortcuts_v: dict[int, SkylineSet],
+    store: LabelStore,
+) -> Entry:
+    """``entry`` of ``P(v, u)`` over the parent's own objects."""
+    prov = entry[2]
+    if prov is None:
+        return entry
+    if prov[0] != JOIN or prov[1] == u or prov[1] not in shortcuts_v:
+        return _same(shortcuts_v[u], entry)  # copied from S(v, u)
+    _tag, w, left, right = prov
+    own_left = _same(shortcuts_v[w], left)
+    own_right = _same(store.get(w, u), right)
+    if own_left is left and own_right is right:
+        return entry
+    return (entry[0], entry[1], (JOIN, w, own_left, own_right))
+
+
+def _same(entries: SkylineSet, entry: Entry) -> Entry:
+    """The member of ``entries`` with ``entry``'s ``(weight, cost)``, or
+    ``entry`` itself when there is none."""
+    i = bisect_left(entries, entry[1], key=itemgetter(1))
+    if i < len(entries) and entries[i][:2] == entry[:2]:
+        return entries[i]
+    return entry
+
+
 def depth_levels(tree: TreeDecomposition) -> list[list[int]]:
     """Tree vertices grouped by depth, root level first.
 
@@ -410,9 +473,7 @@ def build_labels_parallel(
                 tree, store, level, max_skyline, workers,
                 supervised=supervised, supervision=supervision,
             )
-            for v, rows in rows_by_vertex:
-                for u, acc in rows:
-                    store.set(v, u, acc)
+            merge_level(tree, store, rows_by_vertex)
             if len(rows_by_vertex) >= MIN_PARALLEL_LEVEL:
                 parallel_vertices += len(rows_by_vertex)
         span.set("vertices", tree.num_vertices)

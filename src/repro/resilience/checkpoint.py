@@ -13,9 +13,11 @@ at the last completed level.
 Equivalence guarantee: a resumed build produces a label store
 *value-identical* to an uninterrupted one — identical ``(weight, cost)``
 sequences for every pair and identical
-:func:`repro.storage.compact.pack_labels` bytes — because restored
-levels are exact (pickled) copies of what the fresh build would hold,
-and every later level is computed by the same shared kernel
+:func:`repro.storage.compact.pack_labels` bytes, provenance columns
+included — because restored levels are exact (pickled) copies of what
+the fresh build would hold, relinked to the store's own entries as they
+are merged (:func:`repro.labeling.parallel.merge_level`), and every
+later level is computed by the same shared kernel
 (:func:`repro.labeling.parallel.level_rows`).  This holds for the
 sequential and the level-parallel builder alike; the kill-and-resume
 suite in ``tests/service/`` asserts the byte equality.
@@ -228,7 +230,7 @@ def build_labels_checkpointed(
         When ``budget`` runs out; the last completed level is already
         persisted, so a subsequent ``resume=True`` continues there.
     """
-    from repro.labeling.parallel import depth_levels, level_rows
+    from repro.labeling.parallel import depth_levels, level_rows, merge_level
     from repro.service.faults import get_injector
 
     if isinstance(checkpoint, str):
@@ -267,10 +269,8 @@ def build_labels_checkpointed(
                 rows_by_vertex = checkpoint.read_level(completed)
                 if rows_by_vertex is None:
                     break
-                for v, rows in rows_by_vertex:
-                    for u, acc in rows:
-                        store.set(v, u, acc)
-                    restored_vertices += 1
+                merge_level(tree, store, rows_by_vertex)
+                restored_vertices += len(rows_by_vertex)
                 completed += 1
 
         if budget is not None:
@@ -282,9 +282,7 @@ def build_labels_checkpointed(
                 tree, store, levels[k], max_skyline, workers,
                 supervised=supervised, supervision=supervision,
             )
-            for v, rows in rows_by_vertex:
-                for u, acc in rows:
-                    store.set(v, u, acc)
+            merge_level(tree, store, rows_by_vertex)
             if injector.enabled:
                 injector.fire("build-level", level=k, stage="computed")
             checkpoint.write_level(k, rows_by_vertex)

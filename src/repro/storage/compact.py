@@ -25,13 +25,23 @@ references but no label holds:
 
 Join rows point at their children by row number, so the provenance DAG
 survives without a Python object graph.
+
+Packing allocates every column once, at its final size, and fills it
+by slice; the provenance packer keeps an identity map over one
+root-to-leaf label chain (plus the pool), never over the whole index
+(see :func:`_pack_provenance`).  A save therefore costs about the
+bytes of the columns it writes.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
-from typing import Any
+from itertools import accumulate
+from operator import itemgetter
+from typing import Any, Iterator
 
 from repro.labeling.labels import LabelStore
 from repro.skyline.entries import EDGE, JOIN, ZERO, Entry
@@ -81,59 +91,128 @@ def pack_labels(store: LabelStore, provenance: bool = False) -> CompactLabels:
     ``provenance=True`` also packs the provenance columns, unless some
     entry has no provenance to pack; then the result has none.
     """
-    set_offsets = array("q", [0])
-    hubs = array("q")
-    entry_offsets = array("q", [0])
-    weights = array("d")
-    costs = array("d")
-    rows: list[Entry] = []
+    n = store.num_vertices
+    num_sets, num_entries = store.num_sets(), store.num_entries()
+    set_offsets = array("q", [0]) * (n + 1)
+    hubs = array("q", [0]) * num_sets
+    entry_offsets = array("q", [0]) * (num_sets + 1)
+    weights = array("d", [0.0]) * num_entries
+    costs = array("d", [0.0]) * num_entries
 
-    for v in range(store.num_vertices):
+    s_lo = lo = 0
+    for v in range(n):
         label = store.label(v)
-        for u in store.hubs_of(v):
-            entries = label[u]
-            hubs.append(u)
-            for entry in entries:
-                weights.append(entry[0])
-                costs.append(entry[1])
-            if provenance:
-                rows.extend(entries)
-            entry_offsets.append(len(weights))
-        set_offsets.append(len(hubs))
+        vhubs = store.hubs_of(v)
+        sets = [label[u] for u in vhubs]
+        entries = [entry for skyline in sets for entry in skyline]
+        s_hi, hi = s_lo + len(sets), lo + len(entries)
+        hubs[s_lo:s_hi] = array("q", vhubs)
+        entry_offsets[s_lo:s_hi + 1] = array(
+            "q", accumulate(map(len, sets), initial=lo)
+        )
+        weights[lo:hi] = array("d", [entry[0] for entry in entries])
+        costs[lo:hi] = array("d", [entry[1] for entry in entries])
+        set_offsets[v + 1] = s_lo = s_hi
+        lo = hi
 
-    return CompactLabels(
+    packed = CompactLabels(
         num_vertices=store.num_vertices,
         set_offsets=set_offsets,
         hubs=hubs,
         entry_offsets=entry_offsets,
         weights=weights,
         costs=costs,
-        provenance=_pack_provenance(rows) if provenance else None,
     )
+    if provenance:
+        packed.provenance = _pack_provenance(store, packed)
+    return packed
 
 
-def _pack_provenance(rows: list[Entry]) -> tuple[Any, ...] | None:
-    """The ``(kind, a, b, c)`` columns for ``rows`` plus their pool.
+def _pack_provenance(
+    store: LabelStore, packed: CompactLabels
+) -> tuple[Any, ...] | None:
+    """The ``(kind, a, b, c)`` columns for ``store``'s label rows plus
+    their pool, or ``None`` when some entry has no provenance.
 
-    Row ``i`` describes ``rows[i]``.  A join's children are found by
-    object identity among the rows; a child that is no label entry is
-    appended to ``rows`` as a pool row and described in the next round.
-    An entry that two rows hold maps to the last of them; either
-    describes it.
-    Built column by column with comprehensions (a save packs every
-    entry of the index), and without recursion, so path length is not
-    bounded by the interpreter's recursion limit.  Returns ``None``
-    when some entry has no provenance.
+    A join's children are found by object identity, but never in a map
+    over the whole index.  The vertices are visited depth-first down
+    the label chain: ``|L(v)|`` is ``v``'s depth and its parent is the
+    hub with the longest label.  An identity map holds the rows of the
+    visited vertex and its ancestors only, and those hold the children
+    of every label join: a join of ``P(v, u)`` at ``w`` has its left
+    child in ``P(v, w)`` and its right child in ``P(w, u)``.  An entry
+    copied from the shortcut ``S(v, u)`` has its junction ``x`` below
+    ``v``; its children are looked up in the two sets that can hold
+    them, ``P(x, v)`` and ``P(x, u)``.  Label rows are written into
+    preallocated columns by slice, each set at its own first row.
+
+    A child that no label holds becomes a *pool* row.  Pool rows are
+    appended in a fixed order: the left children of the label rows in
+    row order, then their right children, then the same for each round
+    of pool rows (the order of a whole-index identity map, which
+    ``tests/storage/oracles.py`` keeps as the reference).  Pool rows are found again through an
+    identity map over the pool only; their own children are looked up
+    in the label sets between their junction and their possible
+    endpoints.  Nothing recurses, so path length is not bounded by the
+    interpreter's recursion limit.
     """
     kind_of = {EDGE: PROV_EDGE, ZERO: PROV_ZERO, JOIN: PROV_JOIN}
     edge, join = PROV_EDGE, PROV_JOIN
-    row_of = dict(zip(map(id, rows), range(len(rows))))
+    n = packed.num_vertices
+    set_offsets, hubs = packed.set_offsets, packed.hubs
+    entry_offsets = packed.entry_offsets
+    num_rows = len(packed.weights)
+    columns = tuple(array("i", [0]) * num_rows for _ in range(4))
+
+    # The tree, from the labels alone.
+    depth = [set_offsets[v + 1] - set_offsets[v] for v in range(n)]
+    children: list[list[int]] = [[] for _ in range(n)]
+    roots = []
+    for v in range(n):
+        lo, hi = set_offsets[v], set_offsets[v + 1]
+        parent = max(hubs[lo:hi], key=depth.__getitem__, default=-1)
+        if 0 <= parent < n and depth[parent] < depth[v]:
+            children[parent].append(v)
+        else:
+            roots.append(v)
+
+    def label_row(child: Entry, x: int, ends: tuple[int, ...]) -> int:
+        """The row of ``child`` in a label set ``{x, e}``, ``e`` in
+        ``ends``, or -1.  The set lives in the deeper vertex's label."""
+        for e in ends:
+            p, q = (x, e) if depth[x] > depth[e] else (e, x)
+            lo, hi = set_offsets[p], set_offsets[p + 1]
+            i = bisect_left(hubs, q, lo, hi)
+            if i < hi and hubs[i] == q:
+                for k, entry in enumerate(store.label(p)[q]):
+                    if entry is child:
+                        return entry_offsets[i] + k
+        return -1
+
+    row_of: dict[int, int] = {}  # id -> row, over the current chain
     get = row_of.get
-    columns = tuple(array("i") for _ in range(4))
-    done = 0
-    while done < len(rows):  # the label rows, then the pool rows
-        provs = [entry[2] for entry in rows[done:]]
-        done = len(rows)
+    on_chain = bytearray(n)
+    # Unresolved (row, child, its possible endpoints), per child slot.
+    missing: tuple[list[Any], list[Any]] = ([], [])
+    stack: list[tuple[int, list[Entry] | None]] = [
+        (v, None) for v in reversed(roots)
+    ]
+    while stack:
+        v, chain_rows = stack.pop()
+        if chain_rows is not None:  # leaving v: its rows leave the chain
+            deque(map(row_of.pop, map(id, chain_rows)), maxlen=0)
+            on_chain[v] = 0
+            continue
+        label = store.label(v)
+        s_lo, s_hi = set_offsets[v], set_offsets[v + 1]
+        lo, hi = entry_offsets[s_lo], entry_offsets[s_hi]
+        entries = [e for u in hubs[s_lo:s_hi] for e in label[u]]
+        row_of.update(zip(map(id, entries), range(lo, hi)))
+        on_chain[v] = 1
+        stack.append((v, entries))
+        stack.extend((w, None) for w in reversed(children[v]))
+
+        provs = [entry[2] for entry in entries]
         try:
             kinds = [kind_of[prov[0]] for prov in provs]
         except (TypeError, KeyError):  # no provenance, or a foreign tag
@@ -151,19 +230,77 @@ def _pack_provenance(rows: list[Entry]) -> tuple[Any, ...] | None:
             for prov, kind in zip(provs, kinds, strict=True)
         ]
         for column, slot in ((b, 2), (c, 3)):
-            if -1 not in column:
-                continue
-            for i, row in enumerate(column):
-                if row < 0:
-                    child = provs[i][slot]
-                    row = get(id(child))
-                    if row is None:
-                        row = row_of[id(child)] = len(rows)
-                        rows.append(child)
-                    column[i] = row
+            for i in _positions(column, -1):
+                row = lo + i
+                u = hubs[bisect_right(entry_offsets, row, s_lo, s_hi) - 1]
+                prov = provs[i]
+                x, child = prov[1], prov[slot]
+                if on_chain[x]:
+                    # A label join: the chain held its children's sets.
+                    ends: tuple[int, ...] = (v, x) if slot == 2 else (x, u)
+                else:
+                    column[i] = label_row(child, x, (v, u))
+                    if column[i] >= 0:
+                        continue
+                    ends = (x, v, u)
+                missing[slot - 2].append((row, child, ends))
+        for column, values in zip(columns, (kinds, a, b, c), strict=True):
+            column[lo:hi] = array("i", values)
+
+    # The pool: children that no label holds.
+    pool: list[tuple[Entry, tuple[int, ...]]] = []
+    pool_row: dict[int, int] = {}  # id -> row, over the pool
+
+    def place(child: Entry, ends: tuple[int, ...]) -> int:
+        pool_row[id(child)] = row = num_rows + len(pool)
+        pool.append((child, ends))
+        return row
+
+    for column, rows in zip(columns[2:], missing, strict=True):
+        rows.sort(key=itemgetter(0))
+        for row, child, ends in rows:
+            found = pool_row.get(id(child))
+            column[row] = place(child, ends) if found is None else found
+    del missing
+    done = 0
+    while done < len(pool):  # one round per pool generation
+        batch = pool[done:]
+        done = len(pool)
+        provs = [entry[2] for entry, _ends in batch]
+        try:
+            kinds = [kind_of[prov[0]] for prov in provs]
+        except (TypeError, KeyError):
+            return None
+        a = [-1 if prov[1] is None else prov[1] for prov in provs]
+        b = [
+            prov[2] if kind == edge else 0
+            for prov, kind in zip(provs, kinds, strict=True)
+        ]
+        c = [0] * len(provs)
+        for column, slot in ((b, 2), (c, 3)):
+            for i in _positions(kinds, join):
+                prov, ends = provs[i], batch[i][1]
+                x, child = prov[1], prov[slot]
+                row = pool_row.get(id(child))
+                if row is None:
+                    row = label_row(child, x, ends)
+                    if row < 0:
+                        row = place(child, (x, *ends))
+                column[i] = row
         for column, values in zip(columns, (kinds, a, b, c), strict=True):
             column.extend(values)
     return columns
+
+
+def _positions(values: list[int], target: int) -> Iterator[int]:
+    """The indices of ``target`` in ``values``, found at C speed."""
+    i = -1
+    try:
+        while True:
+            i = values.index(target, i + 1)
+            yield i
+    except ValueError:
+        return
 
 
 def _restore(x: float) -> float:

@@ -32,7 +32,6 @@ columns, entries carry ``None`` provenance and path retrieval raises.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from operator import sub
 from typing import Any, Iterator, Mapping
@@ -131,25 +130,6 @@ class FlatLabelStore:
         flat = cls.from_compact(pack_labels(store))
         flat.build_seconds = store.build_seconds
         return flat
-
-    def to_compact(self) -> CompactLabels:
-        """Fresh ``array`` copies of the columns (``pack_labels`` form).
-
-        Because the layout is byte-for-byte the ``pack_labels`` layout,
-        a store loaded from an mmap repacks to the identical bytes — the
-        round-trip identity the storage tests pin.
-        """
-        return CompactLabels(
-            num_vertices=self.num_vertices,
-            set_offsets=_as_array("q", self.set_offsets),
-            hubs=_as_array("q", self.hubs),
-            entry_offsets=_as_array("q", self.entry_offsets),
-            weights=_as_array("d", self.weights),
-            costs=_as_array("d", self.costs),
-            provenance=None if self.provenance is None else tuple(
-                _as_array("i", column) for column in self.provenance
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Hot-path slice lookup (no entry materialisation)
@@ -452,9 +432,3 @@ class _FlatLabel(Mapping[int, list[Entry]]):
     def __len__(self) -> int:
         return self._hi - self._lo
 
-
-def _as_array(typecode: str, column: Any) -> "array[Any]":
-    """A fresh ``array`` holding ``column``'s exact bytes."""
-    out: "array[Any]" = array(typecode)
-    out.frombytes(column.tobytes())
-    return out

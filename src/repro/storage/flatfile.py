@@ -36,7 +36,9 @@ with a hint to rebuild.
 Truncation, bit flips (header, metadata, or columns), version or
 endianness mismatches all raise :class:`SerializationError`; writes go
 through the same atomic temp-file + fsync + ``os.replace`` primitive as
-every other save, firing the ``save-index`` fault points.
+every other save, firing the ``save-index`` fault points.  The columns
+are hashed and written as ``memoryview``s, never joined into one
+bytes object.
 """
 
 from __future__ import annotations
@@ -88,36 +90,38 @@ def save_flat_index(index: "QHLIndex", path: str) -> int:
     """Write ``index`` in the flat (version 3) format; returns file size.
 
     Object labels are packed, with provenance when they were built
-    with ``store_paths=True``; flat labels are written as held,
-    preserving byte identity across save/load cycles.  Elimination
-    shortcuts are not stored.
+    with ``store_paths=True``; flat labels, mapped or not, are written
+    from their own columns, preserving byte identity across save/load
+    cycles.  The columns are hashed and written as ``memoryview``s of
+    those arrays, so the save holds no second copy of the index: its
+    extra memory is the packer's, one root-to-leaf label chain, plus
+    the metadata.  Elimination shortcuts are not stored.
     """
     labels = index.labels
-    compact = (
-        labels.to_compact()
+    packed = (
+        labels
         if isinstance(labels, FlatLabelStore)
         else pack_labels(labels, provenance=labels.store_paths)
     )
     columns = [
-        (name, typecode, getattr(compact, name))
+        (name, typecode, getattr(packed, name))
         for name, typecode in _COLUMNS
     ]
-    if compact.provenance is not None:
+    if packed.provenance is not None:
         columns += [
             (name, "i", column)
-            for name, column in zip(PROV_COLUMNS, compact.provenance)
+            for name, column in zip(PROV_COLUMNS, packed.provenance)
         ]
     descriptors: list[tuple[str, str, int, int]] = []
-    chunks: list[bytes] = []
+    chunks: list[memoryview] = []
     offset = 0
     for name, typecode, column in columns:
-        raw = column.tobytes()
+        raw = memoryview(column).cast("B")
         descriptors.append(
-            (name, typecode, len(raw) // _ITEMSIZE[typecode], offset)
+            (name, typecode, raw.nbytes // _ITEMSIZE[typecode], offset)
         )
         chunks.append(raw)
-        offset += len(raw)
-    data = b"".join(chunks)
+        offset += raw.nbytes
 
     tree = index.tree
     meta_bytes = pickle.dumps(
@@ -138,7 +142,8 @@ def save_flat_index(index: "QHLIndex", path: str) -> int:
     data_offset = _align8(meta_offset + len(meta_bytes))
     digest = hashlib.sha256()
     digest.update(meta_bytes)
-    digest.update(data)
+    for chunk in chunks:
+        digest.update(chunk)
     flags = _FLAG_LITTLE_ENDIAN if sys.byteorder == "little" else 0
     header = _HEADER.pack(
         FLAT_MAGIC,
@@ -147,11 +152,11 @@ def save_flat_index(index: "QHLIndex", path: str) -> int:
         meta_offset,
         len(meta_bytes),
         data_offset,
-        len(data),
+        offset,
         digest.digest(),
     )
     padding = b"\x00" * (data_offset - meta_offset - len(meta_bytes))
-    _atomic_write_bytes(path, b"".join((header, meta_bytes, padding, data)))
+    _atomic_write_bytes(path, [header, meta_bytes, padding, *chunks])
     return os.path.getsize(path)
 
 

@@ -36,7 +36,7 @@ import pickle
 import random
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.exceptions import SerializationError
 from repro.gcpause import collector_paused
@@ -88,14 +88,18 @@ def _fire_fault(point: str, **ctx: object) -> None:
         injector.fire(point, **ctx)
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+def _atomic_write_bytes(path: str, data: bytes | Sequence[Any]) -> None:
     """Write ``data`` to ``path`` crash-safely.
 
-    The bytes land in a temp file in the destination directory, are
-    flushed and fsynced, and only then renamed over ``path`` with
-    ``os.replace`` (atomic on POSIX).  On any failure the temp file is
-    removed; the destination keeps its previous content (or absence).
+    ``data`` is one bytes object or a sequence of buffers (``bytes``,
+    ``memoryview``, ``array``), written back to back without joining
+    them into one copy.  The bytes land in a temp file in the
+    destination directory, are flushed and fsynced, and only then
+    renamed over ``path`` with ``os.replace`` (atomic on POSIX).  On
+    any failure the temp file is removed; the destination keeps its
+    previous content (or absence).
     """
+    chunks = (data,) if isinstance(data, (bytes, bytearray)) else data
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -103,7 +107,8 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
     try:
         with open(tmp, "wb") as f:
             _fire_fault("save-index", stage="write", path=path)
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
             f.flush()
             _fire_fault("save-index", stage="fsync", path=path)
             os.fsync(f.fileno())

@@ -20,7 +20,9 @@ needs_fork = pytest.mark.skipif(
 
 
 def assert_stores_equal(tree, sequential, parallel):
-    """Value-identity of every label set + byte-identity of the packed form."""
+    """Value-identity of every label set + byte-identity of the packed
+    form, provenance columns included: worker copies are relinked to the
+    parent's entries, so they pack to the same rows, not to a pool."""
     for v in tree.topdown_order:
         for u in tree.ancestors(v):
             lhs = sequential.get(v, u)
@@ -36,6 +38,14 @@ def assert_stores_equal(tree, sequential, parallel):
         assert getattr(packed_lhs, name).tobytes() == getattr(
             packed_rhs, name
         ).tobytes(), name
+    provenance_lhs = pack_labels(sequential, provenance=True).provenance
+    provenance_rhs = pack_labels(parallel, provenance=True).provenance
+    if provenance_lhs is None:
+        assert provenance_rhs is None
+    else:
+        assert [column.tobytes() for column in provenance_lhs] == [
+            column.tobytes() for column in provenance_rhs
+        ]
 
 
 class TestDepthLevels:

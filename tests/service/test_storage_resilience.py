@@ -12,8 +12,11 @@ rebuild it.
 import os
 import pickle
 import random
+import signal
 import struct
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -94,10 +97,73 @@ class TestKillSafety:
             0, 63, 250
         ).pair()
 
+    @pytest.mark.parametrize("resave", [False, True], ids=["first", "resave"])
+    @pytest.mark.parametrize("stage", ["write", "fsync", "replace"])
+    def test_real_sigkill_at_each_stage(
+        self, service_index, tmp_path, stage, resave
+    ):
+        """A process SIGKILLed mid-save (no exception handler runs, the
+        streamed column writes stop wherever they are) leaves the
+        destination absent or exactly as it was."""
+        path = str(tmp_path / "victim.idx")
+        before = None
+        if resave:
+            save_index(service_index, path)
+            with open(path, "rb") as f:
+                before = f.read()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(os.path.join(
+            os.path.dirname(__file__), os.pardir, os.pardir, "src"
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SAVE_CHILD, path, stage],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        if before is None:
+            assert not os.path.exists(path)
+            return
+        with open(path, "rb") as f:
+            assert f.read() == before
+        loaded = load_index(path)
+        assert loaded.labels.provenance is not None
+        assert loaded.query(0, 63, 250).pair() == service_index.query(
+            0, 63, 250
+        ).pair()
+
     def test_save_creates_missing_directories(self, service_index, tmp_path):
         path = str(tmp_path / "deep" / "nested" / "x.idx")
         save_index(service_index, path)
         assert os.path.exists(path)
+
+
+#: Builds the ``service_index`` twin (paths on) and saves it to
+#: ``argv[1]`` under an injector that SIGKILLs the process at the
+#: ``save-index`` stage ``argv[2]``.
+_SAVE_CHILD = textwrap.dedent(
+    """
+    import os, signal, sys
+
+    from repro.core import QHLIndex
+    from repro.graph import grid_network
+    from repro.service.faults import FaultInjector, set_injector
+    from repro.storage import save_index
+
+    path, stage = sys.argv[1], sys.argv[2]
+
+    def die():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    index = QHLIndex.build(
+        grid_network(8, 8, seed=1), num_index_queries=200, seed=1
+    )
+    injector = FaultInjector()
+    injector.fail("save-index", exc=die, match={"stage": stage})
+    set_injector(injector)
+    save_index(index, path)
+    raise SystemExit("unreachable: the save should have been killed")
+    """
+)
 
 
 # ----------------------------------------------------------------------

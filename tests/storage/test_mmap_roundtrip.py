@@ -2,8 +2,8 @@
 
 The contract under test, from strongest to weakest:
 
-1. **Byte identity** — pack → save → mmap-load → repack reproduces the
-   exact ``pack_labels`` bytes, column for column, provenance columns
+1. **Byte identity** — pack → save → mmap-load reproduces the exact
+   ``pack_labels`` bytes, column for column, provenance columns
    included.  The flat store *is* the serialized form; nothing is
    transformed on load.
 2. **Corruption honesty** — truncations and bit flips anywhere (header,
@@ -71,19 +71,18 @@ class TestByteIdentity:
         index, path = saved
         original = pack_labels(index.labels)
         loaded = load_flat_index(path)
-        repacked = loaded.labels.to_compact()
         for name in COLUMNS:
             assert (
-                getattr(repacked, name).tobytes()
+                getattr(loaded.labels, name).tobytes()
                 == getattr(original, name).tobytes()
             ), f"column {name} drifted through the mmap round-trip"
 
     def test_provenance_columns_repack_byte_identical(self, saved):
         index, path = saved
         original = pack_labels(index.labels, provenance=True).provenance
-        repacked = load_flat_index(path).labels.to_compact().provenance
+        loaded = load_flat_index(path).labels.provenance
         assert len(original[0]) >= index.labels.num_entries()
-        for name, want, got in zip(PROV_COLUMNS, original, repacked):
+        for name, want, got in zip(PROV_COLUMNS, original, loaded):
             assert got.tobytes() == want.tobytes(), (
                 f"column {name} drifted through the mmap round-trip"
             )
