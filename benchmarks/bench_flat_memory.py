@@ -26,6 +26,13 @@ A third scenario, **save**, builds the grid index with
 packer holds one label chain and the columns are written as views, so
 a save costs about the file's columns, not several copies of them.
 
+A fourth scenario, **objects**, measures the ``tracemalloc`` live bytes
+of the grid's tree decomposition plus labels built with
+``store_paths=True`` and with ``store_paths=False``.  ``--check`` asserts
+their ratio is at most :data:`OBJECT_PATHS_RATIO`: provenance sits
+inline in each entry tuple, so paths cost a few slots per entry, not a
+second tuple per entry.
+
 Runnable standalone (``python benchmarks/bench_flat_memory.py
 [--check]``); knobs: ``REPRO_BENCH_MEM_QUERIES`` (default 300) and
 ``REPRO_BENCH_MEM_GRID`` (default 24, the grid side length).
@@ -48,6 +55,9 @@ SEED = 5
 
 #: Upper bound on save peak / written column bytes (``--check``).
 SAVE_PEAK_RATIO = 2.5
+#: Upper bound on object tree-plus-labels bytes with paths / without
+#: (``--check``).
+OBJECT_PATHS_RATIO = 1.3
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_TXT = "flat_memory.txt"
@@ -130,6 +140,45 @@ def _save_scenario(path: str) -> None:
     }))
 
 
+def _objects_scenario() -> None:
+    """Child-process entry: the live bytes of the object tree plus
+    labels, built with and without paths."""
+    import gc
+    import tracemalloc
+
+    from repro.graph import grid_network
+    from repro.hierarchy import build_tree_decomposition
+    from repro.labeling import build_labels
+
+    network = grid_network(GRID_SIDE, GRID_SIDE, seed=SEED)
+    live, entries = {}, 0
+    for store_paths in (True, False):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tree = build_tree_decomposition(network, store_paths=store_paths)
+            labels = build_labels(tree, store_paths=store_paths)
+            gc.collect()
+            live[store_paths] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        entries = labels.num_entries() + sum(
+            len(skyline)
+            for shortcuts_v in tree.shortcuts.values()
+            for skyline in shortcuts_v.values()
+        )
+        del tree, labels
+    print(json.dumps({
+        "mode": "objects",
+        "entries": entries,
+        "paths_kb": live[True] // 1024,
+        "bare_kb": live[False] // 1024,
+        "paths_b_per_entry": round(live[True] / entries),
+        "bare_b_per_entry": round(live[False] / entries),
+        "ratio": round(live[True] / live[False], 2),
+    }))
+
+
 def _run_scenario(mode: str, path: str) -> dict:
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
@@ -155,6 +204,7 @@ def run_benchmark() -> dict:
         object_run = _run_scenario("object", "")
         flat_run = _run_scenario("flat", flat_path)
         save_run = _run_scenario("save", os.path.join(tmpdir, "paths.qflat"))
+        objects_run = _run_scenario("objects", "")
 
     for run in (object_run, flat_run):
         assert run["answered"] == NUM_QUERIES, run
@@ -168,6 +218,7 @@ def run_benchmark() -> dict:
         "object": object_run,
         "flat": flat_run,
         "save": save_run,
+        "objects": objects_run,
         "total_savings_kb": (
             object_run["total_peak_kb"] - flat_run["total_peak_kb"]
         ),
@@ -187,14 +238,21 @@ def run_benchmark() -> dict:
             f"{'save':>8} peak {save_run['peak_kb']} KB for "
             f"{save_run['column_kb']} KB of columns "
             f"(ratio {save_run['ratio']}, store_paths=True)",
+            f"{'objects':>8} tree+labels {objects_run['paths_kb']} KB "
+            f"with paths, {objects_run['bare_kb']} KB without "
+            f"(ratio {objects_run['ratio']}; "
+            f"{objects_run['paths_b_per_entry']} vs "
+            f"{objects_run['bare_b_per_entry']} B/entry over "
+            f"{objects_run['entries']} entries)",
         ],
     )
     return result
 
 
 def check(result: dict) -> None:
-    """The CI gates: a mapped index must beat the object graph, and a
-    save must not hold copies of the index."""
+    """The CI gates: a mapped index must beat the object graph, a save
+    must not hold copies of the index, and paths must not cost object
+    labels a second tuple per entry."""
     assert (
         result["flat"]["total_peak_kb"] < result["object"]["total_peak_kb"]
     ), (
@@ -207,6 +265,12 @@ def check(result: dict) -> None:
         f"{result['save']['column_kb']} KB of columns (ratio "
         f"{result['save']['ratio']} > {SAVE_PEAK_RATIO})"
     )
+    objects = result["objects"]
+    assert objects["ratio"] <= OBJECT_PATHS_RATIO, (
+        f"object tree plus labels take {objects['paths_kb']} KB with paths "
+        f"and {objects['bare_kb']} KB without (ratio {objects['ratio']} > "
+        f"{OBJECT_PATHS_RATIO})"
+    )
 
 
 def test_flat_batch_rss_below_object_graph():
@@ -215,12 +279,16 @@ def test_flat_batch_rss_below_object_graph():
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
-    parser.add_argument("--scenario", choices=("object", "flat", "save"))
+    parser.add_argument(
+        "--scenario", choices=("object", "flat", "save", "objects")
+    )
     parser.add_argument("--index")
     parser.add_argument("--check", action="store_true")
     args = parser.parse_args()
     if args.scenario == "save":
         _save_scenario(args.index)
+    elif args.scenario == "objects":
+        _objects_scenario()
     elif args.scenario:
         _scenario(args.scenario, args.index)
     else:

@@ -15,6 +15,7 @@ Run with::
 """
 
 from repro import QHLIndex, ring_network, skyline_between
+from repro.skyline import path_of_pairs
 
 
 def main() -> None:
@@ -35,7 +36,7 @@ def main() -> None:
     print(f"\n{len(skyline)} Pareto-optimal routes between "
           f"{source} and {target}:")
     print(f"{'travel time':>12}  {'toll':>6}")
-    for weight, cost, _prov in skyline:
+    for weight, cost in path_of_pairs(skyline):
         print(f"{weight:>12}  {cost:>6}")
 
     # Sweep the budget across the curve: QHL returns each skyline point

@@ -112,8 +112,6 @@ def rejoin_with_mid(best: Entry, mid: int) -> Entry:
     they serve); the query loop re-stamps the winner so path expansion
     splits at the right vertex.
     """
-    prov = best[2]
-    if prov is None:
+    if best[2] is None:
         return best
-    tag, _mid, left, right = prov
-    return (best[0], best[1], (tag, mid, left, right))
+    return (best[0], best[1], mid, best[3], best[4])

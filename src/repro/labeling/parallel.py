@@ -57,7 +57,7 @@ from repro.observability.propagation import (
     stitch,
 )
 from repro.observability.tracing import get_tracer
-from repro.skyline.entries import JOIN, Entry
+from repro.skyline.entries import Entry
 from repro.skyline.set_ops import SkylineSet, join_union, truncate
 from repro.supervise.pool import SupervisedPool
 from repro.supervise.supervisor import (
@@ -314,17 +314,18 @@ def _relinked(
     store: LabelStore,
 ) -> Entry:
     """``entry`` of ``P(v, u)`` over the parent's own objects."""
-    prov = entry[2]
-    if prov is None:
+    w = entry[2]
+    if w is None:
         return entry
-    if prov[0] != JOIN or prov[1] == u or prov[1] not in shortcuts_v:
+    # An edge tag is no hub of v, so an edge entry takes this branch too.
+    if w == u or w not in shortcuts_v:
         return _same(shortcuts_v[u], entry)  # copied from S(v, u)
-    _tag, w, left, right = prov
+    left, right = entry[3], entry[4]
     own_left = _same(shortcuts_v[w], left)
     own_right = _same(store.get(w, u), right)
     if own_left is left and own_right is right:
         return entry
-    return (entry[0], entry[1], (JOIN, w, own_left, own_right))
+    return (entry[0], entry[1], w, own_left, own_right)
 
 
 def _same(entries: SkylineSet, entry: Entry) -> Entry:

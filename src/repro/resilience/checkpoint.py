@@ -46,9 +46,13 @@ from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import get_tracer
+from repro.skyline.entries import ENTRY_LAYOUT
 from repro.storage.serialize import load_envelope, save_envelope
 
-CHECKPOINT_MAGIC = "repro-qhl-build-checkpoint"
+#: Level files hold pickled skyline entries, so their magic names the
+#: entry layout: a level written in another layout reads as unusable and
+#: is recomputed, never merged into a store of the current layout.
+CHECKPOINT_MAGIC = f"repro-qhl-build-checkpoint-e{ENTRY_LAYOUT}"
 MANIFEST_MAGIC = "repro-qhl-build-manifest"
 _MANIFEST = "manifest.ckpt"
 

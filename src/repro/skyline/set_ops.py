@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from repro.skyline.compare import costs_equal
-from repro.skyline.entries import JOIN, Entry
+from repro.skyline.entries import Entry
 
 SkylineSet = list[Entry]
 
@@ -126,7 +126,7 @@ def join_union(parts: Iterable[JoinPart]) -> SkylineSet:
         first_c = b[0][1]
         last_w = b[-1][0]
         for left in a:
-            lw, lc, lp = left
+            lw, lc, lp = left[0], left[1], left[2]
             if lc + first_c > c1:
                 break  # a is cost-sorted: every later left costs more
             if lw + last_w > w0:
@@ -138,13 +138,12 @@ def join_union(parts: Iterable[JoinPart]) -> SkylineSet:
                 w = lw + right[0]
                 if w > w0:
                     continue
-                rp = right[2]
-                append((
-                    w,
-                    c,
-                    None if lp is None or rp is None
-                    else (JOIN, mid, left, right),
-                ))
+                # Provenance inline: one tuple per product, a join only
+                # when both children carry provenance.
+                if lp is not None and right[2] is not None:
+                    append((w, c, mid, left, right))
+                else:
+                    append((w, c, None))
 
     products.sort(key=_COST_WEIGHT)
     it = iter(products)

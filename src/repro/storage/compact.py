@@ -41,10 +41,10 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.labeling.labels import LabelStore
-from repro.skyline.entries import EDGE, JOIN, ZERO, Entry
+from repro.skyline.entries import EDGE, ROW, ZERO, Entry
 
 #: Values of the provenance ``kind`` column.
 PROV_EDGE, PROV_ZERO, PROV_JOIN = 0, 1, 2
@@ -155,9 +155,11 @@ def _pack_provenance(
     in the label sets between their junction and their possible
     endpoints.  Nothing recurses, so path length is not bounded by the
     interpreter's recursion limit.
+
+    Kinds and children are read straight from the entry slots (see
+    :mod:`repro.skyline.entries`): a join's junction is its third slot,
+    its children the fourth and fifth.
     """
-    kind_of = {EDGE: PROV_EDGE, ZERO: PROV_ZERO, JOIN: PROV_JOIN}
-    edge, join = PROV_EDGE, PROV_JOIN
     n = packed.num_vertices
     set_offsets, hubs = packed.set_offsets, packed.hubs
     entry_offsets = packed.entry_offsets
@@ -212,38 +214,25 @@ def _pack_provenance(
         stack.append((v, entries))
         stack.extend((w, None) for w in reversed(children[v]))
 
-        provs = [entry[2] for entry in entries]
-        try:
-            kinds = [kind_of[prov[0]] for prov in provs]
-        except (TypeError, KeyError):  # no provenance, or a foreign tag
+        described = _describe(entries, get)
+        if described is None:
             return None
-        a = [prov[1] for prov in provs]
-        if None in a:  # an anonymous zero-length entry
-            a = [-1 if x is None else x for x in a]
-        b = [
-            get(id(prov[2]), -1) if kind == join
-            else prov[2] if kind == edge else 0
-            for prov, kind in zip(provs, kinds, strict=True)
-        ]
-        c = [
-            get(id(prov[3]), -1) if kind == join else 0
-            for prov, kind in zip(provs, kinds, strict=True)
-        ]
-        for column, slot in ((b, 2), (c, 3)):
+        kinds, a, b, c = described
+        for column, slot in ((b, 3), (c, 4)):
             for i in _positions(column, -1):
                 row = lo + i
                 u = hubs[bisect_right(entry_offsets, row, s_lo, s_hi) - 1]
-                prov = provs[i]
-                x, child = prov[1], prov[slot]
+                entry = entries[i]
+                x, child = entry[2], entry[slot]
                 if on_chain[x]:
                     # A label join: the chain held its children's sets.
-                    ends: tuple[int, ...] = (v, x) if slot == 2 else (x, u)
+                    ends: tuple[int, ...] = (v, x) if slot == 3 else (x, u)
                 else:
                     column[i] = label_row(child, x, (v, u))
                     if column[i] >= 0:
                         continue
                     ends = (x, v, u)
-                missing[slot - 2].append((row, child, ends))
+                missing[slot - 3].append((row, child, ends))
         for column, values in zip(columns, (kinds, a, b, c), strict=True):
             column[lo:hi] = array("i", values)
 
@@ -266,21 +255,15 @@ def _pack_provenance(
     while done < len(pool):  # one round per pool generation
         batch = pool[done:]
         done = len(pool)
-        provs = [entry[2] for entry, _ends in batch]
-        try:
-            kinds = [kind_of[prov[0]] for prov in provs]
-        except (TypeError, KeyError):
+        # Every join's child rows are set below; the map only seeds them.
+        described = _describe([entry for entry, _ends in batch], pool_row.get)
+        if described is None:
             return None
-        a = [-1 if prov[1] is None else prov[1] for prov in provs]
-        b = [
-            prov[2] if kind == edge else 0
-            for prov, kind in zip(provs, kinds, strict=True)
-        ]
-        c = [0] * len(provs)
-        for column, slot in ((b, 2), (c, 3)):
-            for i in _positions(kinds, join):
-                prov, ends = provs[i], batch[i][1]
-                x, child = prov[1], prov[slot]
+        kinds, a, b, c = described
+        for column, slot in ((b, 3), (c, 4)):
+            for i in _positions(kinds, PROV_JOIN):
+                entry, ends = batch[i]
+                x, child = entry[2], entry[slot]
                 row = pool_row.get(id(child))
                 if row is None:
                     row = label_row(child, x, ends)
@@ -290,6 +273,41 @@ def _pack_provenance(
         for column, values in zip(columns, (kinds, a, b, c), strict=True):
             column.extend(values)
     return columns
+
+
+#: The ``kind`` of each provenance tag; any other tag (an int) is a
+#: join's junction.  -1 marks what cannot be packed: an entry without
+#: provenance, or a row of a flat store.
+_KIND_OF: dict[Any, int] = {EDGE: PROV_EDGE, ZERO: PROV_ZERO, ROW: -1, None: -1}
+
+
+def _describe(
+    entries: list[Entry], get: Callable[[int, int], int]
+) -> tuple[list[int], list[Any], list[Any], list[Any]] | None:
+    """The ``kind``, ``a``, ``b`` and ``c`` values of ``entries``, read
+    straight from their slots, or ``None`` when some entry cannot be
+    packed.  A join's child rows are ``get(id(child), -1)``."""
+    kind_of = _KIND_OF.get
+    kinds = [kind_of(entry[2], PROV_JOIN) for entry in entries]
+    if -1 in kinds:
+        return None
+    join, edge = PROV_JOIN, PROV_EDGE
+    a = [
+        entry[2] if kind == join else entry[3]
+        for entry, kind in zip(entries, kinds, strict=True)
+    ]
+    if None in a:  # an anonymous zero-length entry
+        a = [-1 if x is None else x for x in a]
+    b = [
+        get(id(entry[3]), -1) if kind == join
+        else entry[4] if kind == edge else 0
+        for entry, kind in zip(entries, kinds, strict=True)
+    ]
+    c = [
+        get(id(entry[4]), -1) if kind == join else 0
+        for entry, kind in zip(entries, kinds, strict=True)
+    ]
+    return kinds, a, b, c
 
 
 def _positions(values: list[int], target: int) -> Iterator[int]:

@@ -24,10 +24,11 @@ unmodified.
 Provenance is optional.  A store built with the four provenance columns
 (``pack_labels(..., provenance=True)``, or a file saved from an index
 built with ``store_paths=True``) expands any row into its vertex path
-with :meth:`FlatLabelStore.walk`, and materialised entries carry a
-``("row", store, i)`` provenance that :func:`~repro.skyline.entries.
-expand` follows, so every engine retrieves paths over it.  Without the
-columns, entries carry ``None`` provenance and path retrieval raises.
+with :meth:`FlatLabelStore.walk`, and materialised entries are
+``(w, c, ROW, store, i)``, a provenance that
+:func:`~repro.skyline.entries.expand` follows, so every engine retrieves
+paths over it.  Without the columns, entries carry ``None`` provenance
+and path retrieval raises.
 """
 
 from __future__ import annotations
@@ -221,8 +222,8 @@ class FlatLabelStore:
 
         Integral metrics come back as ints so answers compare exactly
         against object-graph indexes built from integer networks.  The
-        provenance is ``("row", self, i)`` when the store has provenance
-        columns, ``None`` otherwise.
+        entries are ``(w, c, ROW, self, i)`` when the store has provenance
+        columns, ``(w, c, None)`` otherwise.
         """
         weights, costs = self.weights, self.costs
         if self.provenance is None:
@@ -231,7 +232,7 @@ class FlatLabelStore:
                 for i in range(lo, hi)
             ]
         return [
-            (_restore(weights[i]), _restore(costs[i]), (ROW, self, i))
+            (_restore(weights[i]), _restore(costs[i]), ROW, self, i)
             for i in range(lo, hi)
         ]
 

@@ -47,6 +47,7 @@ SupervisedPool`.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
@@ -324,7 +325,16 @@ class Supervisor:
             ),
             daemon=True,
         )
-        process.start()
+        # Fork with the parent's objects frozen: the worker's collector
+        # then never walks them, so it neither copies the parent's pages
+        # nor collects (and finalizes) garbage the parent left behind,
+        # either of which can stall its first heartbeats.  The parent
+        # unfreezes at once, so its own garbage is still collected.
+        gc.freeze()
+        try:
+            process.start()
+        finally:
+            gc.unfreeze()
         state.process = process
         state.pid = process.pid
         state.pids.append(int(process.pid or 0))

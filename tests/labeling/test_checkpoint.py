@@ -18,12 +18,14 @@ from repro.labeling.builder import build_labels
 from repro.labeling.parallel import depth_levels
 from repro.observability.metrics import MetricsRegistry, use_registry
 from repro.resilience.checkpoint import (
+    CHECKPOINT_MAGIC,
     BuildBudget,
     CheckpointStore,
     build_labels_checkpointed,
     tree_fingerprint,
 )
 from repro.storage.compact import pack_labels
+from repro.storage.serialize import load_envelope, save_envelope
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,23 @@ def tree():
 @pytest.fixture(scope="module")
 def fresh_bytes(tree):
     return pack_labels(build_labels(tree))
+
+
+def nested(entry, memo=None):
+    """``entry`` in the layout that kept provenance in a second tuple:
+    ``(w, c, ("join", mid, left, right))``, ``(w, c, ("edge", u, v))``."""
+    memo = {} if memo is None else memo
+    if id(entry) not in memo:
+        tag = entry[2]
+        if tag is None:
+            prov = None
+        elif isinstance(tag, str):
+            prov = (tag, *entry[3:])
+        else:
+            prov = ("join", tag, nested(entry[3], memo),
+                    nested(entry[4], memo))
+        memo[id(entry)] = (entry[0], entry[1], prov)
+    return memo[id(entry)]
 
 
 def level_files(directory: str) -> list[str]:
@@ -120,6 +139,50 @@ class TestCheckpointedBuild:
         other_tree = build_tree_decomposition(grid_network(6, 6, seed=8))
         with pytest.raises(IndexBuildError, match="different network"):
             build_labels_checkpointed(other_tree, directory, resume=True)
+
+    def test_checkpoint_of_old_entry_layout_is_not_resumed(
+        self, tree, tmp_path
+    ):
+        # A directory as the nested-provenance layout left it: the same
+        # manifest and fingerprint, level files under the old magic
+        # holding ``(w, c, (tag, ...))`` entries.
+        directory = str(tmp_path)
+        build_labels_checkpointed(tree, directory)
+        manifest = CheckpointStore(directory).read_manifest()
+        assert manifest["fingerprint"] == tree_fingerprint(tree, True, None)
+        for level in range(len(depth_levels(tree))):
+            path = os.path.join(directory, f"level-{level:06d}.ckpt")
+            inner = load_envelope(path, CHECKPOINT_MAGIC)
+            rows = [
+                (v, [(u, [nested(e) for e in acc]) for u, acc in rows_v])
+                for v, rows_v in inner["rows"]
+            ]
+            save_envelope(
+                path, "repro-qhl-build-checkpoint",
+                {"level": level, "rows": rows},
+            )
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            resumed = build_labels_checkpointed(tree, directory, resume=True)
+        assert registry.counter(
+            "build_resume_levels_restored_total"
+        ).value == 0
+        assert registry.counter(
+            "build_checkpoint_levels_total"
+        ).value == len(depth_levels(tree))
+        clean = build_labels(tree)
+        assert pack_labels(resumed) == pack_labels(clean)
+        assert [c.tobytes() for c in pack_labels(
+            resumed, provenance=True).provenance] == [
+            c.tobytes() for c in pack_labels(clean, provenance=True)
+            .provenance
+        ]
+        assert all(
+            not isinstance(entry[2], tuple)
+            for _v, _u, entries in resumed.items()
+            for entry in entries
+        )
 
     def test_fingerprint_covers_build_params(self, tree):
         base = tree_fingerprint(tree, True, None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.concatenation import rejoin_with_mid
 from repro.exceptions import ReproError
 from repro.skyline import (
     edge_entry,
@@ -10,6 +11,7 @@ from repro.skyline import (
     path_of_pairs,
     zero_entry,
 )
+from repro.skyline.entries import EDGE, ROW, ZERO
 
 
 class TestConstruction:
@@ -35,7 +37,60 @@ class TestConstruction:
         assert join_entry(z, e, mid=0)[:2] == (3, 4)
 
 
+class TestLayout:
+    """Provenance sits inline in the entry tuple, one tuple per entry."""
+
+    def test_edge(self):
+        assert edge_entry(3, 4, 0, 1) == (3, 4, EDGE, 0, 1)
+        assert edge_entry(3, 4, 0, 1, with_prov=False) == (3, 4, None)
+
+    def test_zero(self):
+        assert zero_entry(5) == (0, 0, ZERO, 5)
+        assert zero_entry() == (0, 0, ZERO, None)
+        assert zero_entry(5, with_prov=False) == (0, 0, None)
+
+    def test_join_holds_its_children(self):
+        a = edge_entry(3, 4, 0, 1)
+        b = edge_entry(5, 6, 1, 2)
+        joined = join_entry(a, b, mid=1)
+        assert joined == (8, 10, 1, a, b)
+        assert joined[3] is a and joined[4] is b
+
+    def test_rejoin_with_mid_restamps_the_junction(self):
+        a = edge_entry(3, 4, 0, 1)
+        b = edge_entry(5, 6, 1, 2)
+        stamped = rejoin_with_mid(join_entry(a, b, mid=-1), 1)
+        assert stamped == (8, 10, 1, a, b)
+        assert stamped[3] is a and stamped[4] is b
+        bare = (8, 10, None)
+        assert rejoin_with_mid(bare, 1) is bare
+
+
+class _Rows:
+    """A stand-in flat store: row ``i`` walks to ``paths[i]``."""
+
+    paths = ([4, 7], [9, 8, 7])
+
+    def walk(self, i):
+        return list(self.paths[i])
+
+
 class TestExpansion:
+    def test_row(self):
+        assert expand((2, 2, ROW, _Rows(), 1), 7, 9) == [7, 8, 9]
+
+    def test_join_of_rows(self):
+        left = (1, 1, ROW, _Rows(), 0)
+        right = (2, 2, ROW, _Rows(), 1)
+        joined = join_entry(left, right, mid=7)
+        assert expand(joined, 4, 9) == [4, 7, 8, 9]
+        assert expand(joined, 9, 4) == [9, 8, 7, 4]
+
+    def test_join_with_anonymous_zero_child_raises(self):
+        joined = join_entry(edge_entry(1, 1, 0, 1), zero_entry(), mid=1)
+        with pytest.raises(ReproError, match="anonymous"):
+            expand(joined, 0, 1)
+
     def test_edge_forward(self):
         assert expand(edge_entry(1, 1, 4, 7), 4, 7) == [4, 7]
 
@@ -79,7 +134,7 @@ class TestExpansion:
             expand(edge_entry(1, 1, 0, 1), 0, 5)
 
     def test_anonymous_zero_cannot_expand(self):
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="anonymous"):
             expand(zero_entry(), 0, 0)
 
 

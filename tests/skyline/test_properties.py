@@ -20,7 +20,7 @@ from repro.skyline import (
     skyline_of,
 )
 
-from repro.skyline.entries import JOIN
+from repro.skyline.entries import EDGE
 from tests.skyline.oracles import join, merge
 
 pair = st.tuples(
@@ -185,7 +185,7 @@ def test_join_union_equals_merge_join_fold(raw_parts):
     def canonical(raw):
         # Provenance-less entries ride along wherever with_prov is False.
         made = [
-            (w, c, ("edge", len(leaves) + i, 0) if with_prov else None)
+            (w, c, EDGE, len(leaves) + i, 0) if with_prov else (w, c, None)
             for i, (w, c, with_prov) in enumerate(raw)
         ]
         sky = skyline_of(made)
@@ -205,9 +205,10 @@ def test_join_union_equals_merge_join_fold(raw_parts):
             assert g is w
             continue
         assert id(g) not in leaf_ids
-        gp, wp = g[2], w[2]
-        if wp is None:
-            assert gp is None
+        if w[2] is None:
+            assert g == (w[0], w[1], None)
         else:
-            assert gp[0] == wp[0] == JOIN and gp[1] == wp[1]
-            assert gp[2] is wp[2] and gp[3] is wp[3]
+            # Both are joins at the same junction over the same children.
+            assert len(g) == len(w) == 5
+            assert type(g[2]) is type(w[2]) is int and g[2] == w[2]
+            assert g[3] is w[3] and g[4] is w[4]

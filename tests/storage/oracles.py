@@ -13,7 +13,7 @@ from array import array
 from typing import Any
 
 from repro.labeling.labels import LabelStore
-from repro.skyline.entries import EDGE, JOIN, ZERO, Entry
+from repro.skyline.entries import EDGE, ZERO, Entry
 from repro.storage.compact import PROV_EDGE, PROV_JOIN, PROV_ZERO
 
 
@@ -40,37 +40,45 @@ def _pack_provenance(rows: list[Entry]) -> tuple[Any, ...] | None:
     appended to ``rows`` as a pool row and described in the next round.
     Returns ``None`` when some entry has no provenance.
     """
-    kind_of = {EDGE: PROV_EDGE, ZERO: PROV_ZERO, JOIN: PROV_JOIN}
+    kind_of = {EDGE: PROV_EDGE, ZERO: PROV_ZERO}
     edge, join = PROV_EDGE, PROV_JOIN
     row_of = dict(zip(map(id, rows), range(len(rows))))
     get = row_of.get
     columns = tuple(array("i") for _ in range(4))
     done = 0
     while done < len(rows):  # the label rows, then the pool rows
-        provs = [entry[2] for entry in rows[done:]]
+        batch = rows[done:]
         done = len(rows)
-        try:
-            kinds = [kind_of[prov[0]] for prov in provs]
-        except (TypeError, KeyError):  # no provenance, or a foreign tag
-            return None
-        a = [prov[1] for prov in provs]
+        kinds = []
+        for entry in batch:
+            tag = entry[2]
+            if type(tag) is int:  # a join at junction ``tag``
+                kinds.append(join)
+            elif tag in kind_of:
+                kinds.append(kind_of[tag])
+            else:  # no provenance, or a foreign tag
+                return None
+        a = [
+            entry[2] if kind == join else entry[3]
+            for entry, kind in zip(batch, kinds, strict=True)
+        ]
         if None in a:  # an anonymous zero-length entry
             a = [-1 if x is None else x for x in a]
         b = [
-            get(id(prov[2]), -1) if kind == join
-            else prov[2] if kind == edge else 0
-            for prov, kind in zip(provs, kinds, strict=True)
+            get(id(entry[3]), -1) if kind == join
+            else entry[4] if kind == edge else 0
+            for entry, kind in zip(batch, kinds, strict=True)
         ]
         c = [
-            get(id(prov[3]), -1) if kind == join else 0
-            for prov, kind in zip(provs, kinds, strict=True)
+            get(id(entry[4]), -1) if kind == join else 0
+            for entry, kind in zip(batch, kinds, strict=True)
         ]
-        for column, slot in ((b, 2), (c, 3)):
+        for column, slot in ((b, 3), (c, 4)):
             if -1 not in column:
                 continue
             for i, row in enumerate(column):
                 if row < 0:
-                    child = provs[i][slot]
+                    child = batch[i][slot]
                     row = get(id(child))
                     if row is None:
                         row = row_of[id(child)] = len(rows)

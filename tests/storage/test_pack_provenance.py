@@ -21,7 +21,7 @@ from repro.labeling import build_labels
 from repro.labeling.parallel import fork_available
 from repro.resilience.checkpoint import build_labels_checkpointed
 from repro.service import FaultInjector, use_injector
-from repro.skyline.entries import JOIN, zero_entry
+from repro.skyline.entries import zero_entry
 from repro.storage import pack_labels
 from tests.storage.oracles import label_rows, reference_provenance
 
@@ -121,18 +121,18 @@ class TestMatchesOracle:
             (v, u, i)
             for v, u, entries in store.items()
             for i, entry in enumerate(entries)
-            if entry[2][0] == JOIN
+            if type(entry[2]) is int  # a join at junction entry[2]
         ]
         (v1, u1, i1), (v2, u2, i2) = joins[0], joins[-1]
         # A label row that is itself an anonymous zero entry ...
         entries = list(store.label(v1)[u1])
-        w, c, _prov = entries[i1]
-        entries[i1] = (w, c, zero_entry()[2])
+        w, c = entries[i1][:2]
+        entries[i1] = (w, c, *zero_entry()[2:])
         store.set(v1, u1, entries)
         # ... and a join whose right child is one (a pool row).
         entries = list(store.label(v2)[u2])
-        w, c, (_tag, mid, left, _right) = entries[i2]
-        entries[i2] = (w, c, (JOIN, mid, left, zero_entry()))
+        w, c, mid, left, _right = entries[i2]
+        entries[i2] = (w, c, mid, left, zero_entry())
         store.set(v2, u2, entries)
         assert_matches_oracle(store)
         packed = pack_labels(store, provenance=True)
@@ -145,7 +145,7 @@ class TestMatchesOracle:
                                num_index_queries=10, seed=2)
         store = index.labels
         v, u, entries = next(iter(store.items()))
-        store.set(v, u, [(w, c, None) for w, c, _prov in entries])
+        store.set(v, u, [(e[0], e[1], None) for e in entries])
         assert pack_labels(store, provenance=True).provenance is None
         assert_matches_oracle(store)
 
