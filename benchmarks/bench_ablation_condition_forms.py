@@ -19,13 +19,12 @@ from repro.instrument import run_workload
 INF = float("inf")
 
 
-def s_only_subset(pruning: PruningConditionIndex) -> PruningConditionIndex:
+def s_only_subset(tree, pruning: PruningConditionIndex):
     """The §4.3 's-only' restriction: keep only C_ub = +inf bounds."""
-    restricted = PruningConditionIndex()
-    for (child, v_end), bounds in pruning._conditions.items():
-        infinite = {h: ub for h, ub in bounds.items() if ub == INF}
-        restricted.add(child, v_end, infinite)
-    return restricted
+    return PruningConditionIndex(tree.bag).freeze({
+        (child, v_end): {h: ub for h, ub in bounds.items() if ub == INF}
+        for child, v_end, bounds in pruning.items()
+    })
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
@@ -36,7 +35,8 @@ def test_ablation_condition_forms(benchmark, dataset):
 
     full_engine = index.qhl_engine()
     s_only_engine = QHLEngine(
-        index.tree, index.labels, index.lca, s_only_subset(index.pruning)
+        index.tree, index.labels, index.lca,
+        s_only_subset(index.tree, index.pruning),
     )
     s_only_engine.name = "QHL-sOnly"
 
@@ -51,7 +51,7 @@ def test_ablation_condition_forms(benchmark, dataset):
     total = index.pruning.num_bounds()
     finite = sum(
         1
-        for bounds in index.pruning._conditions.values()
+        for _child, _v_end, bounds in index.pruning.items()
         for ub in bounds.values()
         if ub != INF
     )

@@ -1,6 +1,6 @@
 """Memory-sharing smoke test: mmap-loaded flat index vs object graph.
 
-The point of the version-3 flat envelope is not just fast loading — it
+The point of the version-4 flat envelope is not just fast loading — it
 is that the label columns live in *file-backed, read-only pages*, so a
 fork-based worker pool shares one physical copy across the supervisor
 and every worker.  A pickled object graph cannot share: the first
@@ -12,7 +12,7 @@ Each scenario runs in its own subprocess (clean RSS baseline):
 * **object** — the object-graph index built in the scenario's own
   process (no saved format holds an object graph), then a supervised
   ``execute_batch`` with forked workers;
-* **flat** — ``load_flat_index`` (version-3 mmap), same batch through
+* **flat** — ``load_flat_index`` (version-4 mmap), same batch through
   the flat engine.
 
 The scenario reports its own peak RSS plus the largest worker peak
@@ -32,6 +32,13 @@ of the grid's tree decomposition plus labels built with
 their ratio is at most :data:`OBJECT_PATHS_RATIO`: provenance sits
 inline in each entry tuple, so paths cost a few slots per entry, not a
 second tuple per entry.
+
+A fifth scenario, **load**, measures the ``tracemalloc`` live bytes that
+``load_flat_index`` leaves behind for the grid file, per vertex.
+``--check`` asserts at most :data:`LOAD_LIVE_PER_VERTEX` bytes: the
+label and pruning-condition columns stay in the map, so what a load
+allocates is the network, the tree and the LCA index, not a Python
+object per condition.
 
 Runnable standalone (``python benchmarks/bench_flat_memory.py
 [--check]``); knobs: ``REPRO_BENCH_MEM_QUERIES`` (default 300) and
@@ -58,6 +65,9 @@ SAVE_PEAK_RATIO = 2.5
 #: Upper bound on object tree-plus-labels bytes with paths / without
 #: (``--check``).
 OBJECT_PATHS_RATIO = 1.3
+#: Upper bound on the live bytes a load leaves behind, per vertex
+#: (``--check``).
+LOAD_LIVE_PER_VERTEX = 2048
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_TXT = "flat_memory.txt"
@@ -179,6 +189,31 @@ def _objects_scenario() -> None:
     }))
 
 
+def _load_scenario(path: str) -> None:
+    """Child-process entry: the live bytes one load leaves behind."""
+    import gc
+    import tracemalloc
+
+    from repro.storage import load_flat_index
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = load_flat_index(path)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n = index.network.num_vertices
+    print(json.dumps({
+        "mode": "load",
+        "vertices": n,
+        "conditions": index.pruning.num_conditions,
+        "live_kb": live // 1024,
+        "b_per_vertex": round(live / n),
+    }))
+
+
 def _run_scenario(mode: str, path: str) -> dict:
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
@@ -205,6 +240,7 @@ def run_benchmark() -> dict:
         flat_run = _run_scenario("flat", flat_path)
         save_run = _run_scenario("save", os.path.join(tmpdir, "paths.qflat"))
         objects_run = _run_scenario("objects", "")
+        load_run = _run_scenario("load", flat_path)
 
     for run in (object_run, flat_run):
         assert run["answered"] == NUM_QUERIES, run
@@ -219,6 +255,7 @@ def run_benchmark() -> dict:
         "flat": flat_run,
         "save": save_run,
         "objects": objects_run,
+        "load": load_run,
         "total_savings_kb": (
             object_run["total_peak_kb"] - flat_run["total_peak_kb"]
         ),
@@ -244,6 +281,10 @@ def run_benchmark() -> dict:
             f"{objects_run['paths_b_per_entry']} vs "
             f"{objects_run['bare_b_per_entry']} B/entry over "
             f"{objects_run['entries']} entries)",
+            f"{'load':>8} leaves {load_run['live_kb']} KB live "
+            f"({load_run['b_per_vertex']} B/vertex over "
+            f"{load_run['vertices']} vertices, "
+            f"{load_run['conditions']} conditions mapped)",
         ],
     )
     return result
@@ -251,8 +292,9 @@ def run_benchmark() -> dict:
 
 def check(result: dict) -> None:
     """The CI gates: a mapped index must beat the object graph, a save
-    must not hold copies of the index, and paths must not cost object
-    labels a second tuple per entry."""
+    must not hold copies of the index, paths must not cost object
+    labels a second tuple per entry, and a load must not rebuild
+    per-condition objects."""
     assert (
         result["flat"]["total_peak_kb"] < result["object"]["total_peak_kb"]
     ), (
@@ -271,6 +313,11 @@ def check(result: dict) -> None:
         f"and {objects['bare_kb']} KB without (ratio {objects['ratio']} > "
         f"{OBJECT_PATHS_RATIO})"
     )
+    load = result["load"]
+    assert load["b_per_vertex"] <= LOAD_LIVE_PER_VERTEX, (
+        f"load_flat_index left {load['live_kb']} KB live "
+        f"({load['b_per_vertex']} B/vertex > {LOAD_LIVE_PER_VERTEX})"
+    )
 
 
 def test_flat_batch_rss_below_object_graph():
@@ -280,7 +327,8 @@ def test_flat_batch_rss_below_object_graph():
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument(
-        "--scenario", choices=("object", "flat", "save", "objects")
+        "--scenario",
+        choices=("object", "flat", "save", "objects", "load"),
     )
     parser.add_argument("--index")
     parser.add_argument("--check", action="store_true")
@@ -289,6 +337,8 @@ if __name__ == "__main__":
         _save_scenario(args.index)
     elif args.scenario == "objects":
         _objects_scenario()
+    elif args.scenario == "load":
+        _load_scenario(args.index)
     elif args.scenario:
         _scenario(args.scenario, args.index)
     else:

@@ -21,10 +21,11 @@ Example session::
     repro-qhl query --index ny.idx --source 0 --target 140 --budget 400 --trace
     repro-qhl stats --index ny.idx
 
-``build`` saves the one index format (version 3): label columns
-mapped into memory on load, plus provenance columns for ``query
---path`` unless ``--no-paths`` is given.  A pickled version-2 index
-from an older release is refused with a hint to rebuild it.
+``build`` saves the one index format (version 4): label and
+pruning-condition columns mapped into memory on load, plus provenance
+columns for ``query --path`` unless ``--no-paths`` is given.  A pickled
+version-2 index or a version-3 file from an older release is refused
+with a hint to rebuild it.
 
 ``build``, ``workload``, ``bench`` and ``query`` accept
 ``--metrics-out PATH`` to dump the run's metrics registry as JSON-lines

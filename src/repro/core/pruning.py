@@ -27,8 +27,11 @@ from __future__ import annotations
 
 import random
 import time
+from array import array
+from bisect import bisect_left
+from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.hierarchy.lca import LCAIndex
 from repro.hierarchy.tree import TreeDecomposition
@@ -39,6 +42,9 @@ from repro.skyline.entries import Entry
 from repro.types import CSPQuery
 
 INF = float("inf")
+
+#: The columns of a :class:`PruningConditionIndex`, in constructor order.
+COND_COLUMNS = ("cond_start", "cond_vend", "bound_start", "bounds")
 
 
 def compute_cub(
@@ -121,52 +127,147 @@ def compute_cub(
 
 
 class PruningConditionIndex:
-    """The store of pruning conditions, keyed by (separator, end vertex).
+    """The store of pruning conditions, as four CSR columns.
 
     A separator is identified by the child vertex ``c`` whose bag defines
-    it (``H = X(c)\\{c}``), so the key is ``(c, v_end)``.  Only non-zero
-    upper bounds are stored; a missing hoplink means ``C_ub = 0`` (never
-    pruned).
+    it (``H = X(c)\\{c}`` is ``bags[c]``, the only separator Algorithm 3
+    ever prunes), so a condition is keyed by ``(c, v_end)`` and is a
+    dense row of upper bounds aligned with ``bags[c]``.  A ``0.0`` slot
+    means ``C_ub = 0``: never pruned.  The columns:
+
+    * ``cond_start`` (int32, ``n + 1``): child ``c``'s conditions are
+      rows ``cond_start[c] : cond_start[c + 1]``;
+    * ``cond_vend`` (int32, one per condition): each row's ``v_end``,
+      strictly increasing within a child, so lookup is a binary search;
+    * ``bound_start`` (int32, rows ``+ 1``): row ``i``'s bounds are
+      ``bounds[bound_start[i] : bound_start[i + 1]]``;
+    * ``bounds`` (float64): the ``C_ub`` values, row by row.
+
+    ``bags`` is the tree's ``bag`` map, vertex to separator; ``columns``
+    are the four columns in :data:`COND_COLUMNS` order, and an index
+    without them holds no condition.  Built and repaired indexes hold
+    ``array`` columns (:meth:`freeze`); a loaded one holds
+    ``memoryview`` casts over the mapped file.
     """
 
-    def __init__(self) -> None:
-        self._conditions: dict[tuple[int, int], dict[int, float]] = {}
+    def __init__(
+        self,
+        bags: Mapping[int, Sequence[int]] | None = None,
+        columns: Sequence[Any] | None = None,
+    ) -> None:
+        self._bags = {} if bags is None else bags
+        self.cond_start, self.cond_vend, self.bound_start, self.bounds = (
+            self._columns_of({}) if columns is None else columns
+        )
+        if (
+            len(self.cond_start) != len(self._bags) + 1
+            or len(self.bound_start) != len(self.cond_vend) + 1
+            or self.cond_start[0] != 0
+            or self.cond_start[-1] != len(self.cond_vend)
+            or self.bound_start[0] != 0
+            or self.bound_start[-1] != len(self.bounds)
+        ):
+            raise ValueError(
+                "pruning condition columns do not fit together: "
+                f"{len(self.cond_start)} cond_start entries for "
+                f"{len(self._bags)} vertices, {len(self.cond_vend)} "
+                f"conditions, {len(self.bound_start)} bound_start "
+                f"entries, {len(self.bounds)} bounds"
+            )
         self.build_seconds = 0.0
         self.algorithm6_calls = 0
         self.cache_hits = 0
 
-    def add(
-        self, child: int, v_end: int, bounds: Mapping[int, float]
-    ) -> None:
-        """Record the condition for separator-of-``child`` and ``v_end``."""
-        self._conditions[(child, v_end)] = {
-            h: ub for h, ub in bounds.items() if ub > 0
+    def freeze(
+        self, conditions: Mapping[tuple[int, int], Mapping[int, float]]
+    ) -> "PruningConditionIndex":
+        """Replace the columns by ``conditions``, one row each; returns
+        ``self``.
+
+        ``conditions`` maps ``(child, v_end)`` to ``{h: C_ub}``; a
+        hoplink of ``bags[child]`` without a positive entry gets
+        ``0.0``, so ``budget >= ub`` keeps exactly what
+        ``bounds.get(h, 0)`` keeps.
+        """
+        self.cond_start, self.cond_vend, self.bound_start, self.bounds = (
+            self._columns_of(conditions)
+        )
+        return self
+
+    def _columns_of(
+        self, conditions: Mapping[tuple[int, int], Mapping[int, float]]
+    ) -> tuple[array, array, array, array]:
+        """The four columns of ``conditions``, one ``extend`` per row."""
+        bags = self._bags
+        counts = [0] * (len(bags) + 1)
+        cond_vend = array("i")
+        bound_start = array("i", [0])
+        bounds = array("d")
+        for child, v_end in sorted(conditions):
+            row = conditions[child, v_end]
+            counts[child + 1] += 1
+            cond_vend.append(v_end)
+            bounds.extend([
+                ub if ub > 0 else 0.0
+                for ub in (row.get(h, 0.0) for h in bags[child])
+            ])
+            bound_start.append(len(bounds))
+        return array("i", accumulate(counts)), cond_vend, bound_start, bounds
+
+    def _row(self, child: int, v_end: int) -> int:
+        """Row number of the ``(child, v_end)`` condition, or ``-1``."""
+        start = self.cond_start
+        if not 0 <= child < len(start) - 1:
+            return -1
+        hi = start[child + 1]
+        i = bisect_left(self.cond_vend, v_end, start[child], hi)
+        return i if i < hi and self.cond_vend[i] == v_end else -1
+
+    def _positive(self, child: int, row: int) -> dict[int, float]:
+        """Row ``row`` of ``child`` as ``{h: ub}``, positive bounds only."""
+        lo, hi = self.bound_start[row], self.bound_start[row + 1]
+        return {
+            h: ub
+            for h, ub in zip(self._bags[child], self.bounds[lo:hi].tolist())
+            if ub > 0
         }
 
     def lookup(self, child: int, v_end: int) -> dict[int, float] | None:
-        """The ``C_ub`` map, or ``None`` when no condition was built."""
-        return self._conditions.get((child, v_end))
+        """The positive ``C_ub`` bounds as ``{h: ub}``, or ``None`` when
+        no condition was built."""
+        row = self._row(child, v_end)
+        return None if row < 0 else self._positive(child, row)
 
     def has(self, child: int, v_end: int) -> bool:
         """Whether a condition exists for this combination."""
-        return (child, v_end) in self._conditions
+        return self._row(child, v_end) >= 0
+
+    def items(self) -> Iterator[tuple[int, int, dict[int, float]]]:
+        """Every condition as ``(child, v_end, {h: ub})``, positive
+        bounds only, by child then ``v_end``."""
+        start, cond_vend = self.cond_start, self.cond_vend
+        for child in range(len(start) - 1):
+            for row in range(start[child], start[child + 1]):
+                yield child, cond_vend[row], self._positive(child, row)
 
     @property
     def num_conditions(self) -> int:
         """Number of stored (separator, end-vertex) conditions."""
-        return len(self._conditions)
+        return len(self.cond_vend)
 
     def num_bounds(self) -> int:
-        """Total number of stored upper-bound values."""
-        return sum(len(bounds) for bounds in self._conditions.values())
+        """Number of positive upper-bound values."""
+        return sum(ub > 0 for ub in self.bounds.tolist())
 
     def size_bytes(self) -> int:
-        """Estimated size: 8 bytes per bound + 16 per condition header.
+        """Bytes of the four columns.
 
         This is the paper's "additional index space", shown to be within
         1% of the label size (Fig. 10b).
         """
-        return self.num_bounds() * 8 + self.num_conditions * 16
+        return sum(
+            memoryview(getattr(self, name)).nbytes for name in COND_COLUMNS
+        )
 
     def prune(
         self, child: int, v_end: int, separator: Sequence[int], budget: float
@@ -174,14 +275,75 @@ class PruningConditionIndex:
         """Apply a condition (Definition 9): keep ``h`` iff
         ``C >= C_ub[h]``.
 
-        Returns ``None`` when no condition matches ``(child, v_end)``.
+        ``separator`` is ``bags[child]``, the order the row is aligned
+        with.  Returns ``None`` when no condition matches
+        ``(child, v_end)``.
         """
-        bounds = self._conditions.get((child, v_end))
-        if bounds is None:
+        # The row search of _row, inlined: this runs for every end of
+        # every separator of every query.
+        start = self.cond_start
+        try:
+            lo, hi = start[child], start[child + 1]
+        except IndexError:
             return None
+        if lo == hi:
+            return None
+        cond_vend = self.cond_vend
+        i = bisect_left(cond_vend, v_end, lo, hi)
+        if i == hi or cond_vend[i] != v_end:
+            return None
+        rows = self.bound_start
         return tuple(
-            h for h in separator if budget >= bounds.get(h, 0)
+            h
+            for h, ub in zip(
+                separator, self.bounds[rows[i]:rows[i + 1]].tolist()
+            )
+            if budget >= ub
         )
+
+    def validate_structure(self) -> list[str]:
+        """Structural problems in the columns.
+
+        Checks what the constructor's end-point checks cannot: both
+        offset columns monotone, each ``v_end`` a vertex and strictly
+        increasing within its child, each row as long as its separator,
+        and no negative or NaN bound.
+        """
+        start, cond_vend, rows = (
+            self.cond_start, self.cond_vend, self.bound_start
+        )
+        n = len(start) - 1
+        problems = [
+            f"{name} not monotone at {i}: {column[i]} -> {column[i + 1]}"
+            for name, column in (("cond_start", start), ("bound_start", rows))
+            for i in range(len(column) - 1)
+            if column[i + 1] < column[i]
+        ]
+        if problems:
+            return problems  # rows cannot be told apart
+        for child in range(n):
+            width = len(self._bags[child])
+            previous = -1
+            for row in range(start[child], start[child + 1]):
+                v_end = cond_vend[row]
+                if not previous < v_end < n:
+                    problems.append(
+                        f"condition row {row} of child {child}: v_end "
+                        f"{v_end} out of range or not after {previous}"
+                    )
+                previous = v_end
+                if rows[row + 1] - rows[row] != width:
+                    problems.append(
+                        f"condition row {row} holds "
+                        f"{rows[row + 1] - rows[row]} bounds for the "
+                        f"{width}-hoplink separator of child {child}"
+                    )
+        problems += [
+            f"bound {i} is {ub} (negative or NaN)"
+            for i, ub in enumerate(self.bounds.tolist())
+            if not ub >= 0
+        ]
+        return problems
 
 
 def build_condition(
@@ -234,7 +396,8 @@ def build_pruning_index(
     """
     started = time.perf_counter()
     rng = random.Random(seed)
-    index = PruningConditionIndex()
+    index = PruningConditionIndex(tree.bag)
+    conditions: dict[tuple[int, int], dict[int, float]] = {}
     pair_cache: dict[tuple[int, int], tuple[int, float]] = {}
 
     for query in index_queries:
@@ -249,12 +412,11 @@ def build_pruning_index(
             if len(separator) < 2:
                 continue  # a single hoplink can never be pruned
             for v_end in (s, t):
-                if index.has(child, v_end):
-                    continue
-                bounds = build_condition(
-                    labels, separator, v_end, rng, index, pair_cache
-                )
-                index.add(child, v_end, bounds)
+                if (child, v_end) not in conditions:
+                    conditions[child, v_end] = build_condition(
+                        labels, separator, v_end, rng, index, pair_cache
+                    )
 
+    index.freeze(conditions)
     index.build_seconds = time.perf_counter() - started
     return index

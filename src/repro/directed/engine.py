@@ -240,8 +240,10 @@ def build_directed_pruning(
     """§4.2 driven by a workload, one condition store per role."""
     started = time.perf_counter()
     rng = random.Random(seed)
-    source_index = PruningConditionIndex()
-    target_index = PruningConditionIndex()
+    source_index = PruningConditionIndex(tree.bag)
+    target_index = PruningConditionIndex(tree.bag)
+    source_conditions: dict[tuple[int, int], dict[int, float]] = {}
+    target_conditions: dict[tuple[int, int], dict[int, float]] = {}
     pair_cache: dict = {}
 
     for query in index_queries:
@@ -255,22 +257,18 @@ def build_directed_pruning(
         for child, separator in ((c_s, h_s), (c_t, h_t)):
             if len(separator) < 2:
                 continue
-            if not source_index.has(child, s):
-                source_index.add(
-                    child, s,
-                    _build_condition_directed(
-                        labels, separator, s, "source", rng,
-                        source_index, pair_cache,
-                    ),
+            if (child, s) not in source_conditions:
+                source_conditions[child, s] = _build_condition_directed(
+                    labels, separator, s, "source", rng,
+                    source_index, pair_cache,
                 )
-            if not target_index.has(child, t):
-                target_index.add(
-                    child, t,
-                    _build_condition_directed(
-                        labels, separator, t, "target", rng,
-                        target_index, pair_cache,
-                    ),
+            if (child, t) not in target_conditions:
+                target_conditions[child, t] = _build_condition_directed(
+                    labels, separator, t, "target", rng,
+                    target_index, pair_cache,
                 )
+    source_index.freeze(source_conditions)
+    target_index.freeze(target_conditions)
     elapsed = time.perf_counter() - started
     source_index.build_seconds = elapsed
     target_index.build_seconds = elapsed

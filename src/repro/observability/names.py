@@ -64,7 +64,7 @@ METRICS: dict[str, MetricSpec] = {
     "qhl_index_max_skyline_set": MetricSpec(
         "gauge", (), "largest skyline set in the labels"),
     "qhl_index_pruning_bytes": MetricSpec(
-        "gauge", (), "pruning condition index size"),
+        "gauge", (), "bytes of the four pruning condition columns"),
     "qhl_index_pruning_conditions": MetricSpec(
         "gauge", (), "stored pruning conditions"),
     "qhl_label_vertex_seconds": MetricSpec(

@@ -125,7 +125,8 @@ def audit_index(
     Runs six named checks — seven over flat labels, which add the
     ``flat-columns`` check: offset-table monotonicity and per-vertex
     hub sortedness (the invariants behind the flat engine's binary
-    searches), and, when the columns carry provenance, in-range kinds
+    searches), the pruning-condition columns' offsets, rows and bounds,
+    and, when the columns carry provenance, in-range kinds
     and child rows, edge rows that name network edges, and seeded
     sampled rows whose expanded path is a walk between the row's two
     vertices with the row's ``(weight, cost)``:
@@ -244,15 +245,24 @@ def _check_flat_columns(index, seed: int) -> AuditCheck:
     :func:`_check_provenance`).  Cost-sortedness and dominance-freeness
     of the entry columns are covered by ``label-order`` /
     ``label-dominance``, which iterate the store's ``items()`` like any
-    object store.
+    object store.  The pruning-condition columns are checked too
+    (:meth:`~repro.core.pruning.PruningConditionIndex.
+    validate_structure`): ``cond_start`` monotone from 0 to the
+    condition count, each ``v_end`` in range and strictly increasing
+    within its child, each row as long as its separator, and no
+    negative or NaN bound.
     """
     check = AuditCheck("flat-columns")
     started = time.perf_counter()
-    labels = index.labels
-    check.checked = labels.num_sets() + labels.num_vertices
+    labels, pruning = index.labels, index.pruning
+    check.checked = (
+        labels.num_sets() + labels.num_vertices + pruning.num_conditions
+    )
     try:
         for problem in labels.validate_structure():
             check.add(problem)
+        for problem in pruning.validate_structure():
+            check.add(f"pruning conditions: {problem}")
         if labels.provenance is not None and check.ok:
             _check_provenance(index, check, seed)
     except Exception as exc:  # lint: allow=QHL002 corrupt offset tables can raise anywhere; the audit's job is to report, not to crash

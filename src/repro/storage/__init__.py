@@ -1,6 +1,7 @@
-"""Index persistence: one saved format, the version-3 flat file whose
-label (and optional provenance) columns mmap in with zero copies, plus
-the checksummed pickle envelope behind checkpoints and the journal."""
+"""Index persistence: one saved format, the version-4 flat file whose
+label, pruning-condition (and optional provenance) columns mmap in with
+zero copies, plus the checksummed pickle envelope behind checkpoints
+and the journal."""
 
 from repro.storage.compact import CompactLabels, pack_labels
 from repro.storage.flat import FlatLabelStore

@@ -4,7 +4,7 @@ Packs a :class:`~repro.labeling.labels.LabelStore` into five flat
 arrays — numeric payloads in ``array('d')``, topology in ``array('q')``
 — a schema'd plain-data form with no Python object graph.  This is the
 column layout of the flat label store
-(:class:`~repro.storage.flat.FlatLabelStore`) and of the version-3
+(:class:`~repro.storage.flat.FlatLabelStore`) and of the version-4
 index file (:mod:`repro.storage.flatfile`), which writes the arrays
 verbatim.
 

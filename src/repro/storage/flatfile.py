@@ -1,12 +1,13 @@
-"""Format version 3, the one saved-index format, with zero-copy mmap load.
+"""Format version 4, the one saved-index format, with zero-copy mmap load.
 
-The file stores the ``pack_labels`` columns *verbatim* as raw
-little-endian bytes behind a fixed binary header, so loading is::
+The file stores the ``pack_labels`` columns and the pruning-condition
+columns *verbatim* as raw little-endian bytes behind a fixed binary
+header, so loading is::
 
     header parse -> SHA-256 verify -> mmap -> memoryview casts
 
-Near-zero startup (no per-entry work) and, because the entry columns are
-read through an ``mmap``, the kernel shares their physical pages across
+Near-zero startup (no per-entry work) and, because the columns are read
+through an ``mmap``, the kernel shares their physical pages across
 fork-based worker pools — object-graph indexes cannot share pages
 because refcount writes copy them.
 
@@ -18,20 +19,29 @@ Paths are then expanded from the mapped columns.  An index built with
 shortcuts are never stored: queries and path expansion do not need
 them.
 
+Every index writes the four columns of its
+:class:`~repro.core.pruning.PruningConditionIndex` (the paper's
+additional index, §4.2): a loaded index prunes straight from the map
+and creates no Python object per condition.
+
 File layout (all integers little-endian)::
 
-    [0:80)    header: magic "RQHLFLT1", version=3, flags,
+    [0:80)    header: magic "RQHLFLT1", version=4, flags,
               meta_offset, meta_length, data_offset, data_length,
               sha256(meta bytes + data bytes)
     [meta)    pickled metadata dict: graph edges, elimination order,
-              bags, pruning conditions, build timings, and one
-              (name, typecode, count, offset) descriptor per column
+              bags, build timings, and one (name, typecode, count,
+              offset) descriptor per column
     [data)    the raw column byte-strings back to back: the five
-              8-byte columns, then the 4-byte provenance columns
+              8-byte label columns, the float64 condition ``bounds``,
+              the 4-byte provenance columns, then the int32
+              ``cond_start``, ``cond_vend`` and ``bound_start``
 
-:func:`repro.storage.serialize.load_index` reads the magic first: the
-version-2 pickled envelope of older releases has none and is refused
-with a hint to rebuild.
+Every column starts aligned to its item size: the 8-byte ones come
+first.  :func:`repro.storage.serialize.load_index` reads the magic
+first: the version-2 pickled envelope of older releases has none and is
+refused with a hint to rebuild; so is a version-3 file, whose
+conditions sat in the pickled metadata.
 
 Truncation, bit flips (header, metadata, or columns), version or
 endianness mismatches all raise :class:`SerializationError`; writes go
@@ -51,6 +61,7 @@ import struct
 import sys
 from typing import TYPE_CHECKING, Any
 
+from repro.core.pruning import COND_COLUMNS, PruningConditionIndex
 from repro.exceptions import SerializationError
 from repro.storage.compact import PROV_COLUMNS, pack_labels
 from repro.storage.flat import FlatLabelStore
@@ -60,7 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import QHLIndex
 
 FLAT_MAGIC = b"RQHLFLT1"
-FLAT_FORMAT_VERSION = 3
+FLAT_FORMAT_VERSION = 4
 
 #: Header flag bit: the column bytes are little-endian.  Arrays are
 #: written in native byte order (that is what makes the load zero-copy),
@@ -72,8 +83,8 @@ _FLAG_LITTLE_ENDIAN = 1
 #: data_length, sha256 digest.
 _HEADER = struct.Struct("<8sII4Q32s")
 
-#: Column serialisation order.  The 8-byte columns come first, so every
-#: column starts aligned to its item size for the memoryview casts.
+#: The label columns, serialised first: they are the 8-byte ones, so
+#: every column starts aligned to its item size for the memoryview casts.
 _COLUMNS = (
     ("set_offsets", "q"),
     ("hubs", "q"),
@@ -87,15 +98,16 @@ _ITEMSIZE = {"q": 8, "d": 8, "i": 4}
 
 
 def save_flat_index(index: "QHLIndex", path: str) -> int:
-    """Write ``index`` in the flat (version 3) format; returns file size.
+    """Write ``index`` in the flat (version 4) format; returns file size.
 
     Object labels are packed, with provenance when they were built
     with ``store_paths=True``; flat labels, mapped or not, are written
-    from their own columns, preserving byte identity across save/load
-    cycles.  The columns are hashed and written as ``memoryview``s of
-    those arrays, so the save holds no second copy of the index: its
-    extra memory is the packer's, one root-to-leaf label chain, plus
-    the metadata.  Elimination shortcuts are not stored.
+    from their own columns, and so are the pruning conditions,
+    preserving byte identity across save/load cycles.  The columns are
+    hashed and written as ``memoryview``s of those arrays, so the save
+    holds no second copy of the index: its extra memory is the
+    packer's, one root-to-leaf label chain, plus the metadata.
+    Elimination shortcuts are not stored.
     """
     labels = index.labels
     packed = (
@@ -107,11 +119,17 @@ def save_flat_index(index: "QHLIndex", path: str) -> int:
         (name, typecode, getattr(packed, name))
         for name, typecode in _COLUMNS
     ]
+    pruning = index.pruning
+    columns.append(("bounds", "d", pruning.bounds))
     if packed.provenance is not None:
         columns += [
             (name, "i", column)
             for name, column in zip(PROV_COLUMNS, packed.provenance)
         ]
+    columns += [
+        (name, "i", getattr(pruning, name))
+        for name in ("cond_start", "cond_vend", "bound_start")
+    ]
     descriptors: list[tuple[str, str, int, int]] = []
     chunks: list[memoryview] = []
     offset = 0
@@ -133,7 +151,6 @@ def save_flat_index(index: "QHLIndex", path: str) -> int:
             "tree_build_seconds": tree.build_seconds,
             "columns": descriptors,
             "label_build_seconds": labels.build_seconds,
-            "conditions": dict(index.pruning._conditions),
             "pruning_build_seconds": index.pruning.build_seconds,
         },
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -164,7 +181,8 @@ def load_flat_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
     """Load a flat index written by :func:`save_flat_index`.
 
     Returns a :class:`~repro.core.engine.QHLIndex` over a
-    :class:`~repro.storage.flat.FlatLabelStore` whose columns are
+    :class:`~repro.storage.flat.FlatLabelStore` and a
+    :class:`~repro.core.pruning.PruningConditionIndex` whose columns are
     ``memoryview`` casts straight over the mapped file — no copy, and
     the pages are shared with forked children.  Its default engine is
     the flat one (:class:`~repro.core.flat.FlatQHLEngine`), which
@@ -177,7 +195,6 @@ def load_flat_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
         version/endianness mismatches, or checksum failures.
     """
     from repro.core.engine import QHLIndex
-    from repro.core.pruning import PruningConditionIndex
     from repro.graph.network import RoadNetwork
     from repro.hierarchy.lca import LCAIndex
     from repro.hierarchy.tree import TreeDecomposition
@@ -193,7 +210,8 @@ def load_flat_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
     if version != FLAT_FORMAT_VERSION:
         raise SerializationError(
             f"unsupported flat index format version {version} "
-            f"(this build reads version {FLAT_FORMAT_VERSION})"
+            f"(this build reads version {FLAT_FORMAT_VERSION}); "
+            "rebuild it with `repro-qhl build`"
         )
     little = bool(flags & _FLAG_LITTLE_ENDIAN)
     if little != (sys.byteorder == "little"):
@@ -270,15 +288,15 @@ def load_flat_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
             # Files written before the tree timing was recorded lack it.
             build_seconds=meta.get("tree_build_seconds", 0.0),
         )
-        pruning = PruningConditionIndex()
-        for (child, v_end), bounds in meta["conditions"].items():
-            pruning.add(child, v_end, bounds)
+        pruning = PruningConditionIndex(
+            tree.bag, [columns[name] for name in COND_COLUMNS]
+        )
         pruning.build_seconds = meta["pruning_build_seconds"]
     except SerializationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(
-            f"{path!r} flat payload is incomplete: {exc}"
+            f"{path!r} flat payload is incomplete or inconsistent: {exc}"
         ) from exc
     return QHLIndex(network, tree, labels, LCAIndex(tree), pruning)
 

@@ -1,14 +1,15 @@
 """Index persistence: the crash-safe write, the pickled envelope, and
 the index loaders.
 
-There is one saved-index format: version 3
-(:mod:`repro.storage.flatfile`), raw label columns behind a binary
-header that starts with ``RQHLFLT1``, mapped into memory on load.
-:func:`save_index` writes it, with provenance columns when the index
-was built with ``store_paths=True``.  :func:`load_index` reads the
-first 8 bytes; a file without the magic — such as a version-2 pickled
-index from an older release — is refused with a hint to rebuild it
-with ``repro-qhl build``.
+There is one saved-index format: version 4
+(:mod:`repro.storage.flatfile`), raw label and pruning-condition
+columns behind a binary header that starts with ``RQHLFLT1``, mapped
+into memory on load.  :func:`save_index` writes it, with provenance
+columns when the index was built with ``store_paths=True``.
+:func:`load_index` reads the first 8 bytes; a file without the magic —
+such as a version-2 pickled index from an older release — is refused
+with a hint to rebuild it with ``repro-qhl build``, and so is a flat
+file of another version, such as version 3.
 
 The checksummed pickle envelope (:func:`save_envelope` /
 :func:`load_envelope`) remains for the build checkpoints and the update
@@ -221,7 +222,7 @@ def load_envelope(
 
 
 def save_index(index: "QHLIndex", path: str) -> int:
-    """Save ``index`` in the flat (version 3) format; returns the file
+    """Save ``index`` in the flat (version 4) format; returns the file
     size in bytes.
 
     The one index writer, :func:`repro.storage.flatfile.save_flat_index`:

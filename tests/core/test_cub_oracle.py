@@ -203,8 +203,8 @@ def test_float_sum_is_not_its_rounded_twin():
 def _snapshot(index):
     return (
         [
-            (key, list(bounds.items()))
-            for key, bounds in index._conditions.items()
+            (child, v_end, list(bounds.items()))
+            for child, v_end, bounds in index.items()
         ],
         index.algorithm6_calls,
         index.cache_hits,

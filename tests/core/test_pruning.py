@@ -81,35 +81,75 @@ class TestComputeCub:
         assert compute_cub(p_prime, p_vu, p_uh) == INF
 
 
+def frozen(bags, conditions):
+    """An index over ``bags`` ({child: separator}, children 0..n-1)."""
+    return PruningConditionIndex(bags).freeze(conditions)
+
+
 class TestConditionIndex:
     def test_add_and_lookup(self):
-        index = PruningConditionIndex()
-        index.add(3, 7, {1: 14.0, 2: 0})
+        index = frozen(
+            {0: (), 1: (), 2: (), 3: (1, 2)}, {(3, 7): {1: 14.0, 2: 0}}
+        )
         assert index.lookup(3, 7) == {1: 14.0}  # zero bounds dropped
         assert index.lookup(3, 8) is None
 
     def test_prune_keeps_when_budget_reaches_bound(self):
-        index = PruningConditionIndex()
-        index.add(3, 7, {1: 14.0})
+        index = frozen({0: (), 1: (), 2: (), 3: (1, 2)}, {(3, 7): {1: 14.0}})
         assert index.prune(3, 7, (1, 2), budget=14) == (1, 2)
         assert index.prune(3, 7, (1, 2), budget=13.9) == (2,)
 
     def test_prune_without_condition_returns_none(self):
         index = PruningConditionIndex()
         assert index.prune(0, 0, (1, 2), budget=5) is None
+        index = frozen({0: (1, 2), 1: (1, 2)}, {(0, 1): {1: 5.0}})
+        assert index.prune(0, 0, (1, 2), budget=5) is None
+        assert index.prune(1, 1, (1, 2), budget=5) is None
 
     def test_infinite_bound_always_prunes(self):
-        index = PruningConditionIndex()
-        index.add(0, 0, {1: INF})
+        index = frozen({0: (1, 2)}, {(0, 0): {1: INF}})
         assert index.prune(0, 0, (1, 2), budget=1e12) == (2,)
 
     def test_size_accounting(self):
-        index = PruningConditionIndex()
-        index.add(0, 0, {1: 5.0, 2: 6.0})
-        index.add(0, 1, {1: 5.0})
+        index = frozen(
+            {0: (1, 2), 1: ()}, {(0, 0): {1: 5.0, 2: 6.0}, (0, 1): {1: 5.0}}
+        )
         assert index.num_conditions == 2
         assert index.num_bounds() == 3
-        assert index.size_bytes() == 3 * 8 + 2 * 16
+        # cond_start 3, cond_vend 2, bound_start 3 int32; bounds 4 float64.
+        assert index.size_bytes() == (3 + 2 + 3) * 4 + 4 * 8
+
+    def test_columns_are_csr_by_child_then_v_end(self):
+        bags = {v: () for v in range(10)}
+        bags.update({0: (5, 6), 2: (4, 5, 6)})
+        index = frozen(
+            bags, {(2, 9): {6: 1.0}, (0, 3): {5: 2.0}, (2, 1): {4: 3.0}}
+        )
+        assert list(index.cond_start) == [0, 1, 1] + [3] * 8
+        assert list(index.cond_vend) == [3, 1, 9]
+        assert list(index.bound_start) == [0, 2, 5, 8]
+        assert list(index.bounds) == [2.0, 0, 3.0, 0, 0, 0, 0, 1.0]
+        assert list(index.items()) == [
+            (0, 3, {5: 2.0}), (2, 1, {4: 3.0}), (2, 9, {6: 1.0}),
+        ]
+        assert index.validate_structure() == []
+
+    def test_validate_structure_names_broken_columns(self):
+        index = frozen({0: (5, 6), 1: (4, 5)}, {(0, 1): {5: 2.0}})
+        index.bounds[1] = float("nan")
+        index.cond_vend[0] = 7
+        problems = index.validate_structure()
+        assert any("v_end 7" in p for p in problems), problems
+        assert any("NaN" in p for p in problems), problems
+
+    def test_mismatched_columns_are_refused(self):
+        index = frozen({0: (5, 6)}, {(0, 1): {5: 2.0}})
+        with pytest.raises(ValueError, match="do not fit"):
+            PruningConditionIndex(
+                {0: (5, 6), 1: ()},
+                (index.cond_start, index.cond_vend,
+                 index.bound_start, index.bounds),
+            )
 
 
 class TestBuildCondition:
@@ -230,6 +270,7 @@ class TestTheorem1Safety:
                 stack.extend(tree.children[x])
             return out
 
+        conditions = {}
         for child in range(13):
             separator = tree.bag[child]
             if len(separator) < 2:
@@ -237,10 +278,11 @@ class TestTheorem1Safety:
             # Valid end vertices live in the child's subtree (their
             # labels then cover every hoplink of the separator).
             for v_end in subtree(child):
-                bounds = build_condition(
+                conditions[child, v_end] = build_condition(
                     labels, separator, v_end, rng, index, {}
                 )
-                index.add(child, v_end, bounds)
-                for budget in (0, 1, 5, 10, 20, 100):
-                    pruned = index.prune(child, v_end, separator, budget)
-                    assert pruned, (child, v_end, budget)
+        index = PruningConditionIndex(tree.bag).freeze(conditions)
+        for child, v_end in conditions:
+            for budget in (0, 1, 5, 10, 20, 100):
+                pruned = index.prune(child, v_end, tree.bag[child], budget)
+                assert pruned, (child, v_end, budget)

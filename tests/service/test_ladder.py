@@ -77,7 +77,7 @@ class TestLadderConstruction:
 
 
 class TestFlatIndexFile:
-    """A version-3 file serves the full ladder, QHL-flat first."""
+    """A version-4 file serves the full ladder, QHL-flat first."""
 
     @pytest.fixture
     def flat_service(self, service_index, tmp_path):

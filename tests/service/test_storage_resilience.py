@@ -1,7 +1,7 @@
 """Crash-safe writes, the corruption matrix, header dispatch, and load
 retries.
 
-There is one saved format (version 3), in two flavours: ``full``, saved
+There is one saved format (version 4), in two flavours: ``full``, saved
 from an index built with ``store_paths=True``, adds the provenance
 columns to the ``flat`` file's ``(weight, cost)`` columns.  Both load
 through :func:`~repro.storage.load_index`, which refuses a file without
@@ -330,6 +330,19 @@ class TestChecksumAndVersions:
              "index": service_index},
         )
         with pytest.raises(SerializationError, match="repro-qhl build"):
+            load_index(path)
+
+    def test_version_3_file_is_rejected(self, saved, tmp_path):
+        # Version 3 pickled the pruning conditions into its metadata;
+        # no reader for it is kept.
+        data = bytearray(open(saved["flat"], "rb").read())
+        struct.pack_into("<I", data, 8, 3)
+        path = str(tmp_path / "v3.idx")
+        with open(path, "wb") as f:
+            f.write(bytes(data))
+        with pytest.raises(
+            SerializationError, match="version 3.*repro-qhl build"
+        ):
             load_index(path)
 
 

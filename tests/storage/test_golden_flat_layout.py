@@ -3,7 +3,7 @@
 ``tests/golden/paper_example_flat.json`` freezes the exact packed
 representation of the Figure 1 index — offset tables, hub lists, the
 cost-sorted weight/cost columns, and the sha256 of each column's raw
-bytes as written into the version-3 envelope.  Any drift in packing
+bytes as written into the version-4 envelope.  Any drift in packing
 (set ordering, offset arithmetic, the float↔int restore convention) or
 in the labels themselves shows up as a readable JSON diff instead of a
 silent format break, complementing ``tests/golden/paper_example.json``
@@ -54,7 +54,7 @@ def test_entry_columns_match_pin(compact, golden):
 
 
 def test_column_bytes_match_pinned_digests(compact, golden):
-    """The exact bytes the version-3 envelope serialises, per column."""
+    """The exact bytes the version-4 envelope serialises, per column."""
     for name in COLUMNS:
         digest = hashlib.sha256(getattr(compact, name).tobytes())
         assert digest.hexdigest() == golden["column_sha256"][name], (

@@ -1,11 +1,11 @@
-"""The flat (version 3) envelope: byte identity, corruption, fork sharing.
+"""The flat (version 4) envelope: byte identity, corruption, fork sharing.
 
 The contract under test, from strongest to weakest:
 
 1. **Byte identity** — pack → save → mmap-load reproduces the exact
-   ``pack_labels`` bytes, column for column, provenance columns
-   included.  The flat store *is* the serialized form; nothing is
-   transformed on load.
+   ``pack_labels`` bytes, column for column, provenance and
+   pruning-condition columns included.  The flat store *is* the
+   serialized form; nothing is transformed on load.
 2. **Corruption honesty** — truncations and bit flips anywhere (header,
    metadata, every column) raise the checksum/structure
    :class:`SerializationError` instead of returning garbage answers.
@@ -16,16 +16,20 @@ The contract under test, from strongest to weakest:
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import pickle
+import struct
 
 import pytest
 
 from repro.core import QHLIndex
 from repro.core.flat import FlatQHLEngine
+from repro.core.pruning import COND_COLUMNS
 from repro.exceptions import SerializationError
 from repro.graph import random_connected_network
+from repro.resilience.audit import audit_index
 from repro.storage import (
     load_flat_index,
     pack_labels,
@@ -35,6 +39,7 @@ from repro.storage.compact import PROV_COLUMNS
 from repro.storage.flatfile import _HEADER
 
 COLUMNS = ("set_offsets", "hubs", "entry_offsets", "weights", "costs")
+ALL_COLUMNS = COLUMNS + PROV_COLUMNS + COND_COLUMNS
 
 
 def _column_bounds(path, name):
@@ -50,6 +55,19 @@ def _column_bounds(path, name):
             start = data_offset + offset
             return start, start + count * width
     raise AssertionError(f"{path} has no column {name!r}")
+
+
+def _rehash(data: bytearray) -> bytes:
+    """``data`` with its header digest recomputed, so a deliberate edit
+    passes the checksum and only structural checks can catch it."""
+    header = list(_HEADER.unpack_from(data, 0))
+    meta_offset, meta_length, data_offset, data_length = header[3:7]
+    digest = hashlib.sha256()
+    digest.update(data[meta_offset:meta_offset + meta_length])
+    digest.update(data[data_offset:data_offset + data_length])
+    header[7] = digest.digest()
+    data[:_HEADER.size] = _HEADER.pack(*header)
+    return bytes(data)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +104,25 @@ class TestByteIdentity:
             assert got.tobytes() == want.tobytes(), (
                 f"column {name} drifted through the mmap round-trip"
             )
+
+    def test_condition_columns_round_trip(self, saved):
+        index, path = saved
+        loaded = load_flat_index(path).pruning
+        assert index.pruning.num_conditions > 0
+        for name in COND_COLUMNS:
+            assert isinstance(getattr(loaded, name), memoryview)
+            assert (
+                getattr(loaded, name).tobytes()
+                == getattr(index.pruning, name).tobytes()
+            ), f"column {name} drifted through the mmap round-trip"
+
+    def test_metadata_holds_no_conditions(self, saved):
+        _index, path = saved
+        with open(path, "rb") as f:
+            data = f.read()
+        meta_offset, meta_length = _HEADER.unpack_from(data, 0)[3:5]
+        meta = pickle.loads(data[meta_offset:meta_offset + meta_length])
+        assert "conditions" not in meta
 
     def test_resave_of_loaded_index_is_byte_identical(self, saved, tmp_path):
         _index, path = saved
@@ -173,7 +210,7 @@ class TestCorruption:
         with pytest.raises(SerializationError, match="checksum"):
             load_flat_index(path)
 
-    @pytest.mark.parametrize("column", COLUMNS + PROV_COLUMNS)
+    @pytest.mark.parametrize("column", ALL_COLUMNS)
     def test_bit_flip_in_every_column_fails_checksum(self, saved, column):
         _index, path = saved
         start, end = _column_bounds(path, column)
@@ -184,7 +221,7 @@ class TestCorruption:
         with pytest.raises(SerializationError, match="checksum"):
             load_flat_index(path)
 
-    @pytest.mark.parametrize("column", COLUMNS + PROV_COLUMNS)
+    @pytest.mark.parametrize("column", ALL_COLUMNS)
     def test_truncation_in_every_column_is_refused(self, saved, column):
         _index, path = saved
         start, end = _column_bounds(path, column)
@@ -193,6 +230,37 @@ class TestCorruption:
             f.write(data[: (start + end) // 2])
         with pytest.raises(SerializationError, match="truncated|corrupt"):
             load_flat_index(path)
+
+    def test_rehashed_cond_start_end_is_refused_on_load(self, saved):
+        _index, path = saved
+        start, end = _column_bounds(path, "cond_start")
+        data = bytearray(open(path, "rb").read())
+        last = struct.unpack_from("<i", data, end - 4)[0]
+        struct.pack_into("<i", data, end - 4, last + 1)
+        with open(path, "wb") as f:
+            f.write(_rehash(data))
+        with pytest.raises(SerializationError, match="do not fit"):
+            load_flat_index(path)
+
+    def test_rehashed_non_monotone_cond_start_fails_the_audit(self, saved):
+        _index, path = saved
+        start, end = _column_bounds(path, "cond_start")
+        data = bytearray(open(path, "rb").read())
+        values = struct.unpack_from(f"<{(end - start) // 4}i", data, start)
+        # Raise one interior offset above its successor: the ends still
+        # fit, so only the audit's monotonicity check can tell.
+        k = next(i for i in range(1, len(values) - 1) if values[i + 1])
+        struct.pack_into("<i", data, start + 4 * k, values[k + 1] + 1)
+        with open(path, "wb") as f:
+            f.write(_rehash(data))
+        loaded = load_flat_index(path)
+        report = audit_index(loaded, queries=0)
+        assert "flat-columns" in report.failed_checks()
+        problems = next(
+            check.problems for check in report.checks
+            if check.name == "flat-columns"
+        )
+        assert any("cond_start not monotone" in p for p in problems)
 
     def test_bit_flip_in_stored_digest_fails_checksum(self, saved):
         _index, path = saved

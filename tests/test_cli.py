@@ -237,7 +237,7 @@ class TestBuildOptions:
 
 @pytest.fixture(scope="module")
 def flat_file(workspace, tmp_path_factory):
-    """``build --no-paths`` output: a version-3 flat file."""
+    """``build --no-paths`` output: a version-4 flat file."""
     net, _idx = workspace
     path = str(tmp_path_factory.mktemp("cli-flat") / "ny.idx")
     assert main([
@@ -248,7 +248,7 @@ def flat_file(workspace, tmp_path_factory):
 
 
 class TestFlatFile:
-    """Every index-reading command takes a v3 file with no format flag."""
+    """Every index-reading command takes a v4 file with no format flag."""
 
     def test_no_paths_writes_the_flat_header(self, flat_file):
         from repro.storage.flatfile import FLAT_MAGIC
