@@ -2,10 +2,9 @@
 
 Supports the paper's framing (§1, §6.2): "since it is an NP-hard
 problem, these index-free solutions are unscalable to large road
-networks".  We race the bi-criteria constrained Dijkstra and the
-k-shortest-paths search against QHL/CSP-2Hop on a small slice of the Q3
-workload (they are far too slow for the full sweep — which is the
-point).
+networks".  We race the bi-criteria constrained Dijkstra against
+QHL/CSP-2Hop on a small slice of the Q3 workload (it is far too slow
+for the full sweep — which is the point).
 """
 
 from __future__ import annotations
@@ -13,10 +12,10 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import get_bundle, record_rows
-from repro.baselines import constrained_dijkstra, ksp_csp, pulse_csp
+from repro.baselines import constrained_dijkstra
 from repro.instrument import run_workload
 
-SLICE = 15  # queries; index-free engines pay milliseconds each
+SLICE = 15  # queries; the index-free engine pays milliseconds each
 
 
 class DijkstraEngine:
@@ -31,33 +30,7 @@ class DijkstraEngine:
         )
 
 
-class KSPEngine:
-    name = "KSP-CSP"
-
-    def __init__(self, network):
-        self._network = network
-
-    def query(self, source, target, budget):
-        return ksp_csp(
-            self._network, source, target, budget, max_paths=200_000
-        )
-
-
-class PulseEngine:
-    name = "Pulse"
-
-    def __init__(self, network):
-        self._network = network
-
-    def query(self, source, target, budget):
-        return pulse_csp(
-            self._network, source, target, budget, want_path=False
-        )
-
-
-@pytest.mark.parametrize(
-    "engine_name", ["QHL", "CSP-2Hop", "Dijkstra-CSP", "Pulse"]
-)
+@pytest.mark.parametrize("engine_name", ["QHL", "CSP-2Hop", "Dijkstra-CSP"])
 def test_index_free_comparison(benchmark, engine_name):
     bundle = get_bundle("NY")
     queries = bundle.q_sets["Q3"].queries[:SLICE]
@@ -65,8 +38,6 @@ def test_index_free_comparison(benchmark, engine_name):
         engine = bundle.index.qhl_engine()
     elif engine_name == "CSP-2Hop":
         engine = bundle.index.csp2hop_engine()
-    elif engine_name == "Pulse":
-        engine = PulseEngine(bundle.network)
     else:
         engine = DijkstraEngine(bundle.network)
 
@@ -84,20 +55,17 @@ def test_index_free_comparison(benchmark, engine_name):
 
 
 def test_index_free_answers_agree(benchmark):
-    """The slow engines exist to be trusted: cross-check them."""
+    """The slow engine exists to be trusted: cross-check it."""
     bundle = get_bundle("NY")
     queries = bundle.q_sets["Q1"].queries[:8]
     qhl = bundle.index.qhl_engine()
     dijkstra = DijkstraEngine(bundle.network)
-    ksp = KSPEngine(bundle.network)
 
     def check():
         mismatches = 0
         for q in queries:
             want = qhl.query(q.source, q.target, q.budget).pair()
             if dijkstra.query(q.source, q.target, q.budget).pair() != want:
-                mismatches += 1
-            if ksp.query(q.source, q.target, q.budget).weight != want[0]:
                 mismatches += 1
         return mismatches
 

@@ -344,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--overhead", action="store_true",
         help="measure the inert flight-recorder hook overhead instead "
-        f"(budget {OVERHEAD_BUDGET:.0%}); exit 1 if over budget",
+        f"(budget {OVERHEAD_BUDGET:.0%}%); exit 1 if over budget",
     )
     parser.add_argument(
         "--tolerance", type=float, default=LATENCY_TOLERANCE,

@@ -20,7 +20,6 @@ from repro.baselines import (
     COLAEngine,
     CSP2HopEngine,
     constrained_dijkstra,
-    ksp_csp,
     skyline_between,
 )
 from repro.core import QHLEngine, QHLIndex
@@ -31,8 +30,6 @@ from repro.directed import (
     directed_from_undirected,
 )
 from repro.dynamic import DynamicQHLIndex
-from repro.forest import ForestQHLIndex
-from repro.multicsp import MultiCSPIndex, MultiMetricNetwork
 from repro.exceptions import (
     AuditError,
     BuildBudgetExceededError,
@@ -119,7 +116,6 @@ __all__ = [
     "DynamicQHLIndex",
     "FaultInjector",
     "FlightRecorder",
-    "ForestQHLIndex",
     "GraphFormatError",
     "IndexBuildError",
     "InfeasibleQueryError",
@@ -127,8 +123,6 @@ __all__ = [
     "InvalidGraphError",
     "LENIENT",
     "MetricsRegistry",
-    "MultiCSPIndex",
-    "MultiMetricNetwork",
     "ParsePolicy",
     "QHLEngine",
     "QHLIndex",
@@ -154,7 +148,6 @@ __all__ = [
     "generate_distance_sets",
     "generate_ratio_sets",
     "grid_network",
-    "ksp_csp",
     "load_dataset",
     "load_index",
     "load_index_with_retry",

@@ -1,11 +1,6 @@
 """Analysis tooling: skyline-growth profiling (the mechanism behind the
-paper's Figure 6 trends) and approximation-quality measurement for
-truncated indexes."""
+paper's Figure 6 trends)."""
 
-from repro.analysis.approximation import (
-    ApproximationReport,
-    measure_approximation,
-)
 from repro.analysis.skylines import (
     BandProfile,
     label_depth_profile,
@@ -13,9 +8,7 @@ from repro.analysis.skylines import (
 )
 
 __all__ = [
-    "ApproximationReport",
     "BandProfile",
     "label_depth_profile",
-    "measure_approximation",
     "skyline_growth_profile",
 ]

@@ -3,14 +3,8 @@ partition index, and index-free exact searches."""
 
 from repro.baselines.cola import COLAEngine, partition_network
 from repro.baselines.csp2hop import CSP2HopEngine
-from repro.baselines.dijkstra_csp import (
-    constrained_dijkstra,
-    multi_adjacency,
-    multi_constrained_dijkstra,
-)
-from repro.baselines.kpath import ksp_csp, yen_paths
+from repro.baselines.dijkstra_csp import constrained_dijkstra
 from repro.baselines.overlay import overlay_csp_search
-from repro.baselines.pulse import pulse_csp
 from repro.baselines.sky_dijkstra import (
     SkyDijkstraEngine,
     sky_dijkstra_csp,
@@ -24,15 +18,10 @@ __all__ = [
     "CSP2HopEngine",
     "SkyDijkstraEngine",
     "constrained_dijkstra",
-    "ksp_csp",
-    "multi_adjacency",
-    "multi_constrained_dijkstra",
     "overlay_csp_search",
     "partition_network",
-    "pulse_csp",
     "sky_dijkstra_csp",
     "skyline_between",
     "skyline_pairs_bruteforce",
     "skyline_search",
-    "yen_paths",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.graph.network import RoadNetwork
 from repro.types import CSPQuery, QueryResult, QueryStats
@@ -105,89 +105,3 @@ def _unwind(parent: tuple | None, last: int) -> list[int]:
     path.reverse()
     return path
 
-
-def multi_adjacency(
-    network: RoadNetwork, extra_costs: Sequence[Sequence[float]]
-) -> list[list[tuple[int, float, tuple[float, ...]]]]:
-    """Adjacency with vector costs for the multi-constraint extension.
-
-    ``extra_costs[k][i]`` is the k-th additional cost of the i-th edge in
-    insertion order; the result's cost vectors are ``(c, extra_1, ...)``.
-    """
-    adj: list[list[tuple[int, float, tuple[float, ...]]]] = [
-        [] for _ in range(network.num_vertices)
-    ]
-    for idx, (u, v, w, c) in enumerate(network.edges()):
-        costs = (c,) + tuple(extra[idx] for extra in extra_costs)
-        adj[u].append((v, w, costs))
-        adj[v].append((u, w, costs))
-    return adj
-
-
-def multi_constrained_dijkstra(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    budgets: Sequence[float],
-    extra_costs: Sequence[Sequence[float]] = (),
-) -> tuple[float, tuple[float, ...]] | None:
-    """Exact CSP under multiple cost budgets (paper §1: "multiple
-    constraints").
-
-    The first budget constrains the network's built-in cost metric; each
-    entry of ``extra_costs`` adds one more metric (see
-    :func:`multi_adjacency`).  Returns ``(weight, costs)`` or ``None``.
-    """
-    if len(budgets) != 1 + len(extra_costs):
-        raise ValueError(
-            f"{len(budgets)} budgets given for {1 + len(extra_costs)} metrics"
-        )
-    adj = multi_adjacency(network, extra_costs)
-    if source == target:
-        return (0, tuple(0 for _ in budgets))
-
-    frontier: list[list[tuple[float, tuple[float, ...]]]] = [
-        [] for _ in range(network.num_vertices)
-    ]
-
-    def dominated(v: int, w: float, costs: tuple[float, ...]) -> bool:
-        return any(
-            fw <= w and all(
-                fc <= c for fc, c in zip(fcosts, costs, strict=True)
-            )
-            for fw, fcosts in frontier[v]
-        )
-
-    def insert(v: int, w: float, costs: tuple[float, ...]) -> None:
-        frontier[v] = [
-            (fw, fcosts)
-            for fw, fcosts in frontier[v]
-            if not (
-                w <= fw and all(
-                    c <= fc for c, fc in zip(costs, fcosts, strict=True)
-                )
-            )
-        ]
-        frontier[v].append((w, costs))
-
-    heap: list[tuple[float, tuple[float, ...], int]] = [
-        (0, tuple(0 for _ in budgets), source)
-    ]
-    while heap:
-        w, costs, v = heapq.heappop(heap)
-        if v == target:
-            return (w, costs)
-        if dominated(v, w, costs) and (w, costs) not in frontier[v]:
-            continue
-        for nbr, ew, ecosts in adj[v]:
-            nw = w + ew
-            ncosts = tuple(c + ec for c, ec in zip(costs, ecosts, strict=True))
-            if any(
-                nc > b for nc, b in zip(ncosts, budgets, strict=True)
-            ):
-                continue
-            if dominated(nbr, nw, ncosts):
-                continue
-            insert(nbr, nw, ncosts)
-            heapq.heappush(heap, (nw, ncosts, nbr))
-    return None

@@ -1,9 +1,8 @@
 """Constrained bi-criteria search over an overlay graph.
 
-Shared by the COLA-like engine and the forest-labeling index: both
-reduce cross-partition CSP to a label-setting search over a graph whose
-edges carry skyline sets (boundary-to-boundary summaries plus original
-cross edges).
+The COLA-like engine reduces cross-partition CSP to a label-setting
+search over a graph whose edges carry skyline sets (boundary-to-boundary
+summaries plus original cross edges).
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ def overlay_csp_search(
     order with per-vertex Pareto frontiers, so the search is exact.
 
     The elapsed search time is accumulated into ``stats.seconds`` so
-    direct callers get timed results; engines wrapping this search
-    (COLA, forest) overwrite it with their own end-to-end measurement.
+    direct callers get timed results; an engine wrapping this search
+    (COLA) overwrites it with its own end-to-end measurement.
     """
     started = time.perf_counter()
     frontier: dict[int, list[tuple[float, float]]] = {}

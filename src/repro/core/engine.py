@@ -97,7 +97,6 @@ class QHLIndex:
         num_index_queries: int = 2000,
         strategy: Strategy = "min_degree",
         store_paths: bool = True,
-        max_skyline: int | None = None,
         seed: int = 0,
         label_workers: int = 1,
         checkpoint_dir: str | None = None,
@@ -117,7 +116,7 @@ class QHLIndex:
             construction (§4.2).  When ``None``, ``num_index_queries``
             uniform random queries are generated (the paper samples
             uniformly from past workloads).
-        strategy, store_paths, max_skyline:
+        strategy, store_paths:
             Passed through to the decomposition / label builders.
         seed:
             Seed for query sampling and Algorithm 7's random pruner
@@ -147,13 +146,11 @@ class QHLIndex:
                     network,
                     strategy=strategy,
                     store_paths=store_paths,
-                    max_skyline=max_skyline,
                 )
             with tracer.span("label-construction"):
                 labels = build_labels(
                     tree,
                     store_paths=store_paths,
-                    max_skyline=max_skyline,
                     workers=label_workers,
                     checkpoint=checkpoint_dir,
                     resume=resume,

@@ -25,7 +25,7 @@ from repro.exceptions import DisconnectedGraphError, IndexBuildError
 from repro.graph.network import RoadNetwork
 from repro.hierarchy.tree import TreeDecomposition
 from repro.skyline.entries import edge_entry
-from repro.skyline.set_ops import SkylineSet, join_union, skyline_of, truncate
+from repro.skyline.set_ops import SkylineSet, join_union, skyline_of
 
 Strategy = Literal["min_degree", "min_fill"]
 
@@ -34,7 +34,6 @@ def build_tree_decomposition(
     network: RoadNetwork,
     strategy: Strategy = "min_degree",
     store_paths: bool = True,
-    max_skyline: int | None = None,
 ) -> TreeDecomposition:
     """Run Algorithm 1 and return the decomposition with shortcuts.
 
@@ -50,9 +49,6 @@ def build_tree_decomposition(
     store_paths:
         Keep provenance on skyline entries so concrete paths can be
         retrieved later.  Disable to halve index memory.
-    max_skyline:
-        Optional cap on shortcut skyline-set sizes (approximation knob;
-        ``None`` = exact, the default).
 
     Raises
     ------
@@ -106,8 +102,6 @@ def build_tree_decomposition(
                     (adjacency[a].get(b, []), None, v),
                     (s_av, shortcuts[v][b], v),
                 ))
-                if max_skyline is not None:
-                    combined = truncate(combined, max_skyline)
                 adjacency[a][b] = combined
                 adjacency[b][a] = combined
 

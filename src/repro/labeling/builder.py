@@ -33,7 +33,6 @@ from repro.observability.tracing import get_tracer
 def build_labels(
     tree: TreeDecomposition,
     store_paths: bool = True,
-    max_skyline: int | None = None,
     workers: int = 1,
     checkpoint=None,
     resume: bool = False,
@@ -51,9 +50,6 @@ def build_labels(
     store_paths:
         Must match the flag the decomposition was built with; entries
         without provenance cannot regain it here.
-    max_skyline:
-        Optional cap on label skyline-set sizes (approximation knob;
-        ``None`` = exact).
     workers:
         ``>= 2`` builds each tree-depth level across a process pool
         (:func:`repro.labeling.parallel.build_labels_parallel`); the
@@ -94,7 +90,6 @@ def build_labels(
             tree,
             checkpoint,
             store_paths=store_paths,
-            max_skyline=max_skyline,
             workers=workers,
             resume=resume,
             budget=budget,
@@ -120,7 +115,6 @@ def build_labels(
         return build_labels_parallel(
             tree,
             store_paths=store_paths,
-            max_skyline=max_skyline,
             workers=workers,
             supervised=supervised,
             supervision=supervision,
@@ -141,7 +135,7 @@ def build_labels(
             if v == tree.root:
                 continue
             vertex_started = time.perf_counter() if observed else 0.0
-            rows, vertex_joins = label_rows_for(tree, store, v, max_skyline)
+            rows, vertex_joins = label_rows_for(tree, store, v)
             joins += vertex_joins
             for u, acc in rows:
                 store.set(v, u, acc)

@@ -58,7 +58,7 @@ from repro.observability.propagation import (
 )
 from repro.observability.tracing import get_tracer
 from repro.skyline.entries import Entry
-from repro.skyline.set_ops import SkylineSet, join_union, truncate
+from repro.skyline.set_ops import SkylineSet, join_union
 from repro.supervise.pool import SupervisedPool
 from repro.supervise.supervisor import (
     SupervisionConfig,
@@ -73,7 +73,6 @@ MIN_PARALLEL_LEVEL = 8
 # level's pool is created, read-only in the children).
 _TREE: TreeDecomposition | None = None
 _STORE: LabelStore | None = None
-_MAX_SKYLINE: int | None = None
 _SPOOL: WorkerSpool | None = None
 
 
@@ -97,7 +96,6 @@ def label_rows_for(
     tree: TreeDecomposition,
     store: LabelStore,
     v: int,
-    max_skyline: int | None,
 ) -> tuple[list[tuple[int, SkylineSet]], int]:
     """The complete label of ``v``: ``([(u, P(v, u))], joins)``.
 
@@ -111,17 +109,14 @@ def label_rows_for(
     rows: list[tuple[int, SkylineSet]] = []
     joins = 0
     for u in tree.ancestors(v):
-        acc = label_set(tree, store, v, u)
+        rows.append((u, label_set(tree, store, v, u)))
         joins += len(hubs) - (u in hubs)
-        if max_skyline is not None:
-            acc = truncate(acc, max_skyline)
-        rows.append((u, acc))
     return rows, joins
 
 
 def _build_vertex(v: int) -> tuple[int, list[tuple[int, SkylineSet]]]:
     """Worker task: one vertex's label rows from the forked snapshot."""
-    rows, _joins = label_rows_for(_TREE, _STORE, v, _MAX_SKYLINE)
+    rows, _joins = label_rows_for(_TREE, _STORE, v)
     return v, rows
 
 
@@ -151,9 +146,7 @@ def _build_chunk(
         joins = 0
         for v in vertices:
             vertex_started = time.perf_counter()
-            rows, vertex_joins = label_rows_for(
-                _TREE, _STORE, v, _MAX_SKYLINE
-            )
+            rows, vertex_joins = label_rows_for(_TREE, _STORE, v)
             if registry.enabled:
                 registry.histogram(
                     "qhl_label_vertex_seconds",
@@ -185,7 +178,7 @@ def _supervised_level_chunk(payload, span, heartbeat):
     for v in payload:
         heartbeat()
         vertex_started = time.perf_counter()
-        rows, vertex_joins = label_rows_for(_TREE, _STORE, v, _MAX_SKYLINE)
+        rows, vertex_joins = label_rows_for(_TREE, _STORE, v)
         if registry.enabled:
             registry.histogram(
                 "qhl_label_vertex_seconds",
@@ -212,7 +205,6 @@ def _supervised_level_rows(
     tree: TreeDecomposition,
     store: LabelStore,
     level: list[int],
-    max_skyline: int | None,
     workers: int,
     supervision: SupervisionConfig | None,
 ) -> tuple[list[tuple[int, list[tuple[int, SkylineSet]]]], int]:
@@ -223,7 +215,7 @@ def _supervised_level_rows(
     vertex could not be computed — an incomplete label store is not a
     degraded result, it is a broken index.
     """
-    global _TREE, _STORE, _MAX_SKYLINE
+    global _TREE, _STORE
     tracer = get_tracer()
     registry = get_registry()
     spool = None
@@ -237,7 +229,7 @@ def _supervised_level_rows(
     chunks = [
         level[i:i + chunk_size] for i in range(0, len(level), chunk_size)
     ]
-    _TREE, _STORE, _MAX_SKYLINE = tree, store, max_skyline
+    _TREE, _STORE = tree, store
     try:
         with tracer.span("labels.level-fanout") as parent:
             parent.set("workers", workers)
@@ -273,7 +265,7 @@ def _supervised_level_rows(
         # store stays deterministic and the build byte-identical.
         out = [(v, rows_by_vertex[v]) for v in level]
     finally:
-        _TREE = _STORE = _MAX_SKYLINE = None
+        _TREE = _STORE = None
         if spool is not None:
             spool.cleanup()
     return out, 0
@@ -358,7 +350,6 @@ def level_rows(
     tree: TreeDecomposition,
     store: LabelStore,
     level: list[int],
-    max_skyline: int | None,
     workers: int,
     supervised: bool = False,
     supervision: SupervisionConfig | None = None,
@@ -376,7 +367,7 @@ def level_rows(
     ``qhl_label_joins_total`` metric deltas instead (when observability
     is live).
     """
-    global _TREE, _STORE, _MAX_SKYLINE, _SPOOL
+    global _TREE, _STORE, _SPOOL
     level = [v for v in level if v != tree.root]
     if not level:
         return [], 0
@@ -388,13 +379,13 @@ def level_rows(
         out = []
         joins = 0
         for v in level:
-            rows, vertex_joins = label_rows_for(tree, store, v, max_skyline)
+            rows, vertex_joins = label_rows_for(tree, store, v)
             out.append((v, rows))
             joins += vertex_joins
         return out, joins
     if supervised:
         return _supervised_level_rows(
-            tree, store, level, max_skyline, workers, supervision
+            tree, store, level, workers, supervision
         )
     # Fork a fresh pool so the children see the store as built up to
     # (and excluding) this level.
@@ -412,7 +403,7 @@ def level_rows(
     chunks = [
         level[i:i + chunk_size] for i in range(0, len(level), chunk_size)
     ]
-    _TREE, _STORE, _MAX_SKYLINE, _SPOOL = tree, store, max_skyline, spool
+    _TREE, _STORE, _SPOOL = tree, store, spool
     pool = context.Pool(processes=workers, initializer=_init_level_worker)
     try:
         with tracer.span("labels.level-fanout") as parent:
@@ -433,7 +424,7 @@ def level_rows(
     finally:
         if spool is not None:
             spool.cleanup()
-        _TREE = _STORE = _MAX_SKYLINE = None
+        _TREE = _STORE = None
         _SPOOL = None
     out = [pair for chunk_out in chunk_outs for pair in chunk_out]
     return out, 0
@@ -442,7 +433,6 @@ def level_rows(
 def build_labels_parallel(
     tree: TreeDecomposition,
     store_paths: bool = True,
-    max_skyline: int | None = None,
     workers: int = 2,
     supervised: bool = False,
     supervision: SupervisionConfig | None = None,
@@ -458,9 +448,7 @@ def build_labels_parallel(
     if workers < 2 or not fork_available():
         from repro.labeling.builder import build_labels
 
-        return build_labels(
-            tree, store_paths=store_paths, max_skyline=max_skyline
-        )
+        return build_labels(tree, store_paths=store_paths)
 
     started = time.perf_counter()
     store = LabelStore(tree.num_vertices, store_paths=store_paths)
@@ -471,7 +459,7 @@ def build_labels_parallel(
     with get_tracer().span("labels.parallel-sweep") as span:
         for level in levels:
             rows_by_vertex, _joins = level_rows(
-                tree, store, level, max_skyline, workers,
+                tree, store, level, workers,
                 supervised=supervised, supervision=supervision,
             )
             merge_level(tree, store, rows_by_vertex)

@@ -117,7 +117,6 @@ class BuildBudget:
 def tree_fingerprint(
     tree: TreeDecomposition,
     store_paths: bool,
-    max_skyline: int | None,
 ) -> str:
     """SHA-256 over everything the label build depends on.
 
@@ -127,7 +126,9 @@ def tree_fingerprint(
     build for another.
     """
     h = hashlib.sha256()
-    h.update(f"v1|{tree.num_vertices}|{store_paths}|{max_skyline}|".encode())
+    # "None" fills a retired build-parameter slot: checkpoints written
+    # before it was removed keep the same fingerprint and stay resumable.
+    h.update(f"v1|{tree.num_vertices}|{store_paths}|None|".encode())
     h.update(",".join(map(str, tree.order)).encode())
     for v in range(tree.num_vertices):
         h.update(f"|b{v}:".encode())
@@ -208,7 +209,6 @@ def build_labels_checkpointed(
     tree: TreeDecomposition,
     checkpoint: CheckpointStore | str,
     store_paths: bool = True,
-    max_skyline: int | None = None,
     workers: int = 1,
     resume: bool = False,
     budget: BuildBudget | None = None,
@@ -242,7 +242,7 @@ def build_labels_checkpointed(
     os.makedirs(checkpoint.directory, exist_ok=True)
 
     started = time.perf_counter()
-    fingerprint = tree_fingerprint(tree, store_paths, max_skyline)
+    fingerprint = tree_fingerprint(tree, store_paths)
     levels = depth_levels(tree)
 
     completed = 0
@@ -283,7 +283,7 @@ def build_labels_checkpointed(
             if budget is not None:
                 budget.check(k)
             rows_by_vertex, _joins = level_rows(
-                tree, store, levels[k], max_skyline, workers,
+                tree, store, levels[k], workers,
                 supervised=supervised, supervision=supervision,
             )
             merge_level(tree, store, rows_by_vertex)

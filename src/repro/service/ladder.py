@@ -1,9 +1,8 @@
 """The fault-tolerant query service: deadline + degradation ladder.
 
-:class:`QueryService` wraps the engines this repo already has into the
-ladder related systems use (FHL/MCSP-style forest labelings fall back
-to skyline Dijkstra when labels are absent; COLA-style overlays degrade
-to plain constrained search):
+:class:`QueryService` wraps the paper's engines into a degradation
+ladder: hop labelings fall back to skyline Dijkstra when labels are
+absent, as COLA-style overlays degrade to plain constrained search:
 
     QHL  →  CSP-2Hop  →  SkyDijkstra (index-free, always available)
 

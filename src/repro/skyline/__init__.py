@@ -1,5 +1,5 @@
-"""Skyline path algebra: entries with provenance, canonical skyline sets,
-and the multi-constraint generalisation."""
+"""Skyline path algebra: entries with provenance and canonical skyline
+sets."""
 
 from repro.skyline.entries import (
     EDGE,
@@ -10,13 +10,6 @@ from repro.skyline.entries import (
     path_of_pairs,
     zero_entry,
 )
-from repro.skyline.multi import (
-    MultiEntry,
-    m_best_under,
-    m_dominates,
-    m_join,
-    m_skyline,
-)
 from repro.skyline.set_ops import (
     SkylineSet,
     best_under,
@@ -26,7 +19,6 @@ from repro.skyline.set_ops import (
     is_canonical,
     join_union,
     skyline_of,
-    truncate,
 )
 
 __all__ = [
@@ -37,11 +29,6 @@ __all__ = [
     "join_entry",
     "path_of_pairs",
     "zero_entry",
-    "MultiEntry",
-    "m_best_under",
-    "m_dominates",
-    "m_join",
-    "m_skyline",
     "SkylineSet",
     "best_under",
     "dominated_by_set",
@@ -50,5 +37,4 @@ __all__ = [
     "is_canonical",
     "join_union",
     "skyline_of",
-    "truncate",
 ]

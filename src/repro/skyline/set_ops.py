@@ -190,25 +190,3 @@ def dominated_by_set(entry: Entry, entries: Sequence[Entry]) -> bool:
     candidate = entries[idx]
     return dominates(candidate, entry)
 
-
-def truncate(entries: SkylineSet, max_size: int) -> SkylineSet:
-    """Keep at most ``max_size`` entries, evenly spread across the set.
-
-    An *approximation* knob (not used by default): large real networks can
-    grow skyline sets into the thousands; truncation bounds index size at
-    the price of exactness.  The first and last entries (cost-optimal and
-    weight-optimal paths) are always kept.
-    """
-    if max_size < 2:
-        raise ValueError("max_size must be at least 2")
-    n = len(entries)
-    if n <= max_size:
-        return entries
-    step = (n - 1) / (max_size - 1)
-    picked = [entries[round(i * step)] for i in range(max_size)]
-    # Rounding can collide on tiny sets; dedupe while keeping order.
-    result: SkylineSet = []
-    for e in picked:
-        if not result or result[-1] is not e:
-            result.append(e)
-    return result

@@ -5,11 +5,7 @@ import pytest
 from repro.datasets import paper_figure1_network, v
 from repro.exceptions import QueryError
 from repro.graph import RoadNetwork, random_connected_network
-from repro.baselines import (
-    constrained_dijkstra,
-    multi_adjacency,
-    multi_constrained_dijkstra,
-)
+from repro.baselines import constrained_dijkstra
 
 
 def diamond():
@@ -84,47 +80,3 @@ class TestConstrainedDijkstra:
             result = constrained_dijkstra(g, s, t, budget=rng.randint(1, 200))
             if result.feasible and s != t:
                 assert g.path_metrics(result.path) == result.pair()
-
-
-class TestMultiConstrained:
-    def test_reduces_to_single_constraint(self):
-        g = diamond()
-        got = multi_constrained_dijkstra(g, 0, 3, budgets=(5,))
-        assert got == (10, (2,))
-
-    def test_second_budget_bites(self):
-        g = diamond()
-        # Second metric = number of hops (1 per edge).
-        hops = [1] * g.num_edges
-        # Fast route feasible on cost but both routes have 2 hops; a hop
-        # budget of 1 kills everything.
-        assert multi_constrained_dijkstra(
-            g, 0, 3, budgets=(100, 1), extra_costs=[hops]
-        ) is None
-
-    def test_second_budget_selects_route(self):
-        g = RoadNetwork(4)
-        g.add_edge(0, 1, weight=1, cost=1)   # edge 0: toll road
-        g.add_edge(1, 3, weight=1, cost=1)   # edge 1: toll road
-        g.add_edge(0, 2, weight=5, cost=1)   # edge 2: free
-        g.add_edge(2, 3, weight=5, cost=1)   # edge 3: free
-        tolls = [10, 10, 0.5, 0.5]
-        got = multi_constrained_dijkstra(
-            g, 0, 3, budgets=(10, 5), extra_costs=[tolls]
-        )
-        assert got == (10, (2, 1.0))
-
-    def test_source_equals_target(self):
-        got = multi_constrained_dijkstra(diamond(), 1, 1, budgets=(5, 5),
-                                         extra_costs=[[1] * 4])
-        assert got == (0, (0, 0))
-
-    def test_budget_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            multi_constrained_dijkstra(diamond(), 0, 3, budgets=(5, 5))
-
-    def test_multi_adjacency_layout(self):
-        g = diamond()
-        adj = multi_adjacency(g, [[7, 8, 9, 10]])
-        assert (1, 1, (5, 7)) in adj[0]
-        assert (0, 1, (5, 7)) in adj[1]

@@ -125,10 +125,3 @@ class TestShortcutSoundness:
         for vtx in range(10):
             for entries in td.shortcuts[vtx].values():
                 assert all(e[2] is None for e in entries)
-
-    def test_max_skyline_caps_set_sizes(self):
-        g = random_connected_network(25, 30, seed=4)
-        td = build_tree_decomposition(g, max_skyline=2)
-        for vtx in range(25):
-            for entries in td.shortcuts[vtx].values():
-                assert len(entries) <= 2

@@ -96,21 +96,3 @@ def test_fuzz_qhl_against_ground_truth(n, extra, seed, data):
         truth = constrained_dijkstra(g, s, t, budget, want_path=False)
         assert index.query(s, t, budget).pair() == truth.pair()
 
-
-class TestMultiConstraintConsistency:
-    def test_multi_with_one_constraint_matches_csp(self):
-        from repro.baselines import multi_constrained_dijkstra
-
-        g = random_connected_network(25, 20, seed=40)
-        rng = random.Random(40)
-        for _ in range(25):
-            s, t = rng.randrange(25), rng.randrange(25)
-            budget = rng.randint(1, 250)
-            single = constrained_dijkstra(g, s, t, budget, want_path=False)
-            multi = multi_constrained_dijkstra(g, s, t, budgets=(budget,))
-            if single.feasible:
-                assert multi is not None
-                assert multi[0] == single.weight
-                assert multi[1] == (single.cost,)
-            else:
-                assert multi is None

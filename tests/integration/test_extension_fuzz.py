@@ -1,6 +1,6 @@
-"""Hypothesis fuzzing for the extension subsystems.
+"""Hypothesis fuzzing for the directed and dynamic subsystems.
 
-Each extension gets the same treatment the core received: random
+Each gets the same treatment the core received: random
 networks, random queries, exact agreement with an independent
 ground-truth search.
 """
@@ -15,13 +15,7 @@ from repro.directed import (
     directed_from_undirected,
 )
 from repro.dynamic import DynamicQHLIndex
-from repro.forest import ForestQHLIndex
 from repro.graph import RoadNetwork, random_connected_network
-from repro.multicsp import (
-    MultiCSPIndex,
-    MultiMetricNetwork,
-    multi_dijkstra_reference,
-)
 
 SETTINGS = dict(
     max_examples=8,
@@ -47,52 +41,6 @@ def test_fuzz_directed(n, extra, seed, data):
         budget = data.draw(st.integers(min_value=0, max_value=250))
         truth = directed_constrained_dijkstra(g, s, t, budget)
         assert index.query(s, t, budget).pair() == truth.pair()
-
-
-@settings(**SETTINGS)
-@given(
-    n=st.integers(min_value=2, max_value=14),
-    extra=st.integers(min_value=0, max_value=10),
-    seed=st.integers(min_value=0, max_value=5000),
-    data=st.data(),
-)
-def test_fuzz_multicsp(n, extra, seed, data):
-    base = random_connected_network(n, extra, seed=seed)
-    tolls = [
-        data.draw(st.integers(min_value=1, max_value=12))
-        for _ in range(base.num_edges)
-    ]
-    multi = MultiMetricNetwork.from_network(base, extra_costs=[tolls])
-    index = MultiCSPIndex.build(multi)
-    for _ in range(5):
-        s = data.draw(st.integers(min_value=0, max_value=n - 1))
-        t = data.draw(st.integers(min_value=0, max_value=n - 1))
-        budgets = (
-            data.draw(st.integers(min_value=0, max_value=200)),
-            data.draw(st.integers(min_value=0, max_value=100)),
-        )
-        assert index.query(s, t, budgets) == multi_dijkstra_reference(
-            multi, s, t, budgets
-        )
-
-
-@settings(**SETTINGS)
-@given(
-    n=st.integers(min_value=2, max_value=16),
-    extra=st.integers(min_value=0, max_value=12),
-    parts=st.integers(min_value=1, max_value=5),
-    seed=st.integers(min_value=0, max_value=5000),
-    data=st.data(),
-)
-def test_fuzz_forest(n, extra, parts, seed, data):
-    g = random_connected_network(n, extra, seed=seed)
-    forest = ForestQHLIndex(g, num_parts=parts, seed=seed)
-    for _ in range(5):
-        s = data.draw(st.integers(min_value=0, max_value=n - 1))
-        t = data.draw(st.integers(min_value=0, max_value=n - 1))
-        budget = data.draw(st.integers(min_value=0, max_value=250))
-        truth = constrained_dijkstra(g, s, t, budget, want_path=False)
-        assert forest.query(s, t, budget).pair() == truth.pair()
 
 
 @settings(**SETTINGS)

@@ -90,12 +90,6 @@ class TestGroundTruth:
     def test_build_seconds_recorded(self, random30_labels):
         assert random30_labels.build_seconds > 0
 
-    def test_max_skyline_truncation_respected(self):
-        g = random_connected_network(25, 25, seed=3)
-        tree = build_tree_decomposition(g, max_skyline=3)
-        labels = build_labels(tree, max_skyline=3)
-        assert labels.max_set_size() <= 3
-
     def test_store_paths_false_produces_no_provenance(self):
         g = random_connected_network(15, 10, seed=2)
         tree = build_tree_decomposition(g, store_paths=False)

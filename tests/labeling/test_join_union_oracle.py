@@ -21,7 +21,6 @@ from repro.hierarchy import build_tree_decomposition, decomposition
 from repro.labeling import build_labels, parallel
 from repro.labeling.parallel import fork_available
 from repro.skyline.entries import _expand_any
-from repro.skyline.set_ops import truncate
 from repro.storage.compact import pack_labels
 from tests.skyline.oracles import join, merge
 
@@ -48,16 +47,13 @@ def reference_label_set(tree, store, v, u):
     return acc
 
 
-def reference_label_rows_for(tree, store, v, max_skyline):
+def reference_label_rows_for(tree, store, v):
     """The per-vertex label kernel as it was before ``join_union``."""
     rows = []
     joins = 0
     for u in tree.ancestors(v):
-        acc = reference_label_set(tree, store, v, u)
+        rows.append((u, reference_label_set(tree, store, v, u)))
         joins += sum(1 for w in tree.bag[v] if w != u)
-        if max_skyline is not None:
-            acc = truncate(acc, max_skyline)
-        rows.append((u, acc))
     return rows, joins
 
 
@@ -101,53 +97,38 @@ NETWORKS = {
     "NY-small": lambda: load_dataset("NY", "small").network,
     "random": lambda: random_connected_network(60, 70, seed=23),
 }
-CONFIGS = [
-    pytest.param(True, None, id="paths"),
-    pytest.param(False, None, id="no-paths"),
-    pytest.param(True, 3, id="max-skyline-3"),
-]
+STORE_PATHS = pytest.mark.parametrize(
+    "store_paths", [True, False], ids=["paths", "no-paths"]
+)
 
 
-@pytest.mark.parametrize("store_paths,max_skyline", CONFIGS)
+@STORE_PATHS
 @pytest.mark.parametrize("network_name", sorted(NETWORKS))
 def test_build_matches_reference_fold(
-    network_name, store_paths, max_skyline, reference_fold
+    network_name, store_paths, reference_fold
 ):
     network = NETWORKS[network_name]()
-    ref_tree = build_tree_decomposition(
-        network, store_paths=store_paths, max_skyline=max_skyline
-    )
-    ref_labels = build_labels(
-        ref_tree, store_paths=store_paths, max_skyline=max_skyline
-    )
+    ref_tree = build_tree_decomposition(network, store_paths=store_paths)
+    ref_labels = build_labels(ref_tree, store_paths=store_paths)
     reference_fold.undo()
 
-    tree = build_tree_decomposition(
-        network, store_paths=store_paths, max_skyline=max_skyline
-    )
+    tree = build_tree_decomposition(network, store_paths=store_paths)
     assert_shortcuts_identical(tree, ref_tree)
-    labels = build_labels(
-        tree, store_paths=store_paths, max_skyline=max_skyline
-    )
+    labels = build_labels(tree, store_paths=store_paths)
     assert_labels_identical(labels, ref_labels)
     if fork_available():
-        pooled = build_labels(
-            tree, store_paths=store_paths, max_skyline=max_skyline,
-            workers=2,
-        )
+        pooled = build_labels(tree, store_paths=store_paths, workers=2)
         assert_labels_identical(pooled, ref_labels)
     for v in tree.topdown_order:
         if v == tree.root:
             continue
-        rows, joins = parallel.label_rows_for(tree, labels, v, max_skyline)
-        ref_rows, ref_joins = reference_label_rows_for(
-            tree, labels, v, max_skyline
-        )
+        rows, joins = parallel.label_rows_for(tree, labels, v)
+        ref_rows, ref_joins = reference_label_rows_for(tree, labels, v)
         assert joins == ref_joins, v
         assert [u for u, _ in rows] == [u for u, _ in ref_rows], v
 
 
-@pytest.mark.parametrize("store_paths", [True, False], ids=["paths", "no-paths"])
+@STORE_PATHS
 @pytest.mark.parametrize("network_name", sorted(NETWORKS))
 def test_apply_deltas_matches_reference_fold(
     network_name, store_paths, reference_fold

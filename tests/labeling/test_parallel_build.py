@@ -93,13 +93,11 @@ class TestParallelEqualsSequential:
         parallel = build_labels_parallel(tree, workers=3)
         assert_stores_equal(tree, sequential, parallel)
 
-    def test_without_paths_and_truncated(self):
+    def test_without_paths(self):
         network = grid_network(5, 5, seed=2)
         tree = build_tree_decomposition(network)
-        sequential = build_labels(tree, store_paths=False, max_skyline=4)
-        parallel = build_labels_parallel(
-            tree, store_paths=False, max_skyline=4, workers=2
-        )
+        sequential = build_labels(tree, store_paths=False)
+        parallel = build_labels_parallel(tree, store_paths=False, workers=2)
         assert_stores_equal(tree, sequential, parallel)
 
     def test_builder_workers_argument_routes_here(self, paper_network):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import json
 
+import pytest
+
 from benchmarks.regress import (
     EXACT_FIELDS,
     LATENCY_TOLERANCE,
@@ -112,6 +114,12 @@ class TestPinnedWorkload:
 
 
 class TestEndToEnd:
+    def test_help_exits_cleanly(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert f"(budget {OVERHEAD_BUDGET:.0%})" in capsys.readouterr().out
+
     def test_measure_then_check_round_trip(self, tmp_path):
         measured = measure(num_queries=24, repetitions=2)
         for name in ("qhl", "cached", "csp2hop", "batch"):

@@ -13,9 +13,6 @@ from repro.skyline import (
     filter_under,
     is_canonical,
     join_union,
-    m_dominates,
-    m_join,
-    m_skyline,
     path_of_pairs,
     skyline_of,
 )
@@ -116,40 +113,6 @@ def test_best_under_is_min_weight_feasible(ps, budget):
         assert got is None
     else:
         assert got[0] == min(e[0] for e in feasible)
-
-
-# ----------------------------------------------------------------------
-# Multi-constraint algebra
-# ----------------------------------------------------------------------
-m_entry = st.tuples(
-    st.integers(min_value=1, max_value=30),
-    st.tuples(
-        st.integers(min_value=1, max_value=30),
-        st.integers(min_value=1, max_value=30),
-    ),
-)
-m_entries = st.lists(m_entry, min_size=0, max_size=15)
-
-
-@given(m_entries)
-def test_m_skyline_is_pareto_front(es):
-    sky = m_skyline(es)
-    for p in sky:
-        assert not any(m_dominates(q, p) for q in sky)
-    for p in es:
-        assert any(q == p or m_dominates(q, p) for q in sky)
-
-
-@settings(max_examples=50)
-@given(m_entries, m_entries)
-def test_m_join_members_are_sums(a, b):
-    sa, sb = m_skyline(a), m_skyline(b)
-    sums = {
-        (x[0] + y[0], tuple(xc + yc for xc, yc in zip(x[1], y[1])))
-        for x in sa
-        for y in sb
-    }
-    assert set(m_join(sa, sb)).issubset(sums)
 
 
 # ----------------------------------------------------------------------

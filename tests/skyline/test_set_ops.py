@@ -1,7 +1,5 @@
 """Unit tests for skyline set operations."""
 
-import pytest
-
 from repro.skyline import (
     best_under,
     dominated_by_set,
@@ -10,7 +8,6 @@ from repro.skyline import (
     is_canonical,
     path_of_pairs,
     skyline_of,
-    truncate,
 )
 from tests.skyline.oracles import cartesian_entries, join, merge
 
@@ -194,19 +191,3 @@ class TestFilterAndLookup:
         assert not dominated_by_set((9, 1, None), self.sky)  # equal member
         assert not dominated_by_set((10, 0.5, None), self.sky)
 
-
-class TestTruncate:
-    def test_noop_when_small(self):
-        sky = skyline_of(entries([(9, 1), (5, 5), (1, 9)]))
-        assert truncate(sky, 5) == sky
-
-    def test_keeps_extremes(self):
-        sky = skyline_of(entries([(10 - i, i) for i in range(1, 10)]))
-        cut = truncate(sky, 3)
-        assert cut[0] == sky[0]
-        assert cut[-1] == sky[-1]
-        assert len(cut) == 3
-
-    def test_minimum_size_enforced(self):
-        with pytest.raises(ValueError):
-            truncate(entries([(1, 1)]), 1)

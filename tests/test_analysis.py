@@ -1,14 +1,9 @@
-"""Tests for the analysis tooling (skyline growth, approximation)."""
+"""Tests for the analysis tooling (skyline growth, label depths)."""
 
 import pytest
 
-from repro.analysis import (
-    label_depth_profile,
-    measure_approximation,
-    skyline_growth_profile,
-)
+from repro.analysis import label_depth_profile, skyline_growth_profile
 from repro.graph import estimate_diameter, grid_network
-from repro.workloads import generate_distance_sets
 
 
 @pytest.fixture(scope="module")
@@ -70,36 +65,3 @@ class TestLabelDepthProfile:
         )
         assert 0 not in profile
 
-
-class TestApproximation:
-    @pytest.fixture(scope="class")
-    def reports(self, ):
-        grid = grid_network(7, 7, seed=21)
-        d_max = estimate_diameter(grid)
-        sets = generate_distance_sets(grid, size=20, d_max=d_max, seed=21)
-        return measure_approximation(
-            grid, sets["Q4"].queries, caps=(2, 6), seed=21
-        )
-
-    def test_exact_row_has_zero_error(self, reports):
-        assert reports[0].max_skyline is None
-        assert reports[0].avg_weight_error == 0.0
-        assert reports[0].false_infeasible == 0
-
-    def test_truncation_shrinks_index(self, reports):
-        exact, cap2, cap6 = reports
-        assert cap2.label_entries <= cap6.label_entries
-        assert cap6.label_entries <= exact.label_entries
-
-    def test_errors_are_nonnegative_and_bounded(self, reports):
-        for report in reports[1:]:
-            assert report.avg_weight_error >= 0
-            assert report.max_weight_error >= report.avg_weight_error
-
-    def test_looser_cap_not_worse(self, reports):
-        _exact, cap2, cap6 = reports
-        assert cap6.avg_weight_error <= cap2.avg_weight_error
-
-    def test_row_formatting(self, reports):
-        assert "exact" in reports[0].row()
-        assert "2" in reports[1].row()
