@@ -7,7 +7,10 @@ initial separators); hoplink counts are flat in the distance band
 track the query-time curves and blow up for CSP-2Hop on COL's long
 bands.
 
-COLA is omitted, as in the paper (no hoplinks / concatenations).
+COLA is omitted, as in the paper (no hoplinks / concatenations).  QHL
+runs as the object sweep (:class:`~repro.core.qhl.QHLEngine` over the
+index's labels), whose counters are Algorithm 5's; the flat engine a
+built index serves with skips provably infeasible pairs.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import DATASETS, get_bundle, record_rows
+from repro.core import QHLEngine
 from repro.instrument import run_workload
 
 Q_SETS = ("Q1", "Q2", "Q3", "Q4", "Q5")
@@ -25,10 +29,11 @@ ENGINES = ("QHL", "CSP-2Hop")
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_fig7_operation_counts(benchmark, dataset, engine_name):
     bundle = get_bundle(dataset)
+    index = bundle.index
     engine = (
-        bundle.index.qhl_engine()
+        QHLEngine(index.tree, index.labels, index.lca, index.pruning)
         if engine_name == "QHL"
-        else bundle.index.csp2hop_engine()
+        else index.csp2hop_engine()
     )
 
     def sweep():

@@ -10,8 +10,8 @@ hold ``N + 1`` copies of every label tuple.
 Each scenario runs in its own subprocess (clean RSS baseline):
 
 * **object** — the object-graph index built in the scenario's own
-  process (no saved format holds an object graph), then a supervised
-  ``execute_batch`` with forked workers;
+  process (the dynamic build; no saved format holds an object graph),
+  then a supervised ``execute_batch`` with forked workers;
 * **flat** — ``load_flat_index`` (version-4 mmap), same batch through
   the flat engine.
 
@@ -19,8 +19,8 @@ The scenario reports its own peak RSS plus the largest worker peak
 (``getrusage`` of SELF and CHILDREN).  ``--check`` asserts the flat
 total stays below the object-graph total — the CI memory-sharing gate.
 
-A third scenario, **save**, builds the grid index with
-``store_paths=True`` and measures the ``tracemalloc`` peak of
+A third scenario, **save**, builds the grid index with object labels
+and ``store_paths=True`` and measures the ``tracemalloc`` peak of
 ``save_index`` against the column bytes of the file it writes.
 ``--check`` asserts a ratio of at most :data:`SAVE_PEAK_RATIO`: the
 packer holds one label chain and the columns are written as views, so
@@ -74,13 +74,15 @@ RESULT_TXT = "flat_memory.txt"
 
 
 def _build_index(store_paths: bool = False):
-    from repro.core import QHLIndex
+    """The grid index with object labels: the dynamic build keeps them
+    (a plain build freezes its labels into columns)."""
+    from repro.dynamic import DynamicQHLIndex
     from repro.graph import grid_network
 
     network = grid_network(GRID_SIDE, GRID_SIDE, seed=SEED)
-    return QHLIndex.build(
+    return DynamicQHLIndex.build(
         network, num_index_queries=100, store_paths=store_paths, seed=SEED
-    )
+    ).index
 
 
 def _build_file(tmpdir: str) -> str:

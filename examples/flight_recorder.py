@@ -86,7 +86,7 @@ def main() -> None:
         injector = FaultInjector()
         injector.fail(
             "engine-query", exc=RuntimeError, times=None,
-            match={"engine": "QHL"},
+            match={"engine": service.tiers[0]},
         )
         with use_injector(injector):
             service.query(0, last, 10_000)  # answered by CSP-2Hop

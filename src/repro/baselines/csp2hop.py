@@ -18,12 +18,15 @@ from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry, observe_query
 from repro.observability.tracing import NULL_TRACER, SpanTracer, get_tracer
-from repro.skyline.entries import Entry, expand, join_entry
+from repro.skyline.entries import Entry, expand, join_entry, restore
 from repro.skyline.set_ops import best_under
 from repro.types import CSPQuery, QueryResult, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.deadline import Deadline
+    from repro.storage.flat import FlatLabelStore
+
+_INF = float("inf")
 
 
 class CSP2HopEngine:
@@ -34,12 +37,19 @@ class CSP2HopEngine:
     def __init__(
         self,
         tree: TreeDecomposition,
-        labels: LabelStore,
+        labels: "LabelStore | FlatLabelStore",
         lca: LCAIndex | None = None,
     ):
         self._tree = tree
         self._labels = labels
         self._lca = lca if lca is not None else LCAIndex(tree)
+        # Flat columns (a FlatLabelStore) are read by row, not as
+        # materialised entries.
+        self._cartesian = (
+            self._cartesian_columns
+            if hasattr(labels, "hub_rows")
+            else self._cartesian_entries
+        )
 
     def query(
         self,
@@ -111,42 +121,98 @@ class CSP2HopEngine:
         # Lines 7-8: hoplinks = X(l), full Cartesian concatenation.
         hoplinks = self._tree.bag_with_self(lca)
         stats.hoplinks = len(hoplinks)
+        with tracer.span("concatenation") as span:
+            best = self._cartesian(s, t, hoplinks, budget, stats, deadline)
+            span.set("hoplinks", stats.hoplinks)
+            span.set("concatenations", stats.concatenations)
+            span.set("label_lookups", stats.label_lookups)
+        return self._finish(query, best, s, t, want_path)
+
+    def _cartesian_entries(
+        self, s: int, t: int, hoplinks, budget: float, stats: QueryStats,
+        deadline: "Deadline | None",
+    ) -> Entry | None:
+        """Lines 7-8 over object labels: every pair of entries."""
         # Hoplinks are ancestors of both endpoints: their sets sit in
         # L(s) / L(t) directly.
         label_s = self._labels.label(s)
         label_t = self._labels.label(t)
         best: Entry | None = None
-        with tracer.span("concatenation") as span:
-            for h in hoplinks:
+        for h in hoplinks:
+            if deadline is not None:
+                deadline.check(stats)
+            p_sh = label_s[h]
+            p_ht = label_t[h]
+            stats.label_lookups += 2
+            for p1 in p_sh:
+                c1 = p1[1]
+                w1 = p1[0]
+                for p2 in p_ht:
+                    stats.concatenations += 1
+                    # The Cartesian product is the unbounded part of
+                    # this baseline; check on the heap-loop cadence.
+                    if (
+                        deadline is not None
+                        and not stats.concatenations & 0xFF
+                    ):
+                        deadline.check(stats)
+                    total_c = c1 + p2[1]
+                    if total_c > budget:
+                        continue
+                    total_w = w1 + p2[0]
+                    if best is None or (
+                        (total_w, total_c) < (best[0], best[1])
+                    ):
+                        best = join_entry(p1, p2, mid=h)
+        return best
+
+    def _cartesian_columns(
+        self, s: int, t: int, hoplinks, budget: float, stats: QueryStats,
+        deadline: "Deadline | None",
+    ) -> Entry | None:
+        """Lines 7-8 over flat columns: the same pairs in the same
+        order as :meth:`_cartesian_entries`, read as column rows.
+
+        Materialising each hoplink's sets as entries costs more than
+        the whole Cartesian product on small sets (about twice the
+        query time on NY, ``docs/performance.md``), so this reads the
+        rows in place and joins the winning pair only.
+        """
+        labels = self._labels
+        weights, costs = labels.weights, labels.costs
+        offsets = labels.entry_offsets
+        rows_s, rows_t = labels.hub_rows(s), labels.hub_rows(t)
+        best_w = best_c = _INF
+        win = None
+        for h in hoplinks:
+            if deadline is not None:
+                deadline.check(stats)
+            i = rows_s[h]
+            j = rows_t[h]
+            stats.label_lookups += 2
+            a_lo, a_hi = offsets[i], offsets[i + 1]
+            rows_b = range(offsets[j], offsets[j + 1])
+            stats.concatenations += (a_hi - a_lo) * len(rows_b)
+            for a in range(a_lo, a_hi):
+                # The Cartesian product is the unbounded part of this
+                # baseline: check once per row of P_sh.
                 if deadline is not None:
                     deadline.check(stats)
-                p_sh = label_s[h]
-                p_ht = label_t[h]
-                stats.label_lookups += 2
-                for p1 in p_sh:
-                    c1 = p1[1]
-                    w1 = p1[0]
-                    for p2 in p_ht:
-                        stats.concatenations += 1
-                        # The Cartesian product is the unbounded part of
-                        # this baseline; check on the heap-loop cadence.
-                        if (
-                            deadline is not None
-                            and not stats.concatenations & 0xFF
-                        ):
-                            deadline.check(stats)
-                        total_c = c1 + p2[1]
-                        if total_c > budget:
-                            continue
-                        total_w = w1 + p2[0]
-                        if best is None or (
-                            (total_w, total_c) < (best[0], best[1])
-                        ):
-                            best = join_entry(p1, p2, mid=h)
-            span.set("hoplinks", stats.hoplinks)
-            span.set("concatenations", stats.concatenations)
-            span.set("label_lookups", stats.label_lookups)
-        return self._finish(query, best, s, t, want_path)
+                c1 = costs[a]
+                w1 = weights[a]
+                for b in rows_b:  # lint: allow=QHL001 bounded by |P_ht|; the row loop checks
+                    total_c = c1 + costs[b]
+                    if total_c > budget:
+                        continue
+                    total_w = w1 + weights[b]
+                    if total_w < best_w or (
+                        total_w == best_w and total_c < best_c
+                    ):
+                        best_w, best_c, win = total_w, total_c, (a, b, h)
+        if win is None:
+            return None
+        a, b, h = win
+        return join_entry(labels.entry(a), labels.entry(b), mid=h)
 
     def _finish(
         self,
@@ -159,4 +225,6 @@ class CSP2HopEngine:
         if best is None:
             return QueryResult(query)
         path = expand(best, s, t) if want_path else None
-        return QueryResult(query, weight=best[0], cost=best[1], path=path)
+        return QueryResult(
+            query, weight=restore(best[0]), cost=restore(best[1]), path=path
+        )

@@ -501,8 +501,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"index built in {format_seconds(timer.seconds)}")
 
         engines = [index.qhl_engine(), index.csp2hop_engine()]
-        if args.flat:
-            engines.insert(1, index.flat_engine())
         if args.cache_size:
             engines.insert(0, index.cached_engine(args.cache_size))
         if args.cola:
@@ -547,7 +545,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 UpdateConfig,
             )
 
-            dyn = DynamicQHLIndex(index, index_queries, store_paths=False)
+            # The built index serves from frozen columns; updates repair
+            # the object labels a dynamic build keeps.
+            dyn = DynamicQHLIndex.build(
+                network,
+                index_queries=index_queries,
+                store_paths=False,
+                seed=args.seed,
+            )
             manager = EpochManager(
                 dyn,
                 tempfile.mkdtemp(prefix=f"qhl-epoch-{os.getpid()}-"),
@@ -1053,12 +1058,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="with --batch, fan each query set out across this many "
         "worker processes (0 = in-process)",
-    )
-    p_bench.add_argument(
-        "--flat",
-        action="store_true",
-        help="add the flat-array QHL engine (packed columns, same "
-        "answers) to the race",
     )
     p_bench.add_argument(
         "--updates",

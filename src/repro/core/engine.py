@@ -2,11 +2,15 @@
 
 :class:`QHLIndex` bundles the four index pieces — tree decomposition,
 2-hop skyline labels, LCA structure, and pruning conditions — behind one
-``build`` call, and hands out query engines.  The labels are either an
-object :class:`~repro.labeling.labels.LabelStore` (built in memory) or
-flat columns (:class:`~repro.storage.flat.FlatLabelStore`, loaded from
-a saved file, with provenance columns when it was built with
-``store_paths=True``); the label type picks the default engine:
+``build`` call, and hands out query engines.  A built index serves from
+flat columns (:class:`~repro.storage.flat.FlatLabelStore`): the build
+freezes its object labels with
+:func:`~repro.storage.compact.pack_labels`, provenance columns included
+when ``store_paths=True``, and drops them and the elimination
+shortcuts, so it has the shape of a saved and loaded one.  Only the
+dynamic index (:class:`~repro.dynamic.updates.DynamicQHLIndex`) keeps
+an object :class:`~repro.labeling.labels.LabelStore`, which it repairs
+in place.  The label type picks the default engine:
 
 >>> from repro import QHLIndex, grid_network
 >>> network = grid_network(8, 8, seed=1)
@@ -22,8 +26,9 @@ same underlying index, so comparisons measure algorithms, not indexes.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.baselines.csp2hop import CSP2HopEngine
 from repro.core.pruning import PruningConditionIndex, build_pruning_index
@@ -39,11 +44,12 @@ from repro.labeling.builder import build_labels
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import get_tracer
+from repro.storage.compact import pack_labels
+from repro.storage.flat import FlatLabelStore
 from repro.types import CSPQuery, QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.flat import FlatQHLEngine
-    from repro.storage.flat import FlatLabelStore
 
 
 @dataclass
@@ -74,18 +80,11 @@ class QHLIndex:
         lca: LCAIndex,
         pruning: PruningConditionIndex,
     ):
-        from repro.storage.flat import FlatLabelStore
-
         self.network = network
         self.tree = tree
         self.labels = labels
         self.lca = lca
         self.pruning = pruning
-        # Flat labels are already columns; object labels are packed
-        # lazily by flat_engine().
-        self._flat_store: FlatLabelStore | None = (
-            labels if isinstance(labels, FlatLabelStore) else None
-        )
         self._default_engine = self.qhl_engine()
 
     # ------------------------------------------------------------------
@@ -139,43 +138,30 @@ class QHLIndex:
             out.  The resulting index is value-identical to an
             uninterrupted build.
         """
-        tracer = get_tracer()
-        with collector_paused(), tracer.span("qhl.build") as root:
-            with tracer.span("tree-decomposition"):
-                tree = build_tree_decomposition(
-                    network,
-                    strategy=strategy,
-                    store_paths=store_paths,
+        with _building(
+            network,
+            index_queries=index_queries,
+            num_index_queries=num_index_queries,
+            strategy=strategy,
+            store_paths=store_paths,
+            seed=seed,
+            label_workers=label_workers,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+            build_budget=build_budget,
+            supervised=supervised,
+            supervision=supervision,
+        ) as (network, tree, labels, lca, pruning):
+            # Freeze: the columns a save would write, provenance
+            # included when store_paths; the object labels and the
+            # elimination shortcuts go.
+            with get_tracer().span("label-freeze"):
+                flat = FlatLabelStore.from_compact(
+                    pack_labels(labels, provenance=store_paths)
                 )
-            with tracer.span("label-construction"):
-                labels = build_labels(
-                    tree,
-                    store_paths=store_paths,
-                    workers=label_workers,
-                    checkpoint=checkpoint_dir,
-                    resume=resume,
-                    budget=build_budget,
-                    supervised=supervised,
-                    supervision=supervision,
-                )
-            with tracer.span("lca-index"):
-                lca = LCAIndex(tree)
-            with tracer.span("pruning-index") as span:
-                if index_queries is None:
-                    index_queries = random_index_queries(
-                        network, num_index_queries, seed=seed
-                    )
-                pruning = build_pruning_index(
-                    tree, labels, lca, index_queries, seed=seed
-                )
-                span.set("conditions", pruning.num_conditions)
-            root.set("vertices", network.num_vertices)
-            root.set("edges", network.num_edges)
-        index = cls(network, tree, labels, lca, pruning)
-        registry = get_registry()
-        if registry.enabled:
-            index.record_metrics(registry)
-        return index
+            flat.build_seconds = labels.build_seconds
+            tree.shortcuts = {}
+        return cls(network, tree, flat, lca, pruning)._recorded()
 
     # ------------------------------------------------------------------
     # Engines
@@ -187,15 +173,14 @@ class QHLIndex:
     ) -> "QHLEngine | FlatQHLEngine":
         """A QHL engine; flip the flags for the Figure 8 ablations.
 
-        Over flat labels this is :meth:`flat_engine`, whose sweep has
-        no Cartesian variant (``use_two_pointer=False`` raises).
+        Over flat labels this is :meth:`flat_engine`, except for the
+        Cartesian ablation (``use_two_pointer=False``): that, like
+        every engine over object labels, is the object-sweep
+        :class:`~repro.core.qhl.QHLEngine`, which reads flat labels
+        through their ``LabelStore`` read API and counts operations as
+        Algorithm 5 does.
         """
-        if self.labels is self._flat_store:
-            if not use_two_pointer:
-                raise ReproError(
-                    "the Cartesian ablation needs object labels; this "
-                    "index holds flat columns"
-                )
+        if isinstance(self.labels, FlatLabelStore) and use_two_pointer:
             return self.flat_engine(use_pruning_conditions)
         return QHLEngine(
             self.tree,
@@ -213,25 +198,28 @@ class QHLIndex:
     def flat_engine(
         self, use_pruning_conditions: bool = True
     ) -> "FlatQHLEngine":
-        """A :class:`~repro.core.flat.FlatQHLEngine` over flat columns.
+        """A :class:`~repro.core.flat.FlatQHLEngine` over the flat
+        columns, as held (an mmap'd file stays mapped).
 
-        Flat labels are used as held (an mmap'd file stays mapped);
-        object labels are packed into a
-        :class:`~repro.storage.flat.FlatLabelStore` on first use and
-        cached, so repeated calls share one column set.  That packing
-        keeps ``(weight, cost)`` pairs only; paths over flat columns
-        come from a saved and loaded index.  Answers are
-        bit-identical to the object engine; the hot path is index
-        arithmetic instead of object-graph walks.
+        Answers are bit-identical to the object engine; the hot path is
+        index arithmetic instead of object-graph walks.
+
+        Raises
+        ------
+        ReproError
+            If the labels are objects (a dynamic index); save and load
+            it for columns.
         """
         from repro.core.flat import FlatQHLEngine
-        from repro.storage.flat import FlatLabelStore
 
-        if self._flat_store is None:
-            self._flat_store = FlatLabelStore.from_store(self.labels)
+        if not isinstance(self.labels, FlatLabelStore):
+            raise ReproError(
+                "this index holds object labels (a dynamic index); the "
+                "flat engine needs the columns of a built or loaded index"
+            )
         return FlatQHLEngine(
             self.tree,
-            self._flat_store,
+            self.labels,
             self.lca,
             self.pruning,
             use_pruning_conditions=use_pruning_conditions,
@@ -317,6 +305,14 @@ class QHLIndex:
         return audit_index(self, queries=queries, seed=seed)
 
     # ------------------------------------------------------------------
+    def _recorded(self) -> "QHLIndex":
+        """This index, its :meth:`record_metrics` exported to the
+        global registry when that is enabled."""
+        registry = get_registry()
+        if registry.enabled:
+            self.record_metrics(registry)
+        return self
+
     def record_metrics(self, registry) -> None:
         """Export :meth:`stats` as ``qhl_index_*`` gauges on ``registry``.
 
@@ -360,6 +356,63 @@ class QHLIndex:
             pruning_bytes=self.pruning.size_bytes(),
             pruning_conditions=self.pruning.num_conditions,
         )
+
+
+@contextmanager
+def _building(
+    network: RoadNetwork,
+    index_queries: Sequence[CSPQuery] | None,
+    num_index_queries: int,
+    store_paths: bool,
+    seed: int,
+    strategy: Strategy = "min_degree",
+    label_workers: int = 1,
+    checkpoint_dir: str | None = None,
+    resume: bool = False,
+    build_budget=None,
+    supervised: bool = False,
+    supervision=None,
+) -> Iterator[tuple[
+    RoadNetwork, TreeDecomposition, LabelStore, LCAIndex,
+    PruningConditionIndex,
+]]:
+    """Build the pieces of an index with object labels (parameters as
+    for :meth:`QHLIndex.build`) and yield them inside the build's span
+    and collector pause: :meth:`QHLIndex.build` freezes them there, the
+    dynamic index keeps them to repair."""
+    tracer = get_tracer()
+    with collector_paused(), tracer.span("qhl.build") as root:
+        with tracer.span("tree-decomposition"):
+            tree = build_tree_decomposition(
+                network,
+                strategy=strategy,
+                store_paths=store_paths,
+            )
+        with tracer.span("label-construction"):
+            labels = build_labels(
+                tree,
+                store_paths=store_paths,
+                workers=label_workers,
+                checkpoint=checkpoint_dir,
+                resume=resume,
+                budget=build_budget,
+                supervised=supervised,
+                supervision=supervision,
+            )
+        with tracer.span("lca-index"):
+            lca = LCAIndex(tree)
+        with tracer.span("pruning-index") as span:
+            if index_queries is None:
+                index_queries = random_index_queries(
+                    network, num_index_queries, seed=seed
+                )
+            pruning = build_pruning_index(
+                tree, labels, lca, index_queries, seed=seed
+            )
+            span.set("conditions", pruning.num_conditions)
+        root.set("vertices", network.num_vertices)
+        root.set("edges", network.num_edges)
+        yield network, tree, labels, lca, pruning
 
 
 def random_index_queries(

@@ -30,9 +30,9 @@ rows of the winning pair — or of the ancestor fast path's entry — and
 winner is the pair the object sweep picks, so paths are identical too.
 
 A :class:`~repro.core.engine.QHLIndex` whose labels are a
-:class:`~repro.storage.flat.FlatLabelStore` (what
-:func:`repro.storage.flatfile.load_flat_index` returns) hands out this
-engine by default.
+:class:`~repro.storage.flat.FlatLabelStore` (every built index, and
+what :func:`repro.storage.flatfile.load_flat_index` returns) hands out
+this engine by default.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from repro.core.qhl import candidate_separators, initial_separators  # noqa: F40
 from repro.exceptions import IndexBuildError
 from repro.hierarchy.lca import LCAIndex
 from repro.hierarchy.tree import TreeDecomposition
-from repro.skyline.entries import orient, splice
+from repro.skyline.entries import orient, restore, splice
 from repro.skyline.flat_ops import best_under_cols, sweep_best_pair
-from repro.storage.compact import _restore
 from repro.storage.flat import FlatLabelStore
 from repro.types import CSPQuery, QueryResult
 
@@ -194,7 +193,7 @@ class _FlatAccess:
 
     def best(self) -> tuple[float, float] | None:
         if self._weight < _INF:
-            return _restore(self._weight), _restore(self._cost)
+            return restore(self._weight), restore(self._cost)
         return None
 
     def finish(self, query: CSPQuery, want_path: bool) -> QueryResult:

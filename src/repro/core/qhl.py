@@ -65,7 +65,7 @@ from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry, observe_query
 from repro.observability.tracing import Span, SpanTracer, get_tracer
-from repro.skyline.entries import Entry, expand
+from repro.skyline.entries import Entry, expand, restore
 from repro.skyline.set_ops import best_under
 from repro.types import CSPQuery, QueryResult, QueryStats
 
@@ -272,11 +272,15 @@ class QHLEngine(Algorithm3Engine):
 
 
 class LabelAccess(LabelFetcher):
-    """Per-query access to an object label store, plus the best answer.
+    """Per-query access through the ``LabelStore`` read API (object
+    labels, or flat columns materialised per set), plus the best
+    answer.
 
     ``P_sh`` / ``P_ht`` come memoised from the
     :class:`~repro.core.separators.LabelFetcher` it extends; ``concat``
-    is Algorithm 5 (or the Cartesian ablation) over those entry lists.
+    is Algorithm 5 (or the Cartesian ablation) over those entry lists,
+    so the counters are the paper's.  Answers restore integral metrics
+    read out of columns to ints.
     The winning entry is re-stamped with its hoplink only in
     :meth:`finish`, so path expansion splits at the right vertex.
     """
@@ -317,7 +321,10 @@ class LabelAccess(LabelFetcher):
 
     def best(self) -> tuple[float, float] | None:
         best = self._best
-        return (best[0], best[1]) if best is not None else None
+        return (
+            (restore(best[0]), restore(best[1])) if best is not None
+            else None
+        )
 
     def finish(self, query: CSPQuery, want_path: bool) -> QueryResult:
         best = self._best
@@ -326,7 +333,10 @@ class LabelAccess(LabelFetcher):
         if self._hop is not None:
             best = rejoin_with_mid(best, self._hop)
         path = expand(best, self._s, self._t) if want_path else None
-        return QueryResult(query, weight=best[0], cost=best[1], path=path)
+        return QueryResult(
+            query, weight=restore(best[0]), cost=restore(best[1]),
+            path=path,
+        )
 
 
 class _TraceHook:

@@ -38,10 +38,17 @@ class LabelFetcher:
     the final concatenation touches the winner's again.  Memoising keeps
     the label-lookup count at one per (side, hub) — and reports that
     count for the stats the paper plots.
+
+    Over flat labels (any store with ``hub_sizes``) the sizes come from
+    the offset table, so estimation builds no entries: only the sets
+    actually fetched are materialised.  A (side, hub) that was sized
+    counts as looked up, fetched later or not, so ``lookups`` is the
+    same over either store.
     """
 
     __slots__ = (
-        "_label_s", "_label_t", "_from_s", "_from_t", "_sizes", "lookups"
+        "_label_s", "_label_t", "_size_s", "_size_t", "_from_s",
+        "_from_t", "_sizes", "lookups",
     )
 
     def __init__(self, labels: LabelStore, s: int, t: int):
@@ -50,6 +57,9 @@ class LabelFetcher:
         # symmetric-lookup fallback needed on the query hot path.
         self._label_s = labels.label(s)
         self._label_t = labels.label(t)
+        hub_sizes = getattr(labels, "hub_sizes", None)
+        self._size_s = hub_sizes(s) if hub_sizes is not None else None
+        self._size_t = hub_sizes(t) if hub_sizes is not None else None
         self._from_s: dict[int, SkylineSet] = {}
         self._from_t: dict[int, SkylineSet] = {}
         self._sizes: dict[int, int] = {}
@@ -61,7 +71,8 @@ class LabelFetcher:
         if entries is None:
             entries = self._label_s[h]
             self._from_s[h] = entries
-            self.lookups += 1
+            if h not in self._sizes:
+                self.lookups += 1
         return entries
 
     def from_t(self, h: int) -> SkylineSet:
@@ -70,14 +81,21 @@ class LabelFetcher:
         if entries is None:
             entries = self._label_t[h]
             self._from_t[h] = entries
-            self.lookups += 1
+            if h not in self._sizes:
+                self.lookups += 1
         return entries
 
     def pair_size(self, h: int) -> int:
         """``|P_sh| + |P_ht|`` — memoised, as candidates overlap."""
         size = self._sizes.get(h)
         if size is None:
-            size = len(self.from_s(h)) + len(self.from_t(h))
+            if self._size_s is None:
+                size = len(self.from_s(h)) + len(self.from_t(h))
+            else:
+                size = self._size_s[h] + self._size_t[h]
+                self.lookups += (
+                    (h not in self._from_s) + (h not in self._from_t)
+                )
             self._sizes[h] = size
         return size
 

@@ -33,9 +33,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.engine import QHLIndex, random_index_queries
+from repro.core.engine import QHLIndex, _building, random_index_queries
 from repro.core.pruning import build_pruning_index
-from repro.exceptions import InvalidGraphError
+from repro.exceptions import InvalidGraphError, ReproError
 from repro.gcpause import collector_paused
 from repro.graph.network import RoadNetwork
 from repro.hierarchy.tree import TreeDecomposition
@@ -77,13 +77,20 @@ class UpdateReport:
 class DynamicQHLIndex:
     """A QHL index that absorbs edge-metric updates incrementally.
 
-    Construction delegates to :meth:`repro.core.QHLIndex.build`; the
-    wrapper additionally remembers the contributor index and the
-    ``Q_index`` workload so updates can repair the structures in place.
+    Construction runs the builder of :meth:`repro.core.QHLIndex.build`
+    but keeps what that freezes away: the object labels and the
+    elimination shortcuts, which updates repair in place.  The wrapper
+    additionally remembers the contributor index and the ``Q_index``
+    workload.
     """
 
     def __init__(self, index: QHLIndex, index_queries: list[CSPQuery],
                  store_paths: bool) -> None:
+        if not isinstance(index.labels, LabelStore):
+            raise ReproError(
+                "a dynamic index repairs object labels; this index holds "
+                "flat columns (build it with DynamicQHLIndex.build)"
+            )
         self.index = index
         self._index_queries = index_queries
         self._store_paths = store_paths
@@ -107,13 +114,15 @@ class DynamicQHLIndex:
             index_queries = random_index_queries(
                 network, num_index_queries, seed=seed
             )
-        index = QHLIndex.build(
+        with _building(
             network,
             index_queries=index_queries,
+            num_index_queries=num_index_queries,
             store_paths=store_paths,
             seed=seed,
-        )
-        return cls(index, list(index_queries), store_paths)
+        ) as parts:
+            index = QHLIndex(*parts)
+        return cls(index._recorded(), list(index_queries), store_paths)
 
     # ------------------------------------------------------------------
     def query(

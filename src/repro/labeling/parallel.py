@@ -83,7 +83,8 @@ def label_set(
 
     The parts are ``S(v, w) ⊗ P(w, u)`` for each hub ``w ∈ X(v)\\{v}``
     in bag order, with ``S(v, u)`` itself standing in for the join when
-    ``w == u``.  Shared by the builders and the dynamic repair sweep.
+    ``w == u``.  The dynamic repair sweep's per-pair form;
+    :func:`label_rows_for` builds the same rows for a whole vertex.
     """
     shortcuts_v = tree.shortcuts[v]
     return join_union([
@@ -104,12 +105,25 @@ def label_rows_for(
     and parallel builders, so the two cannot drift.  ``joins`` counts
     the skyline joins performed (the build-cost unit the sequential
     builder reports).
+
+    Each row is :func:`label_set`'s, with the lookups hoisted: hub
+    ``w`` and ancestor ``u`` are on one root path, so ``P(w, u)`` sits
+    in the label of the deeper of the two, and comparing depths picks
+    that label without the store's two-sided ``get``.
     """
     hubs = tree.bag[v]  # X(v)\{v}, all ancestors of X(v)
+    depth, label = tree.depth, store.label
+    shortcuts_v = tree.shortcuts[v]
+    hub_parts = [(shortcuts_v[w], w, depth[w], label(w)) for w in hubs]
     rows: list[tuple[int, SkylineSet]] = []
     joins = 0
     for u in tree.ancestors(v):
-        rows.append((u, label_set(tree, store, v, u)))
+        depth_u, label_u = depth[u], label(u)
+        rows.append((u, join_union([
+            (s_vw, None if w == u
+             else label_w[u] if depth_w > depth_u else label_u[w], w)
+            for s_vw, w, depth_w, label_w in hub_parts
+        ])))
         joins += len(hubs) - (u in hubs)
     return rows, joins
 

@@ -40,7 +40,8 @@ from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry, observe_query
 from repro.perf.cache import SkylineCache, normalize_pair
-from repro.skyline.entries import expand, zero_entry
+from repro.skyline.entries import expand, restore, zero_entry
+from repro.skyline.flat_ops import join_union_rows
 from repro.skyline.set_ops import SkylineSet, best_under, join_union
 from repro.types import CSPQuery, QueryResult, QueryStats
 
@@ -72,6 +73,12 @@ class CachedQHLEngine:
             cache if isinstance(cache, SkylineCache) else SkylineCache(cache)
         )
         self._label_version = getattr(labels, "version", 0)
+        # Flat columns (a FlatLabelStore) are joined as row slices.
+        self._join = (
+            self._join_columns
+            if hasattr(labels, "hub_rows")
+            else self._join_entries
+        )
 
     def _check_coherence(self) -> None:
         """Invalidate the cache if the labels moved under us.
@@ -123,7 +130,8 @@ class CachedQHLEngine:
             else:
                 path = expand(best, source, target) if want_path else None
                 result = QueryResult(
-                    query, weight=best[0], cost=best[1], path=path
+                    query, weight=restore(best[0]), cost=restore(best[1]),
+                    path=path,
                 )
         stats.seconds = time.perf_counter() - started
         result.stats = stats
@@ -183,6 +191,15 @@ class CachedQHLEngine:
             (h_s, h_t), key=lambda h: estimated_cost(fetcher, h)
         )
         stats.hoplinks = len(hoplinks)
+        frontier = self._join(fetcher, s, t, hoplinks, stats, deadline)
+        stats.label_lookups += fetcher.lookups
+        return frontier
+
+    def _join_entries(
+        self, fetcher: LabelFetcher, s: int, t: int, hoplinks,
+        stats: QueryStats, deadline: "Deadline | None",
+    ) -> SkylineSet:
+        """``⋃_h P_sh ⊗ P_ht`` over object labels."""
         parts = []
         for h in hoplinks:
             if deadline is not None:
@@ -191,8 +208,31 @@ class CachedQHLEngine:
             p_ht = fetcher.from_t(h)
             stats.concatenations += len(p_sh) * len(p_ht)
             parts.append((p_sh, p_ht, h))
-        stats.label_lookups += fetcher.lookups
         return join_union(parts)
+
+    def _join_columns(
+        self, fetcher: LabelFetcher, s: int, t: int, hoplinks,
+        stats: QueryStats, deadline: "Deadline | None",
+    ) -> SkylineSet:
+        """``⋃_h P_sh ⊗ P_ht`` over flat columns: the sets are row
+        slices, and only the frontier's own pairs become entries.  The
+        fetcher sized every hoplink, which is all the lookups count."""
+        labels = self._labels
+        offsets = labels.entry_offsets
+        rows_s, rows_t = labels.hub_rows(s), labels.hub_rows(t)
+        parts = []
+        for h in hoplinks:
+            if deadline is not None:
+                deadline.check(stats)
+            i, j = rows_s[h], rows_t[h]
+            a_lo, a_hi = offsets[i], offsets[i + 1]
+            b_lo, b_hi = offsets[j], offsets[j + 1]
+            stats.concatenations += (a_hi - a_lo) * (b_hi - b_lo)
+            parts.append((a_lo, a_hi, b_lo, b_hi, h))
+        return join_union_rows(
+            labels.weights, labels.costs, parts,
+            labels.entry if labels.store_paths else None,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CachedQHLEngine({self.cache!r})"

@@ -281,7 +281,8 @@ def _check_provenance(
     ``(weight, cost)``."""
     from bisect import bisect_right
 
-    from repro.storage.compact import PROV_EDGE, _restore
+    from repro.skyline.entries import restore
+    from repro.storage.compact import PROV_EDGE
 
     labels, network = index.labels, index.network
     kinds, a_col, b_col, _c_col = labels.provenance
@@ -313,7 +314,7 @@ def _check_provenance(
             continue
         problem = _walk_problem(
             network, path,
-            _restore(labels.weights[row]), _restore(labels.costs[row]),
+            restore(labels.weights[row]), restore(labels.costs[row]),
         )
         if problem:
             check.add(f"row {row} of P({v}, {u}): {problem}")

@@ -152,6 +152,14 @@ def expand(entry: Entry, source: int, target: int) -> list[int]:
     return orient(_expand_any(entry), source, target)
 
 
+def restore(x: float) -> float:
+    """A metric read out of flat columns as the object labels held it:
+    integral floats come back as ints, so answers compare and print
+    exactly like those of indexes built from integer networks.  Ints
+    pass through."""
+    return int(x) if type(x) is float and x.is_integer() else x
+
+
 def path_of_pairs(entries: Sequence[Entry]) -> list[tuple[float, float]]:
     """Strip provenance: the ``(w, c)`` pairs of a sequence of entries."""
     return [(e[0], e[1]) for e in entries]

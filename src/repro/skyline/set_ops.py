@@ -27,7 +27,7 @@ JoinPart = tuple[Sequence[Entry], Sequence[Entry] | None, int]
 """``(a, b, mid)``: the part ``a ⊗_mid b`` of a :func:`join_union`, or
 ``a`` itself when ``b`` is ``None``."""
 
-_COST_WEIGHT = itemgetter(1, 0)
+_COST = itemgetter(1)
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -89,8 +89,8 @@ def join_union(parts: Iterable[JoinPart]) -> SkylineSet:
     least ``(weight, cost)``, ``(w1, c1)``.  No product costs less than
     ``c0`` or weighs less than ``w1``, so a product with weight
     ``> w0`` or cost ``> c1`` is strictly dominated by a corner and is
-    never formed.  The rest is sorted once, stably, by ``(cost,
-    weight)`` and swept once.
+    never formed, and a part whose own light corner is too heavy is
+    passed over whole.  The rest goes through :func:`sweep_by_cost`.
 
     Ties on ``(w, c)`` keep the first product in part order, left-major
     within a part — the representative the fold keeps (``merge``
@@ -104,15 +104,17 @@ def join_union(parts: Iterable[JoinPart]) -> SkylineSet:
         if not a or (b is not None and not b):
             continue
         live.append(part)
+        first, last = a[0], a[-1]
         if b is None:
-            lo_w, lo_c = a[0][0], a[0][1]
-            hi_w, hi_c = a[-1][0], a[-1][1]
+            lo_w, lo_c = first[0], first[1]
+            hi_w, hi_c = last[0], last[1]
         else:
-            lo_w, lo_c = a[0][0] + b[0][0], a[0][1] + b[0][1]
-            hi_w, hi_c = a[-1][0] + b[-1][0], a[-1][1] + b[-1][1]
-        if (lo_c, lo_w) < (c0, w0):
+            b_first, b_last = b[0], b[-1]
+            lo_w, lo_c = first[0] + b_first[0], first[1] + b_first[1]
+            hi_w, hi_c = last[0] + b_last[0], last[1] + b_last[1]
+        if lo_c < c0 or (lo_c == c0 and lo_w < w0):
             c0, w0 = lo_c, lo_w
-        if (hi_w, hi_c) < (w1, c1):
+        if hi_w < w1 or (hi_w == w1 and hi_c < c1):
             w1, c1 = hi_w, hi_c
     if not live:
         return []
@@ -125,6 +127,8 @@ def join_union(parts: Iterable[JoinPart]) -> SkylineSet:
             continue
         first_c = b[0][1]
         last_w = b[-1][0]
+        if a[-1][0] + last_w > w0:
+            continue  # even the part's lightest product is too heavy
         for left in a:
             lw, lc, lp = left[0], left[1], left[2]
             if lc + first_c > c1:
@@ -145,18 +149,37 @@ def join_union(parts: Iterable[JoinPart]) -> SkylineSet:
                 else:
                     append((w, c, None))
 
-    products.sort(key=_COST_WEIGHT)
-    it = iter(products)
-    first = next(it)
-    result: SkylineSet = [first]
-    best = first[0]
-    for entry in it:
-        if entry[0] < best:
-            result.append(entry)
-            best = entry[0]
     # Shortcut and label sets live as long as the index: hand back an
     # exact-size list rather than the append-grown one.
-    return list(result)
+    return list(sweep_by_cost(products))
+
+
+def sweep_by_cost(products: list) -> list:
+    """The skyline of the non-empty ``(w, c, ...)`` tuples
+    ``products``, which it sorts in place.
+
+    One stable sort by cost alone (a float key, no tuple per product)
+    and one sweep; within a run of equal costs the sweep keeps the
+    lightest product, replacing the one it kept for that cost, which is
+    what a ``(cost, weight)`` sort would have put first.  Of equal
+    ``(w, c)`` products the first in list order is kept.
+    """
+    products.sort(key=_COST)
+    it = iter(products)
+    head = next(it)
+    kept = [head]
+    best, last_c = head[0], head[1]
+    for product in it:
+        w = product[0]
+        if w < best:
+            best = w
+            c = product[1]
+            if c == last_c:  # lighter at the same cost: it replaces
+                kept[-1] = product
+            else:
+                kept.append(product)
+                last_c = c
+    return kept
 
 
 def filter_under(entries: Sequence[Entry], theta: float) -> SkylineSet:

@@ -319,10 +319,3 @@ def _positions(values: list[int], target: int) -> Iterator[int]:
             yield i
     except ValueError:
         return
-
-
-def _restore(x: float) -> float:
-    """A packed metric as the label store held it: integral values come
-    back as ints, so answers compare exactly against indexes built from
-    integer networks."""
-    return int(x) if x.is_integer() else x

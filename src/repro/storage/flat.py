@@ -1,12 +1,14 @@
-"""Flat columnar label store — the query-time twin of ``CompactLabels``.
+"""Flat columnar label store: how every built or loaded index serves.
 
 :class:`FlatLabelStore` holds the ``pack_labels`` arrays (or
 ``memoryview`` casts over an ``mmap``) and serves skyline sets as
 half-open column slices instead of per-entry tuple lists, so the flat
 query engine (:class:`~repro.core.flat.FlatQHLEngine`) touches no
-Python object graph on the hot path.
+Python object graph on the hot path.  Every built index serves from
+one (``QHLIndex.build`` freezes its object labels into it), and
+:func:`repro.storage.flatfile.load_flat_index` maps one from a file.
 
-Layout (identical to :class:`~repro.storage.compact.CompactLabels`):
+Layout (that of :class:`~repro.storage.compact.CompactLabels`):
 vertex ``v``'s sets occupy ``set_offsets[v] : set_offsets[v + 1]`` of
 ``hubs`` / ``entry_offsets``; hubs are sorted per vertex (``pack_labels``
 iterates ``sorted(label)``), so set lookup is a binary search; set ``i``
@@ -18,13 +20,15 @@ The store also speaks the :class:`~repro.labeling.labels.LabelStore`
 read API — ``label(v)`` returns a lazy hub→entries mapping, ``get(x, y)``
 materialises entry tuples, plus the counting/iteration helpers — so
 consumers built against the object store (the frontier cache, the index
-audit, the CSP-2Hop baseline) run over flat or mmap-backed labels
-unmodified.
+audit, the CSP-2Hop baseline, the object-sweep engine) run over flat or
+mmap-backed labels unmodified.  Materialised entries are built at C
+speed and keep the columns' floats; engines restore integral metrics
+to ints on their answers only (:func:`restore`).
 
 Provenance is optional.  A store built with the four provenance columns
-(``pack_labels(..., provenance=True)``, or a file saved from an index
-built with ``store_paths=True``) expands any row into its vertex path
-with :meth:`FlatLabelStore.walk`, and materialised entries are
+(``pack_labels(..., provenance=True)``, or an index built with
+``store_paths=True``) expands any row into its vertex path with
+:meth:`FlatLabelStore.walk`, and materialised entries are
 ``(w, c, ROW, store, i)``, a provenance that
 :func:`~repro.skyline.entries.expand` follows, so every engine retrieves
 paths over it.  Without the columns, entries carry ``None`` provenance
@@ -34,19 +38,18 @@ and path retrieval raises.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
 from operator import sub
 from typing import Any, Iterator, Mapping
 
 from repro.exceptions import IndexBuildError, ReproError, SerializationError
-from repro.labeling.labels import LabelStore
+from repro.labeling.labels import _PAIR_BYTES
 from repro.skyline.entries import ROW, Entry, splice
 from repro.storage.compact import (
     PROV_EDGE,
     PROV_JOIN,
     PROV_ZERO,
     CompactLabels,
-    _restore,
-    pack_labels,
 )
 
 #: The zero-length path — concatenation identity, no provenance.
@@ -98,6 +101,8 @@ class FlatLabelStore:
         self.provenance = provenance
         #: Whether paths can be retrieved (the LabelStore flag).
         self.store_paths = provenance is not None
+        #: The LabelStore change counter; columns never change.
+        self.version = 0
         self.build_seconds = 0.0
         # Keeps the mmap (and through it the shared pages) alive for as
         # long as the store's column views reference it.
@@ -123,14 +128,6 @@ class FlatLabelStore:
             compact.costs,
             compact.provenance,
         )
-
-    @classmethod
-    def from_store(cls, store: LabelStore) -> "FlatLabelStore":
-        """Pack an object-graph label store into fresh flat columns
-        (``(weight, cost)`` pairs only)."""
-        flat = cls.from_compact(pack_labels(store))
-        flat.build_seconds = store.build_seconds
-        return flat
 
     # ------------------------------------------------------------------
     # Hot-path slice lookup (no entry materialisation)
@@ -218,23 +215,29 @@ class FlatLabelStore:
         return x == y or self.find_set(x, y) >= 0 or self.find_set(y, x) >= 0
 
     def entries(self, lo: int, hi: int) -> list[Entry]:
-        """Materialise the entry slice ``[lo, hi)`` as tuples.
+        """Materialise the entry slice ``[lo, hi)`` as tuples, at C
+        speed.
 
-        Integral metrics come back as ints so answers compare exactly
-        against object-graph indexes built from integer networks.  The
-        entries are ``(w, c, ROW, self, i)`` when the store has provenance
-        columns, ``(w, c, None)`` otherwise.
+        The entries are ``(w, c, ROW, self, i)`` when the store has
+        provenance columns, ``(w, c, None)`` otherwise.  Metrics stay
+        the columns' floats; :func:`restore` turns an answer's integral
+        ones back into ints.
         """
-        weights, costs = self.weights, self.costs
+        count = hi - lo
         if self.provenance is None:
-            return [
-                (_restore(weights[i]), _restore(costs[i]), None)
-                for i in range(lo, hi)
-            ]
-        return [
-            (_restore(weights[i]), _restore(costs[i]), ROW, self, i)
-            for i in range(lo, hi)
-        ]
+            return list(zip(
+                self.weights[lo:hi], self.costs[lo:hi], repeat(None, count)
+            ))
+        return list(zip(
+            self.weights[lo:hi], self.costs[lo:hi], repeat(ROW, count),
+            repeat(self, count), range(lo, hi),
+        ))
+
+    def entry(self, i: int) -> Entry:
+        """Row ``i`` as one entry tuple, as :meth:`entries` builds it."""
+        if self.provenance is None:
+            return (self.weights[i], self.costs[i], None)
+        return (self.weights[i], self.costs[i], ROW, self, i)
 
     def walk(self, row: int) -> list[int]:
         """The vertex path of provenance row ``row``, in *some*
@@ -306,7 +309,13 @@ class FlatLabelStore:
         return len(self.hubs)
 
     def size_bytes(self) -> int:
-        """Actual payload size of the columns (8 bytes per item, 4 per
+        """Label size as the paper counts it, like
+        :meth:`LabelStore.size_bytes`: 16 bytes per entry plus 8 per
+        set."""
+        return self.num_entries() * _PAIR_BYTES + self.num_sets() * 8
+
+    def column_bytes(self) -> int:
+        """Actual payload of the columns (8 bytes per item, 4 per
         provenance item)."""
         return 8 * (
             len(self.set_offsets)
@@ -432,4 +441,3 @@ class _FlatLabel(Mapping[int, list[Entry]]):
 
     def __len__(self) -> int:
         return self._hi - self._lo
-

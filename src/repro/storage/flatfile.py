@@ -100,10 +100,11 @@ _ITEMSIZE = {"q": 8, "d": 8, "i": 4}
 def save_flat_index(index: "QHLIndex", path: str) -> int:
     """Write ``index`` in the flat (version 4) format; returns file size.
 
-    Object labels are packed, with provenance when they were built
-    with ``store_paths=True``; flat labels, mapped or not, are written
-    from their own columns, and so are the pruning conditions,
-    preserving byte identity across save/load cycles.  The columns are
+    Flat labels, built or mapped, are written from their own columns,
+    and so are the pruning conditions, preserving byte identity across
+    build/save/load cycles; the object labels of a dynamic index are
+    packed, with provenance when they were built with
+    ``store_paths=True``, to the same bytes.  The columns are
     hashed and written as ``memoryview``s of those arrays, so the save
     holds no second copy of the index: its extra memory is the
     packer's, one root-to-leaf label chain, plus the metadata.

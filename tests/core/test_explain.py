@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import QHLIndex
+from repro.core import QHLEngine, QHLIndex
 from repro.datasets import paper_figure1_network, v
 from repro.graph import random_connected_network
 from repro.types import CSPQuery
@@ -16,7 +16,8 @@ def paper_engine():
     index = QHLIndex.build(
         g, index_queries=[CSPQuery(v(8), v(4), 13)], seed=0
     )
-    return index.qhl_engine()
+    # The object sweep: Example 15 counts Algorithm 5's inspections.
+    return QHLEngine(index.tree, index.labels, index.lca, index.pruning)
 
 
 class TestPaperQueryExplained:

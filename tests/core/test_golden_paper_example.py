@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import QHLEngine
 from repro.datasets.paper_example import v
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "paper_example.json"
@@ -31,9 +32,16 @@ def golden():
 @pytest.fixture(scope="module")
 def explanation(paper_index, golden):
     q = golden["query"]
-    return paper_index.qhl_engine().explain(
+    return _object_sweep(paper_index).explain(
         q["source"], q["target"], q["budget"]
     )
+
+
+def _object_sweep(index):
+    """The object-sweep engine: its counters are Algorithm 5's, which
+    the golden file pins (the flat sweep skips provably infeasible
+    pairs)."""
+    return QHLEngine(index.tree, index.labels, index.lca, index.pruning)
 
 
 class TestQueryPlan:
@@ -91,7 +99,9 @@ class TestQueryPlan:
 class TestOperationCounters:
     def test_per_phase_op_counts(self, paper_index, golden):
         q = golden["query"]
-        result = paper_index.query(q["source"], q["target"], q["budget"])
+        result = _object_sweep(paper_index).query(
+            q["source"], q["target"], q["budget"]
+        )
         want = golden["query_stats"]
         assert result.stats.hoplinks == want["hoplinks"]
         assert result.stats.concatenations == want["concatenations"]

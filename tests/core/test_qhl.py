@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.baselines import constrained_dijkstra
-from repro.core import QHLIndex
+from repro.core import QHLEngine, QHLIndex
 from repro.datasets import paper_figure1_network, v
 from repro.exceptions import QueryError
 from repro.types import CSPQuery
@@ -26,9 +26,11 @@ class TestPaperRunningExample:
         assert index.query(v(8), v(4), 13).pair() == (17, 13)
 
     def test_three_concatenations(self, paper):
-        """§2.3: 'our proposed QHL only needs to do 3 concatenations'."""
+        """§2.3: 'our proposed QHL only needs to do 3 concatenations'
+        (Algorithm 5's count, so the object sweep)."""
         _g, index = paper
-        result = index.query(v(8), v(4), 13)
+        engine = QHLEngine(index.tree, index.labels, index.lca, index.pruning)
+        result = engine.query(v(8), v(4), 13)
         assert result.stats.concatenations == 3
 
     def test_single_hoplink_after_pruning(self, paper):

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from repro.baselines import constrained_dijkstra, skyline_between
 from repro.baselines.sky_dijkstra import SkyDijkstraEngine
 from repro.core import QHLIndex
+from repro.core.qhl import QHLEngine
+from repro.dynamic import DynamicQHLIndex
 from repro.types import CSPQuery
 
 
@@ -86,22 +88,37 @@ def generate_cases(network, count: int, seed: int) -> list[CSPQuery]:
     return cases
 
 
-def engines_under_test(index: QHLIndex, cache_size: int = 32) -> list:
-    """Every label-based engine plus the index-free ladder floor.
+def engines_under_test(
+    index: QHLIndex, cache_size: int = 32
+) -> list[tuple[str, object]]:
+    """``(label, engine)`` for every label-based engine over every label
+    store, plus the index-free ladder floor.
 
-    ``flat_engine`` answers over the packed column representation
-    (:class:`~repro.core.flat.FlatQHLEngine`), so every differential
-    run also diffs flat-vs-object answers.
+    ``index`` is a built index, which serves from flat columns
+    (:class:`~repro.storage.flat.FlatLabelStore`).  The same engines also
+    run over object labels — those of a dynamic index built from the
+    same network — and the object-sweep :class:`~repro.core.qhl.QHLEngine`
+    runs over the columns too, so every differential run diffs each
+    engine and store pairing against the reference.
     """
-    return [
-        index.qhl_engine(),
-        index.qhl_engine(use_pruning_conditions=False),
-        index.flat_engine(),
-        index.flat_engine(use_pruning_conditions=False),
-        index.cached_engine(cache_size),
-        index.csp2hop_engine(),
-        SkyDijkstraEngine(index.network),
+    objects = DynamicQHLIndex.build(
+        index.network, num_index_queries=100, seed=17
+    ).index
+    engines = [
+        ("flat", index.qhl_engine()),
+        ("flat", index.qhl_engine(use_pruning_conditions=False)),
+        ("flat", QHLEngine(index.tree, index.labels, index.lca,
+                           index.pruning)),
+        ("flat", index.cached_engine(cache_size)),
+        ("flat", index.csp2hop_engine()),
+        ("objects", objects.qhl_engine()),
+        ("objects", objects.qhl_engine(use_pruning_conditions=False)),
+        ("objects", objects.cached_engine(cache_size)),
+        ("objects", objects.csp2hop_engine()),
+        ("graph", SkyDijkstraEngine(index.network)),
     ]
+    return [(f"{engine.name} over {store}", engine)
+            for store, engine in engines]
 
 
 def answer(result) -> tuple:
@@ -127,13 +144,13 @@ def run_differential(
     for query in queries:
         s, t, c = query
         want = answer(constrained_dijkstra(network, s, t, c))
-        for engine in engines:
+        for label, engine in engines:
             repeats = 2 if engine.name == "QHL+cache" else 1
             for _ in range(repeats):
                 got = answer(engine.query(s, t, c))
                 if got != want:
                     disagreements.append(
-                        Disagreement(engine.name, query, got, want)
+                        Disagreement(label, query, got, want)
                     )
     return disagreements
 

@@ -2,9 +2,10 @@
 
 Each family contributes ~70 queries (``REPRO_DIFF_QUERIES`` overrides),
 so a default run diffs 200+ queries — every engine (QHL with and without
-pruning conditions, QHL-flat over packed columns, QHL+cache cold *and*
-hot, CSP-2Hop, SkyDijkstra) against the constrained-Dijkstra reference
-on ``(feasible, weight, cost)``.
+pruning conditions, QHL+cache cold *and* hot, CSP-2Hop) over a built
+index's flat columns and over a dynamic index's object labels, the
+object-sweep QHL over the columns, and SkyDijkstra — against the
+constrained-Dijkstra reference on ``(feasible, weight, cost)``.
 """
 
 from __future__ import annotations

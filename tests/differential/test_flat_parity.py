@@ -17,7 +17,8 @@ reference-diff cannot see:
   representation;
 * one index class — a :class:`QHLIndex` over flat labels shares
   everything but the labels with the object index it came from, and
-  serves the flat engine over those labels as held;
+  serves the flat engine over those labels as held; a built index is
+  such a flat index, the object one is what the dynamic build keeps;
 * path parity — over a saved index's provenance columns, QHL-flat and
   CSP-2Hop return the very paths their object-label runs return, on
   the ancestor fast path and for ``s == t`` too.
@@ -30,11 +31,18 @@ import os
 import pytest
 
 from repro.core.flat import FlatQHLEngine
+from repro.core.qhl import QHLEngine
+from repro.dynamic import DynamicQHLIndex
 from repro.exceptions import DeadlineExceededError, ReproError
 from repro.graph import grid_network
 from repro.perf import execute_batch
 from repro.service.deadline import Deadline
-from repro.storage import FlatLabelStore, load_flat_index, save_flat_index
+from repro.storage import (
+    FlatLabelStore,
+    load_flat_index,
+    pack_labels,
+    save_flat_index,
+)
 
 from tests.differential.harness import answer, generate_cases
 
@@ -43,9 +51,16 @@ from repro.core import QHLIndex
 
 @pytest.fixture(scope="module")
 def index():
-    return QHLIndex.build(
+    """The object index: what the dynamic build keeps to repair."""
+    return DynamicQHLIndex.build(
         grid_network(6, 6, seed=21), num_index_queries=100, seed=17
-    )
+    ).index
+
+
+@pytest.fixture(scope="module")
+def built(index):
+    """The same index built: frozen into flat columns."""
+    return QHLIndex.build(index.network, num_index_queries=100, seed=17)
 
 
 @pytest.fixture(scope="module")
@@ -77,15 +92,15 @@ def _ancestor_pairs(index):
     ]
 
 
-def test_expired_deadline_raises_from_both_engines(index):
-    for engine in (index.qhl_engine(), index.flat_engine()):
+def test_expired_deadline_raises_from_both_engines(index, built):
+    for engine in (index.qhl_engine(), built.flat_engine()):
         with pytest.raises(DeadlineExceededError):
             engine.query(0, 35, 100, deadline=Deadline(0.0))
 
 
-def test_generous_deadline_answers_from_both_engines(index):
+def test_generous_deadline_answers_from_both_engines(index, built):
     obj = index.qhl_engine().query(0, 35, 100, deadline=Deadline(60.0))
-    flat = index.flat_engine().query(0, 35, 100, deadline=Deadline(60.0))
+    flat = built.flat_engine().query(0, 35, 100, deadline=Deadline(60.0))
     assert answer(obj) == answer(flat)
 
 
@@ -103,8 +118,10 @@ def test_mmap_loaded_index_matches_object_answers(index, cases, tmp_path):
     assert infeasible > 0, "case generation lost its infeasible regime"
 
 
-def test_flat_answers_are_exact_ints_on_integer_networks(index, cases):
-    flat = index.flat_engine()
+def test_flat_answers_are_exact_ints_on_integer_networks(
+    index, built, cases
+):
+    flat = built.flat_engine()
     obj = index.qhl_engine()
     for s, t, c in cases:
         got = flat.query(s, t, c)
@@ -115,15 +132,17 @@ def test_flat_answers_are_exact_ints_on_integer_networks(index, cases):
 
 
 def test_flat_engine_refuses_path_retrieval(index):
-    flat = index.flat_engine()
+    flat = QHLIndex.build(
+        index.network, num_index_queries=100, seed=17, store_paths=False
+    ).flat_engine()
     result = flat.query(0, 35, 100)
     assert result.feasible
     with pytest.raises(ReproError, match="provenance"):
         flat.query(0, 35, 100, want_path=True)
 
 
-def test_query_many_matches_single_queries(index, cases):
-    flat = index.flat_engine()
+def test_query_many_matches_single_queries(built, cases):
+    flat = built.flat_engine()
     batch = execute_batch(flat, [(s, t, c) for s, t, c in cases]).results
     for (s, t, c), got in zip(cases, batch):
         assert answer(got) == answer(flat.query(s, t, c))
@@ -133,7 +152,7 @@ def _flat_twin(index):
     return QHLIndex(
         index.network,
         index.tree,
-        FlatLabelStore.from_store(index.labels),
+        FlatLabelStore.from_compact(pack_labels(index.labels)),
         index.lca,
         index.pruning,
     )
@@ -158,9 +177,23 @@ def test_flat_labels_pick_the_flat_engine_without_repacking(index, cases):
         assert answer(flat.query(s, t, c)) == answer(index.query(s, t, c))
 
 
-def test_flat_labels_refuse_the_cartesian_ablation(index):
+def test_flat_labels_serve_the_cartesian_ablation(index, cases):
+    """``use_two_pointer=False`` over flat labels is the object-sweep
+    engine reading them through the ``LabelStore`` read API: same
+    answers and the same Algorithm-5 counters as over object labels."""
+    flat = _flat_twin(index).qhl_engine(use_two_pointer=False)
+    obj = index.qhl_engine(use_two_pointer=False)
+    assert type(flat) is QHLEngine
+    for s, t, c in cases:
+        got, want = flat.query(s, t, c), obj.query(s, t, c)
+        assert answer(got) == answer(want)
+        assert got.stats.concatenations == want.stats.concatenations
+        assert got.stats.label_lookups == want.stats.label_lookups
+
+
+def test_object_labels_refuse_the_flat_engine(index):
     with pytest.raises(ReproError, match="object labels"):
-        _flat_twin(index).qhl_engine(use_two_pointer=False)
+        index.flat_engine()
 
 
 @pytest.mark.parametrize("engine", ["qhl_engine", "csp2hop_engine"])

@@ -168,7 +168,7 @@ class TestServiceBatch:
 
     def test_cache_disabled_by_default(self, paper_index):
         service = QueryService(index=paper_index)
-        assert service.tiers[0] == "QHL"
+        assert service.tiers[0] == "QHL-flat"
 
 
 class TestHarnessBatchMode:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import QHLIndex
+from repro.dynamic import DynamicQHLIndex
 from repro.graph import grid_network
 
 
@@ -35,3 +36,12 @@ def service_grid():
 @pytest.fixture(scope="session")
 def service_index(service_grid):
     return QHLIndex.build(service_grid, num_index_queries=200, seed=1)
+
+
+@pytest.fixture(scope="session")
+def object_index(service_grid):
+    """``service_index`` as the dynamic build holds it: object labels,
+    whose entry lists the corruption matrix edits in place."""
+    return DynamicQHLIndex.build(
+        service_grid, num_index_queries=200, seed=1
+    ).index

@@ -112,8 +112,8 @@ CORRUPTIONS = {
 # audit_index() itself
 # ----------------------------------------------------------------------
 class TestAuditIndex:
-    def test_clean_index_passes_every_check(self, service_index):
-        report = audit_index(service_index, queries=6, seed=3)
+    def test_clean_index_passes_every_check(self, object_index):
+        report = audit_index(object_index, queries=6, seed=3)
         assert report.ok
         assert {check.name for check in report.checks} == {
             "tree-structure",
@@ -126,9 +126,9 @@ class TestAuditIndex:
         assert all(check.checked > 0 for check in report.checks)
 
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-    def test_each_corruption_trips_its_check(self, service_index, name):
+    def test_each_corruption_trips_its_check(self, object_index, name):
         mutate, expected_check = CORRUPTIONS[name]
-        bad = mutate(service_index)
+        bad = mutate(object_index)
         report = audit_index(bad, queries=0, seed=0)
         assert not report.ok
         assert expected_check in report.failed_checks(), (
@@ -136,31 +136,31 @@ class TestAuditIndex:
             f"got {report.failed_checks()}"
         )
 
-    def test_order_and_dominance_checks_are_distinct(self, service_index):
+    def test_order_and_dominance_checks_are_distinct(self, object_index):
         # An equal-cost entry with still-decreasing weights violates
         # *only* the cost order; an appended dominated entry violates
         # *only* dominance-freeness.
-        order_bad = copy.deepcopy(service_index)
+        order_bad = copy.deepcopy(object_index)
         _v, _u, entries = _rich_pair(order_bad)
         entries[1] = (entries[1][0], entries[0][1], None)
         report = audit_index(order_bad, queries=0)
         assert "label-order" in report.failed_checks()
         assert "label-dominance" not in report.failed_checks()
 
-        dom_bad = corrupt_dominated_entry(service_index)
+        dom_bad = corrupt_dominated_entry(object_index)
         report = audit_index(dom_bad, queries=0)
         assert "label-dominance" in report.failed_checks()
         assert "label-order" not in report.failed_checks()
 
-    def test_wrong_values_fall_to_the_spot_check(self, service_index):
-        bad = corrupt_label_values(service_index)
+    def test_wrong_values_fall_to_the_spot_check(self, object_index):
+        bad = corrupt_label_values(object_index)
         structural = audit_index(bad, queries=0)
         assert structural.ok  # order/dominance/coverage all still hold
         semantic = audit_index(bad, queries=8, seed=1)
         assert semantic.failed_checks() == ["spot-check"]
 
-    def test_report_is_machine_readable(self, service_index):
-        bad = corrupt_dropped_hoplink(service_index)
+    def test_report_is_machine_readable(self, object_index):
+        bad = corrupt_dropped_hoplink(object_index)
         data = audit_index(bad, queries=0).to_dict()
         assert data["ok"] is False
         by_name = {check["name"]: check for check in data["checks"]}
@@ -171,11 +171,11 @@ class TestAuditIndex:
     def test_index_audit_facade(self, service_index):
         assert service_index.audit(queries=2, seed=0).ok
 
-    def test_audit_metrics_land_in_registry(self, service_index):
+    def test_audit_metrics_land_in_registry(self, object_index):
         registry = MetricsRegistry()
-        bad = corrupt_dominated_entry(service_index)
+        bad = corrupt_dominated_entry(object_index)
         with use_registry(registry):
-            audit_index(service_index, queries=2, seed=0)
+            audit_index(object_index, queries=2, seed=0)
             audit_index(bad, queries=0, seed=0)
         assert registry.counter(
             "audit_runs_total", {"status": "pass"}
@@ -211,10 +211,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_verify_flags_label_corruptions(
-        self, service_index, tmp_path, capsys, name
+        self, object_index, tmp_path, capsys, name
     ):
         mutate, expected_check = CORRUPTIONS[name]
-        path = self._saved(mutate(service_index), tmp_path, f"{name}.idx")
+        path = self._saved(mutate(object_index), tmp_path, f"{name}.idx")
         assert main(
             ["verify", "--index", path, "--queries", "0"]
         ) == 1
@@ -238,10 +238,10 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL storage-checksum" in out
 
-    def test_verify_json_output(self, service_index, tmp_path, capsys):
+    def test_verify_json_output(self, object_index, tmp_path, capsys):
         import json
 
-        bad = corrupt_cost_order(service_index)
+        bad = corrupt_cost_order(object_index)
         path = self._saved(bad, tmp_path, "bad.idx")
         assert main(
             ["verify", "--index", path, "--queries", "0", "--json"]
@@ -258,22 +258,22 @@ class TestVerifyCommand:
 class TestFlatIndexAudit:
     """Seeded corruption over flat columns.
 
-    ``FlatLabelStore.from_store`` packs *fresh* arrays, so each fixture
-    use gets a private, mutable column set — corrupting it cannot leak
-    into the session-scoped ``service_index``.
+    ``pack_labels`` packs *fresh* arrays from the object labels of the
+    dynamic build, so each fixture use gets a private, mutable column
+    set — corrupting it cannot leak into the session-scoped indexes.
     """
 
     @pytest.fixture()
-    def flat_index(self, service_index):
+    def flat_index(self, object_index):
         from repro.core import QHLIndex
-        from repro.storage import FlatLabelStore
+        from repro.storage import FlatLabelStore, pack_labels
 
         return QHLIndex(
-            service_index.network,
-            service_index.tree,
-            FlatLabelStore.from_store(service_index.labels),
-            service_index.lca,
-            service_index.pruning,
+            object_index.network,
+            object_index.tree,
+            FlatLabelStore.from_compact(pack_labels(object_index.labels)),
+            object_index.lca,
+            object_index.pruning,
         )
 
     def _rich_set_bounds(self, labels, min_entries=2):
@@ -332,19 +332,19 @@ class TestFlatIndexAudit:
         assert "flat-columns" in report.failed_checks()
 
     @pytest.fixture()
-    def paths_index(self, service_index):
-        """A flat twin with (fresh, mutable) provenance columns."""
+    def paths_index(self, object_index):
+        """Flat columns with (fresh, mutable) provenance columns."""
         from repro.core import QHLIndex
         from repro.storage import FlatLabelStore, pack_labels
 
         return QHLIndex(
-            service_index.network,
-            service_index.tree,
+            object_index.network,
+            object_index.tree,
             FlatLabelStore.from_compact(
-                pack_labels(service_index.labels, provenance=True)
+                pack_labels(object_index.labels, provenance=True)
             ),
-            service_index.lca,
-            service_index.pruning,
+            object_index.lca,
+            object_index.pruning,
         )
 
     def _rows_of_kind(self, labels, kind):
@@ -461,12 +461,12 @@ class TestRequireAuditGate:
             index=service_index,
             config=ServiceConfig(require_audit=True, audit_queries=2),
         )
-        assert service.tiers == ["QHL", "CSP-2Hop", "SkyDijkstra"]
+        assert service.tiers == ["QHL-flat", "CSP-2Hop", "SkyDijkstra"]
         assert service.audit_report is not None and service.audit_report.ok
-        assert service.query(0, 63, budget=400).engine == "QHL"
+        assert service.query(0, 63, budget=400).engine == "QHL-flat"
 
-    def test_bad_index_degrades_to_index_free_tier(self, service_index):
-        bad = corrupt_dominated_entry(service_index)
+    def test_bad_index_degrades_to_index_free_tier(self, object_index):
+        bad = corrupt_dominated_entry(object_index)
         registry = MetricsRegistry()
         with use_registry(registry):
             service = QueryService(
@@ -485,8 +485,8 @@ class TestRequireAuditGate:
         assert result.engine == "SkyDijkstra"
         assert result.feasible
 
-    def test_bad_index_with_no_fallback_raises(self, service_index):
-        bad = corrupt_cost_order(service_index)
+    def test_bad_index_with_no_fallback_raises(self, object_index):
+        bad = corrupt_cost_order(object_index)
         with pytest.raises(AuditError, match="self-audit"):
             QueryService(
                 index=bad,
@@ -497,8 +497,8 @@ class TestRequireAuditGate:
                 ),
             )
 
-    def test_gate_off_by_default(self, service_index):
-        bad = corrupt_dominated_entry(service_index)
+    def test_gate_off_by_default(self, object_index):
+        bad = corrupt_dominated_entry(object_index)
         service = QueryService(index=bad)
         assert service.audit_report is None
         assert "QHL" in service.tiers

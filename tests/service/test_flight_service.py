@@ -31,7 +31,7 @@ class TestPerQueryRecords:
         records = service.flight.records()
         assert len(records) == 1
         record = records[0]
-        assert record.engine == result.engine == "QHL"
+        assert record.engine == result.engine == "QHL-flat"
         assert record.outcome == "ok"
         assert (record.source, record.target) == QUERY[:2]
         assert record.trace_id is not None
@@ -130,12 +130,12 @@ class TestAutoDump:
         injector = FaultInjector()
         injector.fail(
             "engine-query", exc=RuntimeError, times=None,
-            match={"engine": "QHL"},
+            match={"engine": "QHL-flat"},
         )
         with use_injector(injector):
             service.query(*QUERY)  # failure 1 (answered by CSP-2Hop)
             service.query(*QUERY)  # failure 2 -> QHL breaker opens
-        assert service.breaker("QHL").state == "open"
+        assert service.breaker("QHL-flat").state == "open"
         dumps = glob.glob(os.path.join(dump_dir, "*.jsonl"))
         assert any("breaker-open-QHL" in name for name in dumps)
 

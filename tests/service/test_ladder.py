@@ -30,7 +30,7 @@ def service(service_index):
 
 class TestLadderConstruction:
     def test_full_ladder_from_index(self, service):
-        assert service.tiers == ["QHL", "CSP-2Hop", "SkyDijkstra"]
+        assert service.tiers == ["QHL-flat", "CSP-2Hop", "SkyDijkstra"]
 
     def test_network_only_service_is_index_free(self, service_grid):
         service = QueryService(network=service_grid)
@@ -116,7 +116,7 @@ class TestFallback:
     def test_healthy_service_answers_via_qhl(self, service, service_grid):
         for s, t, budget in QUERIES:
             result = service.query(s, t, budget)
-            assert result.engine == "QHL"
+            assert result.engine == "QHL-flat"
             assert result.pair() == ground_truth(service_grid, s, t, budget)
 
     def test_single_tier_fault_falls_back_correctly(
@@ -125,7 +125,7 @@ class TestFallback:
         injector = FaultInjector()
         injector.fail(
             "engine-query", exc=RuntimeError, times=1,
-            match={"engine": "QHL"},
+            match={"engine": "QHL-flat"},
         )
         s, t, budget = QUERIES[0]
         with use_injector(injector):
@@ -138,7 +138,7 @@ class TestFallback:
     ):
         injector = FaultInjector()
         injector.fail("engine-query", exc=RuntimeError, times=1,
-                      match={"engine": "QHL"})
+                      match={"engine": "QHL-flat"})
         injector.fail("engine-query", exc=ReproError, times=1,
                       match={"engine": "CSP-2Hop"})
         s, t, budget = QUERIES[1]
@@ -163,12 +163,12 @@ class TestFallback:
         registry = MetricsRegistry()
         injector = FaultInjector()
         injector.fail("engine-query", exc=RuntimeError, times=1,
-                      match={"engine": "QHL"})
+                      match={"engine": "QHL-flat"})
         with use_registry(registry), use_injector(injector):
             service.query(*QUERIES[0])
         fallback = registry.get(
             "service_fallback_total",
-            {"from": "QHL", "to": "CSP-2Hop", "reason": "RuntimeError"},
+            {"from": "QHL-flat", "to": "CSP-2Hop", "reason": "RuntimeError"},
         )
         assert fallback is not None and fallback.value == 1
         answered = registry.get("service_queries_total",
@@ -192,12 +192,12 @@ class TestBreakerIntegration:
         service = self._failing_service(service_index, fake_clock)
         injector = FaultInjector()
         injector.fail("engine-query", exc=RuntimeError, times=None,
-                      match={"engine": "QHL"})
+                      match={"engine": "QHL-flat"})
         s, t, budget = QUERIES[0]
         with use_injector(injector):
             service.query(s, t, budget)
             service.query(s, t, budget)
-            assert service.breaker("QHL").state == "open"
+            assert service.breaker("QHL-flat").state == "open"
             # Breaker open: QHL is skipped, so only CSP-2Hop fires.
             before = injector.calls("engine-query")
             result = service.query(s, t, budget)
@@ -211,17 +211,17 @@ class TestBreakerIntegration:
         service = self._failing_service(service_index, fake_clock)
         injector = FaultInjector()
         injector.fail("engine-query", exc=RuntimeError, times=2,
-                      match={"engine": "QHL"})
+                      match={"engine": "QHL-flat"})
         s, t, budget = QUERIES[0]
         with use_injector(injector):
             service.query(s, t, budget)
             service.query(s, t, budget)
-            assert service.breaker("QHL").state == "open"
+            assert service.breaker("QHL-flat").state == "open"
             fake_clock.advance(10.5)
             # Probe succeeds (the fault schedule is exhausted): closed.
             result = service.query(s, t, budget)
-        assert result.engine == "QHL"
-        assert service.breaker("QHL").state == "closed"
+        assert result.engine == "QHL-flat"
+        assert service.breaker("QHL-flat").state == "closed"
 
     def test_breaker_transitions_are_counted(
         self, service_index, fake_clock
@@ -230,13 +230,13 @@ class TestBreakerIntegration:
         service = self._failing_service(service_index, fake_clock)
         injector = FaultInjector()
         injector.fail("engine-query", exc=RuntimeError, times=2,
-                      match={"engine": "QHL"})
+                      match={"engine": "QHL-flat"})
         with use_registry(registry), use_injector(injector):
             service.query(*QUERIES[0])
             service.query(*QUERIES[0])
         opened = registry.get(
             "service_breaker_transitions_total",
-            {"tier": "QHL", "state": "open"},
+            {"tier": "QHL-flat", "state": "open"},
         )
         assert opened is not None and opened.value == 1
 

@@ -17,7 +17,8 @@ from repro.skyline import (
     skyline_of,
 )
 
-from repro.skyline.entries import EDGE
+from repro.skyline.entries import EDGE, ROW
+from repro.skyline.flat_ops import join_union_rows
 from tests.skyline.oracles import join, merge
 
 pair = st.tuples(
@@ -175,3 +176,39 @@ def test_join_union_equals_merge_join_fold(raw_parts):
             assert len(g) == len(w) == 5
             assert type(g[2]) is type(w[2]) is int and g[2] == w[2]
             assert g[3] is w[3] and g[4] is w[4]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(raw_set, raw_set, st.integers(0, 5)), max_size=6),
+    st.booleans(),
+)
+def test_join_union_rows_equals_join_union(raw_parts, with_prov):
+    """The column kernel returns what join_union returns over the
+    materialised entries of the same rows, provenance included."""
+    weights, costs, parts, materialised = [], [], [], []
+
+    def entry(i):
+        return (weights[i], costs[i], ROW, None, i)
+
+    def rows(raw):
+        sky = skyline_of([(w, c, None) for w, c, _flag in raw])
+        lo = len(weights)
+        weights.extend(e[0] for e in sky)
+        costs.extend(e[1] for e in sky)
+        return lo, len(weights)
+
+    for a, b, mid in raw_parts:
+        (a_lo, a_hi), (b_lo, b_hi) = rows(a), rows(b)
+        parts.append((a_lo, a_hi, b_lo, b_hi, mid))
+    for a_lo, a_hi, b_lo, b_hi, mid in parts:
+        made = (entry if with_prov else lambda i: (weights[i], costs[i], None))
+        materialised.append((
+            [made(i) for i in range(a_lo, a_hi)],
+            [made(i) for i in range(b_lo, b_hi)],
+            mid,
+        ))
+    got = join_union_rows(
+        weights, costs, parts, entry if with_prov else None
+    )
+    assert got == join_union(materialised)

@@ -27,6 +27,7 @@ import pytest
 from repro.core import QHLIndex
 from repro.core.flat import FlatQHLEngine
 from repro.core.pruning import COND_COLUMNS
+from repro.dynamic import DynamicQHLIndex
 from repro.exceptions import SerializationError
 from repro.graph import random_connected_network
 from repro.resilience.audit import audit_index
@@ -95,9 +96,13 @@ class TestByteIdentity:
                 == getattr(original, name).tobytes()
             ), f"column {name} drifted through the mmap round-trip"
 
-    def test_provenance_columns_repack_byte_identical(self, saved):
-        index, path = saved
-        original = pack_labels(index.labels, provenance=True).provenance
+    def test_provenance_columns_repack_byte_identical(self, built, saved):
+        g, index = built
+        # The built index froze these columns from object labels; pack
+        # the dynamic build's object labels afresh to compare against.
+        dyn = DynamicQHLIndex.build(g, num_index_queries=200, seed=14)
+        original = pack_labels(dyn.index.labels, provenance=True).provenance
+        _index, path = saved
         loaded = load_flat_index(path).labels.provenance
         assert len(original[0]) >= index.labels.num_entries()
         for name, want, got in zip(PROV_COLUMNS, original, loaded):

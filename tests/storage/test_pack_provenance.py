@@ -13,7 +13,6 @@ import tracemalloc
 
 import pytest
 
-from repro.core import QHLIndex
 from repro.dynamic import DynamicQHLIndex
 from repro.graph import grid_network
 from repro.hierarchy import build_tree_decomposition
@@ -114,8 +113,8 @@ class TestMatchesOracle:
         assert len(packed.provenance[0]) > len(packed.weights)
 
     def test_anonymous_zero_entries(self):
-        index = QHLIndex.build(grid_network(5, 5, seed=2),
-                               num_index_queries=10, seed=2)
+        index = DynamicQHLIndex.build(grid_network(5, 5, seed=2),
+                                      num_index_queries=10, seed=2).index
         store = index.labels
         joins = [
             (v, u, i)
@@ -141,8 +140,8 @@ class TestMatchesOracle:
         assert -1 in a_col[labelled:]  # the pool row
 
     def test_entry_without_provenance(self):
-        index = QHLIndex.build(grid_network(5, 5, seed=2),
-                               num_index_queries=10, seed=2)
+        index = DynamicQHLIndex.build(grid_network(5, 5, seed=2),
+                                      num_index_queries=10, seed=2).index
         store = index.labels
         v, u, entries = next(iter(store.items()))
         store.set(v, u, [(e[0], e[1], None) for e in entries])
@@ -154,8 +153,9 @@ def test_pack_peak_is_bounded_by_its_output():
     """The packer holds one label chain, not an index-sized map: its
     tracemalloc peak stays within 2.5x the bytes of the columns it
     returns (the whole-index packer peaked at about 5x)."""
-    index = QHLIndex.build(grid_network(12, 12, seed=1),
-                           num_index_queries=20, seed=1, store_paths=True)
+    index = DynamicQHLIndex.build(grid_network(12, 12, seed=1),
+                                  num_index_queries=20, seed=1,
+                                  store_paths=True).index
     tracemalloc.start()
     try:
         packed = pack_labels(index.labels, provenance=True)

@@ -208,7 +208,7 @@ class TestObservabilityFlags:
         engines = {
             r["labels"]["engine"] for r in by_name["qhl_query_seconds"]
         }
-        assert {"QHL", "CSP-2Hop"} <= engines
+        assert {"QHL-flat", "CSP-2Hop"} <= engines
         for record in by_name["qhl_query_seconds"]:
             assert record["count"] > 0
             assert {"p50", "p95", "p99"} <= set(record["percentiles"])

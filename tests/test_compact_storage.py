@@ -10,6 +10,7 @@ import pytest
 from repro.core import QHLIndex
 from repro.exceptions import SerializationError
 from repro.graph import random_connected_network
+from repro.skyline.entries import restore
 from repro.storage import FlatLabelStore, pack_labels
 
 
@@ -34,10 +35,21 @@ class TestPackUnpack:
             ]
 
     def test_integer_metrics_restored_as_ints(self, built):
+        # Materialised entries keep the columns' floats; ``restore``
+        # gives back the ints, and every engine restores its answers.
         _g, index = built
         restored = unpack(pack_labels(index.labels))
         some = next(iter(restored.items()))[2]
-        assert all(isinstance(e[0], int) for e in some)
+        assert all(isinstance(restore(e[0]), int) for e in some)
+        for engine in (
+            index.qhl_engine(),
+            index.qhl_engine(use_two_pointer=False),
+            index.csp2hop_engine(),
+            index.cached_engine(8),
+        ):
+            result = engine.query(0, 29, 10**6)
+            assert type(result.weight) is int
+            assert type(result.cost) is int
 
     def test_float_metrics_survive(self):
         from repro.graph import RoadNetwork

@@ -114,7 +114,7 @@ class TestWorkloadReport:
         report = run_workload(engine, queries, "Q1")
         assert report.num_queries == 3
         assert report.latency.count == 3
-        assert report.latency.labels == {"engine": "QHL", "workload": "Q1"}
+        assert report.latency.labels == {"engine": "QHL-flat", "workload": "Q1"}
         assert report.p50_ms > 0
 
 
