@@ -46,7 +46,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_JSON = os.path.join(REPO_ROOT, "BENCH_live_updates.json")
 
 CONFIG = UpdateConfig(
-    audit_on_publish=False, replay_on_start=False, reap_stale=False
+    audit_on_publish=False, replay_on_start=False
 )
 
 

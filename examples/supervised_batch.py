@@ -5,7 +5,8 @@ Run with::
     python examples/supervised_batch.py
 
 Runs the same 60-query batch twice: once sequentially (ground truth)
-and once fanned out over two *supervised* worker processes, with a
+and once fanned out over two worker processes (every fan-out runs
+supervised), with a
 tripwire engine that SIGKILLs the first worker to touch a query.  The
 supervisor respawns the dead worker and requeues its lost chunk, so the
 batch still returns every answer — identical to the sequential run,
@@ -56,9 +57,7 @@ def main() -> None:
         rigged = KillFirstWorkerEngine(engine, os.path.join(tmp, "trip"))
         incidents = IncidentLog()
         with use_incident_log(incidents):
-            report = execute_batch(
-                rigged, queries, workers=2, supervised=True
-            )
+            report = execute_batch(rigged, queries, workers=2)
 
     assert report.failures == [], report.failures
     assert [r.pair() for r in report.results] == [

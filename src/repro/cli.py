@@ -71,7 +71,9 @@ builds labels level-parallel across N processes; ``bench --cache-size
 N`` races a QHL+cache engine (skyline-frontier LRU over N pairs)
 alongside the others, ``--batch`` runs each query set through the
 batch API in cache-friendly order, and ``--workers N`` fans a batched
-run out across N worker processes.
+run out across N worker processes.  Every fan-out is supervised (dead
+workers respawn and their lost chunk is retried); ``--heartbeat-ms``
+and ``--max-worker-restarts`` tune that policy.
 """
 
 from __future__ import annotations
@@ -173,52 +175,47 @@ def _incident_scope(args: argparse.Namespace):
 
 
 def _supervision_from_args(args: argparse.Namespace):
-    """``(supervised, SupervisionConfig | None)`` for ``args``."""
-    if not getattr(args, "supervised", False):
-        return False, None
+    """The worker pools' ``SupervisionConfig`` for ``args`` (``None``
+    keeps the defaults)."""
+    restarts = getattr(args, "max_worker_restarts", None)
+    heartbeat_ms = getattr(args, "heartbeat_ms", None)
+    if restarts is None and heartbeat_ms is None:
+        return None
     import dataclasses
 
     from repro.supervise import SupervisionConfig
 
     config = SupervisionConfig()
-    if getattr(args, "max_worker_restarts", None) is not None:
-        config = dataclasses.replace(
-            config, max_restarts=args.max_worker_restarts
-        )
-    if getattr(args, "heartbeat_ms", None) is not None:
+    if restarts is not None:
+        config = dataclasses.replace(config, max_restarts=restarts)
+    if heartbeat_ms is not None:
         # Keep the stall threshold a comfortable multiple of the beat
         # interval so tuning one flag cannot silently create a
         # shoot-healthy-workers configuration.
         config = dataclasses.replace(
             config,
-            heartbeat_ms=args.heartbeat_ms,
-            stall_after_ms=max(
-                config.stall_after_ms, 20.0 * args.heartbeat_ms
-            ),
+            heartbeat_ms=heartbeat_ms,
+            stall_after_ms=max(config.stall_after_ms, 20.0 * heartbeat_ms),
         )
-    return True, config
+    return config
 
 
 def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--supervised`` option group (build and bench)."""
-    parser.add_argument(
-        "--supervised",
-        action="store_true",
-        help="run worker fan-outs under process supervision: dead "
-        "workers are respawned and their lost chunk retried instead "
-        "of failing (requires workers >= 2 to matter)",
-    )
+    """The shared worker-supervision option group (build and bench).
+
+    Worker fan-outs (``--workers >= 2``) always run supervised: dead
+    workers are respawned and their lost chunk retried.
+    """
     parser.add_argument(
         "--max-worker-restarts",
         type=int,
         help="consecutive deaths that trip a worker's restart circuit "
-        "breaker (with --supervised; default 3)",
+        "breaker (default 3)",
     )
     parser.add_argument(
         "--heartbeat-ms",
         type=float,
-        help="worker heartbeat interval in milliseconds (with "
-        "--supervised; default 100)",
+        help="worker heartbeat interval in milliseconds (default 100)",
     )
     parser.add_argument(
         "--incident-out",
@@ -285,7 +282,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         budget = BuildBudget(
             max_seconds=args.max_build_seconds, max_rss_mb=args.max_rss_mb
         )
-    supervised, supervision = _supervision_from_args(args)
+    supervision = _supervision_from_args(args)
     with _metrics_scope(args.metrics_out), _incident_scope(args), \
             Timer() as timer:
         index = QHLIndex.build(
@@ -297,7 +294,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             build_budget=budget,
-            supervised=supervised,
             supervision=supervision,
         )
     size = save_index(index, args.out)
@@ -485,7 +481,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     network = read_csp_text(args.network)
     sets = read_query_sets(args.queries)
-    supervised, supervision = _supervision_from_args(args)
+    supervision = _supervision_from_args(args)
     with _metrics_scope(args.metrics_out), _flight_scope(args), \
             _incident_scope(args):
         index_queries = index_queries_from_sets(
@@ -516,7 +512,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     deadline_ms=args.deadline_ms,
                     batch=args.batch,
                     workers=args.workers,
-                    supervised=supervised,
                     supervision=supervision,
                 )
                 print(report.row())
@@ -536,7 +531,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     f"{stats.evictions} evictions"
                 )
         if args.updates:
-            import os
             import tempfile
 
             from repro.dynamic import (
@@ -553,15 +547,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 store_paths=False,
                 seed=args.seed,
             )
-            manager = EpochManager(
-                dyn,
-                tempfile.mkdtemp(prefix=f"qhl-epoch-{os.getpid()}-"),
-                UpdateConfig(audit_on_publish=False),
-            )
-            for name, query_set in sets.items():
-                _bench_updates(
-                    manager, query_set, name, args.updates, args.seed
+            with tempfile.TemporaryDirectory(
+                prefix="qhl-bench-journal-"
+            ) as journal_dir:
+                manager = EpochManager(
+                    dyn, journal_dir, UpdateConfig(audit_on_publish=False)
                 )
+                for name, query_set in sets.items():
+                    _bench_updates(
+                        manager, query_set, name, args.updates, args.seed
+                    )
     return 0
 
 

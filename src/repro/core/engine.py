@@ -101,7 +101,6 @@ class QHLIndex:
         checkpoint_dir: str | None = None,
         resume: bool = False,
         build_budget=None,
-        supervised: bool = False,
         supervision=None,
     ) -> "QHLIndex":
         """Build the full index.
@@ -124,11 +123,12 @@ class QHLIndex:
             ``>= 2`` builds the labels level-parallel across a process
             pool (:mod:`repro.labeling.parallel`); the index is
             value-identical to a sequential build.
-        supervised, supervision:
-            With ``label_workers >= 2``, run the level pools under
-            worker supervision (:mod:`repro.supervise`): a worker
-            killed mid-level is respawned and its chunk recomputed
-            instead of failing the build.
+        supervision:
+            Optional :class:`~repro.supervise.supervisor.
+            SupervisionConfig` for the supervised level pools
+            (:mod:`repro.supervise`) that ``label_workers >= 2`` runs
+            on: a worker killed mid-level is respawned and its chunk
+            recomputed instead of failing the build.
         checkpoint_dir, resume, build_budget:
             Checkpoint the label build (the dominant phase) per depth
             level into ``checkpoint_dir``; ``resume=True`` continues an
@@ -149,7 +149,6 @@ class QHLIndex:
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             build_budget=build_budget,
-            supervised=supervised,
             supervision=supervision,
         ) as (network, tree, labels, lca, pruning):
             # Freeze: the columns a save would write, provenance
@@ -370,7 +369,6 @@ def _building(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     build_budget=None,
-    supervised: bool = False,
     supervision=None,
 ) -> Iterator[tuple[
     RoadNetwork, TreeDecomposition, LabelStore, LCAIndex,
@@ -396,7 +394,6 @@ def _building(
                 checkpoint=checkpoint_dir,
                 resume=resume,
                 budget=build_budget,
-                supervised=supervised,
                 supervision=supervision,
             )
         with tracer.span("lca-index"):

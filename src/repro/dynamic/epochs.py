@@ -17,9 +17,7 @@ pipeline:
 3. **Publish** — on success (optionally gated by
    :func:`~repro.resilience.audit.audit_index` and a repair deadline)
    the clone becomes the new epoch via an atomic pointer swap; the
-   journal watermark advances through the PR-2 atomic envelope.  The
-   flat/mmap twin, when enabled, is packed per epoch and swapped with
-   the same pointer.
+   journal watermark advances through the PR-2 atomic envelope.
 4. **Rollback** — on *any* failure (repair exception, audit failure,
    deadline breach, injected fault at ``update-repair`` /
    ``update-publish``) the clone is discarded, the old epoch keeps
@@ -39,8 +37,6 @@ never serve a frontier computed from an older one.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -57,15 +53,11 @@ from repro.exceptions import (
     UpdateFailedError,
 )
 from repro.observability.metrics import get_registry
-from repro.observability.propagation import reap_stale_spools
 from repro.resilience.audit import audit_index
 from repro.service.deadline import Deadline
 from repro.service.faults import get_injector
-from repro.storage.flatfile import load_flat_index, save_flat_index
 from repro.supervise.incidents import get_incident_log
 from repro.types import QueryResult
-
-EPOCH_DIR_PREFIX = "qhl-epoch-"
 
 #: Seconds a repair-timing histogram bucket ladder suited to
 #: incremental repairs (milliseconds to tens of seconds).
@@ -105,8 +97,6 @@ class UpdateConfig:
 
     #: Per-epoch skyline-cache capacity; 0 queries the plain engine.
     cache_size: int = 0
-    #: Pack and mmap-load a flat twin for each published epoch.
-    flat: bool = False
     #: Run :func:`audit_index` on the repaired clone before publishing.
     audit_on_publish: bool = True
     audit_queries: int = 8
@@ -115,16 +105,14 @@ class UpdateConfig:
     max_repair_seconds: float | None = None
     #: Replay pending journal records when the manager starts.
     replay_on_start: bool = True
-    #: Reap orphaned ``qhl-epoch-*`` temp dirs on startup.
-    reap_stale: bool = True
 
 
 class Epoch:
     """One immutable published version of the index.
 
-    Holds the dynamic index, the optional flat/mmap twin, and its own
-    skyline cache — readers that grabbed a reference keep a fully
-    consistent view even after newer epochs publish.
+    Holds the dynamic index and its own skyline cache — readers that
+    grabbed a reference keep a fully consistent view even after newer
+    epochs publish.
     """
 
     def __init__(
@@ -137,18 +125,6 @@ class Epoch:
         self.id = epoch_id
         self.dyn = dyn
         self.created_ts = created_ts
-        self.flat_dir: str | None = None
-        self.flat_index = None
-        if config.flat:
-            # The pid in the name keeps reap_stale_spools off a live
-            # manager's dir: flat twins are written once and mmap-read,
-            # so mtime age cannot distinguish live from orphaned.
-            self.flat_dir = tempfile.mkdtemp(
-                prefix=f"{EPOCH_DIR_PREFIX}{os.getpid()}-"
-            )
-            path = os.path.join(self.flat_dir, "epoch.flat")
-            save_flat_index(dyn.index, path)
-            self.flat_index = load_flat_index(path)
         # The per-epoch cache IS the epoch-keying: a fresh cache per
         # epoch means no frontier outlives the labels it came from.
         self._engine = (
@@ -170,13 +146,10 @@ class Epoch:
         if engine is not None:
             return engine
         if name == "QHL":
-            index = self.flat_index if self.flat_index is not None else (
-                self.dyn.index
-            )
             engine = (
                 self._engine
                 if self._engine is not None
-                else index.qhl_engine()
+                else self.dyn.index.qhl_engine()
             )
         elif name == "CSP-2Hop":
             engine = self.dyn.index.csp2hop_engine()
@@ -199,24 +172,10 @@ class Epoch:
             return self._engine.query(
                 source, target, budget, want_path=want_path
             )
-        if self.flat_index is not None:
-            return self.flat_index.query(
-                source, target, budget, want_path=want_path
-            )
         return self.dyn.query(source, target, budget, want_path=want_path)
 
-    def discard(self) -> None:
-        """Release this epoch's on-disk footprint (flat twin dir).
-
-        Safe while readers still hold the mmap: POSIX keeps the mapping
-        alive after the unlink; the pages go away with the last viewer.
-        """
-        if self.flat_dir is not None:
-            shutil.rmtree(self.flat_dir, ignore_errors=True)
-            self.flat_dir = None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Epoch(id={self.id}, flat={self.flat_index is not None})"
+        return f"Epoch(id={self.id})"
 
 
 class EpochManager:
@@ -241,8 +200,6 @@ class EpochManager:
         """
         self.config = config or UpdateConfig()
         self._clock = clock if clock is not None else time.monotonic
-        if self.config.reap_stale:
-            reap_stale_spools()
         self.journal = UpdateJournal(journal_dir)
         if self.journal.torn_lines:
             get_incident_log().new(
@@ -392,7 +349,6 @@ class EpochManager:
     def _apply_record(self, record: JournalRecord) -> UpdateReport:
         injector = get_injector()
         clone = self._epoch.dyn.clone()
-        new_epoch: Epoch | None = None
         reason = "repair"
         try:
             injector.fire("update-repair", seq=record.seq)
@@ -424,17 +380,17 @@ class EpochManager:
                 "update-publish", seq=record.seq, epoch=record.seq
             )
         except DeadlineExceededError as exc:
-            self._rollback(record, new_epoch, "deadline", exc)
+            self._rollback(record, "deadline", exc)
             raise UpdateFailedError(
                 f"update batch {record.seq} overran its repair budget",
                 seq=record.seq,
                 reason="deadline",
             ) from exc
         except UpdateFailedError as exc:
-            self._rollback(record, new_epoch, exc.reason or reason, exc)
+            self._rollback(record, exc.reason or reason, exc)
             raise
         except (ReproError, OSError, RuntimeError) as exc:
-            self._rollback(record, new_epoch, reason, exc)
+            self._rollback(record, reason, exc)
             raise UpdateFailedError(
                 f"update batch {record.seq} failed during {reason}: {exc}",
                 seq=record.seq,
@@ -442,23 +398,18 @@ class EpochManager:
             ) from exc
 
         # The swap: readers racing this line see either epoch, whole.
-        old_epoch = self._epoch
         self._epoch = new_epoch
         self.journal.mark_published(record.seq)
-        old_epoch.discard()
         self._count_publish(record, report)
         return report
 
     def _rollback(
         self,
         record: JournalRecord,
-        new_epoch: Epoch | None,
         reason: str,
         exc: BaseException,
     ) -> None:
-        """Discard the failed clone; the old epoch keeps serving."""
-        if new_epoch is not None:
-            new_epoch.discard()
+        """Drop the failed clone; the old epoch keeps serving."""
         get_incident_log().new(
             kind="update-rollback",
             worker="epoch-manager",
@@ -559,8 +510,11 @@ class EpochManager:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the current epoch's on-disk footprint."""
-        self._epoch.discard()
+        """End the manager's life.
+
+        A no-op: epochs live in memory and the journal holds no open
+        handle, so there is nothing to release.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

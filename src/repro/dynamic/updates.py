@@ -158,10 +158,14 @@ class DynamicQHLIndex:
         labels.version = old.labels.version
         for v, label in enumerate(old.labels._labels):
             labels._labels[v] = dict(label)
-        index = QHLIndex(old.network, tree, labels, old.lca, old.pruning)
-        twin = DynamicQHLIndex(
-            index, self._index_queries, self._store_paths
+        # Built without __init__, which would rebuild the edge list and
+        # the contributor index only for them to be replaced here.
+        twin = object.__new__(type(self))
+        twin.index = QHLIndex(
+            old.network, tree, labels, old.lca, old.pruning
         )
+        twin._index_queries = self._index_queries
+        twin._store_paths = self._store_paths
         twin._edges = list(self._edges)
         twin._contributors = self._contributors  # topology is fixed
         return twin

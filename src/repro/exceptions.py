@@ -138,11 +138,12 @@ class LintConfigError(ReproError):
 
 
 class WorkerCrashError(ReproError):
-    """A pooled worker process died before answering (SIGKILL, OOM).
+    """Pooled work was lost to worker deaths (SIGKILL, OOM) for good.
 
-    Surfaces per affected query in a batch's failure rows: the crash
-    costs only the dead worker's chunk, every other chunk's answers are
-    kept, and the stitched trace marks the worker's span truncated.
+    The supervised pool respawns a dead worker and retries its chunk,
+    so a crash alone costs nothing; this error (through its two
+    subclasses) surfaces per affected query in a batch's failure rows
+    only when the retries could not recover the work.
     """
 
 

@@ -155,7 +155,6 @@ def run_workload(
     batch_deadline_ms: float | None = None,
     batch: bool = False,
     workers: int = 0,
-    supervised: bool = False,
     supervision=None,
 ) -> WorkloadReport:
     """Run every query through the engine and aggregate the statistics.
@@ -176,16 +175,15 @@ def run_workload(
     ``batch=True`` executes through the batch API
     (:func:`repro.perf.batch.execute_batch`): queries run in
     cache-friendly sorted order (``workers >= 2`` fans them out over a
-    process pool) and per-query latency is the engine-measured
-    ``stats.seconds`` rather than harness wall-clock.  ``supervised``
-    (with ``batch=True`` and ``workers >= 2``) runs the fan-out on
-    self-healing workers — see :func:`repro.perf.batch.execute_batch`.
+    supervised pool of self-healing workers, whose policy
+    ``supervision`` overrides) and per-query latency is the
+    engine-measured ``stats.seconds`` rather than harness wall-clock.
     """
     if batch:
         return _run_workload_batched(
             engine, queries, workload_name,
             deadline_ms, batch_deadline_ms, workers,
-            supervised=supervised, supervision=supervision,
+            supervision=supervision,
         )
     latency = Histogram(
         "qhl_workload_query_seconds",
@@ -314,7 +312,6 @@ def _run_workload_batched(
     deadline_ms: float | None,
     batch_deadline_ms: float | None,
     workers: int,
-    supervised: bool = False,
     supervision=None,
 ) -> WorkloadReport:
     """The ``batch=True`` body of :func:`run_workload`."""
@@ -335,7 +332,6 @@ def _run_workload_batched(
         deadline_ms=deadline_ms,
         batch_deadline_ms=batch_deadline_ms,
         workers=workers,
-        supervised=supervised,
         supervision=supervision,
     )
     total = 0.0

@@ -37,7 +37,6 @@ def build_labels(
     checkpoint=None,
     resume: bool = False,
     budget=None,
-    supervised: bool = False,
     supervision=None,
 ) -> LabelStore:
     """Build the full 2-hop skyline labels from a tree decomposition.
@@ -65,12 +64,11 @@ def build_labels(
         Resume flag and optional
         :class:`~repro.resilience.checkpoint.BuildBudget` watchdog for
         the checkpointed path; ``budget`` requires ``checkpoint``.
-    supervised, supervision:
-        With ``workers >= 2``, run each level's pool under worker
-        supervision (:mod:`repro.supervise`): dead workers respawn and
-        their lost chunk is recomputed, still value-identical.
-        ``supervision`` optionally overrides the
-        :class:`~repro.supervise.supervisor.SupervisionConfig`.
+    supervision:
+        Optional :class:`~repro.supervise.supervisor.SupervisionConfig`
+        for the level pools (:mod:`repro.supervise`) that ``workers >=
+        2`` runs on: dead workers respawn and their lost chunk is
+        recomputed, still value-identical.
 
     Returns
     -------
@@ -93,7 +91,6 @@ def build_labels(
             workers=workers,
             resume=resume,
             budget=budget,
-            supervised=supervised,
             supervision=supervision,
         )
     if budget is not None:
@@ -116,7 +113,6 @@ def build_labels(
             tree,
             store_paths=store_paths,
             workers=workers,
-            supervised=supervised,
             supervision=supervision,
         )
 

@@ -22,24 +22,22 @@ label entries before storing it, so the provenance DAG shares objects
 exactly as a sequential build's does and packs to the same rows
 instead of a pool of copies.
 
-Workers are forked, so they inherit the tree and the partially built
-store by memory snapshot instead of pickling them; one fresh pool per
-level keeps each snapshot current.  Platforms without the ``fork``
-start method (or ``workers <= 1``) fall back to the sequential sweep.
-
-``supervised=True`` swaps each level's bare pool for a
-:class:`~repro.supervise.pool.SupervisedPool`: a worker SIGKILLed
+Each level runs on a :class:`~repro.supervise.pool.SupervisedPool`.
+Its workers are forked, so they inherit the tree and the partially
+built store by memory snapshot instead of pickling them; one fresh
+fleet per level keeps each snapshot current.  A worker SIGKILLed
 mid-level is respawned (re-forking the current store snapshot, which
 is still exactly "everything shallower than this level") and its lost
 vertex chunk recomputed, so the build completes byte-identically
-instead of dying.  Unlike the batch path, a label build cannot tolerate
-missing vertices — a quarantined (poison) chunk or an exhausted fleet
-raises instead of degrading.
+instead of dying.  Unlike the batch fan-out, a label build cannot
+tolerate missing vertices — a quarantined (poison) chunk or an
+exhausted fleet raises instead of degrading.  Platforms without the
+``fork`` start method (or ``workers <= 1``) fall back to the
+sequential sweep.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from bisect import bisect_left
 from operator import itemgetter
@@ -63,6 +61,7 @@ from repro.supervise.pool import SupervisedPool
 from repro.supervise.supervisor import (
     SupervisionConfig,
     annotate_succession,
+    fork_available,
 )
 
 #: Levels smaller than this are built inline — forking a pool costs
@@ -73,7 +72,6 @@ MIN_PARALLEL_LEVEL = 8
 # level's pool is created, read-only in the children).
 _TREE: TreeDecomposition | None = None
 _STORE: LabelStore | None = None
-_SPOOL: WorkerSpool | None = None
 
 
 def label_set(
@@ -128,63 +126,16 @@ def label_rows_for(
     return rows, joins
 
 
-def _build_vertex(v: int) -> tuple[int, list[tuple[int, SkylineSet]]]:
-    """Worker task: one vertex's label rows from the forked snapshot."""
-    rows, _joins = label_rows_for(_TREE, _STORE, v)
-    return v, rows
+def _level_chunk(payload, span, heartbeat):
+    """Supervised-pool entrypoint: a contiguous run of one level's
+    vertices, built from the forked snapshot.
 
-
-def _init_level_worker() -> None:
-    """Pool initializer: announce this worker on the level's spool."""
-    if _SPOOL is not None:
-        _SPOOL.announce()
-
-
-def _build_chunk(
-    vertices: list[int],
-) -> list[tuple[int, list[tuple[int, SkylineSet]]]]:
-    """Worker task: a contiguous run of one level's vertices.
-
-    With a spool attached (observability live in the parent), the chunk
-    runs under a fresh worker-local tracer/registry: per-vertex build
-    latency lands in ``qhl_label_vertex_seconds`` and join counts in
-    ``qhl_label_joins_total``, both merged into the parent registry at
-    stitch time — the pool path used to report neither.
-    """
-    spool = _SPOOL
-    if spool is None:
-        return [_build_vertex(v) for v in vertices]
-    with spool.observe("labels.worker-chunk") as root:
-        registry = get_registry()
-        out = []
-        joins = 0
-        for v in vertices:
-            vertex_started = time.perf_counter()
-            rows, vertex_joins = label_rows_for(_TREE, _STORE, v)
-            if registry.enabled:
-                registry.histogram(
-                    "qhl_label_vertex_seconds",
-                    help="per-vertex label construction time",
-                ).observe(time.perf_counter() - vertex_started)
-            joins += vertex_joins
-            out.append((v, rows))
-        if registry.enabled and joins:
-            registry.counter(
-                "qhl_label_joins_total",
-                help="skyline joins during label construction",
-            ).inc(joins)
-        root.set("vertices", len(vertices))
-        root.set("joins", joins)
-        return out
-
-
-def _supervised_level_chunk(payload, span, heartbeat):
-    """Supervised entrypoint: one vertex chunk, heartbeating per vertex.
-
-    Same work as :func:`_build_chunk`, but the spool observation is
-    done by the supervisor's worker loop (``span`` is the observed
-    root) and every vertex beats the heartbeat so a slow level never
-    reads as a stall.
+    The supervisor's worker loop wraps this call in ``spool.observe``
+    when the parent observes (``span`` is the observed root), so
+    per-vertex build latency lands in ``qhl_label_vertex_seconds`` and
+    join counts in ``qhl_label_joins_total``, both merged into the
+    parent registry at stitch time.  Every vertex beats the heartbeat
+    so a slow level never reads as a stall.
     """
     registry = get_registry()
     out = []
@@ -213,76 +164,6 @@ def _supervised_level_chunk(payload, span, heartbeat):
 def _split_vertices(payload):
     """Decompose a vertex-chunk payload into singleton chunks."""
     return [[v] for v in payload]
-
-
-def _supervised_level_rows(
-    tree: TreeDecomposition,
-    store: LabelStore,
-    level: list[int],
-    workers: int,
-    supervision: SupervisionConfig | None,
-) -> tuple[list[tuple[int, list[tuple[int, SkylineSet]]]], int]:
-    """One level's rows on a self-healing pool (see module docstring).
-
-    Raises :class:`~repro.exceptions.TaskQuarantinedError` /
-    :class:`~repro.exceptions.WorkerRestartExhaustedError` when a
-    vertex could not be computed — an incomplete label store is not a
-    degraded result, it is a broken index.
-    """
-    global _TREE, _STORE
-    tracer = get_tracer()
-    registry = get_registry()
-    spool = None
-    if tracer.enabled or registry.enabled:
-        spool = WorkerSpool.create(
-            TraceContext.new("labels.level-fanout"),
-            want_spans=tracer.enabled,
-            want_metrics=registry.enabled,
-        )
-    chunk_size = max(1, len(level) // (workers * 4))
-    chunks = [
-        level[i:i + chunk_size] for i in range(0, len(level), chunk_size)
-    ]
-    _TREE, _STORE = tree, store
-    try:
-        with tracer.span("labels.level-fanout") as parent:
-            parent.set("workers", workers)
-            parent.set("vertices", len(level))
-            parent.set("supervised", 1)
-            pool = SupervisedPool(
-                _supervised_level_chunk,
-                workers,
-                config=supervision,
-                spool=spool,
-                label="labels.worker-chunk",
-                split=_split_vertices,
-            )
-            report = pool.run(chunks)
-            if spool is not None:
-                stitch(spool, parent=parent)
-                annotate_succession(parent, pool.supervisor)
-        if report.failures:
-            lost = report.failures[0]
-            detail = (
-                f"level of {len(level)} vertices lost chunk "
-                f"{lost.payload!r} ({lost.reason}: {lost.message})"
-            )
-            if lost.reason == "quarantined":
-                raise TaskQuarantinedError(detail)
-            raise WorkerRestartExhaustedError(detail)
-        rows_by_vertex: dict[int, list] = {}
-        for chunk_out in report.results.values():
-            for v, rows in chunk_out:
-                rows_by_vertex[v] = rows
-        # Reassemble in level order — independent of which worker (or
-        # which retry) computed each vertex — so the merge into the
-        # store stays deterministic and the build byte-identical.
-        out = [(v, rows_by_vertex[v]) for v in level]
-    finally:
-        _TREE = _STORE = None
-        if spool is not None:
-            spool.cleanup()
-    return out, 0
 
 
 def merge_level(
@@ -355,17 +236,11 @@ def depth_levels(tree: TreeDecomposition) -> list[list[int]]:
     return [levels[d] for d in sorted(levels)]
 
 
-def fork_available() -> bool:
-    """Whether the ``fork`` start method exists on this platform."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def level_rows(
     tree: TreeDecomposition,
     store: LabelStore,
     level: list[int],
     workers: int,
-    supervised: bool = False,
     supervision: SupervisionConfig | None = None,
 ) -> tuple[list[tuple[int, list[tuple[int, SkylineSet]]]], int]:
     """Label rows for one depth level: ``([(v, rows)], joins)``.
@@ -377,11 +252,16 @@ def level_rows(
     shallower level.  Levels smaller than :data:`MIN_PARALLEL_LEVEL`
     (or ``workers < 2``, or platforms without ``fork``) are computed
     inline.  The returned join count covers only the inline path; on
-    the process-pool path joins flow back through the worker spool as
+    the pool path joins flow back through the worker spool as
     ``qhl_label_joins_total`` metric deltas instead (when observability
     is live).
+
+    Raises :class:`~repro.exceptions.TaskQuarantinedError` /
+    :class:`~repro.exceptions.WorkerRestartExhaustedError` when a
+    vertex could not be computed — an incomplete label store is not a
+    degraded result, it is a broken index.
     """
-    global _TREE, _STORE, _SPOOL
+    global _TREE, _STORE
     level = [v for v in level if v != tree.root]
     if not level:
         return [], 0
@@ -397,13 +277,6 @@ def level_rows(
             out.append((v, rows))
             joins += vertex_joins
         return out, joins
-    if supervised:
-        return _supervised_level_rows(
-            tree, store, level, workers, supervision
-        )
-    # Fork a fresh pool so the children see the store as built up to
-    # (and excluding) this level.
-    context = multiprocessing.get_context("fork")
     tracer = get_tracer()
     registry = get_registry()
     spool = None
@@ -417,30 +290,47 @@ def level_rows(
     chunks = [
         level[i:i + chunk_size] for i in range(0, len(level), chunk_size)
     ]
-    _TREE, _STORE, _SPOOL = tree, store, spool
-    pool = context.Pool(processes=workers, initializer=_init_level_worker)
+    # Set before the fleet forks, so the children (respawns included)
+    # see the store as built up to, and excluding, this level.
+    _TREE, _STORE = tree, store
     try:
         with tracer.span("labels.level-fanout") as parent:
             parent.set("workers", workers)
             parent.set("vertices", len(level))
-            chunk_outs = pool.map(_build_chunk, chunks)
-            # close + join — not the Pool context manager, whose
-            # terminate() SIGTERMs workers before their finalizers can
-            # flush the spool end markers stitch() relies on.
-            pool.close()
-            pool.join()
+            parent.set("supervised", 1)
+            pool = SupervisedPool(
+                _level_chunk,
+                workers,
+                config=supervision,
+                spool=spool,
+                label="labels.worker-chunk",
+                split=_split_vertices,
+            )
+            report = pool.run(chunks)
             if spool is not None:
                 stitch(spool, parent=parent)
-    except BaseException:
-        pool.terminate()
-        pool.join()
-        raise
+                annotate_succession(parent, pool.supervisor)
+        if report.failures:
+            lost = report.failures[0]
+            detail = (
+                f"level of {len(level)} vertices lost chunk "
+                f"{lost.payload!r} ({lost.reason}: {lost.message})"
+            )
+            if lost.reason == "quarantined":
+                raise TaskQuarantinedError(detail)
+            raise WorkerRestartExhaustedError(detail)
+        rows_by_vertex: dict[int, list] = {}
+        for chunk_out in report.results.values():
+            for v, rows in chunk_out:
+                rows_by_vertex[v] = rows
+        # Reassemble in level order — independent of which worker (or
+        # which retry) computed each vertex — so the merge into the
+        # store stays deterministic and the build byte-identical.
+        out = [(v, rows_by_vertex[v]) for v in level]
     finally:
+        _TREE = _STORE = None
         if spool is not None:
             spool.cleanup()
-        _TREE = _STORE = None
-        _SPOOL = None
-    out = [pair for chunk_out in chunk_outs for pair in chunk_out]
     return out, 0
 
 
@@ -448,16 +338,15 @@ def build_labels_parallel(
     tree: TreeDecomposition,
     store_paths: bool = True,
     workers: int = 2,
-    supervised: bool = False,
     supervision: SupervisionConfig | None = None,
 ) -> LabelStore:
     """Parallel :func:`~repro.labeling.builder.build_labels`.
 
     Value-identical to the sequential build (see the module docstring
-    for exactly what "identical" means).  ``workers`` caps the process
-    pool; levels smaller than :data:`MIN_PARALLEL_LEVEL` are built
-    inline.  ``supervised`` runs each level's pool under worker
-    supervision (deaths healed by respawn + recompute).
+    for exactly what "identical" means).  ``workers`` caps each
+    level's supervised pool (deaths healed by respawn + recompute;
+    ``supervision`` overrides its policy); levels smaller than
+    :data:`MIN_PARALLEL_LEVEL` are built inline.
     """
     if workers < 2 or not fork_available():
         from repro.labeling.builder import build_labels
@@ -473,8 +362,7 @@ def build_labels_parallel(
     with get_tracer().span("labels.parallel-sweep") as span:
         for level in levels:
             rows_by_vertex, _joins = level_rows(
-                tree, store, level, workers,
-                supervised=supervised, supervision=supervision,
+                tree, store, level, workers, supervision=supervision,
             )
             merge_level(tree, store, rows_by_vertex)
             if len(rows_by_vertex) >= MIN_PARALLEL_LEVEL:

@@ -4,7 +4,7 @@ This is the whole-program half of the linter: one pass over every
 parsed module builds
 
 * a **symbol table** — every function, method, and class with a stable
-  qualified name (``repro.perf.batch._supervised_chunk``,
+  qualified name (``repro.perf.batch._worker_chunk``,
   ``repro.supervise.pool.SupervisedPool.run``), plus each module's
   import aliases (``from x import y as z`` and ``import x as y``,
   relative imports resolved, re-export chains followed through

@@ -1,7 +1,9 @@
 """QHL007: no live handles captured across ``fork``.
 
-The PR-7/PR-8 process model forks workers (``SupervisedPool`` /
-``Supervisor`` / the ``ProcessPoolExecutor`` batch path) and relies on
+The process model forks workers (the ``SupervisedPool`` /
+``Supervisor`` fan-outs of batches and label builds; the rule also
+recognises ``ProcessPoolExecutor``, ``multiprocessing.Pool`` and
+``multiprocessing.Process`` spawns) and relies on
 a convention the old per-module linter could not see: a forked child
 inherits the parent's open file descriptors, lock states, and mmap
 handles *by value of the underlying kernel object*, so an entrypoint

@@ -59,14 +59,11 @@ class EpochImmutabilityRule(Rule):
         "protected_classes": ("Epoch", "FlatLabelStore"),
         # Factory basenames returning protected values.
         "protected_factories": ("load_flat_index", "memoryview"),
-        # Container methods that mutate in place.  ``discard`` is
-        # deliberately absent: ``Epoch.discard()`` is the sanctioned
-        # end-of-life release (documented mmap-safe), not a mutation
-        # of served state.
+        # Container methods that mutate in place.
         "mutators": (
             "append", "extend", "insert", "remove", "pop", "clear",
             "sort", "reverse", "update", "setdefault", "add",
-            "release",
+            "discard", "release",
         ),
         # Fixpoint iterations for the param-mutation summaries.
         "max_passes": 8,

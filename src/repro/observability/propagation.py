@@ -71,13 +71,11 @@ _chunk_seq = itertools.count(1)
 
 
 #: Scratch-dir prefixes :func:`reap_stale_spools` is allowed to remove:
-#: worker spools (this module), supervisor heartbeat/result dirs
-#: (:mod:`repro.supervise.supervisor`), and per-epoch flat-store dirs
-#: (:mod:`repro.dynamic.epochs`).
+#: worker spools (this module) and supervisor heartbeat/result dirs
+#: (:mod:`repro.supervise.supervisor`).
 SPOOL_DIR_PREFIXES: tuple[str, ...] = (
     "qhl-spool-",
     "qhl-supervisor-",
-    "qhl-epoch-",
 )
 
 #: Spool dirs untouched for this long are presumed orphaned.  Live
@@ -85,35 +83,6 @@ SPOOL_DIR_PREFIXES: tuple[str, ...] = (
 #: per heartbeat), so an hour of silence means the owning parent died
 #: without running ``cleanup()``.
 STALE_SPOOL_AGE_S = 3600.0
-
-
-def _owner_alive(name: str) -> bool:
-    """True when the dir name embeds the pid of a running process.
-
-    Epoch flat-twin dirs (``qhl-epoch-<pid>-...``) are written exactly
-    once and only mmap-read afterwards, so mtime age says nothing about
-    liveness — an epoch can legitimately serve for hours without a
-    publish.  Their owner pid is embedded in the name instead; while it
-    is alive the dir is never reaped, however old.  Dirs without a
-    parsable pid (spools, supervisor dirs, older epoch layouts) fall
-    through to the age check — spools and heartbeats are rewritten
-    continuously, so age is the right signal there.  A recycled pid can
-    delay (not prevent) reaping an orphan; the next sweep after the
-    impostor exits collects it.
-    """
-    for prefix in SPOOL_DIR_PREFIXES:
-        if name.startswith(prefix):
-            head = name[len(prefix):].split("-", 1)[0]
-            if not head.isdigit():
-                return False
-            try:
-                os.kill(int(head), 0)
-            except ProcessLookupError:
-                return False
-            except OSError:
-                return True  # exists, just not signallable by us
-            return True
-    return False
 
 
 def reap_stale_spools(
@@ -143,8 +112,6 @@ def reap_stale_spools(
         return reaped
     for name in names:
         if not name.startswith(SPOOL_DIR_PREFIXES):
-            continue
-        if _owner_alive(name):
             continue
         path = os.path.join(root, name)
         try:

@@ -8,48 +8,39 @@ One batch API for every engine in the package:
   frontier is hot when its siblings arrive.
 * :func:`execute_batch` — run a workload through an engine, tolerant
   of per-query failures, honouring per-query and per-batch deadlines
-  (the PR-2 checkpoints are preserved: the batch deadline is checked
-  between queries and threaded *into* each engine call), optionally
-  fanned out across a ``concurrent.futures`` process pool with a
-  per-worker engine handle.
+  (the batch deadline is checked between queries and threaded *into*
+  each engine call), optionally fanned out across a supervised worker
+  pool with a per-worker engine handle.
 
-The pool uses the ``fork`` start method so workers inherit the engine
-(index included) without pickling its deep provenance structures; on
-platforms without ``fork`` the batch silently runs sequentially.
-Results always come back in the *input* order, bit-identical to a
-sequential run (each query's answer is independent of batch order).
+The fan-out runs on a :class:`~repro.supervise.pool.SupervisedPool`:
+workers are forked, so they inherit the engine (index included)
+without pickling its deep provenance structures, and on platforms
+without ``fork`` the batch silently runs sequentially.  Results always
+come back in the *input* order, bit-identical to a sequential run
+(each query's answer is independent of batch order).
+
+Workers are heartbeat-monitored and restarted, so a mid-chunk SIGKILL
+means "retry the lost chunk on a respawned worker" rather than failure
+rows — the report comes back bit-identical to the sequential path.
+Only a poison chunk element (one that kills every worker that touches
+it) surfaces as failure rows (``TaskQuarantinedError``, a
+``WorkerCrashError``), and only after the chunk was split into
+singletons so its healthy neighbours still answer.
+``BatchReport.incidents`` carries the supervisor's black box.
 
 Every batch runs under one trace id.  When observability is live, the
-pool path hands each worker a :class:`~repro.observability.propagation.
+fan-out hands each worker a :class:`~repro.observability.propagation.
 WorkerSpool`; workers record their chunk spans and metric deltas into
 it, and the parent stitches everything into its own trace tree and
 registry after the pool drains — so ``--trace`` shows worker-side
 phases and worker-side cache/deadline counters land in the parent
-registry instead of vanishing with the fork.  A worker that dies
-mid-chunk (SIGKILL, OOM — surfacing as ``BrokenProcessPool``) costs
-only its own chunk: the affected queries fail with
-``WorkerCrashError``, every other chunk's answers are kept, and the
-stitched trace marks the dead worker's span ``worker.truncated``.
-
-``supervised=True`` upgrades the fan-out from *tolerating* worker
-deaths to *healing* them: chunks run on a
-:class:`~repro.supervise.pool.SupervisedPool` whose workers are
-heartbeat-monitored and restarted, so a mid-chunk SIGKILL means "retry
-the lost chunk on a respawned worker" instead of failure rows — the
-report comes back bit-identical to the sequential path.  Only a poison
-chunk element (one that kills every worker that touches it) surfaces
-as failure rows (``TaskQuarantinedError``), and only after the chunk
-was split into singletons so its healthy neighbours still answer.  The
-stitched trace keeps the PR-6 shape, plus each ``worker.truncated``
-span gains a ``respawned_as`` counter pointing at its successor pid,
-and ``BatchReport.incidents`` carries the supervisor's black box.
+registry instead of vanishing with the fork.  A worker that died
+mid-chunk leaves a ``worker.truncated`` span carrying a
+``respawned_as`` counter that points at its successor's pid.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -62,12 +53,13 @@ from repro.observability.propagation import (
     new_trace_id,
     stitch,
 )
-from repro.observability.tracing import NULL_SPAN, get_tracer
+from repro.observability.tracing import get_tracer
 from repro.perf.cache import normalize_pair
 from repro.supervise.pool import SupervisedPool
 from repro.supervise.supervisor import (
     SupervisionConfig,
     annotate_succession,
+    fork_available,
 )
 from repro.types import CSPQuery, QueryResult
 
@@ -105,7 +97,7 @@ class BatchReport:
     skipped: int = 0
     trace_id: str | None = None
     #: Supervisor lifecycle records (spawns, deaths, requeues) when the
-    #: batch ran supervised; empty otherwise.
+    #: batch fanned out; empty when it ran sequentially.
     incidents: list = field(default_factory=list)
 
     @property
@@ -228,33 +220,24 @@ def _fresh_deadline(deadline_ms: float | None, batch_deadline):
 
 
 # ----------------------------------------------------------------------
-# Process-pool execution
+# Fan-out execution
 # ----------------------------------------------------------------------
+#: The engine the workers query, set in the parent before the
+#: supervisor forks (and still set when it forks *respawns*).
 _WORKER_ENGINE = None
-_WORKER_SPOOL: WorkerSpool | None = None
 
 
-def _init_worker(engine, spool: WorkerSpool | None) -> None:
-    """Pool initializer: pin this worker's engine and trace spool.
+def _worker_chunk(payload, span, heartbeat):
+    """Supervised-pool entrypoint: one chunk of the sorted order.
 
-    Announcing on the spool here (not lazily at the first chunk) means
-    every spawned worker appears in the stitched trace, including ones
-    that never win a chunk — they show up as ``worker.idle``.
+    The payload carries plain triples (never engines), so only small
+    tuples cross the process boundary; the engine came in via fork.
+    The supervisor's worker loop wraps this call in ``spool.observe``
+    when the parent observes, so ``span`` is the chunk's
+    spool-recorded root.  ``heartbeat`` is called before every query
+    so the worker stays visibly alive through arbitrarily long chunks.
     """
-    global _WORKER_ENGINE, _WORKER_SPOOL
-    _WORKER_ENGINE = engine
-    _WORKER_SPOOL = spool
-    if spool is not None:
-        spool.announce()
-
-
-def _chunk_body(indices, triples, want_path, deadline_ms, span,
-                heartbeat=lambda: None):
-    """The per-chunk query loop, shared by the spooled and bare paths.
-
-    ``heartbeat`` is called before every query so a supervised worker
-    stays visibly alive through arbitrarily long chunks.
-    """
+    indices, triples, want_path, deadline_ms = payload
     engine_name = getattr(_WORKER_ENGINE, "name", "?")
     out = []
     for i, (s, t, c) in zip(indices, triples, strict=True):
@@ -275,49 +258,6 @@ def _chunk_body(indices, triples, want_path, deadline_ms, span,
     return out
 
 
-def _run_chunk(payload):
-    """Run one contiguous chunk of the sorted order in a worker.
-
-    The payload carries plain triples (never engines), so only small
-    tuples cross the process boundary; the engine came in via fork.
-    With a spool attached, the chunk runs under a fresh worker-local
-    tracer/registry whose contents are flushed as one spool record for
-    the parent to stitch.
-    """
-    indices, triples, want_path, deadline_ms = payload
-    spool = _WORKER_SPOOL
-    if spool is None:
-        return _chunk_body(
-            indices, triples, want_path, deadline_ms, NULL_SPAN
-        )
-    with spool.observe("batch.worker-chunk") as root:
-        return _chunk_body(indices, triples, want_path, deadline_ms, root)
-
-
-def _fork_context():
-    """The ``fork`` multiprocessing context, or ``None`` if unsupported."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
-# ----------------------------------------------------------------------
-# Supervised execution
-# ----------------------------------------------------------------------
-def _supervised_chunk(payload, span, heartbeat):
-    """Supervised-pool entrypoint: one chunk, heartbeating per query.
-
-    The engine arrives via the ``_WORKER_ENGINE`` global, set in the
-    parent before the supervisor forks (and still set when it forks
-    *respawns*); the supervisor's worker loop wraps this call in
-    ``spool.observe``, so ``span`` is the chunk's spool-recorded root.
-    """
-    indices, triples, want_path, deadline_ms = payload
-    return _chunk_body(
-        indices, triples, want_path, deadline_ms, span, heartbeat
-    )
-
-
 def _split_chunk(payload):
     """Decompose a chunk payload into per-query singleton payloads."""
     indices, triples, want_path, deadline_ms = payload
@@ -327,7 +267,7 @@ def _split_chunk(payload):
     ]
 
 
-def _execute_batch_supervised(
+def _execute_fan_out(
     engine,
     queries: Sequence[QueryLike],
     order: list[int],
@@ -337,7 +277,7 @@ def _execute_batch_supervised(
     trace_id: str,
     supervision: SupervisionConfig | None,
 ) -> BatchReport:
-    """The fan-out path with self-healing workers (see module docs)."""
+    """Run the sorted order on a self-healing pool (see module docs)."""
     global _WORKER_ENGINE
     registry = get_registry()
     tracer = get_tracer()
@@ -366,7 +306,7 @@ def _execute_batch_supervised(
             parent.set("chunks", len(chunks))
             parent.set("supervised", 1)
             pool = SupervisedPool(
-                _supervised_chunk,
+                _worker_chunk,
                 workers,
                 config=supervision,
                 spool=spool,
@@ -421,7 +361,6 @@ def execute_batch(
     batch_deadline_ms: float | None = None,
     workers: int = 0,
     trace_id: str | None = None,
-    supervised: bool = False,
     supervision: SupervisionConfig | None = None,
 ) -> BatchReport:
     """Run a whole workload through ``engine``.
@@ -445,22 +384,19 @@ def execute_batch(
         processes) — raises :class:`ValueError` if both are given.
     workers:
         ``0``/``1`` runs sequentially.  ``>= 2`` fans the sorted order
-        out over a process pool: contiguous chunks of the sorted order
-        (so repeated pairs stay on one worker's cache) run on
-        per-worker engine handles inherited by fork.  Platforms
-        without the ``fork`` start method fall back to sequential.
+        out over a :class:`~repro.supervise.pool.SupervisedPool`:
+        contiguous chunks of the sorted order (so repeated pairs stay
+        on one worker's cache) run on per-worker engine handles
+        inherited by fork, and a dead worker is respawned and its lost
+        chunk retried.  Platforms without the ``fork`` start method
+        fall back to sequential.
     trace_id:
         Joins this batch to an existing trace; minted fresh when
         omitted.  The id lands on the report and every failure row.
-    supervised:
-        With ``workers >= 2``, run the fan-out on a
-        :class:`~repro.supervise.pool.SupervisedPool`: dead workers
-        are respawned and their lost chunk retried, so a mid-batch
-        SIGKILL no longer costs its chunk.  Ignored (sequential
-        fallback) where ``fork`` is unavailable.
     supervision:
         Optional :class:`~repro.supervise.supervisor.
-        SupervisionConfig` overriding heartbeat/restart/retry policy.
+        SupervisionConfig` overriding the fan-out's heartbeat, restart
+        and retry policy.
     """
     if workers >= 2 and batch_deadline_ms is not None:
         raise ValueError(
@@ -478,108 +414,28 @@ def execute_batch(
             help="queries submitted through the batch API",
         ).inc(len(queries))
     order = sorted_batch_order(queries)
+    fan_out = workers >= 2 and fork_available()
+    if registry.enabled:
+        registry.gauge(
+            "qhl_batch_workers",
+            help="process-pool size of the last batch run",
+        ).set(workers if fan_out else 1)
+    if fan_out:
+        return _execute_fan_out(
+            engine, queries, order, want_path, deadline_ms, workers,
+            trace_id, supervision,
+        )
     batch_deadline = None
     if batch_deadline_ms is not None:
         from repro.service.deadline import Deadline
 
         batch_deadline = Deadline.from_ms(batch_deadline_ms)
-
-    context = _fork_context() if workers >= 2 else None
-    if context is None:
-        if registry.enabled:
-            registry.gauge(
-                "qhl_batch_workers",
-                help="process-pool size of the last batch run",
-            ).set(1)
-        with tracer.span("batch.run") as span:
-            span.set("queries", len(queries))
-            return _run_indices(
-                engine, queries, order, want_path, deadline_ms,
-                batch_deadline, trace_id=trace_id,
-            )
-
-    if registry.enabled:
-        registry.gauge(
-            "qhl_batch_workers",
-            help="process-pool size of the last batch run",
-        ).set(workers)
-    if supervised:
-        return _execute_batch_supervised(
-            engine, queries, order, want_path, deadline_ms, workers,
-            trace_id, supervision,
+    with tracer.span("batch.run") as span:
+        span.set("queries", len(queries))
+        return _run_indices(
+            engine, queries, order, want_path, deadline_ms,
+            batch_deadline, trace_id=trace_id,
         )
-    chunks = _contiguous_chunks(order, workers)
-    spool = None
-    if tracer.enabled or registry.enabled:
-        spool = WorkerSpool.create(
-            TraceContext(trace_id, "batch.fan-out"),
-            want_spans=tracer.enabled,
-            want_metrics=registry.enabled,
-        )
-    engine_name = getattr(engine, "name", "?")
-    results: list[QueryResult | None] = [None] * len(queries)
-    failures: list[BatchFailure] = []
-    chunk_outs: list[list | None] = []
-    try:
-        with tracer.span("batch.fan-out") as parent:
-            parent.set("workers", workers)
-            parent.set("queries", len(queries))
-            parent.set("chunks", len(chunks))
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(engine, spool),
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _run_chunk,
-                        (
-                            chunk,
-                            [tuple(queries[i])[:3] for i in chunk],
-                            want_path,
-                            deadline_ms,
-                        ),
-                    )
-                    for chunk in chunks
-                ]
-                for future in futures:
-                    try:
-                        chunk_outs.append(future.result())
-                    except BrokenProcessPool:
-                        chunk_outs.append(None)
-            # The executor has shut down (or broken): clean workers
-            # have flushed their end markers, so stitching is safe and
-            # anything announced-but-unended is genuinely dead.
-            if spool is not None:
-                stitch(spool, parent=parent)
-        for chunk, chunk_out in zip(chunks, chunk_outs, strict=True):
-            if chunk_out is None:
-                for i in chunk:
-                    s, t, c = tuple(queries[i])[:3]
-                    _note_failure(
-                        failures, trace_id, engine_name, i,
-                        CSPQuery(s, t, c), "WorkerCrashError",
-                        "worker process died before answering "
-                        "(process pool broken)",
-                    )
-                continue
-            for i, result, failure in chunk_out:
-                if failure is not None:
-                    s, t, c = tuple(queries[i])[:3]
-                    _note_failure(
-                        failures, trace_id, engine_name, i,
-                        CSPQuery(s, t, c), *failure,
-                    )
-                else:
-                    results[i] = result
-    finally:
-        if spool is not None:
-            spool.cleanup()
-    failures.sort(key=lambda f: f.index)
-    return BatchReport(
-        results=results, failures=failures, trace_id=trace_id
-    )
 
 
 def _contiguous_chunks(order: list[int], workers: int) -> list[list[int]]:

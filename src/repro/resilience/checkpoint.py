@@ -212,7 +212,6 @@ def build_labels_checkpointed(
     workers: int = 1,
     resume: bool = False,
     budget: BuildBudget | None = None,
-    supervised: bool = False,
     supervision=None,
 ) -> LabelStore:
     """:func:`repro.labeling.builder.build_labels` with per-level
@@ -283,8 +282,7 @@ def build_labels_checkpointed(
             if budget is not None:
                 budget.check(k)
             rows_by_vertex, _joins = level_rows(
-                tree, store, levels[k], workers,
-                supervised=supervised, supervision=supervision,
+                tree, store, levels[k], workers, supervision=supervision,
             )
             merge_level(tree, store, rows_by_vertex)
             if injector.enabled:

@@ -37,10 +37,11 @@ Injection points (:data:`INJECTION_POINTS`):
     ``ctx["restarts"]`` its death count) — inject to exercise the
     spawn-failed → backoff → respawn path without real processes dying.
 ``worker-heartbeat``
-    Fired inside a supervised worker before every heartbeat touch
-    (``ctx["worker"]``) — an injected fault *suppresses the touch*
-    instead of propagating, which is how chaos tests fake a wedged
-    worker and drive the parent's stall detector.
+    Fired inside a supervised worker before each heartbeat write
+    (``ctx["worker"]``; beats within ``heartbeat_ms / 2`` of the last
+    write neither write nor fire) — an injected fault *suppresses the
+    write* instead of propagating, which is how chaos tests fake a
+    wedged worker and drive the parent's stall detector.
 ``worker-task``
     Fired inside a supervised worker before running each leased task
     (``ctx["worker"]``, ``ctx["task"]`` is the task id) — inject a

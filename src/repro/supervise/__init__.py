@@ -32,6 +32,7 @@ from repro.supervise.supervisor import (
     SupervisionConfig,
     Supervisor,
     annotate_succession,
+    fork_available,
 )
 
 __all__ = [
@@ -53,4 +54,5 @@ __all__ = [
     "SupervisionConfig",
     "Supervisor",
     "annotate_succession",
+    "fork_available",
 ]

@@ -151,29 +151,19 @@ class SupervisedPool:
         try:
             while pending or leases:
                 progressed = False
-                # 1) Harvest completed results *before* looking for
-                # deaths, so a worker that finished its task and then
-                # died does not get that task spuriously requeued.
-                for task_id, worker, status, value in supervisor.harvest():
-                    task = tasks.get(task_id)
-                    if task is None or task_id in results:
-                        continue
-                    progressed = True
-                    lease = leases.get(worker)
-                    if lease is not None and lease.task_id == task_id:
+                # 1) Completed results close their leases *before*
+                # deaths are looked for, so a worker that finished its
+                # task and then died does not get that task spuriously
+                # requeued.  The results themselves are loaded in step
+                # 4, after step 3 has handed the freed workers new
+                # work: unpickling a large result takes longer than a
+                # worker needs to start its next task.
+                finished = supervisor.finished()
+                done = set(finished)
+                for worker, lease in list(leases.items()):
+                    if lease.task_id in done:
                         del leases[worker]
-                    if worker in supervisor.workers:
                         supervisor.note_success(worker)
-                    if status == "ok":
-                        results[task_id] = value
-                    else:
-                        error, message = value
-                        failures.append(
-                            PoolFailure(
-                                task_id, task.payload, task.attempts + 1,
-                                "task-error", error, message,
-                            )
-                        )
                 # 2) Detect deaths and requeue each dead worker's lease.
                 for death in supervisor.poll():
                     progressed = True
@@ -256,6 +246,23 @@ class SupervisedPool:
                     leases[worker] = task
                     supervisor.submit(worker, task.task_id, task.payload)
                     progressed = True
+                # 4) Load the results step 1 saw.
+                for task_id in finished:
+                    _, _, status, value = supervisor.load(task_id)
+                    task = tasks.get(task_id)
+                    if task is None or task_id in results:
+                        continue
+                    progressed = True
+                    if status == "ok":
+                        results[task_id] = value
+                    else:
+                        error, message = value
+                        failures.append(
+                            PoolFailure(
+                                task_id, task.payload, task.attempts + 1,
+                                "task-error", error, message,
+                            )
+                        )
                 if not pending and not leases:
                     break
                 now = time.monotonic()

@@ -10,15 +10,19 @@ and keeps them alive:
   snapshot — including on *respawn*, which forks the parent's current
   state again.  The ``worker-spawn`` fault point fires per attempt.
 * **heartbeat** — workers write a monotone counter into a per-worker
-  heartbeat file: once per idle queue-poll tick, around every task, and
-  whenever the entrypoint calls the ``heartbeat`` callable it is handed
-  (the batch chunk body beats per query, the label chunk per vertex).
-  The parent compares counter *values* on its own clock, so no
-  cross-process clock comparison is needed.  A worker whose counter
-  has not moved for ``stall_after_ms`` is presumed wedged: it is
-  SIGKILLed and treated as dead.  The ``worker-heartbeat`` fault point
-  fires before every touch — an injected fault silently skips the
-  touch, which is exactly how chaos tests simulate a stall.
+  heartbeat file.  The ``heartbeat`` callable beats once per idle
+  queue-poll tick, around every task, and whenever the entrypoint
+  calls it (the batch chunk body beats per query, the label chunk per
+  vertex), but it writes the file at most once per ``heartbeat_ms /
+  2``: a beat checks ``time.monotonic()`` first and returns at once
+  when the last write is younger, so a per-query beat costs a clock
+  read rather than an atomic file write.  The parent compares counter
+  *values* on its own clock, so no cross-process clock comparison is
+  needed.  A worker whose counter has not moved for ``stall_after_ms``
+  is presumed wedged: it is SIGKILLed and treated as dead.  The
+  ``worker-heartbeat`` fault point fires before each heartbeat write —
+  an injected fault silently skips the write, which is exactly how
+  chaos tests simulate a stall.
 * **restart** — a death (exit, signal, stall, failed spawn) schedules a
   respawn after jittered exponential backoff
   (``min(base * 2**n, max) * (1 + jitter * U[0,1))``) behind a
@@ -97,7 +101,7 @@ class SupervisionConfig:
     backoff_jitter: float = 0.25
     max_task_retries: int = 2
     drain_grace_s: float = 2.0
-    poll_interval_s: float = 0.01
+    poll_interval_s: float = 0.002
 
 
 class DeathEvent(NamedTuple):
@@ -125,6 +129,14 @@ class WorkerState:
     hb_changed_at: float = 0.0
     #: When a scheduled respawn becomes due (``None`` = not scheduled).
     respawn_at: float | None = None
+
+
+def fork_available() -> bool:
+    """Whether the ``fork`` start method the workers need exists here.
+
+    Callers fall back to a sequential run where it does not.
+    """
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 # ----------------------------------------------------------------------
@@ -159,14 +171,20 @@ def _worker_main(
     if spool is not None:
         spool.announce()
     beat = 0
+    min_gap_s = hb_interval_s / 2.0
+    written_at = float("-inf")
 
     def heartbeat() -> None:
-        nonlocal beat
+        nonlocal beat, written_at
+        now = time.monotonic()
+        if now - written_at < min_gap_s:
+            return
         try:
             injector.fire("worker-heartbeat", worker=name)
-        except Exception:  # lint: allow=QHL002 an injected heartbeat fault simulates a silent stall: skip the touch, stay alive
+        except Exception:  # lint: allow=QHL002 an injected heartbeat fault simulates a silent stall: skip the write, stay alive
             return
         beat += 1
+        written_at = now
         _atomic_write(hb_path, str(beat).encode("ascii"))
 
     heartbeat()
@@ -477,30 +495,37 @@ class Supervisor:
             raise ValueError(f"worker {worker!r} is not running")
         state.task_queue.put((task_id, payload))
 
-    def harvest(self) -> list[tuple[int, str, str, Any]]:
-        """New ``(task_id, worker, status, value)`` results on disk.
+    def finished(self) -> list[int]:
+        """Ids of tasks whose result files are on disk and not loaded yet.
 
-        Result files are written atomically by workers, so everything
-        listed here is complete; unreadable files are skipped (their
-        task will be requeued when the writer's death is detected).
+        Workers write result files atomically (tmp + rename), so every
+        file listed is complete; a half-written tmp file never matches.
         """
-        out: list[tuple[int, str, str, Any]] = []
         try:
-            names = sorted(os.listdir(self.directory))
+            names = os.listdir(self.directory)
         except OSError:
-            return out
-        for name in names:
-            if not name.startswith("result-") or name in self._consumed:
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                with open(path, "rb") as handle:
-                    payload = pickle.loads(handle.read())
-            except (OSError, ValueError, EOFError, pickle.PickleError):
-                continue
-            self._consumed.add(name)
-            out.append(payload)
-        return out
+            return []
+        return sorted(
+            int(name[7:])
+            for name in names
+            if name.startswith("result-")
+            and name[7:].isdigit()
+            and name not in self._consumed
+        )
+
+    def load(self, task_id: int) -> tuple[int, str, str, Any]:
+        """The ``(task_id, worker, status, value)`` record of a task
+        :meth:`finished` listed; each record is loaded once.  A complete
+        file that cannot be read back raises rather than being skipped:
+        skipping it would leave its task neither done nor pending."""
+        name = f"result-{task_id:08d}"
+        self._consumed.add(name)
+        with open(os.path.join(self.directory, name), "rb") as handle:
+            return pickle.loads(handle.read())
+
+    def harvest(self) -> list[tuple[int, str, str, Any]]:
+        """Every new ``(task_id, worker, status, value)`` result on disk."""
+        return [self.load(task_id) for task_id in self.finished()]
 
     def idle_alive_workers(self, busy: set[str]) -> list[str]:
         """Names of running workers not currently holding a lease."""

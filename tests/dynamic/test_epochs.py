@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import random
-import time
 
 import pytest
 
@@ -25,7 +24,6 @@ from repro.exceptions import (
 )
 from repro.graph import RoadNetwork
 from repro.observability.metrics import MetricsRegistry, use_registry
-from repro.observability.propagation import reap_stale_spools
 from repro.service.faults import FaultInjector, use_injector
 from repro.storage.compact import pack_labels
 from repro.supervise.incidents import IncidentLog, use_incident_log
@@ -33,11 +31,8 @@ from repro.supervise.incidents import IncidentLog, use_incident_log
 QUERY = (0, 24, 500)
 
 #: One manager-level config shared by most tests: no audit (covered
-#: separately; it triples the apply cost) and no startup reap (the
-#: tests own their temp dirs).
-FAST = UpdateConfig(
-    audit_on_publish=False, reap_stale=False, replay_on_start=False
-)
+#: separately; it triples the apply cost).
+FAST = UpdateConfig(audit_on_publish=False, replay_on_start=False)
 
 
 def ground_truth(manager_or_edges, s, t, budget):
@@ -109,7 +104,7 @@ class TestPublishLifecycle:
             str(tmp_path),
             UpdateConfig(
                 cache_size=64, audit_on_publish=False,
-                reap_stale=False, replay_on_start=False,
+                replay_on_start=False,
             ),
         )
         s, t, budget = QUERY
@@ -120,28 +115,6 @@ class TestPublishLifecycle:
         assert manager.query(s, t, budget).pair() == ground_truth(
             manager, s, t, budget
         )
-
-    def test_flat_twin_publishes_and_old_dir_is_reclaimed(
-        self, dyn, tmp_path
-    ):
-        manager = EpochManager(
-            dyn,
-            str(tmp_path),
-            UpdateConfig(
-                flat=True, audit_on_publish=False,
-                reap_stale=False, replay_on_start=False,
-            ),
-        )
-        old_dir = manager.epoch.flat_dir
-        assert old_dir is not None and os.path.isdir(old_dir)
-        s, t, budget = QUERY
-        manager.apply([EdgeDelta(3, 21.0, None)])
-        assert manager.query(s, t, budget).pair() == ground_truth(
-            manager, s, t, budget
-        )
-        assert not os.path.exists(old_dir)
-        manager.close()
-        assert not os.path.exists(manager.epoch.flat_dir or "")
 
 
 class TestChaosMatrix:
@@ -256,7 +229,7 @@ class TestChaosMatrix:
         manager = EpochManager(
             dyn,
             str(tmp_path),
-            UpdateConfig(reap_stale=False, replay_on_start=False),
+            UpdateConfig(replay_on_start=False),
         )
         with pytest.raises(UpdateFailedError) as excinfo:
             manager.apply([EdgeDelta(3, 33.0, None)])
@@ -270,7 +243,7 @@ class TestChaosMatrix:
             dyn,
             str(tmp_path),
             UpdateConfig(
-                audit_queries=4, reap_stale=False, replay_on_start=False
+                audit_queries=4, replay_on_start=False
             ),
         )
         manager.apply([EdgeDelta(3, 33.0, None)])
@@ -284,7 +257,7 @@ class TestChaosMatrix:
             str(tmp_path),
             UpdateConfig(
                 audit_on_publish=False, max_repair_seconds=1.0,
-                reap_stale=False, replay_on_start=False,
+                replay_on_start=False,
             ),
             clock=lambda: float(next(ticks)),
         )
@@ -354,7 +327,7 @@ class TestValidationAndQuarantine:
             manager = EpochManager(
                 dyn,
                 str(tmp_path),
-                UpdateConfig(audit_on_publish=False, reap_stale=False),
+                UpdateConfig(audit_on_publish=False),
             )
         assert manager.epoch.id == 2
         assert manager.backlog() == 0
@@ -391,7 +364,7 @@ class TestRecoveryAndStaleness:
         restarted = EpochManager(
             build_dyn(),
             str(tmp_path),
-            UpdateConfig(audit_on_publish=False, reap_stale=False),
+            UpdateConfig(audit_on_publish=False),
             base_seq=0,
         )
         assert restarted.epoch.id == 2
@@ -452,40 +425,3 @@ class TestRecoveryAndStaleness:
         manager.replay()
         assert list(manager.live_network().edges())[5][2:] == (123.0, 77.0)
 
-    def test_stale_epoch_dirs_are_reaped(self, tmp_path):
-        stale = tmp_path / "qhl-epoch-deadbeef"
-        stale.mkdir()
-        old = time.time() - 7200.0
-        os.utime(stale, (old, old))
-        fresh = tmp_path / "qhl-epoch-live"
-        fresh.mkdir()
-        reaped = reap_stale_spools(max_age_s=3600, root=str(tmp_path))
-        assert str(stale) in reaped
-        assert not stale.exists()
-        assert fresh.exists()
-
-    def test_live_owner_epoch_dir_is_never_reaped(self, tmp_path):
-        # Flat twins are written once and mmap-read: an epoch serving
-        # for hours looks "stale" by mtime while very much alive.  The
-        # pid embedded in the name is what keeps the reaper off it.
-        mine = tmp_path / f"qhl-epoch-{os.getpid()}-flat"
-        mine.mkdir()
-        old = time.time() - 7200.0
-        os.utime(mine, (old, old))
-        reaped = reap_stale_spools(max_age_s=3600, root=str(tmp_path))
-        assert reaped == []
-        assert mine.exists()
-
-    def test_dead_owner_epoch_dir_is_reaped(self, tmp_path):
-        import subprocess
-        import sys
-
-        proc = subprocess.Popen([sys.executable, "-c", "pass"])
-        proc.wait()
-        orphan = tmp_path / f"qhl-epoch-{proc.pid}-flat"
-        orphan.mkdir()
-        old = time.time() - 7200.0
-        os.utime(orphan, (old, old))
-        reaped = reap_stale_spools(max_age_s=3600, root=str(tmp_path))
-        assert str(orphan) in reaped
-        assert not orphan.exists()

@@ -42,7 +42,7 @@ _CHILD = textwrap.dedent(
     dyn = DynamicQHLIndex.build(g, index_queries=queries, seed=0)
     manager = EpochManager(
         dyn, journal_dir,
-        UpdateConfig(audit_on_publish=False, reap_stale=False,
+        UpdateConfig(audit_on_publish=False,
                      replay_on_start=False),
     )
     manager.apply([(3, 44.0, None)])   # batch 1: published cleanly
@@ -88,7 +88,7 @@ def test_sigkilled_apply_replays_to_bit_identical_index(tmp_path):
     manager = EpochManager(
         dyn,
         journal_dir,
-        UpdateConfig(audit_on_publish=False, reap_stale=False),
+        UpdateConfig(audit_on_publish=False),
         base_seq=0,
     )
     assert manager.epoch.id == 2

@@ -1,9 +1,9 @@
 """Supervised parallel label builds must stay byte-identical.
 
-PR-3's guarantee — a parallel build equals a sequential one on the
-canonical compact form — must survive supervision, including when a
-worker is genuinely SIGKILLed mid-level and its vertex chunk is
-recomputed by a respawned worker.
+A parallel build, whose level pools always run supervised, equals a
+sequential one on the canonical compact form — including when a worker
+is genuinely SIGKILLed mid-level and its vertex chunk is recomputed by
+a respawned worker.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class TestSupervisedBuildIdentity:
         self, tree, sequential
     ):
         supervised = build_labels_parallel(
-            tree, workers=2, supervised=True, supervision=FAST
+            tree, workers=2, supervision=FAST
         )
         assert_stores_equal(tree, sequential, supervised)
 
@@ -67,7 +67,7 @@ class TestSupervisedBuildIdentity:
         injector.fail("worker-task", exc=die, after=2, times=1)
         with use_injector(injector):
             supervised = build_labels_parallel(
-                tree, workers=2, supervised=True, supervision=FAST
+                tree, workers=2, supervision=FAST
             )
         assert_stores_equal(tree, sequential, supervised)
 
@@ -82,7 +82,7 @@ class TestSupervisedBuildIdentity:
         injector.fail("worker-task", exc=die, after=2, times=1)
         with use_injector(injector):
             supervised = build_labels_parallel(
-                tree, workers=2, supervised=True, supervision=FAST
+                tree, workers=2, supervision=FAST
             )
         lca = LCAIndex(tree)
         pruning = PruningConditionIndex()

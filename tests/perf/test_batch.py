@@ -6,8 +6,9 @@ import pytest
 
 from repro.exceptions import QueryError
 from repro.perf import execute_batch
-from repro.perf.batch import _fork_context, sorted_batch_order
+from repro.perf.batch import sorted_batch_order
 from repro.service import QueryService, ServiceConfig
+from repro.supervise import fork_available
 from repro.types import CSPQuery
 
 
@@ -122,7 +123,7 @@ class TestExecuteBatchWorkers:
             )
 
     @pytest.mark.skipif(
-        _fork_context() is None, reason="fork start method unavailable"
+        not fork_available(), reason="fork start method unavailable"
     )
     def test_pool_results_match_sequential(self, paper_index):
         engine = paper_index.qhl_engine()
@@ -132,7 +133,7 @@ class TestExecuteBatchWorkers:
             assert answer(lhs) == answer(rhs)
 
     @pytest.mark.skipif(
-        _fork_context() is None, reason="fork start method unavailable"
+        not fork_available(), reason="fork start method unavailable"
     )
     def test_pool_failures_keep_indices(self, paper_index):
         queries = [(7, 3, 13), (0, 999, 10), (2, 9, 25), (5, 888, 1)]

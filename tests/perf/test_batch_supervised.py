@@ -1,9 +1,10 @@
 """Supervised batch execution must be invisible when nothing dies.
 
-The fault-free contract: ``supervised=True`` returns exactly the same
-answers as the sequential and bare-pool paths, carries the same trace
-and failure-row semantics, and threads through ``run_workload`` /
-``QHLIndex.build`` without changing any result.
+The fault-free contract: a ``workers >= 2`` batch, which always runs
+supervised, returns exactly the same answers as the sequential path,
+carries the same trace and failure-row semantics, and threads its
+``supervision`` policy through ``run_workload`` without changing any
+result.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import pytest
 
 from repro.instrument.harness import run_workload
 from repro.observability.tracing import SpanTracer, use_tracer
-from repro.perf.batch import _fork_context, execute_batch
-from repro.supervise import SupervisionConfig
+from repro.perf.batch import execute_batch
+from repro.supervise import SupervisionConfig, fork_available
 from repro.types import CSPQuery
 
 pytestmark = pytest.mark.skipif(
-    _fork_context() is None, reason="fork start method unavailable"
+    not fork_available(), reason="fork start method unavailable"
 )
 
 QUERIES = [
@@ -38,7 +39,7 @@ class TestFaultFreeIdentity:
         sequential = execute_batch(engine, QUERIES, workers=0)
         supervised = execute_batch(
             engine, QUERIES, workers=2,
-            supervised=True, supervision=FAST,
+            supervision=FAST,
         )
         assert supervised.failures == []
         assert [r.pair() for r in supervised.results] == [
@@ -49,7 +50,7 @@ class TestFaultFreeIdentity:
         engine = paper_index.qhl_engine()
         report = execute_batch(
             engine, QUERIES[:8], workers=2,
-            supervised=True, supervision=FAST,
+            supervision=FAST,
         )
         kinds = [i.kind for i in report.incidents]
         assert kinds.count("spawn") == 2
@@ -62,7 +63,7 @@ class TestFaultFreeIdentity:
         with use_tracer(tracer):
             report = execute_batch(
                 engine, QUERIES, workers=2,
-                supervised=True, supervision=FAST,
+                supervision=FAST,
                 trace_id="sup-0001",
             )
         assert report.trace_id == "sup-0001"
@@ -80,7 +81,7 @@ class TestFaultFreeIdentity:
         queries = list(QUERIES[:4]) + [(0, 10_000, 5.0)]
         report = execute_batch(
             engine, queries, workers=2,
-            supervised=True, supervision=FAST,
+            supervision=FAST,
         )
         assert len(report.failures) == 1
         assert report.failures[0].index == 4
@@ -94,7 +95,7 @@ class TestFaultFreeIdentity:
         plain = run_workload(engine, queries, "sup", batch=True)
         supervised = run_workload(
             engine, queries, "sup", batch=True, workers=2,
-            supervised=True, supervision=FAST,
+            supervision=FAST,
         )
         assert supervised.num_queries == plain.num_queries
         assert supervised.failed == 0

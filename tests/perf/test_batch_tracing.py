@@ -3,8 +3,9 @@
 The acceptance bar for the trace-propagation work: one ``query_many``
 batch through the process pool yields ONE stitched trace whose worker
 spans come from at least two distinct worker pids, with worker-side
-cache metrics folded into the parent registry — and a worker SIGKILLed
-mid-chunk costs only its own chunk while its span is marked truncated.
+cache metrics folded into the parent registry — and a poison query
+that SIGKILLs every worker running it costs only itself, while each
+dead worker's span is marked truncated and joined to its successor.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import time
 
 import pytest
 
+from repro.exceptions import TaskQuarantinedError, WorkerCrashError
 from repro.observability.flight import FlightRecorder, use_flight_recorder
 from repro.observability.metrics import MetricsRegistry, use_registry
 from repro.observability.tracing import SpanTracer, use_tracer
-from repro.perf.batch import _fork_context, execute_batch
+from repro.perf.batch import execute_batch
+from repro.supervise import fork_available
 
 pytestmark = pytest.mark.skipif(
-    _fork_context() is None, reason="fork start method unavailable"
+    not fork_available(), reason="fork start method unavailable"
 )
 
 QUERIES = [
@@ -98,8 +101,10 @@ class TestStitchedBatchTrace:
 class KillSwitchEngine:
     """Wraps a real engine; SIGKILLs its own process on one sentinel.
 
-    The pre-kill sleep lets the sibling worker finish its chunk first,
-    so the test deterministically observes the partial-batch outcome.
+    Every worker that runs the sentinel pair dies, so it is a poison
+    query: the pool retries it on respawned workers, then quarantines
+    it.  The pre-kill sleep lets the sibling worker finish its chunk
+    first.
     """
 
     name = "killswitch"
@@ -121,46 +126,47 @@ class KillSwitchEngine:
 class TestWorkerDeath:
     def test_sigkilled_worker_costs_only_its_chunk(self, paper_index):
         # The sentinel pair sorts last, so it lands in the second
-        # chunk; the first chunk's worker finishes during the sleep.
+        # chunk.  Its worker dies; the chunk is split into singletons
+        # and retried on respawned workers, so the death costs only the
+        # sentinel query itself.
         sentinel = (11, 12)
         queries = [(0, 5, 9.0), (1, 4, 9.0), (2, 9, 14.0)] + [
             (11, 12, 9.0)
         ]
         engine = KillSwitchEngine(
-            paper_index.qhl_engine(), sentinel, delay=0.5
+            paper_index.qhl_engine(), sentinel, delay=0.1
         )
         tracer = SpanTracer()
         registry = MetricsRegistry()
         with use_tracer(tracer), use_registry(registry):
             report = execute_batch(engine, queries, workers=2)
 
-        # The surviving chunk answered; the dead chunk became
-        # WorkerCrashError rows joined to the batch trace.
-        assert report.answered >= 1
-        assert report.failures
-        assert {f.error for f in report.failures} == {"WorkerCrashError"}
-        assert all(
-            f.trace_id == report.trace_id for f in report.failures
-        )
-        answered_indices = {
-            i for i, r in enumerate(report.results) if r is not None
-        }
-        failed_indices = {f.index for f in report.failures}
-        assert answered_indices.isdisjoint(failed_indices)
-        assert answered_indices | failed_indices == set(
-            range(len(queries))
-        )
+        # Only the sentinel failed, quarantined as a worker crash and
+        # joined to the batch trace; every other query answered, as it
+        # does sequentially.
+        assert [f.index for f in report.failures] == [3]
+        failure = report.failures[0]
+        assert failure.error == "TaskQuarantinedError"
+        assert issubclass(TaskQuarantinedError, WorkerCrashError)
+        assert failure.trace_id == report.trace_id
+        baseline = paper_index.qhl_engine()
+        assert [
+            r.pair() for r in report.results[:3]
+        ] == [baseline.query(s, t, c).pair() for s, t, c in queries[:3]]
+        assert report.results[3] is None
 
-        # The trace is complete even though a worker is not: the dead
-        # worker's span is synthesised as truncated.
+        # The trace is complete even though a worker is not: each dead
+        # worker's span is synthesised as truncated, and the pool's
+        # respawns are joined to it.
         root = tracer.last()
         assert root.name == "batch.fan-out"
         truncated = [
             c for c in root.children if c.name == "worker.truncated"
         ]
         assert truncated
+        assert any("respawned_as" in c.counters for c in truncated)
         assert registry.counter("qhl_trace_truncated_total").value >= 1
-        # The killed pid is not this process.
+        # The killed pids are not this process.
         assert all(
             int(c.counters["pid"]) != os.getpid() for c in truncated
         )

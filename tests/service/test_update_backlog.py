@@ -27,7 +27,7 @@ from repro.service import (
 QUERY = (0, 63, 250)
 
 CONFIG = UpdateConfig(
-    audit_on_publish=False, reap_stale=False, replay_on_start=False
+    audit_on_publish=False, replay_on_start=False
 )
 
 

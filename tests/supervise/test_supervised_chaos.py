@@ -18,12 +18,12 @@ import pytest
 
 from repro.observability.metrics import MetricsRegistry, use_registry
 from repro.observability.tracing import SpanTracer, use_tracer
-from repro.perf.batch import _fork_context, execute_batch
+from repro.perf.batch import execute_batch
 from repro.service import FaultInjector, use_injector
-from repro.supervise import SupervisionConfig
+from repro.supervise import SupervisionConfig, fork_available
 
 pytestmark = pytest.mark.skipif(
-    _fork_context() is None, reason="fork start method unavailable"
+    not fork_available(), reason="fork start method unavailable"
 )
 
 QUERIES = [
@@ -115,7 +115,7 @@ class TestKillMatrix:
         with use_injector(injector), use_registry(registry):
             report = execute_batch(
                 engine, QUERIES, workers=2,
-                supervised=True, supervision=FAST,
+                supervision=FAST,
             )
         assert_batch_exact(report, engine)
         assert registry.counter(
@@ -138,7 +138,7 @@ class TestKillMatrix:
         with use_tracer(tracer), use_registry(registry):
             report = execute_batch(
                 engine, QUERIES, workers=2,
-                supervised=True, supervision=FAST,
+                supervision=FAST,
             )
         assert_batch_exact(report, paper_index.qhl_engine())
         # Bounded retries: one death, one requeue.
@@ -180,7 +180,7 @@ class TestKillMatrix:
         with use_injector(injector), use_registry(registry):
             report = execute_batch(
                 engine, QUERIES, workers=2,
-                supervised=True, supervision=FAST,
+                supervision=FAST,
             )
         assert_batch_exact(report, paper_index.qhl_engine())
         assert registry.counter(
@@ -209,7 +209,7 @@ class TestKillMatrix:
         with use_registry(registry):
             report = execute_batch(
                 engine, QUERIES, workers=2,
-                supervised=True, supervision=config,
+                supervision=config,
             )
         poison_indices = {
             i for i, q in enumerate(QUERIES) if q[:2] == poison_pair

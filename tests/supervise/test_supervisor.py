@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import queue
 import time
 
 import pytest
@@ -112,6 +113,46 @@ class TestLifecycle:
         finally:
             sup.stop()
         assert sup.status()["w0"]["state"] == "down"
+
+
+def beat_per_unit(payload, span, heartbeat):
+    # Beats once per unit of work, as the batch chunk does per query.
+    for _ in range(payload):
+        heartbeat()
+    return payload
+
+
+class TestHeartbeatWrites:
+    def test_beats_within_one_interval_write_at_most_twice(
+        self, tmp_path, monkeypatch
+    ):
+        # The worker loop runs in this process: a task of 1000 beats
+        # plus the loop's own beats all fall inside one 10 s interval,
+        # so the heartbeat file is written once or twice, not ~1000
+        # times.
+        from repro.supervise import supervisor as supervisor_mod
+
+        hb_path = str(tmp_path / "hb-w0")
+        writes = []
+        real_write = supervisor_mod._atomic_write
+
+        def counting_write(path, data):
+            if path == hb_path:
+                writes.append(data)
+            real_write(path, data)
+
+        monkeypatch.setattr(supervisor_mod, "_atomic_write", counting_write)
+        tasks = queue.Queue()
+        tasks.put((0, 1000))
+        tasks.put(None)  # drain sentinel: the loop exits after the task
+        supervisor_mod._worker_main(
+            "w0", beat_per_unit, tasks, str(tmp_path), hb_path,
+            10.0, None, "chunk",
+        )
+        assert 1 <= len(writes) <= 2
+        with open(hb_path, "rb") as handle:
+            assert int(handle.read()) == len(writes)
+        assert os.path.exists(tmp_path / "result-00000000")
 
 
 class TestDeathsAndRestarts:

@@ -449,8 +449,7 @@ class TestSupervision:
             "build", "--network", net,
             "--out", str(tmp_path / "sup.idx"),
             "--index-queries", "50", "--workers", "2",
-            "--supervised", "--heartbeat-ms", "50",
-            "--incident-out", incidents,
+            "--heartbeat-ms", "50", "--incident-out", incidents,
         ]) == 0
         out = capsys.readouterr().out
         assert "supervision incidents" in out
@@ -470,7 +469,7 @@ class TestSupervision:
             "build", "--network", net,
             "--out", str(tmp_path / "sup.idx"),
             "--index-queries", "50", "--workers", "2",
-            "--supervised", "--incident-out", incidents,
+            "--incident-out", incidents,
         ]) == 0
         capsys.readouterr()
         assert main([
@@ -479,6 +478,17 @@ class TestSupervision:
         summary = json.loads(capsys.readouterr().out)
         assert summary["totals"]["spawn"] >= 2
         assert summary["totals"]["death"] == 0
+
+    def test_supervised_flag_is_gone(self, workspace, tmp_path, capsys):
+        # Every fan-out runs supervised; there is no switch to opt in.
+        net, _idx = workspace
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "build", "--network", net,
+                "--out", str(tmp_path / "sup.idx"), "--supervised",
+            ])
+        assert excinfo.value.code == 2
+        assert "--supervised" in capsys.readouterr().err
 
     def test_supervise_status_rejects_garbage(self, tmp_path, capsys):
         path = str(tmp_path / "junk.jsonl")

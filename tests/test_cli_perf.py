@@ -56,9 +56,9 @@ class TestBenchBatch:
         assert "QHL+cache" in out
 
     def test_batch_with_workers(self, workspace, capsys):
-        from repro.perf.batch import _fork_context
+        from repro.supervise import fork_available
 
-        if _fork_context() is None:
+        if not fork_available():
             pytest.skip("fork start method unavailable")
         net, queries = workspace
         assert main([

@@ -51,6 +51,37 @@ class TestUpdateMechanics:
         assert index.network_edges()[5][2:] == (123, 77)
 
 
+class TestClone:
+    def test_clone_reuses_the_contributor_index(self, dyn, monkeypatch):
+        # Topology never changes, so a clone shares the contributor
+        # index instead of rebuilding it.
+        from repro.dynamic import updates
+
+        _g, _q, index = dyn
+
+        def rebuilt(tree):
+            raise AssertionError("clone rebuilt the contributor index")
+
+        monkeypatch.setattr(updates, "_build_contributor_index", rebuilt)
+        twin = index.clone()
+        assert twin._contributors is index._contributors
+        assert twin.network_edges() == index.network_edges()
+        assert twin._edges is not index._edges
+
+    def test_clone_repairs_without_touching_the_original(self, dyn):
+        g, _q, index = dyn
+        before = index.query(0, 24, 500).pair()
+        twin = index.clone()
+        twin.update_edge(5, weight=123, cost=77)
+        assert index.network_edges()[5][2:] == list(g.edges())[5][2:]
+        assert index.query(0, 24, 500).pair() == before
+        edges = twin.network_edges()
+        truth = constrained_dijkstra(
+            RoadNetwork.from_edges(g.num_vertices, edges), 0, 24, 500
+        ).pair()
+        assert twin.query(0, 24, 500).pair() == truth
+
+
 class TestEquivalenceWithRebuild:
     @pytest.mark.parametrize("seed", range(3))
     def test_labels_match_fresh_build_after_updates(self, seed):

@@ -181,7 +181,7 @@ def test_build_and_load_restore_the_collector(net, tmp_path):
 
 def test_injected_repair_fault_restores_the_collector(dyn, tmp_path):
     config = UpdateConfig(
-        audit_on_publish=False, reap_stale=False, replay_on_start=False
+        audit_on_publish=False, replay_on_start=False
     )
     manager = EpochManager(dyn, str(tmp_path), config)
     injector = FaultInjector()
@@ -203,7 +203,7 @@ def test_repair_deadline_inside_the_pause_restores_the_collector(
         str(tmp_path),
         UpdateConfig(
             audit_on_publish=False, max_repair_seconds=1.0,
-            reap_stale=False, replay_on_start=False,
+            replay_on_start=False,
         ),
         clock=lambda: float(next(ticks)),
     )
