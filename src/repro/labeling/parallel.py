@@ -49,20 +49,11 @@ from repro.exceptions import (
 from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry
-from repro.observability.propagation import (
-    TraceContext,
-    WorkerSpool,
-    stitch,
-)
 from repro.observability.tracing import get_tracer
 from repro.skyline.entries import Entry
 from repro.skyline.set_ops import SkylineSet, join_union
 from repro.supervise.pool import SupervisedPool
-from repro.supervise.supervisor import (
-    SupervisionConfig,
-    annotate_succession,
-    fork_available,
-)
+from repro.supervise.supervisor import SupervisionConfig, fork_available
 
 #: Levels smaller than this are built inline — forking a pool costs
 #: more than computing a handful of vertices.
@@ -130,12 +121,13 @@ def _level_chunk(payload, span, heartbeat):
     """Supervised-pool entrypoint: a contiguous run of one level's
     vertices, built from the forked snapshot.
 
-    The supervisor's worker loop wraps this call in ``spool.observe``
-    when the parent observes (``span`` is the observed root), so
-    per-vertex build latency lands in ``qhl_label_vertex_seconds`` and
-    join counts in ``qhl_label_joins_total``, both merged into the
-    parent registry at stitch time.  Every vertex beats the heartbeat
-    so a slow level never reads as a stall.
+    When the parent observes, the worker runs this call under a fresh
+    registry (and ``span`` is the recorded ``labels.worker-chunk``
+    root), so per-vertex build latency lands in
+    ``qhl_label_vertex_seconds`` and join counts in
+    ``qhl_label_joins_total``; the pool merges both into the parent
+    registry when it loads the chunk's result.  Every vertex beats the
+    heartbeat so a slow level never reads as a stall.
     """
     registry = get_registry()
     out = []
@@ -252,9 +244,9 @@ def level_rows(
     shallower level.  Levels smaller than :data:`MIN_PARALLEL_LEVEL`
     (or ``workers < 2``, or platforms without ``fork``) are computed
     inline.  The returned join count covers only the inline path; on
-    the pool path joins flow back through the worker spool as
-    ``qhl_label_joins_total`` metric deltas instead (when observability
-    is live).
+    the pool path joins come back in the workers' result files as
+    ``qhl_label_joins_total`` metric deltas instead (when a registry is
+    live).
 
     Raises :class:`~repro.exceptions.TaskQuarantinedError` /
     :class:`~repro.exceptions.WorkerRestartExhaustedError` when a
@@ -278,14 +270,6 @@ def level_rows(
             joins += vertex_joins
         return out, joins
     tracer = get_tracer()
-    registry = get_registry()
-    spool = None
-    if tracer.enabled or registry.enabled:
-        spool = WorkerSpool.create(
-            TraceContext.new("labels.level-fanout"),
-            want_spans=tracer.enabled,
-            want_metrics=registry.enabled,
-        )
     chunk_size = max(1, len(level) // (workers * 4))
     chunks = [
         level[i:i + chunk_size] for i in range(0, len(level), chunk_size)
@@ -297,19 +281,16 @@ def level_rows(
         with tracer.span("labels.level-fanout") as parent:
             parent.set("workers", workers)
             parent.set("vertices", len(level))
-            parent.set("supervised", 1)
             pool = SupervisedPool(
                 _level_chunk,
                 workers,
                 config=supervision,
-                spool=spool,
                 label="labels.worker-chunk",
                 split=_split_vertices,
             )
             report = pool.run(chunks)
-            if spool is not None:
-                stitch(spool, parent=parent)
-                annotate_succession(parent, pool.supervisor)
+            if report.spans:
+                parent.children.extend(report.spans)
         if report.failures:
             lost = report.failures[0]
             detail = (
@@ -329,8 +310,6 @@ def level_rows(
         out = [(v, rows_by_vertex[v]) for v in level]
     finally:
         _TREE = _STORE = None
-        if spool is not None:
-            spool.cleanup()
     return out, 0
 
 

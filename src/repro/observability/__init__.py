@@ -4,9 +4,10 @@ The always-available instrumentation layer the ROADMAP's production
 goal needs: engines and builders report into a swappable
 :class:`MetricsRegistry` and :class:`SpanTracer`, both of which default
 to no-ops so the query hot path pays (almost) nothing until a caller
-opts in.  PR 6 extends the layer across process boundaries
-(:mod:`~repro.observability.propagation`) and adds the query flight
-recorder (:mod:`~repro.observability.flight`).  See
+opts in.  Trace ids (:mod:`~repro.observability.propagation`) join a
+run's spans, failure rows and flight records; worker spans and metric
+deltas come home in the supervisor's result files; and the query flight
+recorder (:mod:`~repro.observability.flight`) keeps the last queries.  See
 ``docs/observability.md`` for the full tour.
 """
 
@@ -49,13 +50,7 @@ from repro.observability.metrics import (
     set_registry,
     use_registry,
 )
-from repro.observability.propagation import (
-    StitchResult,
-    TraceContext,
-    WorkerSpool,
-    new_trace_id,
-    stitch,
-)
+from repro.observability.propagation import new_trace_id
 from repro.observability.tracing import (
     NULL_TRACER,
     NullTracer,
@@ -83,9 +78,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "SpanTracer",
-    "StitchResult",
-    "TraceContext",
-    "WorkerSpool",
     "get_flight_recorder",
     "get_registry",
     "get_tracer",
@@ -106,7 +98,6 @@ __all__ = [
     "snapshot",
     "span_from_dict",
     "span_to_dict",
-    "stitch",
     "to_jsonl",
     "to_prometheus",
     "use_flight_recorder",

@@ -11,14 +11,15 @@ Three consumers, three formats:
 * :func:`render_table` and :func:`render_trace` — human-readable views
   for terminals: a metric table and an indented span tree.
 
-Snapshots are also the wire format between processes: a worker
-serialises its registry with :func:`snapshot` and the parent folds the
-records back in with :func:`merge_records` (counters add, gauges take
-the incoming value, histograms add bucket-wise), so a fan-out run ends
-with one registry covering both sides of the fork.
+Snapshots are also the wire format between processes: a supervised
+worker puts its per-task registry :func:`snapshot` and span tree
+(:func:`span_to_dict`) in the task's result file, and the pool folds
+the records back in with :func:`merge_records` (counters add, gauges
+take the incoming value, histograms add bucket-wise) and rebuilds the
+spans with :func:`span_from_dict`, so a fan-out run ends with one
+registry and one trace covering both sides of the fork.
 :func:`metric_from_dict` / :func:`registry_from_records` rebuild live
-metrics from records, and :func:`span_from_dict` is the inverse of
-:func:`span_to_dict` for trace stitching.
+metrics from records.
 """
 
 from __future__ import annotations

@@ -104,14 +104,7 @@ METRICS: dict[str, MetricSpec] = {
         "gauge", (), "skyline frontiers currently cached"),
     "qhl_cache_invalidations_total": MetricSpec(
         "counter", (), "whole-cache invalidations after label updates"),
-    # -- cross-process tracing (PR 6) ----------------------------------
-    "qhl_trace_stitched_total": MetricSpec(
-        "counter", (),
-        "worker spool records stitched into parent traces"),
-    "qhl_trace_truncated_total": MetricSpec(
-        "counter", (), "worker spans synthesised for crashed workers"),
-    "qhl_trace_workers": MetricSpec(
-        "gauge", (), "distinct worker pids in the last stitched trace"),
+    # -- batch execution -----------------------------------------------
     "qhl_batch_deadline_exceeded_total": MetricSpec(
         "counter", ("engine",),
         "batch queries that ran out of per-query budget"),

@@ -29,14 +29,14 @@ singletons so its healthy neighbours still answer.
 ``BatchReport.incidents`` carries the supervisor's black box.
 
 Every batch runs under one trace id.  When observability is live, the
-fan-out hands each worker a :class:`~repro.observability.propagation.
-WorkerSpool`; workers record their chunk spans and metric deltas into
-it, and the parent stitches everything into its own trace tree and
-registry after the pool drains — so ``--trace`` shows worker-side
-phases and worker-side cache/deadline counters land in the parent
-registry instead of vanishing with the fork.  A worker that died
-mid-chunk leaves a ``worker.truncated`` span carrying a
-``respawned_as`` counter that points at its successor's pid.
+forked workers inherit it: each chunk's span tree and metric delta come
+back in the chunk's result file, the pool merges the deltas into the
+parent registry, and the fan-out attaches the worker spans under its
+``batch.fan-out`` span — so ``--trace`` shows worker-side phases and
+worker-side cache/deadline counters land in the parent registry instead
+of vanishing with the fork.  A worker that died mid-chunk leaves a
+``worker.truncated`` span carrying a ``respawned_as`` counter that
+points at its successor's pid.
 """
 
 from __future__ import annotations
@@ -47,20 +47,11 @@ from typing import Sequence
 from repro.exceptions import DeadlineExceededError, ReproError
 from repro.observability.flight import get_flight_recorder
 from repro.observability.metrics import get_registry
-from repro.observability.propagation import (
-    TraceContext,
-    WorkerSpool,
-    new_trace_id,
-    stitch,
-)
+from repro.observability.propagation import new_trace_id
 from repro.observability.tracing import get_tracer
 from repro.perf.cache import normalize_pair
 from repro.supervise.pool import SupervisedPool
-from repro.supervise.supervisor import (
-    SupervisionConfig,
-    annotate_succession,
-    fork_available,
-)
+from repro.supervise.supervisor import SupervisionConfig, fork_available
 from repro.types import CSPQuery, QueryResult
 
 QueryLike = CSPQuery | tuple[int, int, float]
@@ -232,10 +223,10 @@ def _worker_chunk(payload, span, heartbeat):
 
     The payload carries plain triples (never engines), so only small
     tuples cross the process boundary; the engine came in via fork.
-    The supervisor's worker loop wraps this call in ``spool.observe``
-    when the parent observes, so ``span`` is the chunk's
-    spool-recorded root.  ``heartbeat`` is called before every query
-    so the worker stays visibly alive through arbitrarily long chunks.
+    ``span`` is the chunk's ``batch.worker-chunk`` root, recorded when
+    the parent traces (the null span otherwise).  ``heartbeat`` is
+    called before every query so the worker stays visibly alive through
+    arbitrarily long chunks.
     """
     indices, triples, want_path, deadline_ms = payload
     engine_name = getattr(_WORKER_ENGINE, "name", "?")
@@ -279,7 +270,6 @@ def _execute_fan_out(
 ) -> BatchReport:
     """Run the sorted order on a self-healing pool (see module docs)."""
     global _WORKER_ENGINE
-    registry = get_registry()
     tracer = get_tracer()
     chunks = _contiguous_chunks(order, workers)
     payloads = [
@@ -287,13 +277,6 @@ def _execute_fan_out(
          want_path, deadline_ms)
         for chunk in chunks
     ]
-    spool = None
-    if tracer.enabled or registry.enabled:
-        spool = WorkerSpool.create(
-            TraceContext(trace_id, "batch.fan-out"),
-            want_spans=tracer.enabled,
-            want_metrics=registry.enabled,
-        )
     engine_name = getattr(engine, "name", "?")
     results: list[QueryResult | None] = [None] * len(queries)
     failures: list[BatchFailure] = []
@@ -304,25 +287,18 @@ def _execute_fan_out(
             parent.set("workers", workers)
             parent.set("queries", len(queries))
             parent.set("chunks", len(chunks))
-            parent.set("supervised", 1)
             pool = SupervisedPool(
                 _worker_chunk,
                 workers,
                 config=supervision,
-                spool=spool,
                 label="batch.worker-chunk",
                 split=_split_chunk,
                 trace_id=trace_id,
             )
             report = pool.run(payloads)
             incidents = pool.supervisor.incidents.records()
-            # run() fully stopped the fleet: clean workers flushed
-            # their end markers, so stitching is safe — and the pid
-            # succession map is final, so truncated spans can be
-            # joined to their respawned successors.
-            if spool is not None:
-                stitch(spool, parent=parent)
-                annotate_succession(parent, pool.supervisor)
+            if report.spans:
+                parent.children.extend(report.spans)
         for chunk_out in report.results.values():
             for i, result, failure in chunk_out:
                 if failure is not None:
@@ -343,8 +319,6 @@ def _execute_fan_out(
                 )
     finally:
         _WORKER_ENGINE = None
-        if spool is not None:
-            spool.cleanup()
     failures.sort(key=lambda f: f.index)
     return BatchReport(
         results=results, failures=failures, trace_id=trace_id,

@@ -31,7 +31,6 @@ from repro.supervise.supervisor import (
     DeathEvent,
     SupervisionConfig,
     Supervisor,
-    annotate_succession,
     fork_available,
 )
 
@@ -53,6 +52,5 @@ __all__ = [
     "DeathEvent",
     "SupervisionConfig",
     "Supervisor",
-    "annotate_succession",
     "fork_available",
 ]

@@ -23,6 +23,14 @@ and retried on a respawned worker instead of surfacing as a failure:
   failures rather than spinning forever; a real-time watchdog backstops
   the loop against frozen injected clocks.
 
+Observation rides on the same result files: the pool merges each
+loaded outcome's metric delta into the active registry, once, and
+returns the workers' span trees — plus a ``worker.truncated`` span per
+death (joined to the respawned pid by ``respawned_as``) and a
+``worker.idle`` span per worker that neither answered nor died — in
+:attr:`PoolReport.spans`, for the caller to attach under its fan-out
+span.
+
 Results are deterministic-by-construction: tasks carry stable ids, the
 pool only *schedules* — it never reorders or merges result values — so
 callers (batch execution, the parallel label build) reassemble output
@@ -36,9 +44,11 @@ import collections
 import time
 from typing import Any, Callable, NamedTuple
 
+from repro.observability.export import merge_records, span_from_dict
 from repro.observability.metrics import get_registry
-from repro.observability.propagation import WorkerSpool
+from repro.observability.tracing import Span, get_tracer
 from repro.supervise.supervisor import (
+    DeathEvent,
     Entrypoint,
     SupervisionConfig,
     Supervisor,
@@ -72,6 +82,9 @@ class PoolReport(NamedTuple):
     payloads: dict[int, Any]  # task_id -> payload (incl. split children)
     requeues: int
     splits: int
+    #: Worker span trees, then ``worker.truncated`` / ``worker.idle``
+    #: spans; empty unless a tracer is active.
+    spans: list[Span]
 
     @property
     def quarantined(self) -> list[PoolFailure]:
@@ -108,7 +121,6 @@ class SupervisedPool:
         entrypoint: Entrypoint,
         workers: int,
         config: SupervisionConfig | None = None,
-        spool: WorkerSpool | None = None,
         label: str = "supervise.worker-chunk",
         split: Callable[[Any], list[Any]] | None = None,
         trace_id: str | None = None,
@@ -119,7 +131,6 @@ class SupervisedPool:
         self.supervisor = Supervisor(
             entrypoint,
             config=config,
-            spool=spool,
             label=label,
             trace_id=trace_id,
         )
@@ -145,6 +156,8 @@ class SupervisedPool:
         failures: list[PoolFailure] = []
         requeues = 0
         splits = 0
+        spans: list[Span] = []
+        deaths: list[DeathEvent] = []
         registry = get_registry()
         last_progress = time.monotonic()
         supervisor.start()
@@ -167,6 +180,7 @@ class SupervisedPool:
                 # 2) Detect deaths and requeue each dead worker's lease.
                 for death in supervisor.poll():
                     progressed = True
+                    deaths.append(death)
                     task = leases.pop(death.worker, None)
                     if task is None:
                         continue
@@ -248,15 +262,18 @@ class SupervisedPool:
                     progressed = True
                 # 4) Load the results step 1 saw.
                 for task_id in finished:
-                    _, _, status, value = supervisor.load(task_id)
+                    outcome = supervisor.load(task_id)
+                    merge_records(registry, outcome.metrics or ())
+                    if outcome.span is not None:
+                        spans.append(span_from_dict(outcome.span))
                     task = tasks.get(task_id)
                     if task is None or task_id in results:
                         continue
                     progressed = True
-                    if status == "ok":
-                        results[task_id] = value
+                    if outcome.status == "ok":
+                        results[task_id] = outcome.value
                     else:
-                        error, message = value
+                        error, message = outcome.value
                         failures.append(
                             PoolFailure(
                                 task_id, task.payload, task.attempts + 1,
@@ -287,10 +304,45 @@ class SupervisedPool:
                 time.sleep(config.poll_interval_s)
         finally:
             supervisor.stop()
+        if get_tracer().enabled:
+            spans.extend(_lifecycle_spans(supervisor, deaths, spans))
         return PoolReport(
             results,
             failures,
             {task_id: task.payload for task_id, task in tasks.items()},
             requeues,
             splits,
+            spans,
         )
+
+
+def _lifecycle_spans(
+    supervisor: Supervisor, deaths: list[DeathEvent], answered: list[Span]
+) -> list[Span]:
+    """``worker.truncated`` per death, ``worker.idle`` per silent pid.
+
+    Run after :meth:`Supervisor.stop`, so the pid successions are
+    final: a truncated span whose worker was respawned carries the
+    successor's pid as ``respawned_as``.  A spawned pid that neither
+    returned a result (``answered`` spans carry the pid) nor died gets
+    an idle span, so every worker of the fleet shows in the trace.
+    """
+    successions = supervisor.pid_successions()
+    seen = {int(span.counters.get("pid", 0)) for span in answered}
+    out: list[Span] = []
+    for death in deaths:
+        if death.pid is None:
+            continue
+        seen.add(death.pid)
+        span = Span("worker.truncated")
+        span.set("pid", death.pid)
+        if death.pid in successions:
+            span.set("respawned_as", successions[death.pid])
+        out.append(span)
+    for state in supervisor.workers.values():
+        for pid in state.pids:
+            if pid not in seen:
+                span = Span("worker.idle")
+                span.set("pid", pid)
+                out.append(span)
+    return out

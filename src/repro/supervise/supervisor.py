@@ -3,12 +3,12 @@
 A :class:`Supervisor` owns a set of **named, forked worker processes**
 and keeps them alive:
 
-* **spawn** — each worker runs :func:`_worker_main`: announce on the
-  (optional) trace spool, then loop ``task queue → entrypoint → result
-  file``.  Workers are forked, so the entrypoint's heavy state (an
-  engine, a partially built label store) is inherited by memory
-  snapshot — including on *respawn*, which forks the parent's current
-  state again.  The ``worker-spawn`` fault point fires per attempt.
+* **spawn** — each worker runs :func:`_worker_main`: a loop ``task
+  queue → entrypoint → result file``.  Workers are forked, so the
+  entrypoint's heavy state (an engine, a partially built label store)
+  is inherited by memory snapshot — including on *respawn*, which forks
+  the parent's current state again.  The ``worker-spawn`` fault point
+  fires per attempt.
 * **heartbeat** — workers write a monotone counter into a per-worker
   heartbeat file.  The ``heartbeat`` callable beats once per idle
   queue-poll tick, around every task, and whenever the entrypoint
@@ -33,16 +33,20 @@ and keeps them alive:
   the breaker, so only workers that die *without ever finishing work*
   trip it.
 * **drain/stop** — :meth:`stop` drains gracefully (a ``None`` sentinel
-  lets the worker loop exit cleanly, flushing its spool end marker),
-  then escalates SIGTERM → SIGKILL for anything still alive after the
-  grace period.
+  lets the worker loop exit cleanly), then escalates SIGTERM → SIGKILL
+  for anything still alive after the grace period.
 
 Results travel through **atomic result files** (pickle via ``tmp`` +
 ``os.replace``) rather than a shared queue: a worker SIGKILLed mid-write
 can corrupt nothing the parent reads, and can never wedge a sibling on
-a shared queue lock.  Every lifecycle event emits ``supervisor_*``
-metrics, an :class:`~repro.supervise.incidents.Incident`, and (when a
-recorder is live) a flight-recorder ``supervisor-<kind>`` record.
+a shared queue lock.  Each file holds one :class:`Outcome`.  When the
+fork inherited an enabled tracer or metrics registry, the worker runs
+every task under a fresh one and ships the task's span tree and metric
+delta in the same outcome, so observed and unobserved runs share one
+worker loop and one transport.  Every lifecycle event emits
+``supervisor_*`` metrics, an :class:`~repro.supervise.incidents.
+Incident`, and (when a recorder is live) a flight-recorder
+``supervisor-<kind>`` record.
 
 The task-lease layer on top — requeue work lost to a dead worker,
 quarantine poison tasks — is :class:`repro.supervise.pool.
@@ -63,18 +67,76 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
+from repro.observability.export import snapshot, span_to_dict
 from repro.observability.flight import get_flight_recorder
-from repro.observability.metrics import get_registry
-from repro.observability.propagation import WorkerSpool, reap_stale_spools
-from repro.observability.tracing import NULL_SPAN, Span
+from repro.observability.metrics import (
+    NULL_REGISTRY,
+    MetricsRegistry,
+    get_registry,
+    use_registry,
+)
+from repro.observability.tracing import (
+    NULL_TRACER,
+    Span,
+    SpanTracer,
+    get_tracer,
+    use_tracer,
+)
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.faults import get_injector
 from repro.supervise.incidents import IncidentLog, get_incident_log
 
 #: Prefix of supervisor scratch directories (heartbeats + result files);
-#: :func:`~repro.observability.propagation.reap_stale_spools` reaps
-#: stale ones left behind by crashed parents.
+#: :func:`reap_stale_dirs` reaps stale ones left behind by crashed
+#: parents.
 SUPERVISOR_DIR_PREFIX = "qhl-supervisor-"
+
+#: Supervisor dirs untouched for this long are presumed orphaned.  A
+#: live fleet keeps writing heartbeats and result files, so an hour of
+#: silence means the owning parent died without ``stop()``.
+STALE_DIR_AGE_S = 3600.0
+
+
+def reap_stale_dirs(
+    max_age_s: float = STALE_DIR_AGE_S,
+    root: str | None = None,
+) -> list[str]:
+    """Remove supervisor dirs left behind by crashed parents.
+
+    :meth:`Supervisor.stop` only runs when the parent survives the
+    fan-out; a parent killed mid-batch leaks its ``qhl-supervisor-*``
+    dir forever.  Called on every supervisor creation, this sweeps the
+    temp root for such dirs whose *newest* entry (or the dir itself,
+    when empty) is older than ``max_age_s`` seconds.  Age is judged on
+    the newest file so a long-running but live fleet — which keeps
+    writing heartbeats — is never reaped.  Best-effort: races and
+    permission errors are swallowed.  Returns the paths removed.
+    """
+    if root is None:
+        root = tempfile.gettempdir()
+    now = time.time()
+    reaped: list[str] = []
+    try:
+        names = os.listdir(root)
+    except OSError:
+        return reaped
+    for name in names:
+        if not name.startswith(SUPERVISOR_DIR_PREFIX):
+            continue
+        path = os.path.join(root, name)
+        try:
+            newest = os.stat(path).st_mtime
+            for entry in os.scandir(path):
+                newest = max(newest, entry.stat().st_mtime)
+        except OSError:
+            continue
+        if now - newest < max_age_s:
+            continue
+        shutil.rmtree(path, ignore_errors=True)
+        if not os.path.exists(path):
+            reaped.append(path)
+    return reaped
+
 
 #: The worker entrypoint contract: ``entrypoint(payload, span,
 #: heartbeat) -> result``.  ``span`` is the chunk's root span (or the
@@ -102,6 +164,25 @@ class SupervisionConfig:
     max_task_retries: int = 2
     drain_grace_s: float = 2.0
     poll_interval_s: float = 0.002
+
+
+class Outcome(NamedTuple):
+    """One task's result file, as the worker wrote it.
+
+    ``status`` is ``"ok"`` (``value`` is the entrypoint's return) or
+    ``"error"`` (``value`` is ``(exception type name, message)``).
+    ``span`` is the task's span tree (:func:`~repro.observability.
+    export.span_to_dict`) and ``metrics`` its metric delta
+    (:func:`~repro.observability.export.snapshot`) when the worker
+    inherited an enabled tracer or registry, else ``None``.
+    """
+
+    task_id: int
+    worker: str
+    status: str
+    value: Any
+    span: dict | None
+    metrics: list[dict] | None
 
 
 class DeathEvent(NamedTuple):
@@ -163,13 +244,19 @@ def _worker_main(
     directory: str,
     hb_path: str,
     hb_interval_s: float,
-    spool: WorkerSpool | None,
     label: str,
 ) -> None:
-    """The supervised worker loop (runs in the forked child)."""
+    """The supervised worker loop (runs in the forked child).
+
+    Whether tasks are observed follows what the fork inherited: an
+    enabled tracer (registry) makes every task run under a fresh
+    :class:`SpanTracer` (:class:`MetricsRegistry`), whose ``label`` root
+    span — with this worker's ``pid`` — and metric delta ride home in
+    the task's :class:`Outcome`, also when the task raises.
+    """
     injector = get_injector()
-    if spool is not None:
-        spool.announce()
+    observe_spans = get_tracer().enabled
+    observe_metrics = get_registry().enabled
     beat = 0
     min_gap_s = hb_interval_s / 2.0
     written_at = float("-inf")
@@ -198,18 +285,23 @@ def _worker_main(
             break
         task_id, payload = item
         heartbeat()
-        try:
-            injector.fire("worker-task", worker=name, task=task_id)
-            if spool is not None:
-                with spool.observe(label) as span:
-                    value = entrypoint(payload, span, heartbeat)
-            else:
-                value = entrypoint(payload, NULL_SPAN, heartbeat)
-            outcome = (task_id, name, "ok", value)
-        except BaseException as exc:  # lint: allow=QHL002 reported to the parent as a task-failure record, never swallowed
-            outcome = (
-                task_id, name, "error", (type(exc).__name__, str(exc)),
-            )
+        tracer = SpanTracer() if observe_spans else NULL_TRACER
+        registry = MetricsRegistry() if observe_metrics else NULL_REGISTRY
+        root = tracer.span(label)
+        with use_tracer(tracer), use_registry(registry):
+            try:
+                with root:
+                    root.set("pid", os.getpid())
+                    injector.fire("worker-task", worker=name, task=task_id)
+                    value = entrypoint(payload, root, heartbeat)
+                status = "ok"
+            except BaseException as exc:  # lint: allow=QHL002 reported to the parent as a task-failure record, never swallowed
+                status, value = "error", (type(exc).__name__, str(exc))
+        outcome = Outcome(
+            task_id, name, status, value,
+            span_to_dict(root) if observe_spans else None,
+            snapshot(registry) if observe_metrics else None,
+        )
         _atomic_write(
             os.path.join(directory, f"result-{task_id:08d}"),
             pickle.dumps(outcome),
@@ -236,7 +328,6 @@ class Supervisor:
         self,
         entrypoint: Entrypoint,
         config: SupervisionConfig | None = None,
-        spool: WorkerSpool | None = None,
         label: str = "supervise.worker-chunk",
         trace_id: str | None = None,
         clock: Callable[[], float] | None = None,
@@ -260,13 +351,10 @@ class Supervisor:
                 rng = random.Random()
         self._rng = rng
         self._entrypoint = entrypoint
-        self._spool = spool
         self._label = label
-        self.trace_id = trace_id if trace_id is not None else (
-            spool.trace_id if spool is not None else None
-        )
+        self.trace_id = trace_id
         self._ctx = multiprocessing.get_context("fork")
-        reap_stale_spools()
+        reap_stale_dirs()
         self.directory = tempfile.mkdtemp(prefix=SUPERVISOR_DIR_PREFIX)
         self.incidents = IncidentLog()
         self.workers: dict[str, WorkerState] = {}
@@ -338,7 +426,6 @@ class Supervisor:
                 self.directory,
                 state.hb_path,
                 self.config.heartbeat_ms / 1000.0,
-                self._spool,
                 self._label,
             ),
             daemon=True,
@@ -513,18 +600,18 @@ class Supervisor:
             and name not in self._consumed
         )
 
-    def load(self, task_id: int) -> tuple[int, str, str, Any]:
-        """The ``(task_id, worker, status, value)`` record of a task
-        :meth:`finished` listed; each record is loaded once.  A complete
-        file that cannot be read back raises rather than being skipped:
-        skipping it would leave its task neither done nor pending."""
+    def load(self, task_id: int) -> Outcome:
+        """The :class:`Outcome` of a task :meth:`finished` listed; each
+        is loaded once.  A complete file that cannot be read back
+        raises rather than being skipped: skipping it would leave its
+        task neither done nor pending."""
         name = f"result-{task_id:08d}"
         self._consumed.add(name)
         with open(os.path.join(self.directory, name), "rb") as handle:
             return pickle.loads(handle.read())
 
-    def harvest(self) -> list[tuple[int, str, str, Any]]:
-        """Every new ``(task_id, worker, status, value)`` result on disk."""
+    def harvest(self) -> list[Outcome]:
+        """Every new :class:`Outcome` on disk."""
         return [self.load(task_id) for task_id in self.finished()]
 
     def idle_alive_workers(self, busy: set[str]) -> list[str]:
@@ -659,19 +746,3 @@ class Supervisor:
                 error=f"{worker}: {detail}",
             )
 
-
-def annotate_succession(parent: Span, supervisor: Supervisor) -> None:
-    """Join each ``worker.truncated`` span to its respawned successor.
-
-    Run after :func:`~repro.observability.propagation.stitch`: a
-    truncated span whose pid was respawned gains a ``respawned_as``
-    counter carrying the successor pid, so the trace shows the death
-    *and* the recovery as one storyline.
-    """
-    successions = supervisor.pid_successions()
-    for child in parent.children:
-        if child.name != "worker.truncated":
-            continue
-        pid = int(child.counters.get("pid", 0))
-        if pid in successions:
-            child.set("respawned_as", successions[pid])

@@ -147,7 +147,8 @@ class TestFallbacks:
 
 @needs_fork
 class TestBuildTracing:
-    """Worker-side observability on the pool path (PR-6 stitching)."""
+    """Worker-side observability on the pool path: spans and metric
+    deltas come home in the supervisor's result files."""
 
     def _traced_build(self):
         import os
@@ -173,7 +174,24 @@ class TestBuildTracing:
         vertex_seconds = registry.histogram("qhl_label_vertex_seconds")
         assert vertex_seconds.count > 0
         assert registry.counter("qhl_label_joins_total").value > 0
-        assert registry.counter("qhl_trace_stitched_total").value >= 1
+
+    def test_worker_metrics_merge_exactly_once(self):
+        # Inline levels record no per-vertex latency, so every
+        # observation came from a worker chunk: the histogram counts
+        # exactly the vertices the chunk spans report, no delta merged
+        # twice or dropped.
+        _tree, _store, tracer, registry, _pid = self._traced_build()
+        chunk_vertices = sum(
+            chunk.counters["vertices"]
+            for fanout in tracer.last().children
+            if fanout.name == "labels.level-fanout"
+            for chunk in fanout.children
+            if chunk.name == "labels.worker-chunk"
+        )
+        assert chunk_vertices > 0
+        assert registry.histogram("qhl_label_vertex_seconds").count == (
+            chunk_vertices
+        )
 
     def test_fanout_spans_carry_worker_pids(self):
         _tree, _store, tracer, _registry, parent_pid = self._traced_build()

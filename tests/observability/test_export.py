@@ -141,7 +141,7 @@ class TestRenderings:
 
 class TestRoundTripAndMerge:
     """JSON-lines -> registry -> Prometheus parity, and merging —
-    the wire format worker spools use to ship metric deltas."""
+    the wire format supervised workers use to ship metric deltas."""
 
     def _registry(self):
         registry = MetricsRegistry()

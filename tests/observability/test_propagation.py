@@ -1,23 +1,10 @@
-"""Cross-process trace propagation: spools, harvesting, stitching."""
+"""Trace ids: process-unique, deterministic, pid-prefixed."""
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
-import time
 
-import pytest
-
-from repro.observability.metrics import MetricsRegistry, use_registry
-from repro.observability.propagation import (
-    TraceContext,
-    WorkerSpool,
-    new_trace_id,
-    reap_stale_spools,
-    stitch,
-)
-from repro.observability.tracing import Span, SpanTracer, use_tracer
+from repro.observability.propagation import new_trace_id
 
 
 class TestTraceIds:
@@ -27,213 +14,3 @@ class TestTraceIds:
         pid_part, _, seq_part = next(iter(ids)).partition("-")
         assert int(pid_part, 16) == os.getpid()
         assert seq_part
-
-    def test_context_new_mints_an_id(self):
-        context = TraceContext.new("batch.fan-out")
-        assert context.trace_id
-        assert context.parent_span == "batch.fan-out"
-
-
-@pytest.fixture
-def spool(tmp_path):
-    spool = WorkerSpool.create(
-        TraceContext.new("fan-out"), directory=str(tmp_path / "spool")
-    )
-    yield spool
-    spool.cleanup()
-
-
-class TestWorkerSpool:
-    def test_observe_writes_start_marker_and_chunk(self, spool):
-        with spool.observe("worker-chunk") as root:
-            root.set("queries", 3)
-        harvest = spool.collect()
-        assert harvest.started == {os.getpid()}
-        assert len(harvest.chunks) == 1
-        chunk = harvest.chunks[0]
-        assert chunk["trace_id"] == spool.trace_id
-        assert chunk["span"]["name"] == "worker-chunk"
-        assert chunk["span"]["counters"]["queries"] == 3
-
-    def test_observe_installs_live_tracer_and_registry(self, spool):
-        from repro.observability.metrics import get_registry
-        from repro.observability.tracing import get_tracer
-
-        with spool.observe("chunk"):
-            assert get_tracer().enabled
-            assert get_registry().enabled
-            get_registry().counter("qhl_cache_hits_total").inc(5)
-        assert not get_tracer().enabled
-        chunk = spool.collect().chunks[0]
-        names = {m["name"] for m in chunk["metrics"]}
-        assert "qhl_cache_hits_total" in names
-
-    def test_chunk_flushed_even_when_body_raises(self, spool):
-        with pytest.raises(RuntimeError):
-            with spool.observe("chunk"):
-                raise RuntimeError("boom")
-        assert len(spool.collect().chunks) == 1
-
-    def test_started_without_end_is_truncated(self, spool):
-        with spool.observe("chunk"):
-            pass
-        harvest = spool.collect()
-        # This process has not exited, so no end marker yet.
-        assert harvest.truncated == {os.getpid()}
-        spool._farewell(os.getpid())
-        assert spool.collect().truncated == set()
-
-    def test_collect_skips_garbage_files(self, spool):
-        with spool.observe("chunk"):
-            pass
-        with open(os.path.join(spool.directory, "chunk-zzz.json"), "w") as f:
-            f.write("{not json")
-        with open(os.path.join(spool.directory, "notes.txt"), "w") as f:
-            f.write("ignored")
-        harvest = spool.collect()
-        assert len(harvest.chunks) == 1
-
-    def test_chunks_sorted_by_pid_then_seq(self, spool):
-        for name, pid, seq in (
-            ("chunk-00000009-000002.json", 9, 2),
-            ("chunk-00000009-000001.json", 9, 1),
-            ("chunk-00000002-000005.json", 2, 5),
-        ):
-            with open(os.path.join(spool.directory, name), "w") as f:
-                json.dump({"pid": pid, "seq": seq}, f)
-        harvest = spool.collect()
-        assert [(c["pid"], c["seq"]) for c in harvest.chunks] == [
-            (2, 5), (9, 1), (9, 2),
-        ]
-
-    def test_cleanup_removes_directory(self, tmp_path):
-        spool = WorkerSpool.create(
-            TraceContext.new(), directory=str(tmp_path / "s")
-        )
-        with spool.observe("chunk"):
-            pass
-        spool.cleanup()
-        assert not os.path.exists(spool.directory)
-        spool.cleanup()  # idempotent
-
-
-class TestStitch:
-    def _spool_with_chunk(self, tmp_path, clean_exit=True):
-        spool = WorkerSpool.create(
-            TraceContext.new("fan-out"), directory=str(tmp_path / "spool")
-        )
-        with spool.observe("worker-chunk") as root:
-            from repro.observability.metrics import get_registry
-
-            get_registry().counter("qhl_cache_misses_total").inc(4)
-            root.set("queries", 2)
-        if clean_exit:
-            spool._farewell(os.getpid())
-        return spool
-
-    def test_attaches_worker_spans_under_parent(self, tmp_path):
-        spool = self._spool_with_chunk(tmp_path)
-        tracer = SpanTracer()
-        registry = MetricsRegistry()
-        with use_tracer(tracer), use_registry(registry):
-            with tracer.span("fan-out") as parent:
-                result = stitch(spool, parent=parent)
-        assert result.trace_id == spool.trace_id
-        assert result.chunks == 1
-        assert result.pids == {os.getpid()}
-        assert result.truncated == set()
-        children = [c.name for c in tracer.last().children]
-        assert "worker-chunk" in children
-
-    def test_merges_worker_metrics_into_parent_registry(self, tmp_path):
-        spool = self._spool_with_chunk(tmp_path)
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            result = stitch(spool, parent=None)
-        assert result.metrics_merged >= 1
-        assert registry.counter("qhl_cache_misses_total").value == 4
-        assert registry.counter("qhl_trace_stitched_total").value == 1
-        assert registry.gauge("qhl_trace_workers").value == 1
-
-    def test_dead_worker_gets_truncated_span(self, tmp_path):
-        spool = self._spool_with_chunk(tmp_path, clean_exit=False)
-        tracer = SpanTracer()
-        registry = MetricsRegistry()
-        with use_tracer(tracer), use_registry(registry):
-            with tracer.span("fan-out") as parent:
-                result = stitch(spool, parent=parent)
-        assert result.truncated == {os.getpid()}
-        names = [c.name for c in tracer.last().children]
-        assert "worker.truncated" in names
-        assert registry.counter("qhl_trace_truncated_total").value == 1
-
-    def test_idle_worker_gets_idle_span(self, tmp_path):
-        spool = WorkerSpool.create(
-            TraceContext.new(), directory=str(tmp_path / "spool")
-        )
-        spool._write("start-00000042.json", {"pid": 42})
-        spool._write("end-00000042.json", {"pid": 42})
-        parent = Span("fan-out")
-        stitch_result = stitch(spool, parent=parent)
-        assert stitch_result.chunks == 0
-        assert [c.name for c in parent.children] == ["worker.idle"]
-        assert parent.children[0].counters["pid"] == 42
-
-    def test_inert_observability_is_a_cheap_no_op(self, tmp_path):
-        spool = self._spool_with_chunk(tmp_path)
-        result = stitch(spool)  # null tracer + null registry
-        assert result.chunks == 1
-        assert result.metrics_merged == 0
-
-
-class TestStaleSpoolReaping:
-    """Orphaned spool dirs from crashed parents must not leak forever."""
-
-    def _make_dir(self, root, name, age_s):
-        path = os.path.join(root, name)
-        os.makedirs(path)
-        with open(os.path.join(path, "chunk-00000001.json"), "w") as f:
-            f.write("{}")
-        stamp = time.time() - age_s
-        for target in (path, os.path.join(path, "chunk-00000001.json")):
-            os.utime(target, (stamp, stamp))
-        return path
-
-    def test_stale_dirs_are_reaped_fresh_kept(self, tmp_path):
-        root = str(tmp_path)
-        stale_spool = self._make_dir(root, "qhl-spool-dead", 7200.0)
-        stale_sup = self._make_dir(root, "qhl-supervisor-dead", 7200.0)
-        fresh = self._make_dir(root, "qhl-spool-live", 0.0)
-        other = self._make_dir(root, "some-other-dir", 7200.0)
-        reaped = reap_stale_spools(root=root)
-        assert sorted(reaped) == sorted([stale_spool, stale_sup])
-        assert not os.path.exists(stale_spool)
-        assert not os.path.exists(stale_sup)
-        assert os.path.exists(fresh)       # recent activity: kept
-        assert os.path.exists(other)       # unknown prefix: untouched
-
-    def test_age_is_judged_on_the_newest_entry(self, tmp_path):
-        # An old dir whose *contents* are still being written is a live
-        # long-running fan-out, not an orphan.
-        root = str(tmp_path)
-        path = self._make_dir(root, "qhl-spool-busy", 7200.0)
-        recent = os.path.join(path, "chunk-00000002.json")
-        with open(recent, "w") as f:
-            f.write("{}")
-        assert reap_stale_spools(root=root) == []
-        assert os.path.exists(path)
-
-    def test_spool_creation_sweeps_the_temp_root(
-        self, tmp_path, monkeypatch
-    ):
-        # Seed a stale leaked dir, point the temp root at it, and
-        # create a spool the normal way: the leak is gone afterwards.
-        root = str(tmp_path)
-        stale = self._make_dir(root, "qhl-spool-leak", 7200.0)
-        monkeypatch.setattr(tempfile, "tempdir", root)
-        spool = WorkerSpool.create(TraceContext.new("fan-out"))
-        try:
-            assert not os.path.exists(stale)
-            assert spool.directory.startswith(root)
-        finally:
-            spool.cleanup()

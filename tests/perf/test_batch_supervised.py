@@ -57,7 +57,9 @@ class TestFaultFreeIdentity:
         assert kinds.count("stop") == 2
         assert "death" not in kinds
 
-    def test_trace_marks_the_run_supervised(self, paper_index):
+    def test_trace_nests_worker_chunks_under_caller_trace(
+        self, paper_index
+    ):
         engine = paper_index.qhl_engine()
         tracer = SpanTracer()
         with use_tracer(tracer):
@@ -69,7 +71,6 @@ class TestFaultFreeIdentity:
         assert report.trace_id == "sup-0001"
         root = tracer.last()
         assert root.name == "batch.fan-out"
-        assert root.counters.get("supervised") == 1
         assert any(
             c.name == "batch.worker-chunk" for c in root.children
         )

@@ -1,17 +1,19 @@
 """Cross-process tracing through the batch executor.
 
-The acceptance bar for the trace-propagation work: one ``query_many``
-batch through the process pool yields ONE stitched trace whose worker
-spans come from at least two distinct worker pids, with worker-side
-cache metrics folded into the parent registry — and a poison query
-that SIGKILLs every worker running it costs only itself, while each
-dead worker's span is marked truncated and joined to its successor.
+One ``query_many`` batch through the supervised pool yields ONE trace
+whose worker spans — shipped home in the supervisor's result files —
+come from at least two distinct worker pids, with worker-side cache
+metrics folded into the parent registry; a chunk that raises still
+shows its span; and a poison query that SIGKILLs every worker running
+it costs only itself, while each dead worker's span is marked truncated
+and joined to its successor.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import tempfile
 import time
 
 import pytest
@@ -56,19 +58,58 @@ class TestStitchedBatchTrace:
         assert report.answered == len(QUERIES)
         root = tracer.last()
         assert root.name == "batch.fan-out"
-        # Both spawned workers announce eagerly, so the stitched tree
-        # shows >= 2 distinct pids (as worker-chunk or worker.idle
-        # spans), none of them this process.
+        # Every spawned worker shows in the tree — as worker-chunk
+        # spans, or a worker.idle span if it got no chunk — so it holds
+        # >= 2 distinct pids, none of them this process.
         worker_pids = span_pids(root) - {os.getpid()}
         assert len(worker_pids) >= 2
         chunk_spans = [
             c for c in root.children if c.name == "batch.worker-chunk"
         ]
-        assert chunk_spans, "no worker chunk spans were stitched"
+        assert chunk_spans, "no worker chunk spans came home"
         # Worker-side cache metrics reached the parent registry.
         assert registry.counter("qhl_cache_misses_total").value > 0
-        assert registry.counter("qhl_trace_stitched_total").value >= 1
-        assert registry.gauge("qhl_trace_workers").value >= 2
+
+    def test_raising_chunk_keeps_its_span(self, paper_index):
+        # A non-ReproError escapes the chunk body: the chunk becomes
+        # failure rows, and its span still hangs under the fan-out.
+        engine = RaisingEngine(paper_index.qhl_engine(), sentinel=(11, 12))
+        queries = [(0, 5, 9.0), (1, 4, 9.0), (2, 9, 14.0), (11, 12, 9.0)]
+        tracer = SpanTracer()
+        with use_tracer(tracer):
+            report = execute_batch(engine, queries, workers=2)
+        failed = {f.index for f in report.failures}
+        assert 3 in failed
+        assert {f.error for f in report.failures} == {"RuntimeError"}
+        root = tracer.last()
+        chunk_spans = [
+            c for c in root.children if c.name == "batch.worker-chunk"
+        ]
+        assert len(chunk_spans) == 2
+        raised = [c for c in chunk_spans if "queries" not in c.counters]
+        assert len(raised) == 1
+        assert int(raised[0].counters["pid"]) != os.getpid()
+
+    def test_traced_fan_out_leaves_no_scratch_dir(
+        self, paper_index, tmp_path, monkeypatch
+    ):
+        # Traced and untraced fan-outs share one transport: the only
+        # directory a traced batch creates is the supervisor's own, and
+        # it is gone when the batch returns.
+        root = tmp_path / "tmp"
+        root.mkdir()
+        listings = tmp_path / "listings"
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        engine = ListingEngine(
+            paper_index.qhl_engine(), str(root), str(listings)
+        )
+        with use_tracer(SpanTracer()), use_registry(MetricsRegistry()):
+            report = execute_batch(engine, QUERIES, workers=2)
+        assert report.answered == len(QUERIES)
+        seen = set(listings.read_text().split())
+        assert seen
+        assert all(name.startswith("qhl-supervisor-") for name in seen)
+        assert os.listdir(root) == []
 
     def test_sequential_batch_still_carries_a_trace_id(self, paper_index):
         engine = paper_index.qhl_engine()
@@ -96,6 +137,41 @@ class TestStitchedBatchTrace:
         entry = recorder.records()[failure.flight_seq - 1]
         assert entry.trace_id == report.trace_id
         assert entry.outcome == failure.error
+
+
+class RaisingEngine:
+    """Wraps a real engine; raises a non-``ReproError`` on a sentinel."""
+
+    name = "raising"
+
+    def __init__(self, inner, sentinel: tuple[int, int]):
+        self.inner = inner
+        self.sentinel = sentinel
+
+    def query(self, s, t, c, want_path=False, deadline=None):
+        if (s, t) == self.sentinel:
+            raise RuntimeError("sentinel pair")
+        return self.inner.query(
+            s, t, c, want_path=want_path, deadline=deadline
+        )
+
+
+class ListingEngine:
+    """Wraps a real engine; logs the temp root's entries per query."""
+
+    name = "listing"
+
+    def __init__(self, inner, root: str, log: str):
+        self.inner = inner
+        self.root = root
+        self.log = log
+
+    def query(self, s, t, c, want_path=False, deadline=None):
+        with open(self.log, "a") as handle:
+            handle.write(" ".join(os.listdir(self.root)) + "\n")
+        return self.inner.query(
+            s, t, c, want_path=want_path, deadline=deadline
+        )
 
 
 class KillSwitchEngine:
@@ -165,7 +241,11 @@ class TestWorkerDeath:
         ]
         assert truncated
         assert any("respawned_as" in c.counters for c in truncated)
-        assert registry.counter("qhl_trace_truncated_total").value >= 1
+        assert sum(
+            metric.value
+            for metric in registry.metrics()
+            if metric.name == "supervisor_deaths_total"
+        ) >= 1
         # The killed pids are not this process.
         assert all(
             int(c.counters["pid"]) != os.getpid() for c in truncated

@@ -4,8 +4,8 @@ The acceptance bar for worker supervision: killing any single worker —
 at spawn, mid-chunk, or by wedging its heartbeat — costs a bounded
 retry, never correctness.  Each leg runs a real supervised batch and
 asserts exact results (identical to the sequential run), zero failure
-rows, at most one requeued chunk per death, and one stitched trace in
-which the truncated span is joined to its respawned successor.
+rows, at most one requeued chunk per death, and one trace in which
+the truncated span is joined to its respawned successor.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ class TestKillMatrix:
 
     def test_kill_mid_chunk(self, paper_index, tmp_path):
         # A real SIGKILL mid-chunk: the chunk is requeued (split into
-        # singletons), the worker respawns, and the stitched trace
-        # shows the death joined to its successor pid.
+        # singletons), the worker respawns, and the trace shows the death joined to its successor pid.
         engine = KillOnceEngine(
             paper_index.qhl_engine(), str(tmp_path / "tripwire")
         )
@@ -148,11 +147,10 @@ class TestKillMatrix:
         ).value + registry.counter(
             "supervisor_restarts_total", {"worker": "w1"}
         ).value == 1
-        # One stitched trace: the truncated span carries the pid of the
-        # killed worker and points at its respawned successor.
+        # One trace: the truncated span carries the pid of the killed
+        # worker and points at its respawned successor.
         root = tracer.last()
         assert root.name == "batch.fan-out"
-        assert root.counters.get("supervised") == 1
         truncated = truncated_spans(root)
         assert len(truncated) == 1
         assert truncated[0].counters.get("respawned_as", 0) > 0

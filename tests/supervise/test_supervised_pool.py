@@ -97,7 +97,6 @@ class TestLostWork:
         assert registry.counter("supervisor_requeues_total").value == 1
         kinds = [i.kind for i in pool.supervisor.incidents.records()]
         assert "death" in kinds and "requeue" in kinds
-        assert "restart" in kinds
 
     def test_task_error_is_a_failure_row_not_a_death(self):
         pool = SupervisedPool(raising, workers=2, config=FAST)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
+import tempfile
 import time
 
 import pytest
@@ -26,6 +27,7 @@ from repro.supervise import (
     summarize,
     use_incident_log,
 )
+from repro.supervise.supervisor import reap_stale_dirs
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -64,7 +66,7 @@ def run_to_completion(sup, tasks, timeout=20.0):
             sup.submit(name, task_id, payload)
     while len(out) < len(tasks):
         assert time.monotonic() < deadline, "supervisor test timed out"
-        for task_id, worker, status, value in sup.harvest():
+        for task_id, worker, status, value, _, _ in sup.harvest():
             assert status == "ok", value
             out[task_id] = value
             sup.note_success(worker)
@@ -147,7 +149,7 @@ class TestHeartbeatWrites:
         tasks.put(None)  # drain sentinel: the loop exits after the task
         supervisor_mod._worker_main(
             "w0", beat_per_unit, tasks, str(tmp_path), hb_path,
-            10.0, None, "chunk",
+            10.0, "chunk",
         )
         assert 1 <= len(writes) <= 2
         with open(hb_path, "rb") as handle:
@@ -347,3 +349,52 @@ class TestMetricsAndIncidents:
         assert summary["workers"]["w0"]["spawn"] == 1
         assert summary["totals"]["stop"] == 1
         assert set(summary["totals"]) == set(INCIDENT_KINDS)
+
+
+class TestStaleDirReaping:
+    """Supervisor dirs of crashed parents must not leak forever."""
+
+    def _make_dir(self, root, name, age_s):
+        path = os.path.join(root, name)
+        os.makedirs(path)
+        with open(os.path.join(path, "hb-w0"), "w") as f:
+            f.write("1")
+        stamp = time.time() - age_s
+        for target in (path, os.path.join(path, "hb-w0")):
+            os.utime(target, (stamp, stamp))
+        return path
+
+    def test_stale_dirs_are_reaped_fresh_kept(self, tmp_path):
+        root = str(tmp_path)
+        stale = self._make_dir(root, "qhl-supervisor-dead", 7200.0)
+        fresh = self._make_dir(root, "qhl-supervisor-live", 0.0)
+        other = self._make_dir(root, "some-other-dir", 7200.0)
+        assert reap_stale_dirs(root=root) == [stale]
+        assert not os.path.exists(stale)
+        assert os.path.exists(fresh)       # recent activity: kept
+        assert os.path.exists(other)       # unknown prefix: untouched
+
+    def test_age_is_judged_on_the_newest_entry(self, tmp_path):
+        # An old dir whose *contents* are still being written is a live
+        # long-running fleet, not an orphan.
+        root = str(tmp_path)
+        path = self._make_dir(root, "qhl-supervisor-busy", 7200.0)
+        with open(os.path.join(path, "hb-w1"), "w") as f:
+            f.write("1")
+        assert reap_stale_dirs(root=root) == []
+        assert os.path.exists(path)
+
+    def test_supervisor_creation_sweeps_the_temp_root(
+        self, tmp_path, monkeypatch
+    ):
+        # Seed a stale leaked dir, point the temp root at it, and
+        # create a supervisor the normal way: the leak is gone.
+        root = str(tmp_path)
+        stale = self._make_dir(root, "qhl-supervisor-leak", 7200.0)
+        monkeypatch.setattr(tempfile, "tempdir", root)
+        sup = Supervisor(doubling, config=FAST)
+        try:
+            assert not os.path.exists(stale)
+            assert sup.directory.startswith(root)
+        finally:
+            sup.stop()
