@@ -66,8 +66,7 @@ journal (exit 1 when batches are pending); ``bench --updates N``
 streams N random deltas through the epoch pipeline while re-running
 each query set, reporting p50/p99 under churn.
 
-Performance flags (see ``docs/performance.md``): ``build --workers N``
-builds labels level-parallel across N processes; ``bench --cache-size
+Performance flags (see ``docs/performance.md``): ``bench --cache-size
 N`` races a QHL+cache engine (skyline-frontier LRU over N pairs)
 alongside the others, ``--batch`` runs each query set through the
 batch API in cache-friendly order, and ``--workers N`` fans a batched
@@ -201,10 +200,10 @@ def _supervision_from_args(args: argparse.Namespace):
 
 
 def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared worker-supervision option group (build and bench).
+    """The worker-supervision option group of ``bench``.
 
-    Worker fan-outs (``--workers >= 2``) always run supervised: dead
-    workers are respawned and their lost chunk retried.
+    Its worker fan-out (``--batch --workers >= 2``) always runs
+    supervised: dead workers are respawned and their lost chunk retried.
     """
     parser.add_argument(
         "--max-worker-restarts",
@@ -282,19 +281,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
         budget = BuildBudget(
             max_seconds=args.max_build_seconds, max_rss_mb=args.max_rss_mb
         )
-    supervision = _supervision_from_args(args)
-    with _metrics_scope(args.metrics_out), _incident_scope(args), \
-            Timer() as timer:
+    with _metrics_scope(args.metrics_out), Timer() as timer:
         index = QHLIndex.build(
             network,
             num_index_queries=args.index_queries,
             store_paths=not args.no_paths,
             seed=args.seed,
-            label_workers=args.workers,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             build_budget=budget,
-            supervision=supervision,
         )
     size = save_index(index, args.out)
     if args.checkpoint_dir:
@@ -866,13 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
         "JSON-lines to this path",
     )
     p_build.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="label-construction process pool size; >= 2 builds the "
-        "tree-depth levels in parallel (same index, faster build)",
-    )
-    p_build.add_argument(
         "--checkpoint-dir",
         help="persist per-level label-build checkpoints into this "
         "directory (atomic, checksummed); an interrupted build can "
@@ -914,7 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
         "disconnected input (strict parsing otherwise; implied by "
         "--lenient)",
     )
-    _add_supervision_arguments(p_build)
     p_build.set_defaults(func=_cmd_build)
 
     p_verify = sub.add_parser(

@@ -97,11 +97,9 @@ class QHLIndex:
         strategy: Strategy = "min_degree",
         store_paths: bool = True,
         seed: int = 0,
-        label_workers: int = 1,
         checkpoint_dir: str | None = None,
         resume: bool = False,
         build_budget=None,
-        supervision=None,
     ) -> "QHLIndex":
         """Build the full index.
 
@@ -119,16 +117,6 @@ class QHLIndex:
         seed:
             Seed for query sampling and Algorithm 7's random pruner
             choice.
-        label_workers:
-            ``>= 2`` builds the labels level-parallel across a process
-            pool (:mod:`repro.labeling.parallel`); the index is
-            value-identical to a sequential build.
-        supervision:
-            Optional :class:`~repro.supervise.supervisor.
-            SupervisionConfig` for the supervised level pools
-            (:mod:`repro.supervise`) that ``label_workers >= 2`` runs
-            on: a worker killed mid-level is respawned and its chunk
-            recomputed instead of failing the build.
         checkpoint_dir, resume, build_budget:
             Checkpoint the label build (the dominant phase) per depth
             level into ``checkpoint_dir``; ``resume=True`` continues an
@@ -145,11 +133,9 @@ class QHLIndex:
             strategy=strategy,
             store_paths=store_paths,
             seed=seed,
-            label_workers=label_workers,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             build_budget=build_budget,
-            supervision=supervision,
         ) as (network, tree, labels, lca, pruning):
             # Freeze: the columns a save would write, provenance
             # included when store_paths; the object labels and the
@@ -365,11 +351,9 @@ def _building(
     store_paths: bool,
     seed: int,
     strategy: Strategy = "min_degree",
-    label_workers: int = 1,
     checkpoint_dir: str | None = None,
     resume: bool = False,
     build_budget=None,
-    supervision=None,
 ) -> Iterator[tuple[
     RoadNetwork, TreeDecomposition, LabelStore, LCAIndex,
     PruningConditionIndex,
@@ -390,11 +374,9 @@ def _building(
             labels = build_labels(
                 tree,
                 store_paths=store_paths,
-                workers=label_workers,
                 checkpoint=checkpoint_dir,
                 resume=resume,
                 budget=build_budget,
-                supervision=supervision,
             )
         with tracer.span("lca-index"):
             lca = LCAIndex(tree)

@@ -39,8 +39,8 @@ from repro.exceptions import InvalidGraphError, ReproError
 from repro.gcpause import collector_paused
 from repro.graph.network import RoadNetwork
 from repro.hierarchy.tree import TreeDecomposition
+from repro.labeling.builder import label_set
 from repro.labeling.labels import LabelStore
-from repro.labeling.parallel import label_set
 from repro.service.deadline import Deadline
 from repro.service.faults import get_injector
 from repro.skyline.entries import edge_entry

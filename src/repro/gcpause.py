@@ -26,9 +26,7 @@ next collection.
 ``gc.freeze()`` is deliberately not used: it is process-global and
 would move the cyclic garbage of retired epochs into the permanent
 generation, where it is never collected.  Nor are the collection
-thresholds touched.  A process forked inside a pause (the level-parallel
-label build) starts with the collector off; its workers exit when the
-build ends.
+thresholds touched.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ member of ``P(w, u)``.  Both ``w`` and ``u`` are ancestors of ``X(v)``,
 hence chain-comparable, so the needed ``P(w, u)`` was computed earlier in
 the top-down sweep and is found by the store's symmetric lookup.
 
-The per-vertex kernel lives in
-:func:`repro.labeling.parallel.label_rows_for`, shared with the
-level-parallel builder (``workers >= 2``) so the sequential and
-parallel paths cannot drift.
+The per-vertex kernel is :func:`label_rows_for`, shared with the
+checkpointed builder (:func:`repro.resilience.checkpoint.
+build_labels_checkpointed`) so the two cannot drift; :func:`label_set`
+is its per-pair form for the dynamic repair sweep.
 """
 
 from __future__ import annotations
@@ -28,16 +28,81 @@ from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import get_tracer
+from repro.skyline.set_ops import SkylineSet, join_union
+
+
+def label_set(
+    tree: TreeDecomposition, store: LabelStore, v: int, u: int
+) -> SkylineSet:
+    """``P(v, u)``: the label recurrence for one vertex-ancestor pair.
+
+    The parts are ``S(v, w) ⊗ P(w, u)`` for each hub ``w ∈ X(v)\\{v}``
+    in bag order, with ``S(v, u)`` itself standing in for the join when
+    ``w == u``.  The dynamic repair sweep's per-pair form;
+    :func:`label_rows_for` builds the same rows for a whole vertex.
+    """
+    shortcuts_v = tree.shortcuts[v]
+    return join_union([
+        (shortcuts_v[w], None if w == u else store.get(w, u), w)
+        for w in tree.bag[v]
+    ])
+
+
+def label_rows_for(
+    tree: TreeDecomposition,
+    store: LabelStore,
+    v: int,
+) -> tuple[list[tuple[int, SkylineSet]], int]:
+    """The complete label of ``v``: ``([(u, P(v, u))], joins)``.
+
+    Pure function of the tree and the labels of ``v``'s strict
+    ancestors; the single per-vertex kernel of both builders.
+    ``joins`` counts the skyline joins performed (the build-cost unit
+    the builder reports).
+
+    Each row is :func:`label_set`'s, with the lookups hoisted: hub
+    ``w`` and ancestor ``u`` are on one root path, so ``P(w, u)`` sits
+    in the label of the deeper of the two, and comparing depths picks
+    that label without the store's two-sided ``get``.
+    """
+    hubs = tree.bag[v]  # X(v)\{v}, all ancestors of X(v)
+    depth, label = tree.depth, store.label
+    shortcuts_v = tree.shortcuts[v]
+    hub_parts = [(shortcuts_v[w], w, depth[w], label(w)) for w in hubs]
+    rows: list[tuple[int, SkylineSet]] = []
+    joins = 0
+    for u in tree.ancestors(v):
+        depth_u, label_u = depth[u], label(u)
+        rows.append((u, join_union([
+            (s_vw, None if w == u
+             else label_w[u] if depth_w > depth_u else label_u[w], w)
+            for s_vw, w, depth_w, label_w in hub_parts
+        ])))
+        joins += len(hubs) - (u in hubs)
+    return rows, joins
+
+
+def depth_levels(tree: TreeDecomposition) -> list[list[int]]:
+    """Tree vertices grouped by depth, root level first.
+
+    Every hub ``w ∈ X(v)\\{v}`` is a strict ancestor of ``v``, so a
+    level's labels depend only on shallower levels: the unit the
+    checkpointed builder persists and restores.  Within a level,
+    vertices keep their top-down-order positions, so the order is
+    deterministic.
+    """
+    levels: dict[int, list[int]] = {}
+    for v in tree.topdown_order:
+        levels.setdefault(tree.depth[v], []).append(v)
+    return [levels[d] for d in sorted(levels)]
 
 
 def build_labels(
     tree: TreeDecomposition,
     store_paths: bool = True,
-    workers: int = 1,
     checkpoint=None,
     resume: bool = False,
     budget=None,
-    supervision=None,
 ) -> LabelStore:
     """Build the full 2-hop skyline labels from a tree decomposition.
 
@@ -49,11 +114,6 @@ def build_labels(
     store_paths:
         Must match the flag the decomposition was built with; entries
         without provenance cannot regain it here.
-    workers:
-        ``>= 2`` builds each tree-depth level across a process pool
-        (:func:`repro.labeling.parallel.build_labels_parallel`); the
-        result is value-identical to the sequential build.  ``1``
-        (default) keeps the sequential top-down sweep.
     checkpoint:
         A :class:`~repro.resilience.checkpoint.CheckpointStore` or
         directory path.  When given, the build persists per-level
@@ -64,23 +124,12 @@ def build_labels(
         Resume flag and optional
         :class:`~repro.resilience.checkpoint.BuildBudget` watchdog for
         the checkpointed path; ``budget`` requires ``checkpoint``.
-    supervision:
-        Optional :class:`~repro.supervise.supervisor.SupervisionConfig`
-        for the level pools (:mod:`repro.supervise`) that ``workers >=
-        2`` runs on: dead workers respawn and their lost chunk is
-        recomputed, still value-identical.
 
     Returns
     -------
     LabelStore
         Labels for every vertex, with ``build_seconds`` filled in.
     """
-    from repro.labeling.parallel import (
-        build_labels_parallel,
-        fork_available,
-        label_rows_for,
-    )
-
     if checkpoint is not None:
         from repro.resilience.checkpoint import build_labels_checkpointed
 
@@ -88,10 +137,8 @@ def build_labels(
             tree,
             checkpoint,
             store_paths=store_paths,
-            workers=workers,
             resume=resume,
             budget=budget,
-            supervision=supervision,
         )
     if budget is not None:
         from repro.exceptions import IndexBuildError
@@ -106,14 +153,6 @@ def build_labels(
         raise IndexBuildError(
             "resume requires the checkpoint directory the interrupted "
             "build was writing to"
-        )
-
-    if workers >= 2 and fork_available():
-        return build_labels_parallel(
-            tree,
-            store_paths=store_paths,
-            workers=workers,
-            supervision=supervision,
         )
 
     started = time.perf_counter()

@@ -73,12 +73,6 @@ METRICS: dict[str, MetricSpec] = {
         "gauge", (), "total label construction time"),
     "qhl_label_joins_total": MetricSpec(
         "counter", (), "skyline joins during label construction"),
-    "qhl_label_build_workers": MetricSpec(
-        "gauge", (), "process-pool size of the parallel label build"),
-    "qhl_label_build_levels": MetricSpec(
-        "gauge", (), "tree-depth levels in the parallel label build"),
-    "qhl_label_build_parallel_vertices": MetricSpec(
-        "gauge", (), "vertices labelled by worker processes"),
     # -- workload harness (PR 1) ---------------------------------------
     "qhl_workload_query_seconds": MetricSpec(
         "histogram", ("engine", "workload"), "harness per-query latency"),

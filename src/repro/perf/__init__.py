@@ -9,9 +9,6 @@ Three pieces (see ``docs/performance.md``):
   cache, exact for every budget.
 * :func:`~repro.perf.batch.execute_batch` — failure-tolerant batched
   execution in cache-friendly order, optionally across a process pool.
-
-Parallel label construction lives with the other label builders in
-:mod:`repro.labeling.parallel`.
 """
 
 from repro.perf.batch import (

@@ -5,10 +5,10 @@ paper's §5 preprocessing dominates end-to-end time on real road
 networks).  Before this module, a killed multi-minute build restarted
 from zero.  Now the builder persists one checkpoint per completed
 tree-depth level — the natural unit, because level ``k`` depends only on
-levels ``< k`` (:mod:`repro.labeling.parallel`) — through the same
-atomic + SHA-256-checksummed envelope the index files use, so a crash at
-*any* instant leaves a directory from which ``build --resume`` continues
-at the last completed level.
+levels ``< k`` (:func:`repro.labeling.builder.depth_levels`) — through
+the same atomic + SHA-256-checksummed envelope the index files use, so a
+crash at *any* instant leaves a directory from which ``build --resume``
+continues at the last completed level.
 
 Equivalence guarantee: a resumed build produces a label store
 *value-identical* to an uninterrupted one — identical ``(weight, cost)``
@@ -16,10 +16,9 @@ sequences for every pair and identical
 :func:`repro.storage.compact.pack_labels` bytes, provenance columns
 included — because restored levels are exact (pickled) copies of what
 the fresh build would hold, relinked to the store's own entries as they
-are merged (:func:`repro.labeling.parallel.merge_level`), and every
-later level is computed by the same shared kernel
-(:func:`repro.labeling.parallel.level_rows`).  This holds for the
-sequential and the level-parallel builder alike; the kill-and-resume
+are merged (:func:`merge_level`), and every later level is computed by
+the sequential builder's per-vertex kernel
+(:func:`repro.labeling.builder.label_rows_for`).  The kill-and-resume
 suite in ``tests/service/`` asserts the byte equality.
 
 :class:`BuildBudget` is the watchdog: time/memory limits are checked at
@@ -34,7 +33,9 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from repro.exceptions import (
@@ -43,10 +44,12 @@ from repro.exceptions import (
     SerializationError,
 )
 from repro.hierarchy.tree import TreeDecomposition
+from repro.labeling.builder import depth_levels, label_rows_for
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import get_tracer
-from repro.skyline.entries import ENTRY_LAYOUT
+from repro.skyline.entries import ENTRY_LAYOUT, Entry
+from repro.skyline.set_ops import SkylineSet
 from repro.storage.serialize import load_envelope, save_envelope
 
 #: Level files hold pickled skyline entries, so their magic names the
@@ -205,24 +208,81 @@ class CheckpointStore:
                     pass
 
 
+def merge_level(
+    tree: TreeDecomposition,
+    store: LabelStore,
+    rows_by_vertex: list[tuple[int, list[tuple[int, SkylineSet]]]],
+) -> None:
+    """Store one restored level's label rows, relinking copied provenance.
+
+    Rows restored from a checkpoint are pickled copies: their children
+    are copies of the store's shortcut and label entries.  Each row of
+    ``P(v, u)`` is relinked to the store's own objects, matched by
+    ``(weight, cost)``, which is unique within a skyline set:
+
+    * a label join at hub ``w`` gets the entry of ``S(v, w)`` as its
+      left child and the entry of ``P(w, u)`` as its right child;
+    * an entry copied from ``S(v, u)`` becomes that shortcut's entry.
+
+    So a resumed build shares objects exactly as a fresh one does and
+    packs to the same provenance rows instead of a pool of copies.
+    """
+    for v, rows in rows_by_vertex:
+        shortcuts_v = tree.shortcuts[v]
+        for u, acc in rows:
+            if store.store_paths:
+                acc = [
+                    _relinked(entry, u, shortcuts_v, store)
+                    for entry in acc
+                ]
+            store.set(v, u, acc)
+
+
+def _relinked(
+    entry: Entry, u: int, shortcuts_v: dict[int, SkylineSet],
+    store: LabelStore,
+) -> Entry:
+    """``entry`` of ``P(v, u)`` over the store's own objects."""
+    w = entry[2]
+    if w is None:
+        return entry
+    # An edge tag is no hub of v, so an edge entry takes this branch too.
+    if w == u or w not in shortcuts_v:
+        return _same(shortcuts_v[u], entry)  # copied from S(v, u)
+    left, right = entry[3], entry[4]
+    own_left = _same(shortcuts_v[w], left)
+    own_right = _same(store.get(w, u), right)
+    if own_left is left and own_right is right:
+        return entry
+    return (entry[0], entry[1], w, own_left, own_right)
+
+
+def _same(entries: SkylineSet, entry: Entry) -> Entry:
+    """The member of ``entries`` with ``entry``'s ``(weight, cost)``, or
+    ``entry`` itself when there is none."""
+    i = bisect_left(entries, entry[1], key=itemgetter(1))
+    if i < len(entries) and entries[i][:2] == entry[:2]:
+        return entries[i]
+    return entry
+
+
 def build_labels_checkpointed(
     tree: TreeDecomposition,
     checkpoint: CheckpointStore | str,
     store_paths: bool = True,
-    workers: int = 1,
     resume: bool = False,
     budget: BuildBudget | None = None,
-    supervision=None,
 ) -> LabelStore:
     """:func:`repro.labeling.builder.build_labels` with per-level
     checkpoints.
 
     ``resume=True`` restores every consecutive completed level found in
-    ``checkpoint`` (fingerprint-validated) and continues from there;
-    ``resume=False`` clears the directory and starts fresh.  The result
-    is value-identical to an uninterrupted build — identical
-    ``pack_labels`` bytes — for any interruption point and any
-    ``workers`` setting.
+    ``checkpoint`` (fingerprint-validated) and continues from there; a
+    directory without a readable manifest cannot be validated, so it
+    is cleared like one with ``resume=False``, which starts fresh.  The
+    result is value-identical to an uninterrupted build — identical
+    ``pack_labels`` bytes, provenance included — for any interruption
+    point.
 
     Raises
     ------
@@ -233,7 +293,6 @@ def build_labels_checkpointed(
         When ``budget`` runs out; the last completed level is already
         persisted, so a subsequent ``resume=True`` continues there.
     """
-    from repro.labeling.parallel import depth_levels, level_rows, merge_level
     from repro.service.faults import get_injector
 
     if isinstance(checkpoint, str):
@@ -245,20 +304,18 @@ def build_labels_checkpointed(
     levels = depth_levels(tree)
 
     completed = 0
-    if resume:
-        manifest = checkpoint.read_manifest()
-        if manifest is not None:
-            if manifest.get("fingerprint") != fingerprint:
-                raise IndexBuildError(
-                    f"checkpoints in {checkpoint.directory!r} were "
-                    "written for a different network/strategy/flags "
-                    "combination; delete the directory or drop --resume"
-                )
-        else:
-            checkpoint.write_manifest(fingerprint, len(levels))
-    else:
+    manifest = checkpoint.read_manifest() if resume else None
+    if manifest is None:
+        # Level files carry no fingerprint: without a valid manifest
+        # none of them can be trusted, so none may be restored.
         checkpoint.clear()
         checkpoint.write_manifest(fingerprint, len(levels))
+    elif manifest.get("fingerprint") != fingerprint:
+        raise IndexBuildError(
+            f"checkpoints in {checkpoint.directory!r} were "
+            "written for a different network/strategy/flags "
+            "combination; delete the directory or drop --resume"
+        )
 
     store = LabelStore(tree.num_vertices, store_paths=store_paths)
     registry = get_registry()
@@ -266,7 +323,7 @@ def build_labels_checkpointed(
     restored_vertices = 0
 
     with get_tracer().span("labels.checkpointed-sweep") as span:
-        if resume:
+        if manifest is not None:
             # Restore the longest consecutive prefix of usable levels.
             while completed < len(levels):
                 rows_by_vertex = checkpoint.read_level(completed)
@@ -281,10 +338,14 @@ def build_labels_checkpointed(
         for k in range(completed, len(levels)):
             if budget is not None:
                 budget.check(k)
-            rows_by_vertex, _joins = level_rows(
-                tree, store, levels[k], workers, supervision=supervision,
-            )
-            merge_level(tree, store, rows_by_vertex)
+            rows_by_vertex = []
+            for v in levels[k]:
+                if v == tree.root:
+                    continue
+                rows, _joins = label_rows_for(tree, store, v)
+                for u, acc in rows:
+                    store.set(v, u, acc)
+                rows_by_vertex.append((v, rows))
             if injector.enabled:
                 injector.fire("build-level", level=k, stage="computed")
             checkpoint.write_level(k, rows_by_vertex)

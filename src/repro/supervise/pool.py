@@ -33,9 +33,9 @@ span.
 
 Results are deterministic-by-construction: tasks carry stable ids, the
 pool only *schedules* — it never reorders or merges result values — so
-callers (batch execution, the parallel label build) reassemble output
-in task order and stay bit-identical to their sequential paths no
-matter which workers died along the way.
+its caller (batch execution) reassembles output in task order and stays
+bit-identical to its sequential path no matter which workers died along
+the way.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Columnar pruning conditions against the dict-of-dicts semantics.
 
-Every builder — sequential and level-parallel label builds, the
-directed index's two role stores, a dynamic index after repairs, and a
-save → load round trip — must give exactly the candidate separators
-that a ``{h: C_ub}`` map per ``(child, v_end)`` gave: a hoplink ``h``
-survives iff ``budget >= bounds.get(h, 0)``.  Budgets sit on, just
-below and just above every stored bound, plus ``0`` and ``+inf``.
+Every builder — the label build, the directed index's two role
+stores, a dynamic index after repairs, and a save → load round trip —
+must give exactly the candidate separators that a ``{h: C_ub}`` map
+per ``(child, v_end)`` gave: a hoplink ``h`` survives iff
+``budget >= bounds.get(h, 0)``.  Budgets sit on, just below and just
+above every stored bound, plus ``0`` and ``+inf``.
 """
 
 from __future__ import annotations
@@ -106,14 +106,6 @@ def test_sequential_build(sequential, network):
         sequential.tree, sequential.lca, sequential.pruning,
         network.num_vertices,
     )
-
-
-def test_level_parallel_build(network, sequential):
-    index = QHLIndex.build(
-        network, num_index_queries=800, seed=21, label_workers=2
-    )
-    assert list(index.pruning.items()) == list(sequential.pruning.items())
-    assert_parity(index.tree, index.lca, index.pruning, network.num_vertices)
 
 
 def test_directed_index_both_roles(network):

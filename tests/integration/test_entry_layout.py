@@ -20,7 +20,6 @@ from repro.dynamic import DynamicQHLIndex
 from repro.graph import grid_network, random_connected_network
 from repro.hierarchy import build_tree_decomposition
 from repro.labeling import build_labels
-from repro.labeling.parallel import fork_available
 from repro.resilience.checkpoint import build_labels_checkpointed
 from repro.skyline.entries import EDGE, ROW, ZERO, expand
 from repro.storage import pack_labels
@@ -96,11 +95,6 @@ def tree():
 class TestBuilds:
     def test_sequential_build(self, tree):
         labels = build_labels(tree)
-        assert_provenance_layout(store_entries(labels, tree))
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_level_parallel_build(self, tree):
-        labels = build_labels(tree, workers=2)
         assert_provenance_layout(store_entries(labels, tree))
 
     def test_checkpoint_resumed_build(self, tree, tmp_path):

@@ -1,8 +1,8 @@
 """Checkpointed/resumable label builds (``repro.resilience.checkpoint``).
 
 The load-bearing claim: a build interrupted at *any* point and resumed
-produces labels byte-identical (on the canonical compact form) to an
-uninterrupted build — for the sequential and the level-parallel path.
+produces labels byte-identical (on the canonical compact form,
+provenance columns included) to an uninterrupted build.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ import os
 import pytest
 
 from repro.exceptions import BuildBudgetExceededError, IndexBuildError
-from repro.graph import grid_network, random_connected_network
+from repro.graph import RoadNetwork, grid_network, random_connected_network
 from repro.hierarchy.decomposition import build_tree_decomposition
-from repro.labeling.builder import build_labels
-from repro.labeling.parallel import depth_levels
+from repro.labeling.builder import build_labels, depth_levels
 from repro.observability.metrics import MetricsRegistry, use_registry
 from repro.resilience.checkpoint import (
     CHECKPOINT_MAGIC,
@@ -35,7 +34,13 @@ def tree():
 
 @pytest.fixture(scope="module")
 def fresh_bytes(tree):
-    return pack_labels(build_labels(tree))
+    return packed(build_labels(tree))
+
+
+def packed(store):
+    # With provenance: restored levels must be relinked to the store's
+    # own entries to pack to the fresh build's rows.
+    return pack_labels(store, provenance=True)
 
 
 def nested(entry, memo=None):
@@ -62,38 +67,66 @@ def level_files(directory: str) -> list[str]:
     )
 
 
+class TestDepthLevels:
+    def test_partition_covers_all_vertices(self, random30_tree):
+        levels = depth_levels(random30_tree)
+        flat = [v for level in levels for v in level]
+        assert sorted(flat) == sorted(random30_tree.topdown_order)
+
+    def test_levels_are_depth_homogeneous_and_ordered(self, random30_tree):
+        tree = random30_tree
+        levels = depth_levels(tree)
+        for d, level in enumerate(levels):
+            assert {tree.depth[v] for v in level} == {
+                tree.depth[level[0]]
+            }
+        depths = [tree.depth[level[0]] for level in levels]
+        assert depths == sorted(depths)
+
+    def test_level_members_depend_only_on_shallower_levels(
+        self, random30_tree
+    ):
+        """The independence property a level checkpoint relies on."""
+        tree = random30_tree
+        for level in depth_levels(tree):
+            members = set(level)
+            for v in level:
+                for w in tree.bag[v]:
+                    assert w not in members, (
+                        f"bag of {v} reaches into its own level"
+                    )
+
+
 class TestCheckpointedBuild:
     def test_fresh_checkpointed_build_matches_plain(
         self, tree, fresh_bytes, tmp_path
     ):
         store = build_labels_checkpointed(tree, str(tmp_path))
-        assert pack_labels(store) == fresh_bytes
+        assert packed(store) == fresh_bytes
 
     def test_writes_one_checkpoint_per_level(self, tree, tmp_path):
         build_labels_checkpointed(tree, str(tmp_path))
         assert len(level_files(str(tmp_path))) == len(depth_levels(tree))
         assert os.path.exists(tmp_path / "manifest.ckpt")
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_from_every_level_is_byte_identical(
-        self, tree, fresh_bytes, tmp_path, workers
+        self, tree, fresh_bytes, tmp_path
     ):
         num_levels = len(depth_levels(tree))
         for crash_level in range(num_levels):
-            directory = str(tmp_path / f"w{workers}-crash{crash_level}")
+            directory = str(tmp_path / f"crash{crash_level}")
             checkpoint = CheckpointStore(directory)
-            build_labels_checkpointed(tree, checkpoint, workers=workers)
+            build_labels_checkpointed(tree, checkpoint)
             # Simulate dying right after `crash_level` completed: later
             # checkpoints never made it to disk.
             for name in level_files(directory):
                 if int(name[6:12]) > crash_level:
                     os.remove(os.path.join(directory, name))
             resumed = build_labels_checkpointed(
-                tree, checkpoint, workers=workers, resume=True
+                tree, checkpoint, resume=True
             )
-            assert pack_labels(resumed) == fresh_bytes, (
-                f"resume after level {crash_level} "
-                f"(workers={workers}) diverged"
+            assert packed(resumed) == fresh_bytes, (
+                f"resume after level {crash_level} diverged"
             )
 
     def test_resume_on_empty_directory_builds_from_scratch(
@@ -102,7 +135,7 @@ class TestCheckpointedBuild:
         store = build_labels_checkpointed(
             tree, str(tmp_path / "empty"), resume=True
         )
-        assert pack_labels(store) == fresh_bytes
+        assert packed(store) == fresh_bytes
 
     def test_corrupt_level_checkpoint_is_recomputed(
         self, tree, fresh_bytes, tmp_path
@@ -115,7 +148,7 @@ class TestCheckpointedBuild:
             f.seek(40)
             f.write(b"\xff\xff\xff\xff")
         resumed = build_labels_checkpointed(tree, directory, resume=True)
-        assert pack_labels(resumed) == fresh_bytes
+        assert packed(resumed) == fresh_bytes
 
     def test_resumed_store_keeps_path_provenance(self, tree, tmp_path):
         directory = str(tmp_path)
@@ -139,6 +172,37 @@ class TestCheckpointedBuild:
         other_tree = build_tree_decomposition(grid_network(6, 6, seed=8))
         with pytest.raises(IndexBuildError, match="different network"):
             build_labels_checkpointed(other_tree, directory, resume=True)
+
+    @pytest.mark.parametrize("change", ["reweighted", "other-topology"])
+    def test_unreadable_manifest_trusts_no_level_file(
+        self, tmp_path, change
+    ):
+        # Level files carry no fingerprint; with the manifest unreadable
+        # a resume must not restore them into another network's build.
+        network = grid_network(6, 6, seed=1, diagonal_prob=0.1)
+        directory = str(tmp_path)
+        build_labels_checkpointed(
+            build_tree_decomposition(network), directory
+        )
+        manifest = os.path.join(directory, "manifest.ckpt")
+        with open(manifest, "r+b") as f:
+            f.seek(os.path.getsize(manifest) // 2)
+            f.write(b"\xff\xff\xff")
+        assert CheckpointStore(directory).read_manifest() is None
+        if change == "reweighted":
+            other = RoadNetwork.from_edges(network.num_vertices, [
+                (u, v, 2 * w + 1, c) for u, v, w, c in network.edges()
+            ])
+        else:
+            other = grid_network(5, 7, seed=1, diagonal_prob=0.1)
+        other_tree = build_tree_decomposition(other)
+        resumed = build_labels_checkpointed(
+            other_tree, directory, resume=True
+        )
+        assert packed(resumed) == packed(build_labels(other_tree))
+        assert CheckpointStore(directory).read_manifest()[
+            "fingerprint"
+        ] == tree_fingerprint(other_tree, True)
 
     def test_checkpoint_of_old_entry_layout_is_not_resumed(
         self, tree, tmp_path
@@ -216,7 +280,7 @@ class TestCheckpointedBuild:
         self, tree, fresh_bytes, tmp_path
     ):
         store = build_labels(tree, checkpoint=str(tmp_path))
-        assert pack_labels(store) == fresh_bytes
+        assert packed(store) == fresh_bytes
         assert level_files(str(tmp_path))
 
     def test_budget_without_checkpoint_rejected(self, tree):
@@ -257,7 +321,7 @@ class TestBuildBudget:
             )
         assert excinfo.value.level > 0  # some levels did complete
         resumed = build_labels_checkpointed(tree, directory, resume=True)
-        assert pack_labels(resumed) == fresh_bytes
+        assert packed(resumed) == fresh_bytes
 
     def test_memory_budget_raises(self, tree, tmp_path, monkeypatch):
         import repro.resilience.checkpoint as checkpoint_mod
@@ -297,11 +361,11 @@ class TestRandomNetworks:
     def test_resume_identity_on_random_graphs(self, seed, tmp_path):
         network = random_connected_network(24, 20, seed=seed)
         tree = build_tree_decomposition(network)
-        expected = pack_labels(build_labels(tree))
+        expected = packed(build_labels(tree))
         directory = str(tmp_path / f"s{seed}")
         build_labels_checkpointed(tree, directory)
         files = level_files(directory)
         for name in files[max(1, len(files) // 2):]:
             os.remove(os.path.join(directory, name))
         resumed = build_labels_checkpointed(tree, directory, resume=True)
-        assert pack_labels(resumed) == expected
+        assert packed(resumed) == expected

@@ -18,8 +18,7 @@ from repro.datasets import load_dataset
 from repro.dynamic import DynamicQHLIndex, updates
 from repro.graph import random_connected_network
 from repro.hierarchy import build_tree_decomposition, decomposition
-from repro.labeling import build_labels, parallel
-from repro.labeling.parallel import fork_available
+from repro.labeling import build_labels, builder
 from repro.skyline.entries import _expand_any
 from repro.storage.compact import pack_labels
 from tests.skyline.oracles import join, merge
@@ -61,7 +60,7 @@ def reference_label_rows_for(tree, store, v):
 def reference_fold(monkeypatch):
     """Patch the pairwise fold back into every kernel call site."""
     monkeypatch.setattr(decomposition, "join_union", fold_union)
-    monkeypatch.setattr(parallel, "label_rows_for", reference_label_rows_for)
+    monkeypatch.setattr(builder, "label_rows_for", reference_label_rows_for)
     monkeypatch.setattr(updates, "join_union", fold_union)
     monkeypatch.setattr(updates, "label_set", reference_label_set)
     return monkeypatch
@@ -116,13 +115,10 @@ def test_build_matches_reference_fold(
     assert_shortcuts_identical(tree, ref_tree)
     labels = build_labels(tree, store_paths=store_paths)
     assert_labels_identical(labels, ref_labels)
-    if fork_available():
-        pooled = build_labels(tree, store_paths=store_paths, workers=2)
-        assert_labels_identical(pooled, ref_labels)
     for v in tree.topdown_order:
         if v == tree.root:
             continue
-        rows, joins = parallel.label_rows_for(tree, labels, v)
+        rows, joins = builder.label_rows_for(tree, labels, v)
         ref_rows, ref_joins = reference_label_rows_for(tree, labels, v)
         assert joins == ref_joins, v
         assert [u for u, _ in rows] == [u for u, _ in ref_rows], v

@@ -17,7 +17,6 @@ from repro.dynamic import DynamicQHLIndex
 from repro.graph import grid_network
 from repro.hierarchy import build_tree_decomposition
 from repro.labeling import build_labels
-from repro.labeling.parallel import fork_available
 from repro.resilience.checkpoint import build_labels_checkpointed
 from repro.service import FaultInjector, use_injector
 from repro.skyline.entries import zero_entry
@@ -65,16 +64,6 @@ class TestMatchesOracle:
 
     def test_paper_example(self, paper_index):
         assert_matches_oracle(paper_index.labels)
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_level_parallel_build(self, tree, sequential):
-        parallel = build_labels(tree, workers=2)
-        assert_rows_are_distinct(parallel)
-        assert_matches_oracle(parallel)
-        # Relinked worker copies pack to the sequential rows: no pool.
-        rows = len(pack_labels(parallel, provenance=True).provenance[0])
-        assert rows == len(pack_labels(sequential, provenance=True)
-                           .provenance[0])
 
     def test_checkpoint_resumed_build(self, tree, sequential, tmp_path):
         injector = FaultInjector()

@@ -440,17 +440,30 @@ class TestFlightRecorderCLI:
 
 
 class TestSupervision:
-    def test_supervised_build_dumps_incidents(
-        self, workspace, tmp_path, capsys
-    ):
+    @pytest.fixture(scope="class")
+    def queries(self, workspace, tmp_path_factory):
         net, _idx = workspace
-        incidents = str(tmp_path / "incidents.jsonl")
+        path = str(tmp_path_factory.mktemp("supervision") / "ny.queries")
         assert main([
-            "build", "--network", net,
-            "--out", str(tmp_path / "sup.idx"),
-            "--index-queries", "50", "--workers", "2",
-            "--heartbeat-ms", "50", "--incident-out", incidents,
+            "workload", "--network", net, "--out", path, "--size", "5",
         ]) == 0
+        return path
+
+    def _bench(self, workspace, queries, incidents, *extra):
+        net, _idx = workspace
+        return main([
+            "bench", "--network", net, "--queries", queries,
+            "--index-queries", "50", "--batch", "--workers", "2",
+            "--incident-out", incidents, *extra,
+        ])
+
+    def test_supervised_bench_dumps_incidents(
+        self, workspace, queries, tmp_path, capsys
+    ):
+        incidents = str(tmp_path / "incidents.jsonl")
+        assert self._bench(
+            workspace, queries, incidents, "--heartbeat-ms", "50"
+        ) == 0
         out = capsys.readouterr().out
         assert "supervision incidents" in out
         assert main([
@@ -460,17 +473,13 @@ class TestSupervision:
         assert "worker" in table and "spawn" in table
         assert "total" in table
 
-    def test_supervise_status_json(self, workspace, tmp_path, capsys):
+    def test_supervise_status_json(
+        self, workspace, queries, tmp_path, capsys
+    ):
         import json
 
-        net, _idx = workspace
         incidents = str(tmp_path / "incidents.jsonl")
-        assert main([
-            "build", "--network", net,
-            "--out", str(tmp_path / "sup.idx"),
-            "--index-queries", "50", "--workers", "2",
-            "--incident-out", incidents,
-        ]) == 0
+        assert self._bench(workspace, queries, incidents) == 0
         capsys.readouterr()
         assert main([
             "supervise", "status", "--incidents", incidents, "--json",
@@ -480,15 +489,19 @@ class TestSupervision:
         assert summary["totals"]["death"] == 0
 
     def test_supervised_flag_is_gone(self, workspace, tmp_path, capsys):
-        # Every fan-out runs supervised; there is no switch to opt in.
+        # Every fan-out runs supervised, and the label build has none.
         net, _idx = workspace
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "build", "--network", net,
-                "--out", str(tmp_path / "sup.idx"), "--supervised",
-            ])
-        assert excinfo.value.code == 2
-        assert "--supervised" in capsys.readouterr().err
+        for flag in (
+            ["--supervised"], ["--workers", "2"], ["--heartbeat-ms", "50"],
+            ["--max-worker-restarts", "3"], ["--incident-out", "x.jsonl"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([
+                    "build", "--network", net,
+                    "--out", str(tmp_path / "sup.idx"), *flag,
+                ])
+            assert excinfo.value.code == 2, flag
+            assert flag[0] in capsys.readouterr().err, flag
 
     def test_supervise_status_rejects_garbage(self, tmp_path, capsys):
         path = str(tmp_path / "junk.jsonl")

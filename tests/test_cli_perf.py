@@ -66,19 +66,3 @@ class TestBenchBatch:
             "--index-queries", "100", "--batch", "--workers", "2",
         ]) == 0
         assert "Q1" in capsys.readouterr().out
-
-
-class TestBuildWorkers:
-    def test_parallel_build_from_cli(self, workspace, tmp_path, capsys):
-        net, _queries = workspace
-        idx = str(tmp_path / "parallel.idx")
-        assert main([
-            "build", "--network", net, "--out", idx,
-            "--index-queries", "50", "--workers", "2",
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "query", "--index", idx, "--source", "0", "--target", "140",
-            "--budget", "500",
-        ]) == 0
-        assert "optimal weight" in capsys.readouterr().out
