@@ -24,11 +24,6 @@ from repro.baselines import (
 )
 from repro.core import QHLEngine, QHLIndex
 from repro.datasets import load_dataset
-from repro.directed import (
-    DirectedQHLIndex,
-    DirectedRoadNetwork,
-    directed_from_undirected,
-)
 from repro.dynamic import DynamicQHLIndex
 from repro.exceptions import (
     AuditError,
@@ -110,8 +105,6 @@ __all__ = [
     "CSPQuery",
     "Deadline",
     "DeadlineExceededError",
-    "DirectedQHLIndex",
-    "DirectedRoadNetwork",
     "DisconnectedGraphError",
     "DynamicQHLIndex",
     "FaultInjector",
@@ -142,7 +135,6 @@ __all__ = [
     "audit_index",
     "constrained_dijkstra",
     "dense_core_network",
-    "directed_from_undirected",
     "estimate_diameter",
     "execute_batch",
     "generate_distance_sets",

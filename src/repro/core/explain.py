@@ -121,16 +121,15 @@ class ExplainHook:
     """The Algorithm-3 phase hook behind ``explain()``.
 
     Fills :attr:`trace` from the pipeline's phase events (see
-    :mod:`repro.core.qhl`).  ``condition_ends`` pairs each
-    pruning-condition store with the end vertex its conditions fire on
-    (empty when condition pruning is off); the hook re-reads them to
-    record which conditions matched.  A query that raises no event is
-    the same-vertex case.
+    :mod:`repro.core.qhl`).  ``pruning`` is the pruning-condition store
+    (``None`` when condition pruning is off); the hook re-reads it at
+    both ends to record which conditions matched.  A query that raises
+    no event is the same-vertex case.
     """
 
-    def __init__(self, query: CSPQuery, condition_ends=()):
+    def __init__(self, query: CSPQuery, pruning=None):
         self.trace = QueryExplanation(query, "same-vertex")
-        self._ends = condition_ends
+        self._pruning = pruning
         self._candidates: list[tuple[int, ...]] = []
         self._best: tuple[float, float] | None = None
 
@@ -145,10 +144,14 @@ class ExplainHook:
             trace.initial_separators = [
                 (child, tuple(separator)) for child, separator in value
             ]
-            budget = trace.query.budget
+            pruning = self._pruning
+            query = trace.query
+            ends = () if pruning is None else (query.source, query.target)
             for child, separator in trace.initial_separators:
-                for index, v_end in self._ends:
-                    pruned = index.prune(child, v_end, separator, budget)
+                for v_end in ends:
+                    pruned = pruning.prune(
+                        child, v_end, separator, query.budget
+                    )
                     if pruned is not None and pruned != separator:
                         trace.conditions.append(
                             ConditionApplication(

@@ -15,9 +15,8 @@ Pipeline for a non-ancestor-descendant query ``(s, t, C)``:
    hoplink; the best ``p*_h`` across hoplinks is the answer.
 
 :meth:`Algorithm3Engine._algorithm3` is the one implementation of these
-steps.  The object engine (:class:`QHLEngine`), the flat-column engine
-(:class:`~repro.core.flat.FlatQHLEngine`) and the directed engine
-(:class:`~repro.directed.engine.DirectedQHLEngine`) differ only in the
+steps.  The object engine (:class:`QHLEngine`) and the flat-column
+engine (:class:`~repro.core.flat.FlatQHLEngine`) differ only in the
 per-query *label-access object* they hand it, which implements:
 
 * ``ancestor(budget)`` — the lines 2-5 fast path: keep the best entry
@@ -77,8 +76,7 @@ class Algorithm3Engine:
     """Algorithm 3 over a label index; subclasses supply the label access.
 
     A subclass sets ``name``, ``_tree``, ``_lca``, ``_pruning`` (the
-    conditions that fire on ``s``), ``_target_pruning`` (those that fire
-    on ``t``; ``None`` when ``_pruning`` serves both ends) and
+    conditions, which fire on ``s`` and on ``t``) and
     ``use_pruning_conditions``, and implements ``_access(s, t)``.
     """
 
@@ -86,7 +84,6 @@ class Algorithm3Engine:
     _tree: TreeDecomposition
     _lca: LCAIndex
     _pruning: PruningConditionIndex | None
-    _target_pruning: PruningConditionIndex | None = None
     use_pruning_conditions: bool
 
     def _access(self, s: int, t: int):
@@ -151,16 +148,9 @@ class Algorithm3Engine:
         query = CSPQuery(source, target, budget).validated(
             self._tree.num_vertices
         )
-        ends: tuple = ()
-        if self.use_pruning_conditions:
-            target_pruning = self._target_pruning
-            if target_pruning is None:
-                target_pruning = self._pruning
-            ends = (
-                (self._pruning, query.source),
-                (target_pruning, query.target),
-            )
-        hook = ExplainHook(query, ends)
+        hook = ExplainHook(
+            query, self._pruning if self.use_pruning_conditions else None
+        )
         result = self._algorithm3(query, QueryStats(), hook=hook)
         hook.trace.answer = result.pair()
         return hook.trace
@@ -207,7 +197,6 @@ class Algorithm3Engine:
             s,
             t,
             budget,
-            self._target_pruning,
         )
         stats.candidates = len(candidates)
         if hook is not None:
@@ -398,16 +387,13 @@ def candidate_separators(
     s: int,
     t: int,
     budget: float,
-    target_pruning: PruningConditionIndex | None = None,
 ) -> list[tuple[int, ...]]:
     """Algorithm 4, applied to each initial separator.
 
     Per separator: if a condition matches ``s`` and/or ``t``, its pruned
     variant(s) replace the original; otherwise the original stays.
     Result size is 2..4.  ``pruning=None`` skips condition pruning (the
-    Figure 8 ablation).  ``target_pruning`` holds the conditions that
-    fire on ``t`` when they are learned separately (a directed index
-    keeps one store per role); by default ``pruning`` serves both ends.
+    Figure 8 ablation).
 
     Candidate *order* feeds the ``min``-by-estimated-cost hoplink choice,
     so this one implementation guarantees every engine picks the same
@@ -415,16 +401,11 @@ def candidate_separators(
     """
     candidates: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    if pruning is not None:
-        ends = (
-            (pruning, s),
-            (pruning if target_pruning is None else target_pruning, t),
-        )
     for child, separator in initial:
         if pruning is not None:
             pruned_any = False
-            for index, v_end in ends:
-                pruned = index.prune(child, v_end, separator, budget)
+            for v_end in (s, t):
+                pruned = pruning.prune(child, v_end, separator, budget)
                 # Corollary 1 guarantees a pruned separator is never
                 # empty; the emptiness check is a defensive guard so
                 # a bad condition could only cost speed, not answers.

@@ -319,8 +319,14 @@ def build_labels_checkpointed(
 
     store = LabelStore(tree.num_vertices, store_paths=store_paths)
     registry = get_registry()
+    observed = registry.enabled
+    vertex_seconds = registry.histogram(
+        "qhl_label_vertex_seconds",
+        help="per-vertex label construction time",
+    )
     injector = get_injector()
     restored_vertices = 0
+    joins = 0
 
     with get_tracer().span("labels.checkpointed-sweep") as span:
         if manifest is not None:
@@ -342,9 +348,15 @@ def build_labels_checkpointed(
             for v in levels[k]:
                 if v == tree.root:
                     continue
-                rows, _joins = label_rows_for(tree, store, v)
+                vertex_started = time.perf_counter() if observed else 0.0
+                rows, vertex_joins = label_rows_for(tree, store, v)
+                joins += vertex_joins
                 for u, acc in rows:
                     store.set(v, u, acc)
+                if observed:
+                    vertex_seconds.observe(
+                        time.perf_counter() - vertex_started
+                    )
                 rows_by_vertex.append((v, rows))
             if injector.enabled:
                 injector.fire("build-level", level=k, stage="computed")
@@ -356,10 +368,12 @@ def build_labels_checkpointed(
         span.set("levels", len(levels))
         span.set("resumed_levels", completed)
         span.set("restored_vertices", restored_vertices)
+        span.set("joins", joins)
 
     store.build_seconds = time.perf_counter() - started
-    if registry.enabled:
+    if observed:
         registry.gauge("qhl_label_build_seconds").set(store.build_seconds)
+        registry.counter("qhl_label_joins_total").inc(joins)
         registry.counter(
             "build_checkpoint_levels_total",
             help="label-build levels persisted as checkpoints",

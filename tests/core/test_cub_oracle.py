@@ -2,8 +2,8 @@
 
 :func:`repro.core.pruning.compute_cub` decides most calls from two
 corner sums and forms only the products inside ``P'``'s bounding box;
-:func:`~repro.core.pruning.build_condition` and its directed twin fetch
-each ``P(v_end, h)`` once per separator.  The bodies they replaced are
+:func:`~repro.core.pruning.build_condition` fetches each
+``P(v_end, h)`` once per separator.  The bodies they replaced are
 kept here as the reference: the kernel must equal the reference on
 random canonical sets, and a pruning index built with the reference
 patched back in must match the real one in every condition, in
@@ -22,8 +22,6 @@ from hypothesis import strategies as st
 from repro.core import build_pruning_index, pruning
 from repro.core.engine import random_index_queries
 from repro.datasets import load_dataset
-from repro.directed import DirectedQHLIndex, directed_from_undirected
-from repro.directed import engine as directed_engine
 from repro.dynamic import DynamicQHLIndex
 from repro.hierarchy import LCAIndex, build_tree_decomposition
 from repro.labeling import build_labels
@@ -79,57 +77,11 @@ def reference_build_condition(labels, separator, v_end, rng, index, pair_cache):
     return bounds
 
 
-def reference_build_condition_directed(
-    labels, separator, v_end, role, rng, index, pair_cache
-):
-    """The directed Algorithm 7 with a label lookup per use."""
-    if role == "source":
-        def sets_to(h):
-            return labels.forward(v_end, h)
-    else:
-        def sets_to(h):
-            return labels.forward(h, v_end)
-
-    reachable = [h for h in separator if sets_to(h)]
-    bounds = {h: INF for h in separator if not sets_to(h)}
-    ordered = sorted(reachable, key=lambda h: sets_to(h)[0][1])
-    separator_set = set(reachable)
-    for i in range(1, len(ordered)):
-        h = ordered[i]
-        cached = pair_cache.get((role, v_end, h))
-        if cached is not None and cached[0] in separator_set:
-            index.cache_hits += 1
-            bounds[h] = cached[1]
-            continue
-        u = ordered[rng.randrange(i)]
-        if role == "source":
-            cub = reference_compute_cub(
-                sets_to(h), labels.forward(v_end, u),
-                labels.forward(u, h), mid=u,
-            )
-        else:
-            cub = reference_compute_cub(
-                sets_to(h), labels.forward(h, u),
-                labels.forward(u, v_end), mid=u,
-            )
-        index.algorithm6_calls += 1
-        if cub > 0:
-            bounds[h] = cub
-            pair_cache[(role, v_end, h)] = (u, cub)
-    return bounds
-
-
 @pytest.fixture
 def reference_cub(monkeypatch):
     """Patch the full-``P''`` Algorithm 6 and 7 back in."""
     monkeypatch.setattr(pruning, "compute_cub", reference_compute_cub)
     monkeypatch.setattr(pruning, "build_condition", reference_build_condition)
-    monkeypatch.setattr(directed_engine, "compute_cub", reference_compute_cub)
-    monkeypatch.setattr(
-        directed_engine,
-        "_build_condition_directed",
-        reference_build_condition_directed,
-    )
     return monkeypatch
 
 
@@ -224,24 +176,6 @@ def test_pruning_index_matches_reference(dataset, store_paths, reference_cub):
     got = _snapshot(build_pruning_index(tree, labels, lca, queries, seed=303))
     assert got == want
     assert want[1] > 0
-
-
-def test_directed_pruning_matches_reference(reference_cub):
-    network = directed_from_undirected(
-        load_dataset("NY", "small").network, seed=5
-    )
-
-    def built():
-        index = DirectedQHLIndex.build(network, num_index_queries=1500, seed=5)
-        return [
-            _snapshot(index.pruning_source),
-            _snapshot(index.pruning_target),
-        ]
-
-    want = built()
-    reference_cub.undo()
-    assert built() == want
-    assert want[0][1] > 0 and want[1][1] > 0
 
 
 @pytest.mark.parametrize("store_paths", [True, False], ids=["paths", "no-paths"])

@@ -1,8 +1,7 @@
 """Columnar pruning conditions against the dict-of-dicts semantics.
 
-Every builder — the label build, the directed index's two role
-stores, a dynamic index after repairs, and a save → load round trip —
-must give exactly the candidate separators that a ``{h: C_ub}`` map
+Every builder — the label build, a dynamic index after repairs, and
+a save → load round trip — must give exactly the candidate separators that a ``{h: C_ub}`` map
 per ``(child, v_end)`` gave: a hoplink ``h`` survives iff
 ``budget >= bounds.get(h, 0)``.  Budgets sit on, just below and just
 above every stored bound, plus ``0`` and ``+inf``.
@@ -18,7 +17,6 @@ import pytest
 
 from repro.core import QHLIndex
 from repro.core.qhl import candidate_separators, initial_separators
-from repro.directed import DirectedQHLIndex, directed_from_undirected
 from repro.dynamic import DynamicQHLIndex
 from repro.graph import random_connected_network
 from repro.storage import load_flat_index, save_flat_index
@@ -26,14 +24,13 @@ from repro.storage import load_flat_index, save_flat_index
 INF = float("inf")
 
 
-def oracle_candidates(pruning, initial, s, t, budget, target_pruning=None):
+def oracle_candidates(pruning, initial, s, t, budget):
     """Algorithm 4 over ``lookup`` maps, the pre-columnar semantics."""
-    ends = ((pruning, s), (target_pruning or pruning, t))
     candidates, seen = [], set()
     for child, separator in initial:
         pruned_any = False
-        for index, v_end in ends:
-            bounds = index.lookup(child, v_end)
+        for v_end in (s, t):
+            bounds = pruning.lookup(child, v_end)
             if bounds is None:
                 continue
             pruned = tuple(
@@ -61,11 +58,10 @@ def budgets_around(*bound_maps):
     return sorted(budgets)
 
 
-def assert_parity(tree, lca, pruning, num_vertices, target_pruning=None):
+def assert_parity(tree, lca, pruning, num_vertices):
     """Compare on every non-ancestor pair of a seeded sample; returns
     how many candidate lists the conditions actually pruned."""
     rng = random.Random(11)
-    target = target_pruning or pruning
     pruned_lists = 0
     for _ in range(300):
         s, t = rng.randrange(num_vertices), rng.randrange(num_vertices)
@@ -78,14 +74,10 @@ def assert_parity(tree, lca, pruning, num_vertices, target_pruning=None):
         initial = ((c_s, h_s), (c_t, h_t))
         for budget in budgets_around(
             pruning.lookup(c_s, s), pruning.lookup(c_t, s),
-            target.lookup(c_s, t), target.lookup(c_t, t),
+            pruning.lookup(c_s, t), pruning.lookup(c_t, t),
         ):
-            got = candidate_separators(
-                pruning, initial, s, t, budget, target_pruning
-            )
-            want = oracle_candidates(
-                pruning, initial, s, t, budget, target_pruning
-            )
+            got = candidate_separators(pruning, initial, s, t, budget)
+            want = oracle_candidates(pruning, initial, s, t, budget)
             assert got == want, (s, t, budget)
             pruned_lists += got != [tuple(h_s), tuple(h_t)]
     assert pruned_lists > 0, "no condition pruned anything: vacuous"
@@ -105,19 +97,6 @@ def test_sequential_build(sequential, network):
     assert_parity(
         sequential.tree, sequential.lca, sequential.pruning,
         network.num_vertices,
-    )
-
-
-def test_directed_index_both_roles(network):
-    directed = DirectedQHLIndex.build(
-        directed_from_undirected(network, seed=4),
-        num_index_queries=800, seed=4,
-    )
-    for pruning in (directed.pruning_source, directed.pruning_target):
-        assert pruning.validate_structure() == []
-    assert_parity(
-        directed.tree, directed.lca, directed.pruning_source,
-        network.num_vertices, target_pruning=directed.pruning_target,
     )
 
 

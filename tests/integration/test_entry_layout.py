@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.baselines.sky_dijkstra import skyline_search
-from repro.directed import DirectedQHLIndex, directed_from_undirected
 from repro.dynamic import DynamicQHLIndex
 from repro.graph import grid_network, random_connected_network
 from repro.hierarchy import build_tree_decomposition
@@ -133,22 +132,6 @@ def test_thrice_repaired_dynamic_store():
     assert_provenance_layout(
         store_entries(dyn.index.labels, dyn.index.tree)
     )
-
-
-def test_directed_index():
-    network = directed_from_undirected(
-        random_connected_network(30, 25, seed=4), seed=4
-    )
-    index = DirectedQHLIndex.build(
-        network, num_index_queries=20, store_paths=True, seed=4
-    )
-    roots = [
-        e
-        for v in range(network.num_vertices)
-        for fwd, bwd in index.labels.label(v).values()
-        for e in (*fwd, *bwd)
-    ]
-    assert_provenance_layout(roots)
 
 
 def test_sky_dijkstra_with_provenance():

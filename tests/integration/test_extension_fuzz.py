@@ -1,19 +1,14 @@
-"""Hypothesis fuzzing for the directed and dynamic subsystems.
+"""Hypothesis fuzzing for the dynamic subsystem.
 
-Each gets the same treatment the core received: random
-networks, random queries, exact agreement with an independent
-ground-truth search.
+It gets the same treatment the core received: random networks,
+random queries, exact agreement with an independent ground-truth
+search.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import constrained_dijkstra
-from repro.directed import (
-    DirectedQHLIndex,
-    directed_constrained_dijkstra,
-    directed_from_undirected,
-)
 from repro.dynamic import DynamicQHLIndex
 from repro.graph import RoadNetwork, random_connected_network
 
@@ -22,25 +17,6 @@ SETTINGS = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-@settings(**SETTINGS)
-@given(
-    n=st.integers(min_value=2, max_value=15),
-    extra=st.integers(min_value=0, max_value=12),
-    seed=st.integers(min_value=0, max_value=5000),
-    data=st.data(),
-)
-def test_fuzz_directed(n, extra, seed, data):
-    base = random_connected_network(n, extra, seed=seed)
-    g = directed_from_undirected(base, seed=seed)
-    index = DirectedQHLIndex.build(g, num_index_queries=40, seed=seed)
-    for _ in range(6):
-        s = data.draw(st.integers(min_value=0, max_value=n - 1))
-        t = data.draw(st.integers(min_value=0, max_value=n - 1))
-        budget = data.draw(st.integers(min_value=0, max_value=250))
-        truth = directed_constrained_dijkstra(g, s, t, budget)
-        assert index.query(s, t, budget).pair() == truth.pair()
 
 
 @settings(**SETTINGS)

@@ -12,7 +12,8 @@ through that freeze:
 * every engine's ``(weight, cost)`` over the built index, its loaded
   copy and the dynamic build's object labels, with valid paths;
 * one label-size accounting for built, loaded and dynamic indexes;
-* the metamorphic property that weight never rises with the budget;
+* the metamorphic properties that weight never rises with the budget
+  and that ``(s, t, C)`` and ``(t, s, C)`` have one answer;
 * the memory a built index keeps per label entry.
 """
 
@@ -209,6 +210,19 @@ def test_weight_never_rises_as_the_budget_grows(trio):
                     weight = result.weight if result.feasible else float("inf")
                     assert weight <= last, (engine.name, s, t, budget)
                     last = weight
+
+
+def test_answers_are_symmetric_in_s_and_t(trio):
+    """Metamorphic: on an undirected network ``(s, t, C)`` and
+    ``(t, s, C)`` have the same answer (exact: the metrics are ints)."""
+    _case, built, loaded, dynamic, _path = trio
+    queries = _queries(built, 30, seed=29)
+    for index in (built, loaded, dynamic):
+        for engine in _engines(index):
+            for s, t, budget in queries:
+                assert engine.query(s, t, budget).pair() == engine.query(
+                    t, s, budget
+                ).pair(), (engine.name, s, t, budget)
 
 
 @pytest.mark.parametrize("paths,bound", [(False, 48), (True, 64)])

@@ -355,6 +355,42 @@ class TestCheckpointMetrics:
         assert restored.value == 2
         assert built.value == len(files) - 2
 
+    def test_label_work_matches_plain_build(self, tree, tmp_path):
+        plain, checkpointed = MetricsRegistry(), MetricsRegistry()
+        with use_registry(plain):
+            build_labels(tree)
+        with use_registry(checkpointed):
+            build_labels_checkpointed(tree, str(tmp_path))
+        for registry in (plain, checkpointed):
+            assert registry.counter("qhl_label_joins_total").value == 966
+            assert registry.get("qhl_label_vertex_seconds").count == 35
+
+    @pytest.mark.parametrize("kept", [6, 10])
+    def test_resume_reports_only_recomputed_label_work(
+        self, tree, tmp_path, kept
+    ):
+        directory = str(tmp_path)
+        build_labels_checkpointed(tree, directory)
+        for name in level_files(directory)[kept:]:
+            os.remove(os.path.join(directory, name))
+        recomputed = [
+            v for level in depth_levels(tree)[kept:] for v in level
+            if v != tree.root
+        ]
+        # One join per hub w of X(v)\{v} and ancestor u, except w == u.
+        joins = sum(
+            len(tree.bag[v]) - (u in tree.bag[v])
+            for v in recomputed for u in tree.ancestors(v)
+        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            build_labels_checkpointed(tree, directory, resume=True)
+        assert 0 < joins < 966
+        assert registry.counter("qhl_label_joins_total").value == joins
+        assert registry.get("qhl_label_vertex_seconds").count == len(
+            recomputed
+        )
+
 
 class TestRandomNetworks:
     @pytest.mark.parametrize("seed", [0, 3, 11])

@@ -26,7 +26,6 @@ def test_every_example_is_covered():
         "engine_faceoff.py",
         "flight_recorder.py",
         "live_traffic.py",
-        "one_way_streets.py",
         "quickstart.py",
         "rush_hour_replay.py",
         "supervised_batch.py",
