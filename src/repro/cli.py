@@ -60,8 +60,9 @@ Live-update flags (see ``docs/robustness.md``): ``update apply``
 journals a delta batch (``--deltas FILE`` or ``--edge/--weight/
 --cost``) and publishes the repaired epoch, rolling back on any
 failure; ``update replay`` re-applies the whole journal onto a fresh
-build (the crash-recovery path — exit state is bit-identical to a
-fresh build with the final metrics); ``update status`` inspects the
+build (the crash-recovery path — the label payload is bit-identical to
+a fresh build with the final metrics, and the same journal always
+gives the same pruning conditions); ``update status`` inspects the
 journal (exit 1 when batches are pending); ``bench --updates N``
 streams N random deltas through the epoch pipeline while re-running
 each query set, reporting p50/p99 under churn.
@@ -596,7 +597,8 @@ def _update_manager(args: argparse.Namespace):
     material), so the dynamic index is rebuilt from the network file —
     with the same ``--index-queries`` / ``--seed`` every run, the build
     is deterministic and ``base_seq=0`` replay of the journal converges
-    to the exact index a fresh build with the final metrics produces.
+    to the label payload a fresh build with the final metrics produces,
+    with the pruning conditions the same journal always gives.
     """
     from repro.dynamic import DynamicQHLIndex, EpochManager, UpdateConfig
 
@@ -624,7 +626,7 @@ def _print_update_report(manager, report) -> None:
         f"delta(s) in {format_seconds(report.seconds)} "
         f"({report.shortcuts_changed} shortcuts, "
         f"{report.labels_changed} labels changed, "
-        f"pruning {'rebuilt' if report.pruning_rebuilt else 'kept'})"
+        f"{report.pruning_rows_rebuilt} pruning rows rebuilt)"
     )
 
 
@@ -713,6 +715,7 @@ def _bench_updates(manager, query_set, name: str, updates: int,
     every = max(1, len(queries) // max(1, updates))
     latencies = []
     repair_seconds = []
+    rows_rebuilt = 0
     applied = 0
     for i, (s, t, c) in enumerate(queries):
         if applied < updates and i % every == 0 and i > 0:
@@ -721,6 +724,7 @@ def _bench_updates(manager, query_set, name: str, updates: int,
             factor = rng.uniform(0.5, 2.0)
             report = manager.apply([EdgeDelta(edge, w * factor, None)])
             repair_seconds.append(report.seconds)
+            rows_rebuilt += report.pruning_rows_rebuilt
             applied += 1
         started = _time.perf_counter()
         manager.query(s, t, c)
@@ -735,6 +739,7 @@ def _bench_updates(manager, query_set, name: str, updates: int,
         f"updates[{name}]: {len(queries)} queries with {applied} live "
         f"updates  p50 {p50:.3f} ms  p99 {p99:.3f} ms  "
         f"mean repair {mean_repair * 1e3:.1f} ms  "
+        f"pruning rows rebuilt {rows_rebuilt}  "
         f"epoch {manager.epoch.id}"
     )
 

@@ -146,6 +146,9 @@ class QHLIndex:
                 )
             flat.build_seconds = labels.build_seconds
             tree.shortcuts = {}
+            # Free the object labels now, not after the collection
+            # that ends the pause has walked them.
+            del labels
         return cls(network, tree, flat, lca, pruning)._recorded()
 
     # ------------------------------------------------------------------
@@ -392,6 +395,7 @@ def _building(
         root.set("vertices", network.num_vertices)
         root.set("edges", network.num_edges)
         yield network, tree, labels, lca, pruning
+        del labels  # the caller's to keep; see QHLIndex.build
 
 
 def random_index_queries(

@@ -21,6 +21,14 @@ Construction (§4):
   queries actually visits: four combinations per query.  Pair results are
   cached: "h pruned by u under C_ub" transfers to any separator
   containing both.
+
+A live update repairs the index row by row: given the previous index
+and the label keys the repair changed, :func:`build_pruning_index`
+reruns Algorithm 7 only for the *stale* rows, those where some
+``P(v_end, h)`` or some ``P(a, b)`` with ``a, b`` in the separator
+changed.  Every other row stays valid: its bounds compare the ``(w, c)``
+pairs of exactly those sets, and each of its cache hits drew on a
+``u`` inside the same separator.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from array import array
 from bisect import bisect_left
 from itertools import accumulate
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.hierarchy.lca import LCAIndex
 from repro.hierarchy.tree import TreeDecomposition
@@ -177,6 +185,7 @@ class PruningConditionIndex:
         self.build_seconds = 0.0
         self.algorithm6_calls = 0
         self.cache_hits = 0
+        self.rows_rebuilt = 0
 
     def freeze(
         self, conditions: Mapping[tuple[int, int], Mapping[int, float]]
@@ -387,13 +396,23 @@ def build_pruning_index(
     lca: LCAIndex,
     index_queries: Iterable[CSPQuery],
     seed: int = 0,
+    previous: PruningConditionIndex | None = None,
+    dirty_labels: Collection[tuple[int, int]] = (),
 ) -> PruningConditionIndex:
     """§4.2: build conditions for the combinations ``Q_index`` visits.
 
     For each sampled query with no ancestor-descendant relationship, the
     four combinations ``(H(s), s)``, ``(H(s), t)``, ``(H(t), s)``,
     ``(H(t), t)`` get a condition (if not already built).
+
+    With ``previous`` (the index the labels had before a repair) and
+    ``dirty_labels`` (the label keys the repair changed), only the stale
+    rows are rebuilt; see :func:`_rebuild_stale_rows`.
     """
+    if previous is not None:
+        return _rebuild_stale_rows(
+            tree, labels, previous, dirty_labels, seed
+        )
     started = time.perf_counter()
     rng = random.Random(seed)
     index = PruningConditionIndex(tree.bag)
@@ -418,5 +437,65 @@ def build_pruning_index(
                     )
 
     index.freeze(conditions)
+    index.rows_rebuilt = index.num_conditions
+    index.build_seconds = time.perf_counter() - started
+    return index
+
+
+def _rebuild_stale_rows(
+    tree: TreeDecomposition,
+    labels: LabelStore,
+    previous: PruningConditionIndex,
+    dirty_labels: Collection[tuple[int, int]],
+    seed: int,
+) -> PruningConditionIndex:
+    """``previous`` with its stale rows rerun over the repaired labels.
+
+    Row ``(child, v_end)`` is stale when some ``P(v_end, h)`` or some
+    ``P(a, b)`` with ``h, a, b`` in ``bags[child]`` is among
+    ``dirty_labels``.  The new index shares ``previous``'s three
+    structure columns (rows never move) and copies ``bounds``; each
+    stale row reruns Algorithm 7 with an empty pair cache and
+    ``Random(seed)`` and is written in place, so a row depends on its
+    own inputs only.
+    """
+    started = time.perf_counter()
+    bags = tree.bag
+    cond_start, cond_vend, bound_start = (
+        previous.cond_start, previous.cond_vend, previous.bound_start
+    )
+    index = PruningConditionIndex(
+        bags, (cond_start, cond_vend, bound_start, array("d", previous.bounds))
+    )
+    touched: dict[int, list[int]] = {}
+    for a, b in dirty_labels:
+        touched.setdefault(a, []).append(b)
+        touched.setdefault(b, []).append(a)
+    bounds = index.bounds
+    for child in range(len(cond_start) - 1):
+        lo, hi = cond_start[child], cond_start[child + 1]
+        if lo == hi:
+            continue
+        separator = bags[child]
+        members = set(separator)
+        separator_stale = any(
+            not members.isdisjoint(touched[a])
+            for a in separator
+            if a in touched
+        )
+        for row in range(lo, hi):
+            v_end = cond_vend[row]
+            if not separator_stale and members.isdisjoint(
+                touched.get(v_end, ())
+            ):
+                continue
+            ubs = build_condition(
+                labels, separator, v_end, random.Random(seed), index, {}
+            )
+            start = bound_start[row]
+            bounds[start:start + len(separator)] = array(
+                "d", [ubs.get(h, 0.0) for h in separator]
+            )
+            index.rows_rebuilt += 1
     index.build_seconds = time.perf_counter() - started
     return index

@@ -19,11 +19,14 @@ shortcut exactly once.  An update therefore:
 2. sweeps the elimination order recomputing only pairs with a dirty
    input (tracked via a prebuilt contributor index),
 3. sweeps the tree top-down recomputing only labels with a dirty input,
-4. rebuilds the pruning conditions from the remembered ``Q_index`` when
-   any label changed (they are the cheap part of the index).
+4. reruns Algorithm 7 for the pruning-condition rows whose inputs hold a
+   changed label, with the index's build seed; the other rows are kept.
 
-The result is bit-identical to a fresh build with the same elimination
-order — which is what the tests assert.
+The label payload — every ``(w, c)`` pair — is bit-identical to a fresh
+build with the same elimination order, which is what the tests assert.
+The pruning conditions are sound but need not equal a fresh build's:
+each stale row is rebuilt on its own, without the pair cache a full
+build shares across rows.
 """
 
 from __future__ import annotations
@@ -72,6 +75,9 @@ class UpdateReport:
     pruning_rebuilt: bool
     seconds: float
     edges_applied: int = 1
+    #: Pruning-condition rows Algorithm 7 reran (``pruning_rebuilt``
+    #: means this is above zero).
+    pruning_rows_rebuilt: int = 0
 
 
 class DynamicQHLIndex:
@@ -80,12 +86,12 @@ class DynamicQHLIndex:
     Construction runs the builder of :meth:`repro.core.QHLIndex.build`
     but keeps what that freezes away: the object labels and the
     elimination shortcuts, which updates repair in place.  The wrapper
-    additionally remembers the contributor index and the ``Q_index``
-    workload.
+    additionally remembers the contributor index, the ``Q_index``
+    workload and the build seed, which repairs hand to Algorithm 7.
     """
 
     def __init__(self, index: QHLIndex, index_queries: list[CSPQuery],
-                 store_paths: bool) -> None:
+                 store_paths: bool, seed: int = 0) -> None:
         if not isinstance(index.labels, LabelStore):
             raise ReproError(
                 "a dynamic index repairs object labels; this index holds "
@@ -94,6 +100,7 @@ class DynamicQHLIndex:
         self.index = index
         self._index_queries = index_queries
         self._store_paths = store_paths
+        self.seed = seed
         self._edges: list[tuple[int, int, float, float]] = list(
             index.network.edges()
         )
@@ -122,7 +129,9 @@ class DynamicQHLIndex:
             seed=seed,
         ) as parts:
             index = QHLIndex(*parts)
-        return cls(index._recorded(), list(index_queries), store_paths)
+        return cls(
+            index._recorded(), list(index_queries), store_paths, seed
+        )
 
     # ------------------------------------------------------------------
     def query(
@@ -166,6 +175,7 @@ class DynamicQHLIndex:
         )
         twin._index_queries = self._index_queries
         twin._store_paths = self._store_paths
+        twin.seed = self.seed
         twin._edges = list(self._edges)
         twin._contributors = self._contributors  # topology is fixed
         return twin
@@ -305,23 +315,26 @@ class DynamicQHLIndex:
                 else:
                     labels.set(v, u, acc)
 
-        # Sweep 3: pruning conditions (cheap; rebuild when labels moved).
-        pruning_rebuilt = False
+        # Sweep 3: pruning-condition rows that read a changed label.
+        rows_rebuilt = 0
         if dirty_labels:
             labels.version += 1
             self.index.pruning = build_pruning_index(
-                tree, labels, self.index.lca, self._index_queries, seed=0
+                tree, labels, self.index.lca, self._index_queries,
+                seed=self.seed, previous=self.index.pruning,
+                dirty_labels=dirty_labels,
             )
             self.index._default_engine = self.index.qhl_engine()
-            pruning_rebuilt = True
+            rows_rebuilt = self.index.pruning.rows_rebuilt
 
         return UpdateReport(
             shortcuts_checked=shortcuts_checked,
             shortcuts_changed=len(dirty_pairs),
             labels_checked=labels_checked,
             labels_changed=len(dirty_labels),
-            pruning_rebuilt=pruning_rebuilt,
+            pruning_rebuilt=rows_rebuilt > 0,
             seconds=0.0,
+            pruning_rows_rebuilt=rows_rebuilt,
         )
 
 

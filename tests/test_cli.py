@@ -539,6 +539,7 @@ class TestLiveUpdates:
         out = capsys.readouterr().out
         assert "epoch 1" in out
         assert "delta(s)" in out
+        assert "pruning rows rebuilt)" in out
 
     def test_apply_delta_file_and_save(self, workspace, tmp_path, capsys):
         from repro.storage.serialize import load_index
@@ -638,3 +639,4 @@ class TestLiveUpdates:
         out = capsys.readouterr().out
         assert "updates[Q1]" in out
         assert "live update" in out
+        assert "pruning rows rebuilt" in out

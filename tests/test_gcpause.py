@@ -179,6 +179,39 @@ def test_build_and_load_restore_the_collector(net, tmp_path):
         gc.enable()
 
 
+@pytest.mark.parametrize("store_paths", [True, False], ids=["paths", "no-paths"])
+def test_build_frees_its_object_labels_before_the_collection(
+    net, monkeypatch, store_paths
+):
+    """The collection that ends the build's pause must not walk the
+    object labels the build has just frozen into columns."""
+    from repro.core import engine
+
+    refs: list[weakref.ref] = []
+    build_labels = engine.build_labels
+
+    def tracked(*args, **kwargs):
+        labels = build_labels(*args, **kwargs)
+        refs.append(weakref.ref(labels))
+        return labels
+
+    monkeypatch.setattr(engine, "build_labels", tracked)
+    alive: list[bool] = []
+
+    def watch(phase, info):
+        if phase == "start" and refs:
+            alive.append(refs[0]() is not None)
+
+    gc.callbacks.append(watch)
+    try:
+        QHLIndex.build(net, num_index_queries=20, store_paths=store_paths)
+    finally:
+        gc.callbacks.remove(watch)
+    assert len(refs) == 1
+    assert alive, "the pause ended without a collection"
+    assert alive[0] is False
+
+
 def test_injected_repair_fault_restores_the_collector(dyn, tmp_path):
     config = UpdateConfig(
         audit_on_publish=False, replay_on_start=False
