@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import DATASETS, get_bundle, record_rows
-from repro.core import PruningConditionIndex, QHLEngine
+from repro.core import PruningConditionIndex, QHLEngine, dense_rows
 from repro.instrument import run_workload
 
 INF = float("inf")
@@ -21,10 +21,10 @@ INF = float("inf")
 
 def s_only_subset(tree, pruning: PruningConditionIndex):
     """The §4.3 's-only' restriction: keep only C_ub = +inf bounds."""
-    return PruningConditionIndex(tree.bag).freeze({
+    return PruningConditionIndex(tree.bag).freeze(dense_rows(tree.bag, {
         (child, v_end): {h: ub for h, ub in bounds.items() if ub == INF}
         for child, v_end, bounds in pruning.items()
-    })
+    }))
 
 
 @pytest.mark.parametrize("dataset", DATASETS)

@@ -40,6 +40,21 @@ label and pruning-condition columns stay in the map, so what a load
 allocates is the network, the tree and the LCA index, not a Python
 object per condition.
 
+A sixth scenario, **resident**, loads the grid file written with paths
+(checksum verified) and sums the ``Rss:`` lines of its mapping in
+``/proc/self/smaps``.  ``--check`` asserts at most the file's metadata
+bytes plus :data:`RESIDENT_SLACK`: the load hashes the file with reads,
+not through the map, so pages come in only as queries read them.  On a
+host without ``/proc/self/smaps`` (not Linux) the scenario is skipped
+and says why.
+
+A seventh scenario, **pruning**, measures the ``tracemalloc`` peak of
+``build_pruning_index`` on the grid minus what the built index retains,
+per condition.  ``--check`` asserts at most
+:data:`PRUNING_TRANSIENT_PER_CONDITION` bytes: each condition's row goes
+into one scratch column as soon as Algorithm 7 returns, and the pair
+cache has int keys, so no per-condition dict or key tuple piles up.
+
 Runnable standalone (``python benchmarks/bench_flat_memory.py
 [--check]``); knobs: ``REPRO_BENCH_MEM_QUERIES`` (default 300) and
 ``REPRO_BENCH_MEM_GRID`` (default 24, the grid side length).
@@ -68,6 +83,13 @@ OBJECT_PATHS_RATIO = 1.3
 #: Upper bound on the live bytes a load leaves behind, per vertex
 #: (``--check``).
 LOAD_LIVE_PER_VERTEX = 2048
+#: Upper bound on the mapping's resident bytes after a verified load,
+#: beyond the metadata bytes (``--check``).
+RESIDENT_SLACK = 64 * 1024
+#: Upper bound on the pruning build's transient bytes (tracemalloc peak
+#: minus retained), per condition (``--check``).  24×24 grid: 1,484,
+#: and 2,885 with a ``{h: ub}`` dict per condition and tuple cache keys.
+PRUNING_TRANSIENT_PER_CONDITION = 1800
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_TXT = "flat_memory.txt"
@@ -216,6 +238,80 @@ def _load_scenario(path: str) -> None:
     }))
 
 
+def _mapped_rss_bytes(path: str) -> int:
+    """Resident bytes of this process's mappings of ``path``."""
+    path = os.path.realpath(path)
+    total = 0
+    inside = False
+    with open("/proc/self/smaps") as f:
+        for line in f:
+            key = line.split(None, 1)[0]
+            if not key.endswith(":"):  # a mapping's header line
+                inside = line.rstrip("\n").endswith(" " + path)
+            elif inside and key == "Rss:":
+                total += int(line.split()[1]) * 1024
+    return total
+
+
+def _resident_scenario(path: str) -> None:
+    """Child-process entry: the mapping's resident bytes after a
+    verified load."""
+    if not os.path.exists("/proc/self/smaps"):
+        print(json.dumps({
+            "mode": "resident",
+            "skipped": f"no /proc/self/smaps on {sys.platform}",
+        }))
+        return
+    from repro.storage import load_flat_index
+    from repro.storage.flatfile import _HEADER
+
+    index = load_flat_index(path, verify_checksum=True)
+    resident = _mapped_rss_bytes(path)
+    with open(path, "rb") as f:
+        meta_bytes = _HEADER.unpack(f.read(_HEADER.size))[4]
+    print(json.dumps({
+        "mode": "resident",
+        "vertices": index.network.num_vertices,
+        "file_kb": os.path.getsize(path) // 1024,
+        "meta_bytes": meta_bytes,
+        "resident_kb": resident // 1024,
+        "resident_bytes": resident,
+    }))
+
+
+def _pruning_scenario() -> None:
+    """Child-process entry: the pruning build's transient bytes per
+    condition."""
+    import gc
+    import tracemalloc
+
+    from repro.core import build_pruning_index, random_index_queries
+    from repro.graph import grid_network
+    from repro.hierarchy import LCAIndex, build_tree_decomposition
+    from repro.labeling import build_labels
+
+    network = grid_network(GRID_SIDE, GRID_SIDE, seed=SEED)
+    tree = build_tree_decomposition(network)
+    labels = build_labels(tree)
+    lca = LCAIndex(tree)
+    queries = random_index_queries(network, 100, seed=SEED)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pruning = build_pruning_index(tree, labels, lca, queries, seed=SEED)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    conditions = pruning.num_conditions
+    print(json.dumps({
+        "mode": "pruning",
+        "conditions": conditions,
+        "peak_kb": peak // 1024,
+        "retained_kb": retained // 1024,
+        "b_per_condition": round((peak - retained) / conditions),
+    }))
+
+
 def _run_scenario(mode: str, path: str) -> dict:
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
@@ -243,6 +339,10 @@ def run_benchmark() -> dict:
         save_run = _run_scenario("save", os.path.join(tmpdir, "paths.qflat"))
         objects_run = _run_scenario("objects", "")
         load_run = _run_scenario("load", flat_path)
+        resident_run = _run_scenario(
+            "resident", os.path.join(tmpdir, "paths.qflat")
+        )
+        pruning_run = _run_scenario("pruning", "")
 
     for run in (object_run, flat_run):
         assert run["answered"] == NUM_QUERIES, run
@@ -258,6 +358,8 @@ def run_benchmark() -> dict:
         "save": save_run,
         "objects": objects_run,
         "load": load_run,
+        "resident": resident_run,
+        "pruning": pruning_run,
         "total_savings_kb": (
             object_run["total_peak_kb"] - flat_run["total_peak_kb"]
         ),
@@ -287,6 +389,18 @@ def run_benchmark() -> dict:
             f"({load_run['b_per_vertex']} B/vertex over "
             f"{load_run['vertices']} vertices, "
             f"{load_run['conditions']} conditions mapped)",
+            f"{'resident':>8} "
+            + (
+                f"skipped: {resident_run['skipped']}"
+                if "skipped" in resident_run
+                else f"{resident_run['resident_kb']} KB of the "
+                f"{resident_run['file_kb']} KB paths file mapped after a "
+                f"verified load (metadata {resident_run['meta_bytes']} B)"
+            ),
+            f"{'pruning':>8} build peak {pruning_run['peak_kb']} KB, "
+            f"retains {pruning_run['retained_kb']} KB "
+            f"({pruning_run['b_per_condition']} B/condition transient over "
+            f"{pruning_run['conditions']} conditions)",
         ],
     )
     return result
@@ -295,8 +409,9 @@ def run_benchmark() -> dict:
 def check(result: dict) -> None:
     """The CI gates: a mapped index must beat the object graph, a save
     must not hold copies of the index, paths must not cost object
-    labels a second tuple per entry, and a load must not rebuild
-    per-condition objects."""
+    labels a second tuple per entry, a load must neither rebuild
+    per-condition objects nor fault the map in, and the pruning build
+    must not pile up per-condition objects."""
     assert (
         result["flat"]["total_peak_kb"] < result["object"]["total_peak_kb"]
     ), (
@@ -320,6 +435,22 @@ def check(result: dict) -> None:
         f"load_flat_index left {load['live_kb']} KB live "
         f"({load['b_per_vertex']} B/vertex > {LOAD_LIVE_PER_VERTEX})"
     )
+    resident = result["resident"]
+    if "skipped" in resident:
+        print(f"resident scenario skipped: {resident['skipped']}")
+    else:
+        limit = resident["meta_bytes"] + RESIDENT_SLACK
+        assert resident["resident_bytes"] <= limit, (
+            f"{resident['resident_kb']} KB of the mapped index are resident "
+            f"after a verified load (limit: {limit} B, the metadata plus "
+            f"{RESIDENT_SLACK} B)"
+        )
+    pruning = result["pruning"]
+    assert pruning["b_per_condition"] <= PRUNING_TRANSIENT_PER_CONDITION, (
+        f"build_pruning_index held {pruning['b_per_condition']} B per "
+        f"condition beyond what it keeps (> "
+        f"{PRUNING_TRANSIENT_PER_CONDITION})"
+    )
 
 
 def test_flat_batch_rss_below_object_graph():
@@ -330,7 +461,10 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument(
         "--scenario",
-        choices=("object", "flat", "save", "objects", "load"),
+        choices=(
+            "object", "flat", "save", "objects", "load", "resident",
+            "pruning",
+        ),
     )
     parser.add_argument("--index")
     parser.add_argument("--check", action="store_true")
@@ -341,6 +475,10 @@ if __name__ == "__main__":
         _objects_scenario()
     elif args.scenario == "load":
         _load_scenario(args.index)
+    elif args.scenario == "resident":
+        _resident_scenario(args.index)
+    elif args.scenario == "pruning":
+        _pruning_scenario()
     elif args.scenario:
         _scenario(args.scenario, args.index)
     else:

@@ -13,6 +13,7 @@ from repro.core.pruning import (
     build_condition,
     build_pruning_index,
     compute_cub,
+    dense_rows,
 )
 from repro.core.qhl import QHLEngine, candidate_separators
 from repro.core.separators import (
@@ -37,6 +38,7 @@ __all__ = [
     "compute_cub",
     "concat_best_under",
     "concat_cartesian",
+    "dense_rows",
     "estimated_cost",
     "initial_separators",
     "random_index_queries",

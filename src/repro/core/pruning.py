@@ -164,9 +164,11 @@ class PruningConditionIndex:
         columns: Sequence[Any] | None = None,
     ) -> None:
         self._bags = {} if bags is None else bags
-        self.cond_start, self.cond_vend, self.bound_start, self.bounds = (
-            self._columns_of({}) if columns is None else columns
-        )
+        if columns is None:
+            self.freeze(())
+        else:
+            (self.cond_start, self.cond_vend, self.bound_start,
+             self.bounds) = columns
         if (
             len(self.cond_start) != len(self._bags) + 1
             or len(self.bound_start) != len(self.cond_vend) + 1
@@ -188,40 +190,43 @@ class PruningConditionIndex:
         self.rows_rebuilt = 0
 
     def freeze(
-        self, conditions: Mapping[tuple[int, int], Mapping[int, float]]
+        self, rows: Iterable[tuple[int, int, Sequence[float]]]
     ) -> "PruningConditionIndex":
-        """Replace the columns by ``conditions``, one row each; returns
-        ``self``.
+        """Replace the columns by ``rows``; returns ``self``.
 
-        ``conditions`` maps ``(child, v_end)`` to ``{h: C_ub}``; a
-        hoplink of ``bags[child]`` without a positive entry gets
-        ``0.0``, so ``budget >= ub`` keeps exactly what
-        ``bounds.get(h, 0)`` keeps.
+        ``rows`` yields ``(child, v_end, row)`` in increasing
+        ``(child, v_end)`` order, ``row`` being the dense ``C_ub`` row
+        aligned with ``bags[child]`` (``0.0``: never pruned).  A row is
+        copied into ``bounds`` as it arrives, so ``rows`` may be a
+        generator of slices.  :func:`dense_rows` turns ``{h: C_ub}``
+        maps into this form.
         """
-        self.cond_start, self.cond_vend, self.bound_start, self.bounds = (
-            self._columns_of(conditions)
-        )
-        return self
-
-    def _columns_of(
-        self, conditions: Mapping[tuple[int, int], Mapping[int, float]]
-    ) -> tuple[array, array, array, array]:
-        """The four columns of ``conditions``, one ``extend`` per row."""
         bags = self._bags
         counts = [0] * (len(bags) + 1)
         cond_vend = array("i")
         bound_start = array("i", [0])
         bounds = array("d")
-        for child, v_end in sorted(conditions):
-            row = conditions[child, v_end]
+        previous = (-1, -1)
+        for child, v_end, row in rows:
+            if (child, v_end) <= previous:
+                raise ValueError(
+                    f"condition ({child}, {v_end}) does not follow "
+                    f"{previous}: rows must be in increasing order"
+                )
+            if len(row) != len(bags[child]):
+                raise ValueError(
+                    f"condition ({child}, {v_end}) has {len(row)} bounds "
+                    f"for the {len(bags[child])}-hoplink separator"
+                )
+            previous = child, v_end
             counts[child + 1] += 1
             cond_vend.append(v_end)
-            bounds.extend([
-                ub if ub > 0 else 0.0
-                for ub in (row.get(h, 0.0) for h in bags[child])
-            ])
+            bounds.extend(row)
             bound_start.append(len(bounds))
-        return array("i", accumulate(counts)), cond_vend, bound_start, bounds
+        self.cond_start, self.cond_vend, self.bound_start, self.bounds = (
+            array("i", accumulate(counts)), cond_vend, bound_start, bounds
+        )
+        return self
 
     def _row(self, child: int, v_end: int) -> int:
         """Row number of the ``(child, v_end)`` condition, or ``-1``."""
@@ -355,28 +360,58 @@ class PruningConditionIndex:
         return problems
 
 
+def dense_rows(
+    bags: Mapping[int, Sequence[int]],
+    conditions: Mapping[tuple[int, int], Mapping[int, float]],
+) -> list[tuple[int, int, list[float]]]:
+    """``{(child, v_end): {h: C_ub}}`` as the sorted dense rows that
+    :meth:`PruningConditionIndex.freeze` takes.
+
+    A hoplink of ``bags[child]`` without a positive entry gets ``0.0``,
+    so ``budget >= ub`` keeps exactly what ``bounds.get(h, 0)`` keeps.
+    """
+    return [
+        (child, v_end, _dense_row(bags[child], conditions[child, v_end]))
+        for child, v_end in sorted(conditions)
+    ]
+
+
+def _dense_row(
+    separator: Sequence[int], bounds: Mapping[int, float]
+) -> list[float]:
+    """``bounds`` aligned with ``separator``, ``0.0`` where not
+    positive."""
+    return [
+        ub if ub > 0 else 0.0
+        for ub in (bounds.get(h, 0.0) for h in separator)
+    ]
+
+
 def build_condition(
     labels: LabelStore,
     separator: Sequence[int],
     v_end: int,
     rng: random.Random,
     index: PruningConditionIndex,
-    pair_cache: dict[tuple[int, int], tuple[int, float]],
+    pair_cache: dict[int, tuple[int, float]],
 ) -> dict[int, float]:
     """Algorithm 7: compute ``C_ub`` for every hoplink of one separator.
 
-    ``pair_cache`` maps ``(v_end, h)`` to an established ``(u, C_ub)``
-    relationship; it is consulted before calling Algorithm 6 (§4.2's
-    speed-up) and updated with new positive findings.
+    ``pair_cache`` maps ``v_end * n + h`` (``n`` the vertex count of
+    ``labels``) to an established ``(u, C_ub)`` relationship; it is
+    consulted before calling Algorithm 6 (§4.2's speed-up) and updated
+    with new positive findings.  An int key, not a ``(v_end, h)``
+    tuple: the cache outlives every condition of a build.
     """
     sets = {h: labels.get(v_end, h) for h in separator}
     # Sort hoplinks by the smallest cost in P_{v_end, h} (Lemma 8).
     ordered = sorted(separator, key=lambda h: sets[h][0][1])
     separator_set = set(separator)
+    base = v_end * labels.num_vertices
     bounds: dict[int, float] = {}
     for i in range(1, len(ordered)):
         h = ordered[i]
-        cached = pair_cache.get((v_end, h))
+        cached = pair_cache.get(base + h)
         if cached is not None and cached[0] in separator_set:
             index.cache_hits += 1
             bounds[h] = cached[1]
@@ -386,7 +421,7 @@ def build_condition(
         index.algorithm6_calls += 1
         if cub > 0:
             bounds[h] = cub
-            pair_cache[(v_end, h)] = (u, cub)
+            pair_cache[base + h] = (u, cub)
     return bounds
 
 
@@ -405,6 +440,12 @@ def build_pruning_index(
     four combinations ``(H(s), s)``, ``(H(s), t)``, ``(H(t), s)``,
     ``(H(t), t)`` get a condition (if not already built).
 
+    Each condition's dense row goes into one scratch column as soon as
+    Algorithm 7 returns, keyed by ``child * n + v_end`` (whose order is
+    ``(child, v_end)`` order); :meth:`PruningConditionIndex.freeze`
+    then copies the rows out in that order.  So no per-condition object
+    outlives its :func:`build_condition` call.
+
     With ``previous`` (the index the labels had before a repair) and
     ``dirty_labels`` (the label keys the repair changed), only the stale
     rows are rebuilt; see :func:`_rebuild_stale_rows`.
@@ -415,9 +456,11 @@ def build_pruning_index(
         )
     started = time.perf_counter()
     rng = random.Random(seed)
+    n = tree.num_vertices
     index = PruningConditionIndex(tree.bag)
-    conditions: dict[tuple[int, int], dict[int, float]] = {}
-    pair_cache: dict[tuple[int, int], tuple[int, float]] = {}
+    scratch = array("d")
+    row_at: dict[int, int] = {}  # child * n + v_end -> row start
+    pair_cache: dict[int, tuple[int, float]] = {}
 
     for query in index_queries:
         s, t = query.source, query.target
@@ -431,12 +474,21 @@ def build_pruning_index(
             if len(separator) < 2:
                 continue  # a single hoplink can never be pruned
             for v_end in (s, t):
-                if (child, v_end) not in conditions:
-                    conditions[child, v_end] = build_condition(
+                key = child * n + v_end
+                if key not in row_at:
+                    row_at[key] = len(scratch)
+                    scratch.extend(_dense_row(separator, build_condition(
                         labels, separator, v_end, rng, index, pair_cache
-                    )
+                    )))
+    del pair_cache  # its heap is free again before the columns grow
 
-    index.freeze(conditions)
+    def rows() -> Iterator[tuple[int, int, array]]:
+        for key in sorted(row_at):
+            child, v_end = divmod(key, n)
+            lo = row_at[key]
+            yield child, v_end, scratch[lo:lo + len(tree.bag[child])]
+
+    index.freeze(rows())
     index.rows_rebuilt = index.num_conditions
     index.build_seconds = time.perf_counter() - started
     return index
@@ -494,7 +546,7 @@ def _rebuild_stale_rows(
             )
             start = bound_start[row]
             bounds[start:start + len(separator)] = array(
-                "d", [ubs.get(h, 0.0) for h in separator]
+                "d", _dense_row(separator, ubs)
             )
             index.rows_rebuilt += 1
     index.build_seconds = time.perf_counter() - started

@@ -4,12 +4,17 @@ The file stores the ``pack_labels`` columns and the pruning-condition
 columns *verbatim* as raw little-endian bytes behind a fixed binary
 header, so loading is::
 
-    header parse -> SHA-256 verify -> mmap -> memoryview casts
+    read header + metadata -> SHA-256 over buffered reads -> mmap
+        -> memoryview casts
 
-Near-zero startup (no per-entry work) and, because the columns are read
-through an ``mmap``, the kernel shares their physical pages across
-fork-based worker pools — object-graph indexes cannot share pages
-because refcount writes copy them.
+The hash reads the file, not the map, so a verified load leaves no
+column page resident: pages come in as queries read them, and an I/O
+error while verifying is an ``OSError`` (which
+:func:`~repro.storage.serialize.load_index_with_retry` retries), not a
+``SIGBUS``.  Near-zero startup (no per-entry work) and, because the
+columns are read through an ``mmap``, the kernel shares their physical
+pages across fork-based worker pools — object-graph indexes cannot
+share pages because refcount writes copy them.
 
 An index built with ``store_paths=True`` also gets the four ``int32``
 provenance columns (:mod:`repro.storage.compact`): one row per label
@@ -59,7 +64,7 @@ import os
 import pickle
 import struct
 import sys
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, BinaryIO
 
 from repro.core.pruning import COND_COLUMNS, PruningConditionIndex
 from repro.exceptions import SerializationError
@@ -95,6 +100,10 @@ _COLUMNS = (
 
 #: Item size per column typecode.
 _ITEMSIZE = {"q": 8, "d": 8, "i": 4}
+
+#: Bytes per read while a load hashes the data region: under glibc's
+#: default mmap threshold, so the buffer comes from the heap.
+_READ_CHUNK = 1 << 16
 
 
 def save_flat_index(index: "QHLIndex", path: str) -> int:
@@ -189,61 +198,74 @@ def load_flat_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
     the flat one (:class:`~repro.core.flat.FlatQHLEngine`), which
     expands paths from the provenance columns when the file has them.
 
+    The header and metadata are read from the file, and the SHA-256
+    check reads the data region through one 64 KiB buffer of the same
+    open file before it is mapped; the metadata is unpickled from the
+    bytes that were hashed.  The few pages the stores' end-point checks
+    fault in are unmapped again, so a load leaves no page of the map
+    resident.
+
     Raises
     ------
     SerializationError
         On missing files, directories, foreign or truncated files,
         version/endianness mismatches, or checksum failures.
+    OSError
+        When reading the file fails; a transient error is worth a
+        retry (:func:`~repro.storage.serialize.load_index_with_retry`).
     """
     from repro.core.engine import QHLIndex
     from repro.graph.network import RoadNetwork
     from repro.hierarchy.lca import LCAIndex
     from repro.hierarchy.tree import TreeDecomposition
 
-    buf, backing = _map_file(path)
-    (
-        magic, version, flags,
-        meta_offset, meta_length, data_offset, data_length,
-        stored_digest,
-    ) = _HEADER.unpack_from(buf, 0)
-    if magic != FLAT_MAGIC:
-        raise SerializationError(f"{path!r} is not a flat repro index")
-    if version != FLAT_FORMAT_VERSION:
-        raise SerializationError(
-            f"unsupported flat index format version {version} "
-            f"(this build reads version {FLAT_FORMAT_VERSION}); "
-            "rebuild it with `repro-qhl build`"
-        )
-    little = bool(flags & _FLAG_LITTLE_ENDIAN)
-    if little != (sys.byteorder == "little"):
-        raise SerializationError(
-            f"{path!r} was written on a machine with different "
-            "endianness; the raw columns cannot be mapped here"
-        )
-    total = len(buf)
-    if (
-        meta_offset < _HEADER.size
-        or meta_offset + meta_length > total
-        or data_offset < meta_offset + meta_length
-        or data_offset + data_length > total
-    ):
-        raise SerializationError(
-            f"{path!r} is truncated or has a corrupt header"
-        )
-    meta_view = buf[meta_offset:meta_offset + meta_length]
-    data_view = buf[data_offset:data_offset + data_length]
-    if verify_checksum:
-        digest = hashlib.sha256()
-        digest.update(meta_view)
-        digest.update(data_view)
-        if digest.digest() != stored_digest:
+    with _open_index(path) as f:
+        header = f.read(_HEADER.size)
+        (
+            magic, version, flags,
+            meta_offset, meta_length, data_offset, data_length,
+            stored_digest,
+        ) = _HEADER.unpack(header)
+        if magic != FLAT_MAGIC:
+            raise SerializationError(f"{path!r} is not a flat repro index")
+        if version != FLAT_FORMAT_VERSION:
             raise SerializationError(
-                f"{path!r} failed checksum verification (stored "
-                f"{stored_digest.hex()[:12]}…, computed "
-                f"{digest.hexdigest()[:12]}…); the file is corrupt"
+                f"unsupported flat index format version {version} "
+                f"(this build reads version {FLAT_FORMAT_VERSION}); "
+                "rebuild it with `repro-qhl build`"
             )
+        little = bool(flags & _FLAG_LITTLE_ENDIAN)
+        if little != (sys.byteorder == "little"):
+            raise SerializationError(
+                f"{path!r} was written on a machine with different "
+                "endianness; the raw columns cannot be mapped here"
+            )
+        total = os.fstat(f.fileno()).st_size
+        if (
+            meta_offset < _HEADER.size
+            or meta_offset + meta_length > total
+            or data_offset < meta_offset + meta_length
+            or data_offset + data_length > total
+        ):
+            raise SerializationError(
+                f"{path!r} is truncated or has a corrupt header"
+            )
+        f.seek(meta_offset)
+        meta_bytes = f.read(meta_length)
+        if verify_checksum:
+            digest = hashlib.sha256(meta_bytes)
+            f.seek(data_offset)
+            _hash_region(f, data_length, digest)
+            if digest.digest() != stored_digest:
+                raise SerializationError(
+                    f"{path!r} failed checksum verification (stored "
+                    f"{stored_digest.hex()[:12]}…, computed "
+                    f"{digest.hexdigest()[:12]}…); the file is corrupt"
+                )
+        backing = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    data_view = memoryview(backing)[data_offset:data_offset + data_length]
     try:
-        meta = pickle.loads(bytes(meta_view))
+        meta = pickle.loads(meta_bytes)
     except _PICKLE_ERRORS as exc:
         raise SerializationError(
             f"{path!r} flat metadata is not readable: {exc}"
@@ -299,30 +321,54 @@ def load_flat_index(path: str, verify_checksum: bool = True) -> "QHLIndex":
         raise SerializationError(
             f"{path!r} flat payload is incomplete or inconsistent: {exc}"
         ) from exc
-    return QHLIndex(network, tree, labels, LCAIndex(tree), pruning)
+    index = QHLIndex(network, tree, labels, LCAIndex(tree), pruning)
+    # The two stores' end-point checks read a few values through the
+    # map, and each read fault maps a whole fault-around window (64 KiB
+    # on Linux).  Unmap those pages again: the file keeps them cached,
+    # and they come back as queries read them.
+    if hasattr(mmap, "MADV_DONTNEED"):
+        backing.madvise(mmap.MADV_DONTNEED)
+    return index
 
 
-def _map_file(path: str) -> tuple[memoryview, mmap.mmap]:
-    """Map ``path`` read-only; returns ``(buffer, backing)``.
-
-    ``backing`` is the ``mmap`` object to keep alive alongside any view
-    into it.
-    """
+def _open_index(path: str) -> BinaryIO:
+    """``path`` opened for reading, at least a header long."""
     if not os.path.exists(path):
         raise SerializationError(f"index file {path!r} does not exist")
     if os.path.isdir(path):
         raise SerializationError(
             f"{path!r} is a directory, not an index file"
         )
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size < _HEADER.size:
+    f = open(path, "rb")
+    size = os.fstat(f.fileno()).st_size
+    if size < _HEADER.size:
+        f.close()
+        raise SerializationError(
+            f"{path!r} is truncated: {size} bytes is smaller than "
+            f"the {_HEADER.size}-byte flat header"
+        )
+    return f
+
+
+def _hash_region(f: BinaryIO, length: int, digest: Any) -> None:
+    """Feed the next ``length`` bytes of ``f`` to ``digest``.
+
+    Read through one reused buffer, not through the map: the hash then
+    faults no page of the mapping in, and an I/O error is an
+    ``OSError`` here instead of a ``SIGBUS`` on some later page.  A
+    file that ends early (it shrank after its size was checked) is
+    truncated.
+    """
+    buffer = bytearray(_READ_CHUNK)
+    view = memoryview(buffer)
+    while length > 0:
+        got = f.readinto(view[:min(length, _READ_CHUNK)])
+        if not got:
             raise SerializationError(
-                f"{path!r} is truncated: {size} bytes is smaller than "
-                f"the {_HEADER.size}-byte flat header"
+                f"{f.name!r} is truncated: it ended {length} bytes early"
             )
-        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        return memoryview(mapped), mapped
+        digest.update(view[:got])
+        length -= got
 
 
 def _align8(offset: int) -> int:

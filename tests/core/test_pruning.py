@@ -9,6 +9,7 @@ from repro.core import (
     build_condition,
     build_pruning_index,
     compute_cub,
+    dense_rows,
 )
 from repro.datasets import paper_figure1_network, v
 from repro.hierarchy import LCAIndex, build_tree_decomposition
@@ -83,7 +84,7 @@ class TestComputeCub:
 
 def frozen(bags, conditions):
     """An index over ``bags`` ({child: separator}, children 0..n-1)."""
-    return PruningConditionIndex(bags).freeze(conditions)
+    return PruningConditionIndex(bags).freeze(dense_rows(bags, conditions))
 
 
 class TestConditionIndex:
@@ -175,7 +176,7 @@ class TestBuildCondition:
     def test_cache_is_consulted(self, built):
         _g, _tree, labels, _lca = built
         index = PruningConditionIndex()
-        cache = {(v(8), v(13)): (v(10), 14.0)}
+        cache = {v(8) * labels.num_vertices + v(13): (v(10), 14.0)}
         bounds = build_condition(
             labels, (v(10), v(13)), v(8), random.Random(0), index, cache
         )
@@ -186,7 +187,8 @@ class TestBuildCondition:
     def test_cache_ignored_when_pruner_not_in_separator(self, built):
         _g, _tree, labels, _lca = built
         index = PruningConditionIndex()
-        cache = {(v(8), v(13)): (v(11), 99.0)}  # v11 not in separator
+        # v11 not in separator
+        cache = {v(8) * labels.num_vertices + v(13): (v(11), 99.0)}
         build_condition(
             labels, (v(10), v(13)), v(8), random.Random(0), index, cache
         )
@@ -281,7 +283,9 @@ class TestTheorem1Safety:
                 conditions[child, v_end] = build_condition(
                     labels, separator, v_end, rng, index, {}
                 )
-        index = PruningConditionIndex(tree.bag).freeze(conditions)
+        index = PruningConditionIndex(tree.bag).freeze(
+            dense_rows(tree.bag, conditions)
+        )
         for child, v_end in conditions:
             for budget in (0, 1, 5, 10, 20, 100):
                 pruned = index.prune(child, v_end, tree.bag[child], budget)
