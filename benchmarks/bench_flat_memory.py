@@ -55,6 +55,13 @@ per condition.  ``--check`` asserts at most
 into one scratch column as soon as Algorithm 7 returns, and the pair
 cache has int keys, so no per-condition dict or key tuple piles up.
 
+An eighth scenario, **build**, measures the ``tracemalloc`` peak of
+``QHLIndex.build(store_paths=True)`` on the grid against the bytes of
+the label columns it ends with.  ``--check`` asserts a ratio of at most
+:data:`BUILD_PEAK_RATIO`: the label build writes each label into the
+columns as it computes it and holds one root-to-leaf chain of object
+labels, not the whole index as objects next to its columns.
+
 Runnable standalone (``python benchmarks/bench_flat_memory.py
 [--check]``); knobs: ``REPRO_BENCH_MEM_QUERIES`` (default 300) and
 ``REPRO_BENCH_MEM_GRID`` (default 24, the grid side length).
@@ -90,6 +97,10 @@ RESIDENT_SLACK = 64 * 1024
 #: minus retained), per condition (``--check``).  24×24 grid: 1,484,
 #: and 2,885 with a ``{h: ub}`` dict per condition and tuple cache keys.
 PRUNING_TRANSIENT_PER_CONDITION = 1800
+#: Upper bound on the build's peak / its label column bytes
+#: (``--check``).  24×24 grid: 2.27, and 5.14 when the build held its
+#: whole object labels and then froze them into columns.
+BUILD_PEAK_RATIO = 3.0
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_TXT = "flat_memory.txt"
@@ -97,7 +108,7 @@ RESULT_TXT = "flat_memory.txt"
 
 def _build_index(store_paths: bool = False):
     """The grid index with object labels: the dynamic build keeps them
-    (a plain build freezes its labels into columns)."""
+    (a plain build writes its labels into columns)."""
     from repro.dynamic import DynamicQHLIndex
     from repro.graph import grid_network
 
@@ -312,6 +323,34 @@ def _pruning_scenario() -> None:
     }))
 
 
+def _build_scenario() -> None:
+    """Child-process entry: the tracemalloc peak of one build with
+    paths against its label columns."""
+    import gc
+    import tracemalloc
+
+    from repro.core import QHLIndex
+    from repro.graph import grid_network
+
+    network = grid_network(GRID_SIDE, GRID_SIDE, seed=SEED)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = QHLIndex.build(
+            network, num_index_queries=100, store_paths=True, seed=SEED
+        )
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    column_bytes = index.labels.column_bytes()
+    print(json.dumps({
+        "mode": "build",
+        "peak_kb": peak // 1024,
+        "column_kb": column_bytes // 1024,
+        "ratio": round(peak / column_bytes, 2),
+    }))
+
+
 def _run_scenario(mode: str, path: str) -> dict:
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
@@ -343,6 +382,7 @@ def run_benchmark() -> dict:
             "resident", os.path.join(tmpdir, "paths.qflat")
         )
         pruning_run = _run_scenario("pruning", "")
+        build_run = _run_scenario("build", "")
 
     for run in (object_run, flat_run):
         assert run["answered"] == NUM_QUERIES, run
@@ -360,6 +400,7 @@ def run_benchmark() -> dict:
         "load": load_run,
         "resident": resident_run,
         "pruning": pruning_run,
+        "build": build_run,
         "total_savings_kb": (
             object_run["total_peak_kb"] - flat_run["total_peak_kb"]
         ),
@@ -401,6 +442,9 @@ def run_benchmark() -> dict:
             f"retains {pruning_run['retained_kb']} KB "
             f"({pruning_run['b_per_condition']} B/condition transient over "
             f"{pruning_run['conditions']} conditions)",
+            f"{'build':>8} peak {build_run['peak_kb']} KB for "
+            f"{build_run['column_kb']} KB of label columns "
+            f"(ratio {build_run['ratio']}, store_paths=True)",
         ],
     )
     return result
@@ -410,8 +454,9 @@ def check(result: dict) -> None:
     """The CI gates: a mapped index must beat the object graph, a save
     must not hold copies of the index, paths must not cost object
     labels a second tuple per entry, a load must neither rebuild
-    per-condition objects nor fault the map in, and the pruning build
-    must not pile up per-condition objects."""
+    per-condition objects nor fault the map in, the pruning build
+    must not pile up per-condition objects, and a build must not hold
+    its labels as objects next to their columns."""
     assert (
         result["flat"]["total_peak_kb"] < result["object"]["total_peak_kb"]
     ), (
@@ -451,6 +496,12 @@ def check(result: dict) -> None:
         f"condition beyond what it keeps (> "
         f"{PRUNING_TRANSIENT_PER_CONDITION})"
     )
+    build = result["build"]
+    assert build["ratio"] <= BUILD_PEAK_RATIO, (
+        f"QHLIndex.build peaked at {build['peak_kb']} KB for "
+        f"{build['column_kb']} KB of label columns (ratio "
+        f"{build['ratio']} > {BUILD_PEAK_RATIO})"
+    )
 
 
 def test_flat_batch_rss_below_object_graph():
@@ -463,7 +514,7 @@ if __name__ == "__main__":
         "--scenario",
         choices=(
             "object", "flat", "save", "objects", "load", "resident",
-            "pruning",
+            "pruning", "build",
         ),
     )
     parser.add_argument("--index")
@@ -479,6 +530,8 @@ if __name__ == "__main__":
         _resident_scenario(args.index)
     elif args.scenario == "pruning":
         _pruning_scenario()
+    elif args.scenario == "build":
+        _build_scenario()
     elif args.scenario:
         _scenario(args.scenario, args.index)
     else:

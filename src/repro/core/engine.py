@@ -3,14 +3,14 @@
 :class:`QHLIndex` bundles the four index pieces — tree decomposition,
 2-hop skyline labels, LCA structure, and pruning conditions — behind one
 ``build`` call, and hands out query engines.  A built index serves from
-flat columns (:class:`~repro.storage.flat.FlatLabelStore`): the build
-freezes its object labels with
-:func:`~repro.storage.compact.pack_labels`, provenance columns included
-when ``store_paths=True``, and drops them and the elimination
-shortcuts, so it has the shape of a saved and loaded one.  Only the
-dynamic index (:class:`~repro.dynamic.updates.DynamicQHLIndex`) keeps
-an object :class:`~repro.labeling.labels.LabelStore`, which it repairs
-in place.  The label type picks the default engine:
+flat columns (:class:`~repro.storage.flat.FlatLabelStore`): the label
+build writes each label into the columns as it computes it
+(:func:`~repro.labeling.builder.build_label_columns`), provenance
+columns included when ``store_paths=True``, and the elimination
+shortcuts are dropped, so it has the shape of a saved and loaded one.
+Only the dynamic index (:class:`~repro.dynamic.updates.DynamicQHLIndex`)
+keeps an object :class:`~repro.labeling.labels.LabelStore`, which it
+repairs in place.  The label type picks the default engine:
 
 >>> from repro import QHLIndex, grid_network
 >>> network = grid_network(8, 8, seed=1)
@@ -40,7 +40,7 @@ from repro.graph.network import RoadNetwork
 from repro.hierarchy.decomposition import Strategy, build_tree_decomposition
 from repro.hierarchy.lca import LCAIndex
 from repro.hierarchy.tree import TreeDecomposition
-from repro.labeling.builder import build_labels
+from repro.labeling.builder import build_label_columns, build_labels
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import get_tracer
@@ -136,20 +136,10 @@ class QHLIndex:
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             build_budget=build_budget,
-        ) as (network, tree, labels, lca, pruning):
-            # Freeze: the columns a save would write, provenance
-            # included when store_paths; the object labels and the
-            # elimination shortcuts go.
-            with get_tracer().span("label-freeze"):
-                flat = FlatLabelStore.from_compact(
-                    pack_labels(labels, provenance=store_paths)
-                )
-            flat.build_seconds = labels.build_seconds
-            tree.shortcuts = {}
-            # Free the object labels now, not after the collection
-            # that ends the pause has walked them.
-            del labels
-        return cls(network, tree, flat, lca, pruning)._recorded()
+            columns=True,
+        ) as parts:
+            index = cls(*parts)
+        return index._recorded()
 
     # ------------------------------------------------------------------
     # Engines
@@ -357,14 +347,25 @@ def _building(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     build_budget=None,
+    columns: bool = False,
 ) -> Iterator[tuple[
-    RoadNetwork, TreeDecomposition, LabelStore, LCAIndex,
+    RoadNetwork, TreeDecomposition, "LabelStore | FlatLabelStore", LCAIndex,
     PruningConditionIndex,
 ]]:
-    """Build the pieces of an index with object labels (parameters as
-    for :meth:`QHLIndex.build`) and yield them inside the build's span
-    and collector pause: :meth:`QHLIndex.build` freezes them there, the
-    dynamic index keeps them to repair."""
+    """Build the pieces of an index (parameters as for
+    :meth:`QHLIndex.build`) and yield them inside the build's span and
+    collector pause.
+
+    With ``columns``, the labels are flat columns, provenance included
+    when ``store_paths``, and the elimination shortcuts are dropped
+    before the pruning build: the shape :meth:`QHLIndex.build` serves.
+    A build without a checkpoint streams each label into the columns
+    (:func:`~repro.labeling.builder.build_label_columns`); a
+    checkpointed one packs its finished object labels with
+    :func:`~repro.storage.compact.pack_labels`.  Without ``columns``
+    the labels are objects and the shortcuts stay, for the dynamic
+    index to repair.
+    """
     tracer = get_tracer()
     with collector_paused(), tracer.span("qhl.build") as root:
         with tracer.span("tree-decomposition"):
@@ -374,13 +375,27 @@ def _building(
                 store_paths=store_paths,
             )
         with tracer.span("label-construction"):
-            labels = build_labels(
-                tree,
-                store_paths=store_paths,
-                checkpoint=checkpoint_dir,
-                resume=resume,
-                budget=build_budget,
-            )
+            labels: LabelStore | FlatLabelStore
+            if columns and (checkpoint_dir, resume, build_budget) == (
+                None, False, None
+            ):
+                labels = build_label_columns(tree, store_paths=store_paths)
+            else:
+                labels = build_labels(
+                    tree,
+                    store_paths=store_paths,
+                    checkpoint=checkpoint_dir,
+                    resume=resume,
+                    budget=build_budget,
+                )
+                if columns:
+                    seconds = labels.build_seconds
+                    labels = FlatLabelStore.from_compact(
+                        pack_labels(labels, provenance=store_paths)
+                    )
+                    labels.build_seconds = seconds
+            if columns:
+                tree.shortcuts = {}
         with tracer.span("lca-index"):
             lca = LCAIndex(tree)
         with tracer.span("pruning-index") as span:
@@ -395,7 +410,6 @@ def _building(
         root.set("vertices", network.num_vertices)
         root.set("edges", network.num_edges)
         yield network, tree, labels, lca, pruning
-        del labels  # the caller's to keep; see QHLIndex.build
 
 
 def random_index_queries(

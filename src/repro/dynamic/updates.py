@@ -84,8 +84,8 @@ class DynamicQHLIndex:
     """A QHL index that absorbs edge-metric updates incrementally.
 
     Construction runs the builder of :meth:`repro.core.QHLIndex.build`
-    but keeps what that freezes away: the object labels and the
-    elimination shortcuts, which updates repair in place.  The wrapper
+    but keeps what that writes into columns or drops: the object labels
+    and the elimination shortcuts, which updates repair in place.  The wrapper
     additionally remembers the contributor index, the ``Q_index``
     workload and the build seed, which repairs hand to Algorithm 7.
     """
@@ -283,10 +283,11 @@ class DynamicQHLIndex:
                         for c in self._contributors.get(key, ())
                     ),
                 ])
-                if _pairs(rebuilt) != _pairs(tree.shortcuts[x][w]):
+                old = tree.shortcuts[x][w]
+                if _pairs(rebuilt) != _pairs(old):
                     tree.shortcuts[x][w] = rebuilt
                     dirty_pairs.add(key)
-                else:
+                elif not _same_paths(old, rebuilt):
                     tree.shortcuts[x][w] = rebuilt  # refresh provenance
 
         # Sweep 2: labels top-down.
@@ -309,11 +310,12 @@ class DynamicQHLIndex:
                     continue
                 labels_checked += 1
                 acc = label_set(tree, labels, v, u)
-                if _pairs(acc) != _pairs(labels.get(v, u)):
+                old = labels.get(v, u)
+                if _pairs(acc) != _pairs(old):
                     labels.set(v, u, acc)
                     dirty_labels.add((v, u))
-                else:
-                    labels.set(v, u, acc)
+                elif not _same_paths(old, acc):
+                    labels.set(v, u, acc)  # refresh provenance
 
         # Sweep 3: pruning-condition rows that read a changed label.
         rows_rebuilt = 0
@@ -354,6 +356,29 @@ def _label_key(w: int, u: int, tree: TreeDecomposition) -> tuple[int, int]:
 
 def _pairs(entries: SkylineSet) -> list[tuple[float, float]]:
     return [(e[0], e[1]) for e in entries]
+
+
+def _same_paths(old: SkylineSet, new: SkylineSet) -> bool:
+    """Whether ``new``, whose pairs equal ``old``'s, expands to the same
+    paths: each join at an equal junction over the very same child
+    entries (in either order: the elimination joins a shortcut's two
+    halves in neighbour order, the repair in elimination order), every
+    other entry with equal provenance.
+
+    The repair then keeps ``old``, so the entries it did not recompute
+    keep pointing at entries a label still holds, and the packed
+    provenance gains no pool rows for replaced ones.
+    """
+    for p, q in zip(old, new, strict=True):
+        if type(q[2]) is int:  # a join at junction q[2]
+            if p[2] != q[2] or not (
+                p[3] is q[3] and p[4] is q[4]
+                or p[3] is q[4] and p[4] is q[3]
+            ):
+                return False
+        elif p[2:] != q[2:]:
+            return False
+    return True
 
 
 def _build_contributor_index(

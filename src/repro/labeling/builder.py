@@ -17,18 +17,27 @@ the top-down sweep and is found by the store's symmetric lookup.
 The per-vertex kernel is :func:`label_rows_for`, shared with the
 checkpointed builder (:func:`repro.resilience.checkpoint.
 build_labels_checkpointed`) so the two cannot drift; :func:`label_set`
-is its per-pair form for the dynamic repair sweep.
+is its per-pair form for the dynamic repair sweep.  One sweep serves
+:func:`build_labels`, which keeps every label as objects, and
+:func:`build_label_columns`, which writes each label into flat columns
+and keeps only the current root-to-leaf chain of them.
 """
 
 from __future__ import annotations
 
 import time
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import get_tracer
 from repro.skyline.set_ops import SkylineSet, join_union
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.compact import LabelColumnWriter
+    from repro.storage.flat import FlatLabelStore
 
 
 def label_set(
@@ -157,6 +166,50 @@ def build_labels(
 
     started = time.perf_counter()
     store = LabelStore(tree.num_vertices, store_paths=store_paths)
+    _sweep(tree, store)
+    store.build_seconds = time.perf_counter() - started
+    _record_build_seconds(store.build_seconds)
+    return store
+
+
+def build_label_columns(
+    tree: TreeDecomposition, store_paths: bool = True
+) -> "FlatLabelStore":
+    """Build the labels straight into flat columns.
+
+    The sweep of :func:`build_labels`, with each vertex's label written
+    into a :class:`~repro.storage.compact.LabelColumnWriter` as soon as
+    it is computed.  ``tree.topdown_order`` is a depth-first preorder,
+    and a label is read only by the labels of its subtree, so a label
+    is dropped once its subtree is done: only the current root-to-leaf
+    chain of labels ever exists as objects.  The columns, provenance
+    included when ``store_paths``, equal ``pack_labels`` of
+    :func:`build_labels`'s store byte for byte.
+    """
+    from repro.storage.compact import LabelColumnWriter
+    from repro.storage.flat import FlatLabelStore
+
+    started = time.perf_counter()
+    store = LabelStore(tree.num_vertices, store_paths=store_paths)
+    writer = LabelColumnWriter(tree.num_vertices, provenance=store_paths)
+    _sweep(tree, store, writer)
+    with get_tracer().span("labels.columns"):
+        labels = FlatLabelStore.from_compact(writer.finish())
+    labels.build_seconds = time.perf_counter() - started
+    _record_build_seconds(labels.build_seconds)
+    return labels
+
+
+def _sweep(
+    tree: TreeDecomposition,
+    store: LabelStore,
+    writer: "LabelColumnWriter | None" = None,
+) -> None:
+    """Compute every label top-down into ``store``.
+
+    With a ``writer``, each label is also written into it, and dropped
+    from ``store`` once its subtree is done.
+    """
     registry = get_registry()
     observed = registry.enabled
     vertex_seconds = registry.histogram(
@@ -164,24 +217,48 @@ def build_labels(
         help="per-vertex label construction time",
     )
     joins = 0
+    parent = tree.parent
+    chain: list[int] = []  # the entered vertices, root first
 
     with get_tracer().span("labels.topdown-sweep") as span:
         for v in tree.topdown_order:
+            if writer is not None:
+                while chain and chain[-1] != parent[v]:
+                    u = chain.pop()
+                    writer.leave(u)
+                    store.drop(u)
+                chain.append(v)
             if v == tree.root:
+                if writer is not None:
+                    writer.enter(v, [], [])
                 continue
             vertex_started = time.perf_counter() if observed else 0.0
             rows, vertex_joins = label_rows_for(tree, store, v)
             joins += vertex_joins
             for u, acc in rows:
                 store.set(v, u, acc)
+            if writer is not None:
+                rows.sort(key=itemgetter(0))
+                writer.enter(
+                    v, [u for u, _acc in rows], [acc for _u, acc in rows]
+                )
             if observed:
                 vertex_seconds.observe(time.perf_counter() - vertex_started)
+        while chain:
+            u = chain.pop()
+            writer.leave(u)
+            store.drop(u)
         span.set("vertices", tree.num_vertices)
         span.set("joins", joins)
-        span.set("entries", store.num_entries())
-
-    store.build_seconds = time.perf_counter() - started
+        span.set(
+            "entries",
+            store.num_entries() if writer is None else writer.rows,
+        )
     if observed:
-        registry.gauge("qhl_label_build_seconds").set(store.build_seconds)
         registry.counter("qhl_label_joins_total").inc(joins)
-    return store
+
+
+def _record_build_seconds(seconds: float) -> None:
+    registry = get_registry()
+    if registry.enabled:
+        registry.gauge("qhl_label_build_seconds").set(seconds)

@@ -39,6 +39,11 @@ class LabelStore:
         """Record ``P_vu`` in ``L(v)`` (``X(u)`` must be an ancestor)."""
         self._labels[v][u] = entries
 
+    def drop(self, v: int) -> None:
+        """Forget ``L(v)``; the streaming build keeps only the labels of
+        the current root-to-leaf chain."""
+        self._labels[v] = {}
+
     def label(self, v: int) -> dict[int, SkylineSet]:
         """The raw label ``L(v)``: hub vertex → skyline set."""
         return self._labels[v]

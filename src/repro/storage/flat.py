@@ -5,8 +5,9 @@
 half-open column slices instead of per-entry tuple lists, so the flat
 query engine (:class:`~repro.core.flat.FlatQHLEngine`) touches no
 Python object graph on the hot path.  Every built index serves from
-one (``QHLIndex.build`` freezes its object labels into it), and
-:func:`repro.storage.flatfile.load_flat_index` maps one from a file.
+one (``QHLIndex.build`` writes its labels into it as it computes them),
+and :func:`repro.storage.flatfile.load_flat_index` maps one from a
+file.
 
 Layout (that of :class:`~repro.storage.compact.CompactLabels`):
 vertex ``v``'s sets occupy ``set_offsets[v] : set_offsets[v + 1]`` of

@@ -200,3 +200,22 @@ def test_repaired_pruning_matches_reference(store_paths, reference_cub):
     reference_cub.undo()
     assert repaired() == want
 
+
+
+@pytest.mark.parametrize("dataset", ["NY", "BAY", "COL"])
+def test_column_reads_match_entry_reads(dataset):
+    """Algorithms 6 and 7 over flat columns (every static build) give
+    the conditions, ``algorithm6_calls`` and ``cache_hits`` they give
+    over object labels."""
+    from repro.labeling.builder import build_label_columns
+
+    network = load_dataset(dataset, "small").network
+    tree = build_tree_decomposition(network, store_paths=False)
+    lca = LCAIndex(tree)
+    queries = random_index_queries(network, 2000, seed=303)
+    objects = build_labels(tree, store_paths=False)
+    columns = build_label_columns(tree, store_paths=False)
+    want = build_pruning_index(tree, objects, lca, queries, seed=303)
+    got = build_pruning_index(tree, columns, lca, queries, seed=303)
+    assert _snapshot(got) == _snapshot(want)
+    assert got.bounds.tobytes() == want.bounds.tobytes()

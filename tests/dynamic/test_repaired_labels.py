@@ -5,9 +5,11 @@ costs — of a repaired index packs to the bytes a fresh build gives.
 The provenance does not: an entry the repair did not recompute can
 still point at an earlier epoch's entry that the repair has since
 replaced, so the packed provenance carries a pool of rows for entries
-no label holds (922 on NY small below, none for the fresh build).
+no label holds (52 on NY small below, none for the fresh build).
 Those paths still expand correctly; only the bytes differ, which the
-strict xfail records.
+strict xfail records.  A recomputed list whose pairs and children are
+unchanged is kept, not replaced, which keeps that pool small (922 rows
+when every recomputed list was replaced).
 """
 
 from __future__ import annotations
@@ -65,3 +67,26 @@ def test_payload_columns_match_a_fresh_build(packed):
 def test_provenance_columns_match_a_fresh_build(packed):
     repaired, fresh = packed
     assert repaired.provenance == fresh.provenance
+
+
+def test_a_no_op_repair_keeps_every_list():
+    """A batch that gives edges the metrics they already have rebuilds
+    their shortcuts with the same pairs over the same children, so the
+    repair keeps every shortcut and label list object."""
+    network = load_dataset("NY", "small").network
+    dyn = DynamicQHLIndex.build(network, num_index_queries=50, seed=303)
+    tree, labels = dyn.index.tree, dyn.index.labels
+    shortcuts = [
+        (x, w, entries)
+        for x, row in tree.shortcuts.items()
+        for w, entries in row.items()
+    ]
+    sets = list(labels.items())
+    edges = dyn.network_edges()
+    report = dyn.apply_deltas(
+        [(i, edges[i][2], edges[i][3]) for i in range(0, len(edges), 5)]
+    )
+    assert report.shortcuts_checked > 0
+    assert report.shortcuts_changed == report.labels_changed == 0
+    assert all(tree.shortcuts[x][w] is entries for x, w, entries in shortcuts)
+    assert all(labels.label(v)[u] is entries for v, u, entries in sets)

@@ -184,18 +184,18 @@ def test_build_frees_its_object_labels_before_the_collection(
     net, monkeypatch, store_paths
 ):
     """The collection that ends the build's pause must not walk the
-    object labels the build has just frozen into columns."""
-    from repro.core import engine
+    object labels the build has just written into columns (the chain
+    store of the streaming label build)."""
+    from repro.labeling import builder
 
     refs: list[weakref.ref] = []
-    build_labels = engine.build_labels
 
-    def tracked(*args, **kwargs):
-        labels = build_labels(*args, **kwargs)
-        refs.append(weakref.ref(labels))
-        return labels
+    class Tracked(builder.LabelStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(engine, "build_labels", tracked)
+    monkeypatch.setattr(builder, "LabelStore", Tracked)
     alive: list[bool] = []
 
     def watch(phase, info):
