@@ -5,7 +5,9 @@ The paper argues its (v_end, C)-form conditions strictly generalise the
 bounds with ``C_ub = +inf`` (``P_sh ⊆ P''`` with no θ cut-off).  This
 bench quantifies that claim: how many of the learned bounds are finite
 (usable only thanks to the budget-aware form), and how much pruning the
-s-only subset would lose on the Q2 workload.
+s-only subset would lose on the Q2 workload.  Both rows run the flat
+engine (the column sweep), so their concatenation counts follow one
+rule.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import DATASETS, get_bundle, record_rows
-from repro.core import PruningConditionIndex, QHLEngine, dense_rows
+from repro.core import FlatQHLEngine, PruningConditionIndex, dense_rows
 from repro.instrument import run_workload
 
 INF = float("inf")
@@ -34,7 +36,7 @@ def test_ablation_condition_forms(benchmark, dataset):
     queries = bundle.q_sets["Q2"].queries
 
     full_engine = index.qhl_engine()
-    s_only_engine = QHLEngine(
+    s_only_engine = FlatQHLEngine(
         index.tree, index.labels, index.lca,
         s_only_subset(index.tree, index.pruning),
     )

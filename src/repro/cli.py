@@ -10,7 +10,7 @@ Subcommands::
     workload   generate the paper's Q1..Q5 query sets for a network
     bench      race QHL / CSP-2Hop (/ COLA) over a query-set file
     update     apply/replay/inspect journalled live metric updates
-    lint       run the AST invariant linter (QHL001..QHL006)
+    lint       run the QHL invariant linter (docs/static-analysis.md)
     flight     inspect a flight-recorder dump (dump / tail, --json)
 
 Example session::
@@ -200,6 +200,50 @@ def _supervision_from_args(args: argparse.Namespace):
     return config
 
 
+#: Flags several subcommands take, each defined once.  A subcommand
+#: adds one with :func:`_shared`, overriding ``required``, ``default``
+#: or ``help`` where its use differs.
+_SHARED: dict[str, dict] = {
+    "--network": {"help": "network file (generate writes one)"},
+    "--index": {"help": "saved index file (build writes one)"},
+    "--out": {"help": "output file"},
+    "--seed": {"type": int, "default": 0, "help": "random seed"},
+    "--index-queries": {
+        "type": int,
+        "help": "|Q_index|: workload queries the pruning conditions are "
+        "learned from",
+    },
+    "--metrics-out": {
+        "help": "dump the run's metrics (counters, gauges, histograms) "
+        "as JSON-lines to this path",
+    },
+    "--incident-out": {
+        "help": "dump supervision incidents (spawns, deaths, restarts, "
+        "rollbacks) as JSON-lines to this path (inspect with "
+        "`repro-qhl supervise status`)",
+    },
+    "--json": {
+        "action": "store_true",
+        "help": "print machine-readable JSON",
+    },
+    "--verify-checksum": {
+        "choices": ("on", "off"),
+        "default": "on",
+        "help": "verify the index file's SHA-256 payload checksum on "
+        "load (default on)",
+    },
+    "--deadline-ms": {
+        "type": float,
+        "help": "per-query time budget in milliseconds",
+    },
+}
+
+
+def _shared(parser: argparse.ArgumentParser, flag: str, **overrides) -> None:
+    """Add the shared ``flag`` to ``parser``."""
+    parser.add_argument(flag, **{**_SHARED[flag], **overrides})
+
+
 def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
     """The worker-supervision option group of ``bench``.
 
@@ -217,12 +261,7 @@ def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         help="worker heartbeat interval in milliseconds (default 100)",
     )
-    parser.add_argument(
-        "--incident-out",
-        help="dump supervisor lifecycle incidents (spawns, deaths, "
-        "restarts, requeues) as JSON-lines to this path (inspect with "
-        "`repro-qhl supervise status`)",
-    )
+    _shared(parser, "--incident-out")
 
 
 def _add_flight_arguments(parser: argparse.ArgumentParser) -> None:
@@ -846,25 +885,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--scale", choices=("benchmark", "small"), default="small"
     )
-    p_gen.add_argument("--out", required=True)
+    _shared(p_gen, "--out", required=True)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_build = sub.add_parser("build", help="build the QHL index")
-    p_build.add_argument("--network", required=True)
-    p_build.add_argument("--out", required=True)
-    p_build.add_argument("--index-queries", type=int, default=2000)
-    p_build.add_argument("--seed", type=int, default=0)
+    _shared(p_build, "--network", required=True)
+    _shared(p_build, "--out", required=True)
+    _shared(p_build, "--index-queries", default=2000)
+    _shared(p_build, "--seed")
     p_build.add_argument(
         "--no-paths",
         action="store_true",
         help="skip path provenance: the saved file holds (weight, "
         "cost) label columns only (no path retrieval)",
     )
-    p_build.add_argument(
-        "--metrics-out",
-        help="dump build metrics (phase timings, index sizes) as "
-        "JSON-lines to this path",
-    )
+    _shared(p_build, "--metrics-out")
     p_build.add_argument(
         "--checkpoint-dir",
         help="persist per-level label-build checkpoints into this "
@@ -912,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="deep-audit a saved index (exit 1 on failure)"
     )
-    p_verify.add_argument("--index", required=True)
+    _shared(p_verify, "--index", required=True)
     p_verify.add_argument(
         "--queries",
         type=int,
@@ -920,28 +955,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded random queries to spot-check against the exact "
         "constrained-Dijkstra baseline (0 = structural checks only)",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable report as JSON",
-    )
-    p_verify.add_argument(
-        "--verify-checksum",
-        choices=("on", "off"),
-        default="on",
-        help="verify the index file's SHA-256 payload checksum before "
-        "auditing (a mismatch fails the storage-checksum check)",
-    )
-    p_verify.add_argument(
-        "--metrics-out",
-        help="dump audit metrics (audit_* counters) as JSON-lines to "
-        "this path",
-    )
+    _shared(p_verify, "--seed")
+    _shared(p_verify, "--json")
+    _shared(p_verify, "--verify-checksum")
+    _shared(p_verify, "--metrics-out")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_query = sub.add_parser("query", help="answer one CSP query")
-    p_query.add_argument("--index", required=True)
+    _shared(p_query, "--index", required=True)
     p_query.add_argument("--source", type=int, required=True)
     p_query.add_argument("--target", type=int, required=True)
     p_query.add_argument("--budget", type=float, required=True)
@@ -953,9 +974,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the per-phase span trace of the query",
     )
-    p_query.add_argument(
-        "--deadline-ms",
-        type=float,
+    _shared(
+        p_query, "--deadline-ms",
         help="per-query time budget in milliseconds; exceeding it "
         "raises a DeadlineExceededError instead of answering late",
     )
@@ -966,66 +986,48 @@ def build_parser() -> argparse.ArgumentParser:
         "(QHL -> CSP-2Hop -> SkyDijkstra): engine failures and a "
         "missing/corrupt index degrade instead of failing",
     )
-    p_query.add_argument(
-        "--network",
+    _shared(
+        p_query, "--network",
         help="network file backing the index-free fallback tier; with "
         "--fallback, lets a missing/corrupt index degrade to direct "
         "skyline Dijkstra search instead of erroring out",
     )
-    p_query.add_argument(
-        "--verify-checksum",
-        choices=("on", "off"),
-        default="on",
-        help="verify the index file's SHA-256 payload checksum on "
-        "load (default on)",
-    )
-    p_query.add_argument(
-        "--metrics-out",
-        help="dump query/service metrics (fallbacks, deadline hits) as "
-        "JSON-lines to this path",
-    )
+    _shared(p_query, "--verify-checksum")
+    _shared(p_query, "--metrics-out")
     _add_flight_arguments(p_query)
     p_query.set_defaults(func=_cmd_query)
 
     p_stats = sub.add_parser("stats", help="print index statistics")
-    p_stats.add_argument("--index", required=True)
+    _shared(p_stats, "--index", required=True)
     p_stats.set_defaults(func=_cmd_stats)
 
     p_workload = sub.add_parser(
         "workload", help="generate the paper's Q1..Q5 query sets"
     )
-    p_workload.add_argument("--network", required=True)
-    p_workload.add_argument("--out", required=True)
+    _shared(p_workload, "--network", required=True)
+    _shared(p_workload, "--out", required=True)
     p_workload.add_argument("--size", type=int, default=100)
-    p_workload.add_argument("--seed", type=int, default=0)
-    p_workload.add_argument(
-        "--metrics-out",
-        help="dump generation metrics as JSON-lines to this path",
-    )
+    _shared(p_workload, "--seed")
+    _shared(p_workload, "--metrics-out")
     p_workload.set_defaults(func=_cmd_workload)
 
     p_bench = sub.add_parser(
         "bench", help="race engines over a query-set file"
     )
-    p_bench.add_argument("--network", required=True)
+    _shared(p_bench, "--network", required=True)
     p_bench.add_argument("--queries", required=True)
-    p_bench.add_argument("--index-queries", type=int, default=1000)
-    p_bench.add_argument("--seed", type=int, default=0)
+    _shared(p_bench, "--index-queries", default=1000)
+    _shared(p_bench, "--seed")
     p_bench.add_argument(
         "--cola", action="store_true",
         help="include the (slow) COLA baseline",
     )
-    p_bench.add_argument(
-        "--deadline-ms",
-        type=float,
+    _shared(
+        p_bench, "--deadline-ms",
         help="per-query time budget; queries over it are counted in "
         "the report's fail column instead of aborting the run",
     )
-    p_bench.add_argument(
-        "--metrics-out",
-        help="dump per-engine query and phase histograms as JSON-lines "
-        "to this path",
-    )
+    _shared(p_bench, "--metrics-out")
     p_bench.add_argument(
         "--cache-size",
         type=int,
@@ -1074,8 +1076,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal directory (created on first use); holds "
         "journal.jsonl and the published-watermark checkpoint",
     )
-    p_update.add_argument(
-        "--network",
+    _shared(
+        p_update, "--network",
         help="network file (apply/replay rebuild the dynamic index "
         "from it — saved indexes drop the elimination shortcuts the "
         "repair needs)",
@@ -1094,9 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_update.add_argument(
         "--cost", type=float, help="new absolute cost for --edge"
     )
-    p_update.add_argument(
-        "--out", help="save the repaired index to this path"
-    )
+    _shared(p_update, "--out", help="save the repaired index to this path")
     p_update.add_argument(
         "--audit",
         choices=("on", "off"),
@@ -1109,22 +1109,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="roll back any repair running longer than this",
     )
-    p_update.add_argument("--index-queries", type=int, default=1000)
-    p_update.add_argument("--seed", type=int, default=0)
-    p_update.add_argument(
-        "--json",
-        action="store_true",
-        help="status: print machine-readable JSON",
-    )
-    p_update.add_argument(
-        "--metrics-out",
-        help="dump update_* metrics as JSON-lines to this path",
-    )
-    p_update.add_argument(
-        "--incident-out",
-        help="dump rollback/journal incidents as JSON-lines to this "
-        "path",
-    )
+    _shared(p_update, "--index-queries", default=1000)
+    _shared(p_update, "--seed")
+    _shared(p_update, "--json", help="status: print machine-readable JSON")
+    _shared(p_update, "--metrics-out")
+    _shared(p_update, "--incident-out")
     p_update.set_defaults(func=_cmd_update)
 
     p_flight = sub.add_parser(
@@ -1147,9 +1136,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=10,
         help="records to show in tail mode (default 10)",
     )
-    p_flight.add_argument(
-        "--json",
-        action="store_true",
+    _shared(
+        p_flight, "--json",
         help="print records as JSON-lines instead of a table",
     )
     p_flight.add_argument(
@@ -1179,16 +1167,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         help="also print the last N raw incidents (0 = table only)",
     )
-    p_supervise.add_argument(
-        "--json",
-        action="store_true",
+    _shared(
+        p_supervise, "--json",
         help="print the summary as JSON instead of a table",
     )
     p_supervise.set_defaults(func=_cmd_supervise)
 
-    p_lint = sub.add_parser(
-        "lint", help="run the AST invariant linter (QHL001..QHL006)"
-    )
+    p_lint = sub.add_parser("lint", help="run the QHL invariant linter")
     from repro.lint.cli import add_lint_arguments, cmd_lint
 
     add_lint_arguments(p_lint)

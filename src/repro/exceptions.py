@@ -130,10 +130,10 @@ class DeadlineExceededError(ReproError):
 class LintConfigError(ReproError):
     """The static-analysis runner was misconfigured.
 
-    Raised for unknown rule ids, unreadable lint paths, malformed
-    baseline files, or a name registry that declares nothing — all
-    cases where the lint run must fail loudly (CI exit 2) instead of
-    passing vacuously.
+    Raised for unknown rule ids, unreadable lint paths, or a name
+    registry that is unreadable or declares nothing — all cases where
+    the lint run must fail loudly (CI exit 2) instead of passing
+    vacuously.
     """
 
 

@@ -1,22 +1,28 @@
 """The ``repro-qhl lint`` subcommand (also ``python -m repro.lint``).
 
+Lints the given paths (default ``src``) with every registered rule, or
+with the ``--select`` subset, and prints a text report (``--json`` for
+the machine-readable one).  ``--list-rules`` prints the catalog and
+``--graph-out FILE`` exports the call graph the rules reasoned over.
+Deliberate exceptions carry inline ``# lint: allow=QHL00X <why>``
+pragmas; a pragma that no longer suppresses anything is a QHL000
+finding.
+
 Exit codes (CI contract):
 
-* ``0`` — clean (baselined findings and inline pragmas do not fail);
-* ``1`` — findings present, or (with ``--strict-exit``) stale baseline
-  entries that should have been expired;
+* ``0`` — clean (inline-suppressed findings do not fail);
+* ``1`` — findings present;
 * ``2`` — the linter itself could not run: unreadable paths, syntax
-  errors in linted files, malformed baseline/config.
+  errors in linted files, unknown rule ids, unreadable registries.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.exceptions import LintConfigError, ReproError
-from repro.lint.baseline import DEFAULT_BASELINE, Baseline
-from repro.lint.config import load_config
 from repro.lint.report import render_json, render_text
 from repro.lint.runner import run_lint
 from repro.lint.rules import all_rules
@@ -33,8 +39,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--root",
         default=None,
-        help="project root for relative paths, pyproject config and the "
-        "baseline (default: current directory)",
+        help="project root for relative paths and registry lookups "
+        "(default: current directory)",
     )
     parser.add_argument(
         "--json",
@@ -42,40 +48,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="emit the machine-readable JSON report",
     )
     parser.add_argument(
-        "--strict-exit",
-        action="store_true",
-        help="also exit 1 when the baseline holds stale (already fixed) "
-        "entries — keeps the baseline shrink-only in CI",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"baseline suppression file, relative to the root "
-        f"(default: {DEFAULT_BASELINE}; missing file = empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file: report grandfathered findings too",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot all current findings into the baseline file "
-        "(dropping stale entries) and exit 0",
-    )
-    parser.add_argument(
         "--select",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore",
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also print baselined findings in the text report",
     )
     parser.add_argument(
         "--list-rules",
@@ -88,15 +62,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="export the whole-program call graph (modules, functions, "
         "call/reference edges, spawn sites, reachability) as JSON",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="GIT_REF",
-        help="lint only files that differ from GIT_REF (default HEAD), "
-        "plus untracked ones; whole-program completeness rules skip",
     )
 
 
@@ -122,102 +87,23 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _changed_files(
-    root: str, ref: str, paths: list[str]
-) -> list[str]:
-    """Python files under ``paths`` differing from ``ref`` (plus
-    untracked ones), root-relative.  Raises :class:`LintConfigError`
-    when git cannot answer — a broken ref must fail loudly (exit 2),
-    not lint nothing and report clean."""
-    import subprocess
-
-    def git(*argv: str) -> list[str]:
-        proc = subprocess.run(
-            ["git", *argv],
-            cwd=root,
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0:
-            raise LintConfigError(
-                f"git {' '.join(argv)} failed: "
-                f"{proc.stderr.strip() or proc.stdout.strip()}"
-            )
-        return [line for line in proc.stdout.splitlines() if line]
-
-    candidates = set(git("diff", "--name-only", ref, "--", *paths))
-    candidates.update(
-        git("ls-files", "--others", "--exclude-standard", "--", *paths)
-    )
-    import os
-
-    return sorted(
-        path
-        for path in candidates
-        if path.endswith(".py")
-        and os.path.isfile(os.path.join(root, path))
-    )
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     """The subcommand body; returns the process exit code."""
     if args.list_rules:
         print(_list_rules())
         return 0
-    import os
-
     root = os.path.abspath(args.root or os.getcwd())
-    config = load_config(
-        root, select=_rule_set(args.select), ignore=_rule_set(args.ignore)
-    )
-    baseline_path = (
-        args.baseline
-        if os.path.isabs(args.baseline)
-        else os.path.join(root, args.baseline)
-    )
-    baseline = None if args.no_baseline else Baseline.load(baseline_path)
-    paths = args.paths
-    partial = False
-    if args.changed is not None:
-        paths = _changed_files(root, args.changed, args.paths)
-        partial = True
-        if not paths:
-            print(
-                f"no python files changed against {args.changed}; "
-                f"nothing to lint"
-            )
-            return 0
-    result = run_lint(
-        paths, config=config, root=root, baseline=baseline,
-        partial=partial,
-    )
+    result = run_lint(args.paths, root=root, select=_rule_set(args.select))
 
     if args.graph_out is not None and result.project is not None:
-        graph_path = (
-            args.graph_out
-            if os.path.isabs(args.graph_out)
-            else os.path.join(root, args.graph_out)
-        )
+        graph_path = os.path.join(root, args.graph_out)
         with open(graph_path, "w", encoding="utf-8") as handle:
             handle.write(result.project.graph().to_json())
             handle.write("\n")
         print(f"wrote call graph -> {graph_path}", file=sys.stderr)
 
-    if args.write_baseline:
-        if result.errors:
-            print(render_text(result), file=sys.stderr)
-            return 2
-        snapshot = result.findings + result.baselined
-        writer = baseline or Baseline(path=baseline_path)
-        count = writer.write(snapshot, baseline_path)
-        print(f"wrote {count} baseline entries -> {baseline_path}")
-        return 0
-
-    output = render_json(result) if args.json else render_text(
-        result, verbose=args.verbose
-    )
-    print(output)
-    return result.exit_code(strict=args.strict_exit)
+    print(render_json(result) if args.json else render_text(result))
+    return result.exit_code()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,9 +19,6 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator
 
-_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-
 @dataclass(frozen=True)
 class Binding:
     """One place a local (or module-level) name gets a value."""
@@ -131,20 +128,6 @@ def scope_bindings(scope: ast.AST) -> dict[str, list[Binding]]:
             if node.name is not None:
                 add(Binding(node.name, node.lineno, None))
     return bindings
-
-
-def reaching(
-    bindings: dict[str, list[Binding]], name: str, lineno: int
-) -> list[Binding]:
-    """Bindings of ``name`` that could reach a use on ``lineno``.
-
-    Flow-insensitive with a line filter: bindings strictly *after* the
-    use only reach it through a loop, so they are kept when any loop
-    could carry them back — which this helper approximates by keeping
-    them always.  Callers wanting the stricter "bound before use"
-    reading filter on ``lineno`` themselves.
-    """
-    return list(bindings.get(name, ()))
 
 
 def call_name(node: ast.expr) -> str | None:

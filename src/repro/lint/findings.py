@@ -1,16 +1,7 @@
-"""Findings: what a lint rule reports.
-
-A :class:`Finding` pins one rule violation to a file/line/column and
-carries a stable *fingerprint* for the baseline workflow: the
-fingerprint hashes the rule id, the file path, the normalised source
-line, and an occurrence counter — **not** the line number — so findings
-survive unrelated edits that shift code up or down, and a baseline file
-does not churn on every refactor.
-"""
+"""Findings: what a lint rule reports, and the outcome of one run."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -28,7 +19,6 @@ class Finding:
     col: int
     message: str
     snippet: str = ""
-    fingerprint: str = ""
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -41,33 +31,7 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
-
-
-def _normalise(snippet: str) -> str:
-    """Whitespace-insensitive form of a source line for fingerprinting."""
-    return " ".join(snippet.split())
-
-
-def assign_fingerprints(findings: list[Finding]) -> None:
-    """Fill in stable fingerprints, disambiguating identical lines.
-
-    Two findings of the same rule on byte-identical source lines in the
-    same file get occurrence indices 0, 1, ... in file order, so e.g.
-    two copies of the same unchecked loop each have their own baseline
-    identity.
-    """
-    counts: dict[tuple[str, str, str], int] = {}
-    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
-    for finding in ordered:
-        key = (finding.rule, finding.path, _normalise(finding.snippet))
-        index = counts.get(key, 0)
-        counts[key] = index + 1
-        digest = hashlib.sha256(
-            "\x1f".join((key[0], key[1], key[2], str(index))).encode()
-        ).hexdigest()
-        finding.fingerprint = digest[:16]
 
 
 @dataclass
@@ -80,12 +44,10 @@ class LintError:
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run, pre-split by suppression status."""
+    """Outcome of one lint run, split by suppression status."""
 
     findings: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     inline_suppressed: list[Finding] = field(default_factory=list)
-    stale_baseline: list[dict[str, object]] = field(default_factory=list)
     errors: list[LintError] = field(default_factory=list)
     files_checked: int = 0
     #: The analysed project, for callers that want the call graph
@@ -96,18 +58,10 @@ class LintResult:
     def clean(self) -> bool:
         return not self.findings and not self.errors
 
-    def exit_code(self, strict: bool = False) -> int:
-        """CI exit code: 0 clean, 1 findings, 2 unprocessable input.
-
-        ``strict`` additionally fails the run (exit 1) when the
-        baseline holds stale entries — the expire half of the baseline
-        workflow: once a grandfathered finding is fixed, its entry must
-        be removed (``--write-baseline``) or CI goes red.
-        """
+    def exit_code(self) -> int:
+        """CI exit code: 0 clean, 1 findings, 2 unprocessable input."""
         if self.errors:
             return 2
         if self.findings:
-            return 1
-        if strict and self.stale_baseline:
             return 1
         return 0

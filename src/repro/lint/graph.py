@@ -69,7 +69,6 @@ class FunctionInfo:
     module: "Module"
     node: ast.FunctionDef | ast.AsyncFunctionDef
     class_qname: str | None = None
-    decorators: tuple[str, ...] = ()
 
     @property
     def name(self) -> str:
@@ -82,14 +81,10 @@ class FunctionInfo:
             return True  # dunders are called implicitly
         return not name.startswith("_")
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_qname is not None
-
     def positional_params(self) -> list[str]:
         args = self.node.args
         names = [a.arg for a in (*args.posonlyargs, *args.args)]
-        if self.is_method and names and names[0] in ("self", "cls"):
+        if self.class_qname and names and names[0] in ("self", "cls"):
             names = names[1:]
         return names
 
@@ -150,16 +145,10 @@ class CallGraph:
         #: caller qname -> class qnames it instantiates
         self.instantiates: dict[str, set[str]] = {}
         self.spawn_sites: list[SpawnSite] = []
-        #: ``id(ast def node)`` -> info, for rules that found a node
-        #: during their own walk and need its graph identity.
-        self.by_node: dict[int, FunctionInfo] = {}
 
     # -- queries --------------------------------------------------------
     def fork_entries(self) -> set[str]:
         return {site.entry for site in self.spawn_sites}
-
-    def callees(self, qname: str) -> set[str]:
-        return self.edges.get(qname, set())
 
     def successors(self, qname: str) -> set[str]:
         """Call edges plus reference edges plus instantiated dunders."""
@@ -178,13 +167,14 @@ class CallGraph:
 
     def reachable_from(self, roots: set[str]) -> set[str]:
         """Transitive closure over :meth:`successors`."""
-        seen = set(roots & (set(self.functions) | self._module_nodes()))
+        module_nodes = self._module_nodes()
+        seen = set(roots & (set(self.functions) | module_nodes))
         stack = list(seen)
         while stack:
             current = stack.pop()
             for nxt in self.successors(current):
                 if nxt not in seen and (
-                    nxt in self.functions or nxt in self._module_nodes()
+                    nxt in self.functions or nxt in module_nodes
                 ):
                     seen.add(nxt)
                     stack.append(nxt)
@@ -195,35 +185,17 @@ class CallGraph:
             f"{dotted}.{MODULE_NODE}" for dotted in self.modules
         }
 
-    def default_roots(self) -> set[str]:
-        """Import-time code plus the public API surface.
+    def reachable(self) -> set[str]:
+        """What runs from import-time code plus the public API surface.
 
         Anything with a public name is callable from outside the
         project, so reachability treats it as live; private functions
         must earn liveness through a call or reference chain.
         """
-        roots = self._module_nodes()
-        for qname, info in self.functions.items():
-            if info.is_public:
-                roots.add(qname)
-        return roots
-
-    def reachable(self) -> set[str]:
-        return self.reachable_from(self.default_roots())
-
-    def calls_within(
-        self, func: FunctionInfo, sub: ast.AST | None = None
-    ) -> Iterator[tuple[ast.Call, set[str]]]:
-        """(call node, resolved callee qnames) inside ``func``.
-
-        ``sub`` restricts the walk to one statement subtree (a loop
-        body, say); resolution reuses the edge resolver's scope.
-        """
-        resolver = _Resolver(self, func.module)
-        scope = _FunctionScope(self, resolver, func)
-        for node in iter_scope(sub if sub is not None else func.node):
-            if isinstance(node, ast.Call):
-                yield node, scope.resolve_call(node)
+        roots = self._module_nodes() | {
+            qname for qname, info in self.functions.items() if info.is_public
+        }
+        return self.reachable_from(roots)
 
     def resolver_for(self, module: "Module") -> "_Resolver":
         """A name resolver scoped to ``module`` — how rules turn a
@@ -240,7 +212,7 @@ class CallGraph:
     ) -> Iterator[tuple[str, ast.AST]]:
         """Every executable scope of ``module``: each function (by
         qname) plus the module top level as ``<module>``.  Walk the
-        yielded node with :func:`iter_scope` / ``iter_module_scope``."""
+        yielded node with :func:`~repro.lint.dataflow.iter_scope`."""
         dotted = module_dotted(module.package_rel)
         for qname, info in self.functions.items():
             if info.module is module:
@@ -403,24 +375,10 @@ def _collect_defs(
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qname = f"{prefix}.{node.name}"
-            info = FunctionInfo(
-                qname=qname,
-                module=symbols.module,
-                node=node,
+            graph.functions[qname] = FunctionInfo(
+                qname=qname, module=symbols.module, node=node,
                 class_qname=cls,
-                decorators=tuple(
-                    name
-                    for name in (
-                        call_name(
-                            d.func if isinstance(d, ast.Call) else d
-                        )
-                        for d in node.decorator_list
-                    )
-                    if name is not None
-                ),
             )
-            graph.functions[qname] = info
-            graph.by_node[id(node)] = info
             if cls is None and prefix == symbols.dotted:
                 symbols.defs[node.name] = qname
             if cls is not None:
@@ -448,11 +406,9 @@ def _collect_nested(
     for node in iter_scope(func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{qname}.<locals>.{node.name}"
-            info = FunctionInfo(
+            graph.functions[inner] = FunctionInfo(
                 qname=inner, module=symbols.module, node=node
             )
-            graph.functions[inner] = info
-            graph.by_node[id(node)] = info
             graph.refs.setdefault(qname, set()).add(inner)
             _collect_nested(graph, symbols, node, inner)
 
@@ -586,10 +542,6 @@ def _type_of_expr(
     return annotation_type(resolver, annotation)
 
 
-#: Public spelling for rules inferring a binding's type themselves.
-type_of_expr = _type_of_expr
-
-
 class _Resolver:
     """Resolves dotted names as seen from one module."""
 
@@ -631,28 +583,32 @@ class _Resolver:
 
 
 class _FunctionScope:
-    """Resolution inside one function body: locals, self, parameters."""
+    """Resolution inside one function body: locals, self, parameters.
+
+    With ``func=None`` it is the scope of module top-level code, which
+    has no locals and no ``self``.
+    """
 
     def __init__(
         self,
         graph: CallGraph,
         resolver: _Resolver,
-        func: FunctionInfo,
+        func: FunctionInfo | None,
     ) -> None:
         self.graph = graph
         self.resolver = resolver
-        self.func = func
         self.cls = (
             graph.classes.get(func.class_qname)
-            if func.class_qname
+            if func is not None and func.class_qname
             else None
         )
         self._local_types: dict[str, str] = {}
         self._local_funcs: dict[str, str] = {}
-        self._scan_locals()
+        if func is not None:
+            self._scan_locals(func)
 
-    def _scan_locals(self) -> None:
-        for name, bindings in scope_bindings(self.func.node).items():
+    def _scan_locals(self, func: FunctionInfo) -> None:
+        for name, bindings in scope_bindings(func.node).items():
             for binding in bindings:
                 inferred = _type_of_expr(
                     self.resolver, binding.value, binding.annotation
@@ -664,9 +620,9 @@ class _FunctionScope:
                     if target is not None:
                         self._local_funcs.setdefault(name, target)
         # Nested defs shadow everything else.
-        for node in iter_scope(self.func.node):
+        for node in iter_scope(func.node):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested = f"{self.func.qname}.<locals>.{node.name}"
+                nested = f"{func.qname}.<locals>.{node.name}"
                 if nested in self.graph.functions:
                     self._local_funcs[node.name] = nested
 
@@ -847,27 +803,22 @@ def _build_edges(graph: CallGraph, symbols: ModuleSymbols) -> None:
     resolver = _Resolver(graph, symbols.module)
     module_node = f"{symbols.dotted}.{MODULE_NODE}"
 
-    scopes: list[tuple[str, ast.AST, _FunctionScope | None]] = []
-    for qname, info in graph.functions.items():
-        if info.module is symbols.module:
-            scopes.append(
-                (qname, info.node, _FunctionScope(graph, resolver, info))
-            )
-    scopes.append((module_node, symbols.module.tree, None))
+    scopes: list[tuple[str, ast.AST, _FunctionScope]] = [
+        (qname, info.node, _FunctionScope(graph, resolver, info))
+        for qname, info in graph.functions.items()
+        if info.module is symbols.module
+    ]
+    scopes.append((
+        module_node, symbols.module.tree,
+        _FunctionScope(graph, resolver, None),
+    ))
 
     for qname, scope_node, scope in scopes:
         edges = graph.edges.setdefault(qname, set())
         refs = graph.refs.setdefault(qname, set())
         instantiated = graph.instantiates.setdefault(qname, set())
-        if scope is None:
-            scope = _ModuleScope(graph, resolver)
         call_funcs: set[int] = set()
-        walker = (
-            iter_scope(scope_node)
-            if isinstance(scope_node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            else _iter_module_scope(scope_node)
-        )
-        nodes = list(walker)
+        nodes = list(iter_scope(scope_node))
         for node in nodes:
             if isinstance(node, ast.Call):
                 call_funcs.add(id(node.func))
@@ -900,48 +851,3 @@ def _build_edges(graph: CallGraph, symbols: ModuleSymbols) -> None:
                     refs.add(resolved)
                 elif resolved in graph.classes:
                     instantiated.add(resolved)
-
-
-def _iter_module_scope(tree: ast.AST) -> Iterator[ast.AST]:
-    """Module top-level statements, excluding function/class bodies."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.ClassDef):
-            continue
-        yield node
-        yield from iter_scope(node)
-
-
-#: Public spelling for rules walking the ``<module>`` scope yielded by
-#: :meth:`CallGraph.scopes_of`.
-iter_module_scope = _iter_module_scope
-
-
-class _ModuleScope:
-    """Scope adapter for module top-level code."""
-
-    def __init__(self, graph: CallGraph, resolver: _Resolver) -> None:
-        self.graph = graph
-        self.resolver = resolver
-
-    def resolve_value_name(self, dotted: str) -> str:
-        return self.resolver.resolve_dotted(dotted)
-
-    def resolve_call(self, node: ast.Call) -> set[str]:
-        name = call_name(node.func)
-        if name is None:
-            return set()
-        resolved = self.resolver.resolve_dotted(name)
-        out: set[str] = set()
-        if resolved in self.graph.functions:
-            out.add(resolved)
-        elif resolved in self.graph.classes:
-            out.add(resolved)
-            init = self.graph.classes[resolved].methods.get("__init__")
-            if init is not None:
-                out.add(init)
-        return out
-
-    def entry_candidates(self, node: ast.Call) -> list[tuple[str, str]]:
-        return []

@@ -7,7 +7,7 @@ import json
 from repro.lint.findings import LintResult
 
 
-def render_text(result: LintResult, verbose: bool = False) -> str:
+def render_text(result: LintResult) -> str:
     """The default terminal report: one block per finding + a summary."""
     lines: list[str] = []
     for error in result.errors:
@@ -18,19 +18,6 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
         )
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-    if verbose:
-        for finding in result.baselined:
-            lines.append(
-                f"{finding.location()}: {finding.rule} [baselined] "
-                f"{finding.message}"
-            )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"{entry.get('path')}: stale baseline entry "
-            f"{entry.get('fingerprint')} ({entry.get('rule')}: "
-            f"{entry.get('snippet', '')!r} no longer matches) — "
-            f"refresh with --write-baseline"
-        )
     lines.append(_summary(result))
     return "\n".join(lines)
 
@@ -40,12 +27,8 @@ def _summary(result: LintResult) -> str:
         f"checked {result.files_checked} files",
         f"{len(result.findings)} finding(s)",
     ]
-    if result.baselined:
-        parts.append(f"{len(result.baselined)} baselined")
     if result.inline_suppressed:
         parts.append(f"{len(result.inline_suppressed)} inline-suppressed")
-    if result.stale_baseline:
-        parts.append(f"{len(result.stale_baseline)} stale baseline entries")
     if result.errors:
         parts.append(f"{len(result.errors)} file error(s)")
     return ", ".join(parts)
@@ -54,14 +37,12 @@ def _summary(result: LintResult) -> str:
 def render_json(result: LintResult) -> str:
     """Stable JSON for CI annotation tooling."""
     payload = {
-        "version": 1,
+        "version": 2,
         "files_checked": result.files_checked,
         "findings": [f.to_dict() for f in result.findings],
-        "baselined": [f.to_dict() for f in result.baselined],
         "inline_suppressed": [
             f.to_dict() for f in result.inline_suppressed
         ],
-        "stale_baseline": result.stale_baseline,
         "errors": [
             {"path": e.path, "message": e.message} for e in result.errors
         ],

@@ -1,13 +1,6 @@
 """The rule registry: importing this package registers every rule."""
 
-from repro.lint.rules.base import (
-    Project,
-    Rule,
-    all_rules,
-    declared_names,
-    load_declared_names,
-    register,
-)
+from repro.lint.rules.base import Project, Rule, all_rules, register
 from repro.lint.rules import (  # noqa: F401  (import = registration)
     deadline,
     determinism,
@@ -26,7 +19,5 @@ __all__ = [
     "Project",
     "Rule",
     "all_rules",
-    "declared_names",
-    "load_declared_names",
     "register",
 ]

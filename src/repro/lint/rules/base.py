@@ -21,10 +21,6 @@ class Project:
 
     root: str
     modules: list[Module] = field(default_factory=list)
-    #: True when the run covers only a slice of the tree (``--changed``):
-    #: rules whose verdicts need the *whole* program (reachability,
-    #: unused-registry directions) must skip rather than guess.
-    partial: bool = False
     _graph: "CallGraph | None" = field(
         default=None, repr=False, compare=False
     )
@@ -50,20 +46,15 @@ class Rule:
 
     Subclasses set ``id`` / ``name`` / ``rationale`` and implement
     :meth:`check_module`; rules that need the whole project (registry
-    cross-checks) also implement :meth:`finish`, called once after
-    every module has been visited.  ``default_options`` documents the
-    rule's knobs; per-run overrides arrive merged via ``options``.
+    cross-checks, call-graph rules) also implement :meth:`finish`,
+    called once after every module has been visited.  A rule's policy
+    (package scopes, registry locations) lives in module constants next
+    to it.
     """
 
     id: str = ""
     name: str = ""
     rationale: str = ""
-    default_options: dict[str, object] = {}
-
-    def __init__(self, options: dict[str, object] | None = None) -> None:
-        self.options: dict[str, object] = {
-            **self.default_options, **(options or {})
-        }
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         return ()
@@ -72,14 +63,6 @@ class Rule:
         return ()
 
     # -- helpers shared by several rules --------------------------------
-    def applies_to(self, module: Module, key: str = "packages") -> bool:
-        """Whether ``module`` is inside one of the rule's configured
-        package prefixes (option ``key``; empty tuple = everywhere)."""
-        prefixes = tuple(self.options.get(key) or ())
-        if not prefixes:
-            return True
-        return module.package_rel.startswith(tuple(prefixes))
-
     def finding(
         self, module: Module, node: ast.AST | int, message: str
     ) -> Finding:

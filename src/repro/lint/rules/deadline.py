@@ -33,37 +33,42 @@ are exempt: their trip count is a small syntactic constant.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.lint.context import Module
-from repro.lint.dataflow import call_name
+from repro.lint.dataflow import call_name, iter_scope
 from repro.lint.findings import Finding
 from repro.lint.rules.base import Project, Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.graph import CallGraph, _FunctionScope
 
-_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
 _CHECK_METHODS = ("check", "expired")
+
+#: Parameters treated as deadlines: by name, or by an annotation
+#: mentioning one of these type names.
+PARAM_NAMES = ("deadline",)
+ANNOTATION_NAMES = ("Deadline",)
+#: How many call-graph hops a checkpoint may sit away from the loop
+#: before delegation stops counting.
+INTERPROCEDURAL_DEPTH = 5
 
 
 def _deadline_params(
     node: ast.FunctionDef | ast.AsyncFunctionDef,
-    param_names: tuple[str, ...],
-    annotation_names: tuple[str, ...],
 ) -> set[str]:
     """Parameter names of ``node`` that carry a deadline."""
     params: set[str] = set()
     args = node.args
     for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-        if arg.arg in param_names:
+        if arg.arg in PARAM_NAMES:
             params.add(arg.arg)
             continue
         annotation = arg.annotation
         if annotation is not None:
             text = ast.dump(annotation)
-            if any(name in text for name in annotation_names):
+            if any(name in text for name in ANNOTATION_NAMES):
                 params.add(arg.arg)
     return params
 
@@ -72,16 +77,6 @@ def _is_literal_iterable(node: ast.AST) -> bool:
     return isinstance(node, (ast.Tuple, ast.List, ast.Set)) and all(
         not isinstance(element, ast.Starred) for element in node.elts
     )
-
-
-def _walk_same_function(node: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` that does not descend into nested function defs."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if not isinstance(child, _FUNCTIONS):
-            stack.extend(ast.iter_child_nodes(child))
 
 
 def _is_direct_check(node: ast.Call, params: set[str]) -> bool:
@@ -100,18 +95,13 @@ def _is_direct_check(node: ast.Call, params: set[str]) -> bool:
     return "deadline" in receiver.rpartition(".")[2].lower()
 
 
-def _checkpointing_functions(
-    graph: "CallGraph",
-    param_names: tuple[str, ...],
-    annotation_names: tuple[str, ...],
-    depth: int,
-) -> set[str]:
+def _checkpointing_functions(graph: "CallGraph") -> set[str]:
     """Functions that check a deadline, directly or through up to
-    ``depth`` call-graph hops."""
+    :data:`INTERPROCEDURAL_DEPTH` call-graph hops."""
     direct: set[str] = set()
     for qname, info in graph.functions.items():
-        params = _deadline_params(info.node, param_names, annotation_names)
-        for node in _walk_same_function(info.node):
+        params = _deadline_params(info.node)
+        for node in iter_scope(info.node):
             if isinstance(node, ast.Call) and _is_direct_check(
                 node, params
             ):
@@ -123,7 +113,7 @@ def _checkpointing_functions(
             callers.setdefault(callee, set()).add(caller)
     known = set(direct)
     frontier = direct
-    for _ in range(depth):
+    for _ in range(INTERPROCEDURAL_DEPTH):
         frontier = {
             caller
             for callee in frontier
@@ -145,40 +135,17 @@ class DeadlineCheckpointRule(Rule):
         "Deadline.check() (or delegates to code that verifiably does) "
         "can overrun any budget, defeating the PR-2 serving guarantee."
     )
-    default_options = {
-        # Parameters treated as deadlines: by name, or by annotation
-        # mentioning one of these type names.
-        "param_names": ("deadline", "batch_deadline"),
-        "annotation_names": ("Deadline",),
-        # How many call-graph hops a checkpoint may sit away from the
-        # loop before delegation stops counting.
-        "interprocedural_depth": 5,
-        # Package prefixes this rule runs on; empty = whole tree.
-        "packages": (),
-    }
-
-    def check_module(self, module: Module) -> Iterable[Finding]:
-        return ()
 
     def finish(self, project: Project) -> Iterable[Finding]:
         graph = project.graph()
-        param_names = tuple(self.options["param_names"])  # type: ignore[arg-type]
-        annotation_names = tuple(self.options["annotation_names"])  # type: ignore[arg-type]
-        depth = int(self.options["interprocedural_depth"])  # type: ignore[arg-type]
-        checkpointing = _checkpointing_functions(
-            graph, param_names, annotation_names, depth
-        )
+        checkpointing = _checkpointing_functions(graph)
         for qname in sorted(graph.functions):
             info = graph.functions[qname]
-            if not self.applies_to(info.module):
-                continue
-            params = _deadline_params(
-                info.node, param_names, annotation_names
-            )
+            params = _deadline_params(info.node)
             if not params:
                 continue
             scope = graph.scope_for(info)
-            for child in _walk_same_function(info.node):
+            for child in iter_scope(info.node):
                 if not isinstance(child, _LOOPS):
                     continue
                 if isinstance(child, (ast.For, ast.AsyncFor)) and (
@@ -203,7 +170,7 @@ class DeadlineCheckpointRule(Rule):
     ) -> Iterable[Finding]:
         sinks: set[str] = set()
         blind_credit = False
-        for node in _walk_same_function(loop):
+        for node in iter_scope(loop):
             if not isinstance(node, ast.Call):
                 continue
             if _is_direct_check(node, params):

@@ -27,6 +27,18 @@ from repro.lint.context import Module
 from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, register
 
+#: The pure algorithm packages the rule runs on.
+PACKAGES = (
+    "repro/core/",
+    "repro/skyline/",
+    "repro/labeling/",
+    "repro/hierarchy/",
+    "repro/storage/",
+    "repro/dynamic/",
+)
+#: ``time.<attr>()`` reads of the wall clock.
+WALLCLOCK_ATTRS = ("time", "time_ns")
+
 
 @register
 class DeterminismRule(Rule):
@@ -37,22 +49,10 @@ class DeterminismRule(Rule):
         "packages to be bit-reproducible under a seed; a stray global "
         "RNG call or wall-clock read breaks replay silently."
     )
-    default_options = {
-        "packages": (
-            "repro/core/",
-            "repro/skyline/",
-            "repro/labeling/",
-            "repro/hierarchy/",
-            "repro/storage/",
-            "repro/dynamic/",
-        ),
-        "wallclock_attrs": ("time", "time_ns"),
-    }
 
     def check_module(self, module: Module) -> Iterable[Finding]:
-        if not self.applies_to(module):
+        if not module.package_rel.startswith(PACKAGES):
             return
-        wallclock = tuple(self.options["wallclock_attrs"])
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -63,7 +63,7 @@ class DeterminismRule(Rule):
             ):
                 continue
             owner, attr = func.value.id, func.attr
-            if owner == "time" and attr in wallclock:
+            if owner == "time" and attr in WALLCLOCK_ATTRS:
                 yield self.finding(
                     module,
                     node,

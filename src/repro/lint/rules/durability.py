@@ -42,6 +42,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _OPEN_SPELLINGS = frozenset({"open", "io.open", "os.fdopen"})
 
+#: Substrings that mark a path expression as a durable artifact.
+PATH_MARKERS = (
+    "journal", "checkpoint", "ckpt", "manifest", "index", "quarantine",
+)
+#: Functions allowed to write durable paths non-atomically because
+#: they *are* the atomic discipline.
+ATOMIC_HELPERS = frozenset({
+    "_atomic_write_bytes", "_atomic_write", "atomic_write",
+    "save_envelope",
+})
+
 
 def _mode_of(call: ast.Call) -> str:
     for keyword in call.keywords:
@@ -107,29 +118,10 @@ class DurabilityRule(Rule):
         "flushed and fsynced first; a bare open(path, 'w') reopens "
         "the torn-write window."
     )
-    default_options = {
-        "packages": (),
-        # Substrings that mark a path expression as a durable artifact.
-        "path_markers": (
-            "journal", "checkpoint", "ckpt", "manifest", "index",
-            "baseline", "quarantine",
-        ),
-        # Functions allowed to write durable paths non-atomically
-        # because they *are* the atomic discipline.
-        "atomic_helpers": (
-            "_atomic_write_bytes", "_atomic_write", "atomic_write",
-            "save_envelope",
-        ),
-    }
-
-    def check_module(self, module: Module) -> Iterable[Finding]:
-        return ()
 
     def finish(self, project: Project) -> Iterable[Finding]:
         graph = project.graph()
         for module in project.modules:
-            if not self.applies_to(module):
-                continue
             yield from self._check_module(graph, module)
         _PARENT_CACHE.clear()
 
@@ -137,20 +129,14 @@ class DurabilityRule(Rule):
     def _check_module(
         self, graph: "CallGraph", module: Module
     ) -> Iterable[Finding]:
-        markers = tuple(
-            str(m).lower() for m in self.options["path_markers"]  # type: ignore[union-attr]
-        )
-        helpers = frozenset(
-            str(h) for h in self.options["atomic_helpers"]  # type: ignore[union-attr]
-        )
         resolver = graph.resolver_for(module)
         for qname, scope_node in graph.scopes_of(module):
             func_name = qname.rpartition(".")[2]
-            if func_name in helpers:
+            if func_name in ATOMIC_HELPERS:
                 continue
             body_calls = [
                 node
-                for node in _scope_walk(scope_node)
+                for node in iter_scope(scope_node)
                 if isinstance(node, ast.Call)
             ]
             opens = [
@@ -168,7 +154,7 @@ class DurabilityRule(Rule):
                 if path_expr is None:
                     continue
                 words = " ".join(_path_words(path_expr)).lower()
-                if not any(marker in words for marker in markers):
+                if not any(marker in words for marker in PATH_MARKERS):
                     continue
                 if "a" in mode:
                     yield from self._check_append(
@@ -183,7 +169,7 @@ class DurabilityRule(Rule):
                         f"durable path opened with mode {mode!r} "
                         f"outside the atomic write discipline — write "
                         f"to a tmp file and fsync+os.replace (use "
-                        f"{'/'.join(sorted(helpers))}) or the "
+                        f"{'/'.join(sorted(ATOMIC_HELPERS))}) or the "
                         f"checksummed envelope",
                     )
 
@@ -305,11 +291,3 @@ class DurabilityRule(Rule):
                 ):
                     return True
         return False
-
-
-def _scope_walk(scope_node: ast.AST) -> Iterator[ast.AST]:
-    from repro.lint.graph import iter_module_scope
-
-    if isinstance(scope_node, ast.Module):
-        return iter_module_scope(scope_node)
-    return iter_scope(scope_node)

@@ -35,6 +35,20 @@ from repro.lint.context import Module
 from repro.lint.findings import Finding
 from repro.lint.rules.base import Project, Rule, register
 
+#: The root of the taxonomy, and the module declaring it (its classes
+#: seed the hierarchy even when it is outside the linted paths).
+ROOT_EXCEPTION = "ReproError"
+TAXONOMY_MODULE = "repro/exceptions.py"
+#: Builtin argument/programming errors library code may raise.
+SANCTIONED_BUILTINS = frozenset({
+    "ValueError",
+    "TypeError",
+    "KeyError",
+    "IndexError",
+    "NotImplementedError",
+    "AssertionError",
+})
+
 _BUILTIN_EXCEPTIONS = frozenset(
     name
     for name in dir(builtins)
@@ -83,31 +97,13 @@ class ExceptionTaxonomyRule(Rule):
         "escape that contract and broad silent excepts hide engine "
         "bugs behind degraded answers."
     )
-    default_options = {
-        "root_exception": "ReproError",
-        # Module (package-relative) whose classes seed the hierarchy
-        # even when it is outside the linted paths.
-        "taxonomy_module": "repro/exceptions.py",
-        "sanctioned_builtins": (
-            "ValueError",
-            "TypeError",
-            "KeyError",
-            "IndexError",
-            "NotImplementedError",
-            "AssertionError",
-        ),
-        "packages": (),
-    }
 
-    def __init__(self, options: dict[str, object] | None = None) -> None:
-        super().__init__(options)
+    def __init__(self) -> None:
         self._edges: dict[str, list[str]] = {}
         self._raises: list[tuple[Module, ast.Raise, str]] = []
 
     # ------------------------------------------------------------------
     def check_module(self, module: Module) -> Iterable[Finding]:
-        if not self.applies_to(module):
-            return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):
                 self._edges.setdefault(node.name, []).extend(
@@ -151,15 +147,10 @@ class ExceptionTaxonomyRule(Rule):
     def _repro_error_set(self, project: Project) -> set[str]:
         """Names of known ReproError descendants, by static fixpoint."""
         edges = {k: list(v) for k, v in self._edges.items()}
-        taxonomy = project.find_module(
-            str(self.options["taxonomy_module"])
-        )
-        if taxonomy is None:
+        if project.find_module(TAXONOMY_MODULE) is None:
             import os
 
-            path = os.path.join(
-                project.root, "src", str(self.options["taxonomy_module"])
-            )
+            path = os.path.join(project.root, "src", TAXONOMY_MODULE)
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     tree = ast.parse(handle.read())
@@ -170,7 +161,7 @@ class ExceptionTaxonomyRule(Rule):
                         )
             except (OSError, SyntaxError):
                 pass
-        known = {str(self.options["root_exception"])}
+        known = {ROOT_EXCEPTION}
         changed = True
         while changed:
             changed = False
@@ -181,10 +172,9 @@ class ExceptionTaxonomyRule(Rule):
         return known
 
     def finish(self, project: Project) -> Iterable[Finding]:
-        sanctioned = set(self.options["sanctioned_builtins"])
         repro_errors = self._repro_error_set(project)
         for module, node, name in self._raises:
-            if name in repro_errors or name in sanctioned:
+            if name in repro_errors or name in SANCTIONED_BUILTINS:
                 continue
             if name not in _BUILTIN_EXCEPTIONS:
                 # Unresolvable or third-party name: benefit of the
@@ -195,7 +185,7 @@ class ExceptionTaxonomyRule(Rule):
                 node,
                 f"raise {name}: library code raises ReproError "
                 f"subclasses (or builtin argument errors: "
-                f"{', '.join(sorted(sanctioned))})",
+                f"{', '.join(sorted(SANCTIONED_BUILTINS))})",
             )
         # Findings must come out deterministically even though raises
         # were collected across modules; runner sorts globally.

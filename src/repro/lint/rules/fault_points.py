@@ -26,14 +26,21 @@ from repro.lint.rules.base import (
 )
 
 
-def _point_literal(node: ast.Call, methods: tuple[str, ...],
-                   helpers: tuple[str, ...]) -> str | None:
+#: The module declaring the fault-point registry, and its name.
+REGISTRY_MODULE = "repro/service/faults.py"
+REGISTRY_TARGETS = ("INJECTION_POINTS",)
+#: Injector methods and module helpers whose first argument is a point.
+METHODS = ("fire", "fail")
+HELPERS = ("_fire_fault",)
+
+
+def _point_literal(node: ast.Call) -> str | None:
     func = node.func
     if isinstance(func, ast.Attribute):
-        if func.attr not in methods:
+        if func.attr not in METHODS:
             return None
     elif isinstance(func, ast.Name):
-        if func.id not in helpers:
+        if func.id not in HELPERS:
             return None
     else:
         return None
@@ -52,35 +59,21 @@ class FaultPointRegistryRule(Rule):
         "fire() sites are not validated at runtime; a typo'd point "
         "name silently removes that site from chaos-test coverage."
     )
-    default_options = {
-        "registry_module": "repro/service/faults.py",
-        "registry_targets": ("INJECTION_POINTS",),
-        "methods": ("fire", "fail"),
-        "helpers": ("_fire_fault", "fire_fault"),
-        "packages": (),
-    }
 
-    def __init__(self, options: dict[str, object] | None = None) -> None:
-        super().__init__(options)
+    def __init__(self) -> None:
         self._calls: list[tuple[Module, ast.Call, str]] = []
 
     def check_module(self, module: Module) -> Iterable[Finding]:
-        if not self.applies_to(module):
-            return ()
-        methods = tuple(self.options["methods"])
-        helpers = tuple(self.options["helpers"])
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
-                point = _point_literal(node, methods, helpers)
+                point = _point_literal(node)
                 if point is not None:
                     self._calls.append((module, node, point))
         return ()
 
     def finish(self, project: Project) -> Iterable[Finding]:
         declared, registry_rel = load_declared_names(
-            project,
-            str(self.options["registry_module"]),
-            tuple(self.options["registry_targets"]),
+            project, REGISTRY_MODULE, REGISTRY_TARGETS
         )
         for module, node, point in self._calls:
             if point not in declared:

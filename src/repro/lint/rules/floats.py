@@ -28,14 +28,21 @@ from repro.lint.context import Module
 from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, register
 
+#: Where the rule runs.
+PACKAGES = ("repro/skyline/", "repro/core/")
+#: The one module allowed to spell out the comparison.
+SANCTIONED_MODULE = "repro/skyline/compare.py"
+#: Name fragments that mark an operand as a weight or a cost.
+MARKERS = ("weight", "cost")
 
-def _is_weight_cost_operand(node: ast.expr, markers: tuple[str, ...]) -> bool:
+
+def _is_weight_cost_operand(node: ast.expr) -> bool:
     if isinstance(node, ast.Name):
         lowered = node.id.lower()
-        return any(marker in lowered for marker in markers)
+        return any(marker in lowered for marker in MARKERS)
     if isinstance(node, ast.Attribute):
         lowered = node.attr.lower()
-        return any(marker in lowered for marker in markers)
+        return any(marker in lowered for marker in MARKERS)
     if isinstance(node, ast.Tuple) and len(node.elts) == 2:
         indices = []
         for element in node.elts:
@@ -59,19 +66,12 @@ class FloatEqualityRule(Rule):
         "costs through one policy (repro.skyline.compare); a raw == "
         "in a hot loop is where a float-drift exactness bug hides."
     )
-    default_options = {
-        "packages": ("repro/skyline/", "repro/core/"),
-        # The one module allowed to spell out the comparison.
-        "sanctioned_modules": ("repro/skyline/compare.py",),
-        "markers": ("weight", "cost"),
-    }
 
     def check_module(self, module: Module) -> Iterable[Finding]:
-        if not self.applies_to(module):
+        if not module.package_rel.startswith(PACKAGES):
             return
-        if module.package_rel in tuple(self.options["sanctioned_modules"]):
+        if module.package_rel == SANCTIONED_MODULE:
             return
-        markers = tuple(self.options["markers"])
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -81,8 +81,8 @@ class FloatEqualityRule(Rule):
             , strict=False):
                 if not isinstance(op, (ast.Eq, ast.NotEq)):
                     continue
-                if _is_weight_cost_operand(left, markers) or (
-                    _is_weight_cost_operand(right, markers)
+                if _is_weight_cost_operand(left) or (
+                    _is_weight_cost_operand(right)
                 ):
                     yield self.finding(
                         module,

@@ -37,7 +37,6 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable
 
-from repro.lint.context import Module
 from repro.lint.dataflow import call_name, iter_scope, scope_bindings
 from repro.lint.findings import Finding
 from repro.lint.rules.base import Project, Rule, register
@@ -92,14 +91,6 @@ class ForkSafetyRule(Rule):
         "a captured handle corrupts shared state instead of re-opening "
         "its own."
     )
-    default_options = {
-        # Package prefixes the *reachable functions* must live in for
-        # their captures to be reported; empty = everywhere.
-        "packages": (),
-    }
-
-    def check_module(self, module: Module) -> Iterable[Finding]:
-        return ()
 
     def finish(self, project: Project) -> Iterable[Finding]:
         graph = project.graph()
@@ -116,7 +107,7 @@ class ForkSafetyRule(Rule):
 
         for qname in sorted(origins):
             info = graph.functions.get(qname)
-            if info is None or not self.applies_to(info.module):
+            if info is None:
                 continue
             via = "/".join(sorted(origins[qname]))
             yield from self._check_function(graph, info, via)

@@ -34,10 +34,21 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable
 
-from repro.lint.context import Module
 from repro.lint.dataflow import call_name, iter_scope, scope_bindings
 from repro.lint.findings import Finding
 from repro.lint.rules.base import Project, Rule, register
+
+#: Class basenames whose instances are immutable once held.
+PROTECTED_CLASSES = ("Epoch", "FlatLabelStore")
+#: Factory basenames returning protected values.
+PROTECTED_FACTORIES = ("load_flat_index", "memoryview")
+#: Container methods that mutate in place.
+MUTATORS = frozenset({
+    "append", "extend", "insert", "remove", "pop", "clear", "sort",
+    "reverse", "update", "setdefault", "add", "discard", "release",
+})
+#: Fixpoint iterations for the param-mutation summaries.
+MAX_PASSES = 8
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.graph import CallGraph, FunctionInfo
@@ -53,65 +64,31 @@ class EpochImmutabilityRule(Rule):
         "copy-on-write across forks; any post-publication store is a "
         "data race."
     )
-    default_options = {
-        "packages": (),
-        # Class basenames whose instances are immutable once held.
-        "protected_classes": ("Epoch", "FlatLabelStore"),
-        # Factory basenames returning protected values.
-        "protected_factories": ("load_flat_index", "memoryview"),
-        # Container methods that mutate in place.
-        "mutators": (
-            "append", "extend", "insert", "remove", "pop", "clear",
-            "sort", "reverse", "update", "setdefault", "add",
-            "discard", "release",
-        ),
-        # Fixpoint iterations for the param-mutation summaries.
-        "max_passes": 8,
-    }
-
-    def check_module(self, module: Module) -> Iterable[Finding]:
-        return ()
 
     def finish(self, project: Project) -> Iterable[Finding]:
         graph = project.graph()
-        protected = tuple(self.options["protected_classes"])  # type: ignore[arg-type]
         mutated = self._param_mutation_summaries(graph)
         for qname in sorted(graph.functions):
-            info = graph.functions[qname]
-            if not self.applies_to(info.module):
-                continue
             yield from self._check_function(
-                graph, info, protected, mutated
+                graph, graph.functions[qname], mutated
             )
 
     # -- what counts as protected ---------------------------------------
-    def _is_protected_type(
-        self, protected: tuple[str, ...], cls_qname: str | None
-    ) -> bool:
-        if cls_qname is None:
-            return False
-        base = cls_qname.rpartition(".")[2]
-        return base in protected or base == "memoryview"
-
     def _protected_locals(
-        self,
-        graph: "CallGraph",
-        info: "FunctionInfo",
-        protected: tuple[str, ...],
+        self, graph: "CallGraph", info: "FunctionInfo"
     ) -> dict[str, str]:
         """Local/param names holding protected values -> reason."""
         from repro.lint.graph import annotation_type
 
         resolver = graph.resolver_for(info.module)
-        factories = tuple(self.options["protected_factories"])  # type: ignore[arg-type]
         out: dict[str, str] = {}
         for name, bindings in scope_bindings(info.node).items():
             for binding in bindings:
-                ann_type = annotation_type(resolver, binding.annotation)
-                if self._is_protected_type(protected, ann_type):
-                    out.setdefault(
-                        name, ann_type.rpartition(".")[2]  # type: ignore[union-attr]
-                    )
+                protected = _protected_base(
+                    annotation_type(resolver, binding.annotation)
+                )
+                if protected is not None:
+                    out.setdefault(name, protected)
                     continue
                 # Constructor calls are *not* protected here: the
                 # function that builds an Epoch/FlatLabelStore owns it
@@ -126,7 +103,7 @@ class EpochImmutabilityRule(Rule):
                 if callee is None:
                     continue
                 base = callee.rpartition(".")[2]
-                if base in factories:
+                if base in PROTECTED_FACTORIES:
                     out.setdefault(name, base)
                     continue
                 resolved = resolver.resolve_dotted(callee)
@@ -147,11 +124,12 @@ class EpochImmutabilityRule(Rule):
         for qname, info in graph.functions.items():
             params = set(info.param_names()) - {"self", "cls"}
             direct: set[str] = set()
-            for root, _node in self._mutation_sites(info, params):
+            for root, _node, _receiver in self._mutation_sites(
+                info, params
+            ):
                 direct.add(root)
             summaries[qname] = direct
-        max_passes = int(self.options["max_passes"])  # type: ignore[arg-type]
-        for _ in range(max_passes):
+        for _ in range(MAX_PASSES):
             changed = False
             for qname, info in graph.functions.items():
                 params = set(info.param_names()) - {"self", "cls"}
@@ -198,11 +176,10 @@ class EpochImmutabilityRule(Rule):
     # -- mutation-site detection ----------------------------------------
     def _mutation_sites(
         self, info: "FunctionInfo", roots: set[str]
-    ) -> Iterable[tuple[str, ast.AST]]:
-        """(root name, node) for every in-place mutation whose receiver
-        chain starts at a name in ``roots``."""
-        mutators = frozenset(self.options["mutators"])  # type: ignore[arg-type]
-
+    ) -> Iterable[tuple[str, ast.AST, ast.expr]]:
+        """(root name, node, receiver) for every in-place mutation whose
+        receiver chain starts at a name in ``roots``: stores and
+        ``del`` on attributes/subscripts, and mutating method calls."""
         def root_of(expr: ast.expr) -> str | None:
             current = expr
             while isinstance(current, (ast.Attribute, ast.Subscript)):
@@ -212,44 +189,35 @@ class EpochImmutabilityRule(Rule):
             return None
 
         for node in iter_scope(info.node):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        root = root_of(target)
-                        if root is not None:
-                            yield root, node
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        root = root_of(target)
-                        if root is not None:
-                            yield root, node
+            targets: list[ast.expr]
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
             elif isinstance(node, ast.Call) and isinstance(
                 node.func, ast.Attribute
-            ):
-                if node.func.attr in mutators:
-                    root = root_of(node.func.value)
+            ) and node.func.attr in MUTATORS:
+                targets = [node.func]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, (ast.Attribute, ast.Subscript)):
+                    root = root_of(target)
                     if root is not None:
-                        yield root, node
+                        yield root, node, target.value
 
     # -- per-function check ---------------------------------------------
     def _check_function(
         self,
         graph: "CallGraph",
         info: "FunctionInfo",
-        protected: tuple[str, ...],
         mutated: dict[str, set[str]],
     ) -> Iterable[Finding]:
         inside_protected = (
             info.class_qname is not None
-            and info.class_qname.rpartition(".")[2] in protected
+            and info.class_qname.rpartition(".")[2] in PROTECTED_CLASSES
         )
-        locals_ = self._protected_locals(graph, info, protected)
+        locals_ = self._protected_locals(graph, info)
         scope = graph.scope_for(info)
 
         # self.<attr> receivers typed as protected classes count too —
@@ -273,17 +241,16 @@ class EpochImmutabilityRule(Rule):
                             attr=chain[depth - 1],
                             ctx=ast.Load(),
                         )
-                        cls_qname = scope.type_of_value(prefix)
-                        if self._is_protected_type(protected, cls_qname):
-                            return cls_qname.rpartition(".")[2]  # type: ignore[union-attr]
+                        protected = _protected_base(
+                            scope.type_of_value(prefix)
+                        )
+                        if protected is not None:
+                            return protected
             return None
 
         roots = set(locals_) | {"self"}
-        for root, node in self._mutation_sites(info, roots):
-            target = _mutation_receiver(node)
-            if target is None:
-                continue
-            reason = protected_reason(target)
+        for _root, node, receiver in self._mutation_sites(info, roots):
+            reason = protected_reason(receiver)
             if reason is None:
                 continue
             verb = (
@@ -329,22 +296,11 @@ class EpochImmutabilityRule(Rule):
                     )
 
 
-def _mutation_receiver(node: ast.AST) -> ast.expr | None:
-    """The receiver expression of a mutation site from
-    :meth:`_mutation_sites`."""
-    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
-        )
-        for target in targets:
-            if isinstance(target, (ast.Attribute, ast.Subscript)):
-                return target.value
-    elif isinstance(node, ast.Delete):
-        for target in node.targets:
-            if isinstance(target, (ast.Attribute, ast.Subscript)):
-                return target.value
-    elif isinstance(node, ast.Call) and isinstance(
-        node.func, ast.Attribute
-    ):
-        return node.func.value
+def _protected_base(cls_qname: str | None) -> str | None:
+    """The protected class basename ``cls_qname`` names, if any."""
+    if cls_qname is None:
+        return None
+    base = cls_qname.rpartition(".")[2]
+    if base in PROTECTED_CLASSES or base == "memoryview":
+        return base
     return None

@@ -38,6 +38,16 @@ from repro.lint.rules.base import (
 _FACTORY_METHODS = ("counter", "gauge", "histogram")
 _FACTORY_CLASSES = ("Counter", "Gauge", "Histogram")
 
+#: The module declaring the metric registry, and its names.
+REGISTRY_MODULE = "repro/observability/names.py"
+REGISTRY_TARGETS = ("METRICS", "METRIC_NAMES")
+#: Full-string literals with these prefixes count as emissions even
+#: outside factory calls (the tuple-of-names idiom).
+PREFIXES = ("qhl_", "service_", "ingest_", "audit_", "build_", "supervisor_")
+_LITERAL = re.compile(
+    rf"^({'|'.join(re.escape(p.rstrip('_')) for p in PREFIXES)})_[a-z0-9_]+$"
+)
+
 
 def _call_metric_name(node: ast.Call) -> str | None:
     """The literal metric name of a factory/constructor call, if any."""
@@ -71,34 +81,14 @@ class MetricNameRegistryRule(Rule):
         "two directions of docs/code drift; the declared registry in "
         "repro.observability.names is the single source of truth."
     )
-    default_options = {
-        "registry_module": "repro/observability/names.py",
-        "registry_targets": ("METRICS", "METRIC_NAMES"),
-        # Full-string literals with these prefixes count as emissions
-        # even outside factory calls (the tuple-of-names idiom).
-        "prefixes": (
-            "qhl_", "service_", "ingest_", "audit_", "build_",
-            "supervisor_",
-        ),
-        "packages": (),
-    }
 
-    def __init__(self, options: dict[str, object] | None = None) -> None:
-        super().__init__(options)
+    def __init__(self) -> None:
         self._used: set[str] = set()
         self._calls: list[tuple[Module, ast.Call, str]] = []
-        prefixes = "|".join(
-            re.escape(p.rstrip("_"))
-            for p in self.default_options["prefixes"]
-        )
-        self._literal = re.compile(rf"^({prefixes})_[a-z0-9_]+$")
 
     def check_module(self, module: Module) -> Iterable[Finding]:
-        if not self.applies_to(module):
-            return ()
-        if module.package_rel == str(self.options["registry_module"]):
+        if module.package_rel == REGISTRY_MODULE:
             return ()  # the registry's own keys are not emissions
-        prefixes = tuple(self.options["prefixes"])
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 name = _call_metric_name(node)
@@ -108,17 +98,14 @@ class MetricNameRegistryRule(Rule):
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
-                and node.value.startswith(prefixes)
-                and self._literal.match(node.value)
+                and _LITERAL.match(node.value)
             ):
                 self._used.add(node.value)
         return ()
 
     def finish(self, project: Project) -> Iterable[Finding]:
         declared, registry_rel = load_declared_names(
-            project,
-            str(self.options["registry_module"]),
-            tuple(self.options["registry_targets"]),
+            project, REGISTRY_MODULE, REGISTRY_TARGETS
         )
         for module, node, name in self._calls:
             if name not in declared:
@@ -129,29 +116,18 @@ class MetricNameRegistryRule(Rule):
                     f"{registry_rel}; declare it (or fix the typo)",
                 )
         registry_module = project.find_module(registry_rel)
-        if registry_module is None or project.partial:
-            # The registry file is outside the linted paths (or the run
-            # covers only changed files), so the scan cannot claim
-            # completeness: skip the unused-entry direction (a partial
-            # lint of one module must not flag every metric that module
-            # happens not to emit).
+        if registry_module is None:
+            # The registry file is outside the linted paths, so the
+            # scan cannot claim completeness: skip the unused-entry
+            # direction (linting one module must not flag every metric
+            # that module happens not to emit).
             return
         for name, lineno in sorted(declared.items()):
             if name not in self._used:
-                finding = Finding(
-                    rule=self.id,
-                    path=registry_rel,
-                    line=lineno,
-                    col=0,
-                    message=(
-                        f"metric {name!r} is declared but never "
-                        f"emitted by the linted code; remove it or "
-                        f"instrument the emission"
-                    ),
-                    snippet=(
-                        registry_module.line_text(lineno)
-                        if registry_module is not None
-                        else name
-                    ),
+                yield self.finding(
+                    registry_module,
+                    lineno,
+                    f"metric {name!r} is declared but never emitted by "
+                    f"the linted code; remove it or instrument the "
+                    f"emission",
                 )
-                yield finding

@@ -38,4 +38,3 @@ class StalePragmaRule(Rule):
         "suppressions must be re-justified when the code they excuse "
         "goes away."
     )
-    default_options: dict[str, object] = {}

@@ -5,8 +5,8 @@ blind to a subtler drift: an emission site that exists in the tree yet
 can never execute.  A metric emitted only from a function nothing calls
 is dead telemetry — dashboards chart a flat line, chaos tests target a
 fault point no production path fires, and the incident taxonomy
-advertises kinds no incident will ever carry.  This PR's call graph
-makes the reachability question answerable, so this rule asks it:
+advertises kinds no incident will ever carry.  The call graph makes
+the reachability question answerable, so this rule asks it:
 
 * every declared **metric** must have at least one emission site inside
   code reachable from the public surface (module import time plus every
@@ -21,16 +21,16 @@ duplicate it); for fault points and incident kinds the zero-emission
 case is new coverage and is reported here.
 
 The rule needs the whole program to say anything meaningful, so it
-skips entirely on partial (``--changed``) runs and when a registry file
-is outside the linted set.
+skips a registry whose file is outside the linted set.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.lint.context import Module
+from repro.lint.dataflow import iter_scope
 from repro.lint.findings import Finding
 from repro.lint.rules.base import (
     Project,
@@ -38,25 +38,40 @@ from repro.lint.rules.base import (
     load_declared_names,
     register,
 )
+from repro.lint.rules import fault_points, metrics
 from repro.lint.rules.fault_points import _point_literal
 from repro.lint.rules.metrics import _call_metric_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.graph import CallGraph
 
-#: (category, qname-of-emitting-scope, module, line)
+#: One emission site: (qname of the emitting scope, module, line).
 _Emission = tuple[str, Module, int]
 
 
-def _incident_kind(
-    node: ast.Call, methods: tuple[str, ...]
-) -> str | None:
+#: The module declaring the incident-kind registry, and its name.
+INCIDENT_REGISTRY = "repro/supervise/incidents.py"
+INCIDENT_TARGETS = ("INCIDENT_KINDS",)
+#: Calls whose first (or ``kind=``) argument records an incident.
+INCIDENT_METHODS = ("new", "_incident", "incident")
+
+#: (label, registry module, registry names, report never-fired names).
+#: Never-emitted metrics stay QHL004's finding.
+_CATEGORIES: tuple[tuple[str, str, tuple[str, ...], bool], ...] = (
+    ("metric", metrics.REGISTRY_MODULE, metrics.REGISTRY_TARGETS, False),
+    ("fault point", fault_points.REGISTRY_MODULE,
+     fault_points.REGISTRY_TARGETS, True),
+    ("incident kind", INCIDENT_REGISTRY, INCIDENT_TARGETS, True),
+)
+
+
+def _incident_kind(node: ast.Call) -> str | None:
     func = node.func
     if isinstance(func, ast.Attribute):
-        if func.attr not in methods:
+        if func.attr not in INCIDENT_METHODS:
             return None
     elif isinstance(func, ast.Name):
-        if func.id not in methods:
+        if func.id not in INCIDENT_METHODS:
             return None
     else:
         return None
@@ -79,41 +94,17 @@ class RegistryReachabilityRule(Rule):
         "tests, and the incident taxonomy all advertise behaviour the "
         "program can never exhibit."
     )
-    default_options = {
-        "packages": (),
-        "metric_registry": "repro/observability/names.py",
-        "metric_targets": ("METRICS", "METRIC_NAMES"),
-        "fault_registry": "repro/service/faults.py",
-        "fault_targets": ("INJECTION_POINTS",),
-        "fault_methods": ("fire", "fail"),
-        "fault_helpers": ("_fire_fault", "fire_fault"),
-        "incident_registry": "repro/supervise/incidents.py",
-        "incident_targets": ("INCIDENT_KINDS",),
-        "incident_methods": ("new", "_incident", "incident"),
-    }
-
-    def check_module(self, module: Module) -> Iterable[Finding]:
-        return ()
 
     def finish(self, project: Project) -> Iterable[Finding]:
-        if project.partial:
-            return
         graph = project.graph()
         reachable = graph.reachable()
         emissions = self._collect_emissions(project, graph)
-        categories = (
-            ("metric", "metric_registry", "metric_targets", False),
-            ("fault point", "fault_registry", "fault_targets", True),
-            ("incident kind", "incident_registry", "incident_targets",
-             True),
-        )
-        for label, registry_key, targets_key, report_zero in categories:
-            registry_rel = str(self.options[registry_key])
+        for label, registry_rel, targets, report_zero in _CATEGORIES:
             registry_module = project.find_module(registry_rel)
             if registry_module is None:
                 continue  # cannot claim whole-program coverage
             declared, rel = load_declared_names(
-                project, registry_rel, tuple(self.options[targets_key])  # type: ignore[arg-type]
+                project, registry_rel, targets
             )
             for name, lineno in sorted(declared.items()):
                 sites = emissions.get((label, name), [])
@@ -155,21 +146,14 @@ class RegistryReachabilityRule(Rule):
     # ------------------------------------------------------------------
     def _collect_emissions(
         self, project: Project, graph: "CallGraph"
-    ) -> dict[tuple[str, str], list[tuple[str, Module, int]]]:
-        from repro.lint.graph import iter_module_scope
-        from repro.lint.dataflow import iter_scope
-
-        fault_methods = tuple(self.options["fault_methods"])  # type: ignore[arg-type]
-        fault_helpers = tuple(self.options["fault_helpers"])  # type: ignore[arg-type]
-        incident_methods = tuple(self.options["incident_methods"])  # type: ignore[arg-type]
+    ) -> dict[tuple[str, str], list[_Emission]]:
         # Only the metric registry needs excluding from its own scan:
         # its declarations are bare literals a factory call could sit
         # next to.  Fault/incident emissions are call-shaped, so the
         # registry tuples can never read as emissions — and faults.py
         # legitimately hosts fire() wrappers of its own.
-        metric_registry = str(self.options["metric_registry"])
 
-        out: dict[tuple[str, str], list[tuple[str, Module, int]]] = {}
+        out: dict[tuple[str, str], list[_Emission]] = {}
 
         def record(
             label: str, name: str, qname: str, module: Module, line: int
@@ -180,30 +164,23 @@ class RegistryReachabilityRule(Rule):
 
         for module in project.modules:
             for qname, scope_node in graph.scopes_of(module):
-                walker: Iterator[ast.AST] = (
-                    iter_module_scope(scope_node)
-                    if isinstance(scope_node, ast.Module)
-                    else iter_scope(scope_node)
-                )
-                for node in walker:
+                for node in iter_scope(scope_node):
                     if not isinstance(node, ast.Call):
                         continue
-                    if module.package_rel != metric_registry:
+                    if module.package_rel != metrics.REGISTRY_MODULE:
                         metric = _call_metric_name(node)
                         if metric is not None:
                             record(
                                 "metric", metric, qname, module,
                                 node.lineno,
                             )
-                    point = _point_literal(
-                        node, fault_methods, fault_helpers
-                    )
+                    point = _point_literal(node)
                     if point is not None:
                         record(
                             "fault point", point, qname, module,
                             node.lineno,
                         )
-                    kind = _incident_kind(node, incident_methods)
+                    kind = _incident_kind(node)
                     if kind is not None:
                         record(
                             "incident kind", kind, qname, module,

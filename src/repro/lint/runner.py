@@ -5,15 +5,8 @@ from __future__ import annotations
 import os
 
 from repro.exceptions import LintConfigError
-from repro.lint.baseline import Baseline
-from repro.lint.config import LintConfig
 from repro.lint.context import Module
-from repro.lint.findings import (
-    Finding,
-    LintError,
-    LintResult,
-    assign_fingerprints,
-)
+from repro.lint.findings import Finding, LintError, LintResult
 from repro.lint.rules import Project, Rule, all_rules
 
 
@@ -99,27 +92,23 @@ def _stale_pragma_findings(
 
 def run_lint(
     paths: list[str],
-    config: LintConfig | None = None,
     root: str | None = None,
-    baseline: Baseline | None = None,
-    partial: bool = False,
+    select: frozenset[str] | None = None,
 ) -> LintResult:
     """Lint ``paths`` and return the partitioned result.
 
+    ``select`` names the rules to run (``None`` = all registered ones).
     Pipeline: parse every file -> per-module rule passes -> project
     passes (registry cross-checks, call-graph rules) -> inline-pragma
-    suppression -> stale-pragma findings -> fingerprinting -> baseline
-    split.
-
-    ``partial`` marks runs that cover only a slice of the tree
-    (``--changed``): whole-program rules skip their completeness
-    claims instead of guessing.
+    suppression -> stale-pragma findings.
     """
     root = os.path.abspath(root or os.getcwd())
-    config = config or LintConfig()
     result = LintResult()
 
-    project = Project(root=root, partial=partial)
+    def enabled(rule_id: str) -> bool:
+        return select is None or rule_id in select
+
+    project = Project(root=root)
     result.project = project
     for path in collect_files(paths, root):
         rel = _relative(path, root)
@@ -132,9 +121,9 @@ def run_lint(
     result.files_checked = len(project.modules)
 
     rules = [
-        rule_cls(config.options_for(rule_id))
+        rule_cls()
         for rule_id, rule_cls in all_rules().items()
-        if config.enabled(rule_id)
+        if enabled(rule_id)
     ]
 
     raw: list[Finding] = []
@@ -145,37 +134,23 @@ def run_lint(
         raw.extend(rule.finish(project))
 
     modules_by_rel = {module.rel: module for module in project.modules}
-    kept: list[Finding] = []
-    for finding in raw:
+
+    def triage(finding: Finding) -> None:
         module = modules_by_rel.get(finding.path)
         if module is not None and module.suppressed(
             finding.line, finding.rule
         ):
             result.inline_suppressed.append(finding)
         else:
-            kept.append(finding)
+            result.findings.append(finding)
 
-    if config.enabled("QHL000"):
+    for finding in raw:
+        triage(finding)
+    if enabled("QHL000"):
         for finding in _stale_pragma_findings(
             project, rules, result.inline_suppressed
         ):
-            module = modules_by_rel.get(finding.path)
-            if module is not None and module.suppressed(
-                finding.line, "QHL000"
-            ):
-                result.inline_suppressed.append(finding)
-            else:
-                kept.append(finding)
+            triage(finding)
 
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    assign_fingerprints(kept)
-    assign_fingerprints(result.inline_suppressed)
-
-    if baseline is not None:
-        new, baselined, stale = baseline.split(kept)
-        result.findings = new
-        result.baselined = baselined
-        result.stale_baseline = stale
-    else:
-        result.findings = kept
+    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return result

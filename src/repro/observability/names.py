@@ -4,16 +4,21 @@ metric this package emits.
 PRs 1-4 accumulated ~44 metric names across five subsystems, each
 declared implicitly at its instrumentation site and documented (or not)
 by hand in ``docs/observability.md`` — the classic docs/code drift.
-This module is the fix: every ``qhl_*`` / ``service_*`` / ``ingest_*``
-/ ``audit_*`` / ``build_*`` metric the code emits **must** be declared
-here, and every declared metric must be emitted somewhere.  Both
-directions are machine-checked:
+This module is the fix: every metric the code emits **must** be
+declared here, and every declared metric must be emitted somewhere.
+Nothing checks this at runtime, so the checks are static:
 
-* lint rule **QHL004** (``repro.lint``) statically cross-checks the
-  registry against every ``registry.counter/gauge/histogram(...)``
-  call site in ``src/``;
-* ``tests/lint/test_registry_crosscheck.py`` asserts the metric table
-  in ``docs/observability.md`` stays a subset of this registry.
+* lint rule **QHL004** (``repro.lint``) cross-checks the registry
+  against every ``registry.counter/gauge/histogram(...)`` call site in
+  ``src/``, both ways;
+* lint rule **QHL010** requires each declared metric to be emitted
+  from code reachable from the public surface;
+* ``tests/lint/test_registry_crosscheck.py`` keeps the metric table in
+  ``docs/observability.md`` and this registry equal, both ways.
+
+No test checks every metric by name (some are named in no test at all),
+so a misspelled emission or a dead entry is caught by the lint rules
+alone; ``tests/lint/test_src_tree.py`` runs them over ``src/``.
 
 The registry is data, not behaviour: instrumentation sites keep the
 get-or-create pattern of :class:`~repro.observability.metrics.
@@ -35,7 +40,8 @@ class MetricSpec(NamedTuple):
 
 #: Every metric name the package emits, with its declared shape.
 #: QHL004 fails the lint run when a code literal is missing here or an
-#: entry here is emitted nowhere.
+#: entry here is emitted nowhere; QHL010 when an entry is emitted only
+#: from unreachable code.
 METRICS: dict[str, MetricSpec] = {
     # -- query pipeline (PR 1) -----------------------------------------
     "qhl_query_seconds": MetricSpec(

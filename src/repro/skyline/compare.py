@@ -17,6 +17,9 @@ operands in those packages.  Today the helpers compare exactly
 (deliberately: an epsilon would *break* exactness on integer metrics by
 merging distinct skyline entries); if accumulated-float metrics ever
 need tolerance-aware handling, this module is the single switch point.
+Because the helpers compare exactly, a raw ``==`` answers the same and
+no test can tell the two apart: the rule alone keeps the switch point
+single.
 """
 
 from __future__ import annotations

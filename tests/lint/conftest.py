@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import LintConfig, run_lint
+from repro.lint import run_lint
 
 
 class LintHarness:
@@ -26,9 +26,10 @@ class LintHarness:
         path.write_text(textwrap.dedent(source), encoding="utf-8")
 
     def run(self, *rules: str, paths: list[str] | None = None):
-        config = LintConfig(select=frozenset(rules) if rules else None)
         return run_lint(
-            paths or ["src"], config=config, root=str(self.root)
+            paths or ["src"],
+            root=str(self.root),
+            select=frozenset(rules) if rules else None,
         )
 
     def findings(self, *rules: str, paths: list[str] | None = None):

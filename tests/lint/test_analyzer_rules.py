@@ -8,8 +8,6 @@ on both sides, not just recall.
 
 from __future__ import annotations
 
-import pytest
-
 
 def _rules(findings):
     return [f.rule for f in findings]
@@ -552,18 +550,6 @@ class TestRegistryReachability:
         )
         assert harness.findings("QHL010") == []
 
-    def test_skips_on_partial_runs(self, harness):
-        from repro.lint import LintConfig, run_lint
-
-        self._write_fault_registry(harness, "index-load", "ghost-point")
-        result = run_lint(
-            ["src"],
-            config=LintConfig(select=frozenset({"QHL010"})),
-            root=str(harness.root),
-            partial=True,
-        )
-        assert result.findings == []
-
     def test_skips_when_registry_outside_linted_set(self, harness):
         harness.write(
             "src/repro/storage/sample.py",
@@ -574,6 +560,75 @@ class TestRegistryReachability:
         )
         # No registry module in the tree at all: rule must stay quiet
         # rather than guess (QHL004/QHL005 own the hard-failure path).
+        assert harness.findings("QHL010") == []
+
+    _METRICS = """
+    METRICS = {"qhl_test_total": ("counter", (), "fixture")}
+    """
+
+    def test_metric_emitted_only_from_dead_code_fires(self, harness):
+        harness.write("src/repro/observability/names.py", self._METRICS)
+        harness.write(
+            "src/repro/core/sample.py",
+            """
+            def _nobody_calls_this(registry):
+                registry.counter("qhl_test_total").inc()
+            """,
+        )
+        findings = harness.findings("QHL010")
+        assert _rules(findings) == ["QHL010"]
+        assert "qhl_test_total" in findings[0].message
+        assert "unreachable" in findings[0].message
+
+    def test_never_emitted_metric_is_left_to_qhl004(self, harness):
+        harness.write("src/repro/observability/names.py", self._METRICS)
+        harness.write(
+            "src/repro/core/sample.py",
+            """
+            def observe(registry):
+                return registry
+            """,
+        )
+        assert harness.findings("QHL010") == []
+
+    def test_reachable_metric_is_clean(self, harness):
+        harness.write("src/repro/observability/names.py", self._METRICS)
+        harness.write(
+            "src/repro/core/sample.py",
+            """
+            def observe(registry):
+                registry.counter("qhl_test_total").inc()
+            """,
+        )
+        assert harness.findings("QHL010") == []
+
+    _INCIDENTS = """
+    INCIDENT_KINDS = ("spawn", "ghost-kind")
+    """
+
+    def test_never_recorded_incident_kind_fires(self, harness):
+        harness.write("src/repro/supervise/incidents.py", self._INCIDENTS)
+        harness.write(
+            "src/repro/supervise/sample.py",
+            """
+            def start(log):
+                log.new("spawn", worker="w0", pid=1, detail="")
+            """,
+        )
+        findings = harness.findings("QHL010")
+        assert _rules(findings) == ["QHL010"]
+        assert "ghost-kind" in findings[0].message
+
+    def test_recorded_incident_kinds_are_clean(self, harness):
+        harness.write("src/repro/supervise/incidents.py", self._INCIDENTS)
+        harness.write(
+            "src/repro/supervise/sample.py",
+            """
+            def start(log):
+                log.new("spawn", worker="w0", pid=1, detail="")
+                log.new(kind="ghost-kind", worker="w0", pid=1, detail="")
+            """,
+        )
         assert harness.findings("QHL010") == []
 
 

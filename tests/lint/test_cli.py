@@ -1,5 +1,5 @@
-"""CLI contract tests: exit codes, JSON report, rule listing, and the
-baseline add/expire workflow."""
+"""CLI contract tests: exit codes, JSON report, rule listing and the
+call-graph export."""
 
 from __future__ import annotations
 
@@ -83,16 +83,13 @@ class TestJsonReport:
         harness.write("src/repro/core/sample.py", _DIRTY)
         assert _lint(harness, "--json") == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["files_checked"] == 1
-        assert payload["baselined"] == []
-        assert payload["stale_baseline"] == []
         assert payload["errors"] == []
         (finding,) = payload["findings"]
         assert finding["rule"] == "QHL003"
         assert finding["path"] == "src/repro/core/sample.py"
         assert finding["line"] == 4
-        assert finding["fingerprint"]
 
     def test_inline_suppressions_reported(self, harness, capsys):
         harness.write(
@@ -123,93 +120,6 @@ class TestListRules:
             "QHL006",
         ):
             assert rule_id in out
-
-
-class TestBaselineWorkflow:
-    def test_add_then_expire(self, harness, capsys):
-        harness.write("src/repro/core/sample.py", _DIRTY)
-
-        # 1. Grandfather the finding.
-        assert _lint(harness, "--write-baseline") == 0
-        assert "wrote 1 baseline entries" in capsys.readouterr().out
-        baseline_file = harness.root / "lint-baseline.json"
-        payload = json.loads(baseline_file.read_text(encoding="utf-8"))
-        assert payload["version"] == 1
-        (entry,) = payload["entries"]
-        assert entry["rule"] == "QHL003"
-        assert entry["reason"] == "grandfathered"
-
-        # 2. Baselined finding no longer fails the gate...
-        assert _lint(harness, "--strict-exit") == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-        # ...but --no-baseline still reports it.
-        assert _lint(harness, "--no-baseline") == 1
-        capsys.readouterr()
-
-        # 3. Fix the code: the entry is now stale.  Plain run still
-        # passes; the CI gate demands the baseline shrink.
-        harness.write("src/repro/core/sample.py", _CLEAN)
-        assert _lint(harness) == 0
-        assert "1 stale baseline" in capsys.readouterr().out
-        assert _lint(harness, "--strict-exit") == 1
-        capsys.readouterr()
-
-        # 4. Refresh: stale entries are dropped and the gate is green.
-        assert _lint(harness, "--write-baseline") == 0
-        assert "wrote 0 baseline entries" in capsys.readouterr().out
-        assert _lint(harness, "--strict-exit") == 0
-        capsys.readouterr()
-
-    def test_write_baseline_preserves_reasons(self, harness, capsys):
-        harness.write("src/repro/core/sample.py", _DIRTY)
-        assert _lint(harness, "--write-baseline") == 0
-        baseline_file = harness.root / "lint-baseline.json"
-        payload = json.loads(baseline_file.read_text(encoding="utf-8"))
-        payload["entries"][0]["reason"] = "jitter audit pending (#42)"
-        baseline_file.write_text(json.dumps(payload), encoding="utf-8")
-
-        assert _lint(harness, "--write-baseline") == 0
-        payload = json.loads(baseline_file.read_text(encoding="utf-8"))
-        assert payload["entries"][0]["reason"] == "jitter audit pending (#42)"
-        capsys.readouterr()
-
-    def test_malformed_baseline_exits_two(self, harness, capsys):
-        harness.write("src/repro/core/sample.py", _CLEAN)
-        (harness.root / "lint-baseline.json").write_text(
-            "{not json", encoding="utf-8"
-        )
-        assert _lint(harness) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_write_baseline_refuses_on_errors(self, harness, capsys):
-        harness.write("src/repro/core/sample.py", "def broken(:\n")
-        assert _lint(harness, "--write-baseline") == 2
-        capsys.readouterr()
-
-
-class TestFingerprintStability:
-    def test_fingerprint_survives_line_moves(self, harness, capsys):
-        harness.write("src/repro/core/sample.py", _DIRTY)
-        assert _lint(harness, "--json") == 1
-        first = json.loads(capsys.readouterr().out)["findings"][0]
-
-        harness.write(
-            "src/repro/core/sample.py",
-            """
-            import random
-
-            PADDING = "pushes the violation down a few lines"
-
-
-            rng = random.Random()
-            """,
-        )
-        assert _lint(harness, "--json") == 1
-        second = json.loads(capsys.readouterr().out)["findings"][0]
-        assert second["line"] != first["line"]
-        assert second["fingerprint"] == first["fingerprint"]
 
 
 @pytest.mark.parametrize("flag", ["--json", None])
@@ -255,91 +165,3 @@ def _private():
         assert _lint(harness, "--graph-out", str(out)) == 1
         capsys.readouterr()
         assert out.exists()
-
-
-class TestChangedMode:
-    def _git(self, harness, *argv: str) -> None:
-        import subprocess
-
-        subprocess.run(
-            ["git", *argv],
-            cwd=str(harness.root),
-            check=True,
-            capture_output=True,
-            env={
-                "PATH": __import__("os").environ["PATH"],
-                "GIT_AUTHOR_NAME": "t",
-                "GIT_AUTHOR_EMAIL": "t@example.com",
-                "GIT_COMMITTER_NAME": "t",
-                "GIT_COMMITTER_EMAIL": "t@example.com",
-                "HOME": str(harness.root),
-            },
-        )
-
-    def _init_repo(self, harness) -> None:
-        self._git(harness, "init", "-q")
-        self._git(harness, "add", "-A")
-        self._git(harness, "commit", "-q", "-m", "seed")
-
-    def test_lints_only_changed_files(self, harness, capsys):
-        harness.write("src/repro/core/clean.py", _CLEAN)
-        harness.write("src/repro/core/dirty.py", _CLEAN)
-        self._init_repo(harness)
-        # dirty.py gains a violation after the commit; clean.py gains
-        # one too but stays committed-identical, so only dirty.py is
-        # linted.
-        harness.write("src/repro/core/dirty.py", _DIRTY)
-        assert _lint(harness, "--changed", "HEAD") == 1
-        out = capsys.readouterr().out
-        assert "dirty.py" in out
-        assert "checked 1 files" in out
-
-    def test_untracked_files_are_included(self, harness, capsys):
-        harness.write("src/repro/core/clean.py", _CLEAN)
-        self._init_repo(harness)
-        harness.write("src/repro/core/fresh.py", _DIRTY)
-        assert _lint(harness, "--changed") == 1
-        out = capsys.readouterr().out
-        assert "fresh.py" in out
-
-    def test_no_changes_exits_zero(self, harness, capsys):
-        harness.write("src/repro/core/clean.py", _CLEAN)
-        self._init_repo(harness)
-        assert _lint(harness, "--changed", "HEAD") == 0
-        out = capsys.readouterr().out
-        assert "nothing to lint" in out
-
-    def test_bad_ref_exits_two(self, harness, capsys):
-        harness.write("src/repro/core/clean.py", _CLEAN)
-        self._init_repo(harness)
-        assert _lint(harness, "--changed", "no-such-ref") == 2
-        capsys.readouterr()
-
-    def test_changed_runs_are_partial(self, harness, capsys):
-        # A whole-program rule (QHL010) must not judge registry
-        # completeness from a one-file slice: registry declares a point
-        # fired only by an *unchanged* (so unlinted) module.
-        harness.write(
-            "src/repro/service/faults.py",
-            'INJECTION_POINTS = ("index-load",)\n'
-            "class FaultInjector:\n"
-            "    def fire(self, point, **context):\n"
-            "        return None\n",
-        )
-        harness.write(
-            "src/repro/storage/loader.py",
-            "from repro.service.faults import FaultInjector\n\n\n"
-            "def load(injector: FaultInjector):\n"
-            '    injector.fire("index-load")\n',
-        )
-        self._init_repo(harness)
-        harness.write(
-            "src/repro/service/faults.py",
-            'INJECTION_POINTS = ("index-load",)\n'
-            "class FaultInjector:\n"
-            "    def fire(self, point, **context):\n"
-            "        return None\n"
-            "\n\ndef helper():\n    return None\n",
-        )
-        assert _lint(harness, "--changed", "HEAD") == 0
-        capsys.readouterr()

@@ -9,17 +9,12 @@ strings or ``functools.partial`` objects.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.lint import LintConfig, run_lint
+from repro.lint import run_lint
 from repro.lint.rules.base import Project
-from repro.lint.context import Module
 
 
 def _project(harness, *rels: str) -> Project:
-    result = run_lint(
-        ["src"], config=LintConfig(select=frozenset()), root=str(harness.root)
-    )
+    result = run_lint(["src"], root=str(harness.root), select=frozenset())
     assert result.errors == []
     assert result.project is not None
     return result.project
@@ -38,7 +33,7 @@ class TestEdgesAndCycles:
             """,
         )
         graph = _project(harness).graph()
-        assert "repro.core.a.callee" in graph.callees("repro.core.a.caller")
+        assert "repro.core.a.callee" in graph.edges["repro.core.a.caller"]
 
     def test_cycle_terminates_and_keeps_both_edges(self, harness):
         harness.write(
@@ -52,8 +47,8 @@ class TestEdgesAndCycles:
             """,
         )
         graph = _project(harness).graph()
-        assert "repro.core.a.pong" in graph.callees("repro.core.a.ping")
-        assert "repro.core.a.ping" in graph.callees("repro.core.a.pong")
+        assert "repro.core.a.pong" in graph.edges["repro.core.a.ping"]
+        assert "repro.core.a.ping" in graph.edges["repro.core.a.pong"]
         # Reachability over the cycle must terminate.
         closure = graph.reachable_from({"repro.core.a.ping"})
         assert {"repro.core.a.ping", "repro.core.a.pong"} <= closure
@@ -80,9 +75,9 @@ class TestEdgesAndCycles:
         )
         graph = _project(harness).graph()
         assert "repro.core.a.decorated" in graph.functions
-        assert "repro.core.a.decorated" in graph.callees(
+        assert "repro.core.a.decorated" in graph.edges[
             "repro.core.a.caller"
-        )
+        ]
 
     def test_nested_function_gets_locals_qname(self, harness):
         harness.write(
@@ -96,9 +91,9 @@ class TestEdgesAndCycles:
         )
         graph = _project(harness).graph()
         assert "repro.core.a.outer.<locals>.inner" in graph.functions
-        assert "repro.core.a.outer.<locals>.inner" in graph.callees(
+        assert "repro.core.a.outer.<locals>.inner" in graph.edges[
             "repro.core.a.outer"
-        )
+        ]
 
 
 class TestImportResolution:
@@ -120,9 +115,9 @@ class TestImportResolution:
             """,
         )
         graph = _project(harness).graph()
-        assert "repro.core.util.helper" in graph.callees(
+        assert "repro.core.util.helper" in graph.edges[
             "repro.core.a.caller"
-        )
+        ]
 
     def test_module_alias_attribute_call(self, harness):
         harness.write(
@@ -142,9 +137,9 @@ class TestImportResolution:
             """,
         )
         graph = _project(harness).graph()
-        assert "repro.core.util.helper" in graph.callees(
+        assert "repro.core.util.helper" in graph.edges[
             "repro.core.a.caller"
-        )
+        ]
 
     def test_reexport_chain_follows_to_definition(self, harness):
         harness.write(
@@ -170,9 +165,9 @@ class TestImportResolution:
             """,
         )
         graph = _project(harness).graph()
-        assert "repro.core.impl.real" in graph.callees(
+        assert "repro.core.impl.real" in graph.edges[
             "repro.service.a.caller"
-        )
+        ]
 
 
 class TestMethodResolution:
@@ -189,9 +184,9 @@ class TestMethodResolution:
             """,
         )
         graph = _project(harness).graph()
-        assert "repro.core.a.Engine._inner" in graph.callees(
+        assert "repro.core.a.Engine._inner" in graph.edges[
             "repro.core.a.Engine.query"
-        )
+        ]
 
     def test_inherited_method_via_self(self, harness):
         harness.write(
@@ -207,9 +202,9 @@ class TestMethodResolution:
             """,
         )
         graph = _project(harness).graph()
-        assert "repro.core.a.Base.shared" in graph.callees(
+        assert "repro.core.a.Base.shared" in graph.edges[
             "repro.core.a.Derived.query"
-        )
+        ]
 
     def test_typed_attribute_method_call(self, harness):
         harness.write(
@@ -228,9 +223,9 @@ class TestMethodResolution:
             """,
         )
         graph = _project(harness).graph()
-        assert "repro.core.a.Store.get" in graph.callees(
+        assert "repro.core.a.Store.get" in graph.edges[
             "repro.core.a.Engine.query"
-        )
+        ]
 
 
 class TestSpawnSites:
