@@ -60,7 +60,10 @@ An eighth scenario, **build**, measures the ``tracemalloc`` peak of
 the label columns it ends with.  ``--check`` asserts a ratio of at most
 :data:`BUILD_PEAK_RATIO`: the label build writes each label into the
 columns as it computes it and holds one root-to-leaf chain of object
-labels, not the whole index as objects next to its columns.
+labels, not the whole index as objects next to its columns.  A ninth
+scenario, **checkpointed**, is the same build with a ``checkpoint_dir``,
+under the same bound: a checkpointed build streams into the columns
+too, and saves plain arrays per segment, not object labels.
 
 Runnable standalone (``python benchmarks/bench_flat_memory.py
 [--check]``); knobs: ``REPRO_BENCH_MEM_QUERIES`` (default 300) and
@@ -323,9 +326,10 @@ def _pruning_scenario() -> None:
     }))
 
 
-def _build_scenario() -> None:
+def _build_scenario(checkpoint_dir: str | None = None) -> None:
     """Child-process entry: the tracemalloc peak of one build with
-    paths against its label columns."""
+    paths, checkpointed into ``checkpoint_dir`` when given, against its
+    label columns."""
     import gc
     import tracemalloc
 
@@ -337,14 +341,15 @@ def _build_scenario() -> None:
     tracemalloc.start()
     try:
         index = QHLIndex.build(
-            network, num_index_queries=100, store_paths=True, seed=SEED
+            network, num_index_queries=100, store_paths=True, seed=SEED,
+            checkpoint_dir=checkpoint_dir,
         )
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     column_bytes = index.labels.column_bytes()
     print(json.dumps({
-        "mode": "build",
+        "mode": "build" if checkpoint_dir is None else "checkpointed",
         "peak_kb": peak // 1024,
         "column_kb": column_bytes // 1024,
         "ratio": round(peak / column_bytes, 2),
@@ -383,6 +388,9 @@ def run_benchmark() -> dict:
         )
         pruning_run = _run_scenario("pruning", "")
         build_run = _run_scenario("build", "")
+        checkpointed_run = _run_scenario(
+            "checkpointed", os.path.join(tmpdir, "checkpoints")
+        )
 
     for run in (object_run, flat_run):
         assert run["answered"] == NUM_QUERIES, run
@@ -401,6 +409,7 @@ def run_benchmark() -> dict:
         "resident": resident_run,
         "pruning": pruning_run,
         "build": build_run,
+        "checkpointed": checkpointed_run,
         "total_savings_kb": (
             object_run["total_peak_kb"] - flat_run["total_peak_kb"]
         ),
@@ -445,6 +454,10 @@ def run_benchmark() -> dict:
             f"{'build':>8} peak {build_run['peak_kb']} KB for "
             f"{build_run['column_kb']} KB of label columns "
             f"(ratio {build_run['ratio']}, store_paths=True)",
+            f"{'checkpointed':>8} peak {checkpointed_run['peak_kb']} KB for "
+            f"{checkpointed_run['column_kb']} KB of label columns "
+            f"(ratio {checkpointed_run['ratio']}, store_paths=True, "
+            "checkpoint_dir)",
         ],
     )
     return result
@@ -455,8 +468,8 @@ def check(result: dict) -> None:
     must not hold copies of the index, paths must not cost object
     labels a second tuple per entry, a load must neither rebuild
     per-condition objects nor fault the map in, the pruning build
-    must not pile up per-condition objects, and a build must not hold
-    its labels as objects next to their columns."""
+    must not pile up per-condition objects, and a build, checkpointed
+    or not, must not hold its labels as objects next to their columns."""
     assert (
         result["flat"]["total_peak_kb"] < result["object"]["total_peak_kb"]
     ), (
@@ -496,12 +509,13 @@ def check(result: dict) -> None:
         f"condition beyond what it keeps (> "
         f"{PRUNING_TRANSIENT_PER_CONDITION})"
     )
-    build = result["build"]
-    assert build["ratio"] <= BUILD_PEAK_RATIO, (
-        f"QHLIndex.build peaked at {build['peak_kb']} KB for "
-        f"{build['column_kb']} KB of label columns (ratio "
-        f"{build['ratio']} > {BUILD_PEAK_RATIO})"
-    )
+    for mode in ("build", "checkpointed"):
+        build = result[mode]
+        assert build["ratio"] <= BUILD_PEAK_RATIO, (
+            f"QHLIndex.build ({mode}) peaked at {build['peak_kb']} KB for "
+            f"{build['column_kb']} KB of label columns (ratio "
+            f"{build['ratio']} > {BUILD_PEAK_RATIO})"
+        )
 
 
 def test_flat_batch_rss_below_object_graph():
@@ -514,7 +528,7 @@ if __name__ == "__main__":
         "--scenario",
         choices=(
             "object", "flat", "save", "objects", "load", "resident",
-            "pruning", "build",
+            "pruning", "build", "checkpointed",
         ),
     )
     parser.add_argument("--index")
@@ -532,6 +546,8 @@ if __name__ == "__main__":
         _pruning_scenario()
     elif args.scenario == "build":
         _build_scenario()
+    elif args.scenario == "checkpointed":
+        _build_scenario(args.index)
     elif args.scenario:
         _scenario(args.scenario, args.index)
     else:

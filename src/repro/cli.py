@@ -41,8 +41,9 @@ corrupt indexes) and ``--verify-checksum on|off``; ``bench`` takes
 Build-hardening flags (same doc): ``build`` takes ``--lenient`` /
 ``--lcc-fallback`` (validating ingestion with typed, located errors and
 explicit drop policies), ``--checkpoint-dir`` + ``--resume``
-(per-level build checkpoints; an interrupted build continues from its
-last completed level and lands on an identical index) and
+(label-build checkpoints, one per segment of the top-down sweep; an
+interrupted build continues after its last saved segment and lands on
+an identical index) and
 ``--max-build-seconds`` / ``--max-rss-mb`` (checkpoint-then-raise
 watchdog); ``verify`` deep-audits a saved index — storage checksum,
 skyline canonicality, hoplink coverage, tree/LCA structure, plus
@@ -902,15 +903,16 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(p_build, "--metrics-out")
     p_build.add_argument(
         "--checkpoint-dir",
-        help="persist per-level label-build checkpoints into this "
-        "directory (atomic, checksummed); an interrupted build can "
+        help="persist label-build checkpoints, one per segment of the "
+        "top-down sweep, into this directory (atomic, checksummed); "
+        "an interrupted build can "
         "then continue with --resume; cleared after a successful build",
     )
     p_build.add_argument(
         "--resume",
         action="store_true",
         help="with --checkpoint-dir, continue an interrupted build "
-        "from its last completed level (result identical to a fresh "
+        "after its last saved segment (result identical to a fresh "
         "build)",
     )
     p_build.add_argument(

@@ -44,7 +44,6 @@ from repro.labeling.builder import build_label_columns, build_labels
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import get_tracer
-from repro.storage.compact import pack_labels
 from repro.storage.flat import FlatLabelStore
 from repro.types import CSPQuery, QueryResult
 
@@ -118,12 +117,12 @@ class QHLIndex:
             Seed for query sampling and Algorithm 7's random pruner
             choice.
         checkpoint_dir, resume, build_budget:
-            Checkpoint the label build (the dominant phase) per depth
-            level into ``checkpoint_dir``; ``resume=True`` continues an
-            interrupted build from its last completed level, and
+            Checkpoint the label build (the dominant phase) segment by
+            segment into ``checkpoint_dir``; ``resume=True`` continues
+            an interrupted build after its last saved segment, and
             ``build_budget`` (a :class:`~repro.resilience.checkpoint.
             BuildBudget`) checkpoints-then-raises when time/memory run
-            out.  The resulting index is value-identical to an
+            out.  The resulting index is byte-identical to an
             uninterrupted build.
         """
         with _building(
@@ -356,15 +355,13 @@ def _building(
     :meth:`QHLIndex.build`) and yield them inside the build's span and
     collector pause.
 
-    With ``columns``, the labels are flat columns, provenance included
+    With ``columns``, each label is streamed into flat columns as it is
+    computed (:func:`~repro.labeling.builder.build_label_columns`,
+    checkpointed when ``checkpoint_dir`` is given), provenance included
     when ``store_paths``, and the elimination shortcuts are dropped
     before the pruning build: the shape :meth:`QHLIndex.build` serves.
-    A build without a checkpoint streams each label into the columns
-    (:func:`~repro.labeling.builder.build_label_columns`); a
-    checkpointed one packs its finished object labels with
-    :func:`~repro.storage.compact.pack_labels`.  Without ``columns``
-    the labels are objects and the shortcuts stay, for the dynamic
-    index to repair.
+    Without ``columns`` the labels are objects and the shortcuts stay,
+    for the dynamic index to repair; it takes no checkpoint.
     """
     tracer = get_tracer()
     with collector_paused(), tracer.span("qhl.build") as root:
@@ -376,26 +373,17 @@ def _building(
             )
         with tracer.span("label-construction"):
             labels: LabelStore | FlatLabelStore
-            if columns and (checkpoint_dir, resume, build_budget) == (
-                None, False, None
-            ):
-                labels = build_label_columns(tree, store_paths=store_paths)
-            else:
-                labels = build_labels(
+            if columns:
+                labels = build_label_columns(
                     tree,
                     store_paths=store_paths,
                     checkpoint=checkpoint_dir,
                     resume=resume,
                     budget=build_budget,
                 )
-                if columns:
-                    seconds = labels.build_seconds
-                    labels = FlatLabelStore.from_compact(
-                        pack_labels(labels, provenance=store_paths)
-                    )
-                    labels.build_seconds = seconds
-            if columns:
                 tree.shortcuts = {}
+            else:
+                labels = build_labels(tree, store_paths=store_paths)
         with tracer.span("lca-index"):
             lca = LCAIndex(tree)
         with tracer.span("pruning-index") as span:

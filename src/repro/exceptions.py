@@ -59,20 +59,20 @@ class IndexBuildError(ReproError):
 class BuildBudgetExceededError(IndexBuildError):
     """A label build overran its time or memory budget.
 
-    Raised by the checkpointed builder *after* the last completed level
-    was persisted, so ``build --resume`` continues from where the budget
+    Raised by the checkpointed builder *after* the last completed
+    segment was saved, so ``build --resume`` continues from where the budget
     ran out instead of restarting from zero.
     """
 
     def __init__(
         self,
         message: str,
-        level: int | None = None,
+        segment: int | None = None,
         elapsed_s: float | None = None,
         rss_mb: float | None = None,
     ):
         super().__init__(message)
-        self.level = level
+        self.segment = segment
         self.elapsed_s = elapsed_s
         self.rss_mb = rss_mb
 

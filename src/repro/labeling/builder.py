@@ -14,13 +14,13 @@ member of ``P(w, u)``.  Both ``w`` and ``u`` are ancestors of ``X(v)``,
 hence chain-comparable, so the needed ``P(w, u)`` was computed earlier in
 the top-down sweep and is found by the store's symmetric lookup.
 
-The per-vertex kernel is :func:`label_rows_for`, shared with the
-checkpointed builder (:func:`repro.resilience.checkpoint.
-build_labels_checkpointed`) so the two cannot drift; :func:`label_set`
-is its per-pair form for the dynamic repair sweep.  One sweep serves
-:func:`build_labels`, which keeps every label as objects, and
-:func:`build_label_columns`, which writes each label into flat columns
-and keeps only the current root-to-leaf chain of them.
+The per-vertex kernel is :func:`label_rows_for`; :func:`label_set` is
+its per-pair form for the dynamic repair sweep.  One sweep serves
+:func:`build_labels`, which keeps every label as objects for the
+dynamic index, and :func:`build_label_columns`, the static build, which
+writes each label into flat columns and keeps only the current
+root-to-leaf chain of them.  A checkpointed static build runs the same
+sweep in segments (:mod:`repro.resilience.checkpoint`).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import time
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
+from repro.exceptions import IndexBuildError
 from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.labels import LabelStore
 from repro.observability.metrics import get_registry
@@ -36,6 +37,11 @@ from repro.observability.tracing import get_tracer
 from repro.skyline.set_ops import SkylineSet, join_union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.resilience.checkpoint import (
+        BuildBudget,
+        CheckpointStore,
+        SegmentedSweep,
+    )
     from repro.storage.compact import LabelColumnWriter
     from repro.storage.flat import FlatLabelStore
 
@@ -91,27 +97,8 @@ def label_rows_for(
     return rows, joins
 
 
-def depth_levels(tree: TreeDecomposition) -> list[list[int]]:
-    """Tree vertices grouped by depth, root level first.
-
-    Every hub ``w ∈ X(v)\\{v}`` is a strict ancestor of ``v``, so a
-    level's labels depend only on shallower levels: the unit the
-    checkpointed builder persists and restores.  Within a level,
-    vertices keep their top-down-order positions, so the order is
-    deterministic.
-    """
-    levels: dict[int, list[int]] = {}
-    for v in tree.topdown_order:
-        levels.setdefault(tree.depth[v], []).append(v)
-    return [levels[d] for d in sorted(levels)]
-
-
 def build_labels(
-    tree: TreeDecomposition,
-    store_paths: bool = True,
-    checkpoint=None,
-    resume: bool = False,
-    budget=None,
+    tree: TreeDecomposition, store_paths: bool = True
 ) -> LabelStore:
     """Build the full 2-hop skyline labels from a tree decomposition.
 
@@ -123,47 +110,12 @@ def build_labels(
     store_paths:
         Must match the flag the decomposition was built with; entries
         without provenance cannot regain it here.
-    checkpoint:
-        A :class:`~repro.resilience.checkpoint.CheckpointStore` or
-        directory path.  When given, the build persists per-level
-        checkpoints and ``resume=True`` continues an interrupted build
-        from its last completed level (value-identical result; see
-        :func:`repro.resilience.checkpoint.build_labels_checkpointed`).
-    resume, budget:
-        Resume flag and optional
-        :class:`~repro.resilience.checkpoint.BuildBudget` watchdog for
-        the checkpointed path; ``budget`` requires ``checkpoint``.
 
     Returns
     -------
     LabelStore
         Labels for every vertex, with ``build_seconds`` filled in.
     """
-    if checkpoint is not None:
-        from repro.resilience.checkpoint import build_labels_checkpointed
-
-        return build_labels_checkpointed(
-            tree,
-            checkpoint,
-            store_paths=store_paths,
-            resume=resume,
-            budget=budget,
-        )
-    if budget is not None:
-        from repro.exceptions import IndexBuildError
-
-        raise IndexBuildError(
-            "a build budget requires a checkpoint directory: the "
-            "watchdog checkpoints-then-raises so --resume can continue"
-        )
-    if resume:
-        from repro.exceptions import IndexBuildError
-
-        raise IndexBuildError(
-            "resume requires the checkpoint directory the interrupted "
-            "build was writing to"
-        )
-
     started = time.perf_counter()
     store = LabelStore(tree.num_vertices, store_paths=store_paths)
     _sweep(tree, store)
@@ -173,7 +125,11 @@ def build_labels(
 
 
 def build_label_columns(
-    tree: TreeDecomposition, store_paths: bool = True
+    tree: TreeDecomposition,
+    store_paths: bool = True,
+    checkpoint: "CheckpointStore | str | None" = None,
+    resume: bool = False,
+    budget: "BuildBudget | None" = None,
 ) -> "FlatLabelStore":
     """Build the labels straight into flat columns.
 
@@ -185,14 +141,41 @@ def build_label_columns(
     chain of labels ever exists as objects.  The columns, provenance
     included when ``store_paths``, equal ``pack_labels`` of
     :func:`build_labels`'s store byte for byte.
+
+    Parameters
+    ----------
+    checkpoint:
+        A :class:`~repro.resilience.checkpoint.CheckpointStore` or
+        directory path.  When given, the sweep saves each completed
+        segment of the top-down order there, and ``resume=True``
+        rebuilds the labels of the saved segments from their files
+        instead of computing them (see
+        :class:`repro.resilience.checkpoint.SegmentedSweep`).  The
+        columns are the same either way.
+    resume, budget:
+        Resume flag and optional
+        :class:`~repro.resilience.checkpoint.BuildBudget` watchdog;
+        both require ``checkpoint``.
     """
     from repro.storage.compact import LabelColumnWriter
     from repro.storage.flat import FlatLabelStore
 
     started = time.perf_counter()
+    segments = None
+    if checkpoint is not None:
+        from repro.resilience.checkpoint import SegmentedSweep
+
+        segments = SegmentedSweep(
+            tree, checkpoint, store_paths, resume=resume, budget=budget
+        )
+    elif resume or budget is not None:
+        raise IndexBuildError(
+            "resume and a build budget need a checkpoint directory: the "
+            "watchdog checkpoints-then-raises so --resume can continue"
+        )
     store = LabelStore(tree.num_vertices, store_paths=store_paths)
     writer = LabelColumnWriter(tree.num_vertices, provenance=store_paths)
-    _sweep(tree, store, writer)
+    _sweep(tree, store, writer, segments)
     with get_tracer().span("labels.columns"):
         labels = FlatLabelStore.from_compact(writer.finish())
     labels.build_seconds = time.perf_counter() - started
@@ -204,11 +187,15 @@ def _sweep(
     tree: TreeDecomposition,
     store: LabelStore,
     writer: "LabelColumnWriter | None" = None,
+    segments: "SegmentedSweep | None" = None,
 ) -> None:
     """Compute every label top-down into ``store``.
 
     With a ``writer``, each label is also written into it, and dropped
-    from ``store`` once its subtree is done.
+    from ``store`` once its subtree is done.  With ``segments`` (which
+    needs a writer), the top-down order runs segment by segment, with
+    the kernel and the consumer of written labels that
+    :meth:`SegmentedSweep.begin` gives for each.
     """
     registry = get_registry()
     observed = registry.enabled
@@ -218,32 +205,45 @@ def _sweep(
     )
     joins = 0
     parent = tree.parent
+    order = tree.topdown_order
     chain: list[int] = []  # the entered vertices, root first
+    bounds = [0, len(order)] if segments is None else segments.bounds
 
     with get_tracer().span("labels.topdown-sweep") as span:
-        for v in tree.topdown_order:
-            if writer is not None:
-                while chain and chain[-1] != parent[v]:
-                    u = chain.pop()
-                    writer.leave(u)
-                    store.drop(u)
-                chain.append(v)
-            if v == tree.root:
+        for k in range(len(bounds) - 1):
+            rows_for, saved = label_rows_for, None
+            if segments is not None:
+                rows_for, saved = segments.begin(k)
+            timed = observed and rows_for is label_rows_for
+            for v in order[bounds[k]:bounds[k + 1]]:
                 if writer is not None:
-                    writer.enter(v, [], [])
-                continue
-            vertex_started = time.perf_counter() if observed else 0.0
-            rows, vertex_joins = label_rows_for(tree, store, v)
-            joins += vertex_joins
-            for u, acc in rows:
-                store.set(v, u, acc)
-            if writer is not None:
-                rows.sort(key=itemgetter(0))
-                writer.enter(
-                    v, [u for u, _acc in rows], [acc for _u, acc in rows]
-                )
-            if observed:
-                vertex_seconds.observe(time.perf_counter() - vertex_started)
+                    while chain and chain[-1] != parent[v]:
+                        u = chain.pop()
+                        writer.leave(u)
+                        store.drop(u)
+                    chain.append(v)
+                if v == tree.root:
+                    if writer is not None:
+                        writer.enter(v, [], [])
+                    continue
+                vertex_started = time.perf_counter() if timed else 0.0
+                rows, vertex_joins = rows_for(tree, store, v)
+                joins += vertex_joins
+                for u, acc in rows:
+                    store.set(v, u, acc)
+                if writer is not None:
+                    rows.sort(key=itemgetter(0))
+                    writer.enter(
+                        v, [u for u, _acc in rows], [acc for _u, acc in rows]
+                    )
+                if saved is not None:
+                    saved(v, rows)
+                if timed:
+                    vertex_seconds.observe(
+                        time.perf_counter() - vertex_started
+                    )
+            if segments is not None:
+                segments.end(k)
         while chain:
             u = chain.pop()
             writer.leave(u)
@@ -254,6 +254,8 @@ def _sweep(
             "entries",
             store.num_entries() if writer is None else writer.rows,
         )
+        if segments is not None:
+            segments.report(span)
     if observed:
         registry.counter("qhl_label_joins_total").inc(joins)
 

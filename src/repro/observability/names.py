@@ -172,10 +172,10 @@ METRICS: dict[str, MetricSpec] = {
     "supervisor_workers": MetricSpec(
         "gauge", (), "live worker processes under supervision"),
     # -- checkpointed builds (PR 4) ------------------------------------
-    "build_checkpoint_levels_total": MetricSpec(
-        "counter", (), "label-build levels persisted as checkpoints"),
-    "build_resume_levels_restored_total": MetricSpec(
-        "counter", (), "label-build levels restored from checkpoints"),
+    "build_checkpoint_segments_total": MetricSpec(
+        "counter", (), "label-build segments persisted as checkpoints"),
+    "build_resume_segments_restored_total": MetricSpec(
+        "counter", (), "label-build segments restored from checkpoints"),
     "build_resume_restored_vertices": MetricSpec(
         "gauge", (), "vertices whose labels came from checkpoints"),
     # -- live updates & epochs (PR 9) ----------------------------------

@@ -8,10 +8,11 @@ audit"):
   GraphFormatError` (path/line/column context), explicit duplicate-edge
   and self-loop policies, and a documented largest-connected-component
   fallback for disconnected inputs.
-* :mod:`repro.resilience.checkpoint` — per-level checkpoints for the
-  (multi-minute on real road networks) label build, written through the
+* :mod:`repro.resilience.checkpoint` — checkpoint segments for the
+  (multi-minute on real road networks) label build: consecutive runs
+  of the top-down sweep, saved as plain arrays through the
   atomic/checksummed storage envelope, so an interrupted build resumes
-  from the last completed level and lands on bytes identical to a fresh
+  after the last saved segment and lands on bytes identical to a fresh
   build; plus a time/memory budget watchdog that checkpoints-then-raises.
 * :mod:`repro.resilience.audit` — deep structural + semantic self-audit
   of a built or loaded index (skyline canonicality, hoplink coverage,
@@ -24,7 +25,6 @@ from repro.resilience.audit import AuditCheck, AuditReport, audit_index
 from repro.resilience.checkpoint import (
     BuildBudget,
     CheckpointStore,
-    build_labels_checkpointed,
 )
 from repro.resilience.ingest import (
     LENIENT,
@@ -45,7 +45,6 @@ __all__ = [
     "ParsePolicy",
     "STRICT",
     "audit_index",
-    "build_labels_checkpointed",
     "load_csp_network",
     "load_dimacs_network",
 ]

@@ -24,13 +24,13 @@ Injection points (:data:`INJECTION_POINTS`):
     Fired by :class:`repro.service.ladder.QueryService` before
     delegating to a tier (``ctx["engine"]`` is the tier name) — the
     degradation ladder's primary chaos hook.
-``build-level``
-    Fired by :func:`repro.resilience.checkpoint.
-    build_labels_checkpointed` twice per depth level (``ctx["level"]``
-    is the level index, ``ctx["stage"]`` is ``"computed"`` — before the
-    level's checkpoint is written — or ``"checkpointed"`` — after) —
-    the kill-and-resume suite's hook for crashing a build at every
-    level boundary.
+``build-segment``
+    Fired by :class:`repro.resilience.checkpoint.SegmentedSweep` twice
+    per computed segment of a checkpointed label build
+    (``ctx["segment"]`` is the segment index, ``ctx["stage"]`` is
+    ``"computed"`` — before the segment's file is written — or
+    ``"checkpointed"`` — after) — the kill-and-resume suite's hook for
+    crashing a build at every segment boundary.
 ``worker-spawn``
     Fired by :class:`repro.supervise.supervisor.Supervisor` before
     forking each worker process (``ctx["worker"]`` is the worker name,
@@ -85,7 +85,7 @@ INJECTION_POINTS: tuple[str, ...] = (
     "save-index",
     "label-fetch",
     "engine-query",
-    "build-level",
+    "build-segment",
     "worker-spawn",
     "worker-heartbeat",
     "worker-task",

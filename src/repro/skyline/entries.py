@@ -21,7 +21,10 @@ in the slots after ``(weight, cost)`` and told apart by the third slot —
 * ``(w, c, None)`` — no provenance.
 
 Keeping provenance in the entry tuple, rather than in a second tuple it
-points to, costs one object per entry instead of two.
+points to, costs one object per entry instead of two.  Entries live
+only in memory: index files store provenance as columns, and
+label-build checkpoints as the costs of each join's children
+(:mod:`repro.resilience.checkpoint`), so no file pickles an entry.
 
 Provenance references child entries *by object*, so expansion is a simple
 recursion that survives skyline-set re-sorting.  Because the network is
@@ -45,12 +48,6 @@ Entry = tuple[Any, ...]
 EDGE = "edge"
 ZERO = "zero"
 ROW = "row"
-
-#: Version of the entry tuple layout above.  Files that pickle entries
-#: (the label-build checkpoints) carry it, so entries pickled in another
-#: layout are never read back into a store.
-ENTRY_LAYOUT = 2
-
 
 def edge_entry(
     weight: float, cost: float, u: int, v: int, with_prov: bool = True

@@ -13,13 +13,10 @@ file of another version, such as version 3.
 
 The checksummed pickle envelope (:func:`save_envelope` /
 :func:`load_envelope`) remains for the build checkpoints and the update
-journal.  Their label rows carry provenance, a deep recursive tuple
-structure (depth grows with path length), so (de)serialisation
-temporarily raises the interpreter recursion limit — capped at
-:data:`_RECURSION_LIMIT` because each pickle level also burns C stack,
-and a runaway limit trades a catchable ``RecursionError`` for a hard
-interpreter crash.  Provenance deeper than the cap fails with
-:class:`SerializationError`.
+journal's watermark.  Both hold flat data (label-build segments are
+plain arrays), so they pickle at the interpreter's default recursion
+limit.  A ``RecursionError`` while pickling or unpickling one is a
+:class:`SerializationError`, like any other unreadable file.
 
 Crash safety: every save goes through :func:`_atomic_write_bytes` —
 temp file in the destination directory, flush + ``fsync``, then
@@ -35,7 +32,6 @@ import hashlib
 import os
 import pickle
 import random
-import sys
 import time
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -48,12 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Version of the pickled envelope (checkpoints, journal).
 FORMAT_VERSION = 2
 
-#: Capped recursion-limit bump for pickling provenance trees.  Each
-#: pickle recursion level also consumes C stack (~hundreds of bytes), so
-#: limits much past this risk a segfault instead of a RecursionError on
-#: the default 8 MB stack; paths on road networks stay far below it.
-_RECURSION_LIMIT = 20_000
-
 _PICKLE_ERRORS = (
     pickle.UnpicklingError,
     EOFError,
@@ -65,15 +55,6 @@ _PICKLE_ERRORS = (
     KeyError,
     RecursionError,
 )
-
-
-class _raised_recursion_limit:
-    def __enter__(self) -> None:
-        self._old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(self._old, _RECURSION_LIMIT))
-
-    def __exit__(self, *exc_info: object) -> None:
-        sys.setrecursionlimit(self._old)
 
 
 def _sha256(data: bytes) -> str:
@@ -129,33 +110,21 @@ def _atomic_write_bytes(path: str, data: bytes | Sequence[Any]) -> None:
             os.close(dir_fd)
 
 
-def _dumps_payload(obj: object, what: str) -> bytes:
-    """Pickle ``obj`` under the raised (capped) recursion limit."""
-    try:
-        with _raised_recursion_limit():
-            return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except RecursionError as exc:
-        raise SerializationError(
-            f"{what} is too deeply nested to pickle even at the capped "
-            f"recursion limit ({_RECURSION_LIMIT}); provenance depth "
-            "grows with path length — build without paths (build "
-            "--no-paths) or without checkpoints; index files "
-            "(save_index / save_flat_index) pack provenance without "
-            "recursion"
-        ) from exc
-
-
 def save_envelope(path: str, magic: str, obj: Mapping[str, object]) -> int:
     """Write any plain dict through the atomic + checksummed envelope.
 
     The generic primitive behind the build checkpoints
     (:mod:`repro.resilience.checkpoint`) and the update journal: pickle
-    under the
-    capped recursion limit, wrap in a ``{magic, version, checksum,
-    payload}`` envelope, and land it with temp-file + fsync +
-    ``os.replace``.  Returns the file size in bytes.
+    it, wrap it in a ``{magic, version, checksum, payload}`` envelope,
+    and land it with temp-file + fsync + ``os.replace``.  Returns the
+    file size in bytes.
     """
-    payload = _dumps_payload(obj, f"{magic} payload")
+    try:
+        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    except RecursionError as exc:
+        raise SerializationError(
+            f"{magic} payload is nested too deeply to pickle"
+        ) from exc
     envelope = {
         "magic": magic,
         "version": FORMAT_VERSION,
@@ -184,7 +153,7 @@ def load_envelope(
     if os.path.isdir(path):
         raise SerializationError(f"{path!r} is a directory, not a file")
     try:
-        with _raised_recursion_limit(), open(path, "rb") as f:
+        with open(path, "rb") as f:
             envelope = pickle.load(f)
     except _PICKLE_ERRORS as exc:
         raise SerializationError(
@@ -210,7 +179,7 @@ def load_envelope(
                 f"{digest[:12]}…); the file is corrupt"
             )
     try:
-        with _raised_recursion_limit(), collector_paused():
+        with collector_paused():
             inner = pickle.loads(bytes(payload))
     except _PICKLE_ERRORS as exc:
         raise SerializationError(

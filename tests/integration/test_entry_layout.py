@@ -19,7 +19,7 @@ from repro.dynamic import DynamicQHLIndex
 from repro.graph import grid_network, random_connected_network
 from repro.hierarchy import build_tree_decomposition
 from repro.labeling import build_labels
-from repro.resilience.checkpoint import build_labels_checkpointed
+from repro.labeling.builder import build_label_columns
 from repro.skyline.entries import EDGE, ROW, ZERO, expand
 from repro.storage import pack_labels
 from repro.storage.flat import FlatLabelStore
@@ -97,13 +97,21 @@ class TestBuilds:
         assert_provenance_layout(store_entries(labels, tree))
 
     def test_checkpoint_resumed_build(self, tree, tmp_path):
+        # A resume leaves flat columns behind: their materialised rows
+        # are flat tuples that expand to the object build's paths.
         directory = str(tmp_path)
-        build_labels_checkpointed(tree, directory)
-        levels = sorted(n for n in os.listdir(directory) if "level" in n)
-        for name in levels[len(levels) // 2:]:
+        build_label_columns(tree, checkpoint=directory)
+        segments = sorted(n for n in os.listdir(directory) if "segment" in n)
+        for name in segments[len(segments) // 2:]:
             os.remove(os.path.join(directory, name))
-        resumed = build_labels_checkpointed(tree, directory, resume=True)
-        assert_provenance_layout(store_entries(resumed, tree))
+        resumed = build_label_columns(tree, checkpoint=directory, resume=True)
+        rows = resumed.entries(0, len(resumed.weights))
+        assert walk_layout(rows)["row"] == len(rows)
+        labels = build_labels(tree)
+        for v, u, entries in labels.items():
+            assert [expand(e, v, u) for e in resumed.get(v, u)] == [
+                expand(e, v, u) for e in entries
+            ]
 
     def test_build_without_paths(self):
         tree = build_tree_decomposition(

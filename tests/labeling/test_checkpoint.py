@@ -1,30 +1,35 @@
 """Checkpointed/resumable label builds (``repro.resilience.checkpoint``).
 
-The load-bearing claim: a build interrupted at *any* point and resumed
-produces labels byte-identical (on the canonical compact form,
-provenance columns included) to an uninterrupted build.
+The load-bearing claim: a build interrupted at *any* segment boundary
+and resumed writes columns byte-identical (all five payload columns and
+all four provenance columns) to an uninterrupted build's.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core import QHLIndex
 from repro.exceptions import BuildBudgetExceededError, IndexBuildError
 from repro.graph import RoadNetwork, grid_network, random_connected_network
 from repro.hierarchy.decomposition import build_tree_decomposition
-from repro.labeling.builder import build_labels, depth_levels
+from repro.labeling.builder import build_label_columns
 from repro.observability.metrics import MetricsRegistry, use_registry
 from repro.resilience.checkpoint import (
-    CHECKPOINT_MAGIC,
+    SEGMENT_MAGIC,
     BuildBudget,
     CheckpointStore,
-    build_labels_checkpointed,
+    segment_bounds,
     tree_fingerprint,
 )
-from repro.storage.compact import pack_labels
+from repro.skyline.entries import expand
 from repro.storage.serialize import load_envelope, save_envelope
+
+PAYLOAD = ("set_offsets", "hubs", "entry_offsets", "weights", "costs")
 
 
 @pytest.fixture(scope="module")
@@ -33,156 +38,179 @@ def tree():
 
 
 @pytest.fixture(scope="module")
-def fresh_bytes(tree):
-    return packed(build_labels(tree))
+def fresh(tree):
+    return columns(build_label_columns(tree))
 
 
-def packed(store):
-    # With provenance: restored levels must be relinked to the store's
-    # own entries to pack to the fresh build's rows.
-    return pack_labels(store, provenance=True)
+def columns(labels):
+    """The payload and provenance columns of flat labels, as bytes."""
+    payload = [getattr(labels, name).tobytes() for name in PAYLOAD]
+    if labels.provenance is None:
+        return payload, None
+    return payload, [column.tobytes() for column in labels.provenance]
 
 
-def nested(entry, memo=None):
-    """``entry`` in the layout that kept provenance in a second tuple:
-    ``(w, c, ("join", mid, left, right))``, ``(w, c, ("edge", u, v))``."""
-    memo = {} if memo is None else memo
-    if id(entry) not in memo:
-        tag = entry[2]
-        if tag is None:
-            prov = None
-        elif isinstance(tag, str):
-            prov = (tag, *entry[3:])
-        else:
-            prov = ("join", tag, nested(entry[3], memo),
-                    nested(entry[4], memo))
-        memo[id(entry)] = (entry[0], entry[1], prov)
-    return memo[id(entry)]
+def num_segments(tree) -> int:
+    return len(segment_bounds(tree)) - 1
 
 
-def level_files(directory: str) -> list[str]:
+def segment_files(directory: str) -> list[str]:
     return sorted(
         name for name in os.listdir(directory)
-        if name.startswith("level-")
+        if name.startswith("segment-")
     )
 
 
-class TestDepthLevels:
-    def test_partition_covers_all_vertices(self, random30_tree):
-        levels = depth_levels(random30_tree)
-        flat = [v for level in levels for v in level]
-        assert sorted(flat) == sorted(random30_tree.topdown_order)
+def keep_segments(directory: str, kept: int) -> None:
+    """Delete every segment file after the first ``kept``, as a crash
+    right after segment ``kept - 1`` was saved would leave them."""
+    for name in segment_files(directory)[kept:]:
+        os.remove(os.path.join(directory, name))
 
-    def test_levels_are_depth_homogeneous_and_ordered(self, random30_tree):
-        tree = random30_tree
-        levels = depth_levels(tree)
-        for d, level in enumerate(levels):
-            assert {tree.depth[v] for v in level} == {
-                tree.depth[level[0]]
+
+class TestSegments:
+    def test_segments_partition_the_topdown_order(self, random30_tree):
+        bounds = segment_bounds(random30_tree)
+        assert bounds[0] == 0
+        assert bounds[-1] == len(random30_tree.topdown_order)
+        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+
+    def test_square_root_many_segments_of_near_equal_length(self):
+        for n in (1, 2, 35, 36, 37, 676):
+            bounds = segment_bounds(SimpleNamespace(num_vertices=n))
+            count = len(bounds) - 1
+            assert (count - 1) ** 2 < n <= count ** 2
+            assert {hi - lo for lo, hi in zip(bounds, bounds[1:])} <= {
+                n // count, n // count + 1
             }
-        depths = [tree.depth[level[0]] for level in levels]
-        assert depths == sorted(depths)
 
-    def test_level_members_depend_only_on_shallower_levels(
-        self, random30_tree
-    ):
-        """The independence property a level checkpoint relies on."""
+    def test_hubs_come_earlier_in_the_order(self, random30_tree):
+        """What a restore relies on: every hub of ``v`` precedes ``v``
+        in the top-down order, so its label is on the chain when
+        ``v``'s is rebuilt from a segment file."""
         tree = random30_tree
-        for level in depth_levels(tree):
-            members = set(level)
-            for v in level:
-                for w in tree.bag[v]:
-                    assert w not in members, (
-                        f"bag of {v} reaches into its own level"
-                    )
+        position = {v: i for i, v in enumerate(tree.topdown_order)}
+        for v in tree.topdown_order:
+            assert all(position[w] < position[v] for w in tree.bag[v])
+            assert all(
+                position[u] < position[v] for u in tree.ancestors(v)
+            )
 
 
 class TestCheckpointedBuild:
     def test_fresh_checkpointed_build_matches_plain(
-        self, tree, fresh_bytes, tmp_path
+        self, tree, fresh, tmp_path
     ):
-        store = build_labels_checkpointed(tree, str(tmp_path))
-        assert packed(store) == fresh_bytes
+        labels = build_label_columns(tree, checkpoint=str(tmp_path))
+        assert columns(labels) == fresh
 
     def test_writes_one_checkpoint_per_level(self, tree, tmp_path):
-        build_labels_checkpointed(tree, str(tmp_path))
-        assert len(level_files(str(tmp_path))) == len(depth_levels(tree))
+        # One file per segment, each holding plain arrays: no entry
+        # objects are pickled.
+        build_label_columns(tree, checkpoint=str(tmp_path))
+        files = segment_files(str(tmp_path))
+        assert len(files) == num_segments(tree) == 6
         assert os.path.exists(tmp_path / "manifest.ckpt")
+        for name in files:
+            inner = load_envelope(str(tmp_path / name), SEGMENT_MAGIC)
+            assert inner.pop("segment") == int(name[8:14])
+            assert set(inner) == {
+                "sets", "hubs", "sizes", "mids", "left", "right"
+            }
+            assert all(type(value) is array for value in inner.values())
 
     def test_resume_from_every_level_is_byte_identical(
-        self, tree, fresh_bytes, tmp_path
+        self, tree, fresh, tmp_path
     ):
-        num_levels = len(depth_levels(tree))
-        for crash_level in range(num_levels):
-            directory = str(tmp_path / f"crash{crash_level}")
-            checkpoint = CheckpointStore(directory)
-            build_labels_checkpointed(tree, checkpoint)
-            # Simulate dying right after `crash_level` completed: later
-            # checkpoints never made it to disk.
-            for name in level_files(directory):
-                if int(name[6:12]) > crash_level:
-                    os.remove(os.path.join(directory, name))
-            resumed = build_labels_checkpointed(
-                tree, checkpoint, resume=True
+        for kept in range(num_segments(tree) + 1):
+            directory = str(tmp_path / f"kept{kept}")
+            build_label_columns(tree, checkpoint=directory)
+            keep_segments(directory, kept)
+            resumed = build_label_columns(
+                tree, checkpoint=directory, resume=True
             )
-            assert packed(resumed) == fresh_bytes, (
-                f"resume after level {crash_level} diverged"
+            assert columns(resumed) == fresh, (
+                f"resume after {kept} segments diverged"
             )
+
+    @pytest.mark.parametrize("kept", [0, 3, 5])
+    def test_resume_without_paths_is_byte_identical(self, kept, tmp_path):
+        tree = build_tree_decomposition(
+            grid_network(6, 6, seed=7), store_paths=False
+        )
+        directory = str(tmp_path)
+        build_label_columns(tree, store_paths=False, checkpoint=directory)
+        keep_segments(directory, kept)
+        resumed = build_label_columns(
+            tree, store_paths=False, checkpoint=directory, resume=True
+        )
+        assert columns(resumed) == columns(
+            build_label_columns(tree, store_paths=False)
+        )
 
     def test_resume_on_empty_directory_builds_from_scratch(
-        self, tree, fresh_bytes, tmp_path
+        self, tree, fresh, tmp_path
     ):
-        store = build_labels_checkpointed(
-            tree, str(tmp_path / "empty"), resume=True
+        labels = build_label_columns(
+            tree, checkpoint=str(tmp_path / "empty"), resume=True
         )
-        assert packed(store) == fresh_bytes
+        assert columns(labels) == fresh
 
     def test_corrupt_level_checkpoint_is_recomputed(
-        self, tree, fresh_bytes, tmp_path
+        self, tree, fresh, tmp_path
     ):
         directory = str(tmp_path)
-        build_labels_checkpointed(tree, directory)
-        files = level_files(directory)
+        build_label_columns(tree, checkpoint=directory)
+        files = segment_files(directory)
         victim = os.path.join(directory, files[len(files) // 2])
         with open(victim, "r+b") as f:
             f.seek(40)
             f.write(b"\xff\xff\xff\xff")
-        resumed = build_labels_checkpointed(tree, directory, resume=True)
-        assert packed(resumed) == fresh_bytes
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            resumed = build_label_columns(
+                tree, checkpoint=directory, resume=True
+            )
+        assert columns(resumed) == fresh
+        assert registry.counter(
+            "build_resume_segments_restored_total"
+        ).value == len(files) // 2
 
     def test_resumed_store_keeps_path_provenance(self, tree, tmp_path):
         directory = str(tmp_path)
-        build_labels_checkpointed(tree, directory)
-        files = level_files(directory)
-        os.remove(os.path.join(directory, files[-1]))
-        resumed = build_labels_checkpointed(tree, directory, resume=True)
-        # Entries restored from checkpoints (not just recomputed ones)
-        # still carry provenance, so path retrieval works after resume.
-        assert all(
-            len(entry) > 2 and entry[2] is not None
-            for _v, _u, entries in resumed.items()
-            for entry in entries
+        build_label_columns(tree, checkpoint=directory)
+        keep_segments(directory, len(segment_files(directory)) - 1)
+        resumed = build_label_columns(
+            tree, checkpoint=directory, resume=True
         )
+        # Labels restored from segments (not just recomputed ones)
+        # expand to the paths of the uninterrupted build.
+        plain = build_label_columns(tree)
+        for v, u, entries in plain.items():
+            assert [expand(e, v, u) for e in resumed.get(v, u)] == [
+                expand(e, v, u) for e in entries
+            ]
 
     def test_fingerprint_mismatch_rejects_stale_checkpoints(
         self, tree, tmp_path
     ):
         directory = str(tmp_path)
-        build_labels_checkpointed(tree, directory)
+        build_label_columns(tree, checkpoint=directory)
         other_tree = build_tree_decomposition(grid_network(6, 6, seed=8))
         with pytest.raises(IndexBuildError, match="different network"):
-            build_labels_checkpointed(other_tree, directory, resume=True)
+            build_label_columns(other_tree, checkpoint=directory, resume=True)
 
     @pytest.mark.parametrize("change", ["reweighted", "other-topology"])
     def test_unreadable_manifest_trusts_no_level_file(
         self, tmp_path, change
     ):
-        # Level files carry no fingerprint; with the manifest unreadable
-        # a resume must not restore them into another network's build.
+        # Segment files carry no fingerprint; with the manifest
+        # unreadable a resume must not restore them into another
+        # network's build.
         network = grid_network(6, 6, seed=1, diagonal_prob=0.1)
         directory = str(tmp_path)
-        build_labels_checkpointed(
-            build_tree_decomposition(network), directory
+        build_label_columns(
+            build_tree_decomposition(network), checkpoint=directory
         )
         manifest = os.path.join(directory, "manifest.ckpt")
         with open(manifest, "r+b") as f:
@@ -196,57 +224,51 @@ class TestCheckpointedBuild:
         else:
             other = grid_network(5, 7, seed=1, diagonal_prob=0.1)
         other_tree = build_tree_decomposition(other)
-        resumed = build_labels_checkpointed(
-            other_tree, directory, resume=True
+        resumed = build_label_columns(
+            other_tree, checkpoint=directory, resume=True
         )
-        assert packed(resumed) == packed(build_labels(other_tree))
+        assert columns(resumed) == columns(build_label_columns(other_tree))
         assert CheckpointStore(directory).read_manifest()[
             "fingerprint"
         ] == tree_fingerprint(other_tree, True)
 
-    def test_checkpoint_of_old_entry_layout_is_not_resumed(
-        self, tree, tmp_path
-    ):
-        # A directory as the nested-provenance layout left it: the same
-        # manifest and fingerprint, level files under the old magic
-        # holding ``(w, c, (tag, ...))`` entries.
+    def test_checkpoint_in_level_format_is_not_resumed(self, tree, tmp_path):
+        # A directory as depth-level checkpoints left it: a manifest
+        # with this tree's fingerprint under the old magic, and level
+        # files holding pickled entries.
         directory = str(tmp_path)
-        build_labels_checkpointed(tree, directory)
-        manifest = CheckpointStore(directory).read_manifest()
-        assert manifest["fingerprint"] == tree_fingerprint(tree, True)
-        for level in range(len(depth_levels(tree))):
-            path = os.path.join(directory, f"level-{level:06d}.ckpt")
-            inner = load_envelope(path, CHECKPOINT_MAGIC)
-            rows = [
-                (v, [(u, [nested(e) for e in acc]) for u, acc in rows_v])
-                for v, rows_v in inner["rows"]
-            ]
+        save_envelope(
+            os.path.join(directory, "manifest.ckpt"),
+            "repro-qhl-build-manifest",
+            {"fingerprint": tree_fingerprint(tree, True), "num_levels": 2},
+        )
+        for level in range(2):
             save_envelope(
-                path, "repro-qhl-build-checkpoint",
-                {"level": level, "rows": rows},
+                os.path.join(directory, f"level-{level:06d}.ckpt"),
+                "repro-qhl-build-checkpoint-e2",
+                {"level": level, "rows": [(0, [(1, [(3, 4, None)])])]},
             )
 
         registry = MetricsRegistry()
         with use_registry(registry):
-            resumed = build_labels_checkpointed(tree, directory, resume=True)
+            resumed = build_label_columns(
+                tree, checkpoint=directory, resume=True
+            )
         assert registry.counter(
-            "build_resume_levels_restored_total"
+            "build_resume_segments_restored_total"
         ).value == 0
         assert registry.counter(
-            "build_checkpoint_levels_total"
-        ).value == len(depth_levels(tree))
-        clean = build_labels(tree)
-        assert pack_labels(resumed) == pack_labels(clean)
-        assert [c.tobytes() for c in pack_labels(
-            resumed, provenance=True).provenance] == [
-            c.tobytes() for c in pack_labels(clean, provenance=True)
-            .provenance
-        ]
-        assert all(
-            not isinstance(entry[2], tuple)
-            for _v, _u, entries in resumed.items()
-            for entry in entries
+            "build_checkpoint_segments_total"
+        ).value == num_segments(tree)
+        assert columns(resumed) == columns(build_label_columns(tree))
+        # The level files were cleared with the old manifest.
+        assert sorted(os.listdir(directory)) == sorted(
+            ["manifest.ckpt", *segment_files(directory)]
         )
+        assert CheckpointStore(directory).read_manifest() == {
+            "fingerprint": tree_fingerprint(tree, True),
+            "num_segments": num_segments(tree),
+        }
 
     def test_fingerprint_covers_build_params(self, tree):
         base = tree_fingerprint(tree, True)
@@ -267,27 +289,31 @@ class TestCheckpointedBuild:
     def test_non_resume_clears_stale_checkpoints(self, tree, tmp_path):
         directory = str(tmp_path)
         checkpoint = CheckpointStore(directory)
-        build_labels_checkpointed(tree, checkpoint)
-        before = len(level_files(directory))
+        build_label_columns(tree, checkpoint=checkpoint)
+        before = len(segment_files(directory))
         # A fresh (resume=False) run against the same directory starts
         # over instead of trusting old files.
         other_tree = build_tree_decomposition(grid_network(5, 5, seed=1))
-        build_labels_checkpointed(other_tree, checkpoint)
-        assert len(level_files(directory)) == len(depth_levels(other_tree))
-        assert len(level_files(directory)) < before
+        build_label_columns(other_tree, checkpoint=checkpoint)
+        assert len(segment_files(directory)) == num_segments(other_tree)
+        assert len(segment_files(directory)) < before
 
-    def test_builder_facade_routes_to_checkpointed_path(
-        self, tree, fresh_bytes, tmp_path
-    ):
-        store = build_labels(tree, checkpoint=str(tmp_path))
-        assert packed(store) == fresh_bytes
-        assert level_files(str(tmp_path))
+    def test_builder_facade_routes_to_checkpointed_path(self, tmp_path):
+        # QHLIndex.build streams a checkpointed build into columns too.
+        network = grid_network(6, 6, seed=7)
+        index = QHLIndex.build(
+            network, num_index_queries=20, checkpoint_dir=str(tmp_path)
+        )
+        assert segment_files(str(tmp_path))
+        assert columns(index.labels) == columns(
+            QHLIndex.build(network, num_index_queries=20).labels
+        )
 
     def test_budget_without_checkpoint_rejected(self, tree):
         with pytest.raises(IndexBuildError, match="checkpoint"):
-            build_labels(tree, budget=BuildBudget(max_seconds=1))
+            build_label_columns(tree, budget=BuildBudget(max_seconds=1))
         with pytest.raises(IndexBuildError, match="checkpoint"):
-            build_labels(tree, resume=True)
+            build_label_columns(tree, resume=True)
 
 
 class TestBuildBudget:
@@ -295,18 +321,16 @@ class TestBuildBudget:
         ticks = iter(range(0, 1000, 10))  # each check sees +10s
         budget = BuildBudget(max_seconds=5, clock=lambda: next(ticks))
         with pytest.raises(BuildBudgetExceededError) as excinfo:
-            build_labels_checkpointed(
-                tree, str(tmp_path), budget=budget
-            )
-        assert excinfo.value.level == 0
+            build_label_columns(tree, checkpoint=str(tmp_path), budget=budget)
+        assert excinfo.value.segment == 0
         assert excinfo.value.elapsed_s == 10
         assert "--resume" in str(excinfo.value)
 
     def test_exhausted_build_resumes_to_identical_bytes(
-        self, tree, fresh_bytes, tmp_path
+        self, tree, fresh, tmp_path
     ):
-        # Give the watchdog enough budget for a few levels, crash, then
-        # finish with --resume semantics.
+        # Give the watchdog enough budget for a few segments, crash,
+        # then finish with --resume semantics.
         clock = {"now": 0.0}
 
         def tick():
@@ -315,68 +339,69 @@ class TestBuildBudget:
 
         directory = str(tmp_path)
         with pytest.raises(BuildBudgetExceededError) as excinfo:
-            build_labels_checkpointed(
-                tree, directory,
+            build_label_columns(
+                tree, checkpoint=directory,
                 budget=BuildBudget(max_seconds=3, clock=tick),
             )
-        assert excinfo.value.level > 0  # some levels did complete
-        resumed = build_labels_checkpointed(tree, directory, resume=True)
-        assert packed(resumed) == fresh_bytes
+        assert excinfo.value.segment > 0  # some segments did complete
+        assert len(segment_files(directory)) == excinfo.value.segment
+        resumed = build_label_columns(tree, checkpoint=directory, resume=True)
+        assert columns(resumed) == fresh
 
     def test_memory_budget_raises(self, tree, tmp_path, monkeypatch):
         import repro.resilience.checkpoint as checkpoint_mod
 
         monkeypatch.setattr(checkpoint_mod, "_rss_mb", lambda: 4096.0)
         with pytest.raises(BuildBudgetExceededError) as excinfo:
-            build_labels_checkpointed(
-                tree, str(tmp_path),
+            build_label_columns(
+                tree, checkpoint=str(tmp_path),
                 budget=BuildBudget(max_rss_mb=1024),
             )
         assert excinfo.value.rss_mb == 4096.0
 
     def test_no_limits_never_raises(self, tree, tmp_path):
-        build_labels_checkpointed(
-            tree, str(tmp_path), budget=BuildBudget()
+        build_label_columns(
+            tree, checkpoint=str(tmp_path), budget=BuildBudget()
         )
 
 
 class TestCheckpointMetrics:
     def test_restored_and_built_levels_are_counted(self, tree, tmp_path):
         directory = str(tmp_path)
-        build_labels_checkpointed(tree, directory)
-        files = level_files(directory)
-        for name in files[2:]:
-            os.remove(os.path.join(directory, name))
+        build_label_columns(tree, checkpoint=directory)
+        files = segment_files(directory)
+        keep_segments(directory, 2)
         registry = MetricsRegistry()
         with use_registry(registry):
-            build_labels_checkpointed(tree, directory, resume=True)
-        restored = registry.counter("build_resume_levels_restored_total")
-        built = registry.counter("build_checkpoint_levels_total")
+            build_label_columns(tree, checkpoint=directory, resume=True)
+        restored = registry.counter("build_resume_segments_restored_total")
+        built = registry.counter("build_checkpoint_segments_total")
         assert restored.value == 2
         assert built.value == len(files) - 2
+        bounds = segment_bounds(tree)
+        # The root, first in the order, has no label to restore.
+        assert registry.gauge(
+            "build_resume_restored_vertices"
+        ).value == bounds[2] - 1
 
     def test_label_work_matches_plain_build(self, tree, tmp_path):
         plain, checkpointed = MetricsRegistry(), MetricsRegistry()
         with use_registry(plain):
-            build_labels(tree)
+            build_label_columns(tree)
         with use_registry(checkpointed):
-            build_labels_checkpointed(tree, str(tmp_path))
+            build_label_columns(tree, checkpoint=str(tmp_path))
         for registry in (plain, checkpointed):
             assert registry.counter("qhl_label_joins_total").value == 966
             assert registry.get("qhl_label_vertex_seconds").count == 35
 
-    @pytest.mark.parametrize("kept", [6, 10])
+    @pytest.mark.parametrize("kept", [2, 4])
     def test_resume_reports_only_recomputed_label_work(
         self, tree, tmp_path, kept
     ):
         directory = str(tmp_path)
-        build_labels_checkpointed(tree, directory)
-        for name in level_files(directory)[kept:]:
-            os.remove(os.path.join(directory, name))
-        recomputed = [
-            v for level in depth_levels(tree)[kept:] for v in level
-            if v != tree.root
-        ]
+        build_label_columns(tree, checkpoint=directory)
+        keep_segments(directory, kept)
+        recomputed = tree.topdown_order[segment_bounds(tree)[kept]:]
         # One join per hub w of X(v)\{v} and ancestor u, except w == u.
         joins = sum(
             len(tree.bag[v]) - (u in tree.bag[v])
@@ -384,7 +409,7 @@ class TestCheckpointMetrics:
         )
         registry = MetricsRegistry()
         with use_registry(registry):
-            build_labels_checkpointed(tree, directory, resume=True)
+            build_label_columns(tree, checkpoint=directory, resume=True)
         assert 0 < joins < 966
         assert registry.counter("qhl_label_joins_total").value == joins
         assert registry.get("qhl_label_vertex_seconds").count == len(
@@ -397,11 +422,9 @@ class TestRandomNetworks:
     def test_resume_identity_on_random_graphs(self, seed, tmp_path):
         network = random_connected_network(24, 20, seed=seed)
         tree = build_tree_decomposition(network)
-        expected = packed(build_labels(tree))
+        expected = columns(build_label_columns(tree))
         directory = str(tmp_path / f"s{seed}")
-        build_labels_checkpointed(tree, directory)
-        files = level_files(directory)
-        for name in files[max(1, len(files) // 2):]:
-            os.remove(os.path.join(directory, name))
-        resumed = build_labels_checkpointed(tree, directory, resume=True)
-        assert packed(resumed) == expected
+        build_label_columns(tree, checkpoint=directory)
+        keep_segments(directory, max(1, num_segments(tree) // 2))
+        resumed = build_label_columns(tree, checkpoint=directory, resume=True)
+        assert columns(resumed) == expected

@@ -10,6 +10,8 @@ object labels.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core import QHLIndex
@@ -55,6 +57,29 @@ def test_streamed_columns_equal_the_packed_store(name, store_paths):
     assert _columns(streamed) == _columns(packed)
     assert (streamed.provenance is not None) == store_paths
     assert streamed.build_seconds > 0
+
+
+@pytest.mark.parametrize("store_paths", [True, False], ids=["paths", "no-paths"])
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_resumed_columns_equal_the_packed_store(name, store_paths, tmp_path):
+    """A checkpointed build resumed from half of its segments streams
+    the restored labels and the recomputed ones through the writer to
+    the same columns, pool rows included."""
+    tree = build_tree_decomposition(NETWORKS[name](), store_paths=store_paths)
+    directory = str(tmp_path)
+    build_label_columns(tree, store_paths=store_paths, checkpoint=directory)
+    segments = sorted(
+        file for file in os.listdir(directory) if file.startswith("segment-")
+    )
+    for file in segments[len(segments) // 2:]:
+        os.remove(os.path.join(directory, file))
+    resumed = build_label_columns(
+        tree, store_paths=store_paths, checkpoint=directory, resume=True
+    )
+    packed = pack_labels(
+        build_labels(tree, store_paths=store_paths), provenance=store_paths
+    )
+    assert _columns(resumed) == _columns(packed)
 
 
 @pytest.mark.parametrize("name", ["random-60-pool", "random-200-pool"])

@@ -115,3 +115,67 @@ class TestEngineDeadlines:
         fake_clock.advance(2.0)
         with pytest.raises(DeadlineExceededError):
             engine.query(0, 63, 250, deadline=deadline)
+
+
+class StepClock:
+    """Reads 0.0 for its first ``calm`` readings and 10.0 after: a
+    one-second deadline armed on it (one reading) expires at its
+    ``calm``-th check."""
+
+    def __init__(self, calm: int):
+        self.calm = calm
+        self.readings = 0
+
+    def __call__(self) -> float:
+        self.readings += 1
+        return 0.0 if self.readings <= self.calm else 10.0
+
+
+class TestLoopChecks:
+    """The deadline checks inside the loops, each caught at its first
+    step: a query or repair that only checked on entry, or in a later
+    loop, would not raise where these tests expect it to."""
+
+    def test_algorithm3_checks_before_each_hoplink(self, service_index):
+        engine = service_index.qhl_engine()
+        plain = engine.query(0, 63, 250)
+        assert plain.stats.hoplinks > 0
+        # Armed (1 reading), entry check (2), first hoplink (3).
+        deadline = Deadline(1.0, clock=StepClock(calm=2))
+        with pytest.raises(DeadlineExceededError) as excinfo:
+            engine.query(0, 63, 250, deadline=deadline)
+        stats = excinfo.value.stats
+        # Separators chosen, no hoplink concatenated yet.
+        assert stats.candidates == plain.stats.candidates
+        assert stats.hoplinks == plain.stats.hoplinks
+        assert stats.concatenations == 0
+
+    def test_repair_checks_the_shortcut_sweep(self):
+        from repro.dynamic import DynamicQHLIndex
+
+        dyn = DynamicQHLIndex.build(
+            grid_network(6, 6, seed=4), num_index_queries=30, seed=4
+        )
+        tree, pruning = dyn.index.tree, dyn.index.pruning
+        shortcuts = {
+            (x, w): entries
+            for x, row in tree.shortcuts.items()
+            for w, entries in row.items()
+        }
+        _u, _v, weight, cost = dyn.network_edges()[0]
+        # Armed (1 reading), first vertex of the shortcut sweep (2).
+        deadline = Deadline(1.0, clock=StepClock(calm=1))
+        with pytest.raises(DeadlineExceededError):
+            dyn.apply_deltas([(0, weight / 2, cost / 2)], deadline=deadline)
+        # Aborted before any shortcut, label or pruning row was redone.
+        assert dyn.index.pruning is pruning
+        assert all(
+            tree.shortcuts[x][w] is entries
+            for (x, w), entries in shortcuts.items()
+        )
+        # The same batch, undeadlined, does change a shortcut.
+        dyn.apply_deltas([(0, weight / 2, cost / 2)])
+        assert any(
+            tree.shortcuts[x][w] is not entries
+            for (x, w), entries in shortcuts.items()
+        )

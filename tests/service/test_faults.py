@@ -93,12 +93,14 @@ class TestEveryInjectionPoint:
             # (Time travel is not a registered point: the injector's
             # clock= argument replaces the deadline time source
             # directly, with no fire site — see docs/robustness.md.)
-            # build-level's scenarios live in test_kill_resume.py: it
-            # crashes checkpointed builds at every level boundary.
-            "build-level",
+            # build-segment's scenarios live in test_kill_resume.py: it
+            # crashes checkpointed builds at every segment boundary.
+            "build-segment",
             # The worker-supervision points live in tests/supervise:
             # the chaos matrix fails spawns, SIGKILLs tasks, and
-            # suppresses heartbeats against real forked workers.
+            # suppresses heartbeats against real forked workers, and
+            # test_worker_outcomes.py::TestWorkerTaskFault fails a task
+            # at worker-task.
             "worker-spawn",
             "worker-task",
             "worker-heartbeat",

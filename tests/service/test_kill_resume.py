@@ -3,10 +3,10 @@
 Two layers of violence:
 
 * :class:`~repro.service.faults.FaultInjector` crashes the build at the
-  ``build-level`` point — before and after every level's checkpoint
-  write, for every level — and ``resume=True`` must land on
-  ``pack_labels`` bytes, provenance columns included, identical to an
-  uninterrupted build.
+  ``build-segment`` point — before and after every segment's checkpoint
+  write, for every segment — and ``resume=True`` must land on label
+  columns, all five payload and all four provenance columns, identical
+  to an uninterrupted build's.
 * One real ``SIGKILL``: a subprocess is killed mid-build with no chance
   to clean up, and the parent resumes from whatever hit the disk.
 """
@@ -23,10 +23,9 @@ import pytest
 
 from repro.graph import grid_network
 from repro.hierarchy.decomposition import build_tree_decomposition
-from repro.labeling.builder import build_labels, depth_levels
-from repro.resilience.checkpoint import build_labels_checkpointed
+from repro.labeling.builder import build_label_columns
 from repro.service.faults import FaultInjector, use_injector
-from repro.storage.compact import pack_labels
+from tests.labeling.test_checkpoint import columns, num_segments
 
 
 class BuildCrash(RuntimeError):
@@ -40,13 +39,7 @@ def tree():
 
 @pytest.fixture(scope="module")
 def fresh_bytes(tree):
-    return packed(build_labels(tree))
-
-
-def packed(store):
-    # With provenance: restored levels must be relinked to the store's
-    # own entries to pack to the fresh build's rows.
-    return pack_labels(store, provenance=True)
+    return columns(build_label_columns(tree))
 
 
 class TestInjectedCrashes:
@@ -54,64 +47,62 @@ class TestInjectedCrashes:
     def test_crash_at_every_level_boundary_then_resume(
         self, tree, fresh_bytes, tmp_path, stage
     ):
-        num_levels = len(depth_levels(tree))
-        for level in range(num_levels):
-            directory = str(tmp_path / f"{stage}-l{level}")
+        for segment in range(num_segments(tree)):
+            directory = str(tmp_path / f"{stage}-s{segment}")
             injector = FaultInjector()
             injector.fail(
-                "build-level",
+                "build-segment",
                 exc=BuildCrash,
-                match={"level": level, "stage": stage},
+                match={"segment": segment, "stage": stage},
             )
             with use_injector(injector):
                 with pytest.raises(BuildCrash):
-                    build_labels_checkpointed(tree, directory)
-            resumed = build_labels_checkpointed(
-                tree, directory, resume=True
+                    build_label_columns(tree, checkpoint=directory)
+            resumed = build_label_columns(
+                tree, checkpoint=directory, resume=True
             )
-            assert packed(resumed) == fresh_bytes, (
-                f"crash at level {level} stage {stage!r} "
+            assert columns(resumed) == fresh_bytes, (
+                f"crash at segment {segment} stage {stage!r} "
                 "did not resume cleanly"
             )
 
     def test_repeated_crashes_still_converge(self, tree, fresh_bytes,
                                              tmp_path):
-        """Crash on every single level, resuming between crashes —
+        """Crash on every single segment, resuming between crashes —
         the worst uptime imaginable still finishes the build."""
         directory = str(tmp_path)
-        num_levels = len(depth_levels(tree))
-        for level in range(num_levels):
+        for segment in range(num_segments(tree)):
             injector = FaultInjector()
             injector.fail(
-                "build-level",
+                "build-segment",
                 exc=BuildCrash,
-                match={"level": level, "stage": "checkpointed"},
+                match={"segment": segment, "stage": "checkpointed"},
             )
             with use_injector(injector):
                 with pytest.raises(BuildCrash):
-                    build_labels_checkpointed(
-                        tree, directory, resume=level > 0
+                    build_label_columns(
+                        tree, checkpoint=directory, resume=segment > 0
                     )
-        store = build_labels_checkpointed(tree, directory, resume=True)
-        assert packed(store) == fresh_bytes
+        labels = build_label_columns(tree, checkpoint=directory, resume=True)
+        assert columns(labels) == fresh_bytes
 
     def test_crash_before_checkpoint_loses_only_that_level(
         self, tree, tmp_path
     ):
         injector = FaultInjector()
         injector.fail(
-            "build-level",
+            "build-segment",
             exc=BuildCrash,
-            match={"level": 2, "stage": "computed"},
+            match={"segment": 2, "stage": "computed"},
         )
         with use_injector(injector):
             with pytest.raises(BuildCrash):
-                build_labels_checkpointed(tree, str(tmp_path))
+                build_label_columns(tree, checkpoint=str(tmp_path))
         names = sorted(
             name for name in os.listdir(tmp_path)
-            if name.startswith("level-")
+            if name.startswith("segment-")
         )
-        assert names == ["level-000000.ckpt", "level-000001.ckpt"]
+        assert names == ["segment-000000.ckpt", "segment-000001.ckpt"]
 
 
 _CHILD = textwrap.dedent(
@@ -120,22 +111,22 @@ _CHILD = textwrap.dedent(
 
     from repro.graph import grid_network
     from repro.hierarchy.decomposition import build_tree_decomposition
-    from repro.resilience.checkpoint import build_labels_checkpointed
+    from repro.labeling.builder import build_label_columns
     from repro.service.faults import FaultInjector, set_injector
 
-    directory, kill_level = sys.argv[1], int(sys.argv[2])
+    directory, kill_segment = sys.argv[1], int(sys.argv[2])
 
     def die():
         os.kill(os.getpid(), signal.SIGKILL)
 
     injector = FaultInjector()
     injector.fail(
-        "build-level", exc=die,
-        match={"level": kill_level, "stage": "checkpointed"},
+        "build-segment", exc=die,
+        match={"segment": kill_segment, "stage": "checkpointed"},
     )
     set_injector(injector)
     tree = build_tree_decomposition(grid_network(6, 6, seed=5))
-    build_labels_checkpointed(tree, directory)
+    build_label_columns(tree, checkpoint=directory)
     raise SystemExit("unreachable: the build should have been killed")
     """
 )
@@ -159,8 +150,9 @@ class TestRealSigkill:
         )
         assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
         # The kill left a partial checkpoint directory behind.
-        assert any(
-            name.startswith("level-") for name in os.listdir(directory)
-        )
-        resumed = build_labels_checkpointed(tree, directory, resume=True)
-        assert packed(resumed) == fresh_bytes
+        assert sorted(
+            name for name in os.listdir(directory)
+            if name.startswith("segment-")
+        ) == ["segment-000000.ckpt", "segment-000001.ckpt"]
+        resumed = build_label_columns(tree, checkpoint=directory, resume=True)
+        assert columns(resumed) == fresh_bytes

@@ -32,11 +32,7 @@ from repro.storage import (
 )
 from repro.storage.compact import PROV_COLUMNS
 from repro.storage.flatfile import _HEADER
-from repro.storage.serialize import (
-    _dumps_payload,
-    _RECURSION_LIMIT,
-    save_envelope,
-)
+from repro.storage.serialize import save_envelope
 
 FORMATS = ["full", "flat"]
 
@@ -495,20 +491,16 @@ class TestLoadWithRetry:
 
 
 # ----------------------------------------------------------------------
-# Recursion-limit cap (the interpreter-crash guard).
+# Recursion limit: envelopes pickle at the interpreter's default.
 # ----------------------------------------------------------------------
 class TestRecursionCap:
-    def test_cap_is_bounded(self):
-        # The point of the cap: deep provenance must surface as a
-        # catchable error, not exhaust the C stack.
-        assert _RECURSION_LIMIT <= 20_000
-
-    def test_too_deep_payload_raises_serialization_error(self):
+    def test_too_deep_payload_raises_serialization_error(self, tmp_path):
         deep = None
-        for _ in range(_RECURSION_LIMIT + 5_000):
+        for _ in range(sys.getrecursionlimit() + 5_000):
             deep = (deep,)
-        with pytest.raises(SerializationError, match="save_flat_index"):
-            _dumps_payload(deep, "test payload")
+        with pytest.raises(SerializationError, match="too deeply"):
+            save_envelope(str(tmp_path / "deep"), "test", {"deep": deep})
+        assert not (tmp_path / "deep").exists()
 
     def test_limit_restored_after_save(self, service_index, tmp_path):
         before = sys.getrecursionlimit()

@@ -17,7 +17,7 @@ from repro.dynamic import DynamicQHLIndex
 from repro.graph import grid_network
 from repro.hierarchy import build_tree_decomposition
 from repro.labeling import build_labels
-from repro.resilience.checkpoint import build_labels_checkpointed
+from repro.labeling.builder import build_label_columns
 from repro.service import FaultInjector, use_injector
 from repro.skyline.entries import zero_entry
 from repro.storage import pack_labels
@@ -66,20 +66,20 @@ class TestMatchesOracle:
         assert_matches_oracle(paper_index.labels)
 
     def test_checkpoint_resumed_build(self, tree, sequential, tmp_path):
+        # A resumed build streams restored and recomputed labels into
+        # the writer: its provenance is the oracle's of a fresh store.
         injector = FaultInjector()
         injector.fail(
-            "build-level", exc=BuildCrash,
-            match={"level": 4, "stage": "checkpointed"},
+            "build-segment", exc=BuildCrash,
+            match={"segment": 4, "stage": "checkpointed"},
         )
         with use_injector(injector), pytest.raises(BuildCrash):
-            build_labels_checkpointed(tree, str(tmp_path))
-        resumed = build_labels_checkpointed(tree, str(tmp_path), resume=True)
-        assert_rows_are_distinct(resumed)
-        assert_matches_oracle(resumed)
-        assert [c.tobytes() for c in pack_labels(
-            resumed, provenance=True).provenance] == [
-            c.tobytes() for c in pack_labels(
-                sequential, provenance=True).provenance
+            build_label_columns(tree, checkpoint=str(tmp_path))
+        resumed = build_label_columns(
+            tree, checkpoint=str(tmp_path), resume=True
+        )
+        assert [c.tobytes() for c in resumed.provenance] == [
+            c.tobytes() for c in reference_provenance(sequential)
         ]
 
     def test_thrice_repaired_store(self):

@@ -24,6 +24,7 @@ from repro.observability.metrics import (
     use_registry,
 )
 from repro.observability.tracing import SpanTracer, get_tracer, use_tracer
+from repro.service import FaultInjector, use_injector
 from repro.supervise import SupervisedPool, SupervisionConfig, fork_available
 from repro.supervise import supervisor as supervisor_mod
 
@@ -111,6 +112,31 @@ class TestWorkerOutcome:
         assert (outcome.status, outcome.value) == ("ok", 4)
         assert outcome.span is None
         assert outcome.metrics is None
+
+
+class TestWorkerTaskFault:
+    def test_fault_fails_the_task_before_it_runs(self, tmp_path):
+        """The ``worker-task`` point fires before the entrypoint: a
+        fault there is the task's outcome, and the task never runs."""
+        ran = []
+
+        def probe(payload, span, heartbeat):
+            ran.append(payload)
+            return payload
+
+        injector = FaultInjector()
+        injector.fail(
+            "worker-task", exc=RuntimeError("injected"),
+            match={"worker": "w0", "task": 0},
+        )
+        with use_injector(injector):
+            outcome = run_in_process(tmp_path, probe, 5)
+        assert (outcome.task_id, outcome.worker) == (0, "w0")
+        assert (outcome.status, outcome.value) == (
+            "error", ("RuntimeError", "injected")
+        )
+        assert ran == []
+        assert injector.calls("worker-task") == 1
 
 
 def kill_once_counting(payload, span, heartbeat):
