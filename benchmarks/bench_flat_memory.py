@@ -74,6 +74,20 @@ depth-ordered sequences per vertex, built once per store (about 24 B
 per set), not a hub → row and a hub → size dict per queried vertex
 that live as long as the store (about 146 B per set).
 
+An eleventh scenario, **epochs**, builds the grid's dynamic index under
+``tracemalloc``, publishes :data:`EPOCH_BATCHES` seeded batches of
+:data:`EPOCH_EDGES` edge-weight rises through an ``EpochManager`` and
+keeps every epoch alive, as a serving process whose readers still hold
+old epochs does.  It reports the bytes each publish leaves live, split
+into entries (tuples, lists and numbers the skyline kernel allocated),
+label dicts and shortcut dicts (those of the new epoch no earlier epoch
+holds, by ``sys.getsizeof``), pruning (``core/pruning.py``), network
+(``graph/``) and the rest.  ``--check`` asserts that an epoch retains on
+average at most :data:`EPOCH_RETAINED_RATIO` of what the build left
+live: a clone shares every per-vertex dict and a repair keeps each
+entry whose path did not change, so an epoch costs what its repair
+changed, not a copy of every vertex's dicts and rebuilt entries.
+
 Runnable standalone (``python benchmarks/bench_flat_memory.py
 [--check]``); knobs: ``REPRO_BENCH_MEM_QUERIES`` (default 300) and
 ``REPRO_BENCH_MEM_GRID`` (default 24, the grid side length).
@@ -119,6 +133,20 @@ BUILD_PEAK_RATIO = 3.0
 #: vertex), and 146.3 with a hub → row and a hub → size dict per queried
 #: vertex.
 SERVE_LIVE_PER_SET = 32
+#: Batches the epochs scenario publishes, and edges each batch raises.
+EPOCH_BATCHES = 3
+EPOCH_EDGES = 4
+#: Upper bound on the mean bytes a published epoch retains / the bytes
+#: the build left live (``--check``).  24×24 grid: 0.082, and 0.164 when
+#: every clone copied each vertex's label and shortcut dict and every
+#: recomputed list kept its freshly built entries.
+EPOCH_RETAINED_RATIO = 0.12
+#: Allocation sites of the epochs scenario's tracemalloc parts.
+EPOCH_SITES = (
+    ("entries", f"{os.sep}repro{os.sep}skyline{os.sep}"),
+    ("pruning", f"{os.sep}repro{os.sep}core{os.sep}pruning.py"),
+    ("network", f"{os.sep}repro{os.sep}graph{os.sep}"),
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_TXT = "flat_memory.txt"
@@ -408,6 +436,91 @@ def _build_scenario(checkpoint_dir: str | None = None) -> None:
     }))
 
 
+def _new_dict_bytes(index, seen: set[int]) -> tuple[int, int]:
+    """``(label, shortcut)``: the bytes of ``index``'s per-vertex label
+    dicts and of its shortcut dicts that are not in ``seen``, the ids of
+    the dicts earlier epochs hold; adds theirs to it."""
+    labels, tree = index.labels, index.tree
+    sizes = []
+    for dicts in (
+        [labels.label(v) for v in range(labels.num_vertices)],
+        [tree.shortcuts, *tree.shortcuts.values()],
+    ):
+        new = [d for d in dicts if id(d) not in seen]
+        seen.update(map(id, new))
+        sizes.append(sum(map(sys.getsizeof, new)))
+    return sizes[0], sizes[1]
+
+
+def _epochs_scenario(journal_dir: str) -> None:
+    """Child-process entry: the live bytes each published epoch adds,
+    split into parts, against what the build left live."""
+    import gc
+    import random
+    import tracemalloc
+
+    from repro.dynamic import DynamicQHLIndex, EpochManager
+    from repro.graph import grid_network
+
+    network = grid_network(GRID_SIDE, GRID_SIDE, seed=SEED)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dyn = DynamicQHLIndex.build(
+            network, num_index_queries=100, store_paths=True, seed=SEED
+        )
+        gc.collect()
+        index_bytes = tracemalloc.get_traced_memory()[0]
+        manager = EpochManager(dyn, journal_dir)
+        epochs = [manager.epoch]  # every epoch stays alive
+        seen: set[int] = set()
+        _new_dict_bytes(dyn.index, seen)
+        rng = random.Random(SEED)
+        edges = dyn.network_edges()
+        rows = []
+        for _ in range(EPOCH_BATCHES):
+            batch = []
+            for _ in range(EPOCH_EDGES):
+                edge = rng.randrange(len(edges))
+                weight = max(1, round(edges[edge][2] * rng.uniform(1.5, 3.0)))
+                batch.append((edge, weight, None))
+            gc.collect()
+            before = tracemalloc.take_snapshot()
+            report = manager.apply(batch)
+            epochs.append(manager.epoch)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+            parts = {name: 0 for name, _site in EPOCH_SITES}
+            total = 0
+            for stat in after.compare_to(before, "filename"):
+                total += stat.size_diff
+                filename = stat.traceback[0].filename
+                for name, site in EPOCH_SITES:
+                    if site in filename:
+                        parts[name] += stat.size_diff
+                        break
+            parts["label_dicts"], parts["shortcut_dicts"] = _new_dict_bytes(
+                manager.epoch.dyn.index, seen
+            )
+            parts["other"] = total - sum(parts.values())
+            rows.append({
+                "retained_kb": total // 1024,
+                **{f"{name}_kb": size // 1024 for name, size in parts.items()},
+                "labels_changed": report.labels_changed,
+                "shortcuts_changed": report.shortcuts_changed,
+            })
+    finally:
+        tracemalloc.stop()
+    mean_kb = sum(row["retained_kb"] for row in rows) / len(rows)
+    print(json.dumps({
+        "mode": "epochs",
+        "index_kb": index_bytes // 1024,
+        "epochs": rows,
+        "mean_retained_kb": round(mean_kb),
+        "ratio": round(mean_kb * 1024 / index_bytes, 3),
+    }))
+
+
 def _run_scenario(mode: str, path: str) -> dict:
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
@@ -444,6 +557,7 @@ def run_benchmark() -> dict:
         checkpointed_run = _run_scenario(
             "checkpointed", os.path.join(tmpdir, "checkpoints")
         )
+        epochs_run = _run_scenario("epochs", os.path.join(tmpdir, "journal"))
 
     for run in (object_run, flat_run):
         assert run["answered"] == NUM_QUERIES, run
@@ -464,6 +578,7 @@ def run_benchmark() -> dict:
         "pruning": pruning_run,
         "build": build_run,
         "checkpointed": checkpointed_run,
+        "epochs": epochs_run,
         "total_savings_kb": (
             object_run["total_peak_kb"] - flat_run["total_peak_kb"]
         ),
@@ -515,6 +630,18 @@ def run_benchmark() -> dict:
             f"{checkpointed_run['column_kb']} KB of label columns "
             f"(ratio {checkpointed_run['ratio']}, store_paths=True, "
             "checkpoint_dir)",
+            f"{'epochs':>8} retain {epochs_run['mean_retained_kb']} KB each "
+            f"on average, {epochs_run['ratio']} of the "
+            f"{epochs_run['index_kb']} KB the build left live",
+            *(
+                f"{'':>8} epoch {k}: {row['retained_kb']} KB = entries "
+                f"{row['entries_kb']} + label dicts {row['label_dicts_kb']} "
+                f"+ shortcut dicts {row['shortcut_dicts_kb']} + pruning "
+                f"{row['pruning_kb']} + network {row['network_kb']} + other "
+                f"{row['other_kb']} ({row['labels_changed']} labels, "
+                f"{row['shortcuts_changed']} shortcuts changed)"
+                for k, row in enumerate(epochs_run["epochs"], 1)
+            ),
         ],
     )
     return result
@@ -526,8 +653,9 @@ def check(result: dict) -> None:
     labels a second tuple per entry, a load must neither rebuild
     per-condition objects nor fault the map in, serving must not
     leave per-vertex objects on the store, the pruning build must not
-    pile up per-condition objects, and a build, checkpointed or not,
-    must not hold its labels as objects next to their columns."""
+    pile up per-condition objects, a build, checkpointed or not, must
+    not hold its labels as objects next to their columns, and an epoch
+    must not copy what its repair did not change."""
     assert (
         result["flat"]["total_peak_kb"] < result["object"]["total_peak_kb"]
     ), (
@@ -580,6 +708,12 @@ def check(result: dict) -> None:
             f"{build['column_kb']} KB of label columns (ratio "
             f"{build['ratio']} > {BUILD_PEAK_RATIO})"
         )
+    epochs = result["epochs"]
+    assert epochs["ratio"] <= EPOCH_RETAINED_RATIO, (
+        f"each published epoch retains {epochs['mean_retained_kb']} KB on "
+        f"average, {epochs['ratio']} of the {epochs['index_kb']} KB the "
+        f"build left live (> {EPOCH_RETAINED_RATIO})"
+    )
 
 
 def test_flat_batch_rss_below_object_graph():
@@ -592,7 +726,7 @@ if __name__ == "__main__":
         "--scenario",
         choices=(
             "object", "flat", "save", "objects", "load", "serve",
-            "resident", "pruning", "build", "checkpointed",
+            "resident", "pruning", "build", "checkpointed", "epochs",
         ),
     )
     parser.add_argument("--index")
@@ -614,6 +748,8 @@ if __name__ == "__main__":
         _build_scenario()
     elif args.scenario == "checkpointed":
         _build_scenario(args.index)
+    elif args.scenario == "epochs":
+        _epochs_scenario(args.index)
     elif args.scenario:
         _scenario(args.scenario, args.index)
     else:

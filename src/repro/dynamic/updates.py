@@ -24,6 +24,10 @@ shortcut exactly once.  An update therefore:
 
 The label payload — every ``(w, c)`` pair — is bit-identical to a fresh
 build with the same elimination order, which is what the tests assert.
+A recomputed entry that is the same path as the one it replaces is
+replaced by that old entry (:func:`_reuse`), so what a repair did not
+change stays shared with the epoch it was cloned from, and the
+provenance packs as a fresh build's on the tested fixtures.
 The pruning conditions are sound but need not equal a fresh build's:
 each stale row is rebuilt on its own, without the pair cache a full
 build shares across rows.
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import copy
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -104,8 +109,12 @@ class DynamicQHLIndex:
         self._edges: list[tuple[int, int, float, float]] = list(
             index.network.edges()
         )
+        # Which vertices' shortcut dicts this index may write into; a
+        # clone shares them until its repair's first write (clone()).
+        self._shortcuts_owned = bytearray(b"\x01") * index.tree.num_vertices
         with collector_paused():
             self._contributors = _build_contributor_index(index.tree)
+            self._edge_keys = _build_edge_key_index(self._edges, index.tree)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -149,35 +158,34 @@ class DynamicQHLIndex:
     def clone(self) -> "DynamicQHLIndex":
         """A copy-on-write clone safe to repair while ``self`` serves.
 
-        The expensive immutable structures (lca, pruning, contributor
-        index, skyline entry lists) are shared; everything the repair
-        sweeps *reassign* — the shortcuts dicts, the per-vertex label
-        dicts, the edge list — is copied one container level deep.  The
-        repair never mutates a skyline list in place (it always binds a
-        freshly built one), so sharing the entry lists is safe: readers
-        on the original index can never observe a torn frontier.
+        The clone shares with ``self`` the network, lca, pruning,
+        contributor index and edge-key index, every skyline entry
+        list, and every per-vertex label and shortcut dict.  A
+        vertex's dict is copied on the first write into it, by the
+        clone's repair or by an in-place repair of ``self``, whichever
+        writes; until then both serve the one dict.  So a repair's
+        epoch costs the dicts and lists it changed, not a copy of every
+        vertex's.  No repair mutates an entry list in place (a changed
+        list is a new one), so readers of either index never observe a
+        torn frontier.
         """
         old = self.index
         tree = copy.copy(old.tree)
-        tree.shortcuts = {v: dict(d) for v, d in old.tree.shortcuts.items()}
-        labels = LabelStore(
-            old.labels.num_vertices, store_paths=old.labels.store_paths
-        )
-        labels.build_seconds = old.labels.build_seconds
-        labels.version = old.labels.version
-        for v, label in enumerate(old.labels._labels):
-            labels._labels[v] = dict(label)
+        tree.shortcuts = dict(old.tree.shortcuts)
+        self._shortcuts_owned = bytearray(len(self._shortcuts_owned))
         # Built without __init__, which would rebuild the edge list and
-        # the contributor index only for them to be replaced here.
+        # the contributor and edge-key indexes only to replace them here.
         twin = object.__new__(type(self))
         twin.index = QHLIndex(
-            old.network, tree, labels, old.lca, old.pruning
+            old.network, tree, old.labels.share(), old.lca, old.pruning
         )
         twin._index_queries = self._index_queries
         twin._store_paths = self._store_paths
         twin.seed = self.seed
         twin._edges = list(self._edges)
+        twin._shortcuts_owned = bytearray(len(self._shortcuts_owned))
         twin._contributors = self._contributors  # topology is fixed
+        twin._edge_keys = self._edge_keys
         return twin
 
     # ------------------------------------------------------------------
@@ -249,13 +257,8 @@ class DynamicQHLIndex:
         tree = self.index.tree
         labels = self.index.labels
         store_paths = self._store_paths
-
-        # Base edge entries per ordered shortcut pair.
-        base: dict[tuple[int, int], SkylineSet] = {}
-        for a, b, w, c in self._edges:  # lint: allow=QHL001 one append per edge; the sweeps below check the deadline
-            key = _ordered(a, b, tree)
-            entry = edge_entry(w, c, a, b, with_prov=store_paths)
-            base.setdefault(key, []).append(entry)
+        edges = self._edges
+        owned = self._shortcuts_owned
 
         dirty_pairs: set[tuple[int, int]] = set()
         shortcuts_checked = 0
@@ -269,26 +272,39 @@ class DynamicQHLIndex:
                 continue
             for w in bag:  # lint: allow=QHL001 outer sweep checks once per vertex
                 key = (x, w)
-                needs = key in dirty_seeds or any(
-                    (c, x) in dirty_pairs or (c, w) in dirty_pairs
+                parts = [
+                    (c, x, w) if c >= 0 else (~c, w, x)
                     for c in self._contributors.get(key, ())
+                ]
+                needs = key in dirty_seeds or any(
+                    (c, a) in dirty_pairs or (c, b) in dirty_pairs
+                    for c, a, b in parts
                 )
                 if not needs:
                     continue
                 shortcuts_checked += 1
-                rebuilt = join_union([
-                    (skyline_of(base.get(key, [])), None, x),
-                    *(
-                        (tree.shortcuts[c][x], tree.shortcuts[c][w], c)
-                        for c in self._contributors.get(key, ())
-                    ),
-                ])
+                base = [
+                    edge_entry(w_i, c_i, a, b, with_prov=store_paths)
+                    for a, b, w_i, c_i in map(
+                        edges.__getitem__, self._edge_keys.get(key, ())
+                    )
+                ]
                 old = tree.shortcuts[x][w]
-                if _pairs(rebuilt) != _pairs(old):
-                    tree.shortcuts[x][w] = rebuilt
+                kept, changed = _reuse(old, join_union([
+                    (skyline_of(base), None, x),
+                    *(
+                        (tree.shortcuts[c][a], tree.shortcuts[c][b], c)
+                        for c, a, b in parts
+                    ),
+                ]))
+                if kept is old:
+                    continue
+                if not owned[x]:
+                    tree.shortcuts[x] = dict(tree.shortcuts[x])
+                    owned[x] = 1
+                tree.shortcuts[x][w] = kept
+                if changed:
                     dirty_pairs.add(key)
-                elif not _same_paths(old, rebuilt):
-                    tree.shortcuts[x][w] = rebuilt  # refresh provenance
 
         # Sweep 2: labels top-down.
         dirty_labels: set[tuple[int, int]] = set()
@@ -309,13 +325,13 @@ class DynamicQHLIndex:
                 if not needs:
                     continue
                 labels_checked += 1
-                acc = label_set(tree, labels, v, u)
                 old = labels.get(v, u)
-                if _pairs(acc) != _pairs(old):
-                    labels.set(v, u, acc)
+                kept, changed = _reuse(old, label_set(tree, labels, v, u))
+                if kept is old:
+                    continue
+                labels.set(v, u, kept)
+                if changed:
                     dirty_labels.add((v, u))
-                elif not _same_paths(old, acc):
-                    labels.set(v, u, acc)  # refresh provenance
 
         # Sweep 3: pruning-condition rows that read a changed label.
         rows_rebuilt = 0
@@ -354,48 +370,83 @@ def _label_key(w: int, u: int, tree: TreeDecomposition) -> tuple[int, int]:
     return (u, w)
 
 
-def _pairs(entries: SkylineSet) -> list[tuple[float, float]]:
-    return [(e[0], e[1]) for e in entries]
+def _reuse(
+    old: SkylineSet, new: SkylineSet
+) -> tuple[SkylineSet, bool]:
+    """``(kept, changed)``: the rebuilt list ``new`` with each entry
+    that is the same path as an entry of ``old`` replaced, in place, by
+    that entry, and whether the ``(w, c)`` pairs of the two lists
+    differ.  ``kept`` is ``old`` itself when that replaced every entry
+    of ``new`` and the lengths match.
 
-
-def _same_paths(old: SkylineSet, new: SkylineSet) -> bool:
-    """Whether ``new``, whose pairs equal ``old``'s, expands to the same
-    paths: each join at an equal junction over the very same child
-    entries (in either order: the elimination joins a shortcut's two
-    halves in neighbour order, the repair in elimination order), every
-    other entry with equal provenance.
-
-    The repair then keeps ``old``, so the entries it did not recompute
-    keep pointing at entries a label still holds, and the packed
-    provenance gains no pool rows for replaced ones.
+    Two entries are the same path when their ``(w, c)`` are equal (a
+    canonical set holds one entry per cost, so they are matched by
+    cost) and so is their provenance: a join at an equal junction over
+    the very same child entries, any other entry with equal slots.
+    Keeping the old entries shares what the repair did not change with
+    the epoch it was cloned from, and keeps the entries of lists it did
+    not recompute pointing at entries a list still holds.
     """
-    for p, q in zip(old, new, strict=True):
+    by_cost = {e[1]: e for e in old}
+    reused = same_pairs = 0
+    for i, q in enumerate(new):
+        p = by_cost.get(q[1])
+        if p is None or p[0] != q[0]:
+            continue
+        same_pairs += 1
         if type(q[2]) is int:  # a join at junction q[2]
-            if p[2] != q[2] or not (
-                p[3] is q[3] and p[4] is q[4]
-                or p[3] is q[4] and p[4] is q[3]
-            ):
-                return False
-        elif p[2:] != q[2:]:
-            return False
-    return True
+            same = p[2] == q[2] and p[3] is q[3] and p[4] is q[4]
+        else:
+            same = p[2:] == q[2:]
+        if same:
+            new[i] = p
+            reused += 1
+    changed = not same_pairs == len(old) == len(new)
+    if reused == len(old) == len(new):
+        return old, changed
+    return new, changed
 
 
 def _build_contributor_index(
     tree: TreeDecomposition,
-) -> dict[tuple[int, int], list[int]]:
-    """``contributors[(v, w)]`` = vertices ``x`` with ``v, w ∈ X(x)``.
+) -> dict[tuple[int, int], array]:
+    """``contributors[(v, w)]``: each vertex ``x`` with ``v, w ∈ X(x)``,
+    in elimination order, as ``x`` when eliminating it joined
+    ``S(x, v) ⊗ S(x, w)`` and as ``~x`` when it joined
+    ``S(x, w) ⊗ S(x, v)``.
 
-    Eliminating such an ``x`` folds ``S(x,v) ⊗ S(x,w)`` into
-    ``S(v, w)``; these are exactly the join inputs of the shortcut
-    recurrence.
+    These are exactly the join inputs of the shortcut recurrence.  The
+    elimination joins each pair in ``x``'s neighbour order (the key
+    order of ``tree.shortcuts[x]``); a repair that joins them in the
+    same order gives each new join a fresh build's children in the
+    same slots.  An ``int32`` array per pair holds them in less memory
+    than a list of ints.
     """
-    contributors: dict[tuple[int, int], list[int]] = {}
+    contributors: dict[tuple[int, int], array] = {}
     for x in tree.order:
-        bag = tree.bag[x]
-        for i, a in enumerate(bag):
-            for b in bag[i + 1:]:
-                contributors.setdefault(
-                    _ordered(a, b, tree), []
-                ).append(x)
+        neighbours = list(tree.shortcuts[x])
+        for i, a in enumerate(neighbours):
+            for b in neighbours[i + 1:]:
+                key = _ordered(a, b, tree)
+                row = contributors.get(key)
+                if row is None:
+                    row = contributors[key] = array("i")
+                row.append(x if key[0] == a else ~x)
     return contributors
+
+
+def _build_edge_key_index(
+    edges: list[tuple[int, int, float, float]], tree: TreeDecomposition
+) -> dict[tuple[int, int], tuple[int, ...]]:
+    """``edge_keys[(v, w)]`` = the indexes of the edges between ``v``
+    and ``w``, in insertion order; the keys are ordered as the
+    shortcuts' (:func:`_ordered`).
+
+    Sweep 1 builds the base edge entries of a shortcut it rechecks from
+    these, with the current metrics.
+    """
+    edge_keys: dict[tuple[int, int], tuple[int, ...]] = {}
+    for i, (a, b, _w, _c) in enumerate(edges):
+        key = _ordered(a, b, tree)
+        edge_keys[key] = edge_keys.get(key, ()) + (i,)
+    return edge_keys

@@ -9,6 +9,7 @@ resolves both directions (the network is undirected, so ``P_xy = P_yx``).
 
 from __future__ import annotations
 
+import copy
 from typing import Iterator
 
 from repro.exceptions import IndexBuildError
@@ -21,7 +22,13 @@ C++ implementation (and the paper's 'label size' column) would store it."""
 
 
 class LabelStore:
-    """Skyline labels ``L(v)`` keyed by vertex, with symmetric lookup."""
+    """Skyline labels ``L(v)`` keyed by vertex, with symmetric lookup.
+
+    :meth:`share` makes a copy that shares every per-vertex dict with
+    this store; each of the two then copies a vertex's dict on its first
+    write into it (``_owned[v]`` is 0 until then), so neither ever
+    writes into a dict the other serves from.
+    """
 
     def __init__(self, num_vertices: int, store_paths: bool = True):
         self.num_vertices = num_vertices
@@ -29,6 +36,7 @@ class LabelStore:
         self._labels: list[dict[int, SkylineSet]] = [
             dict() for _ in range(num_vertices)
         ]
+        self._owned = bytearray(b"\x01") * num_vertices
         self.build_seconds = 0.0
         #: Bumped by the dynamic repair whenever any stored set changes;
         #: caching engines compare it to invalidate stale frontiers.
@@ -37,15 +45,34 @@ class LabelStore:
 
     def set(self, v: int, u: int, entries: SkylineSet) -> None:
         """Record ``P_vu`` in ``L(v)`` (``X(u)`` must be an ancestor)."""
+        if not self._owned[v]:
+            self._labels[v] = dict(self._labels[v])
+            self._owned[v] = 1
         self._labels[v][u] = entries
 
     def drop(self, v: int) -> None:
         """Forget ``L(v)``; the streaming build keeps only the labels of
         the current root-to-leaf chain."""
         self._labels[v] = {}
+        self._owned[v] = 1
+
+    def share(self) -> "LabelStore":
+        """A copy that shares every per-vertex label dict with this store.
+
+        From now on both stores copy a vertex's dict on their first
+        :meth:`set` into it, so a write into either leaves the other's
+        labels as they were.  The entry lists are shared as they are:
+        no writer mutates one in place.
+        """
+        twin = copy.copy(self)
+        twin._labels = list(self._labels)
+        self._owned = bytearray(self.num_vertices)
+        twin._owned = bytearray(self.num_vertices)
+        return twin
 
     def label(self, v: int) -> dict[int, SkylineSet]:
-        """The raw label ``L(v)``: hub vertex → skyline set."""
+        """The raw label ``L(v)``: hub vertex → skyline set, for reading
+        (write through :meth:`set`, which copies a shared dict first)."""
         return self._labels[v]
 
     def hubs_of(self, v: int) -> list[int]:

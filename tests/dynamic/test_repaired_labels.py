@@ -1,15 +1,23 @@
 """Repaired labels against a fresh build over the same edge metrics.
 
-The label payload — set offsets, hubs, entry offsets, weights and
-costs — of a repaired index packs to the bytes a fresh build gives.
-The provenance does not: an entry the repair did not recompute can
-still point at an earlier epoch's entry that the repair has since
-replaced, so the packed provenance carries a pool of rows for entries
-no label holds (52 on NY small below, none for the fresh build).
-Those paths still expand correctly; only the bytes differ, which the
-strict xfail records.  A recomputed list whose pairs and children are
-unchanged is kept, not replaced, which keeps that pool small (922 rows
-when every recomputed list was replaced).
+A repaired index packs to the bytes a fresh build gives, provenance
+included.  Two rules of the repair make the provenance match:
+
+* a recomputed entry that is the same path as the entry it replaces
+  (equal ``(w, c)``, the same junction and the very same children) is
+  replaced by that old entry, so lists the repair did not recompute
+  keep pointing at entries a list still holds, and the packed
+  provenance gets no pool rows for replaced ones (52 on NY small below
+  when only whole unchanged lists were kept, 922 when every recomputed
+  list was replaced);
+* a repaired shortcut joins its two halves in the order the
+  elimination did, so a new join has a fresh build's child rows in the
+  same slots (24 rows of NY small below differed only in that order).
+
+A list whose pairs did not change but which holds a new path (equal
+``(w, c)``, different children) is still written without marking it
+dirty, so lists that read it and were not recomputed would keep the
+entry it replaced, as a pool row; no fixture here reaches that case.
 """
 
 from __future__ import annotations
@@ -59,14 +67,19 @@ def test_payload_columns_match_a_fresh_build(packed):
     assert repaired.provenance is not None
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="entries the repair left alone keep provenance into earlier "
-    "epochs: the packed provenance holds pool rows a fresh build lacks",
-)
 def test_provenance_columns_match_a_fresh_build(packed):
     repaired, fresh = packed
     assert repaired.provenance == fresh.provenance
+
+
+def test_pool_rows_match_a_fresh_build(packed):
+    """Provenance rows past the label entries are the pool: entries a
+    path reaches that no label holds.  A fresh build has none here."""
+    repaired, fresh = (
+        len(labels.provenance[0]) - len(labels.weights)
+        for labels in packed
+    )
+    assert repaired == fresh == 0
 
 
 def test_a_no_op_repair_keeps_every_list():

@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 from repro.dynamic import DynamicQHLIndex
-from repro.graph import grid_network
+from repro.graph import RoadNetwork, grid_network
 from repro.hierarchy import build_tree_decomposition
 from repro.labeling import build_labels
 from repro.labeling.builder import build_label_columns
@@ -97,7 +97,29 @@ class TestMatchesOracle:
         store = dyn.index.labels
         assert_rows_are_distinct(store)
         assert_matches_oracle(store)
-        # Stale children are still referenced: the pool is not empty.
+        # No stale child is referenced: the pool is a fresh build's.
+        fresh = DynamicQHLIndex.build(
+            RoadNetwork.from_edges(network.num_vertices, dyn.network_edges()),
+            num_index_queries=30, seed=6,
+        ).index.labels
+        repaired_pool, fresh_pool = (
+            len(packed.provenance[0]) - len(packed.weights)
+            for packed in (
+                pack_labels(store, provenance=True),
+                pack_labels(fresh, provenance=True),
+            )
+        )
+        assert repaired_pool == fresh_pool == 0
+
+    def test_store_with_stale_children(self, tree):
+        # Every label rebound to copies of its entries: the copies'
+        # children, and theirs, are held by no label, so the packer
+        # pools them round after round.
+        store = build_labels(tree)
+        for v, u, entries in list(store.items()):
+            store.set(v, u, [entry[:2] + entry[2:] for entry in entries])
+        assert_rows_are_distinct(store)
+        assert_matches_oracle(store)
         packed = pack_labels(store, provenance=True)
         assert len(packed.provenance[0]) > len(packed.weights)
 
