@@ -24,9 +24,10 @@ class DijkstraEngine:
     def __init__(self, network):
         self._network = network
 
-    def query(self, source, target, budget):
+    def query(self, source, target, budget, want_path=False, deadline=None):
         return constrained_dijkstra(
-            self._network, source, target, budget, want_path=False
+            self._network, source, target, budget,
+            want_path=want_path, deadline=deadline,
         )
 
 

@@ -17,13 +17,17 @@ Two kinds of drift are told apart:
   algorithm itself changed and the baseline must be regenerated
   deliberately (``--write-baseline``).
 * **Latency** is machine-dependent, so raw times are useless as a
-  committed baseline.  Every run times a fixed pure-Python spin loop
-  (:func:`calibrate`) and divides the measured percentiles by it; the
-  gate compares these *calibration-normalised* numbers with a
-  tolerance band (:data:`LATENCY_TOLERANCE`), so a slower CI runner
-  shifts both sides equally while a real slowdown in the query path
-  moves only the numerator.  Percentiles are min-of-medians across
-  repetitions, which squeezes scheduler noise out of the tail.
+  committed baseline.  Each engine's repetitions are interleaved with
+  timings of a fixed pure-Python spin loop (:func:`calibrate`), and
+  that engine's percentiles are divided by the best of them; the gate
+  compares these *calibration-normalised* numbers with a tolerance
+  band (:data:`LATENCY_TOLERANCE`), so a slower CI runner shifts both
+  sides equally while a real slowdown in the query path moves only the
+  numerator.  Calibrating beside each engine, rather than once before
+  all four, keeps a host that slows down mid-run from reading as a
+  regression of whichever engine runs last.  Percentiles are
+  min-of-medians across repetitions, which squeezes scheduler noise
+  out of the tail.
 
 ``--slowdown N`` multiplies the measured latencies by ``N`` before the
 comparison — a synthetic regression used to prove the gate actually
@@ -167,7 +171,6 @@ def measure(
         seed=INDEX_SEED,
     )
     queries = pinned_workload(network, num_queries, WORKLOAD_SEED)
-    calibration = calibrate()
 
     cached = index.cached_engine(CACHE_SIZE)
     engines = {
@@ -183,16 +186,16 @@ def measure(
         "repetitions": repetitions,
         "workload_seed": WORKLOAD_SEED,
         "index_seed": INDEX_SEED,
-        "calibration_seconds": calibration,
         "engines": {},
     }
     for name, (engine, runner) in engines.items():
         runner(engine, queries[: max(10, num_queries // 10)])  # warm-up
         if name == "cached":
             cached.cache.clear()
-        p50s, p95s = [], []
+        p50s, p95s, calibrations = [], [], []
         ops = None
         for _ in range(repetitions):
+            calibrations.append(calibrate(passes=2))
             latencies, rep_ops = runner(engine, queries)
             latencies.sort()
             p50s.append(_percentile(latencies, 50))
@@ -207,7 +210,9 @@ def measure(
         # min-of-medians: the least-noisy repetition represents the
         # machine's attainable latency.
         p50, p95 = min(p50s), min(p95s)
+        calibration = min(calibrations)
         out["engines"][name] = {
+            "calibration_seconds": calibration,
             "p50_us": round(p50 * 1e6, 3),
             "p95_us": round(p95 * 1e6, 3),
             "p50_norm": round(p50 / calibration, 6),

@@ -26,7 +26,7 @@ import random
 import time
 from typing import TYPE_CHECKING
 
-from repro.exceptions import IndexBuildError
+from repro.exceptions import IndexBuildError, QueryError
 from repro.graph.network import RoadNetwork
 from repro.baselines.overlay import overlay_csp_search
 from repro.baselines.sky_dijkstra import skyline_search
@@ -157,9 +157,16 @@ class COLAEngine:
         source: int,
         target: int,
         budget: float,
+        want_path: bool = False,
         deadline: "Deadline | None" = None,
     ) -> QueryResult:
-        """Answer one CSP query exactly over the partition overlay."""
+        """Answer one CSP query exactly over the partition overlay.
+
+        The overlay keeps skyline values, not paths, so ``want_path=True``
+        raises :class:`~repro.exceptions.QueryError`.
+        """
+        if want_path:
+            raise QueryError("COLA answers carry no path")
         query = CSPQuery(source, target, budget).validated(
             self._network.num_vertices
         )

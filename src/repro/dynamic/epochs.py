@@ -55,7 +55,7 @@ from repro.exceptions import (
 from repro.observability.metrics import get_registry
 from repro.resilience.audit import audit_index
 from repro.service.deadline import Deadline
-from repro.service.faults import get_injector
+from repro.service.faults import get_injector, injected_clock
 from repro.supervise.incidents import get_incident_log
 from repro.types import QueryResult
 
@@ -225,10 +225,7 @@ class EpochManager:
 
     # ------------------------------------------------------------------
     def _now(self) -> float:
-        injector = get_injector()
-        if injector.enabled and injector.clock is not None:
-            return injector.clock()
-        return self._clock()
+        return (injected_clock() or self._clock)()
 
     @property
     def epoch(self) -> Epoch:

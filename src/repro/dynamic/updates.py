@@ -39,7 +39,7 @@ import copy
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.engine import QHLIndex, _building, random_index_queries
 from repro.core.pruning import build_pruning_index
@@ -50,23 +50,10 @@ from repro.hierarchy.tree import TreeDecomposition
 from repro.labeling.builder import label_set
 from repro.labeling.labels import LabelStore
 from repro.service.deadline import Deadline
-from repro.service.faults import get_injector
+from repro.service.faults import injected_clock
 from repro.skyline.entries import edge_entry
 from repro.skyline.set_ops import SkylineSet, join_union, skyline_of
 from repro.types import CSPQuery, QueryResult
-
-
-def _timing_clock() -> Callable[[], float]:
-    """The repair-timing clock: the injected one when chaos is active.
-
-    Mirrors ``QueryService._deadline_clock`` — tests jump time
-    deterministically through :attr:`FaultInjector.clock` while
-    production uses the monotonic ``perf_counter``.
-    """
-    injector = get_injector()
-    if injector.enabled and injector.clock is not None:
-        return injector.clock
-    return time.perf_counter
 
 
 @dataclass
@@ -217,7 +204,8 @@ class DynamicQHLIndex:
         at every outer sweep step so a runaway repair aborts before
         mutating the pruning index.
         """
-        clock = _timing_clock()
+        # Repair timing runs on the injected clock in chaos tests.
+        clock = injected_clock() or time.perf_counter
         started = clock()
         dirty_seeds: set[tuple[int, int]] = set()
         staged = list(self._edges)

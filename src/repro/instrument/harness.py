@@ -8,12 +8,14 @@ fixed-bucket histogram, so reports carry p50/p95/p99 alongside the
 mean.  Every benchmark in ``benchmarks/`` reports through this module
 so the printed rows are uniform.
 
-A query that raises a :class:`~repro.exceptions.ReproError` no longer
-aborts the run: it is recorded as a :class:`QueryFailure` row and
-counted in ``WorkloadReport.failed``, so one pathological query cannot
-take down a whole workload.  Per-query and per-batch time budgets
-(``deadline_ms`` / ``batch_deadline_ms``) thread
-:class:`~repro.service.deadline.Deadline` objects into the engines.
+The harness keeps no query loop of its own: :func:`run_workload`
+builds its report from the batch API's loop
+(:mod:`repro.perf.batch`), so deadlines, failure rows and the flight
+join follow that module's rules.  A query that raises a
+:class:`~repro.exceptions.ReproError` does not abort the run: it
+becomes a :class:`~repro.perf.batch.BatchFailure` row counted in
+``WorkloadReport.failed``.  Latency, in either mode, is the wall-clock
+``perf_counter`` time around each ``engine.query`` call.
 
 The table layout is driven by one column spec (:data:`COLUMNS`):
 ``WorkloadReport.header()`` and ``row()`` are derived from the same
@@ -22,42 +24,33 @@ tuple, so they cannot drift apart when columns are added.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
-from repro.exceptions import ReproError
-from repro.observability.flight import get_flight_recorder
 from repro.observability.metrics import Histogram, get_registry
+from repro.observability.propagation import new_trace_id
+from repro.perf.batch import BatchFailure, _run_indices, execute_batch
 from repro.service.deadline import Deadline
 from repro.types import CSPQuery, QueryResult
 
 
 class QueryEngine(Protocol):
-    """Anything with ``query(s, t, C) -> QueryResult`` and a ``name``."""
+    """The engine contract: a ``name`` and
+    ``query(s, t, C, want_path=False, deadline=None) -> QueryResult``.
+
+    Every engine in this package meets it.
+    """
 
     name: str
 
     def query(
-        self, source: int, target: int, budget: float
+        self,
+        source: int,
+        target: int,
+        budget: float,
+        want_path: bool = False,
+        deadline: Deadline | None = None,
     ) -> QueryResult: ...
-
-
-@dataclass(frozen=True)
-class QueryFailure:
-    """One query that raised instead of answering.
-
-    ``trace_id`` and ``flight_seq`` join the row to its batch trace and
-    flight-recorder record (``None`` when observability was off), so a
-    failure in a report is greppable back to its forensic evidence.
-    """
-
-    index: int
-    query: CSPQuery
-    error: str
-    message: str
-    trace_id: str | None = None
-    flight_seq: int | None = None
 
 
 @dataclass
@@ -74,7 +67,7 @@ class WorkloadReport:
     feasible: int
     latency: Histogram | None = field(default=None, repr=False)
     failed: int = 0
-    failures: list[QueryFailure] = field(default_factory=list, repr=False)
+    failures: list[BatchFailure] = field(default_factory=list, repr=False)
     skipped: int = 0
 
     @property
@@ -159,206 +152,73 @@ def run_workload(
 ) -> WorkloadReport:
     """Run every query through the engine and aggregate the statistics.
 
-    Per-query latencies land in a fixed-bucket histogram; when a live
-    metrics registry is installed (:func:`repro.observability.metrics.
-    set_registry`) the histogram is also attached to it under
+    The queries run through the batch API's loop: in input order, in
+    this process, or with ``batch=True`` through
+    :func:`repro.perf.batch.execute_batch` itself — cache-friendly
+    sorted order, and ``workers >= 2`` fans it out over a supervised
+    pool of self-healing workers (whose policy ``supervision``
+    overrides).  Either way a query's latency is the wall-clock
+    ``perf_counter`` time around its ``engine.query`` call, measured in
+    the process that ran it.  It lands in a fixed-bucket histogram;
+    when a live metrics registry is installed
+    (:func:`repro.observability.metrics.set_registry`) the histogram is
+    also attached to it under
     ``qhl_workload_query_seconds{engine=...,workload=...}``.
 
     A query raising :class:`~repro.exceptions.ReproError` (including
     :class:`~repro.exceptions.DeadlineExceededError` from
-    ``deadline_ms``) is recorded as a failure row, not a crash.  With
+    ``deadline_ms``) is recorded as a failure row, not a crash; its
+    time counts in the average, not in the histogram.  With
     ``batch_deadline_ms``, queries remaining when the batch budget
     expires are skipped and counted in ``WorkloadReport.skipped``.
-    Deadline arguments require an engine whose ``query`` accepts a
-    ``deadline`` keyword (every engine in this package does).
-
-    ``batch=True`` executes through the batch API
-    (:func:`repro.perf.batch.execute_batch`): queries run in
-    cache-friendly sorted order (``workers >= 2`` fans them out over a
-    supervised pool of self-healing workers, whose policy
-    ``supervision`` overrides) and per-query latency is the
-    engine-measured ``stats.seconds`` rather than harness wall-clock.
     """
+    query_list = list(queries)
     if batch:
-        return _run_workload_batched(
-            engine, queries, workload_name,
-            deadline_ms, batch_deadline_ms, workers,
+        report = execute_batch(
+            engine, query_list,
+            deadline_ms=deadline_ms,
+            batch_deadline_ms=batch_deadline_ms,
+            workers=workers,
             supervision=supervision,
         )
-    latency = Histogram(
-        "qhl_workload_query_seconds",
-        labels={"engine": engine.name, "workload": workload_name},
-        help="per-query latency measured by the workload harness",
-    )
-    registry = get_registry()
-    if registry.enabled:
-        registry.attach(latency)
-    batch_deadline = (
-        Deadline.from_ms(batch_deadline_ms)
-        if batch_deadline_ms is not None
-        else None
-    )
-    total = 0.0
-    hoplinks = 0
-    concatenations = 0
-    lookups = 0
-    feasible = 0
-    count = 0
-    failed = 0
-    skipped = 0
-    failures: list[QueryFailure] = []
-    for i, query in enumerate(queries):
-        if batch_deadline is not None and batch_deadline.expired():
-            skipped += 1
-            continue
-        deadline = (
-            Deadline.from_ms(deadline_ms) if deadline_ms is not None
-            else batch_deadline
+    else:
+        report = _run_indices(
+            engine, query_list, range(len(query_list)), False,
+            deadline_ms, batch_deadline_ms, new_trace_id(),
         )
-        started = time.perf_counter()
-        try:
-            if deadline is None:
-                result = engine.query(
-                    query.source, query.target, query.budget
-                )
-            else:
-                result = engine.query(
-                    query.source, query.target, query.budget,
-                    deadline=deadline,
-                )
-        except ReproError as exc:
-            elapsed = time.perf_counter() - started
-            total += elapsed
-            count += 1
-            failed += 1
-            # A QueryService engine has already flight-recorded this
-            # failure itself; reuse its record instead of writing a
-            # duplicate.  Plain engines get one from the harness.
-            entry = getattr(engine, "_last_flight", None)
-            if entry is None:
-                recorder = get_flight_recorder()
-                if recorder.enabled:
-                    entry = recorder.record(
-                        engine=engine.name,
-                        source=query.source,
-                        target=query.target,
-                        budget=query.budget,
-                        outcome=type(exc).__name__,
-                        seconds=elapsed,
-                        error=str(exc),
-                    )
-            flight_seq = entry.seq if entry is not None else None
-            trace_id = entry.trace_id if entry is not None else None
-            failures.append(
-                QueryFailure(
-                    i, query, type(exc).__name__, str(exc),
-                    trace_id=trace_id, flight_seq=flight_seq,
-                )
-            )
-            if registry.enabled:
-                registry.counter(
-                    "qhl_workload_failures_total",
-                    {
-                        "engine": engine.name,
-                        "workload": workload_name,
-                        "error": type(exc).__name__,
-                    },
-                    help="queries that raised instead of answering",
-                ).inc()
-            continue
-        elapsed = time.perf_counter() - started
-        total += elapsed
-        latency.observe(elapsed)
-        count += 1
-        recorder = get_flight_recorder()
-        if recorder.enabled and getattr(engine, "flight", None) is None:
-            # Engines with their own ring (QueryService) already
-            # recorded this query; everything else gets a row here.
-            recorder.record(
-                engine=engine.name,
-                source=query.source,
-                target=query.target,
-                budget=query.budget,
-                outcome="ok" if result.feasible else "infeasible",
-                seconds=elapsed,
-                stats=result.stats,
-            )
-        hoplinks += result.stats.hoplinks
-        concatenations += result.stats.concatenations
-        lookups += result.stats.label_lookups
-        if result.feasible:
-            feasible += 1
-    divisor = max(1, count)
-    return WorkloadReport(
-        engine=engine.name,
-        workload=workload_name,
-        num_queries=count,
-        total_seconds=total,
-        avg_hoplinks=hoplinks / divisor,
-        avg_concatenations=concatenations / divisor,
-        avg_label_lookups=lookups / divisor,
-        feasible=feasible,
-        latency=latency,
-        failed=failed,
-        failures=failures,
-        skipped=skipped,
-    )
-
-
-def _run_workload_batched(
-    engine: QueryEngine,
-    queries: Iterable[CSPQuery],
-    workload_name: str,
-    deadline_ms: float | None,
-    batch_deadline_ms: float | None,
-    workers: int,
-    supervision=None,
-) -> WorkloadReport:
-    """The ``batch=True`` body of :func:`run_workload`."""
-    from repro.perf.batch import execute_batch
-
-    query_list = list(queries)
+    labels = {"engine": engine.name, "workload": workload_name}
     latency = Histogram(
         "qhl_workload_query_seconds",
-        labels={"engine": engine.name, "workload": workload_name},
+        labels=labels,
         help="per-query latency measured by the workload harness",
     )
     registry = get_registry()
     if registry.enabled:
         registry.attach(latency)
-    batch_report = execute_batch(
-        engine,
-        query_list,
-        deadline_ms=deadline_ms,
-        batch_deadline_ms=batch_deadline_ms,
-        workers=workers,
-        supervision=supervision,
-    )
     total = 0.0
     hoplinks = 0
     concatenations = 0
     lookups = 0
     feasible = 0
-    count = 0
-    for result in batch_report.results:
+    for result, seconds in zip(report.results, report.seconds):
+        if seconds is not None:
+            total += seconds
         if result is None:
             continue
-        count += 1
-        total += result.stats.seconds
-        latency.observe(result.stats.seconds)
+        latency.observe(seconds)
         hoplinks += result.stats.hoplinks
         concatenations += result.stats.concatenations
         lookups += result.stats.label_lookups
         if result.feasible:
             feasible += 1
-    failures = [
-        QueryFailure(
-            f.index, f.query, f.error, f.message,
-            trace_id=f.trace_id, flight_seq=f.flight_seq,
-        )
-        for f in batch_report.failures
-    ]
-    count += len(failures)  # failed queries still count as attempted
+    if registry.enabled:
+        for failure in report.failures:
+            registry.counter(
+                "qhl_workload_failures_total",
+                {**labels, "error": failure.error},
+                help="queries that raised instead of answering",
+            ).inc()
+    count = report.answered + report.failed
     divisor = max(1, count)
     return WorkloadReport(
         engine=engine.name,
@@ -370,7 +230,7 @@ def _run_workload_batched(
         avg_label_lookups=lookups / divisor,
         feasible=feasible,
         latency=latency,
-        failed=len(failures),
-        failures=failures,
-        skipped=batch_report.skipped,
+        failed=report.failed,
+        failures=report.failures,
+        skipped=report.skipped,
     )

@@ -28,6 +28,32 @@ it) surfaces as failure rows (``TaskQuarantinedError``, a
 singletons so its healthy neighbours still answer.
 ``BatchReport.incidents`` carries the supervisor's black box.
 
+The loop is the package's one query loop: :func:`execute_batch` runs
+it in sorted order, :func:`repro.instrument.run_workload` in input
+order (or through :func:`execute_batch` with ``batch=True``).  One
+per-query step serves the in-process loop and the forked workers, and
+its rules hold on every surface:
+
+* **Deadlines.**  ``deadline_ms`` arms a fresh deadline per query;
+  otherwise the query shares the batch deadline, which is also checked
+  between queries (the rest are skipped).  Both run on
+  :func:`~repro.service.faults.injected_clock` in chaos tests and on
+  ``time.monotonic`` otherwise.
+* **Latency.**  ``BatchReport.seconds[i]`` is the ``perf_counter``
+  wall-clock around query ``i``'s engine call, in whichever process
+  ran it.
+* **Flight join.**  With a live recorder every query leaves exactly
+  one flight record.  An engine that records its own queries (a
+  :class:`~repro.service.ladder.QueryService`, through its
+  ``last_flight``) keeps its record; otherwise the loop writes one,
+  with the batch trace id and the measured seconds, into the engine's
+  own ring (a service's ``flight``) or else the active recorder.  A
+  failure row points at that record: its ``trace_id`` and
+  ``flight_seq``.  Without a record the row carries the batch trace id
+  and ``flight_seq=None``.  Forked workers' records die with them, so
+  a fanned-out batch is recorded in the parent, as the chunks come
+  back.
+
 Every batch runs under one trace id.  When observability is live, the
 forked workers inherit it: each chunk's span tree and metric delta come
 back in the chunk's result file, the pool merges the deltas into the
@@ -41,8 +67,9 @@ points at its successor's pid.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.exceptions import DeadlineExceededError, ReproError
 from repro.observability.flight import get_flight_recorder
@@ -50,20 +77,24 @@ from repro.observability.metrics import get_registry
 from repro.observability.propagation import new_trace_id
 from repro.observability.tracing import get_tracer
 from repro.perf.cache import normalize_pair
+from repro.service.deadline import Deadline
+from repro.service.faults import injected_clock
 from repro.supervise.pool import SupervisedPool
 from repro.supervise.supervisor import SupervisionConfig, fork_available
 from repro.types import CSPQuery, QueryResult
 
 QueryLike = CSPQuery | tuple[int, int, float]
 
+_DEADLINE_ERROR = DeadlineExceededError.__name__
+
 
 @dataclass(frozen=True)
 class BatchFailure:
     """One batch query that raised instead of answering.
 
-    ``trace_id`` joins the failure to its batch trace; ``flight_seq``
-    points at the flight-recorder record written for it (``None`` when
-    no recorder was active).
+    ``trace_id`` and ``flight_seq`` point at the query's flight record;
+    without one, ``trace_id`` is the batch's and ``flight_seq`` is
+    ``None`` (see the module docs' flight-join rule).
     """
 
     index: int
@@ -90,6 +121,10 @@ class BatchReport:
     #: Supervisor lifecycle records (spawns, deaths, requeues) when the
     #: batch fanned out; empty when it ran sequentially.
     incidents: list = field(default_factory=list)
+    #: ``seconds[i]``: wall-clock of ``queries[i]``'s engine call
+    #: (``perf_counter`` around it, in whichever process ran it);
+    #: ``None`` when skipped, ``0.0`` when lost with a crashed worker.
+    seconds: list[float | None] = field(default_factory=list)
 
     @property
     def answered(self) -> int:
@@ -119,95 +154,125 @@ def sorted_batch_order(queries: Sequence[QueryLike]) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Sequential execution
+# The per-query step and the in-process loop
 # ----------------------------------------------------------------------
-def _note_deadline_exceeded(engine_name: str) -> None:
-    """Count a batch query that ran out of its per-query budget."""
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter(
-            "qhl_batch_deadline_exceeded_total",
-            {"engine": engine_name},
-            help="batch queries that ran out of per-query budget",
-        ).inc()
+def _run_one(engine, query, want_path, deadline_ms, batch_deadline, clock):
+    """The one per-query step: ``(result, failure, seconds)``.
 
-
-def _note_failure(
-    failures: list[BatchFailure],
-    trace_id: str | None,
-    engine_name: str,
-    index: int,
-    query: CSPQuery,
-    error: str,
-    message: str,
-) -> None:
-    """Append a failure row, flight-recording it when a recorder is on."""
-    recorder = get_flight_recorder()
-    flight_seq = None
-    if recorder.enabled:
-        entry = recorder.record(
-            engine=engine_name,
-            source=query.source,
-            target=query.target,
-            budget=query.budget,
-            outcome=error,
-            seconds=0.0,
-            trace_id=trace_id,
-            error=message,
-        )
-        flight_seq = entry.seq
-    failures.append(
-        BatchFailure(
-            index, query, error, message,
-            trace_id=trace_id, flight_seq=flight_seq,
-        )
+    Arms the query's deadline (its own ``deadline_ms`` budget on
+    ``clock``, else the shared batch one), calls the engine and times
+    the call with ``perf_counter``.  A
+    :class:`~repro.exceptions.ReproError` comes back as an
+    ``(error class name, message)`` failure pair.
+    """
+    s, t, c = query
+    deadline = (
+        Deadline.from_ms(deadline_ms, clock=clock)
+        if deadline_ms is not None
+        else batch_deadline
     )
+    started = time.perf_counter()
+    try:
+        result = engine.query(s, t, c, want_path=want_path, deadline=deadline)
+    except ReproError as exc:
+        seconds = time.perf_counter() - started
+        return None, (type(exc).__name__, str(exc)), seconds
+    return result, None, time.perf_counter() - started
+
+
+class _Collector:
+    """Gathers per-query outcomes into a :class:`BatchReport`.
+
+    :meth:`add` holds the flight-join rule (see the module docs).
+    """
+
+    def __init__(self, engine, queries, trace_id):
+        self.engine_name = getattr(engine, "name", "?")
+        self.queries = queries
+        self.trace_id = trace_id
+        # A QueryService keeps its own ring: records the loop writes
+        # for it (fanned-out queries) belong there too.
+        own_ring = getattr(engine, "flight", None)
+        self.recorder = (
+            own_ring if own_ring is not None else get_flight_recorder()
+        )
+        self.results: list[QueryResult | None] = [None] * len(queries)
+        self.seconds: list[float | None] = [None] * len(queries)
+        self.failures: list[BatchFailure] = []
+
+    def add(self, i, result, failure, seconds, own=None) -> None:
+        """Take query ``i``'s outcome; ``own`` is the flight record the
+        engine wrote for it itself, if any."""
+        self.seconds[i] = seconds
+        entry = own if own is not None else self._record(
+            i, result, failure, seconds
+        )
+        if failure is None:
+            self.results[i] = result
+            return
+        self.failures.append(
+            BatchFailure(
+                i, CSPQuery(*self.queries[i]), *failure,
+                trace_id=entry.trace_id if entry else self.trace_id,
+                flight_seq=entry.seq if entry else None,
+            )
+        )
+
+    def _record(self, i, result, failure, seconds):
+        if not self.recorder.enabled:
+            return None
+        s, t, c = self.queries[i]
+        if failure is None:
+            outcome = "ok" if result.feasible else "infeasible"
+        else:
+            outcome = failure[0]
+        return self.recorder.record(
+            engine=self.engine_name, source=s, target=t, budget=c,
+            outcome=outcome, seconds=seconds, trace_id=self.trace_id,
+            stats=result.stats if result is not None else None,
+            error=failure[1] if failure is not None else "",
+        )
+
+    def report(self, skipped: int = 0, incidents=()) -> BatchReport:
+        self.failures.sort(key=lambda f: f.index)
+        return BatchReport(
+            results=self.results, failures=self.failures,
+            skipped=skipped, trace_id=self.trace_id,
+            incidents=list(incidents), seconds=self.seconds,
+        )
 
 
 def _run_indices(
     engine,
     queries: Sequence[QueryLike],
-    indices: Sequence[int],
+    indices: Iterable[int],
     want_path: bool,
     deadline_ms: float | None,
-    batch_deadline,
-    trace_id: str | None = None,
+    batch_deadline_ms: float | None,
+    trace_id: str,
 ) -> BatchReport:
-    """Run the given queries in the given order, collecting failures."""
-    engine_name = getattr(engine, "name", "?")
-    results: list[QueryResult | None] = [None] * len(queries)
-    failures: list[BatchFailure] = []
+    """Run the given queries in the given order, in this process."""
+    clock = injected_clock() or time.monotonic
+    batch_deadline = (
+        Deadline.from_ms(batch_deadline_ms, clock=clock)
+        if batch_deadline_ms is not None
+        else None
+    )
+    collector = _Collector(engine, queries, trace_id)
     skipped = 0
     for i in indices:
         if batch_deadline is not None and batch_deadline.expired():
             skipped += 1
             continue
-        deadline = _fresh_deadline(deadline_ms, batch_deadline)
-        s, t, c = queries[i]
-        try:
-            results[i] = engine.query(
-                s, t, c, want_path=want_path, deadline=deadline
-            )
-        except ReproError as exc:
-            if isinstance(exc, DeadlineExceededError):
-                _note_deadline_exceeded(engine_name)
-            _note_failure(
-                failures, trace_id, engine_name, i, CSPQuery(s, t, c),
-                type(exc).__name__, str(exc),
-            )
-    return BatchReport(
-        results=results, failures=failures, skipped=skipped,
-        trace_id=trace_id,
-    )
-
-
-def _fresh_deadline(deadline_ms: float | None, batch_deadline):
-    """Per-query deadline: its own budget, else the shared batch one."""
-    if deadline_ms is not None:
-        from repro.service.deadline import Deadline
-
-        return Deadline.from_ms(deadline_ms)
-    return batch_deadline
+        result, failure, seconds = _run_one(
+            engine, queries[i], want_path, deadline_ms, batch_deadline,
+            clock,
+        )
+        # Read right after the call: the record a self-recording
+        # engine (a QueryService) just wrote for this query.
+        own = getattr(engine, "last_flight", None)
+        collector.add(i, result, failure, seconds, own)
+    return collector.report(skipped=skipped)
 
 
 # ----------------------------------------------------------------------
@@ -229,22 +294,16 @@ def _worker_chunk(payload, span, heartbeat):
     arbitrarily long chunks.
     """
     indices, triples, want_path, deadline_ms = payload
-    engine_name = getattr(_WORKER_ENGINE, "name", "?")
+    clock = injected_clock() or time.monotonic
     out = []
-    for i, (s, t, c) in zip(indices, triples, strict=True):
+    for i, triple in zip(indices, triples, strict=True):
         heartbeat()
-        deadline = _fresh_deadline(deadline_ms, None)
-        try:
-            result = _WORKER_ENGINE.query(
-                s, t, c, want_path=want_path, deadline=deadline
-            )
-        except ReproError as exc:
-            if isinstance(exc, DeadlineExceededError):
-                _note_deadline_exceeded(engine_name)
-                span.add("deadline_exceeded", 1)
-            out.append((i, None, (type(exc).__name__, str(exc))))
-        else:
-            out.append((i, result, None))
+        result, failure, seconds = _run_one(
+            _WORKER_ENGINE, triple, want_path, deadline_ms, None, clock
+        )
+        if failure is not None and failure[0] == _DEADLINE_ERROR:
+            span.add("deadline_exceeded", 1)
+        out.append((i, result, failure, seconds))
     span.set("queries", len(out))
     return out
 
@@ -277,10 +336,7 @@ def _execute_fan_out(
          want_path, deadline_ms)
         for chunk in chunks
     ]
-    engine_name = getattr(engine, "name", "?")
-    results: list[QueryResult | None] = [None] * len(queries)
-    failures: list[BatchFailure] = []
-    incidents: list = []
+    collector = _Collector(engine, queries, trace_id)
     _WORKER_ENGINE = engine
     try:
         with tracer.span("batch.fan-out") as parent:
@@ -299,31 +355,21 @@ def _execute_fan_out(
             incidents = pool.supervisor.incidents.records()
             if report.spans:
                 parent.children.extend(report.spans)
-        for chunk_out in report.results.values():
-            for i, result, failure in chunk_out:
-                if failure is not None:
-                    s, t, c = tuple(queries[i])[:3]
-                    _note_failure(
-                        failures, trace_id, engine_name, i,
-                        CSPQuery(s, t, c), *failure,
-                    )
-                else:
-                    results[i] = result
-        for lost in report.failures:
-            indices, triples, _, _ = lost.payload
-            for i, (s, t, c) in zip(indices, triples, strict=True):
-                _note_failure(
-                    failures, trace_id, engine_name, i,
-                    CSPQuery(s, t, c), lost.error,
-                    f"{lost.message} (attempts: {lost.attempts})",
-                )
     finally:
         _WORKER_ENGINE = None
-    failures.sort(key=lambda f: f.index)
-    return BatchReport(
-        results=results, failures=failures, trace_id=trace_id,
-        incidents=incidents,
-    )
+    # Chunks finish in any order; adding them by task id keeps the
+    # flight records in the same order run to run.
+    for task_id in sorted(report.results):
+        for i, result, failure, seconds in report.results[task_id]:
+            collector.add(i, result, failure, seconds)
+    for lost in report.failures:
+        for i in lost.payload[0]:
+            collector.add(
+                i, None,
+                (lost.error, f"{lost.message} (attempts: {lost.attempts})"),
+                0.0,
+            )
+    return collector.report(incidents=incidents)
 
 
 # ----------------------------------------------------------------------
@@ -395,21 +441,25 @@ def execute_batch(
             help="process-pool size of the last batch run",
         ).set(workers if fan_out else 1)
     if fan_out:
-        return _execute_fan_out(
+        report = _execute_fan_out(
             engine, queries, order, want_path, deadline_ms, workers,
             trace_id, supervision,
         )
-    batch_deadline = None
-    if batch_deadline_ms is not None:
-        from repro.service.deadline import Deadline
-
-        batch_deadline = Deadline.from_ms(batch_deadline_ms)
-    with tracer.span("batch.run") as span:
-        span.set("queries", len(queries))
-        return _run_indices(
-            engine, queries, order, want_path, deadline_ms,
-            batch_deadline, trace_id=trace_id,
-        )
+    else:
+        with tracer.span("batch.run") as span:
+            span.set("queries", len(queries))
+            report = _run_indices(
+                engine, queries, order, want_path, deadline_ms,
+                batch_deadline_ms, trace_id,
+            )
+    expired = sum(f.error == _DEADLINE_ERROR for f in report.failures)
+    if registry.enabled and expired:
+        registry.counter(
+            "qhl_batch_deadline_exceeded_total",
+            {"engine": getattr(engine, "name", "?")},
+            help="batch queries that ran out of per-query budget",
+        ).inc(expired)
+    return report
 
 
 def _contiguous_chunks(order: list[int], workers: int) -> list[list[int]]:

@@ -64,9 +64,9 @@ Injection points (:data:`INJECTION_POINTS`):
     crash between repair and publish leaves the batch pending and the
     old epoch serving.
 ``clock``
-    Not an exception point: setting :attr:`FaultInjector.clock` makes
-    the service build deadlines on the injected clock, so tests can
-    jump time deterministically.
+    Not an exception point: setting :attr:`FaultInjector.clock` swaps
+    the clock of every site that times or schedules (see
+    :func:`injected_clock`), so tests can jump time deterministically.
 
 Schedules are deterministic: a rule fails the ``after``-th through
 ``after + times - 1``-th *matching* calls of its point (``times=None``
@@ -76,6 +76,7 @@ means forever), so a chaos test replays identically every run.
 from __future__ import annotations
 
 import contextlib
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -232,6 +233,33 @@ def use_injector(
         yield injector
     finally:
         set_injector(previous)
+
+
+def injected_clock() -> Callable[[], float] | None:
+    """The active injector's clock, or ``None`` outside a chaos run.
+
+    The one rule for injected time.  Every site that builds a deadline
+    or timestamps an event (the service ladder, the batch loop, repair
+    timing, the epoch manager, the supervisor) runs on this clock when
+    it is set and on its own clock otherwise, and every site that draws
+    backoff jitter seeds its RNG on the same test (:func:`jitter_rng`).
+    """
+    injector = _active_injector
+    if injector.enabled and injector.clock is not None:
+        return injector.clock
+    return None
+
+
+def jitter_rng() -> random.Random:
+    """An RNG for backoff jitter: seeded under an injected clock.
+
+    Chaos tests then replay the same backoff schedule every run;
+    outside them the jitter stays nondeterministic on purpose (it
+    exists to decorrelate concurrent retriers).
+    """
+    if injected_clock() is not None:
+        return random.Random(0)
+    return random.Random()
 
 
 class FaultyLabelStore:

@@ -54,6 +54,7 @@ from repro.exceptions import (
 )
 from repro.graph.network import RoadNetwork
 from repro.observability.flight import (
+    FlightRecord,
     FlightRecorder,
     get_flight_recorder,
 )
@@ -61,7 +62,7 @@ from repro.observability.metrics import get_registry
 from repro.observability.propagation import new_trace_id
 from repro.service.breaker import CircuitBreaker
 from repro.service.deadline import Deadline
-from repro.service.faults import get_injector
+from repro.service.faults import get_injector, injected_clock
 from repro.storage.serialize import load_index_with_retry
 from repro.types import CSPQuery, QueryResult
 
@@ -398,6 +399,13 @@ class QueryService:
         """The active ladder, fastest first."""
         return [tier.name for tier in self._tiers]
 
+    @property
+    def last_flight(self) -> FlightRecord | None:
+        """The flight record the latest :meth:`query` wrote (``None``
+        when recording is off); the batch loop joins failure rows to it
+        instead of writing a duplicate."""
+        return self._last_flight
+
     def breaker(self, tier: str) -> CircuitBreaker:
         """The circuit breaker guarding ``tier`` (KeyError if absent)."""
         for candidate in self._tiers:
@@ -576,82 +584,8 @@ class QueryService:
         raise error
 
     # ------------------------------------------------------------------
-    def query_batch(
-        self,
-        queries: Sequence,
-        want_path: bool = False,
-        deadline_ms: float | None = None,
-        batch_deadline_ms: float | None = None,
-    ):
-        """Answer a whole workload through the ladder.
-
-        Queries run in cache-friendly order (sorted by normalised
-        ``(s, t)`` pair, so a cache-enabled QHL tier answers repeated
-        pairs from one frontier) but results come back in *input*
-        order, in a :class:`~repro.perf.batch.BatchReport`.
-
-        The PR-2 deadline checkpoints are preserved inside the batch
-        loop: ``deadline_ms`` arms a fresh per-query deadline,
-        ``batch_deadline_ms`` arms one shared deadline — it is checked
-        between queries (remaining queries land in ``skipped``) and
-        threaded into every engine, so a single slow query cannot
-        overrun the batch budget unchecked.  Per-query failures —
-        including deadline expiries and a fully failed ladder — become
-        :class:`~repro.perf.batch.BatchFailure` rows instead of
-        aborting the batch.
-        """
-        from repro.perf.batch import BatchFailure, BatchReport
-        from repro.perf.batch import sorted_batch_order
-
-        batch_deadline = (
-            Deadline.from_ms(batch_deadline_ms, clock=self._deadline_clock())
-            if batch_deadline_ms is not None
-            else None
-        )
-        results: list[QueryResult | None] = [None] * len(queries)
-        failures: list[BatchFailure] = []
-        skipped = 0
-        for i in sorted_batch_order(queries):
-            if batch_deadline is not None and batch_deadline.expired():
-                skipped += 1
-                continue
-            s, t, c = queries[i]
-            per_query = (
-                Deadline.from_ms(deadline_ms, clock=self._deadline_clock())
-                if deadline_ms is not None
-                else batch_deadline
-            )
-            try:
-                results[i] = self.query(
-                    s, t, c, want_path=want_path, deadline=per_query
-                )
-            except ReproError as exc:
-                # Join the failure row to the flight record query()
-                # just wrote for it (None when no recorder is active).
-                entry = self._last_flight
-                failures.append(
-                    BatchFailure(
-                        i, CSPQuery(s, t, c), type(exc).__name__,
-                        str(exc),
-                        trace_id=(
-                            entry.trace_id if entry is not None else None
-                        ),
-                        flight_seq=(
-                            entry.seq if entry is not None else None
-                        ),
-                    )
-                )
-        failures.sort(key=lambda f: f.index)
-        return BatchReport(
-            results=results, failures=failures, skipped=skipped
-        )
-
-    # ------------------------------------------------------------------
     def _deadline_clock(self) -> Callable[[], float]:
-        injector = get_injector()
-        if injector.enabled and injector.clock is not None:
-            return injector.clock
-        return self._clock
+        return injected_clock() or self._clock
 
     @staticmethod
     def _record_fallback(registry, frm: str, to: str | None, reason: str

@@ -260,23 +260,17 @@ def load_index_with_retry(
     of random extra.  :class:`SerializationError` (missing, short,
     corrupt, or wrong-version files) is permanent and never retried.
     ``sleep`` and ``rng`` are injectable for deterministic tests; the
-    ``index-load`` fault point fires at the start of every attempt.  When a
-    :class:`~repro.service.faults.FaultInjector` with an injected clock
-    is active, the default ``rng`` is seeded (``random.Random(0)``) so
-    chaos tests see reproducible backoff sequences; outside a fault
-    harness the jitter stays nondeterministic on purpose (it exists to
-    decorrelate concurrent retriers).
+    ``index-load`` fault point fires at the start of every attempt.  The
+    default ``rng`` is :func:`~repro.service.faults.jitter_rng`: seeded
+    under an injected clock, so chaos tests see reproducible backoff
+    sequences, and nondeterministic otherwise.
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
     if rng is None:
-        from repro.service.faults import get_injector
+        from repro.service.faults import jitter_rng
 
-        injector = get_injector()
-        if injector.enabled and injector.clock is not None:
-            rng = random.Random(0)
-        else:
-            rng = random.Random()  # lint: allow=QHL003 backoff jitter is the one place nondeterminism is wanted; tests inject rng
+        rng = jitter_rng()
     last: OSError | None = None
     for attempt in range(attempts):
         try:

@@ -83,7 +83,7 @@ from repro.observability.tracing import (
     use_tracer,
 )
 from repro.service.breaker import OPEN, CircuitBreaker
-from repro.service.faults import get_injector
+from repro.service.faults import get_injector, injected_clock, jitter_rng
 from repro.supervise.incidents import IncidentLog, get_incident_log
 
 #: Prefix of supervisor scratch directories (heartbeats + result files);
@@ -333,23 +333,9 @@ class Supervisor:
         clock: Callable[[], float] | None = None,
         rng: random.Random | None = None,
     ) -> None:
-        injector = get_injector()
         self.config = config if config is not None else SupervisionConfig()
-        if clock is None:
-            clock = (
-                injector.clock
-                if injector.enabled and injector.clock is not None
-                else time.monotonic
-            )
-        self._clock = clock
-        if rng is None:
-            if injector.enabled and injector.clock is not None:
-                # Deterministic jitter under injected clocks, so chaos
-                # schedules replay identically run to run.
-                rng = random.Random(0)
-            else:
-                rng = random.Random()
-        self._rng = rng
+        self._clock = clock or injected_clock() or time.monotonic
+        self._rng = rng if rng is not None else jitter_rng()
         self._entrypoint = entrypoint
         self._label = label
         self.trace_id = trace_id

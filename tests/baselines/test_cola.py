@@ -86,6 +86,13 @@ class TestCOLAQueries:
             want = constrained_dijkstra(g, s, t, budget, want_path=False)
             assert engine.query(s, t, budget).pair() == want.pair()
 
+    def test_path_requests_are_refused(self, paper_cola):
+        from repro.exceptions import QueryError
+
+        _g, engine = paper_cola
+        with pytest.raises(QueryError, match="no path"):
+            engine.query(v(8), v(4), 13, want_path=True)
+
     def test_index_entries_positive(self, paper_cola):
         _g, engine = paper_cola
         assert engine.index_entries() > 0

@@ -7,7 +7,12 @@ import pytest
 from repro.exceptions import QueryError
 from repro.perf import execute_batch
 from repro.perf.batch import sorted_batch_order
-from repro.service import QueryService, ServiceConfig
+from repro.service import (
+    FaultInjector,
+    QueryService,
+    ServiceConfig,
+    use_injector,
+)
 from repro.supervise import fork_available
 from repro.types import CSPQuery
 
@@ -145,27 +150,39 @@ class TestExecuteBatchWorkers:
 
 
 class TestServiceBatch:
+    """``execute_batch`` over a ``QueryService``: answers through the
+    ladder, failure rows, and the batch deadline."""
+
     def test_query_batch_matches_single_queries(self, paper_index):
         service = QueryService(
             index=paper_index, config=ServiceConfig(cache_size=8)
         )
         assert service.tiers[0] == "QHL+cache"
-        report = service.query_batch(QUERIES)
+        report = execute_batch(service, QUERIES)
         for (s, t, c), result in zip(QUERIES, report.results):
             assert answer(result) == answer(service.query(s, t, c))
             assert result.engine == "QHL+cache"
 
     def test_query_batch_records_failures(self, paper_index):
         service = QueryService(index=paper_index)
-        report = service.query_batch([(7, 3, 13), (0, 999, 10)])
+        report = execute_batch(service, [(7, 3, 13), (0, 999, 10)])
         assert report.answered == 1
         assert [f.index for f in report.failures] == [1]
 
     def test_query_batch_batch_deadline_skips(self, paper_index):
         service = QueryService(index=paper_index)
-        report = service.query_batch(QUERIES, batch_deadline_ms=0)
+        report = execute_batch(service, QUERIES, batch_deadline_ms=0)
         assert report.skipped == len(QUERIES)
         assert report.answered == 0
+
+    def test_batch_deadline_runs_on_the_injected_clock(self, paper_index):
+        # A frozen injected clock never lets a 1 µs budget expire; on
+        # the real clock it would lapse during the first query.
+        service = QueryService(index=paper_index)
+        with use_injector(FaultInjector(clock=lambda: 0.0)):
+            report = execute_batch(service, QUERIES, batch_deadline_ms=1e-3)
+        assert report.skipped == 0 and report.failed == 0
+        assert report.answered == len(QUERIES)
 
     def test_cache_disabled_by_default(self, paper_index):
         service = QueryService(index=paper_index)

@@ -138,6 +138,23 @@ class TestStitchedBatchTrace:
         assert entry.trace_id == report.trace_id
         assert entry.outcome == failure.error
 
+    def test_every_query_leaves_one_timed_record(self, paper_index):
+        # Answered queries are recorded as well as failed ones, and
+        # each record carries the wall-clock its engine call took.
+        engine = paper_index.qhl_engine()
+        recorder = FlightRecorder()
+        with use_flight_recorder(recorder):
+            report = execute_batch(
+                engine, [(0, 5, 9.0), (2, 9, 14.0), (0, 999, 9.0)]
+            )
+        records = recorder.records()
+        assert len(records) == 3
+        assert {r.trace_id for r in records} == {report.trace_id}
+        (failure,) = report.failures
+        entry = records[failure.flight_seq - 1]
+        assert (entry.source, entry.target) == (0, 999)
+        assert entry.seconds == report.seconds[failure.index] > 0.0
+
 
 class RaisingEngine:
     """Wraps a real engine; raises a non-``ReproError`` on a sentinel."""

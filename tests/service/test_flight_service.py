@@ -13,6 +13,7 @@ from repro.exceptions import (
     ServiceUnavailableError,
 )
 from repro.observability.flight import load_flight
+from repro.perf import execute_batch
 from repro.service import (
     FaultInjector,
     QueryService,
@@ -154,7 +155,7 @@ class TestBatchJoin:
         self, service_index
     ):
         service = QueryService(index=service_index)
-        report = service.query_batch([QUERY, (0, 10_000, 250)])
+        report = execute_batch(service, [QUERY, (0, 10_000, 250)])
         assert len(report.failures) == 1
         failure = report.failures[0]
         assert failure.trace_id is not None

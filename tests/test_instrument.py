@@ -2,6 +2,8 @@
 
 import time
 
+import pytest
+
 from repro.instrument import (
     COLUMNS,
     Timer,
@@ -247,21 +249,25 @@ class TestWorkloadFlightJoin:
         assert by_seq[failure.flight_seq].trace_id == failure.trace_id
 
     def test_no_recorder_means_no_pointers(self, small_grid_index):
-        engine = _FlakyEngine(small_grid_index.qhl_engine(), fail_on={0})
+        # Without a flight record a row still joins its run's trace:
+        # every failure of one run carries the same batch trace id.
+        engine = _FlakyEngine(small_grid_index.qhl_engine(), fail_on={0, 1})
         report = run_workload(engine, self._queries(2), "flaky")
-        failure = report.failures[0]
-        assert failure.trace_id is None
-        assert failure.flight_seq is None
+        first, second = report.failures
+        assert first.flight_seq is None and second.flight_seq is None
+        assert first.trace_id is not None
+        assert first.trace_id == second.trace_id
 
+    @pytest.mark.parametrize("batch", [False, True])
     def test_service_records_are_reused_not_duplicated(
-        self, small_grid_index, service_network=None
+        self, small_grid_index, batch
     ):
         from repro.service import QueryService
         from repro.types import CSPQuery
 
         service = QueryService(index=small_grid_index)
         queries = [CSPQuery(0, 63, 10_000), CSPQuery(0, 10_000, 5.0)]
-        report = run_workload(service, queries, "svc")
+        report = run_workload(service, queries, "svc", batch=batch)
         assert report.failed == 1
         # One flight record per query — the harness reused the
         # service's own failure record instead of writing a second.
@@ -269,3 +275,22 @@ class TestWorkloadFlightJoin:
         failure = report.failures[0]
         assert failure.flight_seq == service.flight.records()[-1].seq
         assert failure.trace_id is not None
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_execute_batch_reuses_service_records(
+        self, small_grid_index, workers
+    ):
+        # Fanned out, the service's own records die with the workers;
+        # the loop writes the parent's records into the service's ring.
+        from repro.perf import execute_batch
+        from repro.service import QueryService
+        from repro.types import CSPQuery
+
+        service = QueryService(index=small_grid_index)
+        queries = [CSPQuery(0, 63, 10_000), CSPQuery(0, 10_000, 5.0)]
+        report = execute_batch(service, queries, workers=workers)
+        assert service.flight.total == 2
+        (failure,) = report.failures
+        last = service.flight.records()[-1]
+        assert failure.flight_seq == last.seq
+        assert failure.trace_id == last.trace_id
