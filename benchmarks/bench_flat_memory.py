@@ -80,13 +80,16 @@ An eleventh scenario, **epochs**, builds the grid's dynamic index under
 keeps every epoch alive, as a serving process whose readers still hold
 old epochs does.  It reports the bytes each publish leaves live, split
 into entries (tuples, lists and numbers the skyline kernel allocated),
-label dicts and shortcut dicts (those of the new epoch no earlier epoch
-holds, by ``sys.getsizeof``), pruning (``core/pruning.py``), network
-(``graph/``) and the rest.  ``--check`` asserts that an epoch retains on
-average at most :data:`EPOCH_RETAINED_RATIO` of what the build left
-live: a clone shares every per-vertex dict and a repair keeps each
-entry whose path did not change, so an epoch costs what its repair
-changed, not a copy of every vertex's dicts and rebuilt entries.
+label lists and shortcut dicts (those of the new epoch no earlier epoch
+holds, by ``sys.getsizeof``), pruning patches (``core/pruning.py``: the
+rows the repair changed and the row locator), network (``graph/``: the
+derived edge and adjacency lists) and the rest.  ``--check`` asserts
+that an epoch retains on average at most :data:`EPOCH_RETAINED_RATIO`
+of what the build left live: a clone shares every per-vertex label list
+and shortcut dict, a repair keeps each entry whose path did not change,
+patches only the pruning rows it changed and derives a network that
+shares every untouched edge, so an epoch costs what its repair changed,
+not a copy of every vertex's labels, of the bounds or of the network.
 
 Runnable standalone (``python benchmarks/bench_flat_memory.py
 [--check]``); knobs: ``REPRO_BENCH_MEM_QUERIES`` (default 300) and
@@ -137,14 +140,17 @@ SERVE_LIVE_PER_SET = 32
 EPOCH_BATCHES = 3
 EPOCH_EDGES = 4
 #: Upper bound on the mean bytes a published epoch retains / the bytes
-#: the build left live (``--check``).  24×24 grid: 0.082, and 0.164 when
-#: every clone copied each vertex's label and shortcut dict and every
-#: recomputed list kept its freshly built entries.
-EPOCH_RETAINED_RATIO = 0.12
+#: the build left live (``--check``).  24×24 grid: 0.046 with depth-
+#: indexed label lists, patched pruning rows and a derived network;
+#: 0.082 with a label dict per vertex, a copied bounds column and a
+#: rebuilt network per epoch; 0.164 when every clone also copied each
+#: vertex's label and shortcut dict and every recomputed list kept its
+#: freshly built entries.
+EPOCH_RETAINED_RATIO = 0.06
 #: Allocation sites of the epochs scenario's tracemalloc parts.
 EPOCH_SITES = (
     ("entries", f"{os.sep}repro{os.sep}skyline{os.sep}"),
-    ("pruning", f"{os.sep}repro{os.sep}core{os.sep}pruning.py"),
+    ("pruning_patches", f"{os.sep}repro{os.sep}core{os.sep}pruning.py"),
     ("network", f"{os.sep}repro{os.sep}graph{os.sep}"),
 )
 
@@ -436,17 +442,17 @@ def _build_scenario(checkpoint_dir: str | None = None) -> None:
     }))
 
 
-def _new_dict_bytes(index, seen: set[int]) -> tuple[int, int]:
+def _new_vertex_bytes(index, seen: set[int]) -> tuple[int, int]:
     """``(label, shortcut)``: the bytes of ``index``'s per-vertex label
-    dicts and of its shortcut dicts that are not in ``seen``, the ids of
-    the dicts earlier epochs hold; adds theirs to it."""
+    lists and of its shortcut dicts that are not in ``seen``, the ids of
+    the objects earlier epochs hold; adds theirs to it."""
     labels, tree = index.labels, index.tree
     sizes = []
-    for dicts in (
+    for objects in (
         [labels.label(v) for v in range(labels.num_vertices)],
         [tree.shortcuts, *tree.shortcuts.values()],
     ):
-        new = [d for d in dicts if id(d) not in seen]
+        new = [o for o in objects if id(o) not in seen]
         seen.update(map(id, new))
         sizes.append(sum(map(sys.getsizeof, new)))
     return sizes[0], sizes[1]
@@ -474,7 +480,7 @@ def _epochs_scenario(journal_dir: str) -> None:
         manager = EpochManager(dyn, journal_dir)
         epochs = [manager.epoch]  # every epoch stays alive
         seen: set[int] = set()
-        _new_dict_bytes(dyn.index, seen)
+        _new_vertex_bytes(dyn.index, seen)
         rng = random.Random(SEED)
         edges = dyn.network_edges()
         rows = []
@@ -499,8 +505,8 @@ def _epochs_scenario(journal_dir: str) -> None:
                     if site in filename:
                         parts[name] += stat.size_diff
                         break
-            parts["label_dicts"], parts["shortcut_dicts"] = _new_dict_bytes(
-                manager.epoch.dyn.index, seen
+            parts["label_lists"], parts["shortcut_dicts"] = (
+                _new_vertex_bytes(manager.epoch.dyn.index, seen)
             )
             parts["other"] = total - sum(parts.values())
             rows.append({
@@ -635,9 +641,10 @@ def run_benchmark() -> dict:
             f"{epochs_run['index_kb']} KB the build left live",
             *(
                 f"{'':>8} epoch {k}: {row['retained_kb']} KB = entries "
-                f"{row['entries_kb']} + label dicts {row['label_dicts_kb']} "
+                f"{row['entries_kb']} + label lists {row['label_lists_kb']} "
                 f"+ shortcut dicts {row['shortcut_dicts_kb']} + pruning "
-                f"{row['pruning_kb']} + network {row['network_kb']} + other "
+                f"patches {row['pruning_patches_kb']} + network "
+                f"{row['network_kb']} + other "
                 f"{row['other_kb']} ({row['labels_changed']} labels, "
                 f"{row['shortcuts_changed']} shortcuts changed)"
                 for k, row in enumerate(epochs_run["epochs"], 1)

@@ -134,15 +134,17 @@ class CSP2HopEngine:
     ) -> Entry | None:
         """Lines 7-8 over object labels: every pair of entries."""
         # Hoplinks are ancestors of both endpoints: their sets sit in
-        # L(s) / L(t) directly.
-        label_s = self._labels.label(s)
-        label_t = self._labels.label(t)
+        # L(s) / L(t) directly, at the hoplink's depth.
+        labels = self._labels
+        label_s, label_t = labels.label(s), labels.label(t)
+        depth = labels.depth
         best: Entry | None = None
         for h in hoplinks:
             if deadline is not None:
                 deadline.check(stats)
-            p_sh = label_s[h]
-            p_ht = label_t[h]
+            d = depth[h]
+            p_sh = label_s[d]
+            p_ht = label_t[d]
             stats.label_lookups += 2
             for p1 in p_sh:
                 c1 = p1[1]

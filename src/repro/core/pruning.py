@@ -60,6 +60,9 @@ INF = float("inf")
 #: The columns of a :class:`PruningConditionIndex`, in constructor order.
 COND_COLUMNS = ("cond_start", "cond_vend", "bound_start", "bounds")
 
+#: The offset bits of a patched row's locator (the patch id is above).
+_OFFSET = (1 << 32) - 1
+
 
 def compute_cub(
     p_prime: Sequence[Entry],
@@ -178,6 +181,18 @@ class PruningConditionIndex:
     without them holds no condition.  Built and repaired indexes hold
     ``array`` columns (:meth:`freeze`); a loaded one holds
     ``memoryview`` casts over the mapped file.
+
+    A repair (:func:`build_pruning_index` with ``previous``) shares
+    the four columns of the index it repairs and writes each row whose
+    bounds changed into a *patch*: one new array per repair, holding
+    those rows back to back.  ``_row_at`` (int64, one per row, ``-1``
+    for a row still read from ``bounds``) locates each patched row as
+    ``patch id << 32 | offset``, and the ``id → patch`` map is shared
+    with later repairs, which drop the patches no row reads any more.
+    So an epoch costs the rows its repair changed, plus 8 bytes per row
+    for the locator.  :attr:`bounds` joins the patches back into one
+    column when a save asks for it, and a built or loaded index has
+    neither locator nor patch.
     """
 
     def __init__(
@@ -190,21 +205,23 @@ class PruningConditionIndex:
             self.freeze(())
         else:
             (self.cond_start, self.cond_vend, self.bound_start,
-             self.bounds) = columns
+             self._bounds) = columns
+            self._row_at: array | None = None
+            self._patches: dict[int, array] = {}
         if (
             len(self.cond_start) != len(self._bags) + 1
             or len(self.bound_start) != len(self.cond_vend) + 1
             or self.cond_start[0] != 0
             or self.cond_start[-1] != len(self.cond_vend)
             or self.bound_start[0] != 0
-            or self.bound_start[-1] != len(self.bounds)
+            or self.bound_start[-1] != len(self._bounds)
         ):
             raise ValueError(
                 "pruning condition columns do not fit together: "
                 f"{len(self.cond_start)} cond_start entries for "
                 f"{len(self._bags)} vertices, {len(self.cond_vend)} "
                 f"conditions, {len(self.bound_start)} bound_start "
-                f"entries, {len(self.bounds)} bounds"
+                f"entries, {len(self._bounds)} bounds"
             )
         self.build_seconds = 0.0
         self.algorithm6_calls = 0
@@ -245,10 +262,40 @@ class PruningConditionIndex:
             cond_vend.append(v_end)
             bounds.extend(row)
             bound_start.append(len(bounds))
-        self.cond_start, self.cond_vend, self.bound_start, self.bounds = (
+        self.cond_start, self.cond_vend, self.bound_start, self._bounds = (
             array("i", accumulate(counts)), cond_vend, bound_start, bounds
         )
+        self._row_at = None
+        self._patches = {}
         return self
+
+    @property
+    def bounds(self) -> Any:
+        """The ``C_ub`` values as one column, row by row: the stored
+        column itself, or, after a repair patched some rows, a new
+        array with the patched rows written over a copy of it."""
+        at = self._row_at
+        if at is None:
+            return self._bounds
+        column = array("d", self._bounds)
+        rows = self.bound_start
+        for row, loc in enumerate(at):
+            if loc >= 0:
+                lo, hi = rows[row], rows[row + 1]
+                start = loc & _OFFSET
+                column[lo:hi] = self._patches[loc >> 32][
+                    start:start + hi - lo
+                ]
+        return column
+
+    def _values(self, row: int) -> Any:
+        """Row ``row``'s bounds, a slice of ``bounds`` or of a patch."""
+        lo, hi = self.bound_start[row], self.bound_start[row + 1]
+        at = self._row_at
+        if at is None or at[row] < 0:
+            return self._bounds[lo:hi]
+        start = at[row] & _OFFSET
+        return self._patches[at[row] >> 32][start:start + hi - lo]
 
     def _row(self, child: int, v_end: int) -> int:
         """Row number of the ``(child, v_end)`` condition, or ``-1``."""
@@ -261,10 +308,9 @@ class PruningConditionIndex:
 
     def _positive(self, child: int, row: int) -> dict[int, float]:
         """Row ``row`` of ``child`` as ``{h: ub}``, positive bounds only."""
-        lo, hi = self.bound_start[row], self.bound_start[row + 1]
         return {
             h: ub
-            for h, ub in zip(self._bags[child], self.bounds[lo:hi].tolist())
+            for h, ub in zip(self._bags[child], self._values(row).tolist())
             if ub > 0
         }
 
@@ -329,11 +375,13 @@ class PruningConditionIndex:
         if i == hi or cond_vend[i] != v_end:
             return None
         rows = self.bound_start
+        values = (
+            self._bounds[rows[i]:rows[i + 1]] if self._row_at is None
+            else self._values(i)
+        )
         return tuple(
             h
-            for h, ub in zip(
-                separator, self.bounds[rows[i]:rows[i + 1]].tolist()
-            )
+            for h, ub in zip(separator, values.tolist())
             if budget >= ub
         )
 
@@ -459,15 +507,21 @@ def _entry_reader(
     labels: LabelStore, separator: Sequence[int], v_end: int
 ) -> tuple[Callable[[int], float], Callable[[int, int], float]]:
     """``(first_cost(h), cub(h, u))`` for one condition over object
-    labels; each ``P(v_end, h)`` is fetched once."""
-    get = labels.get
-    sets = {h: get(v_end, h) for h in separator}
+    labels; each ``P(v_end, h)`` is fetched once, and every set is
+    found by ancestor depth as :func:`_column_reader` finds its rows."""
+    depth, label = labels.depth, labels.label
+    label_v = label(v_end)
+    sets = {h: label_v[depth[h]] for h in separator}
 
     def first_cost(h: int) -> float:
         return sets[h][0][1]
 
     def cub(h: int, u: int) -> float:
-        return compute_cub(sets[h], sets[u], get(u, h))
+        d_h, d_u = depth[h], depth[u]
+        return compute_cub(
+            sets[h], sets[u],
+            label(u)[d_h] if d_u > d_h else label(h)[d_u],
+        )
 
     return first_cost, cub
 
@@ -603,11 +657,13 @@ def _rebuild_stale_rows(
 
     Row ``(child, v_end)`` is stale when some ``P(v_end, h)`` or some
     ``P(a, b)`` with ``h, a, b`` in ``bags[child]`` is among
-    ``dirty_labels``.  The new index shares ``previous``'s three
-    structure columns (rows never move) and copies ``bounds``; each
-    stale row reruns Algorithm 7 with an empty pair cache and
-    ``Random(seed)`` and is written in place, so a row depends on its
-    own inputs only.
+    ``dirty_labels``.  The new index shares ``previous``'s four columns
+    (rows never move) and patches.  Each stale row reruns Algorithm 7
+    with an empty pair cache and ``Random(seed)``, so a row depends on
+    its own inputs only; a row whose bounds then differ from
+    ``previous``'s goes into this repair's patch, the only bounds it
+    writes.  With no such row the new index shares ``previous``'s
+    locator too.
     """
     started = time.perf_counter()
     bags = tree.bag
@@ -615,13 +671,14 @@ def _rebuild_stale_rows(
         previous.cond_start, previous.cond_vend, previous.bound_start
     )
     index = PruningConditionIndex(
-        bags, (cond_start, cond_vend, bound_start, array("d", previous.bounds))
+        bags, (cond_start, cond_vend, bound_start, previous._bounds)
     )
     touched: dict[int, list[int]] = {}
     for a, b in dirty_labels:
         touched.setdefault(a, []).append(b)
         touched.setdefault(b, []).append(a)
-    bounds = index.bounds
+    patch = array("d")
+    patched: list[tuple[int, int]] = []  # (row, offset in patch)
     for child in range(len(cond_start) - 1):
         lo, hi = cond_start[child], cond_start[child + 1]
         if lo == hi:
@@ -642,10 +699,32 @@ def _rebuild_stale_rows(
             ubs = build_condition(
                 labels, separator, v_end, random.Random(seed), index, {}
             )
-            start = bound_start[row]
-            bounds[start:start + len(separator)] = array(
-                "d", _dense_row(separator, ubs)
-            )
             index.rows_rebuilt += 1
+            values = array("d", _dense_row(separator, ubs))
+            if values.tolist() != previous._values(row).tolist():
+                patched.append((row, len(patch)))
+                patch.extend(values)
+    index._row_at, index._patches = previous._row_at, previous._patches
+    if patched:
+        at = (
+            array("q", previous._row_at) if previous._row_at is not None
+            else array("q", [-1]) * len(cond_vend)
+        )
+        pid = max(previous._patches, default=-1) + 1
+        for row, offset in patched:
+            at[row] = pid << 32 | offset
+        live = {loc >> 32 for loc in at if loc >= 0}
+        index._row_at = at
+        index._patches = {
+            key: value for key, value in previous._patches.items()
+            if key in live
+        }
+        index._patches[pid] = patch
+        if sum(map(len, index._patches.values())) > len(index._bounds):
+            # The live patches outgrew the column: fold them into a new
+            # one, so patches never hold more than the bounds they
+            # replace.
+            index._bounds = index.bounds
+            index._row_at, index._patches = None, {}
     index.build_seconds = time.perf_counter() - started
     return index

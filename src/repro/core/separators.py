@@ -43,15 +43,15 @@ class LabelFetcher:
     the label-lookup count at one per (side, hub) — and reports that
     count for the stats the paper plots.
 
-    Over flat labels the sizes are read from the store's
-    :class:`~repro.storage.flat.HubLookup` at position ``depth(h)``, so
-    estimation builds no entries: only the sets actually fetched are
-    materialised.  Like the flat engine's estimation, the read is not
+    Both stores' labels are read by hub depth: ``P_sh`` is position
+    ``depth(h)`` of ``L(s)``.  Over flat labels the sizes are read from
+    the store's :class:`~repro.storage.flat.HubLookup` at that position,
+    so estimation builds no entries: only the sets actually fetched are
+    materialised.  Like the flat engine's estimation, the reads are not
     checked against the hub column: hoplinks are common ancestors by
-    construction, and a wrong size could only change which separator
-    wins, whose sets are checked when they are fetched.  A (side, hub)
-    that was sized counts as looked up, fetched later or not, so
-    ``lookups`` is the same over either store.
+    construction, and the audit checks each label's coverage against
+    the tree.  A (side, hub) that was sized counts as looked up,
+    fetched later or not, so ``lookups`` is the same over either store.
     """
 
     __slots__ = (
@@ -73,6 +73,8 @@ class LabelFetcher:
             self._depth = lookup.depth
             self._s_sizes = lookup.size_at[s]
             self._t_sizes = lookup.size_at[t]
+        else:
+            self._depth = labels.depth
         self._from_s: dict[int, SkylineSet] = {}
         self._from_t: dict[int, SkylineSet] = {}
         self._sizes: dict[int, int] = {}
@@ -82,7 +84,7 @@ class LabelFetcher:
         """``P_sh``."""
         entries = self._from_s.get(h)
         if entries is None:
-            entries = self._label_s[h]
+            entries = self._label_s[self._depth[h]]
             self._from_s[h] = entries
             if h not in self._sizes:
                 self.lookups += 1
@@ -92,7 +94,7 @@ class LabelFetcher:
         """``P_ht``."""
         entries = self._from_t.get(h)
         if entries is None:
-            entries = self._label_t[h]
+            entries = self._label_t[self._depth[h]]
             self._from_t[h] = entries
             if h not in self._sizes:
                 self.lookups += 1

@@ -270,31 +270,23 @@ class EpochManager:
         it when the backlog forces a shed: fresh answers at search
         latency instead of fast answers at unbounded staleness.
         """
-        from repro.graph.network import RoadNetwork
-
         key = (self._epoch.id, self.journal.last_seq())
         if self._live_net_key == key and self._live_net is not None:
             return self._live_net
-        edges = self._epoch.dyn.network_edges()
+        network = self._epoch.dyn.index.network
+        deltas: list[EdgeDelta] = []
         for record in self._pending():
             try:
-                validate_deltas(record.deltas, len(edges))
+                validate_deltas(record.deltas, network.num_edges)
             except InvalidGraphError:
                 # Unrepairable batch (foreign/hand-edited journal);
                 # replay() quarantines it — don't let it poison the
                 # index-free shed tier in the meantime.
                 continue
-            for delta in record.deltas:
-                u, v, w, c = edges[delta.edge]
-                edges[delta.edge] = (
-                    u,
-                    v,
-                    w if delta.weight is None else delta.weight,
-                    c if delta.cost is None else delta.cost,
-                )
-        self._live_net = RoadNetwork.from_edges(
-            self._epoch.dyn.index.network.num_vertices, edges
-        )
+            deltas += record.deltas
+        # One derivation for every pending batch: a later delta of an
+        # edge wins, as applying the batches in order would.
+        self._live_net = network.with_edge_metrics(deltas)
         self._live_net_key = key
         return self._live_net
 

@@ -39,11 +39,11 @@ import copy
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.engine import QHLIndex, _building, random_index_queries
 from repro.core.pruning import build_pruning_index
-from repro.exceptions import InvalidGraphError, ReproError
+from repro.exceptions import ReproError
 from repro.gcpause import collector_paused
 from repro.graph.network import RoadNetwork
 from repro.hierarchy.tree import TreeDecomposition
@@ -93,15 +93,14 @@ class DynamicQHLIndex:
         self._index_queries = index_queries
         self._store_paths = store_paths
         self.seed = seed
-        self._edges: list[tuple[int, int, float, float]] = list(
-            index.network.edges()
-        )
         # Which vertices' shortcut dicts this index may write into; a
         # clone shares them until its repair's first write (clone()).
         self._shortcuts_owned = bytearray(b"\x01") * index.tree.num_vertices
         with collector_paused():
             self._contributors = _build_contributor_index(index.tree)
-            self._edge_keys = _build_edge_key_index(self._edges, index.tree)
+            self._edge_keys = _build_edge_key_index(
+                index.network.edges(), index.tree
+            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -139,7 +138,7 @@ class DynamicQHLIndex:
 
     def network_edges(self) -> list[tuple[int, int, float, float]]:
         """The current edge list (insertion order, updated metrics)."""
-        return list(self._edges)
+        return list(self.index.network.edges())
 
     # ------------------------------------------------------------------
     def clone(self) -> "DynamicQHLIndex":
@@ -147,21 +146,26 @@ class DynamicQHLIndex:
 
         The clone shares with ``self`` the network, lca, pruning,
         contributor index and edge-key index, every skyline entry
-        list, and every per-vertex label and shortcut dict.  A
-        vertex's dict is copied on the first write into it, by the
-        clone's repair or by an in-place repair of ``self``, whichever
-        writes; until then both serve the one dict.  So a repair's
-        epoch costs the dicts and lists it changed, not a copy of every
-        vertex's.  No repair mutates an entry list in place (a changed
-        list is a new one), so readers of either index never observe a
-        torn frontier.
+        list, every per-vertex label list (indexed by ancestor depth,
+        :class:`~repro.labeling.labels.LabelStore`) and every shortcut
+        dict.  A vertex's list or dict is copied on the first write into
+        it, by the clone's repair or by an in-place repair of ``self``,
+        whichever writes; until then both serve the one object.  The
+        repair derives a new network that shares every edge and
+        adjacency list the batch did not touch
+        (:meth:`~repro.graph.network.RoadNetwork.with_edge_metrics`),
+        and a pruning index that shares every row whose bounds did not
+        change.  So a repair's epoch costs what it changed, not a copy
+        of every vertex's label or of any whole column.  No repair
+        mutates an entry list in place (a changed list is a new one), so
+        readers of either index never observe a torn frontier.
         """
         old = self.index
         tree = copy.copy(old.tree)
         tree.shortcuts = dict(old.tree.shortcuts)
         self._shortcuts_owned = bytearray(len(self._shortcuts_owned))
-        # Built without __init__, which would rebuild the edge list and
-        # the contributor and edge-key indexes only to replace them here.
+        # Built without __init__, which would rebuild the contributor
+        # and edge-key indexes only to replace them here.
         twin = object.__new__(type(self))
         twin.index = QHLIndex(
             old.network, tree, old.labels.share(), old.lca, old.pruning
@@ -169,7 +173,6 @@ class DynamicQHLIndex:
         twin._index_queries = self._index_queries
         twin._store_paths = self._store_paths
         twin.seed = self.seed
-        twin._edges = list(self._edges)
         twin._shortcuts_owned = bytearray(len(self._shortcuts_owned))
         twin._contributors = self._contributors  # topology is fixed
         twin._edge_keys = self._edge_keys
@@ -207,33 +210,19 @@ class DynamicQHLIndex:
         # Repair timing runs on the injected clock in chaos tests.
         clock = injected_clock() or time.perf_counter
         started = clock()
-        dirty_seeds: set[tuple[int, int]] = set()
-        staged = list(self._edges)
-        for edge_index, weight, cost in deltas:  # lint: allow=QHL001 validation only, bounded by the batch size
-            if not 0 <= edge_index < len(staged):
-                raise InvalidGraphError(
-                    f"edge index {edge_index} out of range"
-                )
-            u, v, old_w, old_c = staged[edge_index]
-            new_w = old_w if weight is None else weight
-            new_c = old_c if cost is None else cost
-            if new_w <= 0 or new_c <= 0:
-                raise InvalidGraphError(
-                    "metrics must stay strictly positive"
-                )
-            staged[edge_index] = (u, v, new_w, new_c)
-            dirty_seeds.add(_ordered(u, v, self.index.tree))
-        self._edges = staged
-
-        # Refresh the stored network object (queries never read it, but
-        # stats and serialisation do).
+        deltas = list(deltas)
+        # Validates the whole batch before any state moves.
+        network = self.index.network.with_edge_metrics(deltas)
+        tree = self.index.tree
+        dirty_seeds = {
+            _ordered(*network.edge(edge_index)[:2], tree)
+            for edge_index, _weight, _cost in deltas
+        }
+        self.index.network = network
         with collector_paused():
-            self.index.network = RoadNetwork.from_edges(
-                self.index.network.num_vertices, self._edges
-            )
             report = self._repair(dirty_seeds=dirty_seeds, deadline=deadline)
         report.seconds = clock() - started
-        report.edges_applied = len(list(deltas))
+        report.edges_applied = len(deltas)
         return report
 
     # ------------------------------------------------------------------
@@ -245,7 +234,7 @@ class DynamicQHLIndex:
         tree = self.index.tree
         labels = self.index.labels
         store_paths = self._store_paths
-        edges = self._edges
+        edge = self.index.network.edge
         owned = self._shortcuts_owned
 
         dirty_pairs: set[tuple[int, int]] = set()
@@ -274,7 +263,7 @@ class DynamicQHLIndex:
                 base = [
                     edge_entry(w_i, c_i, a, b, with_prov=store_paths)
                     for a, b, w_i, c_i in map(
-                        edges.__getitem__, self._edge_keys.get(key, ())
+                        edge, self._edge_keys.get(key, ())
                     )
                 ]
                 old = tree.shortcuts[x][w]
@@ -294,8 +283,15 @@ class DynamicQHLIndex:
                 if changed:
                     dirty_pairs.add(key)
 
-        # Sweep 2: labels top-down.
-        dirty_labels: set[tuple[int, int]] = set()
+        # Sweep 2: labels top-down.  P(v, u) reads P(w, u) for each hub
+        # w of X(v), stored in the deeper one's label at the shallower
+        # one's depth; dirty[v] holds the depths of the ancestors u whose
+        # P(v, u) changed.  A label holds only depths above its own, so
+        # the two probes below need no depth compare: d_u is in dirty[w]
+        # only for a deeper w, and d_w in dirty[u] only for a shallower.
+        depth = tree.depth
+        dirty: dict[int, set[int]] = {}
+        dirty_labels: list[tuple[int, int]] = []
         labels_checked = 0
         for v in tree.topdown_order:
             if v == tree.root:
@@ -304,11 +300,15 @@ class DynamicQHLIndex:
                 deadline.check()
             bag = tree.bag[v]
             shortcut_dirty = any((v, w) in dirty_pairs for w in bag)
+            below = [dirty[w] for w in bag if w in dirty]
+            hub_depths = {depth[w] for w in bag}
             for u in tree.ancestors(v):  # lint: allow=QHL001 outer sweep checks once per vertex
-                needs = shortcut_dirty or any(
-                    _label_key(w, u, tree) in dirty_labels
-                    for w in bag
-                    if w != u
+                d_u = depth[u]
+                above = dirty.get(u)
+                needs = (
+                    shortcut_dirty
+                    or any(d_u in marks for marks in below)
+                    or (above is not None and not above.isdisjoint(hub_depths))
                 )
                 if not needs:
                     continue
@@ -319,7 +319,8 @@ class DynamicQHLIndex:
                     continue
                 labels.set(v, u, kept)
                 if changed:
-                    dirty_labels.add((v, u))
+                    dirty.setdefault(v, set()).add(d_u)
+                    dirty_labels.append((v, u))
 
         # Sweep 3: pruning-condition rows that read a changed label.
         rows_rebuilt = 0
@@ -349,13 +350,6 @@ def _ordered(a: int, b: int, tree: TreeDecomposition) -> tuple[int, int]:
     if tree.position[a] < tree.position[b]:
         return (a, b)
     return (b, a)
-
-
-def _label_key(w: int, u: int, tree: TreeDecomposition) -> tuple[int, int]:
-    """The (deeper, shallower) key under which P_wu is stored."""
-    if tree.depth[w] >= tree.depth[u]:
-        return (w, u)
-    return (u, w)
 
 
 def _reuse(
@@ -424,7 +418,7 @@ def _build_contributor_index(
 
 
 def _build_edge_key_index(
-    edges: list[tuple[int, int, float, float]], tree: TreeDecomposition
+    edges: Iterable[tuple[int, int, float, float]], tree: TreeDecomposition
 ) -> dict[tuple[int, int], tuple[int, ...]]:
     """``edge_keys[(v, w)]`` = the indexes of the edges between ``v``
     and ``w``, in insertion order; the keys are ordered as the

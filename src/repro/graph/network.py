@@ -110,6 +110,10 @@ class RoadNetwork:
         """Iterate over the edges as ``(u, v, weight, cost)`` tuples."""
         return iter(self._edges)
 
+    def edge(self, index: int) -> Edge:
+        """The edge at ``index`` in insertion order."""
+        return self._edges[index]
+
     def neighbors(self, v: int) -> Sequence[tuple[int, float, float]]:
         """The adjacency list of ``v``: tuples ``(neighbour, weight, cost)``."""
         self._check_vertex(v)
@@ -177,12 +181,70 @@ class RoadNetwork:
             raise InvalidGraphError(
                 f"expected {len(self._edges)} costs, got {len(costs)}"
             )
-        edges = []
-        for idx, (u, v, w, c) in enumerate(self._edges):
-            new_w = w if weights is None else weights[idx]
-            new_c = c if costs is None else costs[idx]
-            edges.append((u, v, new_w, new_c))
-        return RoadNetwork.from_edges(self._n, edges)
+        return self.with_edge_metrics(
+            (idx,
+             None if weights is None else weights[idx],
+             None if costs is None else costs[idx])
+            for idx in range(len(self._edges))
+        )
+
+    def with_edge_metrics(
+        self, deltas: Iterable[tuple[int, float | None, float | None]]
+    ) -> "RoadNetwork":
+        """The network with some edges' metrics replaced, sharing the rest.
+
+        ``deltas`` yields ``(edge_index, weight, cost)`` with absolute
+        metrics, ``None`` keeping one; a later delta of an edge wins.
+        The new network shares with this one every edge tuple and every
+        adjacency list that no delta touched.  An endpoint of a touched
+        edge gets a copy of its adjacency list with that edge's tuple
+        replaced in place, so its lists equal what :meth:`from_edges`
+        builds from the new edge list.  This is how every metric change
+        derives a network: a live update's batch
+        (:meth:`repro.dynamic.DynamicQHLIndex.apply_deltas`), the shed
+        tier's view of pending batches and :meth:`with_metrics`.
+
+        Raises
+        ------
+        InvalidGraphError
+            If an edge index is out of range or a metric is not
+            strictly positive; nothing is derived then.
+        """
+        edges = list(self._edges)
+        changed: set[int] = set()
+        for index, weight, cost in deltas:
+            if not 0 <= index < len(edges):
+                raise InvalidGraphError(f"edge index {index} out of range")
+            u, v, w, c = edges[index]
+            w = w if weight is None else weight
+            c = c if cost is None else cost
+            if w <= 0 or c <= 0:
+                raise InvalidGraphError(
+                    "metrics must stay strictly positive"
+                )
+            edges[index] = (u, v, w, c)
+            changed.add(index)
+        adj = list(self._adj)
+        # A touched list's k-th item is its vertex's k-th edge in
+        # insertion order: count positions in one pass over the edges.
+        at = dict.fromkeys((x for i in changed for x in edges[i][:2]), 0)
+        for x in at:
+            adj[x] = list(adj[x])
+        if at:
+            for i, (u, v, w, c) in enumerate(edges):
+                if u in at:
+                    if i in changed:
+                        adj[u][at[u]] = (v, w, c)
+                    at[u] += 1
+                if v in at:
+                    if i in changed:
+                        adj[v][at[v]] = (u, w, c)
+                    at[v] += 1
+        network = object.__new__(RoadNetwork)
+        network._n = self._n
+        network._adj = adj
+        network._edges = edges
+        return network
 
     def path_metrics(self, path: Sequence[int]) -> tuple[float, float]:
         """``(w(p), c(p))`` of a concrete vertex path (Definition 2).

@@ -77,8 +77,8 @@ def label_rows_for(
 
     Each row is :func:`label_set`'s, with the lookups hoisted: hub
     ``w`` and ancestor ``u`` are on one root path, so ``P(w, u)`` sits
-    in the label of the deeper of the two, and comparing depths picks
-    that label without the store's two-sided ``get``.
+    in the label of the deeper of the two at the shallower one's depth,
+    and comparing depths picks that slot without the store's ``get``.
     """
     hubs = tree.bag[v]  # X(v)\{v}, all ancestors of X(v)
     depth, label = tree.depth, store.label
@@ -90,7 +90,8 @@ def label_rows_for(
         depth_u, label_u = depth[u], label(u)
         rows.append((u, join_union([
             (s_vw, None if w == u
-             else label_w[u] if depth_w > depth_u else label_u[w], w)
+             else label_w[depth_u] if depth_w > depth_u
+             else label_u[depth_w], w)
             for s_vw, w, depth_w, label_w in hub_parts
         ])))
         joins += len(hubs) - (u in hubs)
@@ -117,7 +118,7 @@ def build_labels(
         Labels for every vertex, with ``build_seconds`` filled in.
     """
     started = time.perf_counter()
-    store = LabelStore(tree.num_vertices, store_paths=store_paths)
+    store = LabelStore(tree.parent, tree.depth, store_paths=store_paths)
     _sweep(tree, store)
     store.build_seconds = time.perf_counter() - started
     _record_build_seconds(store.build_seconds)
@@ -173,7 +174,7 @@ def build_label_columns(
             "resume and a build budget need a checkpoint directory: the "
             "watchdog checkpoints-then-raises so --resume can continue"
         )
-    store = LabelStore(tree.num_vertices, store_paths=store_paths)
+    store = LabelStore(tree.parent, tree.depth, store_paths=store_paths)
     writer = LabelColumnWriter(tree.num_vertices, provenance=store_paths)
     _sweep(tree, store, writer, segments)
     with get_tracer().span("labels.columns"):

@@ -402,7 +402,7 @@ def _check_label_coverage(index) -> AuditCheck:
     for v in range(tree.num_vertices):
         check.checked += 1
         expected = set(tree.ancestors(v))
-        actual = set(labels.label(v).keys())
+        actual = set(labels.hubs_of(v))
         missing = expected - actual
         extra = actual - expected
         if missing:

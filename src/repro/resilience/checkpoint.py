@@ -396,7 +396,11 @@ class SegmentedSweep:
                     acc.append(heads[u][a])
                     continue
                 head = heads[w][a]
-                tails = label(w)[u] if depth[w] > depth_u else label_u[w]
+                depth_w = depth[w]
+                tails = (
+                    label(w)[depth_u] if depth_w > depth_u
+                    else label_u[depth_w]
+                )
                 tail = tails[bisect_left(tails, b, key=_COST)]
                 acc.append(
                     (head[0] + tail[0], head[1] + tail[1], w, head, tail)

@@ -95,14 +95,15 @@ def pack_labels(store: LabelStore, provenance: bool = False) -> CompactLabels:
     The store is replayed through :class:`LabelColumnWriter`, the
     writer the streaming label build fills, depth-first down the label
     chain.  The tree is read off the labels: ``|L(v)|`` is ``v``'s
-    depth and its parent is the hub with the longest label.
+    depth, its parent is the hub with the longest label, and each set
+    is read by its hub's depth.
     """
     n = store.num_vertices
     depth = [len(store.label(v)) for v in range(n)]
     children: list[list[int]] = [[] for _ in range(n)]
     roots = []
     for v in range(n):
-        parent = max(store.label(v), key=depth.__getitem__, default=-1)
+        parent = max(store.hubs_of(v), key=depth.__getitem__, default=-1)
         if 0 <= parent < n and depth[parent] < depth[v]:
             children[parent].append(v)
         else:
@@ -116,7 +117,7 @@ def pack_labels(store: LabelStore, provenance: bool = False) -> CompactLabels:
             continue
         hubs = store.hubs_of(v)
         label = store.label(v)
-        writer.enter(v, hubs, [label[u] for u in hubs])
+        writer.enter(v, hubs, [label[depth[u]] for u in hubs])
         stack.append((v, True))
         stack.extend((w, False) for w in reversed(children[v]))
     return writer.finish()

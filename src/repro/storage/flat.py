@@ -25,8 +25,9 @@ sequences in depth order.  The lookup is derived from the saved
 columns and never serialized.
 
 The store also speaks the :class:`~repro.labeling.labels.LabelStore`
-read API — ``label(v)`` returns a lazy hub→entries mapping, ``get(x, y)``
-materialises entry tuples, plus the counting/iteration helpers — so
+read API — ``label(v)`` returns a lazy sequence of sets by ancestor
+depth, ``get(x, y)`` materialises entry tuples, plus the
+counting/iteration helpers — so
 consumers built against the object store (the frontier cache, the index
 audit, the CSP-2Hop baseline, the object-sweep engine) run over flat or
 mmap-backed labels unmodified.  Materialised entries are built at C
@@ -49,7 +50,7 @@ from array import array
 from bisect import bisect_left
 from itertools import repeat
 from operator import sub
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.exceptions import IndexBuildError, ReproError, SerializationError
 from repro.labeling.labels import _PAIR_BYTES
@@ -175,7 +176,9 @@ class FlatLabelStore:
     # LabelStore-compatible read API (materialises entry tuples)
     # ------------------------------------------------------------------
     def label(self, v: int) -> "_FlatLabel":
-        """``L(v)`` as a lazy hub → skyline-set mapping."""
+        """``L(v)`` as a lazy sequence of skyline sets by ancestor depth,
+        as :meth:`LabelStore.label <repro.labeling.labels.LabelStore.
+        label>` gives it."""
         return _FlatLabel(self, v)
 
     def get(self, x: int, y: int) -> list[Entry]:
@@ -507,29 +510,23 @@ class HubLookup:
         return found
 
 
-class _FlatLabel(Mapping[int, list[Entry]]):
-    """Lazy ``L(v)`` view: hub vertex → materialised skyline set."""
+class _FlatLabel(Sequence[list[Entry]]):
+    """Lazy ``L(v)`` by ancestor depth: position ``d`` materialises the
+    skyline set of ``v``'s ancestor at depth ``d``, read from the
+    store's :class:`HubLookup` like :class:`~repro.labeling.labels.
+    LabelStore`'s depth-indexed lists."""
 
-    __slots__ = ("_store", "_lo", "_hi")
+    __slots__ = ("_store", "_lo", "_sizes")
 
     def __init__(self, store: FlatLabelStore, v: int):
+        lookup = store.by_depth()
         self._store = store
-        self._lo = store.set_offsets[v]
-        self._hi = store.set_offsets[v + 1]
+        self._lo = lookup.lo_at[v]
+        self._sizes = lookup.size_at[v]
 
-    def __getitem__(self, u: int) -> list[Entry]:
-        store = self._store
-        i = bisect_left(store.hubs, u, self._lo, self._hi)
-        if i >= self._hi or store.hubs[i] != u:
-            raise KeyError(u)
-        return store.entries(
-            store.entry_offsets[i], store.entry_offsets[i + 1]
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        hubs = self._store.hubs
-        for i in range(self._lo, self._hi):
-            yield hubs[i]
+    def __getitem__(self, d: int) -> list[Entry]:  # type: ignore[override]
+        lo = self._lo[d]
+        return self._store.entries(lo, lo + self._sizes[d])
 
     def __len__(self) -> int:
-        return self._hi - self._lo
+        return len(self._sizes)

@@ -42,7 +42,7 @@ def assert_unchanged(dyn, snap):
     tree, labels = dyn.index.tree, dyn.index.labels
     label_sets, shortcut_sets = snap
     for v, u, entries, pairs in label_sets:
-        got = labels.label(v)[u]
+        got = labels.get(v, u)
         assert got is entries and _pairs(got) == pairs, (v, u)
     for x, w, entries, pairs in shortcut_sets:
         got = tree.shortcuts[x][w]

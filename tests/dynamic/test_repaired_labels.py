@@ -102,4 +102,4 @@ def test_a_no_op_repair_keeps_every_list():
     assert report.shortcuts_checked > 0
     assert report.shortcuts_changed == report.labels_changed == 0
     assert all(tree.shortcuts[x][w] is entries for x, w, entries in shortcuts)
-    assert all(labels.label(v)[u] is entries for v, u, entries in sets)
+    assert all(labels.get(v, u) is entries for v, u, entries in sets)

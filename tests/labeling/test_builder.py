@@ -23,7 +23,8 @@ class TestPaperExampleLabels:
     def test_label_keys_are_exactly_ancestors(self, built):
         _g, tree, labels = built
         for vtx in range(13):
-            assert set(labels.label(vtx)) == set(tree.ancestors(vtx))
+            assert len(labels.label(vtx)) == tree.depth[vtx]
+            assert set(labels.hubs_of(vtx)) == set(tree.ancestors(vtx))
 
     def test_example4_p_v8v9(self, built):
         _g, _tree, labels = built
@@ -50,7 +51,7 @@ class TestPaperExampleLabels:
     def test_label_of_v10_matches_paper_text(self, built):
         # §2.3: L(v10) = {(v11, ...), (v12, ...), (v13, ...)}.
         _g, _tree, labels = built
-        assert set(labels.label(v(10))) == {v(11), v(12), v(13)}
+        assert set(labels.hubs_of(v(10))) == {v(11), v(12), v(13)}
 
 
 class TestGroundTruth:

@@ -72,7 +72,7 @@ def corrupt_dropped_hoplink(index):
     """Delete one hub from one label: an ancestor loses its entry."""
     bad = copy.deepcopy(index)
     v, u, _entries = _rich_pair(bad, min_entries=1)
-    del bad.labels.label(v)[u]
+    del bad.labels.label(v)[bad.tree.depth[u]]
     return bad
 
 

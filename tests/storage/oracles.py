@@ -23,7 +23,7 @@ def label_rows(store: LabelStore) -> list[Entry]:
         entry
         for v in range(store.num_vertices)
         for u in store.hubs_of(v)
-        for entry in store.label(v)[u]
+        for entry in store.get(v, u)
     ]
 
 

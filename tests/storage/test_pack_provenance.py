@@ -135,12 +135,12 @@ class TestMatchesOracle:
         ]
         (v1, u1, i1), (v2, u2, i2) = joins[0], joins[-1]
         # A label row that is itself an anonymous zero entry ...
-        entries = list(store.label(v1)[u1])
+        entries = list(store.get(v1, u1))
         w, c = entries[i1][:2]
         entries[i1] = (w, c, *zero_entry()[2:])
         store.set(v1, u1, entries)
         # ... and a join whose right child is one (a pool row).
-        entries = list(store.label(v2)[u2])
+        entries = list(store.get(v2, u2))
         w, c, mid, left, _right = entries[i2]
         entries[i2] = (w, c, mid, left, zero_entry())
         store.set(v2, u2, entries)

@@ -66,7 +66,11 @@ class TestClone:
         twin = index.clone()
         assert twin._contributors is index._contributors
         assert twin.network_edges() == index.network_edges()
-        assert twin._edges is not index._edges
+        # The network is shared until a repair derives the clone's own.
+        assert twin.index.network is index.index.network
+        twin.update_edge(5, weight=123, cost=77)
+        assert twin.index.network is not index.index.network
+        assert index.network_edges()[5] != twin.network_edges()[5]
 
     def test_clone_repairs_without_touching_the_original(self, dyn):
         g, _q, index = dyn
