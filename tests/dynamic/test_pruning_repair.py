@@ -243,3 +243,40 @@ def test_seed_survives_journal_replay(tmp_path):
     assert replayed.replay() == 3
     assert replayed.epoch.dyn.seed == SEED
     assert _columns(replayed.epoch.dyn) == _columns(live.epoch.dyn)
+
+
+def test_patched_rows_read_fold_and_save_as_one_column(tmp_path):
+    """Repairs keep changed rows in patches: every read, the joined
+    ``bounds`` and a saved file agree, each epoch keeps its own bounds,
+    and the patches fold into a new column once they outgrow it."""
+    from repro.storage.flatfile import load_flat_index, save_flat_index
+
+    network = _network("NY")
+    dyn = DynamicQHLIndex.build(network, num_index_queries=300, seed=SEED)
+    kept = []
+    folded = False
+    for batch in _batches(network, 9, count=12):
+        kept.append((dyn.index.pruning, dyn.index.pruning.bounds.tolist()))
+        dyn = dyn.clone()
+        dyn.apply_deltas(batch)
+        pruning = dyn.index.pruning
+        folded = folded or pruning._row_at is None and bool(kept[-1][0]._patches)
+        bounds = pruning.bounds
+        for _row, child, v_end, lo, hi in _rows(pruning):
+            want = {
+                h: ub
+                for h, ub in zip(dyn.index.tree.bag[child], bounds[lo:hi])
+                if ub > 0
+            }
+            assert pruning.lookup(child, v_end) == want, (child, v_end)
+        for old, values in kept:
+            assert old.bounds.tolist() == values
+    assert folded
+    path = str(tmp_path / "repaired.qflat")
+    save_flat_index(dyn.index, path)
+    loaded = load_flat_index(path)
+    for name in COND_COLUMNS:
+        assert (
+            memoryview(getattr(loaded.pruning, name)).tobytes()
+            == memoryview(getattr(dyn.index.pruning, name)).tobytes()
+        ), name
